@@ -179,6 +179,24 @@ type Cache struct {
 	down     mem.Request
 	accessEv AccessEvent
 
+	// Sleep protocol (DESIGN.md "Time model & event horizons"). All of it is
+	// rebuilt state, never snapshotted: a restored cache retries once and
+	// re-arms its memos.
+	//
+	// pops is the epoch requesters refused by a full inQ watch: it advances
+	// on every inQ pop. staller is the lower level's mem.Staller extension
+	// (nil: refusals by the lower are retried every cycle). headMSHR marks
+	// a head blocked on a full MSHR file — only a Fill can change that
+	// verdict, and Fill clears the mark; headLow/wbLow watch the lower after
+	// it refused the head's miss (still buffered in down) or the writeback
+	// queue's front.
+	pops     uint64
+	staller  mem.Staller
+	headMSHR bool
+	headLow  mem.Watch
+	wbLow    mem.Watch
+
+	shift uint // log2(cfg.Sets): tag = lineID >> shift
 	cycle uint64
 	stats Stats
 }
@@ -205,7 +223,9 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 		mshrFirst: make([]uint64, cfg.MSHRs),
 		mshrPfReq: make([]mem.Request, cfg.MSHRs),
 		mshrWait:  make([][]waiter, cfg.MSHRs),
+		shift:     uint(bits.TrailingZeros(uint(cfg.Sets))),
 	}
+	c.staller, _ = lower.(mem.Staller)
 	lines := cfg.Sets * cfg.Ways
 	c.slab = make([]uint64, 2*lines+3*cfg.Sets)
 	c.tags, c.trigger = c.slab[:lines], c.slab[lines:2*lines]
@@ -259,7 +279,7 @@ func (c *Cache) OnPFEvict(f func(trigger uint64, addr mem.Addr)) { c.onPFEvict =
 //
 //clipvet:hotpath
 func (c *Cache) Issue(req *mem.Request) bool {
-	if c.inQ.Len() >= c.cfg.InQ {
+	if c.Full() {
 		if req.Type == mem.Prefetch && !req.Owned {
 			c.trace("issue-drop-pf", req)
 			c.stats.PFDropped++
@@ -286,7 +306,7 @@ func (c *Cache) Issue(req *mem.Request) bool {
 // the input queue is full so the caller (the per-core prefetch queue) can
 // hold the request and retry, modelling ChampSim's PQ.
 func (c *Cache) TryIssue(req *mem.Request) bool {
-	if c.inQ.Len() >= c.cfg.InQ {
+	if c.Full() {
 		return false
 	}
 	return c.Issue(req)
@@ -364,16 +384,8 @@ func (c *Cache) DebugInQ() string {
 func (c *Cache) index(addr mem.Addr) (set int, tag uint64) {
 	lineID := addr.LineID()
 	set = int(lineID & uint64(c.cfg.Sets-1))
-	tag = lineID >> uint(log2(c.cfg.Sets))
+	tag = lineID >> c.shift
 	return
-}
-
-func log2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
 }
 
 // Tick advances one cycle: drain writebacks, process ready requests, deliver
@@ -388,40 +400,107 @@ func (c *Cache) Tick(cycle uint64) {
 }
 
 // NextEvent returns the earliest cycle >= now at which Tick can make
-// progress: queued writebacks and responses drain every cycle, and queued
-// requests mature at the head entry's lookup-ready time. A cache whose
-// queues are all empty is quiescent (mem.NoEvent) even with MSHRs in
-// flight — fills arrive through Fill, which repopulates the response queue
-// and thereby pulls the horizon back to "now" before the next Tick gate.
+// progress. Queued responses deliver every cycle; queued writebacks drain
+// every cycle unless the lower level refused the front one and has freed no
+// slot since; queued requests mature at the head entry's lookup-ready time,
+// and a matured head that the last Tick left blocked sleeps until the event
+// that can unblock it — any Fill for a full MSHR file, a freed slot for a
+// busy lower level. A cache with nothing but sleepers is quiescent
+// (mem.NoEvent), as is one whose queues are all empty even with MSHRs in
+// flight: fills arrive through Fill, which clears the head's memo and
+// repopulates the response queue, pulling the horizon back to "now" before
+// the next Tick gate.
 func (c *Cache) NextEvent(now uint64) uint64 {
-	if c.wbQ.Len() > 0 || len(c.respQ) > 0 {
+	if len(c.respQ) > 0 || (c.wbQ.Len() > 0 && !c.wbLow.Holds()) {
 		return now
 	}
 	if c.inQ.Len() > 0 {
 		if r := c.inQ.Front().ready; r > now {
 			return r
 		}
-		return now
+		if !c.headMSHR && !c.headLow.Holds() {
+			return now
+		}
 	}
 	return mem.NoEvent
 }
 
-// SkipTick replaces Tick for a cycle the simulation loop proved idle via
-// NextEvent. Only the internal clock advances: Issue stamps lookup maturity
-// relative to it, so it must track the global cycle even across skips.
+// SkipTick replaces Tick for the cycles (c.cycle, cycle] the simulation loop
+// proved idle via NextEvent. The internal clock advances — Issue stamps
+// lookup maturity relative to it, so it must track the global cycle even
+// across skips — and every sleeper is charged what its per-cycle retries
+// would have counted: MSHRFullEvents for a head blocked on the MSHR file,
+// the lower level's own refusal accounting (mem.Staller.Refused) for a head
+// or writeback it refused.
 func (c *Cache) SkipTick(cycle uint64) {
 	if invariant.Enabled {
 		invariant.Check(c.NextEvent(cycle) > cycle,
 			"cache %s: tick skipped at cycle %d with work pending (inQ=%d wbQ=%d resp=%d)",
 			c.cfg.Name, cycle, c.inQ.Len(), c.wbQ.Len(), len(c.respQ))
 	}
+	if c.wbQ.Len() > 0 || c.headMSHR || c.headLow.Holds() {
+		c.chargeSleepers(cycle - c.cycle)
+	}
 	c.cycle = cycle
 }
 
+// chargeSleepers applies n cycles of refused retries. NextEvent vouched that
+// whatever is queued is asleep, so a non-empty wbQ means its front is
+// refused, and a set head memo means the matured head is. Under clipdebug
+// each verdict is re-derived from scratch.
+func (c *Cache) chargeSleepers(n uint64) {
+	if c.wbQ.Len() > 0 {
+		//clipvet:staged only the serially-ticked LLC has DRAM as lower; tile-phase L1/L2 charge the tile-local level below
+		c.staller.Refused(c.wbQ.Front(), n)
+	}
+	switch {
+	case c.headMSHR:
+		if invariant.Enabled {
+			req := &c.inQ.Front().req
+			set, tag := c.index(req.Addr)
+			invariant.Check(c.mshrValid.FirstClear() < 0 && c.findWay(set, tag) < 0 && c.mshrFind(req.Addr.Line()) < 0,
+				"cache %s: head %x slept on MSHR-full but its retry would not block", c.cfg.Name, uint64(req.Addr))
+		}
+		c.stats.MSHRFullEvents += n
+	case c.headLow.Holds():
+		// down still holds the refused miss: only lookup writes it, and the
+		// blocked head keeps lookup from running.
+		//clipvet:staged only the serially-ticked LLC has DRAM as lower; tile-phase L1/L2 charge the tile-local level below
+		c.staller.Refused(&c.down, n)
+	}
+}
+
+// StallEpoch implements mem.Staller for the level above: a full input queue
+// refuses everything but a droppable prefetch, purely, until a pop.
+func (c *Cache) StallEpoch(req *mem.Request) *uint64 {
+	if !c.Full() || (req.Type == mem.Prefetch && !req.Owned) {
+		return nil
+	}
+	return &c.pops
+}
+
+// Refused implements mem.Staller: a refused Issue counts nothing here.
+func (c *Cache) Refused(req *mem.Request, n uint64) {
+	if invariant.Enabled {
+		invariant.Check(c.StallEpoch(req) != nil,
+			"cache %s: %d retries of %v %x charged as refused, but Issue would accept",
+			c.cfg.Name, n, req.Type, uint64(req.Addr))
+	}
+}
+
+// Full reports whether the input queue is at capacity (every Issue but a
+// droppable prefetch is refused).
+func (c *Cache) Full() bool { return c.inQ.Len() >= c.cfg.InQ }
+
 func (c *Cache) drainWritebacks() {
+	c.wbLow = mem.Watch{}
 	for c.wbQ.Len() > 0 {
+		if c.lower == nil {
+			return
+		}
 		//clipvet:staged only the serially-ticked LLC has DRAM as lower; tile-phase L1/L2 drain into the staged l2Lower
-		if c.lower == nil || !c.lower.Issue(c.wbQ.Front()) {
+		if !c.lower.Issue(c.wbQ.Front()) {
+			c.wbLow = mem.WatchRefusal(c.staller, c.wbQ.Front())
 			return
 		}
 		c.wbQ.PopFront()
@@ -430,6 +509,7 @@ func (c *Cache) drainWritebacks() {
 }
 
 func (c *Cache) process() {
+	c.headMSHR, c.headLow = false, mem.Watch{}
 	ports := c.cfg.Ports
 	for ports > 0 && c.inQ.Len() > 0 {
 		q := c.inQ.Front()
@@ -442,6 +522,7 @@ func (c *Cache) process() {
 			return // structural stall (MSHR full / lower busy): head blocks
 		}
 		c.inQ.PopFront()
+		c.pops++
 		ports--
 	}
 }
@@ -548,6 +629,7 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 			return true // drop prefetch, don't block
 		}
 		c.trace("mshr-full-block", req)
+		c.headMSHR = true
 		return false
 	}
 	if c.lower == nil {
@@ -566,7 +648,8 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 			return true
 		}
 		c.trace("lower-busy-block", req)
-		return false // lower busy: retry next cycle
+		c.headLow = mem.WatchRefusal(c.staller, &c.down)
+		return false // lower busy: retry once it frees a slot
 	}
 	c.trace("mshr-alloc", req)
 	if invariant.Enabled {
@@ -601,6 +684,9 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 //
 //clipvet:hotpath
 func (c *Cache) Fill(resp *mem.Response) {
+	// A fill frees an MSHR or installs a line: either can change a blocked
+	// head's verdict, so it retries on the next Tick.
+	c.headMSHR, c.headLow = false, mem.Watch{}
 	lineAddr := resp.Req.Addr.Line()
 	c.trace("fill", &resp.Req)
 	if i := c.mshrFind(lineAddr); i >= 0 {
@@ -699,13 +785,13 @@ func (c *Cache) install(req *mem.Request, dirty bool) {
 		if c.pfBits[set]&wbit != 0 {
 			c.stats.PFPolluting++
 			if c.onPFEvict != nil {
-				vLine := (c.tags[base+way]>>1)<<uint(log2(c.cfg.Sets)) | uint64(set)
+				vLine := (c.tags[base+way]>>1)<<c.shift | uint64(set)
 				c.onPFEvict(c.trigger[base+way], mem.Addr(vLine<<mem.LineShift))
 			}
 		}
 		if c.dirtyBits[set]&wbit != 0 {
 			// Reconstruct victim address from set+tag.
-			vLine := (c.tags[base+way]>>1)<<uint(log2(c.cfg.Sets)) | uint64(set)
+			vLine := (c.tags[base+way]>>1)<<c.shift | uint64(set)
 			c.wbQ.Push(mem.Request{
 				Addr: mem.Addr(vLine << mem.LineShift),
 				Type: mem.Writeback, Core: req.Core, IssueCycle: c.cycle,

@@ -9,7 +9,11 @@ import (
 
 // Cache checkpointing: the line-state slab (tags/trigger/dirty/pf/valid are
 // views into it) and replacement-policy slabs restore verbatim; queues and
-// the MSHR file restore by content into the construction-time backing.
+// the MSHR file restore by content into the construction-time backing. The
+// sleep memos (headMSHR/headLow/wbLow) are rebuilt state: Load drops them, so
+// a cache restored asleep takes one real Tick, is refused exactly as its
+// skipped retry would have been, and re-arms. The pop epoch needs no reset:
+// whoever watches it is restored alongside and drops its own memo.
 
 // Save serializes the cache.
 func (c *Cache) Save(w *snapshot.Writer) {
@@ -122,6 +126,7 @@ func (c *Cache) Load(r *snapshot.Reader) {
 
 	c.cycle = r.U64()
 	loadCacheStats(r, &c.stats)
+	c.headMSHR, c.headLow, c.wbLow = false, mem.Watch{}, mem.Watch{}
 }
 
 // save serializes the replacement-policy metadata. The kind and geometry are

@@ -89,7 +89,7 @@ func (n *naiveSets) touch(set, way int) {
 // single-way, partial-word and the full 64-way bitmap word.
 func TestFindWayInstallMatchesNaive(t *testing.T) {
 	for _, ways := range []int{1, 4, 7, 16, 64} {
-		const sets = 8
+		const sets, setBits = 8, 3
 		c, err := New(Config{
 			Name: "prop", Level: mem.LevelL2, Sets: sets, Ways: ways,
 			MSHRs: 4, Ports: 1, Policy: "lru",
@@ -105,7 +105,7 @@ func TestFindWayInstallMatchesNaive(t *testing.T) {
 		for step := 0; step < 5000; step++ {
 			set := rng.Intn(sets)
 			tag := rng.Uint64() % tagSpace
-			addr := mem.Addr((tag<<uint(log2(sets)) | uint64(set)) << mem.LineShift)
+			addr := mem.Addr((tag<<setBits | uint64(set)) << mem.LineShift)
 			switch {
 			case rng.Bool(0.55): // fill (install)
 				dirty := rng.Bool(0.3)

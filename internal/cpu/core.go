@@ -62,7 +62,8 @@ func (c Config) Validate() error {
 
 // MemoryPort is the core's view of the L1D. Issue returns false when the
 // cache cannot accept the request this cycle (ports or MSHRs exhausted); the
-// core retries next cycle.
+// core retries — every cycle, or, when the port also implements mem.Staller
+// and vouches the refusal repeats, once the port frees a slot.
 type MemoryPort interface {
 	// Issue consumes the request during the call (copied if queued); the
 	// pointer is not retained.
@@ -145,6 +146,26 @@ type wheelEntry struct {
 	at   uint64
 	slot int32
 }
+
+// issueStall classifies what the last issueLoads left behind.
+type issueStall uint8
+
+const (
+	// issueOpen: no ready load, or one that may issue next cycle.
+	issueOpen issueStall = iota
+	// issueRefused: the port refused the oldest ready load and vouches
+	// (mem.Staller) that a retry repeats the refusal until it frees a slot.
+	// Wakes on that slot or on CompleteLoad; the retries' accounting is
+	// charged in bulk by SkipCycles. A store dispatched later in the same Tick
+	// goes to the port too, so dispatch asks the port again (recheckRefusal).
+	issueRefused
+	// issueDry: ready loads exist, but none within the scanLimit window the
+	// scheduler examines. Only CompleteLoad can set a ready bit inside the
+	// window (dispatch appends beyond it), so the scan repeats until then.
+	issueDry
+	// issueStale: the memo was lost (snapshot restore); the core must tick.
+	issueStale
+)
 
 // Core is one simulated core.
 type Core struct {
@@ -232,6 +253,18 @@ type Core struct {
 	// tick. Cleared on Tick.
 	wake bool
 
+	// Issue-stall memo, rewritten by every issueLoads: why ready loads did
+	// not issue, when the reason provably repeats (see issueStall). It is
+	// rebuilt state, never snapshotted — Load marks it stale, which forces
+	// one real Tick to re-derive it. staller is the port's mem.Staller
+	// extension (nil: a refused load retries every cycle); refused is the
+	// request it refused and refusal the watch on the slot that request
+	// waits for.
+	staller mem.Staller
+	stall   issueStall
+	refused mem.Request
+	refusal mem.Watch
+
 	onFinished func()
 
 	bp *Perceptron
@@ -294,6 +327,7 @@ func New(id int, cfg Config, gen trace.Generator, port MemoryPort, budget uint64
 		bp:           NewPerceptron(),
 		wheel:        make([][]wheelEntry, wheelSize),
 	}
+	c.staller, _ = port.(mem.Staller)
 	// Carve the SoA columns out of three typed slabs (one allocation each).
 	u64 := make([]uint64, 6*words+3*size)
 	carve := func(n int) []uint64 {
@@ -415,7 +449,9 @@ func (c *Core) Tick(cycle uint64) {
 // wheel *and overflow* entries — schedule folds both before choosing where
 // to file), retire and dispatch need the conditions checked here, and
 // issueLoads can only act when readyCount > 0 — which makes the core
-// non-quiescent outright (an L1-refused load retries every cycle).
+// runnable unless the issue-stall memo proves the attempt repeats: the port
+// refused the load and has freed no slot since (Woken reports the slot), or
+// no ready load sits inside the scan window.
 func (c *Core) NextEvent(now uint64) uint64 {
 	if c.count == 0 || bitOf(c.doneW, c.head) {
 		return now // retire and/or dispatch can proceed immediately
@@ -427,8 +463,8 @@ func (c *Core) NextEvent(now uint64) uint64 {
 		}
 		next = c.earliestWheel
 	}
-	if c.readyCount > 0 {
-		return now // an issuable load retries the L1 port every cycle
+	if c.readyCount > 0 && c.stall != issueRefused && c.stall != issueDry {
+		return now // an issuable load goes to the L1 port
 	}
 	if c.count < c.robSize {
 		// Dispatch is open; it resumes as soon as the fetch stall ends. (With
@@ -443,22 +479,33 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	return next
 }
 
-// Woken reports whether a load completed since the last Tick, invalidating
-// any cached NextEvent horizon.
-func (c *Core) Woken() bool { return c.wake }
+// Woken reports whether a cached NextEvent horizon is invalid: a load
+// completed since the last Tick, the port freed the slot a refused load
+// waits for, or the issue-stall memo was lost to a restore.
+func (c *Core) Woken() bool {
+	return c.wake || c.stall == issueStale || (c.stall == issueRefused && !c.refusal.Holds())
+}
 
 // SkipCycles applies the accounting Tick would have performed over the n
-// quiescent cycles [from, from+n): cycle and head-stall counting, plus the
-// fetch-stall cycles dispatch would have charged. The caller proved via
-// NextEvent that no architectural progress is possible in the window.
+// quiescent cycles [from, from+n): cycle and head-stall counting, the
+// fetch-stall cycles dispatch would have charged, and — for a load the port
+// keeps refusing — the port's per-retry accounting (mem.Staller.Refused).
+// The caller proved via NextEvent and Woken that no architectural progress
+// is possible in the window.
 func (c *Core) SkipCycles(from, n uint64) {
 	if n == 0 {
 		return
 	}
 	if invariant.Enabled {
-		invariant.Check(!c.wake && c.NextEvent(from) >= from+n,
-			"cpu %d: skipping [%d,%d) past next event %d (wake=%v)",
-			c.id, from, from+n, c.NextEvent(from), c.wake)
+		invariant.Check(!c.Woken() && c.NextEvent(from) >= from+n,
+			"cpu %d: skipping [%d,%d) past next event %d (woken=%v)",
+			c.id, from, from+n, c.NextEvent(from), c.Woken())
+		invariant.Check(c.stall != issueDry || c.windowDry(),
+			"cpu %d: slept on a dry scan window that holds a ready load", c.id)
+	}
+	if c.stall == issueRefused {
+		//clipvet:staged c.port is this core's private L1D (tile-local); interface resolution over-approximates to DRAM.Refused
+		c.staller.Refused(&c.refused, n)
 	}
 	c.stats.Cycles += n
 	if c.count > 0 && !bitOf(c.doneW, c.head) {
@@ -474,6 +521,10 @@ func (c *Core) SkipCycles(from, n uint64) {
 	}
 	c.cycle = from + n - 1
 }
+
+// scanLimit is how many of the oldest pending loads issueLoads examines per
+// cycle.
+const scanLimit = 16
 
 // wheelSize bounds the scheduling horizon; ALU latencies are <= 250 plus
 // headroom, so 512 slots suffice.
@@ -713,14 +764,15 @@ func (c *Core) retireRunSlow(n int) {
 //
 //clipvet:hotpath
 func (c *Core) issueLoads() {
+	c.stall = issueOpen
 	if c.pendLen == 0 {
 		return
 	}
+	attempted := false
 	ports := c.cfg.LoadPorts
 	// Bound per-cycle scheduling effort: examine the oldest few ready loads
 	// (an age-ordered LQ scheduler), and stop on L1 backpressure — when the
 	// L1 refuses one request it refuses them all this cycle.
-	const scanLimit = 16
 	examined := 0
 	pos := c.pendHead
 	for left := c.pendLen; left > 0; left-- {
@@ -745,13 +797,18 @@ func (c *Core) issueLoads() {
 			}
 			continue
 		}
+		attempted = true
 		c.reqBuf = mem.Request{
 			Addr: mem.Addr(c.addrCol[pos]).Line(), IP: c.ipCol[pos], TriggerIP: c.ipCol[pos], Core: c.id,
 			Type: mem.Load, IssueCycle: c.cycle, ROBIndex: pos,
 		}
 		//clipvet:staged c.port is this core's private L1D (tile-local); interface resolution over-approximates to DRAM.Issue
 		if !c.port.Issue(&c.reqBuf) {
-			break // L1 saturated, retry next cycle
+			// L1 saturated: retry next cycle, or sleep until it frees a slot.
+			if c.refusal = mem.WatchRefusal(c.staller, &c.reqBuf); c.refusal.Holds() {
+				c.stall, c.refused = issueRefused, c.reqBuf
+			}
+			break
 		}
 		setBit(c.issuedW, pos)
 		clearBit(c.pendW, pos)
@@ -771,6 +828,36 @@ func (c *Core) issueLoads() {
 	} else {
 		c.pendHead = c.nextPending(c.pendHead)
 	}
+	if !attempted && c.readyCount > 0 {
+		c.stall = issueDry
+	}
+}
+
+// recheckRefusal re-derives the issueRefused memo after the core went to the
+// port again in the same Tick. A dispatched store translates, and that can
+// evict the DTLB entry the refusal rested on; unless the port still vouches
+// for the refusal, the load retries next cycle.
+func (c *Core) recheckRefusal() {
+	if c.refusal = mem.WatchRefusal(c.staller, &c.refused); !c.refusal.Holds() {
+		c.stall = issueOpen
+	}
+}
+
+// windowDry re-derives the issueDry verdict (clipdebug): the scanLimit
+// oldest pending loads all wait on an in-flight producer.
+func (c *Core) windowDry() bool {
+	pos := c.pendHead
+	for left, examined := c.pendLen, 0; left > 0 && examined < scanLimit; left, examined = left-1, examined+1 {
+		pos = c.nextPending(pos)
+		if bitOf(c.readyW, pos) {
+			return false
+		}
+		pos++
+		if pos == c.robSize {
+			pos = 0
+		}
+	}
+	return true
 }
 
 // nextPending returns the first pending slot at or (ring-)after pos. The
@@ -896,6 +983,9 @@ func (c *Core) dispatchSpan(buf []trace.Instr) (int, uint64) {
 			}
 			//clipvet:staged c.port is this core's private L1D (tile-local); interface resolution over-approximates to DRAM.Issue
 			c.port.Issue(&c.reqBuf)
+			if c.stall == issueRefused {
+				c.recheckRefusal()
+			}
 		default: // ALU
 			lat := uint64(ins.ExecLat)
 			if lat == 0 {

@@ -118,14 +118,19 @@ func driveCore(t *testing.T, cfg Config, gcfg trace.Config, fm *skipMem, budget,
 	if !core.Finished() {
 		t.Fatalf("core did not finish in %d cycles (skip=%v): retired %d", maxCycles, skip, core.Stats().Retired)
 	}
+	return observeCore(core), ticks
+}
+
+// observeCore captures a core's externally observable state.
+func observeCore(c *Core) coreObs {
 	return coreObs{
-		Stats:       *core.Stats(),
-		Retired:     core.RetiredTotal(),
-		FinishCycle: core.FinishCycle(),
-		BranchHist:  core.BranchHist,
-		CritHist:    core.CritHist,
-		Occupancy:   core.ROBOccupancy(),
-	}, ticks
+		Stats:       *c.Stats(),
+		Retired:     c.RetiredTotal(),
+		FinishCycle: c.FinishCycle(),
+		BranchHist:  c.BranchHist,
+		CritHist:    c.CritHist,
+		Occupancy:   c.ROBOccupancy(),
+	}
 }
 
 // TestHorizonSkipEquivalence is the core-level horizon soundness property:

@@ -15,7 +15,8 @@ import (
 // care: ibuf may borrow the shared trace window in place, so Save copies the
 // unconsumed remainder out and Load parks it in a private buffer — dispatch
 // refills mid-cycle whenever the buffer drains, so the changed refill
-// boundary cannot affect timing.
+// boundary cannot affect timing. The issue-stall memo is rebuilt state and
+// is not saved.
 
 // Save serializes the core's architectural and microarchitectural state.
 func (c *Core) Save(w *snapshot.Writer) {
@@ -191,6 +192,10 @@ func (c *Core) Load(r *snapshot.Reader) {
 	c.lastBlock = r.U64()
 
 	loadStats(r, &c.stats)
+
+	// The issue-stall memo is not in the image; until a real Tick re-derives
+	// it the core counts as woken, whatever horizon the loop cached for it.
+	c.stall, c.refusal = issueStale, mem.Watch{}
 
 	if r.Err() != nil {
 		return

@@ -103,11 +103,24 @@ func (s *Score) Events() uint64 {
 // they never stall — and once confident, an IP stays critical (Table 1:
 // "blind to MLP", over-predicts).
 type catchPred struct {
-	conf        *table.Fixed[int] // bounded: a full table refuses new IPs
-	recentLoads []uint64          // IPs of recently retired loads (the DDG window)
+	conf *table.Fixed[int] // bounded: a full table refuses new IPs
+	// recent is the DDG window: the IPs of the last catchWindow retired
+	// loads, a ring whose oldest entry sits at recentHead. Walks go oldest to
+	// newest — bump order is observable through the FIFO conf table.
+	recent     [catchWindow]uint64
+	recentHead int
+	recentLen  int
 }
 
-const catchTableSize = 4096
+const (
+	catchTableSize = 4096
+	catchWindow    = 8 // power of two: ring positions are masked
+)
+
+// recentAt returns the i-th oldest IP in the DDG window.
+func (c *catchPred) recentAt(i int) uint64 {
+	return c.recent[(c.recentHead+i)&(catchWindow-1)]
+}
 
 func newCATCH() *catchPred {
 	return &catchPred{conf: table.NewFixed[int](catchTableSize, table.FIFO)}
@@ -119,8 +132,8 @@ func (c *catchPred) OnLoadComplete(ev *cpu.LoadEvent) {
 	// Any stall makes the whole neighbourhood look costly in the DDG.
 	if ev.StalledHead && ev.ServedBy >= mem.LevelL2 {
 		c.bump(ev.IP, 2)
-		for _, ip := range c.recentLoads {
-			c.bump(ip, 1) // loads overlapped with the stall: flagged too (MLP-blind)
+		for i := 0; i < c.recentLen; i++ {
+			c.bump(c.recentAt(i), 1) // loads overlapped with the stall: flagged too (MLP-blind)
 		}
 	}
 }
@@ -129,9 +142,13 @@ func (c *catchPred) OnRetire(ev *cpu.RetireEvent) {
 	if !ev.IsLoad {
 		return
 	}
-	c.recentLoads = append(c.recentLoads, ev.IP)
-	if len(c.recentLoads) > 8 {
-		c.recentLoads = c.recentLoads[1:]
+	if c.recentLen < catchWindow {
+		c.recent[(c.recentHead+c.recentLen)&(catchWindow-1)] = ev.IP
+		c.recentLen++
+	} else {
+		// Full: the new IP overwrites the oldest, which becomes the newest.
+		c.recent[c.recentHead] = ev.IP
+		c.recentHead = (c.recentHead + 1) & (catchWindow - 1)
 	}
 	// Dependency-chain roots look critical in the graph.
 	if ev.DependChain {

@@ -1,10 +1,13 @@
 package criticality
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"clip/internal/cpu"
 	"clip/internal/mem"
+	"clip/internal/snapshot"
 )
 
 func loadEv(ip uint64, level mem.Level, stalled bool, stallCycles uint64, mlp, robOcc int) *cpu.LoadEvent {
@@ -205,5 +208,62 @@ func TestIPPredictorsMissDynamicCriticality(t *testing.T) {
 		if cov := score.Coverage(); cov < 0.5 {
 			t.Errorf("%s coverage %.2f unexpectedly low", name, cov)
 		}
+	}
+}
+
+// TestCATCHWindowIsAFIFOOfEight pins the DDG window's ring against the
+// append-and-reslice queue it replaced: after any number of retired loads the
+// window walks oldest to newest over the last eight IPs — the order is
+// observable, bumps feed a FIFO table — its encoded form is the plain
+// length-prefixed list, a restored window continues identically, and retiring
+// a load allocates nothing.
+func TestCATCHWindowIsAFIFOOfEight(t *testing.T) {
+	c := newCATCH()
+	var ref []uint64
+	encode := func(p *catchPred) []byte {
+		w := snapshot.NewWriter()
+		SavePredictor(w, p)
+		b, err := w.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for i := 0; i < 40; i++ {
+		ip := uint64(0x1000 + i*4)
+		c.OnRetire(&cpu.RetireEvent{IP: ip, IsLoad: true})
+		ref = append(ref, ip)
+		if len(ref) > catchWindow {
+			ref = ref[1:]
+		}
+		var got []uint64
+		for j := 0; j < c.recentLen; j++ {
+			got = append(got, c.recentAt(j))
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("after %d loads the window walks %x, want %x", i+1, got, ref)
+		}
+		// A fresh predictor restored from the image re-encodes to the same
+		// bytes and tracks the original from there on.
+		img := encode(c)
+		r, err := snapshot.NewReader(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := newCATCH()
+		LoadPredictor(r, d)
+		if err := r.Done(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encode(d), img) {
+			t.Fatalf("after %d loads: restored window re-encodes differently", i+1)
+		}
+		if i == 20 {
+			c = d // carry on in the restored copy
+		}
+	}
+	ev := &cpu.RetireEvent{IP: 0x42, IsLoad: true}
+	if n := testing.AllocsPerRun(100, func() { c.OnRetire(ev) }); n != 0 {
+		t.Fatalf("OnRetire allocates %.1f times per retired load", n)
 	}
 }

@@ -48,9 +48,9 @@ func SavePredictor(w *snapshot.Writer, p Predictor) {
 	switch pr := p.(type) {
 	case *catchPred:
 		pr.conf.Save(w, func(v *int) { w.Int(*v) })
-		w.Int(len(pr.recentLoads))
-		for _, ip := range pr.recentLoads {
-			w.U64(ip)
+		w.Int(pr.recentLen)
+		for i := 0; i < pr.recentLen; i++ {
+			w.U64(pr.recentAt(i))
 		}
 	case *fpPred:
 		pr.stall.Save(w, func(v *uint64) { w.U64(*v) })
@@ -101,13 +101,13 @@ func LoadPredictor(r *snapshot.Reader, p Predictor) {
 		if r.Err() != nil {
 			return
 		}
-		if n < 0 || n > 8 {
+		if n < 0 || n > catchWindow {
 			r.Fail(fmt.Errorf("criticality: catch window %d entries: %w", n, snapshot.ErrCorrupt))
 			return
 		}
-		pr.recentLoads = pr.recentLoads[:0]
+		pr.recentHead, pr.recentLen = 0, n
 		for i := 0; i < n; i++ {
-			pr.recentLoads = append(pr.recentLoads, r.U64())
+			pr.recent[i] = r.U64()
 		}
 	case *fpPred:
 		pr.stall.Load(r, func(v *uint64) { *v = r.U64() })

@@ -128,6 +128,11 @@ type channel struct {
 	wrRow []uint64 // bit-cast int64 row ids
 	wrBk  []uint64
 
+	// rdPops/wrPops are the epochs a requester refused by a full read/write
+	// queue watches (mem.Staller): they advance on every dequeue. Rebuilt
+	// state, never snapshotted — watchers compare against the value they saw.
+	rdPops, wrPops uint64
+
 	banks       []bank
 	busFreeAt   uint64
 	nextRefresh uint64
@@ -155,6 +160,7 @@ func (c *channel) removeRead(i int) {
 	c.rdArrived = c.rdArrived[:n]
 	c.rdRow = c.rdRow[:n]
 	c.rdBk = c.rdBk[:n]
+	c.rdPops++
 }
 
 // removeWrite is removeRead's write-queue counterpart.
@@ -165,6 +171,7 @@ func (c *channel) removeWrite(i int) {
 	copy(c.wrBk[i:n], c.wrBk[i+1:])
 	c.wrRow = c.wrRow[:n]
 	c.wrBk = c.wrBk[:n]
+	c.wrPops++
 }
 
 // DRAM is the whole memory system.
@@ -317,6 +324,39 @@ func (d *DRAM) Issue(req *mem.Request) bool {
 	c.rdBk = append(c.rdBk, uint64(bk))        //clipvet:allocok columns carved with full queue capacity at New
 	c.banks[bk].queued++
 	return true
+}
+
+// StallEpoch implements mem.Staller: a request refused by a full queue is
+// refused again, counting one more full event, until that queue — the write
+// queue for writebacks, the read queue for everything else — dequeues.
+// Droppable prefetches are never refused.
+func (d *DRAM) StallEpoch(req *mem.Request) *uint64 {
+	ch, _, _ := d.route(req.Addr)
+	c := &d.chans[ch]
+	switch {
+	case req.Type == mem.Writeback:
+		if len(c.wrBk) >= d.cfg.WQ {
+			return &c.wrPops
+		}
+	case len(c.rdBk) >= d.cfg.RQ && !(req.Type == mem.Prefetch && !req.Owned):
+		return &c.rdPops
+	}
+	return nil
+}
+
+// Refused implements mem.Staller: n refused Issue(req) calls count n full
+// events on the queue that refused it.
+func (d *DRAM) Refused(req *mem.Request, n uint64) {
+	if invariant.Enabled {
+		invariant.Check(d.StallEpoch(req) != nil,
+			"dram: %d retries of %v %x charged as refused, but Issue would accept",
+			n, req.Type, uint64(req.Addr))
+	}
+	if req.Type == mem.Writeback {
+		d.stats.WQFullEvents += n
+	} else {
+		d.stats.RQFullEvents += n
+	}
 }
 
 // QueueOccupancy returns total read-queue occupancy (diagnostics).

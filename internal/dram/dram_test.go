@@ -315,3 +315,77 @@ func TestRefreshDisabled(t *testing.T) {
 		t.Fatal("refreshes recorded with REFI=0")
 	}
 }
+
+// TestStallEpochMatchesIssue pins the mem.Staller contract on the controller:
+// StallEpoch is non-nil exactly when Issue would refuse, Refused(n) counts
+// what n refused Issues count, and the epoch moves when — and only when —
+// the refusing queue dequeues.
+func TestStallEpochMatchesIssue(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.RQ, cfg.WQ = 2, 2
+	cfg.REFI = 0
+	d, bulk := MustNew(cfg), MustNew(cfg)
+	// Lines 0 and 2 route to channel 0; fill its read and write queues.
+	for _, dd := range []*DRAM{d, bulk} {
+		for _, line := range []mem.Addr{0, 2 << mem.LineShift} {
+			if dd.StallEpoch(req(line, mem.Load)) != nil || !dd.Issue(req(line, mem.Load)) {
+				t.Fatal("read refused before the queue is full")
+			}
+			if dd.StallEpoch(req(line, mem.Writeback)) != nil || !dd.Issue(req(line, mem.Writeback)) {
+				t.Fatal("write refused before the queue is full")
+			}
+		}
+	}
+	ld, wb := req(4<<mem.LineShift, mem.Load), req(4<<mem.LineShift, mem.Writeback)
+	pf := req(4<<mem.LineShift, mem.Prefetch)
+	owned := req(4<<mem.LineShift, mem.Prefetch)
+	owned.Owned = true
+	if d.StallEpoch(pf) != nil {
+		t.Fatal("droppable prefetch reports a stall; Issue drops it instead of refusing")
+	}
+	if d.StallEpoch(req(1<<mem.LineShift, mem.Load)) != nil {
+		t.Fatal("channel 1 is empty but reports a stall")
+	}
+	rdEpoch, wrEpoch := d.StallEpoch(ld), d.StallEpoch(wb)
+	if rdEpoch == nil || wrEpoch == nil || d.StallEpoch(owned) != rdEpoch || rdEpoch == wrEpoch {
+		t.Fatal("full queues must report their own epochs (owned prefetches queue as reads)")
+	}
+
+	// n refused Issues on one side, Refused(n) on the other.
+	for i := 0; i < 5; i++ {
+		if d.Issue(ld) || d.Issue(wb) {
+			t.Fatal("accepted with a full queue")
+		}
+	}
+	bulk.Refused(ld, 5)
+	bulk.Refused(wb, 5)
+	if *d.Stats() != *bulk.Stats() {
+		t.Fatalf("bulk refusal accounting differs:\n per call: %+v\n bulk:     %+v", *d.Stats(), *bulk.Stats())
+	}
+	if d.Stats().RQFullEvents != 5 || d.Stats().WQFullEvents != 5 {
+		t.Fatalf("full events: RQ %d WQ %d, want 5 and 5", d.Stats().RQFullEvents, d.Stats().WQFullEvents)
+	}
+
+	// Tick until one queue dequeues: exactly its epoch moves, its request is
+	// accepted again, and the other queue still refuses.
+	rd0, wr0 := *rdEpoch, *wrEpoch
+	for cy := uint64(0); *rdEpoch == rd0 && *wrEpoch == wr0; cy++ {
+		if cy > 1000 {
+			t.Fatal("neither queue ever dequeued")
+		}
+		d.Tick(cy)
+	}
+	freed, stuck := ld, wb
+	if *wrEpoch != wr0 {
+		freed, stuck = wb, ld
+	}
+	if (*rdEpoch != rd0) == (*wrEpoch != wr0) {
+		t.Fatal("one controller cycle moved both epochs")
+	}
+	if d.StallEpoch(freed) != nil || !d.Issue(freed) {
+		t.Fatalf("%v still refused after its queue dequeued", freed.Type)
+	}
+	if d.StallEpoch(stuck) == nil || d.Issue(stuck) {
+		t.Fatalf("%v accepted though its queue never dequeued", stuck.Type)
+	}
+}

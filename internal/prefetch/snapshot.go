@@ -23,78 +23,66 @@ const (
 	pfKindBerti
 )
 
-// SavePrefetcher serializes any prefetcher built by New.
-func SavePrefetcher(w *snapshot.Writer, p Prefetcher) {
+// codec is the Save/Load pair every stateful engine implements.
+type codec interface {
+	Save(w *snapshot.Writer)
+	Load(r *snapshot.Reader)
+}
+
+// kindOf returns p's snapshot kind byte and its codec (nil for the stateless
+// None); ok is false for a Prefetcher not built by New.
+func kindOf(p Prefetcher) (kind uint8, c codec, ok bool) {
 	switch pf := p.(type) {
 	case None:
-		w.U8(pfKindNone)
+		return pfKindNone, nil, true
 	case *Stride:
-		w.U8(pfKindStride)
-		pf.Save(w)
+		return pfKindStride, pf, true
 	case *Stream:
-		w.U8(pfKindStream)
-		pf.Save(w)
+		return pfKindStream, pf, true
 	case *Bingo:
-		w.U8(pfKindBingo)
-		pf.Save(w)
+		return pfKindBingo, pf, true
 	case *SPPPPF:
-		w.U8(pfKindSPPPPF)
-		pf.Save(w)
+		return pfKindSPPPPF, pf, true
 	case *IPCP:
-		w.U8(pfKindIPCP)
-		pf.Save(w)
+		return pfKindIPCP, pf, true
 	case *Berti:
-		w.U8(pfKindBerti)
-		pf.Save(w)
-	default:
+		return pfKindBerti, pf, true
+	}
+	return 0, nil, false
+}
+
+// SavePrefetcher serializes any prefetcher built by New.
+func SavePrefetcher(w *snapshot.Writer, p Prefetcher) {
+	kind, c, ok := kindOf(p)
+	if !ok {
 		w.Fail(fmt.Errorf("prefetch: cannot snapshot prefetcher type %T", p))
+		return
+	}
+	w.U8(kind)
+	if c != nil {
+		c.Save(w)
 	}
 }
 
 // LoadPrefetcher restores a prefetcher saved by SavePrefetcher into an
 // identically-configured receiver.
 func LoadPrefetcher(r *snapshot.Reader, p Prefetcher) {
+	want, c, ok := kindOf(p)
+	if !ok {
+		r.Fail(fmt.Errorf("prefetch: cannot restore into prefetcher type %T", p))
+		return
+	}
 	kind := r.U8()
 	if r.Err() != nil {
 		return
 	}
-	fail := func(want uint8) bool {
-		if kind != want {
-			r.Fail(fmt.Errorf("prefetch: snapshot holds prefetcher kind %d, receiver is %s: %w",
-				kind, p.Name(), snapshot.ErrCorrupt))
-			return true
-		}
-		return false
+	if kind != want {
+		r.Fail(fmt.Errorf("prefetch: snapshot holds prefetcher kind %d, receiver is %s: %w",
+			kind, p.Name(), snapshot.ErrCorrupt))
+		return
 	}
-	switch pf := p.(type) {
-	case None:
-		fail(pfKindNone)
-	case *Stride:
-		if !fail(pfKindStride) {
-			pf.Load(r)
-		}
-	case *Stream:
-		if !fail(pfKindStream) {
-			pf.Load(r)
-		}
-	case *Bingo:
-		if !fail(pfKindBingo) {
-			pf.Load(r)
-		}
-	case *SPPPPF:
-		if !fail(pfKindSPPPPF) {
-			pf.Load(r)
-		}
-	case *IPCP:
-		if !fail(pfKindIPCP) {
-			pf.Load(r)
-		}
-	case *Berti:
-		if !fail(pfKindBerti) {
-			pf.Load(r)
-		}
-	default:
-		r.Fail(fmt.Errorf("prefetch: cannot restore into prefetcher type %T", p))
+	if c != nil {
+		c.Load(r)
 	}
 }
 

@@ -29,10 +29,17 @@ func checkpointMatrix() map[string]Config {
 // byte-identical.
 func runSplitRestored(t *testing.T, cfg Config, frac float64) (ref, got *Result, refJSON, gotJSON []byte) {
 	t.Helper()
+	return runSplitRestoredWith(t, func() (*System, error) { return NewSystem(cfg) }, frac)
+}
+
+// runSplitRestoredWith is runSplitRestored over systems from build, which
+// must return an identically configured fresh System on every call.
+func runSplitRestoredWith(t *testing.T, build func() (*System, error), frac float64) (ref, got *Result, refJSON, gotJSON []byte) {
+	t.Helper()
 
 	// Reference pass, counting loop iterations so the split point can sit at
 	// a fraction of the real run length (cycle counts vary with skipping).
-	s, err := NewSystem(cfg)
+	s, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +56,7 @@ func runSplitRestored(t *testing.T, cfg Config, frac float64) (ref, got *Result,
 
 	// Paused pass: step to k, snapshot, throw the system away.
 	k := int(float64(iters) * frac)
-	s2, err := NewSystem(cfg)
+	s2, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +69,7 @@ func runSplitRestored(t *testing.T, cfg Config, frac float64) (ref, got *Result,
 	}
 
 	// Restored pass: a fresh System resumes from the image.
-	s3, err := NewSystem(cfg)
+	s3, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,10 @@ import (
 // latency (DTLB/STLB/page walk, Table 3) to demand accesses before they
 // reach the cache. Translated-but-delayed requests wait in a small queue and
 // retry the L1D until accepted, preserving backpressure.
+//
+// It is a mem.Staller: a load refused by a full L1D queue after a DTLB hit
+// is refused again — one more DTLB hit each time — until the L1D pops, so
+// the core sleeps on the L1D's pop epoch and the hits are charged in bulk.
 type corePort struct {
 	s       *System
 	core    int
@@ -41,14 +45,42 @@ func (p *corePort) Issue(req *mem.Request) bool {
 	return true
 }
 
+// StallEpoch implements mem.Staller: Issue(req) is a pure refusal exactly
+// when the translation hits the DTLB (so nothing is installed or delayed)
+// and the L1D's queue refuses the access.
+//
+//clipvet:tilephase
+func (p *corePort) StallEpoch(req *mem.Request) *uint64 {
+	if p.tlbs != nil && !p.tlbs.DTLBResident(req.Addr) {
+		return nil
+	}
+	return p.s.l1d[p.core].StallEpoch(req)
+}
+
+// Refused implements mem.Staller: every refused retry re-translated first.
+//
+//clipvet:tilephase
+func (p *corePort) Refused(req *mem.Request, n uint64) {
+	if p.tlbs != nil {
+		p.tlbs.RepeatHits(req.Addr, n)
+	}
+	p.s.l1d[p.core].Refused(req, n)
+}
+
 // NextEvent returns the earliest cycle >= now at which a queued translation
-// can (re)try the L1D; mem.NoEvent when the port is empty.
+// can (re)try the L1D; mem.NoEvent when the port is empty. While the L1D's
+// queue is full a matured translation has no event of its own: it goes in
+// after the pop that the L1D's own horizon reports.
 func (p *corePort) NextEvent(now uint64) uint64 {
 	next := mem.NoEvent
+	full := p.s.l1d[p.core].Full()
 	for i := range p.pending {
 		r := p.pending[i].ready
 		if r <= now {
-			return now // matured translations retry the L1D every cycle
+			if full {
+				continue
+			}
+			return now
 		}
 		if r < next {
 			next = r
@@ -57,11 +89,13 @@ func (p *corePort) NextEvent(now uint64) uint64 {
 	return next
 }
 
-// Tick retries matured translations.
+// Tick retries matured translations. Against a full L1D queue every retry
+// is refused and the queue is rewritten unchanged, so the skipping loop
+// does not walk it.
 //
 //clipvet:tilephase
 func (p *corePort) Tick(cycle uint64) {
-	if len(p.pending) == 0 {
+	if len(p.pending) == 0 || (p.s.skip && p.s.l1d[p.core].Full()) {
 		return
 	}
 	rest := p.pending[:0]

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"clip/internal/core"
@@ -13,7 +14,12 @@ import (
 // contract is enforced over: each entry must produce byte-identical results
 // with event-horizon cycle skipping on and off. The set covers every
 // subsystem whose deadlines fold into the horizon — Hermes holds, throttler
-// epochs, dynamic CLIP sampling, and the NoC critical-priority arbitration.
+// epochs, dynamic CLIP sampling, and the NoC critical-priority arbitration —
+// and, in the stall-* arms, every structural stall a component sleeps on
+// (DESIGN.md "Time model & event horizons"): L1 MSHR-full heads, cores
+// refused by a full L1D queue behind a DTLB hit, full controller read queues
+// and the retry rings behind them. The stall arms that need controller
+// queues smaller than any Config reaches live in stall_test.go.
 func skipMatrix() map[string]Config {
 	base := func(bench string) Config {
 		cfg := DefaultConfig(4, 1, 8)
@@ -29,12 +35,6 @@ func skipMatrix() map[string]Config {
 		cfg.Prefetcher = "berti"
 		return cfg
 	}
-	withCLIP := func(cfg Config) Config {
-		c := core.DefaultConfig()
-		cfg.CLIP = &c
-		return cfg
-	}
-
 	m := map[string]Config{}
 	m["clip"] = withCLIP(base("619.lbm_s-2676B"))
 
@@ -69,7 +69,64 @@ func skipMatrix() map[string]Config {
 	crit.CritPredictor = "catch"
 	m["critpred"] = crit
 
+	// Stall-heavy arms: one channel at the real bus speed (the slow bus of
+	// the arms above starves the queues instead of filling them), TLBs on.
+	mshr := withCLIP(stallBase(stallMix))
+	mshr.L1D.MSHRs = 3 // heads block on the MSHR file, the core behind them
+	m["stall-mshr"] = mshr
+
+	sh := stallBase(stallMix)
+	sh.L1D.MSHRs = 4
+	sh.Hermes = true // refused L1→L2 loads must keep polling; the rest sleeps
+	m["stall-hermes"] = sh
+
+	rq := withCLIP(stallBase(stallMix8)) // eight cores fill the 64-entry read queue
+	rq.ShardWorkers = 4
+	m["stall-rq-shard4"] = rq
+
 	return m
+}
+
+// withCLIP returns cfg with CLIP at its published configuration.
+func withCLIP(cfg Config) Config {
+	c := core.DefaultConfig()
+	cfg.CLIP = &c
+	return cfg
+}
+
+// stallBase is the common shape of the stall arms: one core per entry of
+// mix on one DRAM channel, Berti, a short measured run.
+func stallBase(mix []string) Config {
+	cfg := DefaultConfig(len(mix), 1, 8)
+	cfg.Workload = append([]string(nil), mix...)
+	cfg.InstrPerCore, cfg.WarmupInstr = 3000, 1000
+	cfg.Prefetcher = "berti"
+	return cfg
+}
+
+// stallMix is the four-core mix of the stall arms: a streamer, a pointer
+// chaser and two irregular integer codes; stallMix8 is the bandwidth-bound
+// eight-core mix that saturates one channel's read queue.
+var (
+	stallMix  = []string{"619.lbm_s-2676B", "605.mcf_s-665B", "620.omnetpp_s-874B", "602.gcc_s-734B"}
+	stallMix8 = []string{"619.lbm_s-2676B", "603.bwaves_s-1740B", "649.fotonik3d_s-1176B", "654.roms_s-1007B",
+		"605.mcf_s-1554B", "607.cactuBSSN_s-2421B", "620.omnetpp_s-141B", "657.xz_s-1306B"}
+)
+
+// stallCounters are the counters the sleep protocol charges in bulk; the
+// equivalence tests name them before falling back to the full-report diff.
+type stallCounters struct {
+	L1MSHRFull, L2MSHRFull, LLCMSHRFull uint64
+	RQFull, WQFull                      uint64
+	TLBAccesses, DTLBHits               uint64
+}
+
+func stallCountersOf(r *Result) stallCounters {
+	return stallCounters{
+		L1MSHRFull: r.L1.MSHRFullEvents, L2MSHRFull: r.L2.MSHRFullEvents, LLCMSHRFull: r.LLC.MSHRFullEvents,
+		RQFull: r.DRAM.RQFullEvents, WQFull: r.DRAM.WQFullEvents,
+		TLBAccesses: r.TLB.Accesses, DTLBHits: r.TLB.DTLBHits,
+	}
 }
 
 // runSkipPair runs one config with skipping on and off and returns both
@@ -103,6 +160,14 @@ func TestSkipEquivalenceMatrix(t *testing.T) {
 			on, off, onJSON, offJSON := runSkipPair(t, cfg)
 			if !on.Finished || !off.Finished {
 				t.Fatalf("run did not finish (on=%v off=%v)", on.Finished, off.Finished)
+			}
+			sc := stallCountersOf(on)
+			if b := stallCountersOf(off); sc != b {
+				t.Errorf("bulk-charged counters diverge:\nskip on:  %+v\nskip off: %+v", sc, b)
+			}
+			if strings.HasPrefix(name, "stall-") && (sc.L1MSHRFull == 0 || sc.TLBAccesses == 0 ||
+				(name == "stall-rq-shard4" && sc.RQFull == 0)) {
+				t.Errorf("arm is no longer stall-heavy: %+v", sc)
 			}
 			if !reflect.DeepEqual(on, off) {
 				t.Errorf("results diverge between skip modes")

@@ -119,6 +119,13 @@ type epochSnapshot struct {
 
 // NewSystem builds and wires a system.
 func NewSystem(cfg Config) (*System, error) {
+	return newSystem(cfg, cfg.dramConfig())
+}
+
+// newSystem is NewSystem with the memory-controller configuration given
+// explicitly: the stall-path tests shrink the controller queues, which no
+// Config field reaches.
+func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -126,7 +133,7 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		cfg:          cfg,
 		mesh:         noc.MustNew(meshConfig(n, cfg.NoCCriticalPriority)),
-		dram:         dram.MustNew(cfg.dramConfig()),
+		dram:         dram.MustNew(dcfg),
 		dramNext:     mem.NoEvent,
 		hermesNext:   mem.NoEvent,
 		llcRetry:     make([]mem.Ring[mem.Request], n),
@@ -420,6 +427,23 @@ func (l *l1Lower) Issue(req *mem.Request) bool {
 	return s.l2[l.core].Issue(req)
 }
 
+// StallEpoch implements mem.Staller. Under Hermes a refused load must keep
+// retrying: every retry re-runs PredictOffChip and may push another waste
+// read, which no bulk charge reproduces. Everything else is the L2's call.
+//
+//clipvet:tilephase
+func (l *l1Lower) StallEpoch(req *mem.Request) *uint64 {
+	if req.Type == mem.Load && l.s.hermesFor(l.core) != nil {
+		return nil
+	}
+	return l.s.l2[l.core].StallEpoch(req)
+}
+
+// Refused implements mem.Staller.
+//
+//clipvet:tilephase
+func (l *l1Lower) Refused(req *mem.Request, n uint64) { l.s.l2[l.core].Refused(req, n) }
+
 func bypassKey(core int, addr mem.Addr) uint64 {
 	return uint64(core)<<48 ^ addr.LineID()
 }
@@ -463,10 +487,15 @@ func (s *System) Tick() {
 	for i, l := range s.llc {
 		// Retry refused deliveries (in arrival order) before new work;
 		// refused requests rotate to the back, preserving relative order.
-		for n := s.llcRetry[i].Len(); n > 0; n-- {
-			req := s.llcRetry[i].PopFront()
-			if !l.Issue(&req) {
-				s.llcRetry[i].Push(req)
+		// The ring never holds a droppable prefetch (Issue accepts those),
+		// so against a full queue every entry is refused and the rotation
+		// is the identity: the skipping loop leaves the ring alone.
+		if !(skip && l.Full()) {
+			for n := s.llcRetry[i].Len(); n > 0; n-- {
+				req := s.llcRetry[i].PopFront()
+				if !l.Issue(&req) {
+					s.llcRetry[i].Push(req)
+				}
 			}
 		}
 		if !skip || l.NextEvent(cy) <= cy {
@@ -506,18 +535,20 @@ func (s *System) horizon(now uint64) uint64 {
 		}
 		fold(s.coreNext[i])
 		fold(s.ports[i].NextEvent(now))
-		if s.pfQ[i].Len() > 0 {
-			return now // queued prefetches retry their cache every cycle
+		// A queue whose head waits on a full target has no event of its own:
+		// it moves after the target's pop, which the target's horizon reports.
+		if q := &s.pfQ[i]; q.Len() > 0 && !s.pfTarget(i, q.Front()).Full() {
+			return now
 		}
-		if s.stage[i].dramQ.Len() > 0 {
-			return now // staged direct-DRAM reads retry the controller every cycle
+		if q := &s.stage[i].dramQ; q.Len() > 0 && s.dram.StallEpoch(&q.Front().req) == nil {
+			return now
 		}
 		fold(s.l1d[i].NextEvent(now))
 		fold(s.l2[i].NextEvent(now))
 	}
 	for i := range s.llc {
-		if s.llcRetry[i].Len() > 0 {
-			return now // refused LLC deliveries retry every cycle
+		if s.llcRetry[i].Len() > 0 && !s.llc[i].Full() {
+			return now
 		}
 		fold(s.llc[i].NextEvent(now))
 	}
@@ -569,6 +600,13 @@ func (s *System) skipAhead(maxCycles uint64) {
 	}
 	s.mesh.SkipCycles(now, n)
 	s.dram.AdvanceTo(now, n)
+	for i := range s.stage {
+		// The commit phase would have re-issued each refused direct-DRAM
+		// head once per cycle (horizon vouched that it is refused).
+		if q := &s.stage[i].dramQ; q.Len() > 0 {
+			s.dram.Refused(&q.Front().req, n)
+		}
+	}
 	if s.dynClip != nil {
 		s.dynClip.advance(n)
 	}

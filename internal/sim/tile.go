@@ -3,6 +3,7 @@ package sim
 import (
 	"sync"
 
+	"clip/internal/cache"
 	"clip/internal/mem"
 	"clip/internal/noc"
 )
@@ -87,17 +88,21 @@ func (s *System) drainPFQ(i int) {
 	issued := 0
 	for q.Len() > 0 && issued < 2 {
 		e := q.Front()
-		target := s.l1d[i]
-		if e.toL2 {
-			target = s.l2[i]
-		}
-		if !target.TryIssue(&e.req) {
+		if !s.pfTarget(i, e).TryIssue(&e.req) {
 			break
 		}
 		q.PopFront()
 		issued++
 		s.pfIssued[i]++
 	}
+}
+
+// pfTarget returns the cache a queued prefetch injects into.
+func (s *System) pfTarget(i int, e *pfEntry) *cache.Cache {
+	if e.toL2 {
+		return s.l2[i]
+	}
+	return s.l1d[i]
 }
 
 // runTiles executes the tile phase: on the shard pool when one is

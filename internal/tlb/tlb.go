@@ -8,6 +8,7 @@ package tlb
 import (
 	"fmt"
 
+	"clip/internal/invariant"
 	"clip/internal/mem"
 	"clip/internal/stats"
 )
@@ -110,20 +111,27 @@ func log2(n int) int {
 	return k
 }
 
-// lookup probes for page; hit updates recency.
-func (t *tlb) lookup(page uint64) bool {
+// find returns page's entry, or nil when it is not resident.
+func (t *tlb) find(page uint64) *entry {
 	set, tag := t.index(page)
-	_ = tag
-	base := set * t.ways
-	for w := 0; w < t.ways; w++ {
-		e := &t.entries[base+w]
-		if e.valid && e.tag == tag {
-			t.clock++
-			e.stamp = t.clock
-			return true
+	ways := t.entries[set*t.ways : (set+1)*t.ways]
+	for w := range ways {
+		if e := &ways[w]; e.valid && e.tag == tag {
+			return e
 		}
 	}
-	return false
+	return nil
+}
+
+// lookup probes for page; hit updates recency.
+func (t *tlb) lookup(page uint64) bool {
+	e := t.find(page)
+	if e == nil {
+		return false
+	}
+	t.clock++
+	e.stamp = t.clock
+	return true
 }
 
 // insert installs page, evicting LRU.
@@ -175,6 +183,32 @@ func MustNew(cfg HierarchyConfig) *Hierarchy {
 
 // Stats returns live counters.
 func (h *Hierarchy) Stats() *Stats { return &h.stats }
+
+// DTLBResident reports, without touching any state, whether Translate(addr)
+// would hit the first-level TLB.
+func (h *Hierarchy) DTLBResident(addr mem.Addr) bool {
+	return h.dtlb.find(addr.PageID()) != nil
+}
+
+// RepeatHits applies the state change of n back-to-back Translate(addr)
+// calls that all hit the DTLB — the bulk form of a refused load retrying its
+// translation every cycle: n accesses, n hits, and the entry's LRU stamp on
+// the clock's final value. addr's page must be DTLB-resident.
+func (h *Hierarchy) RepeatHits(addr mem.Addr, n uint64) {
+	e := h.dtlb.find(addr.PageID())
+	if e == nil {
+		// The caller broke the contract: clipdebug reports it, a release
+		// build charges nothing rather than crash.
+		if invariant.Enabled {
+			invariant.Check(false, "tlb: %d repeat hits on non-resident page %x", n, addr.PageID())
+		}
+		return
+	}
+	h.stats.Accesses += n
+	h.stats.DTLBHits += n
+	h.dtlb.clock += n
+	e.stamp = h.dtlb.clock
+}
 
 // Translate returns the extra cycles the access at addr spends on address
 // translation: 0 for a DTLB hit (the 1-cycle DTLB runs in parallel with the

@@ -114,3 +114,46 @@ func TestDTLBHitRateOnLoop(t *testing.T) {
 		t.Fatalf("loop DTLB hit rate %v < 0.98", hr)
 	}
 }
+
+// TestRepeatHitsMatchesTranslate: RepeatHits(addr, n) must leave the
+// hierarchy exactly where n DTLB-hitting Translate(addr) calls leave it —
+// counters, LRU clock and the entry's stamp (so later victim choices agree).
+func TestRepeatHitsMatchesTranslate(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.DTLB = Config{Entries: 4, Ways: 2, Latency: 1} // small: stamps decide evictions
+	a, b := MustNew(cfg), MustNew(cfg)
+	page := func(i int) mem.Addr { return mem.Addr(i) << mem.PageShift }
+	warm := func(h *Hierarchy) {
+		for i := 0; i < 6; i++ {
+			h.Translate(page(i))
+		}
+	}
+	warm(a)
+	warm(b)
+	hot := page(5)
+	if !a.DTLBResident(hot) {
+		t.Fatal("most recent page is not DTLB-resident")
+	}
+	before := *a.Stats()
+	if a.DTLBResident(page(100)) || *a.Stats() != before {
+		t.Fatal("DTLBResident touched state or found a page never translated")
+	}
+	for i := 0; i < 7; i++ {
+		if a.Translate(hot) != 0 {
+			t.Fatal("repeat translation missed the DTLB")
+		}
+	}
+	b.RepeatHits(hot, 7)
+	// Drive both on: evictions depend on the stamps and the clock.
+	for i := 6; i < 40; i++ {
+		if da, db := a.Translate(page(i%9)), b.Translate(page(i%9)); da != db {
+			t.Fatalf("translation %d diverges after bulk hits: %d vs %d", i, da, db)
+		}
+	}
+	if *a.Stats() != *b.Stats() {
+		t.Fatalf("stats diverge:\n per call: %+v\n bulk:     %+v", *a.Stats(), *b.Stats())
+	}
+	if a.dtlb.clock != b.dtlb.clock {
+		t.Fatalf("LRU clocks diverge: %d vs %d", a.dtlb.clock, b.dtlb.clock)
+	}
+}

@@ -76,19 +76,28 @@ const (
 // SaveGenerator serializes the stream position of a Generator created by
 // New or Shared. Unknown Generator implementations fail the Writer.
 func SaveGenerator(w *snapshot.Writer, gn Generator) {
+	// The kind byte goes out once, ahead of the per-kind body — the shape in
+	// which LoadGenerator reads it back (the snapsym mirror contract).
+	var kind uint8
+	switch gn.(type) {
+	case *gen:
+		kind = genKindPrivate
+	case *Replay:
+		kind = genKindReplay
+	default:
+		w.Fail(fmt.Errorf("trace: cannot snapshot generator type %T", gn))
+		return
+	}
+	w.U8(kind)
 	switch g := gn.(type) {
 	case *gen:
-		w.U8(genKindPrivate)
 		g.saveState(w)
 	case *Replay:
-		w.U8(genKindReplay)
 		w.Int(g.pos)
 		w.Bool(g.cont != nil)
 		if g.cont != nil {
 			g.cont.saveState(w)
 		}
-	default:
-		w.Fail(fmt.Errorf("trace: cannot snapshot generator type %T", gn))
 	}
 }
 
