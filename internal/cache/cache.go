@@ -488,6 +488,25 @@ func (c *Cache) Refused(req *mem.Request, n uint64) {
 	}
 }
 
+// Cycle returns the cache's clock: the last cycle Tick or SkipTick accounted
+// for. Issue, Fill and SkipTick all measure from it, so a caller that lets
+// the cache sleep through cycles must SkipTick it up to date first.
+func (c *Cache) Cycle() uint64 { return c.cycle }
+
+// LowerWaits returns the requests this cache currently sleeps on its lower
+// level for — the blocked head's forwarded miss and the refused front of the
+// writeback queue, nil for each that is not waiting — so the owner can tell
+// which of the lower level's dequeue epochs end the sleep.
+func (c *Cache) LowerWaits() (head, wb *mem.Request) {
+	if c.headLow.Holds() {
+		head = &c.down
+	}
+	if c.wbQ.Len() > 0 && c.wbLow.Holds() {
+		wb = c.wbQ.Front()
+	}
+	return head, wb
+}
+
 // Full reports whether the input queue is at capacity (every Issue but a
 // droppable prefetch is refused).
 func (c *Cache) Full() bool { return c.inQ.Len() >= c.cfg.InQ }

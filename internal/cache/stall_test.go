@@ -325,3 +325,34 @@ func TestStallEpochOfFullQueue(t *testing.T) {
 		t.Fatal("popping the input queue did not advance the stall epoch")
 	}
 }
+
+// TestLowerWaitsNamesWhatTheCacheSleepsOn: the owner of a sleeping cache
+// learns from LowerWaits which refused requests — the head's forwarded miss,
+// the writeback queue's front — end the sleep when the lower level frees a
+// slot, and from Cycle how far the cache has been charged.
+func TestLowerWaitsNamesWhatTheCacheSleepsOn(t *testing.T) {
+	l := &stallLower{full: true}
+	c := MustNew(stallConfig(), l)
+	if head, wb := c.LowerWaits(); head != nil || wb != nil {
+		t.Fatal("an idle cache waits on its lower level")
+	}
+	c.Issue(loadReq(lineAddr(5), 1, 0))
+	for cy := uint64(0); cy <= 2; cy++ {
+		c.Tick(cy)
+	}
+	head, wb := c.LowerWaits()
+	if head == nil || head.Addr != lineAddr(5) || wb != nil {
+		t.Fatalf("blocked head: LowerWaits = %v, %v", head, wb)
+	}
+	c.SkipTick(9)
+	if c.Cycle() != 9 {
+		t.Fatalf("clock at %d after SkipTick(9)", c.Cycle())
+	}
+	if l.refusals != 1+7 {
+		t.Fatalf("%d refusals charged for the block and 7 slept cycles", l.refusals)
+	}
+	l.free()
+	if head, _ := c.LowerWaits(); head != nil {
+		t.Fatal("still waiting after the lower level freed a slot")
+	}
+}

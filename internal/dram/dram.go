@@ -133,6 +133,7 @@ type channel struct {
 	// state, never snapshotted — watchers compare against the value they saw.
 	rdPops, wrPops uint64
 
+	id          int // index in DRAM.chans (queue numbering of OnDequeue)
 	banks       []bank
 	busFreeAt   uint64
 	nextRefresh uint64
@@ -179,8 +180,10 @@ type DRAM struct {
 	cfg    Config
 	chans  []channel
 	onResp func(*mem.Response)
-	cycle  uint64
-	stats  Stats
+	// onDequeue, when set, runs just before a queue dequeues (see OnDequeue).
+	onDequeue func(queue int)
+	cycle     uint64
+	stats     Stats
 	// resp buffers the response handed to onResp so the pointer passed
 	// through the callback never forces a per-read heap allocation; the
 	// callee consumes it synchronously.
@@ -222,6 +225,7 @@ func New(cfg Config) (*DRAM, error) {
 	d.dmndW = scratch[2*words : 3*words]
 	for i := range d.chans {
 		ch := &d.chans[i]
+		ch.id = i
 		ch.banks = make([]bank, cfg.Banks)
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
@@ -259,6 +263,36 @@ func (d *DRAM) Stats() *Stats { return &d.stats }
 
 // OnResponse registers the fill sink (the LLC, via the NoC adapter).
 func (d *DRAM) OnResponse(f func(*mem.Response)) { d.onResp = f }
+
+// Queues returns the number of controller queues a request can be refused
+// by: a read and a write queue per channel, numbered by QueueOf.
+func (d *DRAM) Queues() int { return 2 * len(d.chans) }
+
+// QueueOf returns the queue req competes for — the one whose dequeue epoch
+// StallEpoch hands out when it is full.
+func (d *DRAM) QueueOf(req *mem.Request) int {
+	ch, _, _ := d.route(req.Addr)
+	if req.Type == mem.Writeback {
+		return 2*ch + 1
+	}
+	return 2 * ch
+}
+
+// OnDequeue registers f to run just before a queue gives up an entry, while
+// the queue still refuses and its epoch still stands: a requester that is
+// charged for its refused retries lazily must be charged before the
+// refusal ends. f may call Refused; it must not Issue.
+func (d *DRAM) OnDequeue(f func(queue int)) { d.onDequeue = f }
+
+// Idle reports whether no request is queued on any channel.
+func (d *DRAM) Idle() bool {
+	for i := range d.chans {
+		if len(d.chans[i].rdBk) > 0 || len(d.chans[i].wrBk) > 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // ChannelUtilization returns the most recent per-channel bus utilization —
 // DSPatch's per-controller signal (deliberately myopic, as the paper notes).
@@ -644,6 +678,9 @@ func (d *DRAM) scheduleRead(c *channel) bool {
 	arrived := c.rdArrived[best]
 	isPrefetch := c.rdReq[best].Type == mem.Prefetch
 	d.resp.Req = c.rdReq[best]
+	if d.onDequeue != nil {
+		d.onDequeue(2 * c.id)
+	}
 	c.removeRead(best)
 	b := &c.banks[bk]
 	if invariant.Enabled {
@@ -769,6 +806,9 @@ func (d *DRAM) scheduleWrite(c *channel) bool {
 		b.busyUntil = ready
 		c.utilWindow += uint64(d.cfg.Transfer)
 		d.stats.BusBusyCycles += uint64(d.cfg.Transfer)
+		if d.onDequeue != nil {
+			d.onDequeue(2*c.id + 1)
+		}
 		c.removeWrite(i)
 		d.stats.Writes++
 		return true

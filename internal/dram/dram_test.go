@@ -389,3 +389,52 @@ func TestStallEpochMatchesIssue(t *testing.T) {
 		t.Fatalf("%v accepted though its queue never dequeued", stuck.Type)
 	}
 }
+
+// TestOnDequeueRunsWhileTheRefusalStands: a requester charged lazily for its
+// refused retries has to be charged before the refusal ends, so the
+// controller announces each dequeue just before it happens — the queue still
+// full, its epoch not yet moved — and names the queue as QueueOf numbers it.
+func TestOnDequeueRunsWhileTheRefusalStands(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.RQ, cfg.WQ = 2, 2
+	cfg.REFI = 0
+	d := MustNew(cfg)
+	if !d.Idle() || d.Queues() != 4 {
+		t.Fatalf("fresh controller: idle=%v queues=%d", d.Idle(), d.Queues())
+	}
+	// Lines 1 and 3 route to channel 1; fill its read queue.
+	for _, line := range []mem.Addr{1 << mem.LineShift, 3 << mem.LineShift} {
+		d.Issue(req(line, mem.Load))
+	}
+	ld, wb := req(5<<mem.LineShift, mem.Load), req(5<<mem.LineShift, mem.Writeback)
+	if d.QueueOf(ld) != 2 || d.QueueOf(wb) != 3 || d.QueueOf(req(4<<mem.LineShift, mem.Load)) != 0 {
+		t.Fatalf("queue numbering: read %d write %d", d.QueueOf(ld), d.QueueOf(wb))
+	}
+	epoch := d.StallEpoch(ld)
+	if epoch == nil || d.Idle() {
+		t.Fatal("read queue of channel 1 should be full")
+	}
+	seen, calls := *epoch, 0
+	d.OnDequeue(func(queue int) {
+		calls++
+		if queue != d.QueueOf(ld) {
+			t.Fatalf("dequeue of queue %d announced, want %d", queue, d.QueueOf(ld))
+		}
+		if d.StallEpoch(ld) != epoch || *epoch != seen {
+			t.Fatal("announced after the refusal ended")
+		}
+		d.Refused(ld, 3) // what a lazily charged requester does here
+	})
+	for cy := uint64(0); calls == 0; cy++ {
+		if cy > 1000 {
+			t.Fatal("never dequeued")
+		}
+		d.Tick(cy)
+	}
+	if *epoch == seen || d.StallEpoch(ld) != nil {
+		t.Fatal("the dequeue did not follow its announcement")
+	}
+	if d.Stats().RQFullEvents != 3 {
+		t.Fatalf("RQFullEvents = %d, want the 3 charged in the callback", d.Stats().RQFullEvents)
+	}
+}

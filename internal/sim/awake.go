@@ -1,0 +1,380 @@
+package sim
+
+import (
+	"fmt"
+	"math/bits"
+	"strings"
+
+	"clip/internal/cache"
+	"clip/internal/invariant"
+	"clip/internal/mem"
+)
+
+// This file is the active-set bookkeeping of the skipping loop (DESIGN.md
+// "Time model & event horizons"). A tile or LLC slice none of whose
+// components has work is *asleep*: its bit is clear in the awake bitmap, the
+// loop does not visit it, and nothing is charged for the cycles it sleeps
+// through until someone needs its clocks or counters — the component that
+// wakes it, collect, the warmup barrier, SaveState. All of it is rebuilt
+// state: SaveState settles every sleeper so the image holds what the
+// per-cycle loop would have written, LoadState marks everything awake. The
+// strict loop (Config.DisableSkip) reads none of it.
+
+// SelfStats counts what the simulation loop itself did — not the modelled
+// machine. It is not part of Result, of a snapshot image or of any digest.
+type SelfStats struct {
+	Ticks                uint64 // System.Tick calls
+	TileVisits           uint64 // tiles the tile phase walked
+	TileVisitsCoreTicked uint64 // ...of which the core took a real Tick
+	SliceVisits          uint64 // LLC slices the serial tail walked
+	GlobalSkips          uint64 // jumps of the global clock
+	CyclesSkipped        uint64 // cycles those jumps covered
+
+	// Wakes of a sleeping tile or slice, by what woke it.
+	WakesMesh       uint64 // a packet delivered by the mesh (L2 fill, LLC request)
+	WakesDRAMFill   uint64 // a DRAM response filling an LLC slice
+	WakesHermesFill uint64 // a held Hermes bypass fill
+	WakesDRAMPop    uint64 // a controller queue the sleeper was refused by dequeued
+	WakesTimed      uint64 // the sleeper's own deadline came due
+}
+
+// SelfStats returns the loop's self-counters so far.
+func (s *System) SelfStats() SelfStats { return s.self }
+
+// awakeSets is the skipping loop's view of who has work. Every slice below is
+// carved from one slab (carveColumns).
+type awakeSets struct {
+	// tiles and slices are the awake bitmaps; dramQ marks tiles with a
+	// non-empty direct-DRAM queue, which the commit phase drains whether or
+	// not the tile is awake.
+	tiles, slices, dramQ []uint64
+	// tileNext[i] / sliceNext[i] is a sleeper's own deadline — the earliest
+	// cycle one of its components has work with nobody else acting — and
+	// mem.NoEvent for one that is awake or waits on others only. tileMin /
+	// sliceMin is a lower bound on the column's minimum, so a cycle on which
+	// no deadline is due costs one compare.
+	tileNext, sliceNext []uint64
+	tileMin, sliceMin   uint64
+	// tileOwed[i] / sliceOwed[i] is the first cycle a sleeper has not been
+	// charged for.
+	tileOwed, sliceOwed []uint64
+	// parked holds, per DRAM controller queue, the slices asleep on a refusal
+	// by that queue (words per queue = len(slices)).
+	parked []uint64
+}
+
+func setBit(w []uint64, i int)      { w[i>>6] |= 1 << uint(i&63) }
+func clearBit(w []uint64, i int)    { w[i>>6] &^= 1 << uint(i&63) }
+func hasBit(w []uint64, i int) bool { return w[i>>6]&(1<<uint(i&63)) != 0 }
+
+func anyBit(w []uint64) bool {
+	for _, x := range w {
+		if x != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// carveColumns allocates the one slab behind coreNext and the awake-set
+// columns and marks everything awake.
+func (s *System) carveColumns() {
+	n := len(s.cores)
+	words := (n + 63) / 64
+	rest := make([]uint64, 5*n+(3+s.dram.Queues())*words)
+	carve := func(k int) []uint64 {
+		c := rest[:k:k]
+		rest = rest[k:]
+		return c
+	}
+	a := &s.awake
+	s.coreNext = carve(n)
+	a.tileNext, a.tileOwed = carve(n), carve(n)
+	a.sliceNext, a.sliceOwed = carve(n), carve(n)
+	a.tiles, a.slices, a.dramQ = carve(words), carve(words), carve(words)
+	a.parked = rest
+	s.wakeAll()
+}
+
+// wakeAll marks every tile and slice awake with nothing owed — the state of
+// a fresh or just-restored system, whose components find their own sleep
+// again on their first visit.
+func (s *System) wakeAll() {
+	a := &s.awake
+	for i := range s.cores {
+		setBit(a.tiles, i)
+		setBit(a.slices, i)
+		a.tileNext[i], a.sliceNext[i] = mem.NoEvent, mem.NoEvent
+		s.markDramQ(i)
+	}
+	clear(a.parked)
+	a.tileMin, a.sliceMin = mem.NoEvent, mem.NoEvent
+}
+
+// markDramQ records whether tile i has direct-DRAM reads queued.
+func (s *System) markDramQ(i int) {
+	if s.stage[i].dramQ.Len() > 0 {
+		setBit(s.awake.dramQ, i)
+	} else {
+		clearBit(s.awake.dramQ, i)
+	}
+}
+
+// tileHorizon folds tile i's component horizons: the earliest cycle >= now
+// at which its core, translation port, prefetch queue, L1D or L2 has work.
+// The direct-DRAM queue is not part of it — the commit phase drains that
+// queue every cycle on the tile's behalf.
+//
+//clipvet:tilephase
+func (s *System) tileHorizon(i int, now uint64) uint64 {
+	h := s.coreNext[i]
+	if h <= now || s.cores[i].Woken() {
+		return now
+	}
+	// A queue whose head waits on a full target has no event of its own: it
+	// moves after the target's pop, which the target's horizon reports.
+	if q := &s.pfQ[i]; q.Len() > 0 && !s.pfTarget(i, q.Front()).Full() {
+		return now
+	}
+	if e := s.l1d[i].NextEvent(now); e < h {
+		h = e
+	}
+	if e := s.l2[i].NextEvent(now); e < h {
+		h = e
+	}
+	if e := s.ports[i].NextEvent(now); e < h {
+		h = e
+	}
+	return h
+}
+
+// sliceHorizon is tileHorizon for LLC slice i and its retry ring.
+func (s *System) sliceHorizon(i int, now uint64) uint64 {
+	if s.llcRetry[i].Len() > 0 && !s.llc[i].Full() {
+		return now
+	}
+	return s.llc[i].NextEvent(now)
+}
+
+// sleepTile takes tile i, just visited at cycle from-1 with nothing due
+// before next, out of the awake set.
+func (s *System) sleepTile(i int, from, next uint64) {
+	a := &s.awake
+	clearBit(a.tiles, i)
+	a.tileOwed[i], a.tileNext[i] = from, next
+	if next < a.tileMin {
+		a.tileMin = next
+	}
+}
+
+// sleepSlice is sleepTile for an LLC slice, which can also sleep on a DRAM
+// queue: it parks on the queue of each request the controller refused it.
+func (s *System) sleepSlice(i int, from, next uint64) {
+	a := &s.awake
+	clearBit(a.slices, i)
+	a.sliceOwed[i], a.sliceNext[i] = from, next
+	if next < a.sliceMin {
+		a.sliceMin = next
+	}
+	words := len(a.slices)
+	head, wb := s.llc[i].LowerWaits()
+	if head != nil {
+		setBit(a.parked[s.dram.QueueOf(head)*words:], i)
+	}
+	if wb != nil {
+		setBit(a.parked[s.dram.QueueOf(wb)*words:], i)
+	}
+}
+
+// settleTile charges sleeping tile i for the cycles [owed, upTo) it has not
+// been charged for — exactly what the per-cycle loop applies one cycle at a
+// time (tickTile's skip branches).
+func (s *System) settleTile(i int, upTo uint64) {
+	owed := s.awake.tileOwed[i]
+	if owed >= upTo {
+		return
+	}
+	s.cores[i].SkipCycles(owed, upTo-owed)
+	settleCache(s.l1d[i], owed, upTo)
+	settleCache(s.l2[i], owed, upTo)
+	s.awake.tileOwed[i] = upTo
+}
+
+// settleSlice is settleTile for a sleeping LLC slice.
+func (s *System) settleSlice(i int, upTo uint64) {
+	owed := s.awake.sliceOwed[i]
+	if owed >= upTo {
+		return
+	}
+	settleCache(s.llc[i], owed, upTo)
+	s.awake.sliceOwed[i] = upTo
+}
+
+func settleCache(c *cache.Cache, owed, upTo uint64) {
+	if invariant.Enabled {
+		invariant.Check(c.Cycle()+1 == owed,
+			"sim: %s owes from cycle %d but its clock stands at %d", c.Config().Name, owed, c.Cycle())
+	}
+	c.SkipTick(upTo - 1)
+	if invariant.Enabled {
+		invariant.Check(c.Cycle() == upTo-1,
+			"sim: %s settled to %d, clock at %d", c.Config().Name, upTo, c.Cycle())
+	}
+}
+
+// settleAll charges every sleeper through the last simulated cycle. Whoever
+// reads clocks or bulk-charged counters from outside the loop calls it
+// first; settling twice is a no-op.
+//
+//clipvet:serial runs between ticks
+func (s *System) settleAll() {
+	if !s.skip {
+		return
+	}
+	for i := range s.cores {
+		if !hasBit(s.awake.tiles, i) {
+			s.settleTile(i, s.cycle)
+		}
+		if !hasBit(s.awake.slices, i) {
+			s.settleSlice(i, s.cycle)
+		}
+	}
+}
+
+// wakeTile puts tile i back in the awake set before an outside event touches
+// it, first charging it up to (not including) cycle upTo — the callee reads
+// its own clock and stall columns. A no-op for an awake tile and under
+// DisableSkip.
+func (s *System) wakeTile(i int, upTo uint64, source *uint64) {
+	if !s.skip || hasBit(s.awake.tiles, i) {
+		return
+	}
+	s.settleTile(i, upTo)
+	setBit(s.awake.tiles, i)
+	s.awake.tileNext[i] = mem.NoEvent
+	*source++
+}
+
+// wakeSlice is wakeTile for an LLC slice.
+func (s *System) wakeSlice(i int, upTo uint64, source *uint64) {
+	if !s.skip || hasBit(s.awake.slices, i) {
+		return
+	}
+	s.settleSlice(i, upTo)
+	setBit(s.awake.slices, i)
+	s.awake.sliceNext[i] = mem.NoEvent
+	*source++
+}
+
+// wakeDue wakes the sleepers whose own deadline is cycle cy. On most cycles
+// none is and the cached minima make this two compares.
+func (s *System) wakeDue(cy uint64) {
+	a := &s.awake
+	if cy >= a.tileMin {
+		min := mem.NoEvent
+		for i, next := range a.tileNext {
+			if next <= cy {
+				s.wakeTile(i, cy, &s.self.WakesTimed)
+			} else if next < min {
+				min = next
+			}
+		}
+		a.tileMin = min
+	}
+	if cy >= a.sliceMin {
+		min := mem.NoEvent
+		for i, next := range a.sliceNext {
+			if next <= cy {
+				s.wakeSlice(i, cy, &s.self.WakesTimed)
+			} else if next < min {
+				min = next
+			}
+		}
+		a.sliceMin = min
+	}
+}
+
+// wakeParked runs just before DRAM queue q dequeues (dram.OnDequeue), inside
+// the serial tail's dram.Tick: every slice asleep on a refusal by q is
+// charged through the current cycle while the refusal still stands, and
+// retries on the next.
+func (s *System) wakeParked(q int) {
+	words := len(s.awake.slices)
+	for wi, w := range s.awake.parked[q*words : (q+1)*words] {
+		if w == 0 {
+			continue
+		}
+		s.awake.parked[q*words+wi] = 0
+		for ; w != 0; w &= w - 1 {
+			s.wakeSlice(wi<<6+bits.TrailingZeros64(w), s.cycle+1, &s.self.WakesDRAMPop)
+		}
+	}
+}
+
+// checkSleepingTiles (clipdebug) re-derives from scratch, at the point of
+// cycle cy where the loop would have visited them, that every sleeping tile
+// really has nothing to do: no component horizon has come due and no watched
+// epoch has moved. A wake the bookkeeping missed panics here on the first
+// cycle it matters.
+func (s *System) checkSleepingTiles(cy uint64) {
+	for i := range s.cores {
+		if !hasBit(s.awake.tiles, i) && s.tileHorizon(i, cy) <= cy {
+			invariant.Check(false, "sim: tile %d asleep at cycle %d with work pending (%s)", i, cy, s.describeTile(i))
+		}
+	}
+}
+
+// checkSleepingSlices is checkSleepingTiles for the LLC slices.
+func (s *System) checkSleepingSlices(cy uint64) {
+	for i := range s.llc {
+		if !hasBit(s.awake.slices, i) && s.sliceHorizon(i, cy) <= cy {
+			invariant.Check(false, "sim: LLC slice %d asleep at cycle %d with work pending (%s)", i, cy, s.describeSlice(i))
+		}
+	}
+}
+
+// describeTile says what sleeping tile i holds and waits on.
+//
+//clipvet:allocok diagnostic text, built only once an invariant has failed or a run has stalled
+func (s *System) describeTile(i int) string {
+	c, l1, l2 := s.cores[i], s.l1d[i], s.l2[i]
+	return fmt.Sprintf("core %d: rob=%d head=%s next=%d; port=%d pfQ=%d dramQ=%d; l1d inQ=%d mshr=%d; l2 inQ=%d mshr=%d",
+		i, c.ROBOccupancy(), c.DebugHead(), s.awake.tileNext[i], len(s.ports[i].pending), s.pfQ[i].Len(),
+		s.stage[i].dramQ.Len(), l1.InQLen(), l1.MSHRInUse(), l2.InQLen(), l2.MSHRInUse())
+}
+
+// describeSlice says what sleeping LLC slice i holds and waits on.
+//
+//clipvet:allocok diagnostic text, built only once an invariant has failed or a run has stalled
+func (s *System) describeSlice(i int) string {
+	l := s.llc[i]
+	head, wb := l.LowerWaits()
+	return fmt.Sprintf("llc %d: inQ=%d mshr=%d retry=%d next=%d dram-refused head=%t wb=%t",
+		i, l.InQLen(), l.MSHRInUse(), s.llcRetry[i].Len(), s.awake.sliceNext[i], head != nil, wb != nil)
+}
+
+// stallNote renders the stall diagnosis, if any, as an error-message suffix.
+func (s *System) stallNote() string {
+	if s.stall == "" {
+		return ""
+	}
+	return ": " + s.stall
+}
+
+// diagnoseStall names every sleeper that still holds work, for a system in
+// which nothing is awake and nothing is in flight: whatever they wait for
+// can no longer arrive.
+func (s *System) diagnoseStall() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "sim: no component has work at cycle %d but %d of %d cores have not finished;",
+		s.cycle, len(s.cores)-s.finished, len(s.cores))
+	for i, c := range s.cores {
+		if c.ROBOccupancy() > 0 || s.l1d[i].MSHRInUse() > 0 || s.l2[i].MSHRInUse() > 0 {
+			fmt.Fprintf(&b, " [%s]", s.describeTile(i))
+		}
+		if l := s.llc[i]; l.InQLen() > 0 || l.MSHRInUse() > 0 || s.llcRetry[i].Len() > 0 {
+			fmt.Fprintf(&b, " [%s]", s.describeSlice(i))
+		}
+	}
+	return b.String()
+}

@@ -1,0 +1,380 @@
+package sim
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"strings"
+	"testing"
+
+	"clip/internal/invariant"
+)
+
+// runSelf runs cfg to completion and returns the report and the loop's
+// self-counters.
+func runSelf(t *testing.T, cfg Config) ([]byte, SelfStats) {
+	t.Helper()
+	_, data, self := runBuilt(t, func() (*System, error) { return NewSystem(cfg) })
+	return data, self
+}
+
+// TestAwakeProgressMesh64 is the host-independent statement of what active-set
+// ticking buys: on the 64-core arm the skipping loop visits at most a quarter
+// of the tile-cycles it simulates (the strict loop visits all of them, and
+// so did the skipping loop while it asked every tile NextEvent), ticks the
+// same cores whether the tile phase is sharded or not, and every report is
+// byte-identical.
+func TestAwakeProgressMesh64(t *testing.T) {
+	cfg := mesh64Arm()
+	cores := uint64(len(cfg.Workload))
+	onJSON, on := runSelf(t, cfg)
+
+	cfg.DisableSkip = true
+	offJSON, off := runSelf(t, cfg)
+	if !bytes.Equal(onJSON, offJSON) {
+		t.Fatalf("skip and noskip reports differ: %s", firstDiff(onJSON, offJSON))
+	}
+	if off.TileVisits != off.Ticks*cores || off.SliceVisits != off.Ticks*cores || off.TileVisitsCoreTicked != off.TileVisits {
+		t.Errorf("strict loop must visit and tick everything every cycle: %+v", off)
+	}
+	if off.GlobalSkips != 0 || off.WakesMesh+off.WakesDRAMFill+off.WakesHermesFill+off.WakesDRAMPop+off.WakesTimed != 0 {
+		t.Errorf("strict loop used the awake sets: %+v", off)
+	}
+	if 4*on.TileVisits > on.Ticks*cores {
+		t.Errorf("skipping loop visited %d of %d tile-cycles (%.1f%%), want <= 25%%: %+v",
+			on.TileVisits, on.Ticks*cores, 100*float64(on.TileVisits)/float64(on.Ticks*cores), on)
+	}
+	if 4*on.SliceVisits > on.Ticks*cores {
+		t.Errorf("skipping loop visited %d of %d slice-cycles, want <= 25%%", on.SliceVisits, on.Ticks*cores)
+	}
+	if on.TileVisitsCoreTicked == 0 || on.TileVisitsCoreTicked > on.TileVisits {
+		t.Errorf("core ticks %d outside (0, tile visits %d]", on.TileVisitsCoreTicked, on.TileVisits)
+	}
+	if on.WakesMesh == 0 || on.WakesDRAMFill == 0 || on.WakesTimed == 0 {
+		t.Errorf("a wake source never fired: %+v", on)
+	}
+
+	cfg.DisableSkip, cfg.ShardWorkers = false, 3
+	shardJSON, shard := runSelf(t, cfg)
+	if !bytes.Equal(onJSON, shardJSON) {
+		t.Fatalf("serial and sharded reports differ: %s", firstDiff(onJSON, shardJSON))
+	}
+	if shard != on {
+		t.Errorf("sharding changed what the loop did:\n serial:  %+v\n sharded: %+v", on, shard)
+	}
+}
+
+// TestAwakeTickDirect drives Tick alone — no Step, so no jump of the global
+// clock and no settle point but collect — the way tests and the traced
+// bench loop do, and requires the harvest to match the strict loop's.
+func TestAwakeTickDirect(t *testing.T) {
+	for _, arm := range []string{"mesh16-1ch", "stall-hermes"} {
+		cfg := skipMatrix()[arm]
+		t.Run(arm, func(t *testing.T) {
+			t.Parallel()
+			var reports [2][]byte
+			for k, noskip := range []bool{false, true} {
+				cfg.DisableSkip, cfg.ShardWorkers = noskip, 0
+				s, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 12000; i++ {
+					s.Tick()
+				}
+				res := s.collect()
+				s.Close()
+				if reports[k], err = json.Marshal(res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(reports[0], reports[1]) {
+				t.Fatalf("reports differ after 12000 direct Ticks: %s", firstDiff(reports[0], reports[1]))
+			}
+		})
+	}
+}
+
+// asleepOwing counts the sleeping tiles and slices that have cycles owed.
+func (s *System) asleepOwing() (tiles, slices int) {
+	for i := range s.cores {
+		if !hasBit(s.awake.tiles, i) && s.awake.tileOwed[i] < s.cycle {
+			tiles++
+		}
+		if !hasBit(s.awake.slices, i) && s.awake.sliceOwed[i] < s.cycle {
+			slices++
+		}
+	}
+	return tiles, slices
+}
+
+// TestCheckpointAsleepAtSave saves while tiles and slices are asleep with
+// uncharged cycles: SaveState must settle them (the image is what the
+// per-cycle loop would have written), settling must be idempotent (two saves
+// in a row are the same bytes), and neither the saved system nor one restored
+// from the image may end differently from an uninterrupted run.
+func TestCheckpointAsleepAtSave(t *testing.T) {
+	for _, arm := range []string{"mesh64", "mesh16-1ch"} {
+		cfg := skipMatrix()[arm]
+		for _, shard := range []int{0, 4} {
+			cfg.ShardWorkers = shard
+			t.Run(fmt.Sprintf("%s/shard%d", arm, shard), func(t *testing.T) {
+				t.Parallel()
+				refJSON, _ := runSelf(t, cfg)
+				finish := func(s *System) []byte {
+					s.runLoop(s.MaxCycles())
+					data, err := json.Marshal(s.collect())
+					if err != nil {
+						t.Fatal(err)
+					}
+					return data
+				}
+
+				s, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				maxCycles := s.MaxCycles()
+				saves := 0
+				for iter := 1; s.Step(maxCycles); iter++ {
+					// Three saves spread over warmup and measurement, each at
+					// the first iteration that has both kinds of sleeper.
+					if saves == 3 || iter < 600*(saves+1)*(saves+1) {
+						continue
+					}
+					if tiles, slices := s.asleepOwing(); tiles == 0 || slices == 0 {
+						continue
+					}
+					saves++
+					image, err := s.SaveState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tiles, slices := s.asleepOwing(); tiles+slices != 0 {
+						t.Fatalf("SaveState left %d tiles and %d slices unsettled", tiles, slices)
+					}
+					again, err := s.SaveState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(image, again) {
+						t.Fatalf("two saves in a row differ at cycle %d", s.cycle)
+					}
+					r, err := NewSystem(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := r.LoadState(image); err != nil {
+						t.Fatal(err)
+					}
+					if resaved, err := r.SaveState(); err != nil || !bytes.Equal(image, resaved) {
+						t.Fatalf("save after load differs from the image (err=%v)", err)
+					}
+					got := finish(r)
+					r.Close()
+					if !bytes.Equal(refJSON, got) {
+						t.Fatalf("restored at cycle %d diverges: %s", s.cycle, firstDiff(refJSON, got))
+					}
+				}
+				if saves < 2 {
+					t.Fatalf("only %d save points had sleepers owing cycles", saves)
+				}
+				if got, err := json.Marshal(s.collect()); err != nil || !bytes.Equal(refJSON, got) {
+					t.Fatalf("the saved run itself diverges (err=%v): %s", err, firstDiff(refJSON, got))
+				}
+			})
+		}
+	}
+}
+
+// tileCounters is what a tile's lazy settlement charges in bulk, plus the
+// clocks its callees read.
+type tileCounters struct {
+	Cycles, ROBStall, FetchStall   uint64
+	L1Clock, L2Clock               uint64
+	L1MSHRFull, L2MSHRFull         uint64
+	TLBAccesses, DTLBHits, L1DLoad uint64
+}
+
+func (s *System) tileCountersOf(i int) tileCounters {
+	cs := s.cores[i].Stats()
+	c := tileCounters{
+		Cycles: cs.Cycles, ROBStall: cs.ROBStallCycles, FetchStall: cs.FetchStallCycles, L1DLoad: cs.L1DAccesses,
+		L1Clock: s.l1d[i].Cycle(), L2Clock: s.l2[i].Cycle(),
+		L1MSHRFull: s.l1d[i].Stats().MSHRFullEvents, L2MSHRFull: s.l2[i].Stats().MSHRFullEvents,
+	}
+	if h := s.tlbs[i]; h != nil {
+		c.TLBAccesses, c.DTLBHits = h.Stats().Accesses, h.Stats().DTLBHits
+	}
+	return c
+}
+
+// TestAwakeWakeSettles runs a skipping system and the strict loop in
+// lockstep, one Tick at a time, and checks every wake of a sleeper that owed
+// at least two cycles: right after the Tick that woke it, the target's
+// clocks and bulk-charged counters (core cycles and ROB/fetch stall cycles,
+// MSHR-full events, TLB accesses; for slices woken off a DRAM queue, the
+// controller's RQ/WQ-full events) equal the strict loop's. Every wake source
+// must be seen, and for DRAM dequeues both a parked LLC head and a parked
+// writeback. The direct-DRAM queue's head is never asleep — the commit phase
+// retries it every cycle — so its refusals are counted by the retries
+// themselves; the arm must still produce them.
+func TestAwakeWakeSettles(t *testing.T) {
+	const minOwed = 2
+	for _, arm := range tightArms() {
+		arm := arm
+		t.Run(arm.name, func(t *testing.T) {
+			t.Parallel()
+			skip, err := arm.build(false, 0)()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := arm.build(true, 0)()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(skip.cores)
+			type sleeper struct {
+				asleep   bool
+				owed     uint64
+				head, wb bool
+			}
+			tiles, slices := make([]sleeper, n), make([]sleeper, n)
+			seen := map[string]int{}
+			dramQRefused := 0
+			for cy := uint64(0); cy < 40000; cy++ {
+				for i := 0; i < n; i++ {
+					tiles[i] = sleeper{asleep: !hasBit(skip.awake.tiles, i), owed: cy - min(cy, skip.awake.tileOwed[i])}
+					head, wb := skip.llc[i].LowerWaits()
+					slices[i] = sleeper{asleep: !hasBit(skip.awake.slices, i), owed: cy - min(cy, skip.awake.sliceOwed[i]),
+						head: head != nil, wb: wb != nil}
+					if q := &skip.stage[i].dramQ; q.Len() > 0 && skip.dram.StallEpoch(&q.Front().req) != nil {
+						dramQRefused++
+					}
+				}
+				before := skip.SelfStats()
+				skip.Tick()
+				ref.Tick()
+				after := skip.SelfStats()
+				source := ""
+				for name, d := range map[string]uint64{
+					"mesh": after.WakesMesh - before.WakesMesh, "dram-fill": after.WakesDRAMFill - before.WakesDRAMFill,
+					"hermes-fill": after.WakesHermesFill - before.WakesHermesFill,
+					"dram-pop":    after.WakesDRAMPop - before.WakesDRAMPop, "timed": after.WakesTimed - before.WakesTimed,
+				} {
+					if d == 0 {
+						continue
+					}
+					if source != "" {
+						source = "mixed" // several sources this cycle: check, do not attribute
+						break
+					}
+					source = name
+				}
+				for i := 0; i < n; i++ {
+					if tiles[i].asleep && hasBit(skip.awake.tiles, i) && tiles[i].owed >= minOwed {
+						if got, want := skip.tileCountersOf(i), ref.tileCountersOf(i); got != want {
+							t.Fatalf("cycle %d: tile %d woken (%s) owing %d cycles:\n got:  %+v\n want: %+v",
+								cy, i, source, tiles[i].owed, got, want)
+						}
+						seen["tile/"+source]++
+					}
+					if slices[i].asleep && hasBit(skip.awake.slices, i) && slices[i].owed >= minOwed {
+						if got, want := skip.llc[i].Cycle(), ref.llc[i].Cycle(); got != want {
+							t.Fatalf("cycle %d: slice %d woken (%s) with clock %d, want %d", cy, i, source, got, want)
+						}
+						if got, want := skip.llc[i].Stats().MSHRFullEvents, ref.llc[i].Stats().MSHRFullEvents; got != want {
+							t.Fatalf("cycle %d: slice %d woken (%s) with %d MSHR-full events, want %d", cy, i, source, got, want)
+						}
+						seen["slice/"+source]++
+						// A parked slice woken on a cycle with dequeue wakes is
+						// taken for one of them (coverage bookkeeping only: the
+						// checks above and below hold whoever woke it).
+						if (slices[i].head || slices[i].wb) && after.WakesDRAMPop > before.WakesDRAMPop {
+							if slices[i].head {
+								seen["pop/head"]++
+							}
+							if slices[i].wb {
+								seen["pop/wb"]++
+							}
+							// Everyone still asleep on the controller owes it
+							// full events; settle them to compare its totals.
+							skip.settleAll()
+							got, want := skip.dram.Stats(), ref.dram.Stats()
+							if got.RQFullEvents != want.RQFullEvents || got.WQFullEvents != want.WQFullEvents {
+								t.Fatalf("cycle %d: after slice %d woke off a dequeue: RQ/WQ full %d/%d, want %d/%d",
+									cy, i, got.RQFullEvents, got.WQFullEvents, want.RQFullEvents, want.WQFullEvents)
+							}
+						}
+					}
+				}
+			}
+			gotJSON, _ := json.Marshal(skip.collect())
+			wantJSON, _ := json.Marshal(ref.collect())
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatalf("lockstep runs end differently: %s", firstDiff(gotJSON, wantJSON))
+			}
+			want := []string{"tile/mesh", "tile/timed", "slice/mesh", "slice/dram-fill", "slice/timed", "pop/head", "pop/wb"}
+			if arm.cfg.Hermes {
+				want = append(want, "tile/hermes-fill")
+				if dramQRefused == 0 {
+					t.Errorf("no direct-DRAM head was ever refused")
+				}
+			}
+			for _, k := range want {
+				if seen[k] == 0 {
+					t.Errorf("never saw a %s wake of a sleeper owing >= %d cycles (saw %v)", k, minOwed, seen)
+				}
+			}
+		})
+	}
+}
+
+// TestAwakeStallDiagnosis: a system in which nothing is awake, due or in
+// flight while cores are unfinished can never finish — with lazy charging a
+// missed wake ends like this. The run must say so: a panic naming the
+// sleepers under clipdebug, a diagnosis on the Result otherwise, with the
+// report itself unchanged. The test loses wakes the honest way: it drops
+// every DRAM response, so each core ends up asleep on a fill that never comes.
+func TestAwakeStallDiagnosis(t *testing.T) {
+	cfg := skipMatrix()["clip"]
+	cfg.MaxCycles = 200000
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check := func(diagnosis string) {
+		t.Helper()
+		for _, want := range []string{"no component has work", "4 of 4 cores have not finished", "core 0:", "rob="} {
+			if !strings.Contains(diagnosis, want) {
+				t.Fatalf("diagnosis %q does not mention %q", diagnosis, want)
+			}
+		}
+	}
+	if invariant.Enabled {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("a dead system ran on without a panic")
+			}
+			check(fmt.Sprint(r))
+		}()
+	}
+	for maxCycles := s.MaxCycles(); s.Step(maxCycles); {
+		s.dramPending, s.dramNext = s.dramPending[:0], ^uint64(0)
+	}
+	res := s.collect()
+	if res.Finished {
+		t.Fatal("a system that lost every DRAM response finished")
+	}
+	check(res.Stall)
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "no component") {
+		t.Fatal("the diagnosis leaked into the report JSON")
+	}
+}

@@ -301,6 +301,11 @@ func TestSystemSnapshotManifest(t *testing.T) {
 			"cfg", "attachL2", "skip", "pool",
 			// Per-cycle transient, reset by LoadState.
 			"coresTicked",
+			// The skipping loop's bookkeeping: SaveState settles every
+			// sleeper, LoadState marks everything awake.
+			"awake", "stall",
+			// About the host run, not the simulated machine.
+			"self", "imageLen",
 		})
 }
 

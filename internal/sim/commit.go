@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"clip/internal/invariant"
 	"clip/internal/mem"
 )
@@ -32,23 +34,56 @@ func (s *System) unseal() {
 	}
 }
 
-// commit replays every tile's staged effects in ascending core index: the
+// commit replays the staged effects of the tiles that ran this cycle, plus
+// the direct-DRAM queues of those that did not, in ascending core index: the
 // counter deltas, the NoC injections, and the head of the direct-DRAM queue.
-func (s *System) commit() {
-	for i := range s.stage {
-		st := &s.stage[i]
-		s.coresTicked += st.ticked
-		st.ticked = 0
-		s.finished += st.finished
-		st.finished = 0
-		st.sends.FlushTo(s.mesh)
-		if invariant.Enabled {
-			invariant.Check(st.sends.Len() == 0,
-				"sim: tile %d staging not empty after flush", i)
+// Under skipping it is also where the awake set changes: a tile whose visit
+// left nothing due next cycle goes to sleep here, serially, because tiles of
+// one bitmap word belong to different shard workers.
+func (s *System) commit(cy uint64) {
+	if !s.skip {
+		for i := range s.stage {
+			s.commitTile(i)
 		}
-		if st.dramQ.Len() > 0 {
-			s.drainDirectDRAM(i)
+		s.self.TileVisits += uint64(len(s.stage))
+		s.self.TileVisitsCoreTicked += uint64(s.coresTicked)
+		return
+	}
+	a := &s.awake
+	for wi, ran := range a.tiles {
+		s.self.TileVisits += uint64(bits.OnesCount64(ran))
+		for w := ran | a.dramQ[wi]; w != 0; w &= w - 1 {
+			b := uint(bits.TrailingZeros64(w))
+			i := wi<<6 + int(b)
+			s.commitTile(i)
+			s.markDramQ(i)
+			if ran>>b&1 == 0 {
+				continue // asleep: only its direct-DRAM queue was served
+			}
+			if next := a.tileNext[i]; next > cy+1 {
+				s.sleepTile(i, cy+1, next)
+			} else {
+				a.tileNext[i] = mem.NoEvent
+			}
 		}
+	}
+	s.self.TileVisitsCoreTicked += uint64(s.coresTicked)
+}
+
+// commitTile replays tile i's stage.
+func (s *System) commitTile(i int) {
+	st := &s.stage[i]
+	s.coresTicked += st.ticked
+	st.ticked = 0
+	s.finished += st.finished
+	st.finished = 0
+	st.sends.FlushTo(s.mesh)
+	if invariant.Enabled {
+		invariant.Check(st.sends.Len() == 0,
+			"sim: tile %d staging not empty after flush", i)
+	}
+	if st.dramQ.Len() > 0 {
+		s.drainDirectDRAM(i)
 	}
 }
 
@@ -96,7 +131,12 @@ func (s *System) deliverHermesHeld(cy uint64) {
 			rest = append(rest, *r) //clipvet:allocok compaction append into [:0]; never exceeds original capacity
 			continue
 		}
-		s.llc[s.sliceOf(r.Req.Addr)].Fill(r)
+		// The slice loop and the tile phase of this cycle are over: a sleeper
+		// is charged through cy before the fill reads its clock.
+		slice := s.sliceOf(r.Req.Addr)
+		s.wakeSlice(slice, cy+1, &s.self.WakesHermesFill)
+		s.wakeTile(r.Req.Core, cy+1, &s.self.WakesHermesFill)
+		s.llc[slice].Fill(r)
 		s.l2[r.Req.Core].Fill(r)
 		s.l1d[r.Req.Core].Fill(r)
 	}
@@ -139,7 +179,9 @@ func (s *System) deliverDRAM(cy uint64) {
 			s.hermesHold = append(s.hermesHold, held) //clipvet:allocok retry ring retains capacity across ticks
 			continue
 		}
-		s.llc[s.sliceOf(r.Req.Addr)].Fill(r)
+		slice := s.sliceOf(r.Req.Addr)
+		s.wakeSlice(slice, cy+1, &s.self.WakesDRAMFill)
+		s.llc[slice].Fill(r)
 	}
 	s.dramPending, s.dramNext = rest, next
 }

@@ -56,6 +56,11 @@ type Result struct {
 	// Energy is the dynamic memory-hierarchy energy model output.
 	EnergyCounts energy.Counts
 	Energy       energy.Breakdown
+
+	// Stall is the diagnosis of a run that stopped short because nothing in
+	// the system could ever act again (empty when Finished, or when the run
+	// merely hit its cycle bound). Not part of the report.
+	Stall string `json:"-"`
 }
 
 // MeanIPC averages per-core IPC.
@@ -140,7 +145,9 @@ func (t *tlbStats) DTLBHitRate() float64 {
 
 // collect harvests the run into a Result.
 func (s *System) collect() *Result {
+	s.settleAll()
 	r := &Result{
+		Stall:      s.stall,
 		Cycles:     s.cycle - s.measureStart,
 		Finished:   s.Finished(),
 		PredScores: map[string]criticality.Score{},

@@ -84,7 +84,40 @@ func skipMatrix() map[string]Config {
 	rq.ShardWorkers = 4
 	m["stall-rq-shard4"] = rq
 
+	// Many-core arms: most tiles and LLC slices are asleep on most cycles, so
+	// these are the ones that exercise the awake sets, the lazy settling and
+	// every wake source at scale (a bitmap word shared by several shard
+	// workers, slices parked on a dequeue of the one saturated channel).
+	m["mesh64"] = mesh64Arm()
+	m["mesh16-1ch"] = mesh16Arm()
+
 	return m
+}
+
+// mesh64Arm is the paper-scale shape in miniature: 64 cores on the 8x8 mesh
+// behind 8 channels, berti+CLIP, a short run.
+func mesh64Arm() Config {
+	cfg := withCLIP(stallBase(repeatMix(stallMix8, 64)))
+	cfg.Channels = 8
+	cfg.InstrPerCore, cfg.WarmupInstr = 300, 100
+	return cfg
+}
+
+// mesh16Arm puts 16 cores behind one channel: the read queue stays full and
+// LLC heads, writebacks and the cores behind them sleep on its dequeues.
+func mesh16Arm() Config {
+	cfg := withCLIP(stallBase(repeatMix(stallMix8, 16)))
+	cfg.InstrPerCore, cfg.WarmupInstr = 1000, 300
+	return cfg
+}
+
+// repeatMix cycles mix out to n cores (per-core seeds keep the copies apart).
+func repeatMix(mix []string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = mix[i%len(mix)]
+	}
+	return out
 }
 
 // withCLIP returns cfg with CLIP at its published configuration.
@@ -166,7 +199,7 @@ func TestSkipEquivalenceMatrix(t *testing.T) {
 				t.Errorf("bulk-charged counters diverge:\nskip on:  %+v\nskip off: %+v", sc, b)
 			}
 			if strings.HasPrefix(name, "stall-") && (sc.L1MSHRFull == 0 || sc.TLBAccesses == 0 ||
-				(name == "stall-rq-shard4" && sc.RQFull == 0)) {
+				(name == "stall-rq-shard4" && sc.RQFull == 0)) || (name == "mesh16-1ch" && sc.RQFull == 0) {
 				t.Errorf("arm is no longer stall-heavy: %+v", sc)
 			}
 			if !reflect.DeepEqual(on, off) {

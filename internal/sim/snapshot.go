@@ -79,7 +79,10 @@ func (s *System) mechs() mechSet {
 //
 //clipvet:serial runs only between ticks, never during the tile phase
 func (s *System) SaveState() ([]byte, error) {
-	w := snapshot.NewWriter()
+	// The image holds every component's clock and counters as of the last
+	// simulated cycle, which sleepers have not been charged up to yet.
+	s.settleAll()
+	w := snapshot.NewWriterSize(s.imageSizeHint())
 	w.String(s.cfg.stateFingerprint())
 	m := s.mechs()
 	w.String(m.pf)
@@ -110,7 +113,29 @@ func (s *System) SaveState() ([]byte, error) {
 	if m.dyn {
 		w.Section("dynclip", func() { s.saveDynClip(w) })
 	}
-	return w.Bytes()
+	image, err := w.Bytes()
+	if err == nil {
+		s.imageLen = len(image)
+	}
+	return image, err
+}
+
+// imageSizeHint sizes SaveState's buffer: the length of the last image this
+// system loaded or saved (an image's length depends on configuration and
+// queue occupancies, so it barely moves), else an estimate from what makes
+// up the bulk of it — the cache line-state slabs, a quarter on top for
+// replacement state, and some 160 KB a core of ROB columns, timing wheel,
+// prefetcher and TLB tables. A low estimate only costs the growth it was
+// meant to save.
+func (s *System) imageSizeHint() int {
+	if s.imageLen > 0 {
+		return s.imageLen + s.imageLen/64
+	}
+	words := 0
+	for i := range s.cores {
+		words += s.l1d[i].SlabWords() + s.l2[i].SlabWords() + s.llc[i].SlabWords()
+	}
+	return 10*words + len(s.cores)*160<<10
 }
 
 // LoadState restores a SaveState stream into s, which must have been built by
@@ -204,6 +229,9 @@ func (s *System) LoadState(data []byte) error {
 		s.nextThrottle = (s.cycle/ep + 1) * ep
 	}
 	s.coresTicked = 0
+	s.imageLen = len(data)
+	s.stall = ""
+	s.wakeAll()
 	return nil
 }
 

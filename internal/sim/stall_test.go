@@ -51,28 +51,24 @@ func (a tightArm) build(noskip bool, shard int) func() (*System, error) {
 }
 
 // runBuilt runs a built system to completion, returning the result, its
-// canonical JSON and the number of real core Ticks the loop took.
-func runBuilt(t *testing.T, build func() (*System, error)) (*Result, []byte, int) {
+// canonical JSON and the loop's self-counters (real core Ticks among them).
+func runBuilt(t *testing.T, build func() (*System, error)) (*Result, []byte, SelfStats) {
 	t.Helper()
 	s, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	coreTicks := 0
-	for maxCycles := s.MaxCycles(); s.Step(maxCycles); {
-		coreTicks += s.coresTicked
-	}
-	coreTicks += s.coresTicked // the final Step's Tick
+	s.runLoop(s.MaxCycles())
 	res := s.collect()
 	if !res.Finished {
-		t.Fatal("run did not finish")
+		t.Fatalf("run did not finish%s", s.stallNote())
 	}
 	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, data, coreTicks
+	return res, data, s.SelfStats()
 }
 
 // TestStallSkipShardTightQueues: with controller queues of a handful of
@@ -89,7 +85,8 @@ func TestStallSkipShardTightQueues(t *testing.T) {
 		arm := arm
 		t.Run(arm.name, func(t *testing.T) {
 			t.Parallel()
-			ref, refJSON, refTicks := runBuilt(t, arm.build(false, 0))
+			ref, refJSON, refSelf := runBuilt(t, arm.build(false, 0))
+			refTicks := refSelf.TileVisitsCoreTicked
 			sc := stallCountersOf(ref)
 			if sc.L1MSHRFull == 0 || sc.RQFull == 0 || sc.WQFull == 0 || sc.TLBAccesses == 0 {
 				t.Fatalf("arm is not stall-heavy: %+v", sc)
@@ -98,11 +95,12 @@ func TestStallSkipShardTightQueues(t *testing.T) {
 				noskip bool
 				shard  int
 			}{{true, 0}, {false, 4}, {true, 4}} {
-				res, data, ticks := runBuilt(t, arm.build(mode.noskip, mode.shard))
+				res, data, self := runBuilt(t, arm.build(mode.noskip, mode.shard))
+				ticks := self.TileVisitsCoreTicked
 				label := fmt.Sprintf("noskip=%t shard=%d", mode.noskip, mode.shard)
 				// Cycles counts from the warmup barrier and the loop also ran
 				// the warmup, so per-cycle ticking is at least cycles x cores.
-				if cores := len(arm.cfg.Workload); mode.noskip && (ticks < int(res.Cycles)*cores || refTicks*2 > ticks) {
+				if cores := len(arm.cfg.Workload); mode.noskip && (ticks < res.Cycles*uint64(cores) || refTicks*2 > ticks) {
 					t.Errorf("%s: stalled cores still poll under skipping: %d core Ticks vs %d per-cycle (%d measured cycles, %d cores)",
 						label, refTicks, ticks, res.Cycles, cores)
 				}

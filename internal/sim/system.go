@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"clip/internal/cache"
 	"clip/internal/core"
@@ -77,14 +78,15 @@ type System struct {
 	warmed bool
 
 	// skip enables event-horizon cycle skipping (Config.DisableSkip off):
-	// quiescent components are tick-skipped every cycle, and Run jumps the
-	// global clock over windows in which no component has work.
-	skip bool
+	// only the awake tiles and LLC slices are visited, sleepers are charged in
+	// bulk when they wake (awake.go), and the run loop jumps the global clock
+	// over windows in which no component has work.
+	skip  bool
+	awake awakeSets
 	// coreNext caches each core's NextEvent horizon; a core is tick-skipped
 	// while the horizon is in the future and no load completion woke it.
 	coreNext []uint64
-	// coresTicked counts cores that took a real Tick this cycle — the cheap
-	// gate deciding whether a global jump is even worth evaluating.
+	// coresTicked counts cores that took a real Tick this cycle.
 	coresTicked int
 	// finished counts cores whose instruction budget is exhausted,
 	// maintained by cpu.Core OnFinished events (no per-cycle scan).
@@ -100,6 +102,13 @@ type System struct {
 	// pool runs the tile phase on ShardWorkers goroutines; nil ticks tiles
 	// inline (the serial mode — same code path, same staging).
 	pool *shardPool
+
+	// self counts the loop's own work (SelfStats); stall is the diagnosis of
+	// a run in which no component can ever act again (skipAhead); imageLen is
+	// the length of the last image loaded or saved, SaveState's size hint.
+	self     SelfStats
+	stall    string
+	imageLen int
 }
 
 type scoredPredictor struct {
@@ -286,7 +295,10 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	}
 
 	s.skip = !cfg.DisableSkip
-	s.coreNext = make([]uint64, n)
+	s.carveColumns()
+	if s.skip {
+		s.dram.OnDequeue(s.wakeParked)
+	}
 	for i, c := range s.cores {
 		i := i
 		// A core finishing its budget fires during the (possibly concurrent)
@@ -345,8 +357,10 @@ func (s *System) onMeshDeliver(kind uint8, dst int, r *mem.Response, cycle uint6
 	switch kind {
 	case pktLLCResp:
 		r.DoneCycle = cycle
+		s.wakeTile(dst, cycle+1, &s.self.WakesMesh) // the tile phase of this cycle is over
 		s.l2[dst].Fill(r)
 	default: // pktLLCReq
+		s.wakeSlice(dst, cycle, &s.self.WakesMesh) // the slices tick after the mesh
 		if !s.llc[dst].Issue(&r.Req) {
 			s.llcRetry[dst].Push(r.Req)
 		}
@@ -456,24 +470,31 @@ func (s *System) hermesFor(core int) *hermes.Predictor {
 }
 
 // Tick advances the whole system one cycle in two phases plus a serial
-// tail. Phase 1 (tile phase) ticks every per-core tile — concurrently on
-// the shard pool when ShardWorkers > 1, inline otherwise — with all
-// cross-tile effects staged per tile. Phase 2 (commit) replays the staged
-// effects serially in ascending core index, the exact order the old serial
-// loop produced them. The tail (mesh, LLC slices, DRAM, deliveries,
-// throttlers) is serial and unchanged. With skipping enabled, provably
-// quiescent components get their per-cycle accounting applied in place of a
-// full walk; results are byte-identical across all four mode combinations.
+// tail. Phase 1 (tile phase) ticks the per-core tiles — concurrently on the
+// shard pool when ShardWorkers > 1, inline otherwise — with all cross-tile
+// effects staged per tile. Phase 2 (commit) replays the staged effects
+// serially in ascending core index, the exact order the old serial loop
+// produced them. The tail (mesh, LLC slices, DRAM, deliveries, throttlers) is
+// serial. With skipping enabled both phases and the slice loop walk only the
+// awake sets (awake.go); under DisableSkip they walk everything and read no
+// awake-set state. Results are byte-identical across all four mode
+// combinations.
 //
 //clipvet:hotpath
 func (s *System) Tick() {
 	cy := s.cycle
-	skip := s.skip
 	s.coresTicked = 0
+	s.self.Ticks++
+	if s.skip {
+		s.wakeDue(cy)
+		if invariant.Enabled {
+			s.checkSleepingTiles(cy)
+		}
+	}
 	s.seal()
 	s.runTiles(cy)
 	s.unseal()
-	s.commit()
+	s.commit(cy)
 	if s.dynClip != nil {
 		// The utilization signal is only sampled on epoch boundaries; skip
 		// the O(channels) read on every other cycle.
@@ -484,26 +505,7 @@ func (s *System) Tick() {
 		s.dynClip.update(cy, util)
 	}
 	s.mesh.Tick(cy)
-	for i, l := range s.llc {
-		// Retry refused deliveries (in arrival order) before new work;
-		// refused requests rotate to the back, preserving relative order.
-		// The ring never holds a droppable prefetch (Issue accepts those),
-		// so against a full queue every entry is refused and the rotation
-		// is the identity: the skipping loop leaves the ring alone.
-		if !(skip && l.Full()) {
-			for n := s.llcRetry[i].Len(); n > 0; n-- {
-				req := s.llcRetry[i].PopFront()
-				if !l.Issue(&req) {
-					s.llcRetry[i].Push(req)
-				}
-			}
-		}
-		if !skip || l.NextEvent(cy) <= cy {
-			l.Tick(cy)
-		} else {
-			l.SkipTick(cy)
-		}
-	}
+	s.tickSlices(cy)
 	s.dram.Tick(cy)
 	s.deliverDRAM(cy)
 	s.deliverHermesHeld(cy)
@@ -513,104 +515,148 @@ func (s *System) Tick() {
 	s.cycle++
 }
 
+// tickSlices advances the LLC slices: every one under DisableSkip, the awake
+// ones otherwise. A visited slice that is left with nothing due next cycle
+// goes to sleep.
+func (s *System) tickSlices(cy uint64) {
+	if !s.skip {
+		for i, l := range s.llc {
+			s.retryLLC(i)
+			l.Tick(cy)
+		}
+		s.self.SliceVisits += uint64(len(s.llc))
+		return
+	}
+	if invariant.Enabled {
+		s.checkSleepingSlices(cy)
+	}
+	for wi, w := range s.awake.slices {
+		s.self.SliceVisits += uint64(bits.OnesCount64(w))
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			l := s.llc[i]
+			// Against a full queue every retry is refused and the rotation is
+			// the identity (the ring never holds a droppable prefetch, which
+			// Issue accepts): leave the ring alone.
+			if !l.Full() {
+				s.retryLLC(i)
+			}
+			if l.NextEvent(cy) <= cy {
+				l.Tick(cy)
+			} else {
+				l.SkipTick(cy)
+			}
+			if next := s.sliceHorizon(i, cy+1); next > cy+1 {
+				s.sleepSlice(i, cy+1, next)
+			}
+		}
+	}
+}
+
+// retryLLC re-issues slice i's refused deliveries in arrival order; refused
+// requests rotate to the back, preserving relative order.
+func (s *System) retryLLC(i int) {
+	for n := s.llcRetry[i].Len(); n > 0; n-- {
+		req := s.llcRetry[i].PopFront()
+		if !s.llc[i].Issue(&req) {
+			s.llcRetry[i].Push(req)
+		}
+	}
+}
+
 // Finished reports whether every core retired its budget. The count is
 // maintained by per-core OnFinished events (and re-armed at the warmup
 // barrier), so this is O(1) instead of a per-cycle core scan.
 func (s *System) Finished() bool { return s.finished == len(s.cores) }
 
-// horizon folds every component's NextEvent with the simulation-level
-// deadlines — pending DRAM responses, held Hermes fills, the throttler
-// epoch, and the dynamic-CLIP sample — into the earliest cycle >= now that
-// must actually be simulated.
+// horizon returns the earliest cycle >= now at which anything that carries a
+// request has work: now while any tile or slice is awake or a direct-DRAM
+// head can issue, otherwise the minimum of the sleepers' deadlines, the mesh
+// horizon, pending DRAM responses and held Hermes fills — read off the
+// columns, not re-folded per component. mem.NoEvent means nothing is on its
+// way anywhere above the memory controller.
 func (s *System) horizon(now uint64) uint64 {
-	h := mem.NoEvent
-	fold := func(e uint64) {
-		if e < h {
-			h = e
-		}
+	a := &s.awake
+	if anyBit(a.tiles) || anyBit(a.slices) {
+		return now
 	}
-	for i, c := range s.cores {
-		if c.Woken() {
-			return now
-		}
-		fold(s.coreNext[i])
-		fold(s.ports[i].NextEvent(now))
-		// A queue whose head waits on a full target has no event of its own:
-		// it moves after the target's pop, which the target's horizon reports.
-		if q := &s.pfQ[i]; q.Len() > 0 && !s.pfTarget(i, q.Front()).Full() {
-			return now
-		}
-		if q := &s.stage[i].dramQ; q.Len() > 0 && s.dram.StallEpoch(&q.Front().req) == nil {
-			return now
-		}
-		fold(s.l1d[i].NextEvent(now))
-		fold(s.l2[i].NextEvent(now))
-	}
-	for i := range s.llc {
-		if s.llcRetry[i].Len() > 0 && !s.llc[i].Full() {
-			return now
-		}
-		fold(s.llc[i].NextEvent(now))
-	}
-	fold(s.mesh.NextEvent(now))
-	fold(s.dram.NextEvent(now))
+	h := min(a.tileMin, a.sliceMin, s.mesh.NextEvent(now))
 	if len(s.dramPending) > 0 {
-		fold(s.dramNext)
+		h = min(h, s.dramNext)
 	}
 	if len(s.hermesHold) > 0 {
-		fold(s.hermesNext)
+		h = min(h, s.hermesNext)
 	}
-	if s.throttler != nil {
-		fold(s.nextThrottle)
+	if h <= now {
+		return now
 	}
-	if s.dynClip != nil {
-		fold(s.dynClip.nextSample(now))
-	}
-	if h < now {
-		h = now
+	for wi, w := range a.dramQ {
+		for ; w != 0; w &= w - 1 {
+			// A head the controller refuses has no event of its own: it moves
+			// after the queue's dequeue, which the DRAM horizon reports.
+			if s.dram.StallEpoch(&s.stage[wi<<6+bits.TrailingZeros64(w)].dramQ.Front().req) == nil {
+				return now
+			}
+		}
 	}
 	return h
 }
 
 // skipAhead jumps the global clock to the earliest future cycle at which
-// any component has work, bulk-applying the per-cycle accounting the
-// skipped cycles would have performed. A no-op when something has work next
-// cycle. Under clipdebug every component re-derives its own quiescence at
-// skip time, so a horizon that undershoots real work panics instead of
-// silently desyncing.
+// any component has work — horizon folded with the DRAM controller's own
+// horizon and the timekeeping deadlines (throttler epoch, dynamic-CLIP
+// sample) — bulk-applying what the skipped cycles would have counted on the
+// shared components. Sleeping tiles and slices are not touched: the jump only
+// widens the window they are charged for when they wake. A no-op when
+// something has work next cycle. The caller has seen unfinished cores.
 func (s *System) skipAhead(maxCycles uint64) {
 	now := s.cycle // the next cycle to simulate
 	h := s.horizon(now)
-	if h > maxCycles {
-		h = maxCycles
+	if h <= now {
+		return
+	}
+	if h == mem.NoEvent && s.stall == "" && s.dram.Idle() {
+		// Nothing is awake, due or in flight, so no core can ever finish; what
+		// is folded in below only keeps time. Say so once (awake.go).
+		s.stall = s.diagnoseStall()
+		invariant.Check(false, "%s", s.stall)
+	}
+	h = min(h, s.dram.NextEvent(now), maxCycles)
+	if s.throttler != nil {
+		h = min(h, s.nextThrottle)
+	}
+	if s.dynClip != nil {
+		h = min(h, s.dynClip.nextSample(now))
 	}
 	if h <= now {
 		return
 	}
 	n := h - now
-	for _, c := range s.cores {
-		c.SkipCycles(now, n)
-	}
-	for i := range s.l1d {
-		s.l1d[i].SkipTick(h - 1)
-		s.l2[i].SkipTick(h - 1)
-	}
-	for _, l := range s.llc {
-		l.SkipTick(h - 1)
+	if invariant.Enabled {
+		// The columns said nobody has work before h; every sleeper re-derives
+		// it (the shared components do in their own skip calls below).
+		for i := range s.cores {
+			if s.tileHorizon(i, now) < h || s.sliceHorizon(i, now) < h {
+				invariant.Check(false, "sim: jump [%d,%d) passes work of tile or slice %d (%s; %s)",
+					now, h, i, s.describeTile(i), s.describeSlice(i))
+			}
+		}
 	}
 	s.mesh.SkipCycles(now, n)
 	s.dram.AdvanceTo(now, n)
-	for i := range s.stage {
-		// The commit phase would have re-issued each refused direct-DRAM
-		// head once per cycle (horizon vouched that it is refused).
-		if q := &s.stage[i].dramQ; q.Len() > 0 {
-			s.dram.Refused(&q.Front().req, n)
+	for wi, w := range s.awake.dramQ {
+		for ; w != 0; w &= w - 1 {
+			// The commit phase would have re-issued each refused direct-DRAM
+			// head once per cycle (horizon vouched that it is refused).
+			s.dram.Refused(&s.stage[wi<<6+bits.TrailingZeros64(w)].dramQ.Front().req, n)
 		}
 	}
 	if s.dynClip != nil {
 		s.dynClip.advance(n)
 	}
 	s.cycle = h
+	s.self.GlobalSkips++
+	s.self.CyclesSkipped += n
 }
 
 // resetStats zeroes all measurement counters at the warmup barrier.
@@ -659,6 +705,7 @@ func (s *System) MaxCycles() uint64 {
 // each core's trigger).
 func (s *System) warmupBarrier() {
 	s.warmed = true
+	s.settleAll() // cycles slept through so far belong to the warmup
 	s.resetStats()
 	s.measureStart = s.cycle
 	s.finished = 0
@@ -667,28 +714,34 @@ func (s *System) warmupBarrier() {
 	}
 }
 
-// Step advances the run loop by one iteration — one Tick plus the barrier
-// and skip handling — and reports whether the run continues. Extracting the
-// loop body lets checkpoint tests pause a run at an arbitrary iteration with
-// the exact semantics of Run.
+// advance is the one loop body every run shares: a Tick, then — when that
+// left cores unfinished and nothing awake — a jump to the next event. It
+// reports whether every core has retired its budget.
+func (s *System) advance(maxCycles uint64) bool {
+	s.Tick()
+	if s.Finished() {
+		return true
+	}
+	if s.skip {
+		s.skipAhead(maxCycles)
+	}
+	return false
+}
+
+// Step advances the run loop by one iteration — advance plus the warmup
+// barrier — and reports whether the run continues. Checkpoint tests pause a
+// run at an arbitrary iteration with the exact semantics of Run.
 func (s *System) Step(maxCycles uint64) bool {
 	if s.cycle >= maxCycles {
 		return false
 	}
-	s.Tick()
-	if s.Finished() {
-		if s.warmed {
-			return false
-		}
-		s.warmupBarrier()
+	if !s.advance(maxCycles) {
 		return true
 	}
-	if s.skip && s.coresTicked == 0 {
-		// Every core was quiescent this cycle — worth probing for a
-		// global jump. (While any core is active the horizon is "now"
-		// and the fold would be wasted work on the hot path.)
-		s.skipAhead(maxCycles)
+	if s.warmed {
+		return false
 	}
+	s.warmupBarrier()
 	return true
 }
 
@@ -748,17 +801,10 @@ func WarmupImage(cfg Config) ([]byte, error) {
 	}
 	defer s.Close()
 	maxCycles := s.MaxCycles()
-	for s.cycle < maxCycles && !s.Finished() {
-		s.Tick()
-		if s.Finished() {
-			break
-		}
-		if s.skip && s.coresTicked == 0 {
-			s.skipAhead(maxCycles)
-		}
+	for s.cycle < maxCycles && !s.advance(maxCycles) {
 	}
 	if !s.Finished() {
-		return nil, fmt.Errorf("sim: warmup did not complete within %d cycles", maxCycles)
+		return nil, fmt.Errorf("sim: warmup did not complete within %d cycles%s", maxCycles, s.stallNote())
 	}
 	return s.SaveState()
 }

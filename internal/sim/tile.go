@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sync"
 
 	"clip/internal/cache"
@@ -76,6 +77,12 @@ func (s *System) tickTile(i int, cy uint64) {
 	} else {
 		l2.SkipTick(cy)
 	}
+	if s.skip {
+		// Folded after L1 and L2 ticked, so this visit's in-tile wakes (a
+		// completed load, an L1D or L2 pop) are already in it. The commit
+		// phase reads the slot and decides whether the tile sleeps.
+		s.awake.tileNext[i] = s.tileHorizon(i, cy+1)
+	}
 }
 
 // drainPFQ issues queued prefetches while the target caches accept them
@@ -110,12 +117,34 @@ func (s *System) pfTarget(i int, e *pfEntry) *cache.Cache {
 // identical per-tile code against the identical staging buffers, so serial
 // and parallel execution are byte-identical by construction.
 func (s *System) runTiles(cy uint64) {
+	if s.skip && !anyBit(s.awake.tiles) {
+		return
+	}
 	if s.pool != nil {
 		s.pool.run(cy)
 		return
 	}
-	for i := range s.cores {
-		s.tickTile(i, cy)
+	s.tickTiles(0, len(s.cores), cy)
+}
+
+// tickTiles ticks the tiles of [lo, hi) due this cycle: every one under
+// DisableSkip, the awake ones otherwise. The awake bitmap is read-only for
+// the whole tile phase — workers share its words — and changes at commit.
+//
+//clipvet:tilephase
+func (s *System) tickTiles(lo, hi int, cy uint64) {
+	if !s.skip {
+		for i := lo; i < hi; i++ {
+			s.tickTile(i, cy)
+		}
+		return
+	}
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		for w := s.awake.tiles[wi]; w != 0; w &= w - 1 {
+			if i := wi<<6 + bits.TrailingZeros64(w); i >= lo && i < hi {
+				s.tickTile(i, cy)
+			}
+		}
 	}
 }
 
@@ -154,9 +183,7 @@ func (p *shardPool) work(s *System, w, lo, hi int, start <-chan uint64) {
 				}
 				p.wg.Done()
 			}()
-			for i := lo; i < hi; i++ {
-				s.tickTile(i, cy)
-			}
+			s.tickTiles(lo, hi, cy)
 		}()
 	}
 }

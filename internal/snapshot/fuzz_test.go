@@ -206,3 +206,33 @@ func TestReaderHugeLengthRejected(t *testing.T) {
 		t.Fatalf("err=%v, want ErrCorrupt", r.Err())
 	}
 }
+
+// TestWriterSizedSameBytes: the capacity a Writer starts with changes how
+// often its buffer grows, never what it holds — a stream written into a
+// buffer that fits is not reallocated, one written into a buffer far too
+// small still comes out whole.
+func TestWriterSizedSameBytes(t *testing.T) {
+	write := func(w *Writer) []byte {
+		w.String("fingerprint")
+		w.Section("body", func() {
+			for i := uint64(0); i < 5000; i++ {
+				w.U64(i * 0x9e3779b97f4a7c15)
+			}
+		})
+		b, err := w.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := write(NewWriter())
+	for _, capacity := range []int{0, 1, len(want) - 1, len(want), 2 * len(want)} {
+		got := write(NewWriterSize(capacity))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("capacity %d changed the stream", capacity)
+		}
+		if capacity >= len(want) && cap(got) != capacity {
+			t.Fatalf("capacity %d sufficed but the buffer was reallocated to %d", capacity, cap(got))
+		}
+	}
+}

@@ -50,8 +50,16 @@ type Writer struct {
 }
 
 // NewWriter returns a Writer with the magic+version header already emitted.
-func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, 0, 1<<16)}
+func NewWriter() *Writer { return NewWriterSize(1 << 16) }
+
+// NewWriterSize is NewWriter with the buffer's initial capacity given: a
+// caller that knows roughly how long its stream will be saves the copies of
+// growing there (the buffer still grows past a low estimate).
+func NewWriterSize(capacity int) *Writer {
+	if capacity < 8 {
+		capacity = 8
+	}
+	w := &Writer{buf: make([]byte, 0, capacity)}
 	w.U32(Magic)
 	w.U32(Version)
 	return w
