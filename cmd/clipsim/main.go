@@ -25,6 +25,8 @@
 // "save" runs the warmup phase and writes the image; "load" — typically in a
 // different process — restores it and finishes the run. The result JSON that
 // "load" prints is byte-identical to what "run" prints for the same flags.
+// With -v, "run" and "load" also print what the simulation loop itself did —
+// ticks, jumps, wakes, DRAM schedule attempts, mesh link visits — on stderr.
 package main
 
 import (
@@ -63,6 +65,7 @@ func run() int {
 		skipMode = flag.String("skip", "on", "event-horizon cycle skipping: on|off; results are identical for either value")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		verbose  = flag.Bool("v", false, "with -checkpoint run|load: print the simulation loop's own counters (sim.SelfStats) on stderr")
 
 		checkpoint = flag.String("checkpoint", "", "single-simulation checkpoint mode: run|save|load (see package docs)")
 		ckptFile   = flag.String("checkpoint-file", "", "image path for -checkpoint save/load")
@@ -107,7 +110,7 @@ func run() int {
 		return runCheckpoint(*checkpoint, *ckptFile, ckptConfig{
 			workload: *ckptWl, prefetcher: *ckptPf, clip: *ckptCLIP,
 			cores: *cores, instr: *instr, warmup: *warmup, seed: *seed,
-			noskip: noskip, shardWorkers: *shardW,
+			noskip: noskip, shardWorkers: *shardW, verbose: *verbose,
 		})
 	}
 
@@ -204,6 +207,7 @@ type ckptConfig struct {
 	instr, warmup, seed  uint64
 	noskip               bool
 	shardWorkers         int
+	verbose              bool
 }
 
 // build resolves the flags into a sim.Config (defaults mirror the
@@ -249,7 +253,10 @@ func runCheckpoint(mode, file string, c ckptConfig) int {
 		fmt.Fprintf(os.Stderr, "checkpoint %s: %v\n", mode, err)
 		return 1
 	}
-	emit := func(res *sim.Result) int {
+	emit := func(res *sim.Result, self sim.SelfStats) int {
+		if c.verbose {
+			printSelf(self)
+		}
 		data, err := json.Marshal(res)
 		if err != nil {
 			return fail(err)
@@ -259,11 +266,11 @@ func runCheckpoint(mode, file string, c ckptConfig) int {
 	}
 	switch mode {
 	case "run":
-		res, err := sim.Run(cfg)
+		res, self, err := sim.RunSelf(cfg, nil, false)
 		if err != nil {
 			return fail(err)
 		}
-		return emit(res)
+		return emit(res, self)
 	case "save":
 		if file == "" {
 			return fail(fmt.Errorf("-checkpoint-file is required"))
@@ -285,13 +292,29 @@ func runCheckpoint(mode, file string, c ckptConfig) int {
 		if err != nil {
 			return fail(err)
 		}
-		res, err := sim.RunFromImage(cfg, image)
+		res, self, err := sim.RunSelf(cfg, image, true)
 		if err != nil {
 			return fail(err)
 		}
-		return emit(res)
+		return emit(res, self)
 	default:
 		fmt.Fprintf(os.Stderr, "bad -checkpoint mode %q (want run, save or load)\n", mode)
 		return 2
 	}
+}
+
+// printSelf writes the simulation loop's own counters to stderr, one group
+// per line.
+func printSelf(st sim.SelfStats) {
+	w := os.Stderr
+	fmt.Fprintf(w, "ticks %d, cycles skipped %d in %d jumps\n", st.Ticks, st.CyclesSkipped, st.GlobalSkips)
+	fmt.Fprintf(w, "tile visits %d (%d ticked the core), slice visits %d\n", st.TileVisits, st.TileVisitsCoreTicked, st.SliceVisits)
+	for src := sim.WakeSource(0); src < sim.NumWakeSources; src++ {
+		fmt.Fprintf(w, "wakes by %s: %d, slice asleep again after one visit: %d\n", src, st.Wakes[src], st.SliceResleeps[src])
+	}
+	fmt.Fprintf(w, "slices re-parked without a visit: %d\n", st.Reparks)
+	fmt.Fprintf(w, "dram schedule attempts: read %d (%d futile), write %d (%d futile)\n",
+		st.DRAM.ReadAttempts, st.DRAM.ReadFutile, st.DRAM.WriteAttempts, st.DRAM.WriteFutile)
+	fmt.Fprintf(w, "mesh link visits %d for %d grants and %d completions\n", st.Links.Visits, st.Links.Grants, st.Links.Completions)
+	fmt.Fprintf(w, "dram responses delivered %d, queue entries examined %d\n", st.DueDelivered, st.DueTouched)
 }

@@ -507,6 +507,25 @@ func (c *Cache) LowerWaits() (head, wb *mem.Request) {
 	return head, wb
 }
 
+// RecheckLower re-asks the lower level about each refusal this cache sleeps
+// on whose epoch has moved, re-arming the ones it still vouches for. It
+// reports whether every refusal stands: the cache can sleep on, the retries
+// it skips charged in bulk as before. False means the next Tick's retry may
+// be accepted. Nothing else changes either way.
+func (c *Cache) RecheckLower() bool {
+	if c.headLow.Moved() {
+		if c.headLow = mem.WatchRefusal(c.staller, &c.down); !c.headLow.Holds() {
+			return false
+		}
+	}
+	if c.wbQ.Len() > 0 && c.wbLow.Moved() {
+		if c.wbLow = mem.WatchRefusal(c.staller, c.wbQ.Front()); !c.wbLow.Holds() {
+			return false
+		}
+	}
+	return true
+}
+
 // Full reports whether the input queue is at capacity (every Issue but a
 // droppable prefetch is refused).
 func (c *Cache) Full() bool { return c.inQ.Len() >= c.cfg.InQ }

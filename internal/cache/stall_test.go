@@ -356,3 +356,49 @@ func TestLowerWaitsNamesWhatTheCacheSleepsOn(t *testing.T) {
 		t.Fatal("still waiting after the lower level freed a slot")
 	}
 }
+
+// TestRecheckLowerKeepsTheSleepWhenTheSlotIsGone: the lower level frees a slot
+// but it is taken again before the sleeping cache's turn. RecheckLower then
+// re-arms the refusal — no Tick, no lookup, no Issue — and the cycles slept
+// through are still charged as one refused retry each, exactly what the
+// per-cycle loop's retries count. Once a slot is really there it says so and
+// the next Tick's retry is accepted.
+func TestRecheckLowerKeepsTheSleepWhenTheSlotIsGone(t *testing.T) {
+	l := &stallLower{full: true}
+	c := MustNew(stallConfig(), l)
+	c.Issue(loadReq(lineAddr(5), 1, 0))
+	for cy := uint64(0); cy <= 2; cy++ {
+		c.Tick(cy)
+	}
+	if !c.RecheckLower() {
+		t.Fatal("a refusal whose epoch stands does not hold")
+	}
+	c.SkipTick(6) // cycles 3..6 asleep
+	l.free()
+	l.full = true // someone ahead of this cache took the slot
+	if c.NextEvent(7) != 7 {
+		t.Fatal("the freed slot did not end the sleep")
+	}
+	issues := l.issues
+	if !c.RecheckLower() {
+		t.Fatal("RecheckLower gave up a refusal the lower level still vouches for")
+	}
+	if l.issues != issues || c.NextEvent(7) != mem.NoEvent {
+		t.Fatalf("re-armed cache is not asleep (next event %d, %d new Issues)", c.NextEvent(7), l.issues-issues)
+	}
+	if head, _ := c.LowerWaits(); head == nil || head.Addr != lineAddr(5) {
+		t.Fatalf("re-armed cache waits on %v", head)
+	}
+	c.SkipTick(9) // cycles 7..9 asleep
+	if l.refusals != 1+4+3 {
+		t.Fatalf("%d refusals charged for the block and 7 slept cycles", l.refusals)
+	}
+	l.free()
+	if c.RecheckLower() {
+		t.Fatal("RecheckLower kept the cache asleep with a slot free")
+	}
+	c.Tick(10)
+	if len(l.accepted) != 1 || l.accepted[0].Addr != lineAddr(5) {
+		t.Fatalf("retry after the wake not accepted: %v", l.accepted)
+	}
+}

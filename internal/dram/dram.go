@@ -69,6 +69,9 @@ func (c Config) Validate() error {
 	if c.Transfer <= 0 || c.RowLines <= 0 {
 		return fmt.Errorf("dram: non-positive timing in %+v", c)
 	}
+	if c.WriteWatermarkNum < 0 || c.WriteWatermarkDen <= 0 {
+		return fmt.Errorf("dram: write watermark %d/%d", c.WriteWatermarkNum, c.WriteWatermarkDen)
+	}
 	return nil
 }
 
@@ -103,7 +106,10 @@ func (s *Stats) RowHitRate() float64 {
 type bank struct {
 	openRow   int64 // -1 closed
 	busyUntil uint64
-	queued    int32 // read+write queue entries routed to this bank
+	// rdQueued/wrQueued count the read/write queue entries routed to this
+	// bank. Rebuilt from the queue columns on restore (the image carries their
+	// sum).
+	rdQueued, wrQueued int32
 }
 
 // channel keeps its read and write queues as index-aligned column arrays
@@ -133,6 +139,14 @@ type channel struct {
 	// state, never snapshotted — watchers compare against the value they saw.
 	rdPops, wrPops uint64
 
+	// rdFree/wrFree are the channel's schedule deadlines: the earliest cycle
+	// the bank of some queued read (write) is free, mem.NoEvent with none
+	// queued. A schedule attempt before its deadline finds every candidate's
+	// bank busy, so Tick makes none and NextEvent reads the horizon off them.
+	// Bank timing changes under a queue only at a dispatch and at a refresh
+	// (refreshDeadlines); an enqueue folds its own bank in. Rebuilt state.
+	rdFree, wrFree uint64
+
 	id          int // index in DRAM.chans (queue numbering of OnDequeue)
 	banks       []bank
 	busFreeAt   uint64
@@ -152,7 +166,7 @@ type channel struct {
 // is the point, not a leak.)
 func (c *channel) removeRead(i int) {
 	n := len(c.rdBk) - 1
-	c.banks[c.rdBk[i]].queued--
+	c.banks[c.rdBk[i]].rdQueued--
 	copy(c.rdReq[i:n], c.rdReq[i+1:])
 	copy(c.rdArrived[i:n], c.rdArrived[i+1:])
 	copy(c.rdRow[i:n], c.rdRow[i+1:])
@@ -167,12 +181,26 @@ func (c *channel) removeRead(i int) {
 // removeWrite is removeRead's write-queue counterpart.
 func (c *channel) removeWrite(i int) {
 	n := len(c.wrBk) - 1
-	c.banks[c.wrBk[i]].queued--
+	c.banks[c.wrBk[i]].wrQueued--
 	copy(c.wrRow[i:n], c.wrRow[i+1:])
 	copy(c.wrBk[i:n], c.wrBk[i+1:])
 	c.wrRow = c.wrRow[:n]
 	c.wrBk = c.wrBk[:n]
 	c.wrPops++
+}
+
+// refreshDeadlines recomputes both schedule deadlines from the banks. It runs
+// after every dispatch, so the loop is branch-free: a bank with nothing
+// queued of a kind contributes mem.NoEvent (all ones) to that kind's minimum.
+func (c *channel) refreshDeadlines() {
+	rd, wr := mem.NoEvent, mem.NoEvent
+	for i := range c.banks {
+		b := &c.banks[i]
+		// -n>>31 is all ones for a count n > 0 and zero for n == 0.
+		rd = min(rd, b.busyUntil|^uint64(int64(-b.rdQueued>>31)))
+		wr = min(wr, b.busyUntil|^uint64(int64(-b.wrQueued>>31)))
+	}
+	c.rdFree, c.wrFree = rd, wr
 }
 
 // DRAM is the whole memory system.
@@ -198,11 +226,38 @@ type DRAM struct {
 	rhitW []uint64
 	dmndW []uint64
 
+	// refusedLine/refusedCh are the line Issue last refused and its channel
+	// (ChannelOf; line 0 is on channel 0, so the zero value is consistent).
+	refusedLine uint64
+	refusedCh   int
+	// drainHi/drainLo are the write-drain hysteresis watermarks in entries.
+	drainHi, drainLo int
+	// everyCycle ignores the schedule deadlines (ScanEveryCycle).
+	everyCycle bool
+	// work counts the scheduler's own effort (SchedulerWork).
+	work SchedulerWork
+
 	// sealed (clipdebug only) marks the shard-parallel tile phase, during
 	// which Issue is forbidden: tile code must stage direct-DRAM reads and
 	// let the commit phase issue them serially.
 	sealed bool
 }
+
+// SchedulerWork counts schedule attempts — queue scans — and the futile ones
+// that found no request with a free bank. It describes the simulator, not the
+// modelled controller: not part of Stats, of a snapshot or of any result.
+type SchedulerWork struct {
+	ReadAttempts, ReadFutile   uint64
+	WriteAttempts, WriteFutile uint64
+}
+
+// SchedulerWork returns the scheduler's effort counters so far.
+func (d *DRAM) SchedulerWork() SchedulerWork { return d.work }
+
+// ScanEveryCycle makes every channel attempt a schedule on every cycle
+// whatever its deadlines say — the strict per-cycle oracle the deadline-gated
+// controller is checked against. Results are identical either way.
+func (d *DRAM) ScanEveryCycle() { d.everyCycle = true }
 
 // Seal marks the start of a tile phase (clipdebug builds): an Issue while
 // sealed panics, proving no tile mutates controller queues concurrently.
@@ -217,7 +272,8 @@ func New(cfg Config) (*DRAM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &DRAM{cfg: cfg, chans: make([]channel, cfg.Channels)}
+	d := &DRAM{cfg: cfg, chans: make([]channel, cfg.Channels),
+		drainHi: cfg.WQ * cfg.WriteWatermarkNum / cfg.WriteWatermarkDen, drainLo: cfg.WQ / 4}
 	words := (cfg.RQ + 63) / 64
 	scratch := make([]uint64, 3*words)
 	d.eligW = scratch[0*words : 1*words]
@@ -226,6 +282,7 @@ func New(cfg Config) (*DRAM, error) {
 	for i := range d.chans {
 		ch := &d.chans[i]
 		ch.id = i
+		ch.rdFree, ch.wrFree = mem.NoEvent, mem.NoEvent
 		ch.banks = make([]bank, cfg.Banks)
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
@@ -271,7 +328,7 @@ func (d *DRAM) Queues() int { return 2 * len(d.chans) }
 // QueueOf returns the queue req competes for — the one whose dequeue epoch
 // StallEpoch hands out when it is full.
 func (d *DRAM) QueueOf(req *mem.Request) int {
-	ch, _, _ := d.route(req.Addr)
+	ch := d.ChannelOf(req.Addr)
 	if req.Type == mem.Writeback {
 		return 2*ch + 1
 	}
@@ -312,13 +369,22 @@ func (d *DRAM) GlobalUtilization() float64 {
 	return sum / float64(len(d.chans))
 }
 
-func (d *DRAM) route(addr mem.Addr) (ch, bk int, row int64) {
+// ChannelOf returns the channel addr is interleaved to. A refusal is asked
+// about several times in a row — StallEpoch, QueueOf, the retry — so Issue
+// notes the channel of the line it last refused and the division is not
+// repeated for it.
+func (d *DRAM) ChannelOf(addr mem.Addr) int {
 	line := addr.LineID()
-	ch = int(line % uint64(d.cfg.Channels))
-	perCh := line / uint64(d.cfg.Channels)
-	bk = int(perCh % uint64(d.cfg.Banks))
-	row = int64(perCh / uint64(d.cfg.Banks) / uint64(d.cfg.RowLines))
-	return
+	if line == d.refusedLine {
+		return d.refusedCh
+	}
+	return int(line % uint64(d.cfg.Channels))
+}
+
+// bankRow returns where in its channel addr lives.
+func (d *DRAM) bankRow(addr mem.Addr) (bk int, row int64) {
+	perCh := addr.LineID() / uint64(d.cfg.Channels)
+	return int(perCh % uint64(d.cfg.Banks)), int64(perCh / uint64(d.cfg.Banks) / uint64(d.cfg.RowLines))
 }
 
 // Issue implements cache.Lower: reads (loads/prefetches) enter the read
@@ -333,16 +399,19 @@ func (d *DRAM) Issue(req *mem.Request) bool {
 			"dram: Issue(core %d, %v) during the sealed tile phase; tile code must "+
 				"stage direct reads and let the commit phase issue them", req.Core, req.Type)
 	}
-	ch, bk, row := d.route(req.Addr)
+	ch := d.ChannelOf(req.Addr)
 	c := &d.chans[ch]
 	if req.Type == mem.Writeback {
 		if len(c.wrBk) >= d.cfg.WQ {
 			d.stats.WQFullEvents++
+			d.refusedLine, d.refusedCh = req.Addr.LineID(), ch
 			return false
 		}
+		bk, row := d.bankRow(req.Addr)
 		c.wrRow = append(c.wrRow, uint64(row)) //clipvet:allocok columns carved with full queue capacity at New
 		c.wrBk = append(c.wrBk, uint64(bk))    //clipvet:allocok columns carved with full queue capacity at New
-		c.banks[bk].queued++
+		c.banks[bk].wrQueued++
+		c.wrFree = min(c.wrFree, c.banks[bk].busyUntil)
 		return true
 	}
 	if len(c.rdBk) >= d.cfg.RQ {
@@ -350,13 +419,16 @@ func (d *DRAM) Issue(req *mem.Request) bool {
 		if req.Type == mem.Prefetch && !req.Owned {
 			return true // dropped
 		}
+		d.refusedLine, d.refusedCh = req.Addr.LineID(), ch
 		return false
 	}
+	bk, row := d.bankRow(req.Addr)
 	c.rdReq = append(c.rdReq, *req)            //clipvet:allocok columns carved with full queue capacity at New
 	c.rdArrived = append(c.rdArrived, d.cycle) //clipvet:allocok columns carved with full queue capacity at New
 	c.rdRow = append(c.rdRow, uint64(row))     //clipvet:allocok columns carved with full queue capacity at New
 	c.rdBk = append(c.rdBk, uint64(bk))        //clipvet:allocok columns carved with full queue capacity at New
-	c.banks[bk].queued++
+	c.banks[bk].rdQueued++
+	c.rdFree = min(c.rdFree, c.banks[bk].busyUntil)
 	return true
 }
 
@@ -365,8 +437,7 @@ func (d *DRAM) Issue(req *mem.Request) bool {
 // queue for writebacks, the read queue for everything else — dequeues.
 // Droppable prefetches are never refused.
 func (d *DRAM) StallEpoch(req *mem.Request) *uint64 {
-	ch, _, _ := d.route(req.Addr)
-	c := &d.chans[ch]
+	c := &d.chans[d.ChannelOf(req.Addr)]
 	switch {
 	case req.Type == mem.Writeback:
 		if len(c.wrBk) >= d.cfg.WQ {
@@ -440,6 +511,7 @@ func (d *DRAM) tickChannel(c *channel) {
 					c.banks[b].busyUntil = c.refreshEnd
 				}
 			}
+			c.refreshDeadlines()
 		}
 		if d.cycle < c.refreshEnd {
 			return // channel busy refreshing
@@ -460,32 +532,45 @@ func (d *DRAM) tickChannel(c *channel) {
 	}
 
 	// Write drain hysteresis.
-	hi := d.cfg.WQ * d.cfg.WriteWatermarkNum / d.cfg.WriteWatermarkDen
-	lo := d.cfg.WQ / 4
-	if len(c.wrBk) >= hi {
+	if len(c.wrBk) >= d.drainHi {
 		c.draining = true
-	} else if len(c.wrBk) <= lo {
+	} else if len(c.wrBk) <= d.drainLo {
 		c.draining = false
 	}
 
-	// Reads prioritized over writes unless draining (Table 3).
-	if c.draining && len(c.wrBk) > 0 {
-		if d.scheduleWrite(c) {
-			return
-		}
+	// Reads prioritized over writes unless draining (Table 3). Each attempt
+	// waits for its deadline: before it, the scan would find no free bank.
+	if c.draining && d.due(c, c.wrFree, c.wrBk) && d.scheduleWrite(c) {
+		return
 	}
-	if d.scheduleRead(c) {
+	if d.due(c, c.rdFree, c.rdBk) && d.scheduleRead(c) {
 		return
 	}
 	// Opportunistic write when idle.
-	if len(c.wrBk) > 0 && len(c.rdBk) == 0 {
+	if len(c.rdBk) == 0 && d.due(c, c.wrFree, c.wrBk) {
 		d.scheduleWrite(c)
 	}
 }
 
+// due reports whether a schedule attempt over the queue whose bank column is
+// bks and whose deadline is free is worth making this cycle.
+func (d *DRAM) due(c *channel, free uint64, bks []uint64) bool {
+	if free <= d.cycle || (d.everyCycle && len(bks) > 0) {
+		return true
+	}
+	if invariant.Enabled {
+		for _, bk := range bks {
+			invariant.Check(c.banks[bk].busyUntil > d.cycle,
+				"dram: channel %d schedule gated off until %d at cycle %d, but queued bank %d is free since %d",
+				c.id, free, d.cycle, bk, c.banks[bk].busyUntil)
+		}
+	}
+	return false
+}
+
 // NextEvent returns the earliest cycle >= now at which Tick can do real
-// work: a refresh deadline (or refresh completion), or the earliest cycle a
-// queued request's target bank frees up. Utilization-epoch rollovers are
+// work: a refresh deadline (or refresh completion), or the earliest schedule
+// deadline of a queue it would schedule from. Utilization-epoch rollovers are
 // deliberately not folded in — AdvanceTo replays them in bulk, and nothing
 // reads the utilization signal during a skipped window (the simulation
 // loop's horizon already folds every reader's own deadline).
@@ -512,34 +597,18 @@ func (d *DRAM) NextEvent(now uint64) uint64 {
 				continue
 			}
 		}
-		if len(c.rdBk) == 0 && len(c.wrBk) == 0 {
-			continue
+		// A schedule attempt considers only bank-free requests; the shared
+		// data bus delays completion, never eligibility. Writes are attempted
+		// only while draining or with no read queued (tickChannel), and the
+		// queues do not change before the next Tick.
+		e := c.rdFree
+		if len(c.rdBk) == 0 || len(c.wrBk) >= d.drainHi || (c.draining && len(c.wrBk) > d.drainLo) {
+			e = min(e, c.wrFree)
 		}
-		if e := d.earliestBankFree(c, now); e <= now {
+		if e <= now {
 			return now
 		} else if e < next {
 			next = e
-		}
-	}
-	return next
-}
-
-// earliestBankFree returns the earliest cycle >= now at which any queued
-// request's target bank is free — a conservative bound on when a schedule
-// attempt can next succeed (scheduling considers only bank-free requests;
-// the shared data bus delays completion, never eligibility). The per-bank
-// queued counts maintained at enqueue/dispatch reduce this from a walk over
-// every queue entry to one pass over the banks.
-func (d *DRAM) earliestBankFree(c *channel, now uint64) uint64 {
-	next := mem.NoEvent
-	for bk := range c.banks {
-		if c.banks[bk].queued == 0 {
-			continue
-		}
-		if b := c.banks[bk].busyUntil; b <= now {
-			return now
-		} else if b < next {
-			next = b
 		}
 	}
 	return next
@@ -590,11 +659,9 @@ func (d *DRAM) AdvanceTo(from, n uint64) {
 				c.utilWindow, c.epochCycles = 0, 0
 			}
 		}
-		hi := d.cfg.WQ * d.cfg.WriteWatermarkNum / d.cfg.WriteWatermarkDen
-		lo := d.cfg.WQ / 4
-		if len(c.wrBk) >= hi {
+		if len(c.wrBk) >= d.drainHi {
 			c.draining = true
-		} else if len(c.wrBk) <= lo {
+		} else if len(c.wrBk) <= d.drainLo {
 			c.draining = false
 		}
 	}
@@ -624,9 +691,7 @@ const agePromote = 600
 //clipvet:slab
 func (d *DRAM) scheduleRead(c *channel) bool {
 	n := len(c.rdBk)
-	if n == 0 {
-		return false
-	}
+	d.work.ReadAttempts++
 	words := (n + 63) / 64
 	elig, rhit, dmnd := d.eligW, d.rhitW, d.dmndW
 	for w := 0; w < words; w++ {
@@ -671,6 +736,7 @@ func (d *DRAM) scheduleRead(c *channel) bool {
 		}
 	}
 	if best < 0 {
+		d.work.ReadFutile++
 		return false
 	}
 
@@ -722,6 +788,7 @@ func (d *DRAM) scheduleRead(c *channel) bool {
 	}
 	c.busFreeAt = done
 	b.busyUntil = ready
+	c.refreshDeadlines()
 	c.utilWindow += uint64(d.cfg.Transfer)
 	d.stats.BusBusyCycles += uint64(d.cfg.Transfer)
 
@@ -773,6 +840,7 @@ func firstBit(elig, rhit, dmnd []uint64, words int) int {
 //
 //clipvet:slab
 func (d *DRAM) scheduleWrite(c *channel) bool {
+	d.work.WriteAttempts++
 	for i := range c.wrBk {
 		bk, row := c.wrBk[i], int64(c.wrRow[i])
 		b := &c.banks[bk]
@@ -810,8 +878,10 @@ func (d *DRAM) scheduleWrite(c *channel) bool {
 			d.onDequeue(2*c.id + 1)
 		}
 		c.removeWrite(i)
+		c.refreshDeadlines()
 		d.stats.Writes++
 		return true
 	}
+	d.work.WriteFutile++
 	return false
 }

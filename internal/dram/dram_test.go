@@ -71,9 +71,9 @@ func TestRowBufferHitFaster(t *testing.T) {
 
 func TestChannelInterleaving(t *testing.T) {
 	d := MustNew(DefaultConfig(4))
-	ch0, _, _ := d.route(0x0)
-	ch1, _, _ := d.route(0x40)
-	ch2, _, _ := d.route(0x80)
+	ch0 := d.ChannelOf(0x0)
+	ch1 := d.ChannelOf(0x40)
+	ch2 := d.ChannelOf(0x80)
 	if ch0 == ch1 || ch1 == ch2 || ch0 == ch2 {
 		t.Fatalf("adjacent lines not interleaved: %d %d %d", ch0, ch1, ch2)
 	}

@@ -11,7 +11,9 @@ import (
 // queue capacity at New and removeRead/removeWrite only reslice them, so a
 // restore reslices the same backing to the saved occupancy and decodes
 // entries in place — no reallocation. The scheduler scratch bitmaps are
-// rebuilt from the columns every schedule attempt and carry no state.
+// rebuilt from the columns every schedule attempt and carry no state; the
+// per-bank read/write counts and the schedule deadlines are rebuilt from the
+// restored queues and banks.
 
 // Save serializes the memory system.
 func (d *DRAM) Save(w *snapshot.Writer) {
@@ -32,7 +34,7 @@ func (d *DRAM) Save(w *snapshot.Writer) {
 		for b := range c.banks {
 			w.I64(c.banks[b].openRow)
 			w.U64(c.banks[b].busyUntil)
-			w.I32(c.banks[b].queued)
+			w.I32(c.banks[b].rdQueued + c.banks[b].wrQueued)
 		}
 		w.U64(c.busFreeAt)
 		w.U64(c.nextRefresh)
@@ -105,10 +107,24 @@ func (d *DRAM) Load(r *snapshot.Reader) {
 			}
 		}
 		for b := range c.banks {
+			c.banks[b].rdQueued, c.banks[b].wrQueued = 0, 0
+		}
+		for _, bk := range c.rdBk {
+			c.banks[bk].rdQueued++
+		}
+		for _, bk := range c.wrBk {
+			c.banks[bk].wrQueued++
+		}
+		for b := range c.banks {
 			c.banks[b].openRow = r.I64()
 			c.banks[b].busyUntil = r.U64()
-			c.banks[b].queued = r.I32()
+			if q := r.I32(); r.Err() == nil && q != c.banks[b].rdQueued+c.banks[b].wrQueued {
+				r.Fail(fmt.Errorf("dram: bank %d counts %d queued entries, the queues hold %d: %w",
+					b, q, c.banks[b].rdQueued+c.banks[b].wrQueued, snapshot.ErrCorrupt))
+				return
+			}
 		}
+		c.refreshDeadlines()
 		c.busFreeAt = r.U64()
 		c.nextRefresh = r.U64()
 		c.refreshEnd = r.U64()

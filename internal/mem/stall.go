@@ -43,3 +43,7 @@ func WatchRefusal(s Staller, req *Request) Watch {
 // Holds reports whether the refusal still stands: the watch is armed and no
 // slot has freed since.
 func (w Watch) Holds() bool { return w.epoch != nil && *w.epoch == w.seen }
+
+// Moved reports whether the watch is armed and a slot has freed since: the
+// refusal may no longer stand, and only asking the sink again can tell.
+func (w Watch) Moved() bool { return w.epoch != nil && *w.epoch != w.seen }

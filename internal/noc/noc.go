@@ -13,11 +13,11 @@
 // Storage is structure-of-arrays: packets live in a flat slab addressed by
 // int32 ids (free-listed, so the steady state never allocates), routes are
 // computed incrementally from the current node instead of materialized as a
-// path slice, and the per-cycle link walk runs over a uint64 occupancy
-// bitmap with bits.TrailingZeros64 instead of scanning every link. Hot
-// traffic carries a concrete mem.Response payload dispatched through a
-// registered handler (OnDeliver); the closure-based Send remains for tests
-// and cold paths.
+// path slice, and links act on deadlines: a grant computes the cycle the
+// packet's last flit crosses and files the link under it, so Tick visits
+// only the links that complete or can grant this cycle. Hot traffic carries a
+// concrete mem.Response payload dispatched through a registered handler
+// (OnDeliver); the closure-based Send remains for tests and cold paths.
 package noc
 
 import (
@@ -110,9 +110,12 @@ type link struct {
 	rrLo  int
 	// vcMask has bit v set while vcs[v] is non-empty, so the round-robin
 	// pop is one NextRR instead of a ring-length scan.
-	vcMask   uint64
-	cur      int32 // packet id occupying the link, -1 when idle
-	busyLeft int32
+	vcMask uint64
+	cur    int32 // packet id occupying the link, -1 when idle
+	// doneAt is the cycle cur's last flit crosses (the grant cycle counts as
+	// its first flit-cycle); busyFrom is the first cycle of cur's occupancy
+	// not yet added to Stats.LinkBusy. Both are meaningless while idle.
+	doneAt, busyFrom uint64
 	// hiN/loN mirror the summed VC occupancy per class, maintained on every
 	// push and pop, so the per-cycle link walk is O(1) per link instead of
 	// O(VCs) (verified against the rings by the clipdebug conservation
@@ -179,8 +182,17 @@ type Mesh struct {
 	cfg   Config
 	links []link
 	// active is the link occupancy bitmap: bit i set while link i holds a
-	// packet (in a VC or on the wire). The per-cycle walk CLZ-scans it.
+	// packet (in a VC or on the wire).
 	active []uint64
+	// grant marks the idle links with a packet queued: each grants on the next
+	// Tick. wheel files every busy link under the cycle its packet completes,
+	// wheelSize buckets of one bitmap each, bucket c%wheelSize for cycle c; a
+	// packet longer than the wheel is re-filed when its bucket comes up early.
+	// A Tick walks (this cycle's bucket | grant) in ascending link id — the
+	// order a walk over every occupied link visits them. Both are rebuilt
+	// state: a snapshot carries each link's remaining flits instead.
+	grant []uint64
+	wheel []uint64
 	// pkts is the packet slab; free lists retired ids. Packet ids are only
 	// meaningful between inject and deliver, and the slab grows to the peak
 	// in-flight population, so the steady state never allocates.
@@ -198,10 +210,13 @@ type Mesh struct {
 	// live counts injected-but-undelivered packets; linkActive counts the
 	// subset parked in a VC or occupying a link. Both feed the quiescence
 	// horizon (and the clipdebug conservation invariant): live == 0 means
-	// the mesh has nothing to do, linkActive == 0 means the link walk is
-	// skippable and only router-stage releases remain.
+	// the mesh has nothing to do, linkActive == 0 means no link has a
+	// deadline and only router-stage releases remain.
 	live       int
 	linkActive int
+
+	// work counts the link walk's own effort (LinkWork).
+	work LinkWork
 
 	// sealed (clipdebug only) marks the shard-parallel tile phase, during
 	// which direct Send calls are forbidden — see Staging.
@@ -212,6 +227,20 @@ type pendingHop struct {
 	id    int32
 	ready uint64
 }
+
+// wheelSize is the number of link-deadline buckets: a power of two above
+// FlitsPerData, so every packet the simulator sends is filed once.
+const wheelSize = 16
+
+// LinkWork counts what the link walk did: links visited, and the grants and
+// completions those visits performed. It describes the simulator, not the
+// modelled mesh: not part of Stats, of a snapshot or of any result.
+type LinkWork struct {
+	Visits, Grants, Completions uint64
+}
+
+// LinkWork returns the link walk's effort counters so far.
+func (m *Mesh) LinkWork() LinkWork { return m.work }
 
 // New constructs a mesh.
 func New(cfg Config) (*Mesh, error) {
@@ -234,10 +263,12 @@ func New(cfg Config) (*Mesh, error) {
 		// the capacity still grow it): a few packets per node covers the
 		// in-flight population of every benchmark workload, so the tick
 		// phase never reallocates the slab.
-		pkts:   make([]packet, 0, 8*cfg.Width*cfg.Height),
-		links:  make([]link, nLinks),
-		active: make([]uint64, (nLinks+63)/64),
+		pkts:  make([]packet, 0, 8*cfg.Width*cfg.Height),
+		links: make([]link, nLinks),
 	}
+	words := (nLinks + 63) / 64
+	bitmaps := make([]uint64, (2+wheelSize)*words)
+	m.active, m.grant, m.wheel = bitmaps[:words:words], bitmaps[words:2*words:2*words], bitmaps[2*words:]
 	for i := range m.links {
 		m.links[i].vcs = make([]mem.Ring[int32], cfg.VCs)
 		m.links[i].hiVCs = hiVCs
@@ -255,8 +286,21 @@ func MustNew(cfg Config) *Mesh {
 	return m
 }
 
-// Stats returns live counters.
-func (m *Mesh) Stats() *Stats { return &m.stats }
+// Stats returns live counters, first charging LinkBusy for the flit-cycles
+// that packets still on a wire have used so far (a completion charges the
+// rest), so the counters read — or zeroed — between ticks are what a
+// per-cycle count would show.
+func (m *Mesh) Stats() *Stats {
+	for wi, w := range m.active {
+		for ; w != 0; w &= w - 1 {
+			if l := &m.links[wi<<6+bits.TrailingZeros64(w)]; l.cur >= 0 && l.busyFrom <= m.cycle {
+				m.stats.LinkBusy += m.cycle + 1 - l.busyFrom
+				l.busyFrom = m.cycle + 1
+			}
+		}
+	}
+	return &m.stats
+}
 
 // Nodes returns the node count.
 func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
@@ -395,6 +439,9 @@ func (m *Mesh) enqueue(id int32) {
 	linkID, _ := m.nextLink(p.at, p.dst)
 	l := &m.links[linkID]
 	m.active[linkID>>6] |= 1 << uint(linkID&63)
+	if l.cur < 0 {
+		m.grant[linkID>>6] |= 1 << uint(linkID&63)
+	}
 	// Spread packets over their class's VCs by remaining-hop parity (a cheap
 	// proxy for per-flow VC allocation).
 	var v int
@@ -409,7 +456,8 @@ func (m *Mesh) enqueue(id int32) {
 	l.vcMask |= 1 << uint(v)
 }
 
-// Tick advances every link by one flit-cycle.
+// Tick advances the mesh by one cycle: router-stage releases, then the links
+// due this cycle. Cycles must be consecutive except across SkipCycles.
 //
 //clipvet:hotpath
 func (m *Mesh) Tick(cycle uint64) {
@@ -422,50 +470,13 @@ func (m *Mesh) Tick(cycle uint64) {
 		m.advance(m.pending.PopFront().id)
 	}
 
-	// The link walk only matters while some packet sits in a VC or on a
-	// link; the occupancy bitmap narrows it to exactly those links, visited
-	// in ascending id — the order the dense scan used.
 	if m.linkActive > 0 {
-		for wi, w := range m.active {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &^= 1 << uint(b)
-				i := wi<<6 + b
-				l := &m.links[i]
-				if l.cur < 0 {
-					hi, lo := l.hiN, l.loN
-					if invariant.Enabled {
-						invariant.Check(hi+lo > 0,
-							"noc: active bit set for idle empty link %d", i)
-					}
-					// Weighted arbitration: the high class wins three of every
-					// four grants; the fourth goes to the low class so prefetch
-					// packets (whose upstream MSHRs wait on them) cannot starve
-					// outright — the guaranteed-forward-progress property real
-					// VC arbiters have.
-					l.arb++
-					if l.arb&3 == 0 && lo > 0 {
-						l.cur = l.popLo()
-					} else if hi > 0 {
-						l.cur = l.popHi()
-					} else {
-						l.cur = l.popLo()
-					}
-					l.busyLeft = m.pkts[l.cur].flits
-				}
-				m.stats.LinkBusy++
-				l.busyLeft--
-				if l.busyLeft == 0 {
-					id := l.cur
-					l.cur = -1
-					m.linkActive--
-					if l.hiN+l.loN == 0 {
-						m.active[wi] &^= 1 << uint(b)
-					}
-					p := &m.pkts[id]
-					_, p.at = m.nextLink(p.at, p.dst)
-					m.pushPending(id, cycle+uint64(m.cfg.RouterStage))
-				}
+		due := m.bucket(cycle)
+		for wi := range due {
+			w := due[wi] | m.grant[wi]
+			due[wi] = 0
+			for ; w != 0; w &= w - 1 {
+				m.visit(int32(wi<<6+bits.TrailingZeros64(w)), cycle)
 			}
 		}
 	}
@@ -475,29 +486,99 @@ func (m *Mesh) Tick(cycle uint64) {
 	}
 }
 
-// NextEvent returns the earliest cycle >= now at which the mesh has work:
-// now while any packet occupies a link or VC (links move a flit every
-// cycle), the earliest router-stage release otherwise, and mem.NoEvent when
-// nothing is in flight.
+// bucket returns the wheel bitmap of the links filed under cycle.
+func (m *Mesh) bucket(cycle uint64) []uint64 {
+	words := len(m.grant)
+	return m.wheel[int(cycle%wheelSize)*words:][:words]
+}
+
+// file puts busy link i in the bucket of the cycle its packet completes, or
+// of the last cycle the wheel reaches, where visit re-files it.
+func (m *Mesh) file(i int32, cycle uint64) {
+	at := min(m.links[i].doneAt, cycle+wheelSize-1)
+	m.bucket(at)[i>>6] |= 1 << uint(i&63)
+}
+
+// visit serves link i at the cycle one of its deadlines fell due: an idle
+// link grants its next packet, and a link whose packet's last flit crosses
+// this cycle — which a one-flit packet's does on the grant cycle itself —
+// hands it to the router stage.
+func (m *Mesh) visit(i int32, cycle uint64) {
+	l := &m.links[i]
+	m.work.Visits++
+	if l.cur < 0 {
+		hi, lo := l.hiN, l.loN
+		if invariant.Enabled {
+			invariant.Check(hi+lo > 0, "noc: grant bit set for idle empty link %d", i)
+		}
+		// Weighted arbitration: the high class wins three of every four
+		// grants; the fourth goes to the low class so prefetch packets (whose
+		// upstream MSHRs wait on them) cannot starve outright — the
+		// guaranteed-forward-progress property real VC arbiters have.
+		l.arb++
+		if l.arb&3 == 0 && lo > 0 {
+			l.cur = l.popLo()
+		} else if hi > 0 {
+			l.cur = l.popHi()
+		} else {
+			l.cur = l.popLo()
+		}
+		m.grant[i>>6] &^= 1 << uint(i&63)
+		m.work.Grants++
+		l.busyFrom = cycle
+		l.doneAt = cycle + uint64(m.pkts[l.cur].flits) - 1
+	}
+	if l.doneAt > cycle {
+		m.file(i, cycle)
+		return
+	}
+	m.work.Completions++
+	m.stats.LinkBusy += cycle + 1 - l.busyFrom
+	id := l.cur
+	l.cur = -1
+	m.linkActive--
+	if l.hiN+l.loN == 0 {
+		m.active[i>>6] &^= 1 << uint(i&63)
+	} else {
+		m.grant[i>>6] |= 1 << uint(i&63) // granted on the next cycle
+	}
+	p := &m.pkts[id]
+	_, p.at = m.nextLink(p.at, p.dst)
+	m.pushPending(id, cycle+uint64(m.cfg.RouterStage))
+}
+
+// NextEvent returns the earliest cycle >= now at which the mesh has work: the
+// earliest router-stage release, grant or link completion, and mem.NoEvent
+// when nothing is in flight.
 func (m *Mesh) NextEvent(now uint64) uint64 {
 	if m.live == 0 {
 		return mem.NoEvent
 	}
-	if m.linkActive > 0 {
-		return now
-	}
+	next := mem.NoEvent
 	if m.pending.Len() > 0 {
 		// Monotone stamps: the ring head is the earliest release.
-		if r := m.pending.Front().ready; r > now {
-			return r
+		next = max(m.pending.Front().ready, now)
+	}
+	if m.linkActive > 0 {
+		for _, w := range m.grant {
+			if w != 0 {
+				return now
+			}
 		}
-		return now
+		// Every busy link sits in the bucket of a cycle in [now, now+wheelSize).
+		for d := uint64(0); d < wheelSize && now+d < next; d++ {
+			for _, w := range m.bucket(now + d) {
+				if w != 0 {
+					return now + d
+				}
+			}
+		}
 	}
 	if invariant.Enabled {
-		invariant.Check(false,
+		invariant.Check(next != mem.NoEvent,
 			"noc: %d packets in flight but none queued, on a link, or pending", m.live)
 	}
-	return mem.NoEvent
+	return next
 }
 
 // SkipCycles advances the mesh clock over the n cycles [from, from+n) the
@@ -546,11 +627,16 @@ func (m *Mesh) advance(id int32) {
 // occupying a link — and that VC class segregation holds: with
 // CriticalPriority, high VCs hold only high-class packets and low VCs only
 // low-class ones, the buffer-partitioning property the paper's
-// criticality-conscious NoC depends on. The SoA bookkeeping (occupancy
-// bitmap, per-VC masks, free list) is cross-checked against the rings.
+// criticality-conscious NoC depends on. The SoA bookkeeping (occupancy and
+// grant bitmaps, deadline wheel, per-VC masks, free list) is cross-checked
+// against the rings and the links.
 func (m *Mesh) checkConservation() {
 	queued := m.pending.Len()
 	onLinks := 0
+	filed := 0
+	for _, w := range m.wheel {
+		filed += bits.OnesCount64(w)
+	}
 	for i := range m.links {
 		l := &m.links[i]
 		var mask uint64
@@ -575,9 +661,18 @@ func (m *Mesh) checkConservation() {
 		if l.cur >= 0 {
 			queued++
 			onLinks++
-			invariant.Check(l.busyLeft > 0,
-				"noc: link %d occupied by a packet with %d flits left", i, l.busyLeft)
+			filed--
+			invariant.Check(l.doneAt > m.cycle,
+				"noc: link %d occupied at cycle %d by a packet that completed at %d", i, m.cycle, l.doneAt)
+			at := min(l.doneAt, m.cycle+wheelSize-1)
+			for at > m.cycle && m.bucket(at)[i>>6]&(1<<uint(i&63)) == 0 {
+				at--
+			}
+			invariant.Check(at > m.cycle,
+				"noc: busy link %d (done at %d) is in no bucket of the deadline wheel", i, l.doneAt)
 		}
+		invariant.Check((l.cur < 0 && l.hiN+l.loN > 0) == (m.grant[i>>6]&(1<<uint(i&63)) != 0),
+			"noc: link %d grant bit disagrees with state (cur=%d queued=%d)", i, l.cur, l.hiN+l.loN)
 		invariant.Check(int(l.hiN) == l.hiLen() && int(l.loN) == l.loLen(),
 			"noc: link %d occupancy counters (hi=%d lo=%d) diverged from VCs (hi=%d lo=%d)",
 			i, l.hiN, l.loN, l.hiLen(), l.loLen())
@@ -586,6 +681,8 @@ func (m *Mesh) checkConservation() {
 			"noc: link %d occupancy bitmap bit %v disagrees with state (busy=%v)",
 			i, !busy, busy)
 	}
+	invariant.Check(filed == 0,
+		"noc: deadline wheel holds %d more links than are busy", filed)
 	invariant.Check(queued == m.live,
 		"noc: packet conservation violated: %d tracked in flight, %d found in mesh",
 		m.live, queued)

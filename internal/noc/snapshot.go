@@ -13,10 +13,13 @@ import (
 // cannot carry is a closure: Save fails if any live packet still uses the
 // closure-based Send path (tests and cold paths only — the simulator sends
 // exclusively payload packets dispatched through OnDeliver, which the
-// restoring process re-registers at construction).
+// restoring process re-registers at construction). A busy link is saved as
+// the flit-cycles its packet still needs after the current one; the deadline
+// wheel and the grant bitmap are rebuilt from the links.
 
 // Save serializes the mesh.
 func (m *Mesh) Save(w *snapshot.Writer) {
+	m.Stats() // charge LinkBusy through the current cycle
 	w.Int(len(m.pkts))
 	for i := range m.pkts {
 		p := &m.pkts[i]
@@ -47,7 +50,11 @@ func (m *Mesh) Save(w *snapshot.Writer) {
 		w.Int(l.rrLo)
 		w.U64(l.vcMask)
 		w.I32(l.cur)
-		w.I32(l.busyLeft)
+		var busyLeft int32
+		if l.cur >= 0 {
+			busyLeft = int32(l.doneAt - m.cycle)
+		}
+		w.I32(busyLeft)
 		w.I32(l.hiN)
 		w.I32(l.loN)
 		w.U8(l.arb)
@@ -129,17 +136,18 @@ func (m *Mesh) Load(r *snapshot.Reader) {
 		l.rrLo = r.Int()
 		l.vcMask = r.U64()
 		l.cur = r.I32()
-		l.busyLeft = r.I32()
+		busyLeft := r.I32()
 		l.hiN = r.I32()
 		l.loN = r.I32()
 		l.arb = r.U8()
 		if r.Err() != nil {
 			return
 		}
-		if l.cur != -1 && badID(l.cur) {
-			r.Fail(fmt.Errorf("noc: link %d current packet id %d out of slab: %w", i, l.cur, snapshot.ErrCorrupt))
+		if l.cur != -1 && (badID(l.cur) || busyLeft <= 0) {
+			r.Fail(fmt.Errorf("noc: link %d current packet id %d with %d flits left: %w", i, l.cur, busyLeft, snapshot.ErrCorrupt))
 			return
 		}
+		l.doneAt = uint64(busyLeft) // relative to the clock, which follows
 	}
 	r.U64s(m.active)
 
@@ -162,5 +170,17 @@ func (m *Mesh) Load(r *snapshot.Reader) {
 	m.linkActive = r.Int()
 	if r.Err() == nil && (m.live < 0 || m.live > n || m.linkActive < 0 || m.linkActive > m.live) {
 		r.Fail(fmt.Errorf("noc: snapshot live/linkActive counts out of range: %w", snapshot.ErrCorrupt))
+	}
+	clear(m.grant)
+	clear(m.wheel)
+	for i := range m.links {
+		switch l := &m.links[i]; {
+		case l.cur >= 0:
+			l.doneAt += m.cycle
+			l.busyFrom = m.cycle + 1
+			m.file(int32(i), m.cycle)
+		case l.hiN+l.loN > 0:
+			m.grant[i>>6] |= 1 << uint(i&63)
+		}
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"strings"
 
 	"clip/internal/cache"
+	"clip/internal/dram"
 	"clip/internal/invariant"
 	"clip/internal/mem"
+	"clip/internal/noc"
 )
 
 // This file is the active-set bookkeeping of the skipping loop (DESIGN.md
@@ -20,6 +22,22 @@ import (
 // per-cycle loop would have written, LoadState marks everything awake. The
 // strict loop (Config.DisableSkip) reads none of it.
 
+// WakeSource says what woke a sleeping tile or LLC slice.
+type WakeSource int
+
+const (
+	WakeMesh       WakeSource = iota // a packet delivered by the mesh (L2 fill, LLC request)
+	WakeDRAMFill                     // a DRAM response filling an LLC slice
+	WakeHermesFill                   // a held Hermes bypass fill
+	WakeDRAMPop                      // a controller queue that refused the sleeper has room at its turn
+	WakeTimed                        // the sleeper's own deadline came due
+	NumWakeSources
+)
+
+func (w WakeSource) String() string {
+	return [...]string{"mesh", "dram-fill", "hermes-fill", "dram-pop", "timed"}[w]
+}
+
 // SelfStats counts what the simulation loop itself did — not the modelled
 // machine. It is not part of Result, of a snapshot image or of any digest.
 type SelfStats struct {
@@ -30,16 +48,29 @@ type SelfStats struct {
 	GlobalSkips          uint64 // jumps of the global clock
 	CyclesSkipped        uint64 // cycles those jumps covered
 
-	// Wakes of a sleeping tile or slice, by what woke it.
-	WakesMesh       uint64 // a packet delivered by the mesh (L2 fill, LLC request)
-	WakesDRAMFill   uint64 // a DRAM response filling an LLC slice
-	WakesHermesFill uint64 // a held Hermes bypass fill
-	WakesDRAMPop    uint64 // a controller queue the sleeper was refused by dequeued
-	WakesTimed      uint64 // the sleeper's own deadline came due
+	// Wakes of a sleeping tile or slice, by source; SliceResleeps are the
+	// slice wakes whose first visit left the slice asleep again.
+	Wakes         [NumWakeSources]uint64
+	SliceResleeps [NumWakeSources]uint64
+	// Reparks are slices a controller dequeue would have woken that found the
+	// queue full again at their turn and slept on without a visit.
+	Reparks uint64
+
+	// The serial tail: DRAM schedule attempts, mesh link visits, and the
+	// pending DRAM responses delivered against the queue entries examined.
+	DRAM         dram.SchedulerWork
+	Links        noc.LinkWork
+	DueDelivered uint64
+	DueTouched   uint64
 }
 
 // SelfStats returns the loop's self-counters so far.
-func (s *System) SelfStats() SelfStats { return s.self }
+func (s *System) SelfStats() SelfStats {
+	self := s.self
+	self.DRAM, self.Links = s.dram.SchedulerWork(), s.mesh.LinkWork()
+	self.DueTouched = s.dramPending.Examined
+	return self
+}
 
 // awakeSets is the skipping loop's view of who has work. Every slice below is
 // carved from one slab (carveColumns).
@@ -59,8 +90,13 @@ type awakeSets struct {
 	// charged for.
 	tileOwed, sliceOwed []uint64
 	// parked holds, per DRAM controller queue, the slices asleep on a refusal
-	// by that queue (words per queue = len(slices)).
-	parked []uint64
+	// by that queue (words per queue = len(slices)). popped marks the sleeping
+	// slices one of whose queues has dequeued since: each asks the controller
+	// again at its turn in the next slice walk (tickSlices).
+	parked, popped []uint64
+	// sliceWoke[i] is 1 + the source of slice i's last wake until its next
+	// visit, 0 after it.
+	sliceWoke []uint64
 }
 
 func setBit(w []uint64, i int)      { w[i>>6] |= 1 << uint(i&63) }
@@ -81,24 +117,25 @@ func anyBit(w []uint64) bool {
 func (s *System) carveColumns() {
 	n := len(s.cores)
 	words := (n + 63) / 64
-	rest := make([]uint64, 5*n+(3+s.dram.Queues())*words)
+	rest := make([]uint64, 7*n+(4+s.dram.Queues())*words)
 	carve := func(k int) []uint64 {
 		c := rest[:k:k]
 		rest = rest[k:]
 		return c
 	}
 	a := &s.awake
-	s.coreNext = carve(n)
+	s.coreNext, s.watched = carve(n), carve(n)
 	a.tileNext, a.tileOwed = carve(n), carve(n)
-	a.sliceNext, a.sliceOwed = carve(n), carve(n)
-	a.tiles, a.slices, a.dramQ = carve(words), carve(words), carve(words)
+	a.sliceNext, a.sliceOwed, a.sliceWoke = carve(n), carve(n), carve(n)
+	a.tiles, a.slices, a.dramQ, a.popped = carve(words), carve(words), carve(words), carve(words)
 	a.parked = rest
 	s.wakeAll()
 }
 
 // wakeAll marks every tile and slice awake with nothing owed — the state of
 // a fresh or just-restored system, whose components find their own sleep
-// again on their first visit.
+// again on their first visit — and restarts the progress watchdog from the
+// current cycle.
 func (s *System) wakeAll() {
 	a := &s.awake
 	for i := range s.cores {
@@ -108,7 +145,13 @@ func (s *System) wakeAll() {
 		s.markDramQ(i)
 	}
 	clear(a.parked)
+	clear(a.popped)
+	clear(a.sliceWoke)
 	a.tileMin, a.sliceMin = mem.NoEvent, mem.NoEvent
+	for i, c := range s.cores {
+		s.watched[i] = c.RetiredTotal()
+	}
+	s.watchAt, s.hung = s.cycle+stallLimit, nil
 }
 
 // markDramQ records whether tile i has direct-DRAM reads queued.
@@ -176,6 +219,13 @@ func (s *System) sleepSlice(i int, from, next uint64) {
 	if next < a.sliceMin {
 		a.sliceMin = next
 	}
+	s.parkSlice(i)
+}
+
+// parkSlice files sleeping slice i under the controller queue of each request
+// the controller refused it.
+func (s *System) parkSlice(i int) {
+	a := &s.awake
 	words := len(a.slices)
 	head, wb := s.llc[i].LowerWaits()
 	if head != nil {
@@ -245,25 +295,26 @@ func (s *System) settleAll() {
 // it, first charging it up to (not including) cycle upTo — the callee reads
 // its own clock and stall columns. A no-op for an awake tile and under
 // DisableSkip.
-func (s *System) wakeTile(i int, upTo uint64, source *uint64) {
+func (s *System) wakeTile(i int, upTo uint64, source WakeSource) {
 	if !s.skip || hasBit(s.awake.tiles, i) {
 		return
 	}
 	s.settleTile(i, upTo)
 	setBit(s.awake.tiles, i)
 	s.awake.tileNext[i] = mem.NoEvent
-	*source++
+	s.self.Wakes[source]++
 }
 
 // wakeSlice is wakeTile for an LLC slice.
-func (s *System) wakeSlice(i int, upTo uint64, source *uint64) {
+func (s *System) wakeSlice(i int, upTo uint64, source WakeSource) {
 	if !s.skip || hasBit(s.awake.slices, i) {
 		return
 	}
 	s.settleSlice(i, upTo)
 	setBit(s.awake.slices, i)
 	s.awake.sliceNext[i] = mem.NoEvent
-	*source++
+	s.awake.sliceWoke[i] = uint64(source) + 1
+	s.self.Wakes[source]++
 }
 
 // wakeDue wakes the sleepers whose own deadline is cycle cy. On most cycles
@@ -274,7 +325,7 @@ func (s *System) wakeDue(cy uint64) {
 		min := mem.NoEvent
 		for i, next := range a.tileNext {
 			if next <= cy {
-				s.wakeTile(i, cy, &s.self.WakesTimed)
+				s.wakeTile(i, cy, WakeTimed)
 			} else if next < min {
 				min = next
 			}
@@ -285,7 +336,7 @@ func (s *System) wakeDue(cy uint64) {
 		min := mem.NoEvent
 		for i, next := range a.sliceNext {
 			if next <= cy {
-				s.wakeSlice(i, cy, &s.self.WakesTimed)
+				s.wakeSlice(i, cy, WakeTimed)
 			} else if next < min {
 				min = next
 			}
@@ -296,19 +347,40 @@ func (s *System) wakeDue(cy uint64) {
 
 // wakeParked runs just before DRAM queue q dequeues (dram.OnDequeue), inside
 // the serial tail's dram.Tick: every slice asleep on a refusal by q is
-// charged through the current cycle while the refusal still stands, and
-// retries on the next.
+// charged through the current cycle while the refusal still stands. None
+// wakes yet: the strict loop retries them in ascending slice index on the
+// next cycle and the freed slot goes to the first that asks, so each is
+// marked popped and asks again at its turn in that walk (recheckPopped).
 func (s *System) wakeParked(q int) {
-	words := len(s.awake.slices)
-	for wi, w := range s.awake.parked[q*words : (q+1)*words] {
-		if w == 0 {
-			continue
-		}
-		s.awake.parked[q*words+wi] = 0
+	a := &s.awake
+	words := len(a.slices)
+	for wi, w := range a.parked[q*words : (q+1)*words] {
+		a.parked[q*words+wi] = 0
+		w &^= a.slices[wi] // bits of slices that woke since they parked are stale
+		a.popped[wi] |= w
 		for ; w != 0; w &= w - 1 {
-			s.wakeSlice(wi<<6+bits.TrailingZeros64(w), s.cycle+1, &s.self.WakesDRAMPop)
+			s.settleSlice(wi<<6+bits.TrailingZeros64(w), s.cycle+1)
 		}
 	}
+}
+
+// recheckPopped decides, at sleeping slice i's turn in the slice walk of
+// cycle cy, whether the dequeue that marked it popped lets it retry. If the
+// controller still refuses what it waits for — the queue filled again before
+// its turn — the slice sleeps on, this cycle's refused retry charged with the
+// rest; otherwise it wakes for the visit.
+func (s *System) recheckPopped(i int, cy uint64) (woke bool) {
+	if !s.llc[i].RecheckLower() {
+		s.wakeSlice(i, cy, WakeDRAMPop)
+		return true
+	}
+	s.parkSlice(i)
+	s.self.Reparks++
+	if invariant.Enabled {
+		invariant.Check(s.sliceHorizon(i, cy) > cy,
+			"sim: LLC slice %d re-parked at cycle %d with work pending (%s)", i, cy, s.describeSlice(i))
+	}
+	return false
 }
 
 // checkSleepingTiles (clipdebug) re-derives from scratch, at the point of
@@ -327,7 +399,7 @@ func (s *System) checkSleepingTiles(cy uint64) {
 // checkSleepingSlices is checkSleepingTiles for the LLC slices.
 func (s *System) checkSleepingSlices(cy uint64) {
 	for i := range s.llc {
-		if !hasBit(s.awake.slices, i) && s.sliceHorizon(i, cy) <= cy {
+		if !hasBit(s.awake.slices, i) && !hasBit(s.awake.popped, i) && s.sliceHorizon(i, cy) <= cy {
 			invariant.Check(false, "sim: LLC slice %d asleep at cycle %d with work pending (%s)", i, cy, s.describeSlice(i))
 		}
 	}
@@ -361,13 +433,12 @@ func (s *System) stallNote() string {
 	return ": " + s.stall
 }
 
-// diagnoseStall names every sleeper that still holds work, for a system in
-// which nothing is awake and nothing is in flight: whatever they wait for
+// diagnoseStall opens with what the caller observed and names every tile and
+// slice that still holds work: what they wait for, if they are asleep on it,
 // can no longer arrive.
-func (s *System) diagnoseStall() string {
+func (s *System) diagnoseStall(observed string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sim: no component has work at cycle %d but %d of %d cores have not finished;",
-		s.cycle, len(s.cores)-s.finished, len(s.cores))
+	b.WriteString("sim: " + observed)
 	for i, c := range s.cores {
 		if c.ROBOccupancy() > 0 || s.l1d[i].MSHRInUse() > 0 || s.l2[i].MSHRInUse() > 0 {
 			fmt.Fprintf(&b, " [%s]", s.describeTile(i))

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"clip/internal/invariant"
+	"clip/internal/mem"
 )
 
 // runSelf runs cfg to completion and returns the report and the loop's
@@ -37,7 +38,7 @@ func TestAwakeProgressMesh64(t *testing.T) {
 	if off.TileVisits != off.Ticks*cores || off.SliceVisits != off.Ticks*cores || off.TileVisitsCoreTicked != off.TileVisits {
 		t.Errorf("strict loop must visit and tick everything every cycle: %+v", off)
 	}
-	if off.GlobalSkips != 0 || off.WakesMesh+off.WakesDRAMFill+off.WakesHermesFill+off.WakesDRAMPop+off.WakesTimed != 0 {
+	if off.GlobalSkips != 0 || off.Wakes != [NumWakeSources]uint64{} || off.Reparks != 0 {
 		t.Errorf("strict loop used the awake sets: %+v", off)
 	}
 	if 4*on.TileVisits > on.Ticks*cores {
@@ -50,7 +51,7 @@ func TestAwakeProgressMesh64(t *testing.T) {
 	if on.TileVisitsCoreTicked == 0 || on.TileVisitsCoreTicked > on.TileVisits {
 		t.Errorf("core ticks %d outside (0, tile visits %d]", on.TileVisitsCoreTicked, on.TileVisits)
 	}
-	if on.WakesMesh == 0 || on.WakesDRAMFill == 0 || on.WakesTimed == 0 {
+	if on.Wakes[WakeMesh] == 0 || on.Wakes[WakeDRAMFill] == 0 || on.Wakes[WakeTimed] == 0 {
 		t.Errorf("a wake source never fired: %+v", on)
 	}
 
@@ -211,15 +212,18 @@ func (s *System) tileCountersOf(i int) tileCounters {
 }
 
 // TestAwakeWakeSettles runs a skipping system and the strict loop in
-// lockstep, one Tick at a time, and checks every wake of a sleeper that owed
-// at least two cycles: right after the Tick that woke it, the target's
-// clocks and bulk-charged counters (core cycles and ROB/fetch stall cycles,
-// MSHR-full events, TLB accesses; for slices woken off a DRAM queue, the
-// controller's RQ/WQ-full events) equal the strict loop's. Every wake source
-// must be seen, and for DRAM dequeues both a parked LLC head and a parked
-// writeback. The direct-DRAM queue's head is never asleep — the commit phase
-// retries it every cycle — so its refusals are counted by the retries
-// themselves; the arm must still produce them.
+// lockstep, one Tick at a time, and checks every settlement of a sleeper that
+// owed at least two cycles: right after the Tick that woke it — or, for a
+// slice parked on a DRAM queue, the Tick whose dequeue charged it in its
+// sleep — the target's clocks and bulk-charged counters (core cycles and
+// ROB/fetch stall cycles, MSHR-full events, TLB accesses; for slices charged
+// off a DRAM queue, the controller's RQ/WQ-full events) equal the strict
+// loop's. Every wake source must be seen, and for DRAM dequeues both a parked
+// LLC head and a parked writeback, a slice that found room at its turn and
+// one that found the queue full again and slept on. The direct-DRAM queue's
+// head is never asleep — the commit phase retries it every cycle — so its
+// refusals are counted by the retries themselves; the arm must still produce
+// them.
 func TestAwakeWakeSettles(t *testing.T) {
 	const minOwed = 2
 	for _, arm := range tightArms() {
@@ -258,19 +262,15 @@ func TestAwakeWakeSettles(t *testing.T) {
 				ref.Tick()
 				after := skip.SelfStats()
 				source := ""
-				for name, d := range map[string]uint64{
-					"mesh": after.WakesMesh - before.WakesMesh, "dram-fill": after.WakesDRAMFill - before.WakesDRAMFill,
-					"hermes-fill": after.WakesHermesFill - before.WakesHermesFill,
-					"dram-pop":    after.WakesDRAMPop - before.WakesDRAMPop, "timed": after.WakesTimed - before.WakesTimed,
-				} {
-					if d == 0 {
+				for w := WakeSource(0); w < NumWakeSources; w++ {
+					if after.Wakes[w] == before.Wakes[w] {
 						continue
 					}
 					if source != "" {
 						source = "mixed" // several sources this cycle: check, do not attribute
 						break
 					}
-					source = name
+					source = w.String()
 				}
 				for i := 0; i < n; i++ {
 					if tiles[i].asleep && hasBit(skip.awake.tiles, i) && tiles[i].owed >= minOwed {
@@ -280,18 +280,20 @@ func TestAwakeWakeSettles(t *testing.T) {
 						}
 						seen["tile/"+source]++
 					}
-					if slices[i].asleep && hasBit(skip.awake.slices, i) && slices[i].owed >= minOwed {
+					// Only a dequeue charges a slice and leaves it asleep.
+					popped := slices[i].asleep && !hasBit(skip.awake.slices, i) && skip.awake.sliceOwed[i] == cy+1
+					if slices[i].asleep && (popped || hasBit(skip.awake.slices, i)) && slices[i].owed >= minOwed {
+						if popped {
+							source = "popped"
+						}
 						if got, want := skip.llc[i].Cycle(), ref.llc[i].Cycle(); got != want {
-							t.Fatalf("cycle %d: slice %d woken (%s) with clock %d, want %d", cy, i, source, got, want)
+							t.Fatalf("cycle %d: slice %d settled (%s) with clock %d, want %d", cy, i, source, got, want)
 						}
 						if got, want := skip.llc[i].Stats().MSHRFullEvents, ref.llc[i].Stats().MSHRFullEvents; got != want {
-							t.Fatalf("cycle %d: slice %d woken (%s) with %d MSHR-full events, want %d", cy, i, source, got, want)
+							t.Fatalf("cycle %d: slice %d settled (%s) with %d MSHR-full events, want %d", cy, i, source, got, want)
 						}
 						seen["slice/"+source]++
-						// A parked slice woken on a cycle with dequeue wakes is
-						// taken for one of them (coverage bookkeeping only: the
-						// checks above and below hold whoever woke it).
-						if (slices[i].head || slices[i].wb) && after.WakesDRAMPop > before.WakesDRAMPop {
+						if popped {
 							if slices[i].head {
 								seen["pop/head"]++
 							}
@@ -303,7 +305,7 @@ func TestAwakeWakeSettles(t *testing.T) {
 							skip.settleAll()
 							got, want := skip.dram.Stats(), ref.dram.Stats()
 							if got.RQFullEvents != want.RQFullEvents || got.WQFullEvents != want.WQFullEvents {
-								t.Fatalf("cycle %d: after slice %d woke off a dequeue: RQ/WQ full %d/%d, want %d/%d",
+								t.Fatalf("cycle %d: after a dequeue charged slice %d: RQ/WQ full %d/%d, want %d/%d",
 									cy, i, got.RQFullEvents, got.WQFullEvents, want.RQFullEvents, want.WQFullEvents)
 							}
 						}
@@ -314,6 +316,9 @@ func TestAwakeWakeSettles(t *testing.T) {
 			wantJSON, _ := json.Marshal(ref.collect())
 			if !bytes.Equal(gotJSON, wantJSON) {
 				t.Fatalf("lockstep runs end differently: %s", firstDiff(gotJSON, wantJSON))
+			}
+			if self := skip.SelfStats(); self.Wakes[WakeDRAMPop] == 0 || self.Reparks == 0 {
+				t.Errorf("dequeues woke %d slices and left %d parked, want both", self.Wakes[WakeDRAMPop], self.Reparks)
 			}
 			want := []string{"tile/mesh", "tile/timed", "slice/mesh", "slice/dram-fill", "slice/timed", "pop/head", "pop/wb"}
 			if arm.cfg.Hermes {
@@ -362,8 +367,8 @@ func TestAwakeStallDiagnosis(t *testing.T) {
 			check(fmt.Sprint(r))
 		}()
 	}
+	s.dram.OnResponse(func(*mem.Response) {})
 	for maxCycles := s.MaxCycles(); s.Step(maxCycles); {
-		s.dramPending, s.dramNext = s.dramPending[:0], ^uint64(0)
 	}
 	res := s.collect()
 	if res.Finished {
@@ -376,5 +381,49 @@ func TestAwakeStallDiagnosis(t *testing.T) {
 	}
 	if strings.Contains(string(data), "no component") {
 		t.Fatal("the diagnosis leaked into the report JSON")
+	}
+}
+
+// TestAwakeProgressWatchdog: a lost wake need not leave the whole system dead.
+// Here every DRAM response for core 0 is dropped, so core 0 ends up asleep on
+// fills that never come while the other cores finish and keep replaying their
+// traces — something is always awake, the dead-system diagnosis never fires,
+// and without the watchdog the run would spin to its cycle bound. It must stop
+// within two stall limits with an error naming the core and what it holds.
+func TestAwakeProgressWatchdog(t *testing.T) {
+	cfg := skipMatrix()["clip"]
+	cfg.Workload = cfg.Workload[:2]
+	cfg.MaxCycles = 8 * stallLimit
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.dram.OnResponse(func(r *mem.Response) {
+		if r.Req.Core != 0 {
+			s.dramPending.Push(s.dram.ChannelOf(r.Req.Addr), r)
+		}
+	})
+	for maxCycles := s.MaxCycles(); s.Step(maxCycles); {
+	}
+	err = s.hung
+	if err == nil {
+		t.Fatalf("run ended at cycle %d (finished=%t) without an error", s.cycle, s.Finished())
+	}
+	if s.cycle > 2*stallLimit+stallLimit/2 {
+		t.Errorf("watchdog fired only at cycle %d", s.cycle)
+	}
+	if !s.cores[1].Finished() || s.cores[0].Finished() {
+		t.Errorf("core 0 finished=%t, core 1 finished=%t; want only core 1", s.cores[0].Finished(), s.cores[1].Finished())
+	}
+	for _, want := range []string{"core 0 retired nothing", "core 0:", "rob="} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	// A healthy run of the same system is not disturbed.
+	cfg.MaxCycles = 0
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("healthy run: %v", err)
 	}
 }

@@ -287,8 +287,8 @@ func TestSystemSnapshotManifest(t *testing.T) {
 			"cycle", "measureStart", "warmed", "finished",
 			"cores", "l1d", "l2", "llc", "mesh", "dram",
 			"ports", "icaches", "tlbs",
-			"dramPending", "dramNext", "llcRetry",
-			"hermesBypass", "hermesHold", "hermesNext",
+			"dramPending", "llcRetry",
+			"hermesBypass", "hermesHold",
 			"epochPrev", "pfGenerated", "pfIssued", "pfQ",
 			"stage", // persistent part: each tile's direct-DRAM queue
 			"coreNext",
@@ -304,6 +304,8 @@ func TestSystemSnapshotManifest(t *testing.T) {
 			// The skipping loop's bookkeeping: SaveState settles every
 			// sleeper, LoadState marks everything awake.
 			"awake", "stall",
+			// The progress watchdog restarts from the restored cycle.
+			"watchAt", "watched", "hung",
 			// About the host run, not the simulated machine.
 			"self", "imageLen",
 		})

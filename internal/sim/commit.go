@@ -112,56 +112,23 @@ func (s *System) drainDirectDRAM(i int) {
 const hermesFillPath = 45
 
 // deliverHermesHeld completes bypassed fills whose on-chip path elapsed.
-// The cached minimum DoneCycle makes the common no-delivery cycle a single
-// compare instead of a scan-and-recopy of every held response.
-//
-//clipvet:slab
 func (s *System) deliverHermesHeld(cy uint64) {
-	if len(s.hermesHold) == 0 || cy < s.hermesNext {
-		return
-	}
-	rest := s.hermesHold[:0]
-	next := mem.NoEvent
-	for i := range s.hermesHold {
-		r := &s.hermesHold[i]
-		if r.DoneCycle > cy {
-			if r.DoneCycle < next {
-				next = r.DoneCycle
-			}
-			rest = append(rest, *r) //clipvet:allocok compaction append into [:0]; never exceeds original capacity
-			continue
-		}
+	for r := s.hermesHold.Pop(cy); r != nil; r = s.hermesHold.Pop(cy) {
 		// The slice loop and the tile phase of this cycle are over: a sleeper
 		// is charged through cy before the fill reads its clock.
 		slice := s.sliceOf(r.Req.Addr)
-		s.wakeSlice(slice, cy+1, &s.self.WakesHermesFill)
-		s.wakeTile(r.Req.Core, cy+1, &s.self.WakesHermesFill)
+		s.wakeSlice(slice, cy+1, WakeHermesFill)
+		s.wakeTile(r.Req.Core, cy+1, WakeHermesFill)
 		s.llc[slice].Fill(r)
 		s.l2[r.Req.Core].Fill(r)
 		s.l1d[r.Req.Core].Fill(r)
 	}
-	s.hermesHold, s.hermesNext = rest, next
 }
 
-// deliverDRAM routes matured DRAM responses. Nothing matures on most cycles,
-// so the cached minimum DoneCycle turns those into a single compare.
-//
-//clipvet:slab
+// deliverDRAM routes matured DRAM responses.
 func (s *System) deliverDRAM(cy uint64) {
-	if len(s.dramPending) == 0 || cy < s.dramNext {
-		return
-	}
-	rest := s.dramPending[:0]
-	next := mem.NoEvent
-	for i := range s.dramPending {
-		r := &s.dramPending[i]
-		if r.DoneCycle > cy {
-			if r.DoneCycle < next {
-				next = r.DoneCycle
-			}
-			rest = append(rest, *r) //clipvet:allocok compaction append into [:0]; never exceeds original capacity
-			continue
-		}
+	for r := s.dramPending.Pop(cy); r != nil; r = s.dramPending.Pop(cy) {
+		s.self.DueDelivered++
 		key := bypassKey(r.Req.Core, r.Req.Addr)
 		if n, ok := s.hermesBypass[key]; ok && n > 0 && r.Req.Type == mem.Load {
 			if n == 1 {
@@ -171,17 +138,12 @@ func (s *System) deliverDRAM(cy uint64) {
 			}
 			// Bypass fill: hold it for the on-chip fill path Hermes still
 			// traverses, then wake the L1 MSHR and install copies.
-			held := *r
-			held.DoneCycle = cy + hermesFillPath
-			if held.DoneCycle < s.hermesNext {
-				s.hermesNext = held.DoneCycle
-			}
-			s.hermesHold = append(s.hermesHold, held) //clipvet:allocok retry ring retains capacity across ticks
+			r.DoneCycle = cy + hermesFillPath
+			s.hermesHold.Push(0, r)
 			continue
 		}
 		slice := s.sliceOf(r.Req.Addr)
-		s.wakeSlice(slice, cy+1, &s.self.WakesDRAMFill)
+		s.wakeSlice(slice, cy+1, WakeDRAMFill)
 		s.llc[slice].Fill(r)
 	}
-	s.dramPending, s.dramNext = rest, next
 }

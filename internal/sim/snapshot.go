@@ -281,11 +281,7 @@ func (s *System) saveBase(w *snapshot.Writer) {
 			t.Save(w)
 		}
 	}
-	w.Int(len(s.dramPending))
-	for i := range s.dramPending {
-		mem.SaveResponse(w, &s.dramPending[i])
-	}
-	w.U64(s.dramNext)
+	s.dramPending.Save(w)
 	for i := range s.llcRetry {
 		mem.SaveRing(w, &s.llcRetry[i], func(q *mem.Request) { mem.SaveRequest(w, q) })
 	}
@@ -301,11 +297,7 @@ func (s *System) saveBase(w *snapshot.Writer) {
 		w.U64(k)
 		w.Int(s.hermesBypass[k])
 	}
-	w.Int(len(s.hermesHold))
-	for i := range s.hermesHold {
-		mem.SaveResponse(w, &s.hermesHold[i])
-	}
-	w.U64(s.hermesNext)
+	s.hermesHold.Save(w)
 	for i := range s.epochPrev {
 		e := &s.epochPrev[i]
 		w.U64(e.pfFills)
@@ -379,18 +371,7 @@ func (s *System) loadBase(r *snapshot.Reader) {
 			t.Load(r)
 		}
 	}
-	n := r.Int()
-	if r.Err() == nil && (n < 0 || n > 1<<20) {
-		r.Fail(fmt.Errorf("sim: %d pending DRAM responses: %w", n, snapshot.ErrCorrupt))
-		return
-	}
-	s.dramPending = s.dramPending[:0]
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var resp mem.Response
-		mem.LoadResponse(r, &resp)
-		s.dramPending = append(s.dramPending, resp)
-	}
-	s.dramNext = r.U64()
+	s.dramPending.Load(r, func(resp *mem.Response) int { return s.dram.ChannelOf(resp.Req.Addr) })
 	for i := range s.llcRetry {
 		mem.LoadRing(r, &s.llcRetry[i], func(q *mem.Request) { mem.LoadRequest(r, q) })
 	}
@@ -404,18 +385,7 @@ func (s *System) loadBase(r *snapshot.Reader) {
 		k := r.U64()
 		s.hermesBypass[k] = r.Int()
 	}
-	nh := r.Int()
-	if r.Err() == nil && (nh < 0 || nh > 1<<20) {
-		r.Fail(fmt.Errorf("sim: %d held Hermes fills: %w", nh, snapshot.ErrCorrupt))
-		return
-	}
-	s.hermesHold = s.hermesHold[:0]
-	for i := 0; i < nh && r.Err() == nil; i++ {
-		var resp mem.Response
-		mem.LoadResponse(r, &resp)
-		s.hermesHold = append(s.hermesHold, resp)
-	}
-	s.hermesNext = r.U64()
+	s.hermesHold.Load(r, func(*mem.Response) int { return 0 })
 	for i := range s.epochPrev {
 		e := &s.epochPrev[i]
 		e.pfFills = r.U64()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -42,11 +43,9 @@ type System struct {
 	throttler []throttle.Throttler
 	hermes    []*hermes.Predictor
 
-	// dramPending holds DRAM responses until their DoneCycle. dramNext
-	// caches the minimum pending DoneCycle so the per-cycle delivery pass
-	// (and the skip horizon) need not rescan the list.
-	dramPending []mem.Response
-	dramNext    uint64
+	// dramPending holds DRAM responses until their DoneCycle, one lane per
+	// channel.
+	dramPending mem.DueQueue
 	// llcRetry holds requests whose LLC slice refused them at NoC delivery.
 	llcRetry []mem.Ring[mem.Request]
 	// hermesBypass marks in-flight direct-to-DRAM loads: key core<<48^line.
@@ -54,9 +53,7 @@ type System struct {
 	// hermesHold delays bypassed fills by the on-chip portion Hermes still
 	// pays (tag/coherence checks, fill path): the bypass removes the cache
 	// *walk* from the DRAM access's start, not the chip from its end.
-	hermesHold []mem.Response
-	// hermesNext caches the minimum held DoneCycle (mem.NoEvent when empty).
-	hermesNext uint64
+	hermesHold mem.DueQueue
 
 	epochPrev []epochSnapshot
 
@@ -109,6 +106,11 @@ type System struct {
 	self     SelfStats
 	stall    string
 	imageLen int
+	// The progress watchdog (watchProgress): the next check, each core's
+	// lifetime retire count at the last one, and the verdict that ends the run.
+	watchAt uint64
+	watched []uint64
+	hung    error
 }
 
 type scoredPredictor struct {
@@ -143,8 +145,8 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 		cfg:          cfg,
 		mesh:         noc.MustNew(meshConfig(n, cfg.NoCCriticalPriority)),
 		dram:         dram.MustNew(dcfg),
-		dramNext:     mem.NoEvent,
-		hermesNext:   mem.NoEvent,
+		dramPending:  mem.NewDueQueue(dcfg.Channels),
+		hermesHold:   mem.NewDueQueue(1),
 		llcRetry:     make([]mem.Ring[mem.Request], n),
 		pfQ:          make([]mem.Ring[pfEntry], n),
 		stage:        make([]tileStage, n),
@@ -157,10 +159,8 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	// DRAM responses are held until their DoneCycle, then routed to the
 	// owning LLC slice (or to L1 directly for Hermes bypass loads).
 	s.dram.OnResponse(func(r *mem.Response) {
-		if r.DoneCycle < s.dramNext {
-			s.dramNext = r.DoneCycle //clipvet:staged fires inside DRAM.Tick, serial commit phase
-		}
-		s.dramPending = append(s.dramPending, *r) //clipvet:staged commit-phase response staging buffer
+		//clipvet:staged fires inside DRAM.Tick, in the serial tail
+		s.dramPending.Push(s.dram.ChannelOf(r.Req.Addr), r)
 	})
 
 	// All hot mesh traffic is payload packets dispatched here by kind; the
@@ -298,6 +298,8 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	s.carveColumns()
 	if s.skip {
 		s.dram.OnDequeue(s.wakeParked)
+	} else {
+		s.dram.ScanEveryCycle()
 	}
 	for i, c := range s.cores {
 		i := i
@@ -357,10 +359,10 @@ func (s *System) onMeshDeliver(kind uint8, dst int, r *mem.Response, cycle uint6
 	switch kind {
 	case pktLLCResp:
 		r.DoneCycle = cycle
-		s.wakeTile(dst, cycle+1, &s.self.WakesMesh) // the tile phase of this cycle is over
+		s.wakeTile(dst, cycle+1, WakeMesh) // the tile phase of this cycle is over
 		s.l2[dst].Fill(r)
 	default: // pktLLCReq
-		s.wakeSlice(dst, cycle, &s.self.WakesMesh) // the slices tick after the mesh
+		s.wakeSlice(dst, cycle, WakeMesh) // the slices tick after the mesh
 		if !s.llc[dst].Issue(&r.Req) {
 			s.llcRetry[dst].Push(r.Req)
 		}
@@ -515,9 +517,10 @@ func (s *System) Tick() {
 	s.cycle++
 }
 
-// tickSlices advances the LLC slices: every one under DisableSkip, the awake
-// ones otherwise. A visited slice that is left with nothing due next cycle
-// goes to sleep.
+// tickSlices advances the LLC slices: every one under DisableSkip; otherwise
+// the awake ones and, in the same ascending walk, the sleepers a controller
+// dequeue marked popped that find room at their turn. A visited slice that
+// is left with nothing due next cycle goes to sleep.
 func (s *System) tickSlices(cy uint64) {
 	if !s.skip {
 		for i, l := range s.llc {
@@ -530,10 +533,17 @@ func (s *System) tickSlices(cy uint64) {
 	if invariant.Enabled {
 		s.checkSleepingSlices(cy)
 	}
-	for wi, w := range s.awake.slices {
-		s.self.SliceVisits += uint64(bits.OnesCount64(w))
+	a := &s.awake
+	for wi, awake := range a.slices {
+		s.self.SliceVisits += uint64(bits.OnesCount64(awake))
+		w := awake | a.popped[wi]
+		a.popped[wi] = 0
 		for ; w != 0; w &= w - 1 {
-			i := wi<<6 + bits.TrailingZeros64(w)
+			b := uint(bits.TrailingZeros64(w))
+			i := wi<<6 + int(b)
+			if awake>>b&1 == 0 && !s.recheckPopped(i, cy) {
+				continue
+			}
 			l := s.llc[i]
 			// Against a full queue every retry is refused and the rotation is
 			// the identity (the ring never holds a droppable prefetch, which
@@ -546,8 +556,13 @@ func (s *System) tickSlices(cy uint64) {
 			} else {
 				l.SkipTick(cy)
 			}
+			woke := a.sliceWoke[i]
+			a.sliceWoke[i] = 0
 			if next := s.sliceHorizon(i, cy+1); next > cy+1 {
 				s.sleepSlice(i, cy+1, next)
+				if woke != 0 {
+					s.self.SliceResleeps[woke-1]++
+				}
 			}
 		}
 	}
@@ -577,16 +592,10 @@ func (s *System) Finished() bool { return s.finished == len(s.cores) }
 // way anywhere above the memory controller.
 func (s *System) horizon(now uint64) uint64 {
 	a := &s.awake
-	if anyBit(a.tiles) || anyBit(a.slices) {
+	if anyBit(a.tiles) || anyBit(a.slices) || anyBit(a.popped) {
 		return now
 	}
-	h := min(a.tileMin, a.sliceMin, s.mesh.NextEvent(now))
-	if len(s.dramPending) > 0 {
-		h = min(h, s.dramNext)
-	}
-	if len(s.hermesHold) > 0 {
-		h = min(h, s.hermesNext)
-	}
+	h := min(a.tileMin, a.sliceMin, s.mesh.NextEvent(now), s.dramPending.Next(), s.hermesHold.Next())
 	if h <= now {
 		return now
 	}
@@ -618,7 +627,8 @@ func (s *System) skipAhead(maxCycles uint64) {
 	if h == mem.NoEvent && s.stall == "" && s.dram.Idle() {
 		// Nothing is awake, due or in flight, so no core can ever finish; what
 		// is folded in below only keeps time. Say so once (awake.go).
-		s.stall = s.diagnoseStall()
+		s.stall = s.diagnoseStall(fmt.Sprintf("no component has work at cycle %d but %d of %d cores have not finished;",
+			s.cycle, len(s.cores)-s.finished, len(s.cores)))
 		invariant.Check(false, "%s", s.stall)
 	}
 	h = min(h, s.dram.NextEvent(now), maxCycles)
@@ -725,14 +735,41 @@ func (s *System) advance(maxCycles uint64) bool {
 	if s.skip {
 		s.skipAhead(maxCycles)
 	}
+	if s.cycle >= s.watchAt {
+		s.watchProgress()
+	}
 	return false
 }
 
+// stallLimit is how long an unfinished core may go without retiring an
+// instruction before the run is declared hung: orders of magnitude beyond the
+// worst queueing a saturated channel imposes on a load, and well inside the
+// default cycle bound.
+const stallLimit = 1 << 19
+
+// watchProgress runs every stallLimit cycles. A run in which nothing is awake
+// or in flight diagnoses itself at once (skipAhead), but a lost wake can also
+// leave one core asleep for good while the cores that finished keep replaying
+// their traces; that run would otherwise spin to its cycle bound in silence.
+func (s *System) watchProgress() {
+	for i, c := range s.cores {
+		retired := c.RetiredTotal()
+		if retired == s.watched[i] && !c.Finished() && s.hung == nil {
+			s.hung = errors.New(s.diagnoseStall(fmt.Sprintf(
+				"core %d retired nothing in the %d cycles before cycle %d;", i, s.cycle+stallLimit-s.watchAt, s.cycle)))
+		}
+		s.watched[i] = retired
+	}
+	s.watchAt = s.cycle + stallLimit
+}
+
 // Step advances the run loop by one iteration — advance plus the warmup
-// barrier — and reports whether the run continues. Checkpoint tests pause a
-// run at an arbitrary iteration with the exact semantics of Run.
+// barrier — and reports whether the run continues: false once every core has
+// finished, at the cycle bound, and when the progress watchdog has declared
+// the run hung. Checkpoint tests pause a run at an arbitrary iteration with
+// the exact semantics of Run.
 func (s *System) Step(maxCycles uint64) bool {
-	if s.cycle >= maxCycles {
+	if s.cycle >= maxCycles || s.hung != nil {
 		return false
 	}
 	if !s.advance(maxCycles) {
@@ -745,20 +782,43 @@ func (s *System) Step(maxCycles uint64) bool {
 	return true
 }
 
-func (s *System) runLoop(maxCycles uint64) {
+// runLoop steps the run to its end and returns the watchdog's verdict, if
+// that is what ended it.
+func (s *System) runLoop(maxCycles uint64) error {
 	for s.Step(maxCycles) {
 	}
+	return s.hung
 }
 
 // Run executes the configured simulation.
 func Run(cfg Config) (*Result, error) {
+	res, _, err := RunSelf(cfg, nil, false)
+	return res, err
+}
+
+// RunSelf is Run — or, with resume set, RunFromImage — that also returns the
+// simulation loop's own counters.
+func RunSelf(cfg Config, image []byte, resume bool) (*Result, SelfStats, error) {
 	s, err := NewSystem(cfg)
 	if err != nil {
-		return nil, err
+		return nil, SelfStats{}, err
 	}
 	defer s.Close()
-	s.runLoop(s.MaxCycles())
-	return s.collect(), nil
+	if resume {
+		if err := s.LoadState(image); err != nil {
+			return nil, SelfStats{}, err
+		}
+		if !s.warmed {
+			if !s.Finished() {
+				return nil, SelfStats{}, fmt.Errorf("sim: image paused mid-warmup; resume it with LoadState+Step")
+			}
+			s.warmupBarrier()
+		}
+	}
+	if err := s.runLoop(s.MaxCycles()); err != nil {
+		return nil, s.SelfStats(), err
+	}
+	return s.collect(), s.SelfStats(), nil
 }
 
 // WarmupConfig canonicalizes a configuration down to its warmup-relevant
@@ -801,7 +861,10 @@ func WarmupImage(cfg Config) ([]byte, error) {
 	}
 	defer s.Close()
 	maxCycles := s.MaxCycles()
-	for s.cycle < maxCycles && !s.advance(maxCycles) {
+	for s.cycle < maxCycles && s.hung == nil && !s.advance(maxCycles) {
+	}
+	if s.hung != nil {
+		return nil, s.hung
 	}
 	if !s.Finished() {
 		return nil, fmt.Errorf("sim: warmup did not complete within %d cycles%s", maxCycles, s.stallNote())
@@ -813,22 +876,8 @@ func WarmupImage(cfg Config) ([]byte, error) {
 // fresh system built from cfg and runs it to completion. A mid-warmup image
 // crosses the warmup barrier first, exactly as Run would have.
 func RunFromImage(cfg Config, image []byte) (*Result, error) {
-	s, err := NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	if err := s.LoadState(image); err != nil {
-		return nil, err
-	}
-	if !s.warmed {
-		if !s.Finished() {
-			return nil, fmt.Errorf("sim: image paused mid-warmup; resume it with LoadState+Step")
-		}
-		s.warmupBarrier()
-	}
-	s.runLoop(s.MaxCycles())
-	return s.collect(), nil
+	res, _, err := RunSelf(cfg, image, true)
+	return res, err
 }
 
 // tickThrottlers runs the epoch controllers. The next-epoch deadline
