@@ -10,7 +10,6 @@ package clip
 
 import (
 	"flag"
-	"fmt"
 	"testing"
 
 	"clip/internal/experiments"
@@ -216,31 +215,6 @@ func BenchmarkTickBusy(b *testing.B) {
 	for _, pf := range []string{"berti", "ipcp", "bingo", "spppf", "stride"} {
 		b.Run(pf, func(b *testing.B) {
 			cfg := BenchTickBusyConfig(pf)
-			b.ReportAllocs()
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Cycles
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
-		})
-	}
-}
-
-// BenchmarkTickParallel measures the shard-parallel tile phase on the busy
-// 64-core configuration. shard1 runs the two-phase protocol on one goroutine
-// — its gap to a hypothetical unsharded loop is the staging overhead (the
-// contract is <= 10%) — and shard2/4/8 show intra-simulation scaling, which
-// requires at least that many host cores to materialize (on fewer cores the
-// extra widths measure scheduling overhead, which is why cmd/clipbench
-// stamps GOMAXPROCS next to every recorded number).
-func BenchmarkTickParallel(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shard%d", w), func(b *testing.B) {
-			cfg := BenchTickParallelConfig(w)
 			b.ReportAllocs()
 			var cycles uint64
 			for i := 0; i < b.N; i++ {

@@ -1,10 +1,10 @@
 package clip
 
 // This file defines the canonical configurations behind the throughput
-// benchmarks (BenchmarkSimulatorThroughput, BenchmarkTickIdle,
-// BenchmarkTickBusy and BenchmarkTickParallel) so that `go test -bench` and
-// cmd/clipbench — the JSON emitter CI compares against the checked-in
-// baseline — measure exactly the same workloads.
+// benchmarks (BenchmarkSimulatorThroughput, BenchmarkTickIdle and
+// BenchmarkTickBusy) so that `go test -bench` and cmd/clipbench — the JSON
+// emitter CI compares against the checked-in baseline — measure exactly the
+// same workloads.
 
 // BenchThroughputConfig is the standard simulation-speed workload: an
 // 8-core berti+CLIP run on one channel, the cost of one experiment point.
@@ -47,23 +47,5 @@ func BenchTickBusyConfig(prefetcher string) Config {
 	cfg.Prefetcher = prefetcher
 	cc := DefaultCLIPConfig()
 	cfg.CLIP = &cc
-	return cfg
-}
-
-// BenchTickParallelConfig is the shard-parallel tick workload: the paper's
-// busy 64-core mesh (berti gated by CLIP, eight channels keeping the bus
-// unsaturated so cores stay active) with the tile phase spread over
-// shardWorkers host goroutines. shard-1 measures the staging overhead of
-// the two-phase protocol against the plain serial loop; higher widths
-// measure intra-simulation scaling — the only lever once the run-level pool
-// has a single big simulation left.
-func BenchTickParallelConfig(shardWorkers int) Config {
-	cfg := DefaultConfig(64, 8, 8)
-	cfg.InstrPerCore = 2000
-	cfg.WarmupInstr = 0
-	cfg.Prefetcher = "berti"
-	cc := DefaultCLIPConfig()
-	cfg.CLIP = &cc
-	cfg.ShardWorkers = shardWorkers
 	return cfg
 }

@@ -88,14 +88,12 @@ func Run(cfg Config) (*Result, error) { return sim.Run(cfg) }
 // JSON alongside GOMAXPROCS.
 type SlabGeometry = sim.SlabGeometry
 
-// BenchSlabGeometry constructs (and immediately releases) a system for cfg
-// and reports its slab layout.
+// BenchSlabGeometry constructs a system for cfg and reports its slab layout.
 func BenchSlabGeometry(cfg Config) (SlabGeometry, error) {
 	s, err := sim.NewSystem(cfg)
 	if err != nil {
 		return SlabGeometry{}, err
 	}
-	defer s.Close()
 	return s.SlabGeometry(), nil
 }
 

@@ -26,10 +26,7 @@
 // Every measured benchmark must be present in the baseline: a missing entry
 // fails the comparison rather than silently shrinking the gate (a renamed or
 // newly added benchmark family would otherwise ride ungated until someone
-// noticed). The -shardallocparity gate additionally compares the fresh
-// TickParallel/shard1 measurement against SimulatorThroughput on a per-core
-// basis: both workloads run the same tile code, so the shard path staging a
-// tick must not allocate materially more per core than the serial loop.
+// noticed).
 //
 // Two auxiliary outputs support the trajectory beyond the single-snapshot
 // baseline: -history appends the full report as one JSON line to a .jsonl
@@ -53,7 +50,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -64,8 +60,8 @@ import (
 )
 
 // Record holds one benchmark measurement. GOMAXPROCS stamps the host shape
-// the number was produced on: cycles/s depends on it (most visibly for the
-// shard-parallel benchmarks), so the baseline comparison only judges
+// the number was produced on: cycles/s depends on it (the collector runs
+// beside the simulation), so the baseline comparison only judges
 // like-for-like shapes. AllocsPerOp stays host-independent and is always
 // compared.
 type Record struct {
@@ -117,8 +113,6 @@ var benchNames = []string{
 	"TickBusy/berti", "TickBusy/ipcp", "TickBusy/bingo",
 	"TickBusy/spppf", "TickBusy/stride",
 	"TickIdle/skip", "TickIdle/noskip",
-	"TickParallel/shard1", "TickParallel/shard2",
-	"TickParallel/shard4", "TickParallel/shard8",
 }
 
 func main() { os.Exit(run()) }
@@ -131,7 +125,6 @@ func run() int {
 		minSpeed  = flag.Float64("minspeedup", 0, "fail unless TickIdle skip/noskip speedup is at least this (0 = no check)")
 		maxAlloc  = flag.Float64("maxallocgrowth", 0.10, "allowed fractional allocs/op growth vs the baseline (0 = no check)")
 		maxBytes  = flag.Float64("maxbytesgrowth", 0.10, "allowed fractional bytes/op growth vs the baseline (0 = no check; baselines predating bytes/op pass)")
-		parity    = flag.Float64("shardallocparity", 0.10, "allowed fractional per-core allocs/op excess of TickParallel/shard1 over SimulatorThroughput (0 = no check)")
 		stamp     = flag.String("stamp", "", "timestamp to embed in the JSON (explicit input, kept out of comparisons)")
 		history   = flag.String("history", "", "append this run's report as one JSON line to this file")
 		deltaMD   = flag.String("deltamd", "", "with -baseline: append a markdown before/after table to this file (\"-\" = stdout)")
@@ -192,13 +185,6 @@ func run() int {
 			return clip.BenchTickIdleConfig(false)
 		case "TickIdle/noskip":
 			return clip.BenchTickIdleConfig(true)
-		case "TickParallel/shard1", "TickParallel/shard2",
-			"TickParallel/shard4", "TickParallel/shard8":
-			w, err := strconv.Atoi(name[len("TickParallel/shard"):])
-			if err != nil {
-				panic(err)
-			}
-			return clip.BenchTickParallelConfig(w)
 		default: // "TickBusy/<prefetcher>"
 			return clip.BenchTickBusyConfig(name[len("TickBusy/"):])
 		}
@@ -271,8 +257,7 @@ func run() int {
 			got := rep.Benchmarks[name]
 			// cycles/s is only meaningful like-for-like: a baseline recorded
 			// on a different host shape (core count) says nothing about a
-			// regression here — the parallel benchmarks scale with cores by
-			// design. Records predating the GOMAXPROCS stamp compare as
+			// regression here. Records predating the GOMAXPROCS stamp compare as
 			// before; allocs/op stays gated regardless of shape.
 			sameShape := b.GOMAXPROCS == 0 || b.GOMAXPROCS == got.GOMAXPROCS
 			if !sameShape {
@@ -313,24 +298,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "%-22s %8d bytes/op vs baseline %8d (ceiling %8.0f) %s\n",
 					name, got.BytesPerOp, b.BytesPerOp, ceiling, verdict)
 			}
-		}
-	}
-	if *parity > 0 {
-		serial, shard := rep.Benchmarks["SimulatorThroughput"], rep.Benchmarks["TickParallel/shard1"]
-		// The two workloads differ in core count (8 vs 64), so the comparable
-		// quantity is allocations per simulated core: the tile code is shared,
-		// and per-core cost is what the staging protocol could inflate.
-		if serial.Slab != nil && shard.Slab != nil && serial.Slab.Cores > 0 && shard.Slab.Cores > 0 {
-			perSerial := float64(serial.AllocsPerOp) / float64(serial.Slab.Cores)
-			perShard := float64(shard.AllocsPerOp) / float64(shard.Slab.Cores)
-			ceiling := perSerial * (1 + *parity)
-			verdict := "ok"
-			if perShard > ceiling {
-				verdict = "SHARD ALLOC EXCESS"
-				failed = true
-			}
-			fmt.Fprintf(os.Stderr, "shard1 allocs/core %8.1f vs serial %8.1f (ceiling %8.1f) %s\n",
-				perShard, perSerial, ceiling, verdict)
 		}
 	}
 	if *minSpeed > 0 && rep.SkipSpeedup < *minSpeed {
@@ -629,9 +596,9 @@ func runInterleave(spec string, rounds int) int {
 
 // refreshPGO CPU-profiles the busy-loop benchmark mix (SimulatorThroughput
 // plus every TickBusy prefetcher) for at least secs seconds and writes the
-// profile to path — the input for -pgo builds. The idle and shard-parallel
-// benchmarks are deliberately absent: their time is spent in the skipping
-// fast path and the scheduler, which PGO inlining decisions do not help.
+// profile to path — the input for -pgo builds. The idle benchmarks are
+// deliberately absent: their time is spent in the skipping fast path, which
+// PGO inlining decisions do not help.
 func refreshPGO(path string, secs float64) int {
 	mix := []clip.Config{clip.BenchThroughputConfig()}
 	for _, name := range benchNames {

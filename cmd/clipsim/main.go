@@ -61,7 +61,6 @@ func run() int {
 		channels = flag.String("channels", "", "comma-separated paper channel counts (e.g. 4,8,16)")
 		seed     = flag.Uint64("seed", 0, "override workload seed")
 		workers  = flag.Int("workers", 0, "concurrent simulations per experiment (0 = GOMAXPROCS); results are identical for any value")
-		shardW   = flag.Int("shard-workers", 0, "tile-phase goroutines inside each simulation (0/1 = serial); results are identical for any value; a defaulted -workers divides by this so the product never oversubscribes the host")
 		skipMode = flag.String("skip", "on", "event-horizon cycle skipping: on|off; results are identical for either value")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -110,7 +109,7 @@ func run() int {
 		return runCheckpoint(*checkpoint, *ckptFile, ckptConfig{
 			workload: *ckptWl, prefetcher: *ckptPf, clip: *ckptCLIP,
 			cores: *cores, instr: *instr, warmup: *warmup, seed: *seed,
-			noskip: noskip, shardWorkers: *shardW, verbose: *verbose,
+			noskip: noskip, verbose: *verbose,
 		})
 	}
 
@@ -151,7 +150,6 @@ func run() int {
 		sc.Seed = *seed
 	}
 	sc.Workers = *workers
-	sc.ShardWorkers = *shardW
 	switch *skipMode {
 	case "on":
 		sc.NoSkip = false
@@ -206,7 +204,6 @@ type ckptConfig struct {
 	cores                int
 	instr, warmup, seed  uint64
 	noskip               bool
-	shardWorkers         int
 	verbose              bool
 }
 
@@ -235,7 +232,6 @@ func (c ckptConfig) build() sim.Config {
 		cfg.Seed = c.seed
 	}
 	cfg.DisableSkip = c.noskip
-	cfg.ShardWorkers = c.shardWorkers
 	if c.clip {
 		cc := core.DefaultConfig()
 		cfg.CLIP = &cc

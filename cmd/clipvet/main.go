@@ -1,6 +1,6 @@
 // Command clipvet runs the project's determinism analyzers (see
 // internal/analysis): callgraph, maporder, wallclock, trainalias, floatsum,
-// hotmap, sharedstate, soaescape, hotalloc and detflow.
+// hotmap, soaescape, snapsym, hotalloc and detflow.
 //
 // Standalone:
 //

@@ -28,7 +28,7 @@
 //
 //   - callgraph: integrity of the //clipvet: annotations that parameterize
 //     the graph — unknown directive names, and function-level directives
-//     (hotpath, tilephase, slab, sink) attached to nothing.
+//     (hotpath, slab, sink) attached to nothing.
 //   - hotalloc: allocations (make/new/append/closure/boxing/...) in any
 //     function reachable from a //clipvet:hotpath root, reported with the
 //     root-to-sink call chain, unless escaped by //clipvet:allocok at the
@@ -52,11 +52,6 @@
 //     internal/criticality, internal/core, internal/dspatch) — per-access
 //     state there must use the internal/table kernels — unless annotated
 //     //clipvet:hotmap.
-//   - sharedstate: mutation of shared System/Mesh/DRAM state reachable from
-//     a //clipvet:tilephase function (code that runs concurrently across
-//     tiles during the shard-parallel tick) — directly or through helpers,
-//     interface values and func values; cross-tile effects must go through
-//     the per-tile staging buffers, unless annotated //clipvet:staged.
 //   - soaescape: retaining a pointer or reslice into a slab slice (&slab[i],
 //     slab[a:b]) in a struct field, package variable or composite literal
 //     inside a //clipvet:slab function — slab entries are recycled every
@@ -120,7 +115,7 @@ type Pass struct {
 
 	// Cur holds this package's freshly-built function summaries; Table holds
 	// Cur plus the facts of every summarized dependency. The interprocedural
-	// analyzers (hotalloc, sharedstate, detflow) resolve call chains here.
+	// analyzers (hotalloc, detflow) resolve call chains here.
 	Cur   *PkgSummaries
 	Table *SummaryTable
 
@@ -252,12 +247,12 @@ func internalSegment(pkgPath string) string {
 }
 
 // Analyzers returns the full suite in stable order. CallGraph runs first:
-// it owns the summary/fact layer the three interprocedural analyzers
-// (hotalloc, sharedstate, detflow) consume, and lints the annotations that
+// it owns the summary/fact layer the two interprocedural analyzers
+// (hotalloc, detflow) consume, and lints the annotations that
 // parameterize it.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{CallGraph, MapOrder, WallClock, TrainAlias, FloatSum,
-		HotMap, SharedState, SoaEscape, SnapSym, HotAlloc, DetFlow}
+		HotMap, SoaEscape, SnapSym, HotAlloc, DetFlow}
 }
 
 // ByName resolves a comma-separated analyzer list ("" means all).

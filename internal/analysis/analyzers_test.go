@@ -26,8 +26,6 @@ func TestFloatSum(t *testing.T)   { testAnalyzer(t, FloatSum, "clip/internal/sta
 func TestTrainAlias(t *testing.T) { testAnalyzer(t, TrainAlias, "clip/internal/core") }
 func TestHotMap(t *testing.T)     { testAnalyzer(t, HotMap, "clip/internal/dspatch") }
 
-func TestSharedState(t *testing.T) { testAnalyzer(t, SharedState, "clip/internal/sim/shard") }
-
 func TestSoaEscape(t *testing.T) { testAnalyzer(t, SoaEscape, "clip/internal/cache") }
 
 // The PR 7 interprocedural analyzers: allocation-freedom from hot roots,

@@ -9,14 +9,14 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural layer under hotalloc, sharedstate and
-// detflow: a per-function effect summary computed once per package and
-// exported as a fact across package boundaries (JSON in the unitchecker's
-// vetx files, an in-process SummaryTable in standalone mode). Each summary
-// records what a single pass over the body can prove — allocation sites,
-// shared-state mutations, nondeterminism sources, taint flow — plus the
-// function's outgoing call edges, so the analyzers can answer reachability
-// questions ("can System.Tick reach this make?") without whole-program SSA.
+// This file is the interprocedural layer under hotalloc and detflow: a
+// per-function effect summary computed once per package and exported as a
+// fact across package boundaries (JSON in the unitchecker's vetx files, an
+// in-process SummaryTable in standalone mode). Each summary records what a
+// single pass over the body can prove — allocation sites, nondeterminism
+// sources, taint flow — plus the function's outgoing call edges, so the
+// analyzers can answer reachability questions ("can System.Tick reach this
+// make?") without whole-program SSA.
 //
 // Call edges come in three precisions:
 //
@@ -30,8 +30,7 @@ import (
 //     Resolved conservatively to every address-taken function or function
 //     literal with a compatible parameter count.
 //
-// The conservative edges are what let sharedstate catch a tile-phase
-// function mutating the mesh through an interface, and hotalloc follow the
+// The conservative edges are what let hotalloc follow the
 // OnResponse/OnDeliver handler registrations into their closures.
 
 // A FuncID names one function across packages: "pkg/path.Func",
@@ -64,10 +63,8 @@ type CallEdge struct {
 	Arity  int    `json:"arity"`            // call-site argument count (resolution hint)
 	Sig    string `json:"sig,omitempty"`    // func-value calls: canonical call signature
 
-	// Staged marks a //clipvet:staged escape on the call line: sharedstate's
-	// interprocedural walk does not follow the edge. AllocOK is the same cut
-	// for hotalloc (//clipvet:allocok on the call line).
-	Staged  bool `json:"staged,omitempty"`
+	// AllocOK marks a //clipvet:allocok escape on the call line: hotalloc's
+	// interprocedural walk does not follow the edge.
 	AllocOK bool `json:"allocok,omitempty"`
 
 	pos token.Pos
@@ -112,15 +109,12 @@ type FuncSummary struct {
 	AddrTaken bool `json:"addrTaken,omitempty"` // used as a value somewhere
 
 	// Annotations lifted from the declaration.
-	Hotpath   bool `json:"hotpath,omitempty"`   // //clipvet:hotpath root
-	TilePhase bool `json:"tilephase,omitempty"` // //clipvet:tilephase root
-	AllocOK   bool `json:"allocok,omitempty"`   // whole function is a cold slow path
-	Sink      bool `json:"sink,omitempty"`      // //clipvet:sink: args reach canonical output
-	Serial    bool `json:"serial,omitempty"`    // //clipvet:serial: runs only between ticks
+	Hotpath bool `json:"hotpath,omitempty"` // //clipvet:hotpath root
+	AllocOK bool `json:"allocok,omitempty"` // whole function is a cold slow path
+	Sink    bool `json:"sink,omitempty"`    // //clipvet:sink: args reach canonical output
 
-	Allocs     []Site     `json:"allocs,omitempty"`     // unescaped allocation sites
-	SharedMuts []Site     `json:"sharedMuts,omitempty"` // unescaped shared-state mutations
-	Calls      []CallEdge `json:"calls,omitempty"`
+	Allocs []Site     `json:"allocs,omitempty"` // unescaped allocation sites
+	Calls  []CallEdge `json:"calls,omitempty"`
 
 	// detflow facts.
 	TaintedReturn *Trace      `json:"taintedReturn,omitempty"`
@@ -397,14 +391,12 @@ func (b *summaryBuilder) summarizeDecl(fd *ast.FuncDecl) {
 	sig := b.info.Defs[fd.Name].Type().(*types.Signature)
 	s := &FuncSummary{
 		ID: id, Name: fd.Name.Name, Pos: b.fset.Position(fd.Pos()).String(),
-		Arity:     sig.Params().Len(),
-		Sig:       sigString(sig),
-		Method:    isMethod,
-		Hotpath:   b.dirs.has(b.fset, fd.Pos(), "hotpath"),
-		TilePhase: b.dirs.has(b.fset, fd.Pos(), "tilephase"),
-		AllocOK:   b.dirs.has(b.fset, fd.Pos(), "allocok"),
-		Sink:      b.dirs.has(b.fset, fd.Pos(), "sink"),
-		Serial:    b.dirs.has(b.fset, fd.Pos(), "serial"),
+		Arity:   sig.Params().Len(),
+		Sig:     sigString(sig),
+		Method:  isMethod,
+		Hotpath: b.dirs.has(b.fset, fd.Pos(), "hotpath"),
+		AllocOK: b.dirs.has(b.fset, fd.Pos(), "allocok"),
+		Sink:    b.dirs.has(b.fset, fd.Pos(), "sink"),
 	}
 	b.sums.Funcs[id] = s
 	b.order = append(b.order, id)
@@ -428,7 +420,6 @@ func (b *summaryBuilder) walkBody(s *FuncSummary, body *ast.BlockStmt) {
 				Sig:       sigString(sig),
 				AddrTaken: true, // literals exist only as values
 				AllocOK:   s.AllocOK || b.dirs.has(b.fset, n.Pos(), "allocok"),
-				Serial:    s.Serial || b.dirs.has(b.fset, n.Pos(), "serial"),
 			}
 			b.sums.Funcs[lit.ID] = lit
 			b.order = append(b.order, lit.ID)
@@ -455,12 +446,6 @@ func (b *summaryBuilder) walkBody(s *FuncSummary, body *ast.BlockStmt) {
 			case *types.Map:
 				b.addAlloc(s, n.Pos(), "map literal allocates")
 			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				b.addSharedWrite(s, lhs)
-			}
-		case *ast.IncDecStmt:
-			b.addSharedWrite(s, n.X)
 		}
 		return true
 	}
@@ -550,7 +535,6 @@ func (b *summaryBuilder) addCall(s *FuncSummary, call *ast.CallExpr) {
 	edge := CallEdge{
 		Pos: b.fset.Position(call.Pos()).String(), pos: call.Pos(),
 		Arity:   len(call.Args),
-		Staged:  b.dirs.has(b.fset, call.Pos(), "staged"),
 		AllocOK: b.dirs.has(b.fset, call.Pos(), "allocok"),
 	}
 
@@ -610,17 +594,6 @@ func (b *summaryBuilder) addCall(s *FuncSummary, call *ast.CallExpr) {
 			}
 		}
 	}
-}
-
-// addSharedWrite records an un-indexed write through a selector chain rooted
-// at a shared System/Mesh/DRAM value (the sharedstate mutation fact).
-func (b *summaryBuilder) addSharedWrite(s *FuncSummary, lhs ast.Expr) {
-	name, pos := sharedWriteTarget(b.info, lhs)
-	if name == "" || b.dirs.has(b.fset, pos, "staged") {
-		return
-	}
-	s.SharedMuts = append(s.SharedMuts,
-		b.site(pos, "write to shared "+name+" state"))
 }
 
 // markAddrTaken flags every function referenced as a value (passed, stored,
@@ -713,31 +686,6 @@ func signatureOf(info *types.Info, fun ast.Expr) *types.Signature {
 	}
 	sig, _ := t.Underlying().(*types.Signature)
 	return sig
-}
-
-// sharedWriteTarget walks the selector chain of a write target; a chain that
-// reaches a shared structure without passing an index expression mutates
-// shared (not per-tile) state. Returns the shared type key and position.
-func sharedWriteTarget(info *types.Info, lhs ast.Expr) (string, token.Pos) {
-	indexed := false
-	for {
-		switch e := lhs.(type) {
-		case *ast.SelectorExpr:
-			if name := sharedTypeName(info.Types[e.X].Type); name != "" && !indexed {
-				return name, lhs.Pos()
-			}
-			lhs = e.X
-		case *ast.IndexExpr:
-			indexed = true
-			lhs = e.X
-		case *ast.ParenExpr:
-			lhs = e.X
-		case *ast.StarExpr:
-			lhs = e.X
-		default:
-			return "", token.NoPos
-		}
-	}
 }
 
 // isModulePath reports whether path is inside this module.

@@ -10,17 +10,17 @@ import (
 // (per-function allocation, mutation-effect and taint facts plus call
 // edges) are built for every package and exported across package boundaries
 // — JSON vetx facts under `go vet -vettool=`, an in-process table
-// standalone — whether or not this analyzer is selected; hotalloc,
-// sharedstate and detflow consume them. What CallGraph itself reports is
+// standalone — whether or not this analyzer is selected; hotalloc and
+// detflow consume them. What CallGraph itself reports is
 // the integrity of the annotations that parameterize the graph: an unknown
 // //clipvet: directive name (a typo silently disables its check), or a
-// function-level directive (hotpath, tilephase, slab, sink) that is not
+// function-level directive (hotpath, slab, sink) that is not
 // attached to a function declaration and therefore roots nothing.
 var CallGraph = &Analyzer{
 	Name: "callgraph",
 	Doc: "builds the interprocedural function-summary fact layer and lints " +
 		"//clipvet: annotations: unknown directive names and function-level " +
-		"directives (hotpath, tilephase, slab, sink) not attached to a " +
+		"directives (hotpath, slab, sink) not attached to a " +
 		"function declaration",
 	Run: runCallGraph,
 }
@@ -29,14 +29,10 @@ var CallGraph = &Analyzer{
 // the ones that must sit on a function declaration to mean anything.
 var (
 	knownDirectives = map[string]bool{
-		"orderfree": true, "floatorder": true, "hotmap": true, "staged": true,
-		"slabok": true, "allocok": true, "tilephase": true, "hotpath": true,
-		"slab": true, "sink": true, "serial": true,
+		"orderfree": true, "floatorder": true, "hotmap": true, "slabok": true,
+		"allocok": true, "hotpath": true, "slab": true, "sink": true,
 	}
-	funcDirectives = map[string]bool{
-		"tilephase": true, "hotpath": true, "slab": true, "sink": true,
-		"serial": true,
-	}
+	funcDirectives = map[string]bool{"hotpath": true, "slab": true, "sink": true}
 )
 
 func runCallGraph(pass *Pass) error {
@@ -95,8 +91,7 @@ func runCallGraph(pass *Pass) error {
 					pass.Reportf(d.pos,
 						"unknown clipvet directive //clipvet:%s — a typo here silently "+
 							"disables the check it was meant to configure (known: orderfree, "+
-							"floatorder, hotmap, staged, slabok, allocok, tilephase, hotpath, "+
-							"slab, sink, serial)", d.name)
+							"floatorder, hotmap, slabok, allocok, hotpath, slab, sink)", d.name)
 					continue
 				}
 				if funcDirectives[d.name] && !declLines[fname][l] {

@@ -11,8 +11,22 @@ func Misspelled() {}
 //clipvet:hotpath
 func Good() {}
 
-//clipvet:tilephase // want "must be attached to a function declaration"
+//clipvet:slab // want "must be attached to a function declaration"
 var Phase = 3
+
+// tilephase, staged and serial are not directives: an annotation left over
+// from when they were is reported instead of silently doing nothing.
+//
+//clipvet:tilephase // want "unknown clipvet directive"
+func Tile() {}
+
+func staged(m map[string]int) {
+	//clipvet:staged commit-phase code // want "unknown clipvet directive"
+	m["k"]++
+}
+
+//clipvet:serial runs between ticks // want "unknown clipvet directive"
+func Serial() {}
 
 // Function literals claim their declaration lines like named functions do.
 //

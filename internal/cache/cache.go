@@ -450,7 +450,6 @@ func (c *Cache) SkipTick(cycle uint64) {
 // each verdict is re-derived from scratch.
 func (c *Cache) chargeSleepers(n uint64) {
 	if c.wbQ.Len() > 0 {
-		//clipvet:staged only the serially-ticked LLC has DRAM as lower; tile-phase L1/L2 charge the tile-local level below
 		c.staller.Refused(c.wbQ.Front(), n)
 	}
 	switch {
@@ -465,7 +464,6 @@ func (c *Cache) chargeSleepers(n uint64) {
 	case c.headLow.Holds():
 		// down still holds the refused miss: only lookup writes it, and the
 		// blocked head keeps lookup from running.
-		//clipvet:staged only the serially-ticked LLC has DRAM as lower; tile-phase L1/L2 charge the tile-local level below
 		c.staller.Refused(&c.down, n)
 	}
 }
@@ -536,7 +534,6 @@ func (c *Cache) drainWritebacks() {
 		if c.lower == nil {
 			return
 		}
-		//clipvet:staged only the serially-ticked LLC has DRAM as lower; tile-phase L1/L2 drain into the staged l2Lower
 		if !c.lower.Issue(c.wbQ.Front()) {
 			c.wbLow = mem.WatchRefusal(c.staller, c.wbQ.Front())
 			return
@@ -678,7 +675,6 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 	if c.down.Type == mem.Prefetch {
 		c.down.Owned = true // this MSHR now depends on the fill returning
 	}
-	//clipvet:staged only the serially-ticked LLC has DRAM as lower; tile-phase L1/L2 miss into the staged l2Lower
 	if !c.lower.Issue(&c.down) {
 		if req.Type == mem.Prefetch && !req.Owned {
 			c.trace("lower-busy-drop-pf", req)

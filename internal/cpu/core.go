@@ -504,7 +504,6 @@ func (c *Core) SkipCycles(from, n uint64) {
 			"cpu %d: slept on a dry scan window that holds a ready load", c.id)
 	}
 	if c.stall == issueRefused {
-		//clipvet:staged c.port is this core's private L1D (tile-local); interface resolution over-approximates to DRAM.Refused
 		c.staller.Refused(&c.refused, n)
 	}
 	c.stats.Cycles += n
@@ -802,7 +801,6 @@ func (c *Core) issueLoads() {
 			Addr: mem.Addr(c.addrCol[pos]).Line(), IP: c.ipCol[pos], TriggerIP: c.ipCol[pos], Core: c.id,
 			Type: mem.Load, IssueCycle: c.cycle, ROBIndex: pos,
 		}
-		//clipvet:staged c.port is this core's private L1D (tile-local); interface resolution over-approximates to DRAM.Issue
 		if !c.port.Issue(&c.reqBuf) {
 			// L1 saturated: retry next cycle, or sleep until it frees a slot.
 			if c.refusal = mem.WatchRefusal(c.staller, &c.reqBuf); c.refusal.Holds() {
@@ -981,7 +979,6 @@ func (c *Core) dispatchSpan(buf []trace.Instr) (int, uint64) {
 				Addr: ins.Addr.Line(), IP: ins.IP, TriggerIP: ins.IP, Core: c.id,
 				Type: mem.Store, IssueCycle: c.cycle, ROBIndex: -1,
 			}
-			//clipvet:staged c.port is this core's private L1D (tile-local); interface resolution over-approximates to DRAM.Issue
 			c.port.Issue(&c.reqBuf)
 			if c.stall == issueRefused {
 				c.recheckRefusal()

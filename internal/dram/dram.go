@@ -236,11 +236,6 @@ type DRAM struct {
 	everyCycle bool
 	// work counts the scheduler's own effort (SchedulerWork).
 	work SchedulerWork
-
-	// sealed (clipdebug only) marks the shard-parallel tile phase, during
-	// which Issue is forbidden: tile code must stage direct-DRAM reads and
-	// let the commit phase issue them serially.
-	sealed bool
 }
 
 // SchedulerWork counts schedule attempts — queue scans — and the futile ones
@@ -258,14 +253,6 @@ func (d *DRAM) SchedulerWork() SchedulerWork { return d.work }
 // whatever its deadlines say — the strict per-cycle oracle the deadline-gated
 // controller is checked against. Results are identical either way.
 func (d *DRAM) ScanEveryCycle() { d.everyCycle = true }
-
-// Seal marks the start of a tile phase (clipdebug builds): an Issue while
-// sealed panics, proving no tile mutates controller queues concurrently.
-// Release builds never seal.
-func (d *DRAM) Seal() { d.sealed = true }
-
-// Unseal marks the end of a tile phase.
-func (d *DRAM) Unseal() { d.sealed = false }
 
 // New builds the memory system.
 func New(cfg Config) (*DRAM, error) {
@@ -394,11 +381,6 @@ func (d *DRAM) bankRow(addr mem.Addr) (bk int, row int64) {
 //
 //clipvet:hotpath
 func (d *DRAM) Issue(req *mem.Request) bool {
-	if invariant.Enabled {
-		invariant.Check(!d.sealed,
-			"dram: Issue(core %d, %v) during the sealed tile phase; tile code must "+
-				"stage direct reads and let the commit phase issue them", req.Core, req.Type)
-	}
 	ch := d.ChannelOf(req.Addr)
 	c := &d.chans[ch]
 	if req.Type == mem.Writeback {

@@ -40,11 +40,6 @@ type Scale struct {
 	// -skip=off). Reports are byte-identical with skipping on or off; the
 	// escape hatch exists for debugging and perf comparison.
 	NoSkip bool
-	// ShardWorkers parallelizes each simulation's tick across per-core
-	// tiles (clipsim -shard-workers). Reports are byte-identical for any
-	// value. When Workers is defaulted, the engine divides its pool by this
-	// width so Workers x ShardWorkers never oversubscribes the host.
-	ShardWorkers int
 	// WarmFork enables warmup-once-fork-many execution (clipbench
 	// -warmfork): each figure point's variants fork from one checkpointed
 	// warmup image (the mechanism-free canonical warmup, sim.WarmupConfig)
@@ -128,7 +123,6 @@ func template(sc Scale, paperCh int) sim.Config {
 	cfg.WarmupInstr = sc.Warmup
 	cfg.Seed = sc.Seed
 	cfg.DisableSkip = sc.NoSkip
-	cfg.ShardWorkers = sc.ShardWorkers
 	return cfg
 }
 
@@ -273,9 +267,7 @@ func (f *firstErr) get() error {
 }
 
 func newEngine(sc Scale) *engine {
-	// One host-core budget across both parallelism levels: a defaulted
-	// Workers shrinks with the shard width instead of stacking on top of it.
-	e := &engine{sc: sc, pool: runner.NewPool(runner.BudgetedWorkers(sc.Workers, sc.ShardWorkers)),
+	e := &engine{sc: sc, pool: runner.NewPool(sc.Workers),
 		fail: &firstErr{}, runners: map[int]*workload.Runner{}}
 	if sc.WarmFork {
 		e.cache = runner.NewCache()

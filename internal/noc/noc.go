@@ -217,10 +217,6 @@ type Mesh struct {
 
 	// work counts the link walk's own effort (LinkWork).
 	work LinkWork
-
-	// sealed (clipdebug only) marks the shard-parallel tile phase, during
-	// which direct Send calls are forbidden — see Staging.
-	sealed bool
 }
 
 type pendingHop struct {
@@ -389,11 +385,6 @@ func (m *Mesh) inject(id int32) {
 // Send injects a packet. deliver is invoked (during a later Tick) when the
 // packet reaches dst. Zero-hop sends deliver after the router stage.
 func (m *Mesh) Send(src, dst, flits int, high bool, deliver func(cycle uint64)) {
-	if invariant.Enabled {
-		invariant.Check(!m.sealed,
-			"noc: direct Send(%d->%d) during the sealed tile phase; tile code must "+
-				"stage injections and let the commit phase flush them", src, dst)
-	}
 	if flits <= 0 {
 		flits = 1
 	}
@@ -409,9 +400,6 @@ func (m *Mesh) Send(src, dst, flits int, high bool, deliver func(cycle uint64)) 
 // per send.
 func (m *Mesh) SendPayload(src, dst, flits int, high bool, kind uint8, resp *mem.Response) {
 	if invariant.Enabled {
-		invariant.Check(!m.sealed,
-			"noc: direct SendPayload(%d->%d) during the sealed tile phase; tile code "+
-				"must stage injections and let the commit phase flush them", src, dst)
 		invariant.Check(m.onDeliver != nil,
 			"noc: SendPayload(%d->%d) with no OnDeliver handler registered", src, dst)
 	}

@@ -42,28 +42,6 @@ func NewPool(workers int) *Pool {
 // Workers returns the concurrency bound.
 func (p *Pool) Workers() int { return cap(p.sem) }
 
-// BudgetedWorkers resolves a run-level worker count against a per-simulation
-// shard-worker count so the two levels of parallelism share one host-core
-// budget. An explicit workers request is honoured as-is (the caller opted
-// in); a defaulted one (<= 0) yields GOMAXPROCS divided by the shard width,
-// so Workers x ShardWorkers never oversubscribes the host. Without this cap,
-// defaulted settings stack multiplicatively — the PR 1 pathology of eight
-// concurrent simulation heaps thrashing one core's cache and GC, now
-// amplified by shard goroutines inside each simulation.
-func BudgetedWorkers(workers, shardWorkers int) int {
-	if workers > 0 {
-		return workers
-	}
-	if shardWorkers < 1 {
-		shardWorkers = 1
-	}
-	w := runtime.GOMAXPROCS(0) / shardWorkers
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Go submits a job. It never blocks the caller.
 func (p *Pool) Go(f func()) {
 	p.wg.Add(1)

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,34 +37,6 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 func TestPoolDefaultWorkers(t *testing.T) {
 	if NewPool(0).Workers() < 1 {
 		t.Fatal("defaulted pool has no workers")
-	}
-}
-
-// TestBudgetedWorkers is the oversubscription regression test: when both
-// the run-level worker count and the per-simulation shard width are
-// defaulted, their product must not exceed GOMAXPROCS.
-func TestBudgetedWorkers(t *testing.T) {
-	maxprocs := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		workers, shard, want int
-	}{
-		{workers: 8, shard: 4, want: 8}, // explicit request honoured as-is
-		{workers: 1, shard: 64, want: 1},
-		{workers: 0, shard: 0, want: maxprocs},
-		{workers: 0, shard: 1, want: maxprocs},
-		{workers: 0, shard: maxprocs * 2, want: 1}, // never below one worker
-	}
-	for _, c := range cases {
-		if got := BudgetedWorkers(c.workers, c.shard); got != c.want {
-			t.Errorf("BudgetedWorkers(%d, %d) = %d, want %d",
-				c.workers, c.shard, got, c.want)
-		}
-	}
-	for shard := 1; shard <= maxprocs; shard++ {
-		if got := BudgetedWorkers(0, shard); got*shard > maxprocs {
-			t.Errorf("defaulted budget %d x shard %d oversubscribes GOMAXPROCS %d",
-				got, shard, maxprocs)
-		}
 	}
 }
 

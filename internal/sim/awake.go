@@ -42,7 +42,7 @@ func (w WakeSource) String() string {
 // machine. It is not part of Result, of a snapshot image or of any digest.
 type SelfStats struct {
 	Ticks                uint64 // System.Tick calls
-	TileVisits           uint64 // tiles the tile phase walked
+	TileVisits           uint64 // tiles the tile walk visited
 	TileVisitsCoreTicked uint64 // ...of which the core took a real Tick
 	SliceVisits          uint64 // LLC slices the serial tail walked
 	GlobalSkips          uint64 // jumps of the global clock
@@ -76,8 +76,8 @@ func (s *System) SelfStats() SelfStats {
 // carved from one slab (carveColumns).
 type awakeSets struct {
 	// tiles and slices are the awake bitmaps; dramQ marks tiles with a
-	// non-empty direct-DRAM queue, which the commit phase drains whether or
-	// not the tile is awake.
+	// non-empty direct-DRAM queue, which the tile walk drains whether or not
+	// the tile is awake.
 	tiles, slices, dramQ []uint64
 	// tileNext[i] / sliceNext[i] is a sleeper's own deadline — the earliest
 	// cycle one of its components has work with nobody else acting — and
@@ -165,10 +165,8 @@ func (s *System) markDramQ(i int) {
 
 // tileHorizon folds tile i's component horizons: the earliest cycle >= now
 // at which its core, translation port, prefetch queue, L1D or L2 has work.
-// The direct-DRAM queue is not part of it — the commit phase drains that
-// queue every cycle on the tile's behalf.
-//
-//clipvet:tilephase
+// The direct-DRAM queue is not part of it — the tile walk drains that queue
+// every cycle whether or not the tile is awake.
 func (s *System) tileHorizon(i int, now uint64) uint64 {
 	h := s.coreNext[i]
 	if h <= now || s.cores[i].Woken() {
@@ -275,8 +273,6 @@ func settleCache(c *cache.Cache, owed, upTo uint64) {
 // settleAll charges every sleeper through the last simulated cycle. Whoever
 // reads clocks or bulk-charged counters from outside the loop calls it
 // first; settling twice is a no-op.
-//
-//clipvet:serial runs between ticks
 func (s *System) settleAll() {
 	if !s.skip {
 		return

@@ -22,9 +22,8 @@ func runSelf(t *testing.T, cfg Config) ([]byte, SelfStats) {
 // TestAwakeProgressMesh64 is the host-independent statement of what active-set
 // ticking buys: on the 64-core arm the skipping loop visits at most a quarter
 // of the tile-cycles it simulates (the strict loop visits all of them, and
-// so did the skipping loop while it asked every tile NextEvent), ticks the
-// same cores whether the tile phase is sharded or not, and every report is
-// byte-identical.
+// so did the skipping loop while it asked every tile NextEvent), and the two
+// reports are byte-identical.
 func TestAwakeProgressMesh64(t *testing.T) {
 	cfg := mesh64Arm()
 	cores := uint64(len(cfg.Workload))
@@ -54,15 +53,6 @@ func TestAwakeProgressMesh64(t *testing.T) {
 	if on.Wakes[WakeMesh] == 0 || on.Wakes[WakeDRAMFill] == 0 || on.Wakes[WakeTimed] == 0 {
 		t.Errorf("a wake source never fired: %+v", on)
 	}
-
-	cfg.DisableSkip, cfg.ShardWorkers = false, 3
-	shardJSON, shard := runSelf(t, cfg)
-	if !bytes.Equal(onJSON, shardJSON) {
-		t.Fatalf("serial and sharded reports differ: %s", firstDiff(onJSON, shardJSON))
-	}
-	if shard != on {
-		t.Errorf("sharding changed what the loop did:\n serial:  %+v\n sharded: %+v", on, shard)
-	}
 }
 
 // TestAwakeTickDirect drives Tick alone — no Step, so no jump of the global
@@ -75,7 +65,7 @@ func TestAwakeTickDirect(t *testing.T) {
 			t.Parallel()
 			var reports [2][]byte
 			for k, noskip := range []bool{false, true} {
-				cfg.DisableSkip, cfg.ShardWorkers = noskip, 0
+				cfg.DisableSkip = noskip
 				s, err := NewSystem(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -84,7 +74,6 @@ func TestAwakeTickDirect(t *testing.T) {
 					s.Tick()
 				}
 				res := s.collect()
-				s.Close()
 				if reports[k], err = json.Marshal(res); err != nil {
 					t.Fatal(err)
 				}
@@ -117,9 +106,14 @@ func (s *System) asleepOwing() (tiles, slices int) {
 func TestCheckpointAsleepAtSave(t *testing.T) {
 	for _, arm := range []string{"mesh64", "mesh16-1ch"} {
 		cfg := skipMatrix()[arm]
-		for _, shard := range []int{0, 4} {
-			cfg.ShardWorkers = shard
-			t.Run(fmt.Sprintf("%s/shard%d", arm, shard), func(t *testing.T) {
+		// Two seeds; the subtest names date from when the second arm ran seed
+		// 1 on four shard workers.
+		for _, seeded := range []struct {
+			label string
+			seed  uint64
+		}{{"shard0", 1}, {"shard4", 2}} {
+			cfg.Seed = seeded.seed
+			t.Run(arm+"/"+seeded.label, func(t *testing.T) {
 				t.Parallel()
 				refJSON, _ := runSelf(t, cfg)
 				finish := func(s *System) []byte {
@@ -135,7 +129,6 @@ func TestCheckpointAsleepAtSave(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer s.Close()
 				maxCycles := s.MaxCycles()
 				saves := 0
 				for iter := 1; s.Step(maxCycles); iter++ {
@@ -173,7 +166,6 @@ func TestCheckpointAsleepAtSave(t *testing.T) {
 						t.Fatalf("save after load differs from the image (err=%v)", err)
 					}
 					got := finish(r)
-					r.Close()
 					if !bytes.Equal(refJSON, got) {
 						t.Fatalf("restored at cycle %d diverges: %s", s.cycle, firstDiff(refJSON, got))
 					}
@@ -221,7 +213,7 @@ func (s *System) tileCountersOf(i int) tileCounters {
 // loop's. Every wake source must be seen, and for DRAM dequeues both a parked
 // LLC head and a parked writeback, a slice that found room at its turn and
 // one that found the queue full again and slept on. The direct-DRAM queue's
-// head is never asleep — the commit phase retries it every cycle — so its
+// head is never asleep — the tile walk retries it every cycle — so its
 // refusals are counted by the retries themselves; the arm must still produce
 // them.
 func TestAwakeWakeSettles(t *testing.T) {
@@ -230,11 +222,11 @@ func TestAwakeWakeSettles(t *testing.T) {
 		arm := arm
 		t.Run(arm.name, func(t *testing.T) {
 			t.Parallel()
-			skip, err := arm.build(false, 0)()
+			skip, err := arm.build(false)()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := arm.build(true, 0)()
+			ref, err := arm.build(true)()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,7 +341,6 @@ func TestAwakeStallDiagnosis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	check := func(diagnosis string) {
 		t.Helper()
 		for _, want := range []string{"no component has work", "4 of 4 cores have not finished", "core 0:", "rob="} {
@@ -398,7 +389,6 @@ func TestAwakeProgressWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.dram.OnResponse(func(r *mem.Response) {
 		if r.Req.Core != 0 {
 			s.dramPending.Push(s.dram.ChannelOf(r.Req.Addr), r)

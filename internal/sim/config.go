@@ -111,16 +111,6 @@ type Config struct {
 	// measuring the skip machinery itself.
 	DisableSkip bool
 
-	// ShardWorkers parallelizes the tile phase of System.Tick across this
-	// many host goroutines (0 or 1 = inline serial). Each cycle, per-core
-	// tiles (core, port, L1D, L2, front-end and per-core mechanisms) tick
-	// concurrently with every cross-tile side effect routed into per-tile
-	// staging buffers; the commit phase then replays the staged effects in
-	// ascending core index — the exact order of the serial loop — so results
-	// are byte-identical for any value (enforced by the shard-equivalence
-	// tests). Values above the core count are clamped to it.
-	ShardWorkers int
-
 	Seed uint64
 }
 
@@ -182,9 +172,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Channels <= 0 {
 		return fmt.Errorf("sim: no DRAM channels")
-	}
-	if c.ShardWorkers < 0 {
-		return fmt.Errorf("sim: negative ShardWorkers %d", c.ShardWorkers)
 	}
 	if err := c.CPU.Validate(); err != nil {
 		return err

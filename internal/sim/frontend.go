@@ -27,8 +27,6 @@ type delayedReq struct {
 }
 
 // Issue implements cpu.MemoryPort.
-//
-//clipvet:tilephase
 func (p *corePort) Issue(req *mem.Request) bool {
 	if p.tlbs == nil {
 		return p.s.l1d[p.core].Issue(req)
@@ -48,8 +46,6 @@ func (p *corePort) Issue(req *mem.Request) bool {
 // StallEpoch implements mem.Staller: Issue(req) is a pure refusal exactly
 // when the translation hits the DTLB (so nothing is installed or delayed)
 // and the L1D's queue refuses the access.
-//
-//clipvet:tilephase
 func (p *corePort) StallEpoch(req *mem.Request) *uint64 {
 	if p.tlbs != nil && !p.tlbs.DTLBResident(req.Addr) {
 		return nil
@@ -58,8 +54,6 @@ func (p *corePort) StallEpoch(req *mem.Request) *uint64 {
 }
 
 // Refused implements mem.Staller: every refused retry re-translated first.
-//
-//clipvet:tilephase
 func (p *corePort) Refused(req *mem.Request, n uint64) {
 	if p.tlbs != nil {
 		p.tlbs.RepeatHits(req.Addr, n)
@@ -92,8 +86,6 @@ func (p *corePort) NextEvent(now uint64) uint64 {
 // Tick retries matured translations. Against a full L1D queue every retry
 // is refused and the queue is rewritten unchanged, so the skipping loop
 // does not walk it.
-//
-//clipvet:tilephase
 func (p *corePort) Tick(cycle uint64) {
 	if len(p.pending) == 0 || (p.s.skip && p.s.l1d[p.core].Full()) {
 		return

@@ -125,8 +125,6 @@ func basePrefetcher(p prefetch.Prefetcher) prefetch.Prefetcher {
 
 // onAccess handles a demand access at the prefetcher attach level: CLIP
 // observation, PPF feedback, prefetcher training and candidate filtering.
-//
-//clipvet:tilephase
 func (s *System) onAccess(i int, attach *cache.Cache, ev *cache.AccessEvent) {
 	if s.clip != nil {
 		s.clip[i].OnAccess(ev.Req.Addr, ev.Hit, ev.Cycle)
@@ -204,8 +202,6 @@ func (s *System) onAccess(i int, attach *cache.Cache, ev *cache.AccessEvent) {
 }
 
 // onLoadComplete trains every attached mechanism with a finished load.
-//
-//clipvet:tilephase
 func (s *System) onLoadComplete(i int, ev *cpu.LoadEvent) {
 	if s.clip != nil {
 		s.clip[i].OnLoadComplete(ev)
@@ -231,8 +227,6 @@ func (s *System) onLoadComplete(i int, ev *cpu.LoadEvent) {
 }
 
 // onRetire feeds retire-stream predictors.
-//
-//clipvet:tilephase
 func (s *System) onRetire(i int, ev *cpu.RetireEvent) {
 	if s.critPred != nil {
 		s.critPred[i].OnRetire(ev)

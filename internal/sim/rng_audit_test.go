@@ -73,7 +73,6 @@ func TestRNGAuditRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	maxCycles := s.MaxCycles()
 	for i := 0; i < 2000 && s.Step(maxCycles); i++ {
 	}
@@ -90,7 +89,6 @@ func TestRNGAuditRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fresh.Close()
 	pristine := prngStates(reflect.ValueOf(fresh))
 	if err := fresh.LoadState(image); err != nil {
 		t.Fatal(err)

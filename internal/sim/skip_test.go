@@ -80,14 +80,14 @@ func skipMatrix() map[string]Config {
 	sh.Hermes = true // refused L1→L2 loads must keep polling; the rest sleeps
 	m["stall-hermes"] = sh
 
-	rq := withCLIP(stallBase(stallMix8)) // eight cores fill the 64-entry read queue
-	rq.ShardWorkers = 4
-	m["stall-rq-shard4"] = rq
+	// Eight cores fill the 64-entry read queue. (The arm once also ran on four
+	// shard workers; its name is what the equivalence matrices print.)
+	m["stall-rq-shard4"] = withCLIP(stallBase(stallMix8))
 
 	// Many-core arms: most tiles and LLC slices are asleep on most cycles, so
 	// these are the ones that exercise the awake sets, the lazy settling and
-	// every wake source at scale (a bitmap word shared by several shard
-	// workers, slices parked on a dequeue of the one saturated channel).
+	// every wake source at scale (slices parked on a dequeue of the one
+	// saturated channel).
 	m["mesh64"] = mesh64Arm()
 	m["mesh16-1ch"] = mesh16Arm()
 
@@ -180,6 +180,28 @@ func runSkipPair(t *testing.T, cfg Config) (on, off *Result, onJSON, offJSON []b
 	return on, off, onJSON, offJSON
 }
 
+// checkSkipEquivalent runs cfg with skipping on and off, fails unless both
+// runs finish with the same bulk-charged counters, Result and report bytes,
+// and returns those counters.
+func checkSkipEquivalent(t *testing.T, cfg Config) stallCounters {
+	t.Helper()
+	on, off, onJSON, offJSON := runSkipPair(t, cfg)
+	if !on.Finished || !off.Finished {
+		t.Fatalf("run did not finish (on=%v off=%v)", on.Finished, off.Finished)
+	}
+	sc := stallCountersOf(on)
+	if b := stallCountersOf(off); sc != b {
+		t.Errorf("bulk-charged counters diverge:\nskip on:  %+v\nskip off: %+v", sc, b)
+	}
+	if !reflect.DeepEqual(on, off) {
+		t.Errorf("results diverge between skip modes")
+	}
+	if string(onJSON) != string(offJSON) {
+		t.Fatalf("reports not byte-identical: %s", firstDiff(onJSON, offJSON))
+	}
+	return sc
+}
+
 // TestSkipEquivalenceMatrix is the determinism contract for event-horizon
 // cycle skipping: for every mechanism combination, the full Result — cycle
 // counts, per-core stats, cache/NoC/DRAM counters, energy, predictor scores
@@ -190,24 +212,10 @@ func TestSkipEquivalenceMatrix(t *testing.T) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			on, off, onJSON, offJSON := runSkipPair(t, cfg)
-			if !on.Finished || !off.Finished {
-				t.Fatalf("run did not finish (on=%v off=%v)", on.Finished, off.Finished)
-			}
-			sc := stallCountersOf(on)
-			if b := stallCountersOf(off); sc != b {
-				t.Errorf("bulk-charged counters diverge:\nskip on:  %+v\nskip off: %+v", sc, b)
-			}
+			sc := checkSkipEquivalent(t, cfg)
 			if strings.HasPrefix(name, "stall-") && (sc.L1MSHRFull == 0 || sc.TLBAccesses == 0 ||
 				(name == "stall-rq-shard4" && sc.RQFull == 0)) || (name == "mesh16-1ch" && sc.RQFull == 0) {
 				t.Errorf("arm is no longer stall-heavy: %+v", sc)
-			}
-			if !reflect.DeepEqual(on, off) {
-				t.Errorf("results diverge between skip modes")
-			}
-			if string(onJSON) != string(offJSON) {
-				t.Fatalf("reports not byte-identical:\nskip on:  %s\nskip off: %s",
-					firstDiff(onJSON, offJSON), "(see above)")
 			}
 		})
 	}
@@ -225,6 +233,23 @@ func TestSkipEquivalenceSeeds(t *testing.T) {
 				t.Fatalf("seed %d diverges: %s", seed, firstDiff(onJSON, offJSON))
 			}
 		})
+	}
+}
+
+// TestShardEquivalenceMatrix is TestSkipEquivalenceMatrix across two seeds:
+// every mechanism combination of the skip matrix must report the same bytes
+// with skipping on and off whatever the initial state. (It used to carry
+// shard-worker arms as well, hence the name.)
+func TestShardEquivalenceMatrix(t *testing.T) {
+	for name, cfg := range skipMatrix() {
+		for seed := uint64(1); seed <= 2; seed++ {
+			cfg := cfg
+			cfg.Seed = seed
+			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
+				t.Parallel()
+				checkSkipEquivalent(t, cfg)
+			})
+		}
 	}
 }
 

@@ -40,9 +40,8 @@ var ErrConfigMismatch = errors.New("sim: snapshot was taken under an incompatibl
 
 // stateFingerprint captures every configuration field that shapes serialized
 // state geometry or the deterministic input stream. Mechanism choices are
-// deliberately absent (they live in skippable sections), as are the execution
-// modes (DisableSkip, ShardWorkers) whose results are byte-identical by the
-// equivalence tests.
+// deliberately absent (they live in skippable sections), as is DisableSkip,
+// whose results are byte-identical by the equivalence tests.
 func (c *Config) stateFingerprint() string {
 	return fmt.Sprintf("w=%v i=%d wu=%d cpu=%+v div=%d l1d=%+v l2=%+v llc=%+v ch=%d tr=%d tlb=%t l1i=%t norefresh=%t seed=%d",
 		c.Workload, c.InstrPerCore, c.WarmupInstr, c.CPU, c.ScaleDivisor,
@@ -76,8 +75,6 @@ func (s *System) mechs() mechSet {
 }
 
 // SaveState serializes the system's complete dynamic state.
-//
-//clipvet:serial runs only between ticks, never during the tile phase
 func (s *System) SaveState() ([]byte, error) {
 	// The image holds every component's clock and counters as of the last
 	// simulated cycle, which sleepers have not been charged up to yet.
@@ -142,8 +139,6 @@ func (s *System) imageSizeHint() int {
 // NewSystem under a configuration with the same state fingerprint. Mechanism
 // sections restore only into a matching mechanism; mismatched sections are
 // skipped and the receiver's mechanism starts cold (the warm-fork contract).
-//
-//clipvet:serial runs only between ticks, never during the tile phase
 func (s *System) LoadState(data []byte) error {
 	r, err := snapshot.NewReader(data)
 	if err != nil {
@@ -316,7 +311,7 @@ func (s *System) saveBase(w *snapshot.Writer) {
 		})
 	}
 	for i := range s.stage {
-		mem.SaveRing(w, &s.stage[i].dramQ, func(e *stagedRead) {
+		mem.SaveRing(w, &s.stage[i].dramQ, func(e *directRead) {
 			mem.SaveRequest(w, &e.req)
 			w.Bool(e.bypass)
 		})
@@ -404,7 +399,7 @@ func (s *System) loadBase(r *snapshot.Reader) {
 		})
 	}
 	for i := range s.stage {
-		mem.LoadRing(r, &s.stage[i].dramQ, func(e *stagedRead) {
+		mem.LoadRing(r, &s.stage[i].dramQ, func(e *directRead) {
 			mem.LoadRequest(r, &e.req)
 			e.bypass = r.Bool()
 		})

@@ -20,7 +20,7 @@ var updateSoA = flag.Bool("update-soa", false, "rewrite the pre-SoA golden refer
 // soaMatrix is the equivalence matrix of the SoA refactor: four mechanism
 // configs (CLIP, Hermes, fdp throttler, heterogeneous TLB+DSPatch) crossed
 // with two seeds. Each cell must reproduce its golden fixture byte-for-byte
-// under {skip, noskip} x {serial, shard4}.
+// with skipping on and off.
 func soaMatrix() []struct {
 	name string
 	cfg  Config
@@ -51,13 +51,10 @@ func soaMatrix() []struct {
 // soaArms are the execution modes every golden must be reproduced under.
 var soaArms = []struct {
 	name   string
-	shard  int
 	noskip bool
 }{
-	{"serial-skip", 0, false},
-	{"serial-noskip", 0, true},
-	{"shard4-skip", 4, false},
-	{"shard4-noskip", 4, true},
+	{"skip", false},
+	{"noskip", true},
 }
 
 // TestSoAGoldenReference pins the simulator's figure outputs to the pre-SoA
@@ -76,7 +73,6 @@ func TestSoAGoldenReference(t *testing.T) {
 			}
 			for _, arm := range soaArms {
 				cfg := m.cfg
-				cfg.ShardWorkers = arm.shard
 				cfg.DisableSkip = arm.noskip
 				res := mustRun(t, cfg)
 				if !res.Finished {

@@ -12,7 +12,7 @@ import (
 // fill within a few thousand instructions on four cores. No Config field
 // sizes the controller queues, so these arms build their systems through
 // newSystem with a shrunken dram.Config, and carry their own copies of the
-// skip, shard and checkpoint equivalence checks.
+// skip and checkpoint equivalence checks.
 
 // tightArm is one stall-heavy configuration with explicit controller queues.
 type tightArm struct {
@@ -42,9 +42,9 @@ func tightArms() []tightArm {
 }
 
 // build returns a fresh system for the arm under the given execution mode.
-func (a tightArm) build(noskip bool, shard int) func() (*System, error) {
+func (a tightArm) build(noskip bool) func() (*System, error) {
 	cfg := a.cfg
-	cfg.DisableSkip, cfg.ShardWorkers = noskip, shard
+	cfg.DisableSkip = noskip
 	d := cfg.dramConfig()
 	d.RQ, d.WQ = a.rq, a.wq
 	return func() (*System, error) { return newSystem(cfg, d) }
@@ -58,7 +58,6 @@ func runBuilt(t *testing.T, build func() (*System, error)) (*Result, []byte, Sel
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.runLoop(s.MaxCycles())
 	res := s.collect()
 	if !res.Finished {
@@ -74,42 +73,36 @@ func runBuilt(t *testing.T, build func() (*System, error)) (*Result, []byte, Sel
 // TestStallSkipShardTightQueues: with controller queues of a handful of
 // entries every stall site fires constantly — including the write queue's —
 // and the result must not depend on whether stalled components sleep (skip)
-// or poll (noskip), serially or on four shard workers. It also shows the
-// sleep engaging in a whole system: the per-cycle loop ticks every core every
-// cycle, the skipping loop only when something a core waits for has
-// happened. (That a sleeping cache head performs no lookup and a refused core
-// no Issue is pinned exactly, with counting stubs, in internal/cache and
-// internal/cpu.)
+// or poll (noskip). It also shows the sleep engaging in a whole system: the
+// per-cycle loop ticks every core every cycle, the skipping loop only when
+// something a core waits for has happened. (That a sleeping cache head
+// performs no lookup and a refused core no Issue is pinned exactly, with
+// counting stubs, in internal/cache and internal/cpu. The name dates from
+// when the test also ran on four shard workers.)
 func TestStallSkipShardTightQueues(t *testing.T) {
 	for _, arm := range tightArms() {
 		arm := arm
 		t.Run(arm.name, func(t *testing.T) {
 			t.Parallel()
-			ref, refJSON, refSelf := runBuilt(t, arm.build(false, 0))
+			ref, refJSON, refSelf := runBuilt(t, arm.build(false))
 			refTicks := refSelf.TileVisitsCoreTicked
 			sc := stallCountersOf(ref)
 			if sc.L1MSHRFull == 0 || sc.RQFull == 0 || sc.WQFull == 0 || sc.TLBAccesses == 0 {
 				t.Fatalf("arm is not stall-heavy: %+v", sc)
 			}
-			for _, mode := range []struct {
-				noskip bool
-				shard  int
-			}{{true, 0}, {false, 4}, {true, 4}} {
-				res, data, self := runBuilt(t, arm.build(mode.noskip, mode.shard))
-				ticks := self.TileVisitsCoreTicked
-				label := fmt.Sprintf("noskip=%t shard=%d", mode.noskip, mode.shard)
-				// Cycles counts from the warmup barrier and the loop also ran
-				// the warmup, so per-cycle ticking is at least cycles x cores.
-				if cores := len(arm.cfg.Workload); mode.noskip && (ticks < res.Cycles*uint64(cores) || refTicks*2 > ticks) {
-					t.Errorf("%s: stalled cores still poll under skipping: %d core Ticks vs %d per-cycle (%d measured cycles, %d cores)",
-						label, refTicks, ticks, res.Cycles, cores)
-				}
-				if got := stallCountersOf(res); got != sc {
-					t.Errorf("%s: bulk-charged counters diverge from serial skip:\n got:  %+v\n want: %+v", label, got, sc)
-				}
-				if !bytes.Equal(refJSON, data) {
-					t.Fatalf("%s: report not byte-identical to serial skip: %s", label, firstDiff(refJSON, data))
-				}
+			res, data, self := runBuilt(t, arm.build(true))
+			ticks := self.TileVisitsCoreTicked
+			// Cycles counts from the warmup barrier and the loop also ran
+			// the warmup, so per-cycle ticking is at least cycles x cores.
+			if cores := len(arm.cfg.Workload); ticks < res.Cycles*uint64(cores) || refTicks*2 > ticks {
+				t.Errorf("stalled cores still poll under skipping: %d core Ticks vs %d per-cycle (%d measured cycles, %d cores)",
+					refTicks, ticks, res.Cycles, cores)
+			}
+			if got := stallCountersOf(res); got != sc {
+				t.Errorf("bulk-charged counters diverge between skip modes:\n skip:   %+v\n noskip: %+v", sc, got)
+			}
+			if !bytes.Equal(refJSON, data) {
+				t.Fatalf("noskip report not byte-identical to skip: %s", firstDiff(refJSON, data))
 			}
 		})
 	}
@@ -120,15 +113,17 @@ func TestStallSkipShardTightQueues(t *testing.T) {
 // after restore and carries on exactly like the uninterrupted run.
 func TestStallCheckpointTightQueues(t *testing.T) {
 	for _, arm := range tightArms() {
+		// The shard element of the subtest names is a fixed label from when the
+		// skip/0.5 point also ran on four shard workers.
 		for _, mode := range []struct {
 			noskip bool
-			shard  int
+			label  string
 			frac   float64
-		}{{false, 0, 0.3}, {false, 0, 0.7}, {false, 4, 0.5}, {true, 0, 0.5}} {
+		}{{false, "shard0", 0.3}, {false, "shard0", 0.7}, {false, "shard4", 0.5}, {true, "shard0", 0.5}} {
 			arm, mode := arm, mode
-			t.Run(fmt.Sprintf("%s/skip=%t/shard%d/frac=%v", arm.name, !mode.noskip, mode.shard, mode.frac), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/skip=%t/%s/frac=%v", arm.name, !mode.noskip, mode.label, mode.frac), func(t *testing.T) {
 				t.Parallel()
-				ref, got, refJSON, gotJSON := runSplitRestoredWith(t, arm.build(mode.noskip, mode.shard), mode.frac)
+				ref, got, refJSON, gotJSON := runSplitRestoredWith(t, arm.build(mode.noskip), mode.frac)
 				if a, b := stallCountersOf(ref), stallCountersOf(got); a != b {
 					t.Errorf("bulk-charged counters diverge after restore:\n straight: %+v\n restored: %+v", a, b)
 				}

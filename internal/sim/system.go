@@ -92,13 +92,8 @@ type System struct {
 	// throttler is configured).
 	nextThrottle uint64
 
-	// stage holds one staging buffer per tile: the tile phase writes its own
-	// entry only, and the commit phase drains them in ascending core index
-	// (tile.go / commit.go).
+	// stage holds each tile's direct-DRAM queue (tile.go).
 	stage []tileStage
-	// pool runs the tile phase on ShardWorkers goroutines; nil ticks tiles
-	// inline (the serial mode — same code path, same staging).
-	pool *shardPool
 
 	// self counts the loop's own work (SelfStats); stall is the diagnosis of
 	// a run in which no component can ever act again (skipAhead); imageLen is
@@ -159,7 +154,6 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	// DRAM responses are held until their DoneCycle, then routed to the
 	// owning LLC slice (or to L1 directly for Hermes bypass loads).
 	s.dram.OnResponse(func(r *mem.Response) {
-		//clipvet:staged fires inside DRAM.Tick, in the serial tail
 		s.dramPending.Push(s.dram.ChannelOf(r.Req.Addr), r)
 	})
 
@@ -180,7 +174,6 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 		// LLC responses travel the mesh back to the requesting core's L2 as
 		// payload packets (kind pktLLCResp).
 		llc.OnResponse(func(r *mem.Response) {
-			//clipvet:staged fires inside the LLC's serial commit-phase Tick
 			s.mesh.SendPayload(i, r.Req.Core, noc.FlitsPerData, s.packetHigh(&r.Req), pktLLCResp, r)
 		})
 		s.llc = append(s.llc, llc)
@@ -281,15 +274,11 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 		return nil, err
 	}
 
-	// Size every per-tile buffer up front so the steady-state tile phase
-	// stages without allocating: NoC injections are bounded by the L2's
-	// per-cycle issue capability, the direct-DRAM queue by directDRAMDepth,
-	// and the retry/prefetch rings by their drain rates.
-	for i := range s.stage {
-		s.stage[i].sends.Grow(32)
-		s.stage[i].dramQ.Grow(directDRAMDepth)
-	}
+	// Size every per-tile buffer up front so the steady-state loop does not
+	// allocate: the direct-DRAM queue is bounded by directDRAMDepth, the
+	// retry/prefetch rings by their drain rates.
 	for i := 0; i < n; i++ {
+		s.stage[i].dramQ.Grow(directDRAMDepth)
 		s.llcRetry[i].Grow(16)
 		s.pfQ[i].Grow(64)
 	}
@@ -301,35 +290,19 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	} else {
 		s.dram.ScanEveryCycle()
 	}
-	for i, c := range s.cores {
-		i := i
-		// A core finishing its budget fires during the (possibly concurrent)
-		// tile phase; the delta folds into s.finished at commit.
-		c.OnFinished(func() { s.stage[i].finished++ })
+	onFinished := func() { s.finished++ }
+	for _, c := range s.cores {
+		c.OnFinished(onFinished)
 	}
 	if s.throttler != nil {
 		s.nextThrottle = s.throttleEpoch()
 	}
-	if w := cfg.ShardWorkers; w > 1 {
-		if w > n {
-			w = n
-		}
-		if w > 1 {
-			s.pool = newShardPool(s, w)
-		}
-	}
 	return s, nil
 }
 
-// Close releases the shard-worker goroutines (a no-op for serial systems).
-// Run closes the system itself; callers driving Tick directly on a
-// ShardWorkers system should defer it.
-func (s *System) Close() {
-	if s.pool != nil {
-		s.pool.stop()
-		s.pool = nil
-	}
-}
+// Close does nothing: a System holds no goroutine, file or other resource to
+// release. It stays because bench/ calls it.
+func (s *System) Close() {}
 
 // throttleEpoch returns the throttler epoch length.
 func (s *System) throttleEpoch() uint64 {
@@ -359,7 +332,7 @@ func (s *System) onMeshDeliver(kind uint8, dst int, r *mem.Response, cycle uint6
 	switch kind {
 	case pktLLCResp:
 		r.DoneCycle = cycle
-		s.wakeTile(dst, cycle+1, WakeMesh) // the tile phase of this cycle is over
+		s.wakeTile(dst, cycle+1, WakeMesh) // the tile walk of this cycle is over
 		s.l2[dst].Fill(r)
 	default: // pktLLCReq
 		s.wakeSlice(dst, cycle, WakeMesh) // the slices tick after the mesh
@@ -389,16 +362,11 @@ type l2Lower struct {
 	core int
 }
 
-// Issue implements cache.Lower. It runs in the tile phase, so the injection
-// is staged in the tile's buffer and reaches the mesh at commit time — in
-// the same ascending-core order the serial loop injected directly.
-//
-//clipvet:tilephase
+// Issue implements cache.Lower: the mesh never refuses an injection.
 func (l *l2Lower) Issue(req *mem.Request) bool {
 	s := l.s
-	slice := s.sliceOf(req.Addr)
 	resp := mem.Response{Req: *req}
-	s.stage[l.core].sends.SendPayload(l.core, slice, noc.FlitsPerAddr, s.packetHigh(req), pktLLCReq, &resp)
+	s.mesh.SendPayload(l.core, s.sliceOf(req.Addr), noc.FlitsPerAddr, s.packetHigh(req), pktLLCReq, &resp)
 	return true
 }
 
@@ -408,13 +376,10 @@ type l1Lower struct {
 	core int
 }
 
-// Issue implements cache.Lower. It runs in the tile phase: the Hermes
-// bypass stages its direct-DRAM read in the tile's queue (issued to the
-// controller at commit time, in core order) instead of mutating the shared
-// controller mid-phase. A full staging queue backpressures the L1 miss path
-// the way a full DRAM read queue did when the bypass issued synchronously.
-//
-//clipvet:tilephase
+// Issue implements cache.Lower. The Hermes bypass puts its direct-DRAM read in
+// the tile's queue, which tickTiles offers to the controller once the tile
+// has ticked; a full queue backpressures the L1 miss path the way a full DRAM
+// read queue does.
 func (l *l1Lower) Issue(req *mem.Request) bool {
 	s := l.s
 	if h := s.hermesFor(l.core); h != nil && req.Type == mem.Load {
@@ -422,12 +387,12 @@ func (l *l1Lower) Issue(req *mem.Request) bool {
 			slice := s.sliceOf(req.Addr)
 			st := &s.stage[l.core]
 			if !s.l2[l.core].Probe(req.Addr) && !s.llc[slice].Probe(req.Addr) {
-				// True off-chip: stage the DRAM access, skipping the on-chip
+				// True off-chip: queue the DRAM access, skipping the on-chip
 				// walk (the paper's latency saving).
 				if st.dramQ.Len() >= directDRAMDepth {
 					return false
 				}
-				st.dramQ.Push(stagedRead{req: *req, bypass: true})
+				st.dramQ.Push(directRead{req: *req, bypass: true})
 				return true
 			}
 			// Mispredicted probe: the real Hermes would have burned a DRAM
@@ -436,7 +401,7 @@ func (l *l1Lower) Issue(req *mem.Request) bool {
 			waste.Type = mem.Prefetch
 			waste.ROBIndex = -1
 			if st.dramQ.Len() < directDRAMDepth {
-				st.dramQ.Push(stagedRead{req: waste})
+				st.dramQ.Push(directRead{req: waste})
 			}
 		}
 	}
@@ -446,8 +411,6 @@ func (l *l1Lower) Issue(req *mem.Request) bool {
 // StallEpoch implements mem.Staller. Under Hermes a refused load must keep
 // retrying: every retry re-runs PredictOffChip and may push another waste
 // read, which no bulk charge reproduces. Everything else is the L2's call.
-//
-//clipvet:tilephase
 func (l *l1Lower) StallEpoch(req *mem.Request) *uint64 {
 	if req.Type == mem.Load && l.s.hermesFor(l.core) != nil {
 		return nil
@@ -456,8 +419,6 @@ func (l *l1Lower) StallEpoch(req *mem.Request) *uint64 {
 }
 
 // Refused implements mem.Staller.
-//
-//clipvet:tilephase
 func (l *l1Lower) Refused(req *mem.Request, n uint64) { l.s.l2[l.core].Refused(req, n) }
 
 func bypassKey(core int, addr mem.Addr) uint64 {
@@ -471,16 +432,12 @@ func (s *System) hermesFor(core int) *hermes.Predictor {
 	return s.hermes[core]
 }
 
-// Tick advances the whole system one cycle in two phases plus a serial
-// tail. Phase 1 (tile phase) ticks the per-core tiles — concurrently on the
-// shard pool when ShardWorkers > 1, inline otherwise — with all cross-tile
-// effects staged per tile. Phase 2 (commit) replays the staged effects
-// serially in ascending core index, the exact order the old serial loop
-// produced them. The tail (mesh, LLC slices, DRAM, deliveries, throttlers) is
-// serial. With skipping enabled both phases and the slice loop walk only the
-// awake sets (awake.go); under DisableSkip they walk everything and read no
-// awake-set state. Results are byte-identical across all four mode
-// combinations.
+// Tick advances the whole system one cycle: the tiles in ascending core
+// index (tile.go), then the shared components — mesh, LLC slices, DRAM,
+// response deliveries, throttlers. With skipping enabled the tile and slice
+// walks visit only the awake sets (awake.go); under DisableSkip they visit
+// everything and read no awake-set state. Results are byte-identical between
+// the two.
 //
 //clipvet:hotpath
 func (s *System) Tick() {
@@ -493,10 +450,7 @@ func (s *System) Tick() {
 			s.checkSleepingTiles(cy)
 		}
 	}
-	s.seal()
-	s.runTiles(cy)
-	s.unseal()
-	s.commit(cy)
+	s.tickTiles(cy)
 	if s.dynClip != nil {
 		// The utilization signal is only sampled on epoch boundaries; skip
 		// the O(channels) read on every other cycle.
@@ -656,8 +610,8 @@ func (s *System) skipAhead(maxCycles uint64) {
 	s.dram.AdvanceTo(now, n)
 	for wi, w := range s.awake.dramQ {
 		for ; w != 0; w &= w - 1 {
-			// The commit phase would have re-issued each refused direct-DRAM
-			// head once per cycle (horizon vouched that it is refused).
+			// tickTiles would have re-issued each refused direct-DRAM head
+			// once per cycle (horizon vouched that it is refused).
 			s.dram.Refused(&s.stage[wi<<6+bits.TrailingZeros64(w)].dramQ.Front().req, n)
 		}
 	}
@@ -803,7 +757,6 @@ func RunSelf(cfg Config, image []byte, resume bool) (*Result, SelfStats, error) 
 	if err != nil {
 		return nil, SelfStats{}, err
 	}
-	defer s.Close()
 	if resume {
 		if err := s.LoadState(image); err != nil {
 			return nil, SelfStats{}, err
@@ -842,7 +795,6 @@ func WarmupConfig(cfg Config) Config {
 	c.DRAMCriticalPriority = true
 	c.MaxCycles = 0
 	c.DisableSkip = false
-	c.ShardWorkers = 0
 	return c
 }
 
@@ -859,7 +811,6 @@ func WarmupImage(cfg Config) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	maxCycles := s.MaxCycles()
 	for s.cycle < maxCycles && s.hung == nil && !s.advance(maxCycles) {
 	}
