@@ -1,6 +1,6 @@
 // Command clipvet runs the project's determinism analyzers (see
 // internal/analysis): callgraph, maporder, wallclock, trainalias, floatsum,
-// hotmap, soaescape, snapsym, hotalloc and detflow.
+// hotmap, soaescape, hotalloc and detflow.
 //
 // Standalone:
 //

@@ -56,11 +56,6 @@
 //     slab[a:b]) in a struct field, package variable or composite literal
 //     inside a //clipvet:slab function — slab entries are recycled every
 //     tick — unless annotated //clipvet:slabok.
-//   - snapsym: snapshot codec Save/Load pairs (functions taking
-//     *snapshot.Writer / *snapshot.Reader, paired by Save→Load name
-//     substitution) must perform mirrored ordered codec call sequences, or
-//     a checkpoint written by one side misparses on the other; section
-//     navigators (SkipSection/NextSection) are exempt by design.
 //
 // # Annotations
 //
@@ -252,7 +247,7 @@ func internalSegment(pkgPath string) string {
 // parameterize it.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{CallGraph, MapOrder, WallClock, TrainAlias, FloatSum,
-		HotMap, SoaEscape, SnapSym, HotAlloc, DetFlow}
+		HotMap, SoaEscape, HotAlloc, DetFlow}
 }
 
 // ByName resolves a comma-separated analyzer list ("" means all).

@@ -37,7 +37,6 @@ func TestHotAlloc(t *testing.T) { testAnalyzer(t, HotAlloc, "clip/internal/sim/h
 // capacity-retaining wheel range-file append must stay excused.
 func TestHotAllocRetire(t *testing.T) { testAnalyzer(t, HotAlloc, "clip/internal/cpu/retire") }
 func TestDetFlow(t *testing.T)        { testAnalyzer(t, DetFlow, "clip/internal/sim/flow") }
-func TestSnapSym(t *testing.T)        { testAnalyzer(t, SnapSym, "clip/internal/sim/snapsym") }
 func TestCallGraph(t *testing.T)      { testAnalyzer(t, CallGraph, "clip/internal/sim/lint") }
 
 // Outside the deterministic package set the whole suite must stay silent,

@@ -1,0 +1,39 @@
+package cache
+
+import (
+	"testing"
+
+	"clip/internal/snapshot"
+)
+
+// TestCacheSnapshotManifest: every Cache field is either visited by State or
+// deliberately not; a new field fails here until it is declared.
+func TestCacheSnapshotManifest(t *testing.T) {
+	snapshot.CheckManifest(t, snapshot.MustStruct(Cache{}),
+		[]string{
+			"slab", "policy", "inQ", "wbQ",
+			"mshrValid", "mshrPF", "mshrLine", "mshrFirst", "mshrPfReq", "mshrWait",
+			"respQ", "cycle", "stats",
+		},
+		[]string{
+			// From config: geometry, wiring, views into slab, and buffers
+			// consumed within one call.
+			"cfg", "lower", "shift", "staller",
+			"tags", "trigger", "dirtyBits", "pfBits", "validBits",
+			"onResp", "onAccess", "onPFEvict", "down", "accessEv",
+			// Memo: the sleep protocol. A load drops the verdicts, so a cache
+			// restored asleep takes one real Tick and re-arms; pops is an
+			// epoch its watchers, restored alongside, compare afresh.
+			"pops", "headMSHR", "headLow", "wbLow",
+		})
+}
+
+// TestPolicySnapshotManifest: the two slabs carry every mutable column.
+func TestPolicySnapshotManifest(t *testing.T) {
+	snapshot.CheckManifest(t, snapshot.MustStruct(Policy{}),
+		[]string{"kind", "words", "clock", "bytesSlab", "mjTable", "probe"},
+		[]string{
+			// From config: geometry and the column views into the slabs.
+			"ways", "stamp", "ref", "rrpv", "sig", "reused",
+		})
+}

@@ -64,7 +64,7 @@ type scene struct {
 
 // outcome is what one play of a scene leaves behind.
 type outcome struct {
-	image    []byte // Save of the final cache: lines, queues, MSHRs, stats
+	image    []byte // saved State of the final cache: lines, queues, MSHRs, stats
 	refusals uint64 // lower-level refusals, per call or in bulk
 	ticks    int    // real Ticks inside [from, to]
 	issues   int    // lower-level Issue calls inside [from, to]
@@ -73,7 +73,7 @@ type outcome struct {
 func imageOf(t *testing.T, c *Cache) []byte {
 	t.Helper()
 	w := snapshot.NewWriter()
-	c.Save(w)
+	c.State(w.Coder())
 	b, err := w.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func play(t *testing.T, sc scene, skip bool, restoreAt uint64) outcome {
 			l2 := *l
 			l = &l2
 			c = MustNew(sc.cfg, l)
-			c.Load(r)
+			c.State(r.Coder())
 			if err := r.Done(); err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +269,7 @@ func TestStallWritebackSleepsUntilPop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Load(r)
+	c.State(r.Coder())
 	if c.Stats().Writebacks != 1 {
 		t.Fatalf("writeback did not drain after the pop: Writebacks = %d", c.Stats().Writebacks)
 	}

@@ -1,159 +1,77 @@
 package core
 
-import (
-	"fmt"
-
-	"clip/internal/snapshot"
-)
+import "clip/internal/snapshot"
 
 // CLIP checkpointing: both stages' tables, the utility-buffer CAM, the
 // exploration-window state, the mirrored history registers and the
 // observation map all serialize; cfg and the counter bounds are rebuilt by
 // construction.
 
-// Save serializes the CLIP instance.
-func (c *CLIP) Save(w *snapshot.Writer) {
-	w.Int(len(c.filter))
-	for i := range c.filter {
-		e := &c.filter[i]
-		w.Bool(e.valid)
-		w.U8(e.tag)
-		w.U8(e.critCount)
-		w.U8(e.hitCount)
-		w.U8(e.issueCount)
-		w.Bool(e.critAcc)
-		w.U8(e.explored)
-	}
-	w.Int(len(c.pred))
-	for i := range c.pred {
-		e := &c.pred[i]
-		w.Bool(e.valid)
-		w.U8(e.tag)
-		w.U8(e.counter)
-		w.Bool(e.nru)
-	}
-
-	c.utilValid.Save(w)
-	w.U64s(c.utilLine)
-	w.U64s(c.utilTrig)
-	w.Int(c.utilPos)
-
-	w.U64(c.windowMisses)
-	w.U64(c.windowAccesses)
-	w.U64(c.windowStart)
-	w.Int(len(c.apcHistory))
-	for _, v := range c.apcHistory {
-		w.F64(v)
-	}
-
-	w.U32(c.curBranchHist)
-	w.U32(c.curCritHist)
-
-	c.ipSeen.Save(w, func(o *ipObs) {
-		w.U64(o.instances)
-		w.U64(o.critical)
-		w.Bool(o.selected)
-	})
-
-	w.U64(c.stats.Allowed)
-	w.U64(c.stats.Explored)
-	for i := range c.stats.Dropped {
-		w.U64(c.stats.Dropped[i])
-	}
-	w.U64(c.stats.PhaseResets)
-	w.U64(c.stats.Windows)
-	w.U64(c.stats.CritInserts)
-	w.U64(c.stats.UtilityHits)
-	w.U64(c.stats.PredTrainInc)
-	w.U64(c.stats.PredTrainDec)
-	w.U64(c.stats.PredScore.TruePos)
-	w.U64(c.stats.PredScore.FalsePos)
-	w.U64(c.stats.PredScore.FalseNeg)
-	w.U64(c.stats.PredScore.TrueNeg)
-}
-
-// Load restores a snapshot taken from an identically-configured CLIP.
-func (c *CLIP) Load(r *snapshot.Reader) {
-	if n := r.Int(); r.Err() == nil && n != len(c.filter) {
-		r.Fail(fmt.Errorf("core: snapshot filter %d entries, receiver has %d: %w",
-			n, len(c.filter), snapshot.ErrCorrupt))
-	}
-	if r.Err() != nil {
+// State walks the CLIP instance; loading needs an identically-configured
+// receiver.
+func (c *CLIP) State(s *snapshot.Coder) {
+	if !s.Fixed("core: filter entries", len(c.filter)) {
 		return
 	}
 	for i := range c.filter {
 		e := &c.filter[i]
-		e.valid = r.Bool()
-		e.tag = r.U8()
-		e.critCount = r.U8()
-		e.hitCount = r.U8()
-		e.issueCount = r.U8()
-		e.critAcc = r.Bool()
-		e.explored = r.U8()
+		s.Bool(&e.valid)
+		s.U8(&e.tag)
+		s.U8(&e.critCount)
+		s.U8(&e.hitCount)
+		s.U8(&e.issueCount)
+		s.Bool(&e.critAcc)
+		s.U8(&e.explored)
 	}
-	if n := r.Int(); r.Err() == nil && n != len(c.pred) {
-		r.Fail(fmt.Errorf("core: snapshot predictor %d entries, receiver has %d: %w",
-			n, len(c.pred), snapshot.ErrCorrupt))
-	}
-	if r.Err() != nil {
+	if !s.Fixed("core: predictor entries", len(c.pred)) {
 		return
 	}
 	for i := range c.pred {
 		e := &c.pred[i]
-		e.valid = r.Bool()
-		e.tag = r.U8()
-		e.counter = r.U8()
-		e.nru = r.Bool()
+		s.Bool(&e.valid)
+		s.U8(&e.tag)
+		s.U8(&e.counter)
+		s.Bool(&e.nru)
 	}
 
-	c.utilValid.Load(r)
-	r.U64s(c.utilLine)
-	r.U64s(c.utilTrig)
-	c.utilPos = r.Int()
-	if r.Err() == nil && (c.utilPos < 0 || c.utilPos >= len(c.utilLine)) {
-		r.Fail(fmt.Errorf("core: utility cursor %d out of range: %w", c.utilPos, snapshot.ErrCorrupt))
+	c.utilValid.State(s)
+	s.U64s(c.utilLine)
+	s.U64s(c.utilTrig)
+	s.Int(&c.utilPos)
+	if s.Loading() && (c.utilPos < 0 || c.utilPos >= len(c.utilLine)) {
+		s.Corrupt("core: utility cursor %d out of range", c.utilPos)
 		return
 	}
 
-	c.windowMisses = r.U64()
-	c.windowAccesses = r.U64()
-	c.windowStart = r.U64()
-	an := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if an < 0 || an > c.cfg.APCWindows+1 {
-		r.Fail(fmt.Errorf("core: APC history %d entries for %d windows: %w",
-			an, c.cfg.APCWindows, snapshot.ErrCorrupt))
-		return
-	}
-	c.apcHistory = c.apcHistory[:0]
-	for i := 0; i < an; i++ {
-		c.apcHistory = append(c.apcHistory, r.F64())
+	s.U64(&c.windowMisses)
+	s.U64(&c.windowAccesses)
+	s.U64(&c.windowStart)
+	for i := range snapshot.Slice(s, "core: APC history", &c.apcHistory, c.cfg.APCWindows+1, 8) {
+		s.F64(&c.apcHistory[i])
 	}
 
-	c.curBranchHist = r.U32()
-	c.curCritHist = r.U32()
+	s.U32(&c.curBranchHist)
+	s.U32(&c.curCritHist)
 
-	c.ipSeen.Load(r, func(o *ipObs) {
-		o.instances = r.U64()
-		o.critical = r.U64()
-		o.selected = r.Bool()
+	c.ipSeen.State(s, func(o *ipObs) {
+		s.U64(&o.instances)
+		s.U64(&o.critical)
+		s.Bool(&o.selected)
 	})
 
-	c.stats.Allowed = r.U64()
-	c.stats.Explored = r.U64()
+	s.U64(&c.stats.Allowed)
+	s.U64(&c.stats.Explored)
 	for i := range c.stats.Dropped {
-		c.stats.Dropped[i] = r.U64()
+		s.U64(&c.stats.Dropped[i])
 	}
-	c.stats.PhaseResets = r.U64()
-	c.stats.Windows = r.U64()
-	c.stats.CritInserts = r.U64()
-	c.stats.UtilityHits = r.U64()
-	c.stats.PredTrainInc = r.U64()
-	c.stats.PredTrainDec = r.U64()
-	c.stats.PredScore.TruePos = r.U64()
-	c.stats.PredScore.FalsePos = r.U64()
-	c.stats.PredScore.FalseNeg = r.U64()
-	c.stats.PredScore.TrueNeg = r.U64()
+	s.U64(&c.stats.PhaseResets)
+	s.U64(&c.stats.Windows)
+	s.U64(&c.stats.CritInserts)
+	s.U64(&c.stats.UtilityHits)
+	s.U64(&c.stats.PredTrainInc)
+	s.U64(&c.stats.PredTrainDec)
+	s.U64(&c.stats.PredScore.TruePos)
+	s.U64(&c.stats.PredScore.FalsePos)
+	s.U64(&c.stats.PredScore.FalseNeg)
+	s.U64(&c.stats.PredScore.TrueNeg)
 }

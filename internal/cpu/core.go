@@ -255,8 +255,8 @@ type Core struct {
 
 	// Issue-stall memo, rewritten by every issueLoads: why ready loads did
 	// not issue, when the reason provably repeats (see issueStall). It is
-	// rebuilt state, never snapshotted — Load marks it stale, which forces
-	// one real Tick to re-derive it. staller is the port's mem.Staller
+	// rebuilt state, never snapshotted — a loading State marks it stale,
+	// which forces one real Tick to re-derive it. staller is the port's mem.Staller
 	// extension (nil: a refused load retries every cycle); refused is the
 	// request it refused and refusal the watch on the slot that request
 	// waits for.

@@ -1,7 +1,7 @@
 package cpu
 
 import (
-	"fmt"
+	"encoding/binary"
 
 	"clip/internal/mem"
 	"clip/internal/snapshot"
@@ -11,277 +11,175 @@ import (
 // Core checkpointing. The ROB columns and bitmaps restore verbatim into the
 // slabs NewSystem carved; wiring (generator, port, listeners, fetch checker)
 // is rebuilt by construction and only the generator's stream position is
-// captured (trace.SaveGenerator). The pre-decoded instruction buffer needs
-// care: ibuf may borrow the shared trace window in place, so Save copies the
-// unconsumed remainder out and Load parks it in a private buffer — dispatch
+// captured (trace.State). The pre-decoded instruction buffer needs care:
+// ibuf may borrow the shared trace window in place, so saving walks the
+// unconsumed remainder and loading parks it in a private buffer — dispatch
 // refills mid-cycle whenever the buffer drains, so the changed refill
 // boundary cannot affect timing. The issue-stall memo is rebuilt state and
 // is not saved.
 
-// Save serializes the core's architectural and microarchitectural state.
-func (c *Core) Save(w *snapshot.Writer) {
-	trace.SaveGenerator(w, c.gen)
+// State walks the core's architectural and microarchitectural state; loading
+// needs a freshly constructed core of the same configuration.
+func (c *Core) State(s *snapshot.Coder) {
+	trace.State(s, c.gen)
 
 	// Unconsumed pre-decoded instructions, plus whether the zero-copy shared
 	// window was still live (its successor position is inside the generator).
 	rem := c.ibuf[c.ipos:]
-	w.Int(len(rem))
-	for i := range rem {
-		saveInstr(w, &rem[i])
+	if s.Loading() {
+		rem = nil // never decode over the shared window ibuf may borrow
 	}
-	w.Bool(c.win != nil)
+	for i := range snapshot.Slice(s, "cpu: ibuf", &rem, snapshot.MaxLen, instrBytes) {
+		instrState(s, &rem[i])
+	}
+	winActive := c.win != nil
+	s.Bool(&winActive)
+	if s.Err() != nil {
+		return
+	}
+	if s.Loading() {
+		// Keep the zero-copy window only if both the snapshot and this core
+		// have one (the shared-stream cache fills process-locally, so the
+		// kinds can differ while the streams stay identical).
+		if !winActive || c.win == nil {
+			c.win = nil
+			if c.priv == nil {
+				c.priv = make([]trace.Instr, ibufBatch)
+			}
+		}
+		c.ibuf, c.ipos = rem, 0
+	}
 
-	w.U64s(c.validW)
-	w.U64s(c.doneW)
-	w.U64s(c.issuedW)
-	w.U64s(c.chainW)
-	w.U64s(c.pendW)
-	w.U64s(c.readyW)
-	w.U64s(c.ipCol)
-	w.U64s(c.addrCol)
-	w.U64s(c.stallCol)
-	w.U8s(c.opCol)
-	w.U8s(c.servedCol)
-	w.I32s(c.depCol)
-	w.I32s(c.childCol)
+	s.U64s(c.validW)
+	s.U64s(c.doneW)
+	s.U64s(c.issuedW)
+	s.U64s(c.chainW)
+	s.U64s(c.pendW)
+	s.U64s(c.readyW)
+	s.U64s(c.ipCol)
+	s.U64s(c.addrCol)
+	s.U64s(c.stallCol)
+	s.U8s(c.opCol)
+	s.U8s(c.servedCol)
+	s.I32s(c.depCol)
+	s.I32s(c.childCol)
 
-	w.Int(c.head)
-	w.Int(c.tail)
-	w.Int(c.count)
-	w.Int(c.pendHead)
-	w.Int(c.pendLen)
-	w.Int(c.readyCount)
+	s.Int(&c.head)
+	s.Int(&c.tail)
+	s.Int(&c.count)
+	s.Int(&c.pendHead)
+	s.Int(&c.pendLen)
+	s.Int(&c.readyCount)
 
-	w.U64(c.cycle)
-	w.U64(c.fetchStallUntil)
-	w.U64(c.budget)
-	w.U64(c.retiredTotal)
-	w.U64(c.finishCycle)
-	w.Int(c.outstanding)
-	w.Int(c.lastLoadSlot)
+	s.U64(&c.cycle)
+	s.U64(&c.fetchStallUntil)
+	s.U64(&c.budget)
+	s.U64(&c.retiredTotal)
+	s.U64(&c.finishCycle)
+	s.Int(&c.outstanding)
+	s.Int(&c.lastLoadSlot)
 
+	// A wheel bucket or the overflow list holds at most one entry per ROB
+	// slot.
 	for i := range c.wheel {
-		b := c.wheel[i]
-		w.Int(len(b))
+		b := snapshot.Slice(s, "cpu: wheel bucket", &c.wheel[i], c.robSize, 8+4)
 		for j := range b {
-			w.U64(b[j].at)
-			w.I32(b[j].slot)
+			s.U64(&b[j].at)
+			s.I32(&b[j].slot)
 		}
 	}
-	w.Int(len(c.overflow))
-	for i := range c.overflow {
-		w.U64(c.overflow[i].at)
-		w.I32(c.overflow[i].slot)
+	for j := range snapshot.Slice(s, "cpu: wheel overflow", &c.overflow, c.robSize, 8+4) {
+		s.U64(&c.overflow[j].at)
+		s.I32(&c.overflow[j].slot)
 	}
-	w.U64(c.overflowMin)
-	w.Int(c.wheelLive)
-	w.U64(c.earliestWheel)
-	w.Bool(c.wake)
+	s.U64(&c.overflowMin)
+	s.Int(&c.wheelLive)
+	s.U64(&c.earliestWheel)
+	s.Bool(&c.wake)
 
-	c.bp.Save(w)
-	w.U32(c.BranchHist)
-	w.U32(c.CritHist)
-	w.U64(c.lastBlock)
+	c.bp.State(s)
+	s.U32(&c.BranchHist)
+	s.U32(&c.CritHist)
+	s.U64(&c.lastBlock)
 
-	saveStats(w, &c.stats)
-}
+	c.stats.state(s)
 
-// Load restores state saved by Save into a freshly constructed core of the
-// same configuration.
-func (c *Core) Load(r *snapshot.Reader) {
-	trace.LoadGenerator(r, c.gen)
-
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if n < 0 || n > 1<<24 {
-		r.Fail(fmt.Errorf("cpu: snapshot ibuf length %d: %w", n, snapshot.ErrCorrupt))
-		return
-	}
-	rem := make([]trace.Instr, n)
-	for i := range rem {
-		loadInstr(r, &rem[i])
-	}
-	winActive := r.Bool()
-	if r.Err() != nil {
-		return
-	}
-	// Keep the zero-copy window only if both the snapshot and this core have
-	// one (the shared-stream cache fills process-locally, so the kinds can
-	// differ while the streams stay identical).
-	if !winActive || c.win == nil {
-		c.win = nil
-		if c.priv == nil {
-			c.priv = make([]trace.Instr, ibufBatch)
+	if s.Loading() {
+		// The issue-stall memo is not in the image; until a real Tick
+		// re-derives it the core counts as woken, whatever horizon the loop
+		// cached for it.
+		c.stall, c.refusal = issueStale, mem.Watch{}
+		if c.head < 0 || c.head >= c.robSize || c.tail < 0 || c.tail >= c.robSize ||
+			c.count < 0 || c.count > c.robSize ||
+			c.pendHead < -1 || c.pendHead >= c.robSize ||
+			c.lastLoadSlot < -1 || c.lastLoadSlot >= c.robSize {
+			s.Corrupt("cpu: snapshot ROB cursors out of range")
 		}
 	}
-	c.ibuf = rem
-	c.ipos = 0
+}
 
-	r.U64s(c.validW)
-	r.U64s(c.doneW)
-	r.U64s(c.issuedW)
-	r.U64s(c.chainW)
-	r.U64s(c.pendW)
-	r.U64s(c.readyW)
-	r.U64s(c.ipCol)
-	r.U64s(c.addrCol)
-	r.U64s(c.stallCol)
-	r.U8s(c.opCol)
-	r.U8s(c.servedCol)
-	r.I32s(c.depCol)
-	r.I32s(c.childCol)
+// instrBytes is the encoded size of one trace.Instr.
+const instrBytes = 8 + 1 + 8 + 1 + 1 + 1
 
-	c.head = r.Int()
-	c.tail = r.Int()
-	c.count = r.Int()
-	c.pendHead = r.Int()
-	c.pendLen = r.Int()
-	c.readyCount = r.Int()
-
-	c.cycle = r.U64()
-	c.fetchStallUntil = r.U64()
-	c.budget = r.U64()
-	c.retiredTotal = r.U64()
-	c.finishCycle = r.U64()
-	c.outstanding = r.Int()
-	c.lastLoadSlot = r.Int()
-
-	for i := range c.wheel {
-		bn := r.Int()
-		if r.Err() != nil {
-			return
-		}
-		if bn < 0 || bn > c.robSize {
-			r.Fail(fmt.Errorf("cpu: snapshot wheel bucket %d entries: %w", bn, snapshot.ErrCorrupt))
-			return
-		}
-		b := c.wheel[i][:0]
-		for j := 0; j < bn; j++ {
-			var e wheelEntry
-			e.at = r.U64()
-			e.slot = r.I32()
-			b = append(b, e)
-		}
-		c.wheel[i] = b
-	}
-	on := r.Int()
-	if r.Err() != nil {
+// instrState walks one instruction as a single record rather than field by
+// field: the unconsumed buffer is the one element-heavy list of the image
+// (up to a whole shared window per core), and six codec calls an element
+// cost a fifth of SaveState's time.
+func instrState(s *snapshot.Coder, ins *trace.Instr) {
+	b := s.Window(instrBytes)
+	if b == nil {
 		return
 	}
-	if on < 0 || on > c.robSize {
-		r.Fail(fmt.Errorf("cpu: snapshot overflow %d entries: %w", on, snapshot.ErrCorrupt))
+	if !s.Loading() {
+		binary.LittleEndian.PutUint64(b, ins.IP)
+		b[8] = uint8(ins.Op)
+		binary.LittleEndian.PutUint64(b[9:], uint64(ins.Addr))
+		b[17], b[18], b[19] = 0, ins.ExecLat, 0
+		if ins.Taken {
+			b[17] = 1
+		}
+		if ins.DependsOnPrevLoad {
+			b[19] = 1
+		}
 		return
 	}
-	c.overflow = c.overflow[:0]
-	for j := 0; j < on; j++ {
-		var e wheelEntry
-		e.at = r.U64()
-		e.slot = r.I32()
-		c.overflow = append(c.overflow, e)
-	}
-	c.overflowMin = r.U64()
-	c.wheelLive = r.Int()
-	c.earliestWheel = r.U64()
-	c.wake = r.Bool()
-
-	c.bp.Load(r)
-	c.BranchHist = r.U32()
-	c.CritHist = r.U32()
-	c.lastBlock = r.U64()
-
-	loadStats(r, &c.stats)
-
-	// The issue-stall memo is not in the image; until a real Tick re-derives
-	// it the core counts as woken, whatever horizon the loop cached for it.
-	c.stall, c.refusal = issueStale, mem.Watch{}
-
-	if r.Err() != nil {
+	if b[17] > 1 || b[19] > 1 {
+		s.Corrupt("cpu: instruction flag bytes %d, %d", b[17], b[19])
 		return
 	}
-	if c.head < 0 || c.head >= c.robSize || c.tail < 0 || c.tail >= c.robSize ||
-		c.count < 0 || c.count > c.robSize ||
-		c.pendHead < -1 || c.pendHead >= c.robSize ||
-		c.lastLoadSlot < -1 || c.lastLoadSlot >= c.robSize {
-		r.Fail(fmt.Errorf("cpu: snapshot ROB cursors out of range: %w", snapshot.ErrCorrupt))
-	}
+	ins.IP = binary.LittleEndian.Uint64(b)
+	ins.Op = trace.Op(b[8])
+	ins.Addr = mem.Addr(binary.LittleEndian.Uint64(b[9:]))
+	ins.Taken, ins.ExecLat, ins.DependsOnPrevLoad = b[17] == 1, b[18], b[19] == 1
 }
 
-func saveInstr(w *snapshot.Writer, ins *trace.Instr) {
-	w.U64(ins.IP)
-	w.U8(uint8(ins.Op))
-	w.U64(uint64(ins.Addr))
-	w.Bool(ins.Taken)
-	w.U8(ins.ExecLat)
-	w.Bool(ins.DependsOnPrevLoad)
+func (st *Stats) state(s *snapshot.Coder) {
+	s.U64(&st.Cycles)
+	s.U64(&st.Retired)
+	s.U64(&st.Loads)
+	s.U64(&st.Stores)
+	s.U64(&st.Branches)
+	s.U64(&st.Mispredicts)
+	s.U64(&st.ROBStallCycles)
+	for i := range st.StallsByLevel {
+		s.U64(&st.StallsByLevel[i])
+	}
+	for i := range st.LoadLatency {
+		s.U64(&st.LoadLatency[i].Sum)
+		s.U64(&st.LoadLatency[i].Count)
+	}
+	s.U64(&st.FetchStallCycles)
+	s.U64(&st.LoadsStalledHead)
+	s.U64(&st.L1DAccesses)
+	s.U64(&st.CriticalResponses)
 }
 
-func loadInstr(r *snapshot.Reader, ins *trace.Instr) {
-	ins.IP = r.U64()
-	ins.Op = trace.Op(r.U8())
-	ins.Addr = mem.Addr(r.U64())
-	ins.Taken = r.Bool()
-	ins.ExecLat = r.U8()
-	ins.DependsOnPrevLoad = r.Bool()
-}
-
-func saveStats(w *snapshot.Writer, s *Stats) {
-	w.U64(s.Cycles)
-	w.U64(s.Retired)
-	w.U64(s.Loads)
-	w.U64(s.Stores)
-	w.U64(s.Branches)
-	w.U64(s.Mispredicts)
-	w.U64(s.ROBStallCycles)
-	for i := range s.StallsByLevel {
-		w.U64(s.StallsByLevel[i])
-	}
-	for i := range s.LoadLatency {
-		w.U64(s.LoadLatency[i].Sum)
-		w.U64(s.LoadLatency[i].Count)
-	}
-	w.U64(s.FetchStallCycles)
-	w.U64(s.LoadsStalledHead)
-	w.U64(s.L1DAccesses)
-	w.U64(s.CriticalResponses)
-}
-
-func loadStats(r *snapshot.Reader, s *Stats) {
-	s.Cycles = r.U64()
-	s.Retired = r.U64()
-	s.Loads = r.U64()
-	s.Stores = r.U64()
-	s.Branches = r.U64()
-	s.Mispredicts = r.U64()
-	s.ROBStallCycles = r.U64()
-	for i := range s.StallsByLevel {
-		s.StallsByLevel[i] = r.U64()
-	}
-	for i := range s.LoadLatency {
-		s.LoadLatency[i].Sum = r.U64()
-		s.LoadLatency[i].Count = r.U64()
-	}
-	s.FetchStallCycles = r.U64()
-	s.LoadsStalledHead = r.U64()
-	s.L1DAccesses = r.U64()
-	s.CriticalResponses = r.U64()
-}
-
-// Save serializes the branch predictor: weights and global history. lastSum
-// and tableSel are Predict→Update scratch consumed within one dispatch call
-// and never live across cycles.
-func (p *Perceptron) Save(w *snapshot.Writer) {
+// State walks the branch predictor: weights and global history. lastSum and
+// tableSel are Predict→Update scratch consumed within one dispatch call and
+// never live across cycles.
+func (p *Perceptron) State(s *snapshot.Coder) {
 	for _, t := range p.tables {
-		w.I8s(t)
+		s.I8s(t)
 	}
-	w.U64(p.history)
-}
-
-// Load restores the branch predictor.
-func (p *Perceptron) Load(r *snapshot.Reader) {
-	for _, t := range p.tables {
-		r.I8s(t)
-	}
-	p.history = r.U64()
+	s.U64(&p.history)
 }

@@ -241,7 +241,7 @@ func windowRun(t *testing.T, skip bool, restoreAt, stop uint64) (stallObs, *stal
 		}
 		if restoreAt != 0 && cy == restoreAt {
 			w := snapshot.NewWriter()
-			r.core.Save(w)
+			r.core.State(w.Coder())
 			img, err := w.Bytes()
 			if err != nil {
 				t.Fatal(err)
@@ -251,7 +251,7 @@ func windowRun(t *testing.T, skip bool, restoreAt, stop uint64) (stallObs, *stal
 				t.Fatal(err)
 			}
 			fresh := newStallRun(t, cfg, g, q, 1<<40)
-			fresh.core.Load(rd)
+			fresh.core.State(rd.Coder())
 			if err := rd.Done(); err != nil {
 				t.Fatal(err)
 			}

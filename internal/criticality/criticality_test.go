@@ -222,7 +222,7 @@ func TestCATCHWindowIsAFIFOOfEight(t *testing.T) {
 	var ref []uint64
 	encode := func(p *catchPred) []byte {
 		w := snapshot.NewWriter()
-		SavePredictor(w, p)
+		State(w.Coder(), p)
 		b, err := w.Bytes()
 		if err != nil {
 			t.Fatal(err)
@@ -251,7 +251,7 @@ func TestCATCHWindowIsAFIFOOfEight(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := newCATCH()
-		LoadPredictor(r, d)
+		State(r.Coder(), d)
 		if err := r.Done(); err != nil {
 			t.Fatal(err)
 		}

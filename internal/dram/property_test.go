@@ -223,7 +223,7 @@ func TestPropertyDeadlineScheduler(t *testing.T) {
 			lockstepTraffic(t, seed, []*DRAM{scan, gated}, 0, split)
 
 			w := snapshot.NewWriter()
-			gated.Save(w)
+			gated.State(w.Coder())
 			image, err := w.Bytes()
 			if err != nil {
 				t.Fatal(err)
@@ -233,7 +233,7 @@ func TestPropertyDeadlineScheduler(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored.Load(r)
+			restored.State(r.Coder())
 			if err := r.Done(); err != nil {
 				t.Fatal(err)
 			}

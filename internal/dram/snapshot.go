@@ -1,8 +1,6 @@
 package dram
 
 import (
-	"fmt"
-
 	"clip/internal/mem"
 	"clip/internal/snapshot"
 )
@@ -15,97 +13,66 @@ import (
 // per-bank read/write counts and the schedule deadlines are rebuilt from the
 // restored queues and banks.
 
-// Save serializes the memory system.
-func (d *DRAM) Save(w *snapshot.Writer) {
+// State walks the memory system; loading needs an identically-configured
+// receiver.
+func (d *DRAM) State(s *snapshot.Coder) {
 	for i := range d.chans {
-		c := &d.chans[i]
-		w.Int(len(c.rdBk))
-		for j := range c.rdBk {
-			mem.SaveRequest(w, &c.rdReq[j])
-			w.U64(c.rdArrived[j])
-			w.U64(c.rdRow[j])
-			w.U64(c.rdBk[j])
+		d.chans[i].state(s, &d.cfg)
+		if s.Err() != nil {
+			return
 		}
-		w.Int(len(c.wrBk))
-		for j := range c.wrBk {
-			w.U64(c.wrRow[j])
-			w.U64(c.wrBk[j])
-		}
-		for b := range c.banks {
-			w.I64(c.banks[b].openRow)
-			w.U64(c.banks[b].busyUntil)
-			w.I32(c.banks[b].rdQueued + c.banks[b].wrQueued)
-		}
-		w.U64(c.busFreeAt)
-		w.U64(c.nextRefresh)
-		w.U64(c.refreshEnd)
-		w.Bool(c.draining)
-		w.U64(c.utilWindow)
-		w.U64(c.utilCycles)
-		w.F64(c.recentUtil)
-		w.U64(c.epochCycles)
 	}
-	w.U64(d.cycle)
-	w.U64(d.stats.Reads)
-	w.U64(d.stats.Writes)
-	w.U64(d.stats.PrefetchReads)
-	w.U64(d.stats.RowHits)
-	w.U64(d.stats.RowMisses)
-	w.U64(d.stats.RowConflicts)
-	w.U64(d.stats.RQFullEvents)
-	w.U64(d.stats.WQFullEvents)
-	w.U64(d.stats.Refreshes)
-	d.stats.QueueDelay.Save(w)
-	d.stats.ServiceLatency.Save(w)
-	w.U64(d.stats.BusBusyCycles)
-	w.U64(d.stats.Cycles)
+	s.U64(&d.cycle)
+	s.U64(&d.stats.Reads)
+	s.U64(&d.stats.Writes)
+	s.U64(&d.stats.PrefetchReads)
+	s.U64(&d.stats.RowHits)
+	s.U64(&d.stats.RowMisses)
+	s.U64(&d.stats.RowConflicts)
+	s.U64(&d.stats.RQFullEvents)
+	s.U64(&d.stats.WQFullEvents)
+	s.U64(&d.stats.Refreshes)
+	d.stats.QueueDelay.State(s)
+	d.stats.ServiceLatency.State(s)
+	s.U64(&d.stats.BusBusyCycles)
+	s.U64(&d.stats.Cycles)
 }
 
-// Load restores a snapshot taken from an identically-configured memory
-// system.
-func (d *DRAM) Load(r *snapshot.Reader) {
-	for i := range d.chans {
-		c := &d.chans[i]
-		rn := r.Int()
-		if r.Err() != nil {
-			return
-		}
-		if rn < 0 || rn > d.cfg.RQ {
-			r.Fail(fmt.Errorf("dram: snapshot read queue %d entries, capacity %d: %w", rn, d.cfg.RQ, snapshot.ErrCorrupt))
-			return
-		}
+func (c *channel) state(s *snapshot.Coder, cfg *Config) {
+	banks := uint64(len(c.banks))
+	rn := s.Len("dram: read queue", len(c.rdBk), cfg.RQ, mem.RequestBytes+3*8)
+	if s.Loading() {
 		c.rdReq = c.rdReq[:rn]
 		c.rdArrived = c.rdArrived[:rn]
 		c.rdRow = c.rdRow[:rn]
 		c.rdBk = c.rdBk[:rn]
-		for j := 0; j < rn; j++ {
-			mem.LoadRequest(r, &c.rdReq[j])
-			c.rdArrived[j] = r.U64()
-			c.rdRow[j] = r.U64()
-			c.rdBk[j] = r.U64()
-			if r.Err() == nil && c.rdBk[j] >= uint64(len(c.banks)) {
-				r.Fail(fmt.Errorf("dram: read-queue bank %d out of range: %w", c.rdBk[j], snapshot.ErrCorrupt))
-				return
-			}
-		}
-		wn := r.Int()
-		if r.Err() != nil {
+	}
+	for j := range c.rdBk {
+		c.rdReq[j].State(s)
+		s.U64(&c.rdArrived[j])
+		s.U64(&c.rdRow[j])
+		s.U64(&c.rdBk[j])
+		if s.Loading() && c.rdBk[j] >= banks {
+			s.Corrupt("dram: read-queue bank %d out of range", c.rdBk[j])
 			return
 		}
-		if wn < 0 || wn > d.cfg.WQ {
-			r.Fail(fmt.Errorf("dram: snapshot write queue %d entries, capacity %d: %w", wn, d.cfg.WQ, snapshot.ErrCorrupt))
-			return
-		}
+	}
+	wn := s.Len("dram: write queue", len(c.wrBk), cfg.WQ, 2*8)
+	if s.Loading() {
 		c.wrRow = c.wrRow[:wn]
 		c.wrBk = c.wrBk[:wn]
-		for j := 0; j < wn; j++ {
-			c.wrRow[j] = r.U64()
-			c.wrBk[j] = r.U64()
-			if r.Err() == nil && c.wrBk[j] >= uint64(len(c.banks)) {
-				r.Fail(fmt.Errorf("dram: write-queue bank %d out of range: %w", c.wrBk[j], snapshot.ErrCorrupt))
-				return
-			}
+	}
+	for j := range c.wrBk {
+		s.U64(&c.wrRow[j])
+		s.U64(&c.wrBk[j])
+		if s.Loading() && c.wrBk[j] >= banks {
+			s.Corrupt("dram: write-queue bank %d out of range", c.wrBk[j])
+			return
 		}
+	}
+	if s.Loading() {
+		// The per-bank counts are rebuilt from the queues; the image carries
+		// their sum as a check.
 		for b := range c.banks {
 			c.banks[b].rdQueued, c.banks[b].wrQueued = 0, 0
 		}
@@ -115,37 +82,28 @@ func (d *DRAM) Load(r *snapshot.Reader) {
 		for _, bk := range c.wrBk {
 			c.banks[bk].wrQueued++
 		}
-		for b := range c.banks {
-			c.banks[b].openRow = r.I64()
-			c.banks[b].busyUntil = r.U64()
-			if q := r.I32(); r.Err() == nil && q != c.banks[b].rdQueued+c.banks[b].wrQueued {
-				r.Fail(fmt.Errorf("dram: bank %d counts %d queued entries, the queues hold %d: %w",
-					b, q, c.banks[b].rdQueued+c.banks[b].wrQueued, snapshot.ErrCorrupt))
-				return
-			}
-		}
-		c.refreshDeadlines()
-		c.busFreeAt = r.U64()
-		c.nextRefresh = r.U64()
-		c.refreshEnd = r.U64()
-		c.draining = r.Bool()
-		c.utilWindow = r.U64()
-		c.utilCycles = r.U64()
-		c.recentUtil = r.F64()
-		c.epochCycles = r.U64()
 	}
-	d.cycle = r.U64()
-	d.stats.Reads = r.U64()
-	d.stats.Writes = r.U64()
-	d.stats.PrefetchReads = r.U64()
-	d.stats.RowHits = r.U64()
-	d.stats.RowMisses = r.U64()
-	d.stats.RowConflicts = r.U64()
-	d.stats.RQFullEvents = r.U64()
-	d.stats.WQFullEvents = r.U64()
-	d.stats.Refreshes = r.U64()
-	d.stats.QueueDelay.Load(r)
-	d.stats.ServiceLatency.Load(r)
-	d.stats.BusBusyCycles = r.U64()
-	d.stats.Cycles = r.U64()
+	for b := range c.banks {
+		bk := &c.banks[b]
+		s.I64(&bk.openRow)
+		s.U64(&bk.busyUntil)
+		queued := bk.rdQueued + bk.wrQueued
+		s.I32(&queued)
+		if s.Loading() && queued != bk.rdQueued+bk.wrQueued {
+			s.Corrupt("dram: bank %d counts %d queued entries, the queues hold %d",
+				b, queued, bk.rdQueued+bk.wrQueued)
+			return
+		}
+	}
+	if s.Loading() {
+		c.refreshDeadlines()
+	}
+	s.U64(&c.busFreeAt)
+	s.U64(&c.nextRefresh)
+	s.U64(&c.refreshEnd)
+	s.Bool(&c.draining)
+	s.U64(&c.utilWindow)
+	s.U64(&c.utilCycles)
+	s.F64(&c.recentUtil)
+	s.U64(&c.epochCycles)
 }

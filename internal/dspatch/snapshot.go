@@ -5,38 +5,21 @@ import (
 	"clip/internal/snapshot"
 )
 
-// Save serializes DSPatch: the wrapped base prefetcher, both pattern tables
-// and the modulation counters. The bandwidth source is wiring, rebuilt at
+// State walks DSPatch: the wrapped base prefetcher, both pattern tables and
+// the modulation counters. The bandwidth source is wiring, rebuilt at
 // construction.
-func (d *DSPatch) Save(w *snapshot.Writer) {
-	prefetch.SavePrefetcher(w, d.base)
-	d.regions.Save(w, func(e *regionAcc) {
-		w.U64(e.sig)
-		w.U64(e.bitmap)
+func (d *DSPatch) State(s *snapshot.Coder) {
+	prefetch.State(s, d.base)
+	d.regions.State(s, func(e *regionAcc) {
+		s.U64(&e.sig)
+		s.U64(&e.bitmap)
 	})
-	d.table.Save(w, func(e *patterns) {
-		w.U64(e.covp)
-		w.U64(e.accp)
-		w.Int(e.seen)
+	d.table.State(s, func(e *patterns) {
+		s.U64(&e.covp)
+		s.U64(&e.accp)
+		s.Int(&e.seen)
 	})
-	w.U64(d.stats.CovSelections)
-	w.U64(d.stats.AccSelections)
-	w.U64(d.stats.Extra)
-}
-
-// Load restores DSPatch.
-func (d *DSPatch) Load(r *snapshot.Reader) {
-	prefetch.LoadPrefetcher(r, d.base)
-	d.regions.Load(r, func(e *regionAcc) {
-		e.sig = r.U64()
-		e.bitmap = r.U64()
-	})
-	d.table.Load(r, func(e *patterns) {
-		e.covp = r.U64()
-		e.accp = r.U64()
-		e.seen = r.Int()
-	})
-	d.stats.CovSelections = r.U64()
-	d.stats.AccSelections = r.U64()
-	d.stats.Extra = r.U64()
+	s.U64(&d.stats.CovSelections)
+	s.U64(&d.stats.AccSelections)
+	s.U64(&d.stats.Extra)
 }

@@ -2,27 +2,15 @@ package hermes
 
 import "clip/internal/snapshot"
 
-// Save serializes the perceptron weights and counters (the activation
-// threshold is a construction-time constant).
-func (p *Predictor) Save(w *snapshot.Writer) {
+// State walks the perceptron weights and counters (the activation threshold
+// is a construction-time constant).
+func (p *Predictor) State(s *snapshot.Coder) {
 	for t := range p.tables {
-		w.I8s(p.tables[t][:])
+		s.I8s(p.tables[t][:])
 	}
-	w.U64(p.stats.Predictions)
-	w.U64(p.stats.PredOffChip)
-	w.U64(p.stats.TruePos)
-	w.U64(p.stats.FalsePos)
-	w.U64(p.stats.FalseNeg)
-}
-
-// Load restores the predictor.
-func (p *Predictor) Load(r *snapshot.Reader) {
-	for t := range p.tables {
-		r.I8s(p.tables[t][:])
-	}
-	p.stats.Predictions = r.U64()
-	p.stats.PredOffChip = r.U64()
-	p.stats.TruePos = r.U64()
-	p.stats.FalsePos = r.U64()
-	p.stats.FalseNeg = r.U64()
+	s.U64(&p.stats.Predictions)
+	s.U64(&p.stats.PredOffChip)
+	s.U64(&p.stats.TruePos)
+	s.U64(&p.stats.FalsePos)
+	s.U64(&p.stats.FalseNeg)
 }

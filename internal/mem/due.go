@@ -2,7 +2,6 @@ package mem
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"clip/internal/invariant"
@@ -88,47 +87,43 @@ func (q *DueQueue) Pop(cy uint64) *Response {
 	return &q.out
 }
 
-// Save writes the queue as the list in push order it stands for, followed by
-// the earliest DoneCycle.
-func (q *DueQueue) Save(w *snapshot.Writer) {
+// State walks the queue as the list in push order it stands for, followed by
+// the earliest DoneCycle. Loading refills the lanes from the list, each
+// response into the lane laneOf names; the earliest DoneCycle is rebuilt,
+// not trusted.
+func (q *DueQueue) State(s *snapshot.Coder, laneOf func(*Response) int) {
 	var all []*dueResp
-	for i := range q.lanes {
-		for k := 0; k < q.lanes[i].Len(); k++ {
-			all = append(all, q.lanes[i].At(k))
+	if !s.Loading() {
+		for i := range q.lanes {
+			for k := 0; k < q.lanes[i].Len(); k++ {
+				all = append(all, q.lanes[i].At(k))
+			}
 		}
+		slices.SortFunc(all, func(a, b *dueResp) int { return cmp.Compare(a.seq, b.seq) })
 	}
-	slices.SortFunc(all, func(a, b *dueResp) int { return cmp.Compare(a.seq, b.seq) })
-	w.Int(len(all))
+	n := s.Len("mem: pending responses", len(all), snapshot.MaxLen, ResponseBytes)
 	for _, e := range all {
-		SaveResponse(w, &e.resp)
+		e.resp.State(s)
 	}
-	w.U64(q.next)
-}
-
-// Load refills the queue from a saved list, each response into the lane
-// laneOf names. The earliest DoneCycle is rebuilt, not trusted.
-func (q *DueQueue) Load(r *snapshot.Reader, laneOf func(*Response) int) {
-	n := r.Int()
-	if r.Err() == nil && (n < 0 || n > 1<<20) {
-		r.Fail(fmt.Errorf("mem: %d pending responses: %w", n, snapshot.ErrCorrupt))
-		return
-	}
-	for i := range q.lanes {
-		for l := &q.lanes[i]; l.Len() > 0; {
-			l.PopFront()
+	if s.Loading() {
+		for i := range q.lanes {
+			for l := &q.lanes[i]; l.Len() > 0; {
+				l.PopFront()
+			}
+		}
+		q.next, q.seq = NoEvent, 0
+		var resp Response // one for all: laneOf makes it escape
+		for i := 0; i < n && s.Err() == nil; i++ {
+			resp.State(s)
+			lane := laneOf(&resp)
+			if l := &q.lanes[lane]; l.Len() > 0 && l.At(l.Len()-1).resp.DoneCycle > resp.DoneCycle {
+				s.Corrupt("mem: pending response due at %d saved behind one due at %d",
+					resp.DoneCycle, l.At(l.Len()-1).resp.DoneCycle)
+				return
+			}
+			q.Push(lane, &resp)
 		}
 	}
-	q.next, q.seq = NoEvent, 0
-	var resp Response // one for all: laneOf makes it escape
-	for i := 0; i < n && r.Err() == nil; i++ {
-		LoadResponse(r, &resp)
-		lane := laneOf(&resp)
-		if l := &q.lanes[lane]; l.Len() > 0 && l.At(l.Len()-1).resp.DoneCycle > resp.DoneCycle {
-			r.Fail(fmt.Errorf("mem: pending response due at %d saved behind one due at %d: %w",
-				resp.DoneCycle, l.At(l.Len()-1).resp.DoneCycle, snapshot.ErrCorrupt))
-			return
-		}
-		q.Push(lane, &resp)
-	}
-	r.U64()
+	next := q.next // loading: read and dropped
+	s.U64(&next)
 }

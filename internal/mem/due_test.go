@@ -33,7 +33,7 @@ func (l naiveDue) image(t *testing.T) []byte {
 	w.Int(len(l))
 	next := NoEvent
 	for i := range l {
-		SaveResponse(w, &l[i])
+		l[i].State(w.Coder())
 		next = min(next, l[i].DoneCycle)
 	}
 	w.U64(next)
@@ -47,7 +47,7 @@ func (l naiveDue) image(t *testing.T) []byte {
 func saveDue(t *testing.T, q *DueQueue) []byte {
 	t.Helper()
 	w := snapshot.NewWriter()
-	q.Save(w)
+	q.State(w.Coder(), nil)
 	b, err := w.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestDueQueueMatchesScannedList(t *testing.T) {
 				t.Fatal(err)
 			}
 			q = NewDueQueue(lanes)
-			q.Load(r, func(r *Response) int { return r.Req.Core })
+			q.State(r.Coder(), func(r *Response) int { return r.Req.Core })
 			if err := r.Done(); err != nil {
 				t.Fatal(err)
 			}
@@ -130,8 +130,21 @@ func TestDueQueueRejectsUnorderedLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewDueQueue(1)
-	q.Load(r, func(*Response) int { return 0 })
+	q.State(r.Coder(), func(*Response) int { return 0 })
 	if !errors.Is(r.Err(), snapshot.ErrCorrupt) {
 		t.Fatalf("unordered lane loaded: err=%v", r.Err())
 	}
+}
+
+// TestDueQueueSnapshotManifest: the lanes go out as one list in push order;
+// the rest is derived from it.
+func TestDueQueueSnapshotManifest(t *testing.T) {
+	snapshot.CheckManifest(t, snapshot.MustStruct(DueQueue{}),
+		[]string{"lanes"},
+		[]string{
+			// Memo: rebuilt by the pushes of a load (the saved earliest
+			// DoneCycle is read and dropped); out is valid until the next Pop
+			// only, and Examined counts the simulator.
+			"next", "seq", "out", "Examined",
+		})
 }

@@ -2,97 +2,60 @@ package mem
 
 import "clip/internal/snapshot"
 
-// Save serializes the PRNG (one word: SplitMix64 is its state).
-func (p *PRNG) Save(w *snapshot.Writer) {
-	w.U64(p.state)
+// RequestBytes and ResponseBytes are the encoded sizes of a Request and a
+// Response: what a list of them needs of the stream per element.
+const (
+	RequestBytes  = 6*8 + 4
+	ResponseBytes = RequestBytes + 1 + 8 + 2
+)
+
+// State walks the PRNG (one word: SplitMix64 is its state).
+func (p *PRNG) State(s *snapshot.Coder) {
+	s.U64(&p.state)
 }
 
-// Load restores the PRNG.
-func (p *PRNG) Load(r *snapshot.Reader) {
-	p.state = r.U64()
-}
-
-// SaveRing serializes a Ring's logical content: length, then elements
-// front-to-back via elem. Buffer geometry (head position, capacity) is not
-// observable through the Ring API, so it is not captured; SaveRing/LoadRing
-// round-trip the queue, not the buffer.
-func SaveRing[T any](w *snapshot.Writer, r *Ring[T], elem func(*T)) {
-	w.Int(r.n)
-	for i := 0; i < r.n; i++ {
+// State walks a Ring's logical content: length, then elements front-to-back
+// via elem, each at least elemSize encoded bytes. Buffer geometry (head
+// position, capacity) is not observable through the Ring API, so it is not
+// captured: the queue round-trips, not the buffer. Loading reuses the
+// existing buffer, growing it if the saved queue is deeper.
+func (r *Ring[T]) State(s *snapshot.Coder, elemSize int, elem func(*T)) {
+	n := s.Len("mem: ring", r.n, snapshot.MaxLen, elemSize)
+	if s.Loading() {
+		for r.n > 0 {
+			r.PopFront()
+		}
+		r.head = 0
+		r.Grow(n)
+	}
+	var zero T
+	for i := 0; i < n && s.Err() == nil; i++ {
+		if s.Loading() {
+			r.Push(zero)
+		}
 		elem(r.At(i))
 	}
 }
 
-// LoadRing restores a Ring saved by SaveRing, reusing the existing buffer
-// (growing it if the saved queue is deeper). elem decodes one element into
-// the pushed slot.
-func LoadRing[T any](r *snapshot.Reader, q *Ring[T], elem func(*T)) {
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if n < 0 || n > 1<<28 {
-		r.Fail(snapshot.ErrCorrupt)
-		return
-	}
-	// Reset to empty, reusing the buffer.
-	for q.n > 0 {
-		q.PopFront()
-	}
-	q.head = 0
-	q.Grow(n)
-	var zero T
-	for i := 0; i < n; i++ {
-		q.Push(zero)
-		elem(q.At(i))
-		if r.Err() != nil {
-			return
-		}
-	}
+// State walks one Request field-for-field.
+func (q *Request) State(s *snapshot.Coder) {
+	s.U64((*uint64)(&q.Addr))
+	s.U64(&q.IP)
+	s.U64(&q.TriggerIP)
+	s.U64(&q.IssueCycle)
+	s.Int(&q.Core)
+	s.Int(&q.ROBIndex)
+	s.U8((*uint8)(&q.Type))
+	s.Bool(&q.Critical)
+	s.U8((*uint8)(&q.FillLevel))
+	s.Bool(&q.Owned)
 }
 
-// SaveRequest writes one Request field-for-field.
-func SaveRequest(w *snapshot.Writer, q *Request) {
-	w.U64(uint64(q.Addr))
-	w.U64(q.IP)
-	w.U64(q.TriggerIP)
-	w.U64(q.IssueCycle)
-	w.Int(q.Core)
-	w.Int(q.ROBIndex)
-	w.U8(uint8(q.Type))
-	w.Bool(q.Critical)
-	w.U8(uint8(q.FillLevel))
-	w.Bool(q.Owned)
-}
-
-// LoadRequest reads one Request.
-func LoadRequest(r *snapshot.Reader, q *Request) {
-	q.Addr = Addr(r.U64())
-	q.IP = r.U64()
-	q.TriggerIP = r.U64()
-	q.IssueCycle = r.U64()
-	q.Core = r.Int()
-	q.ROBIndex = r.Int()
-	q.Type = AccessType(r.U8())
-	q.Critical = r.Bool()
-	q.FillLevel = Level(r.U8())
-	q.Owned = r.Bool()
-}
-
-// SaveResponse writes one Response.
-func SaveResponse(w *snapshot.Writer, resp *Response) {
-	SaveRequest(w, &resp.Req)
-	w.U8(uint8(resp.ServedBy))
-	w.U64(resp.DoneCycle)
-	w.Bool(resp.WasPrefetch)
-	w.Bool(resp.LatePF)
-}
-
-// LoadResponse reads one Response.
-func LoadResponse(r *snapshot.Reader, resp *Response) {
-	LoadRequest(r, &resp.Req)
-	resp.ServedBy = Level(r.U8())
-	resp.DoneCycle = r.U64()
-	resp.WasPrefetch = r.Bool()
-	resp.LatePF = r.Bool()
+// State walks one Response.
+func (r *Response) State(s *snapshot.Coder) {
+	r.Req.State(s)
+	s.U8((*uint8)(&r.ServedBy))
+	s.U64(&r.DoneCycle)
+	s.Bool(&r.WasPrefetch)
+	s.Bool(&r.LatePF)
 }

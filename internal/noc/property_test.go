@@ -362,7 +362,7 @@ func TestPropertyReferenceArbiter(t *testing.T) {
 			case !restored && cy >= 2500 && m.linkActive > 0:
 				restored = true
 				w := snapshot.NewWriter()
-				m.Save(w)
+				m.State(w.Coder())
 				image, err := w.Bytes()
 				if err != nil {
 					t.Fatal(err)
@@ -373,7 +373,7 @@ func TestPropertyReferenceArbiter(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.Load(r)
+				m.State(r.Coder())
 				if err := r.Done(); err != nil {
 					t.Fatal(err)
 				}

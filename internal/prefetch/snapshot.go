@@ -3,15 +3,14 @@ package prefetch
 import (
 	"fmt"
 
-	"clip/internal/mem"
 	"clip/internal/snapshot"
 )
 
 // Prefetcher checkpointing. Each engine serializes its training tables and
 // aggressiveness level (throttlers mutate it); per-Train scratch slices are
-// consumed within one call and carry no state. SavePrefetcher writes a kind
-// byte so a snapshot taken under one -prefetcher flag cannot silently restore
-// into another.
+// consumed within one call and carry no state. State writes a kind byte so a
+// snapshot taken under one -prefetcher flag cannot silently restore into
+// another.
 
 const (
 	pfKindNone uint8 = iota
@@ -23,15 +22,14 @@ const (
 	pfKindBerti
 )
 
-// codec is the Save/Load pair every stateful engine implements.
-type codec interface {
-	Save(w *snapshot.Writer)
-	Load(r *snapshot.Reader)
+// stater is the state walk every stateful engine implements.
+type stater interface {
+	State(s *snapshot.Coder)
 }
 
-// kindOf returns p's snapshot kind byte and its codec (nil for the stateless
-// None); ok is false for a Prefetcher not built by New.
-func kindOf(p Prefetcher) (kind uint8, c codec, ok bool) {
+// kindOf returns p's snapshot kind byte and its state walk (nil for the
+// stateless None); ok is false for a Prefetcher not built by New.
+func kindOf(p Prefetcher) (kind uint8, c stater, ok bool) {
 	switch pf := p.(type) {
 	case None:
 		return pfKindNone, nil, true
@@ -51,220 +49,110 @@ func kindOf(p Prefetcher) (kind uint8, c codec, ok bool) {
 	return 0, nil, false
 }
 
-// SavePrefetcher serializes any prefetcher built by New.
-func SavePrefetcher(w *snapshot.Writer, p Prefetcher) {
+// State walks any prefetcher built by New, behind its kind byte.
+func State(s *snapshot.Coder, p Prefetcher) {
 	kind, c, ok := kindOf(p)
 	if !ok {
-		w.Fail(fmt.Errorf("prefetch: cannot snapshot prefetcher type %T", p))
+		s.Fail(fmt.Errorf("prefetch: cannot snapshot prefetcher type %T", p))
 		return
 	}
-	w.U8(kind)
-	if c != nil {
-		c.Save(w)
+	if s.Kind("prefetch: prefetcher", kind) && c != nil {
+		c.State(s)
 	}
 }
 
-// LoadPrefetcher restores a prefetcher saved by SavePrefetcher into an
-// identically-configured receiver.
-func LoadPrefetcher(r *snapshot.Reader, p Prefetcher) {
-	want, c, ok := kindOf(p)
-	if !ok {
-		r.Fail(fmt.Errorf("prefetch: cannot restore into prefetcher type %T", p))
-		return
-	}
-	kind := r.U8()
-	if r.Err() != nil {
-		return
-	}
-	if kind != want {
-		r.Fail(fmt.Errorf("prefetch: snapshot holds prefetcher kind %d, receiver is %s: %w",
-			kind, p.Name(), snapshot.ErrCorrupt))
-		return
-	}
-	if c != nil {
-		c.Load(r)
-	}
-}
-
-// Save serializes the IP-stride prefetcher.
-func (s *Stride) Save(w *snapshot.Writer) {
-	w.Int(s.level)
-	s.table.Save(w, func(e *strideEntry) {
-		w.U64(e.lastLine)
-		w.I64(e.stride)
-		w.I8(e.conf)
+// State walks the IP-stride prefetcher.
+func (p *Stride) State(s *snapshot.Coder) {
+	s.Int(&p.level)
+	p.table.State(s, func(e *strideEntry) {
+		s.U64(&e.lastLine)
+		s.I64(&e.stride)
+		s.I8(&e.conf)
 	})
 }
 
-// Load restores the IP-stride prefetcher.
-func (s *Stride) Load(r *snapshot.Reader) {
-	s.level = r.Int()
-	s.table.Load(r, func(e *strideEntry) {
-		e.lastLine = r.U64()
-		e.stride = r.I64()
-		e.conf = r.I8()
-	})
-}
-
-// Save serializes the streamer.
-func (s *Stream) Save(w *snapshot.Writer) {
-	w.Int(s.level)
-	for i := range s.streams {
-		st := &s.streams[i]
-		w.Bool(st.valid)
-		w.U64(st.page)
-		w.U64(st.last)
-		w.I64(st.dir)
-		w.I8(st.conf)
+// State walks the streamer.
+func (p *Stream) State(s *snapshot.Coder) {
+	s.Int(&p.level)
+	for i := range p.streams {
+		st := &p.streams[i]
+		s.Bool(&st.valid)
+		s.U64(&st.page)
+		s.U64(&st.last)
+		s.I64(&st.dir)
+		s.I8(&st.conf)
 	}
-	w.Int(s.next)
-}
-
-// Load restores the streamer.
-func (s *Stream) Load(r *snapshot.Reader) {
-	s.level = r.Int()
-	for i := range s.streams {
-		st := &s.streams[i]
-		st.valid = r.Bool()
-		st.page = r.U64()
-		st.last = r.U64()
-		st.dir = r.I64()
-		st.conf = r.I8()
-	}
-	s.next = r.Int()
-	if r.Err() == nil && (s.next < 0 || s.next >= len(s.streams)) {
-		r.Fail(fmt.Errorf("prefetch: stream cursor %d out of range: %w", s.next, snapshot.ErrCorrupt))
+	s.Int(&p.next)
+	if s.Loading() && (p.next < 0 || p.next >= len(p.streams)) {
+		s.Corrupt("prefetch: stream cursor %d out of range", p.next)
 	}
 }
 
-// Save serializes Bingo's region tracker and both history tables.
-func (b *Bingo) Save(w *snapshot.Writer) {
-	w.Int(b.level)
-	b.active.Save(w, func(e *bingoRegion) {
-		w.U64(e.triggerIP)
-		w.U64(uint64(e.triggerAddr))
-		w.U32(e.bitmap)
-		w.Int(e.touches)
+// State walks Bingo's region tracker and both history tables.
+func (b *Bingo) State(s *snapshot.Coder) {
+	s.Int(&b.level)
+	b.active.State(s, func(e *bingoRegion) {
+		s.U64(&e.triggerIP)
+		s.U64((*uint64)(&e.triggerAddr))
+		s.U32(&e.bitmap)
+		s.Int(&e.touches)
 	})
-	b.long.Save(w, func(e *uint32) { w.U32(*e) })
-	b.short.Save(w, func(e *uint32) { w.U32(*e) })
+	b.long.State(s, s.U32)
+	b.short.State(s, s.U32)
 }
 
-// Load restores Bingo.
-func (b *Bingo) Load(r *snapshot.Reader) {
-	b.level = r.Int()
-	b.active.Load(r, func(e *bingoRegion) {
-		e.triggerIP = r.U64()
-		e.triggerAddr = mem.Addr(r.U64())
-		e.bitmap = r.U32()
-		e.touches = r.Int()
-	})
-	b.long.Load(r, func(e *uint32) { *e = r.U32() })
-	b.short.Load(r, func(e *uint32) { *e = r.U32() })
-}
-
-// Save serializes SPP-PPF: per-page signatures, the pattern table and the
+// State walks SPP-PPF: per-page signatures, the pattern table and the
 // perceptron filter weights.
-func (s *SPPPPF) Save(w *snapshot.Writer) {
-	w.Int(s.level)
-	s.pages.Save(w, func(e *sppPage) {
-		w.U64(e.lastLine)
-		w.U16(e.sig)
+func (p *SPPPPF) State(s *snapshot.Coder) {
+	s.Int(&p.level)
+	p.pages.State(s, func(e *sppPage) {
+		s.U64(&e.lastLine)
+		s.U16(&e.sig)
 	})
-	for i := range s.table {
-		p := &s.table[i]
-		for j := range p.deltas {
-			w.I64(p.deltas[j])
+	for i := range p.table {
+		e := &p.table[i]
+		for j := range e.deltas {
+			s.I64(&e.deltas[j])
 		}
-		w.U8s(p.counts[:])
+		s.U8s(e.counts[:])
 	}
-	for t := range s.filter.weights {
-		w.I8s(s.filter.weights[t][:])
+	for t := range p.filter.weights {
+		s.I8s(p.filter.weights[t][:])
 	}
 }
 
-// Load restores SPP-PPF.
-func (s *SPPPPF) Load(r *snapshot.Reader) {
-	s.level = r.Int()
-	s.pages.Load(r, func(e *sppPage) {
-		e.lastLine = r.U64()
-		e.sig = r.U16()
-	})
-	for i := range s.table {
-		p := &s.table[i]
-		for j := range p.deltas {
-			p.deltas[j] = r.I64()
-		}
-		r.U8s(p.counts[:])
-	}
-	for t := range s.filter.weights {
-		r.I8s(s.filter.weights[t][:])
-	}
-}
-
-// Save serializes IPCP's three engines.
-func (p *IPCP) Save(w *snapshot.Writer) {
-	w.Int(p.level)
-	p.ip.Save(w, func(e *ipcpEntry) {
-		w.U64(e.lastLine)
-		w.I64(e.stride)
-		w.I8(e.conf)
-		w.U16(e.sig)
+// State walks IPCP's three engines.
+func (p *IPCP) State(s *snapshot.Coder) {
+	s.Int(&p.level)
+	p.ip.State(s, func(e *ipcpEntry) {
+		s.U64(&e.lastLine)
+		s.I64(&e.stride)
+		s.I8(&e.conf)
+		s.U16(&e.sig)
 	})
 	for i := range p.cplx {
-		w.I64(p.cplx[i].delta)
-		w.I8(p.cplx[i].conf)
+		s.I64(&p.cplx[i].delta)
+		s.I8(&p.cplx[i].conf)
 	}
-	p.region.Save(w, func(e *gsRegion) {
-		w.U64(e.bitmap)
-		w.Int(e.lastOff)
-		w.Int(e.forward)
-		w.Int(e.backward)
-		w.Int(e.touched)
+	p.region.State(s, func(e *gsRegion) {
+		s.U64(&e.bitmap)
+		s.Int(&e.lastOff)
+		s.Int(&e.forward)
+		s.Int(&e.backward)
+		s.Int(&e.touched)
 	})
 }
 
-// Load restores IPCP.
-func (p *IPCP) Load(r *snapshot.Reader) {
-	p.level = r.Int()
-	p.ip.Load(r, func(e *ipcpEntry) {
-		e.lastLine = r.U64()
-		e.stride = r.I64()
-		e.conf = r.I8()
-		e.sig = r.U16()
-	})
-	for i := range p.cplx {
-		p.cplx[i].delta = r.I64()
-		p.cplx[i].conf = r.I8()
-	}
-	p.region.Load(r, func(e *gsRegion) {
-		e.bitmap = r.U64()
-		e.lastOff = r.Int()
-		e.forward = r.Int()
-		e.backward = r.Int()
-		e.touched = r.Int()
-	})
-}
-
-// Save serializes Berti: the IP->row table, the whole column slab verbatim
+// State walks Berti: the IP->row table, the whole column slab verbatim
 // (history rings, delta sets and per-row counters alias it), the fresh-row
 // cursor and the latency estimate.
-func (b *Berti) Save(w *snapshot.Writer) {
-	w.Int(b.level)
-	b.rows.Save(w, func(e *int32) { w.I32(*e) })
-	w.U64s(b.slab)
-	w.I32(b.nextRow)
-	w.U64(b.latencyEst)
-}
-
-// Load restores Berti.
-func (b *Berti) Load(r *snapshot.Reader) {
-	b.level = r.Int()
-	b.rows.Load(r, func(e *int32) { *e = r.I32() })
-	r.U64s(b.slab)
-	b.nextRow = r.I32()
-	b.latencyEst = r.U64()
-	if r.Err() == nil && (b.nextRow < 0 || b.nextRow > bertiTableSize) {
-		r.Fail(fmt.Errorf("prefetch: berti row cursor %d out of range: %w", b.nextRow, snapshot.ErrCorrupt))
+func (b *Berti) State(s *snapshot.Coder) {
+	s.Int(&b.level)
+	b.rows.State(s, s.I32)
+	s.U64s(b.slab)
+	s.I32(&b.nextRow)
+	s.U64(&b.latencyEst)
+	if s.Loading() && (b.nextRow < 0 || b.nextRow > bertiTableSize) {
+		s.Corrupt("prefetch: berti row cursor %d out of range", b.nextRow)
 	}
 }

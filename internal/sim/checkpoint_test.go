@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"clip/internal/snapshot"
@@ -274,6 +276,44 @@ func TestLoadStateTruncatedAndCorrupt(t *testing.T) {
 		s := fresh()
 		_ = s.LoadState(mut) // must not panic
 	}
+	// A count the stream cannot back is refused before it sizes anything: a
+	// valid prefix up to core 0's unconsumed-instruction count (its generator
+	// a replay of the shared window at position 0, no private continuation),
+	// a count of 2^24 there, end of stream.
+	s := fresh()
+	w := snapshot.NewWriter()
+	c := w.Coder()
+	fp := cfg.stateFingerprint()
+	c.String(&fp)
+	m := s.mechs()
+	m.state(c)
+	c.Section("base", func() {
+		var cycle, measureStart uint64
+		var warmed, cont bool
+		finished, kind, pos, count := 0, uint8(1), 0, 1<<24
+		c.U64(&cycle)
+		c.U64(&measureStart)
+		c.Bool(&warmed)
+		c.Int(&finished)
+		c.U8(&kind)
+		c.Int(&pos)
+		c.Bool(&cont)
+		c.Int(&count)
+	})
+	crafted, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = s.LoadState(crafted)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "cpu: ibuf") {
+		t.Fatalf("a 2^24 instruction count at the end of the stream: err = %v, want ErrCorrupt at cpu: ibuf", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing the count allocated %d bytes", grew)
+	}
 }
 
 // TestSystemSnapshotManifest is the reflection guard over System itself:
@@ -281,7 +321,7 @@ func TestLoadStateTruncatedAndCorrupt(t *testing.T) {
 func TestSystemSnapshotManifest(t *testing.T) {
 	snapshot.CheckManifest(t, snapshot.MustStruct(&System{}),
 		[]string{
-			// saveBase
+			// baseState
 			"cycle", "measureStart", "warmed", "finished",
 			"cores", "l1d", "l2", "llc", "mesh", "dram",
 			"ports", "icaches", "tlbs",

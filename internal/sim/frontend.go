@@ -26,6 +26,9 @@ type delayedReq struct {
 	ready uint64
 }
 
+// portQueueDepth bounds a port's queue of requests waiting on a translation.
+const portQueueDepth = 16
+
 // Issue implements cpu.MemoryPort.
 func (p *corePort) Issue(req *mem.Request) bool {
 	if p.tlbs == nil {
@@ -36,7 +39,7 @@ func (p *corePort) Issue(req *mem.Request) bool {
 		return p.s.l1d[p.core].Issue(req)
 	}
 	// Bound the translation queue so a wall of walks backpressures the LQ.
-	if len(p.pending) >= 16 {
+	if len(p.pending) >= portQueueDepth {
 		return false
 	}
 	p.pending = append(p.pending, delayedReq{req: *req, ready: p.s.cycle + extra})

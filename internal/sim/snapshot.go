@@ -74,41 +74,60 @@ func (s *System) mechs() mechSet {
 	}
 }
 
+// state walks the image header's mechanism list.
+func (m *mechSet) state(c *snapshot.Coder) {
+	c.String(&m.pf)
+	c.Bool(&m.dspatch)
+	c.Bool(&m.clip)
+	c.String(&m.crit)
+	c.Bool(&m.scored)
+	c.String(&m.thr)
+	c.Bool(&m.hermes)
+	c.Bool(&m.dyn)
+}
+
+// section is one tagged, length-prefixed part of the image.
+type section struct {
+	tag     string
+	present bool // the image carries it
+	match   bool // the receiver restores it; otherwise it skips it and stays cold
+	walk    func(*System, *snapshot.Coder)
+}
+
+// sections is the image's layout: which sections an image written under the
+// saved mechanisms carries, in stream order, and which of them a receiver
+// with the mechanisms it has restores. Saving asks with saved == have.
+func sections(saved, have mechSet) [8]section {
+	pfMatch := saved.pf == have.pf && saved.dspatch == have.dspatch
+	return [8]section{
+		{"base", true, true, (*System).baseState},
+		{"pf", true, pfMatch, (*System).pfState},
+		{"clip", saved.clip, have.clip, (*System).clipState},
+		{"crit", saved.crit != "", saved.crit == have.crit, (*System).critState},
+		{"scored", saved.scored, have.scored, (*System).scoredState},
+		// Throttlers bind the prefetcher (per-core nil-ness follows its
+		// Throttleable-ness), so they only restore alongside a matching pf.
+		{"throttle", saved.thr != "", saved.thr == have.thr && pfMatch, (*System).throttleState},
+		{"hermes", saved.hermes, have.hermes, (*System).hermesState},
+		{"dynclip", saved.dyn, have.dyn, (*System).dynClipState},
+	}
+}
+
 // SaveState serializes the system's complete dynamic state.
 func (s *System) SaveState() ([]byte, error) {
 	// The image holds every component's clock and counters as of the last
 	// simulated cycle, which sleepers have not been charged up to yet.
 	s.settleAll()
 	w := snapshot.NewWriterSize(s.imageSizeHint())
-	w.String(s.cfg.stateFingerprint())
+	c := w.Coder()
+	fp := s.cfg.stateFingerprint()
+	c.String(&fp)
 	m := s.mechs()
-	w.String(m.pf)
-	w.Bool(m.dspatch)
-	w.Bool(m.clip)
-	w.String(m.crit)
-	w.Bool(m.scored)
-	w.String(m.thr)
-	w.Bool(m.hermes)
-	w.Bool(m.dyn)
-	w.Section("base", func() { s.saveBase(w) })
-	w.Section("pf", func() { s.savePF(w) })
-	if m.clip {
-		w.Section("clip", func() { s.saveCLIP(w) })
-	}
-	if m.crit != "" {
-		w.Section("crit", func() { s.saveCrit(w) })
-	}
-	if m.scored {
-		w.Section("scored", func() { s.saveScored(w) })
-	}
-	if m.thr != "" {
-		w.Section("throttle", func() { s.saveThrottle(w) })
-	}
-	if m.hermes {
-		w.Section("hermes", func() { s.saveHermes(w) })
-	}
-	if m.dyn {
-		w.Section("dynclip", func() { s.saveDynClip(w) })
+	m.state(c)
+	for _, sec := range sections(m, m) {
+		if sec.present {
+			c.Section(sec.tag, func() { sec.walk(s, c) })
+		}
 	}
 	image, err := w.Bytes()
 	if err == nil {
@@ -144,74 +163,29 @@ func (s *System) LoadState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if fp := r.String(); r.Err() == nil && fp != s.cfg.stateFingerprint() {
+	c := r.Coder()
+	var fp string
+	if c.String(&fp); r.Err() == nil && fp != s.cfg.stateFingerprint() {
 		return fmt.Errorf("%w: snapshot %q vs receiver %q",
 			ErrConfigMismatch, fp, s.cfg.stateFingerprint())
 	}
 	var saved mechSet
-	saved.pf = r.String()
-	saved.dspatch = r.Bool()
-	saved.clip = r.Bool()
-	saved.crit = r.String()
-	saved.scored = r.Bool()
-	saved.thr = r.String()
-	saved.hermes = r.Bool()
-	saved.dyn = r.Bool()
+	saved.state(c)
 	if err := r.Err(); err != nil {
 		return err
 	}
-	have := s.mechs()
-	r.Section("base", func() { s.loadBase(r) })
-	pfMatch := saved.pf == have.pf && saved.dspatch == have.dspatch
-	if pfMatch {
-		r.Section("pf", func() { s.loadPF(r) })
-	} else {
-		skipSection(r, "pf")
-	}
-	if saved.clip {
-		if have.clip {
-			r.Section("clip", func() { s.loadCLIP(r) })
-		} else {
-			skipSection(r, "clip")
-		}
-	}
-	if saved.crit != "" {
-		if saved.crit == have.crit {
-			r.Section("crit", func() { s.loadCrit(r) })
-		} else {
-			skipSection(r, "crit")
-		}
-	}
-	if saved.scored {
-		if have.scored {
-			r.Section("scored", func() { s.loadScored(r) })
-		} else {
-			skipSection(r, "scored")
-		}
-	}
 	thrLoaded := false
-	if saved.thr != "" {
-		// Throttlers bind the prefetcher (per-core nil-ness follows its
-		// Throttleable-ness), so they only restore alongside a matching pf.
-		if saved.thr == have.thr && pfMatch {
-			r.Section("throttle", func() { s.loadThrottle(r) })
-			thrLoaded = true
-		} else {
-			skipSection(r, "throttle")
-		}
-	}
-	if saved.hermes {
-		if have.hermes {
-			r.Section("hermes", func() { s.loadHermes(r) })
-		} else {
-			skipSection(r, "hermes")
-		}
-	}
-	if saved.dyn {
-		if have.dyn {
-			r.Section("dynclip", func() { s.loadDynClip(r) })
-		} else {
-			skipSection(r, "dynclip")
+	for _, sec := range sections(saved, s.mechs()) {
+		switch {
+		case !sec.present:
+		case sec.match:
+			c.Section(sec.tag, func() { sec.walk(s, c) })
+			thrLoaded = thrLoaded || sec.tag == "throttle"
+		default:
+			if got := r.SkipSection(); r.Err() == nil && got != sec.tag {
+				r.Fail(fmt.Errorf("sim: snapshot section %q, expected %q: %w",
+					got, sec.tag, snapshot.ErrCorrupt))
+			}
 		}
 	}
 	if err := r.Done(); err != nil {
@@ -230,370 +204,195 @@ func (s *System) LoadState(data []byte) error {
 	return nil
 }
 
-// skipSection skips one section, verifying the stream is aligned on the
-// expected tag.
-func skipSection(r *snapshot.Reader, tag string) {
-	if got := r.SkipSection(); r.Err() == nil && got != tag {
-		r.Fail(fmt.Errorf("sim: snapshot section %q, expected %q: %w",
-			got, tag, snapshot.ErrCorrupt))
+// present walks the presence flag of an optional per-core component, on
+// which image and receiver must agree, and reports whether there is one.
+func present(c *snapshot.Coder, what string, has bool) bool {
+	saved := has
+	if c.Bool(&saved); saved != has {
+		c.Corrupt("sim: %s presence mismatch", what)
 	}
+	return has
 }
 
-// saveBase serializes everything outside the mechanism sections: cores,
-// caches, interconnect, DRAM, front-end models and the simulation-level
-// queues and counters.
-func (s *System) saveBase(w *snapshot.Writer) {
-	w.U64(s.cycle)
-	w.U64(s.measureStart)
-	w.Bool(s.warmed)
-	w.Int(s.finished)
-	for _, c := range s.cores {
-		c.Save(w)
+// baseState walks everything outside the mechanism sections: cores, caches,
+// interconnect, DRAM, front-end models and the simulation-level queues and
+// counters.
+func (s *System) baseState(c *snapshot.Coder) {
+	c.U64(&s.cycle)
+	c.U64(&s.measureStart)
+	c.Bool(&s.warmed)
+	c.Int(&s.finished)
+	if c.Loading() && (s.finished < 0 || s.finished > len(s.cores)) {
+		c.Corrupt("sim: finished count %d of %d cores", s.finished, len(s.cores))
+		return
 	}
-	for _, c := range s.l1d {
-		c.Save(w)
+	for _, core := range s.cores {
+		core.State(c)
 	}
-	for _, c := range s.l2 {
-		c.Save(w)
+	for _, l1 := range s.l1d {
+		l1.State(c)
 	}
-	for _, c := range s.llc {
-		c.Save(w)
+	for _, l2 := range s.l2 {
+		l2.State(c)
 	}
-	s.mesh.Save(w)
-	s.dram.Save(w)
+	for _, slice := range s.llc {
+		slice.State(c)
+	}
+	s.mesh.State(c)
+	s.dram.State(c)
 	for _, p := range s.ports {
-		p.save(w)
+		p.state(c)
 	}
 	for _, ic := range s.icaches {
-		w.Bool(ic != nil)
-		if ic != nil {
-			ic.save(w)
+		if present(c, "L1I", ic != nil) {
+			ic.state(c)
 		}
 	}
 	for _, t := range s.tlbs {
-		w.Bool(t != nil)
-		if t != nil {
-			t.Save(w)
+		if present(c, "TLB", t != nil) {
+			t.State(c)
 		}
 	}
-	s.dramPending.Save(w)
+	s.dramPending.State(c, func(resp *mem.Response) int { return s.dram.ChannelOf(resp.Req.Addr) })
 	for i := range s.llcRetry {
-		mem.SaveRing(w, &s.llcRetry[i], func(q *mem.Request) { mem.SaveRequest(w, q) })
+		s.llcRetry[i].State(c, mem.RequestBytes, func(q *mem.Request) { q.State(c) })
 	}
-	// Map iteration order is not deterministic; sort the bypass keys so two
-	// saves of the same state are byte-identical.
-	keys := make([]uint64, 0, len(s.hermesBypass))
-	for k := range s.hermesBypass { //clipvet:orderfree key collection only; sorted below before encoding
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.U64(k)
-		w.Int(s.hermesBypass[k])
-	}
-	s.hermesHold.Save(w)
+	s.bypassState(c)
+	s.hermesHold.State(c, func(*mem.Response) int { return 0 })
 	for i := range s.epochPrev {
 		e := &s.epochPrev[i]
-		w.U64(e.pfFills)
-		w.U64(e.pfUseful)
-		w.U64(e.pfLate)
-		w.U64(e.pfPolluting)
-		w.U64(e.misses)
-		w.U64(e.retired)
+		c.U64(&e.pfFills)
+		c.U64(&e.pfUseful)
+		c.U64(&e.pfLate)
+		c.U64(&e.pfPolluting)
+		c.U64(&e.misses)
+		c.U64(&e.retired)
 	}
-	w.U64s(s.pfGenerated)
-	w.U64s(s.pfIssued)
+	c.U64s(s.pfGenerated)
+	c.U64s(s.pfIssued)
 	for i := range s.pfQ {
-		mem.SaveRing(w, &s.pfQ[i], func(e *pfEntry) {
-			mem.SaveRequest(w, &e.req)
-			w.Bool(e.toL2)
+		s.pfQ[i].State(c, mem.RequestBytes+1, func(e *pfEntry) {
+			e.req.State(c)
+			c.Bool(&e.toL2)
 		})
 	}
 	for i := range s.stage {
-		mem.SaveRing(w, &s.stage[i].dramQ, func(e *directRead) {
-			mem.SaveRequest(w, &e.req)
-			w.Bool(e.bypass)
+		s.stage[i].dramQ.State(c, mem.RequestBytes+1, func(e *directRead) {
+			e.req.State(c)
+			c.Bool(&e.bypass)
 		})
 	}
-	w.U64s(s.coreNext)
+	c.U64s(s.coreNext)
 }
 
-func (s *System) loadBase(r *snapshot.Reader) {
-	s.cycle = r.U64()
-	s.measureStart = r.U64()
-	s.warmed = r.Bool()
-	s.finished = r.Int()
-	if r.Err() == nil && (s.finished < 0 || s.finished > len(s.cores)) {
-		r.Fail(fmt.Errorf("sim: finished count %d of %d cores: %w",
-			s.finished, len(s.cores), snapshot.ErrCorrupt))
+// bypassState walks the Hermes bypass map as a list of (line, count) pairs.
+// Map iteration order is not deterministic; saving sorts the keys so two
+// saves of the same state are byte-identical.
+func (s *System) bypassState(c *snapshot.Coder) {
+	if !c.Loading() {
+		keys := make([]uint64, 0, len(s.hermesBypass))
+		for k := range s.hermesBypass { //clipvet:orderfree key collection only; sorted below before encoding
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		c.Len("sim: bypass entries", len(keys), snapshot.MaxLen, 8+8)
+		for _, k := range keys {
+			v := s.hermesBypass[k]
+			c.U64(&k)
+			c.Int(&v)
+		}
 		return
 	}
-	for _, c := range s.cores {
-		c.Load(r)
-	}
-	for _, c := range s.l1d {
-		c.Load(r)
-	}
-	for _, c := range s.l2 {
-		c.Load(r)
-	}
-	for _, c := range s.llc {
-		c.Load(r)
-	}
-	s.mesh.Load(r)
-	s.dram.Load(r)
-	for _, p := range s.ports {
-		p.load(r)
-	}
-	for _, ic := range s.icaches {
-		has := r.Bool()
-		if r.Err() == nil && has != (ic != nil) {
-			r.Fail(fmt.Errorf("sim: L1I presence mismatch: %w", snapshot.ErrCorrupt))
-			return
-		}
-		if ic != nil {
-			ic.load(r)
-		}
-	}
-	for _, t := range s.tlbs {
-		has := r.Bool()
-		if r.Err() == nil && has != (t != nil) {
-			r.Fail(fmt.Errorf("sim: TLB presence mismatch: %w", snapshot.ErrCorrupt))
-			return
-		}
-		if t != nil {
-			t.Load(r)
-		}
-	}
-	s.dramPending.Load(r, func(resp *mem.Response) int { return s.dram.ChannelOf(resp.Req.Addr) })
-	for i := range s.llcRetry {
-		mem.LoadRing(r, &s.llcRetry[i], func(q *mem.Request) { mem.LoadRequest(r, q) })
-	}
-	nb := r.Int()
-	if r.Err() == nil && (nb < 0 || nb > 1<<24) {
-		r.Fail(fmt.Errorf("sim: %d bypass entries: %w", nb, snapshot.ErrCorrupt))
-		return
-	}
+	n := c.Len("sim: bypass entries", 0, snapshot.MaxLen, 8+8)
 	clear(s.hermesBypass)
-	for i := 0; i < nb && r.Err() == nil; i++ {
-		k := r.U64()
-		s.hermesBypass[k] = r.Int()
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var k uint64
+		var v int
+		c.U64(&k)
+		c.Int(&v)
+		s.hermesBypass[k] = v
 	}
-	s.hermesHold.Load(r, func(*mem.Response) int { return 0 })
-	for i := range s.epochPrev {
-		e := &s.epochPrev[i]
-		e.pfFills = r.U64()
-		e.pfUseful = r.U64()
-		e.pfLate = r.U64()
-		e.pfPolluting = r.U64()
-		e.misses = r.U64()
-		e.retired = r.U64()
-	}
-	r.U64s(s.pfGenerated)
-	r.U64s(s.pfIssued)
-	for i := range s.pfQ {
-		mem.LoadRing(r, &s.pfQ[i], func(e *pfEntry) {
-			mem.LoadRequest(r, &e.req)
-			e.toL2 = r.Bool()
-		})
-	}
-	for i := range s.stage {
-		mem.LoadRing(r, &s.stage[i].dramQ, func(e *directRead) {
-			mem.LoadRequest(r, &e.req)
-			e.bypass = r.Bool()
-		})
-	}
-	r.U64s(s.coreNext)
 }
 
-// savePF serializes the per-core prefetchers (through their DSPatch wrapper
-// when one is configured).
-func (s *System) savePF(w *snapshot.Writer) {
+// pfState walks the per-core prefetchers (through their DSPatch wrapper when
+// one is configured).
+func (s *System) pfState(c *snapshot.Coder) {
 	for i := range s.pf {
 		if d, ok := s.pf[i].(*dspatch.DSPatch); ok {
-			d.Save(w)
+			d.State(c)
 		} else {
-			prefetch.SavePrefetcher(w, s.pf[i])
+			prefetch.State(c, s.pf[i])
 		}
 	}
 }
 
-func (s *System) loadPF(r *snapshot.Reader) {
-	for i := range s.pf {
-		if d, ok := s.pf[i].(*dspatch.DSPatch); ok {
-			d.Load(r)
-		} else {
-			prefetch.LoadPrefetcher(r, s.pf[i])
-		}
-	}
-}
-
-func (s *System) saveCLIP(w *snapshot.Writer) {
+func (s *System) clipState(c *snapshot.Coder) {
 	for i := range s.clip {
-		s.clip[i].Save(w)
+		s.clip[i].State(c)
 	}
 }
 
-func (s *System) loadCLIP(r *snapshot.Reader) {
-	for i := range s.clip {
-		s.clip[i].Load(r)
-	}
-}
-
-func (s *System) saveCrit(w *snapshot.Writer) {
+func (s *System) critState(c *snapshot.Coder) {
 	for i := range s.critPred {
-		criticality.SavePredictor(w, s.critPred[i])
+		criticality.State(c, s.critPred[i])
 	}
 }
 
-func (s *System) loadCrit(r *snapshot.Reader) {
-	for i := range s.critPred {
-		criticality.LoadPredictor(r, s.critPred[i])
-	}
-}
-
-func (s *System) saveScored(w *snapshot.Writer) {
+func (s *System) scoredState(c *snapshot.Coder) {
 	for i := range s.scored {
-		w.Int(len(s.scored[i]))
-		for j := range s.scored[i] {
-			sp := &s.scored[i][j]
-			criticality.SavePredictor(w, sp.pred)
-			sp.score.Save(w)
-		}
-	}
-}
-
-func (s *System) loadScored(r *snapshot.Reader) {
-	for i := range s.scored {
-		if n := r.Int(); r.Err() == nil && n != len(s.scored[i]) {
-			r.Fail(fmt.Errorf("sim: snapshot has %d scored predictors, receiver has %d: %w",
-				n, len(s.scored[i]), snapshot.ErrCorrupt))
-		}
-		if r.Err() != nil {
+		if !c.Fixed("sim: scored predictors", len(s.scored[i])) {
 			return
 		}
 		for j := range s.scored[i] {
 			sp := &s.scored[i][j]
-			criticality.LoadPredictor(r, sp.pred)
-			sp.score.Load(r)
+			criticality.State(c, sp.pred)
+			sp.score.State(c)
 		}
 	}
 }
 
-func (s *System) saveThrottle(w *snapshot.Writer) {
-	w.U64(s.nextThrottle)
+func (s *System) throttleState(c *snapshot.Coder) {
+	c.U64(&s.nextThrottle)
 	for _, th := range s.throttler {
-		w.Bool(th != nil)
-		if th != nil {
-			throttle.SaveThrottler(w, th)
+		if present(c, "throttler", th != nil) {
+			throttle.State(c, th)
 		}
 	}
 }
 
-func (s *System) loadThrottle(r *snapshot.Reader) {
-	s.nextThrottle = r.U64()
-	for _, th := range s.throttler {
-		has := r.Bool()
-		if r.Err() == nil && has != (th != nil) {
-			r.Fail(fmt.Errorf("sim: throttler presence mismatch: %w", snapshot.ErrCorrupt))
-			return
-		}
-		if th != nil {
-			throttle.LoadThrottler(r, th)
-		}
-	}
-}
-
-func (s *System) saveHermes(w *snapshot.Writer) {
+func (s *System) hermesState(c *snapshot.Coder) {
 	for i := range s.hermes {
-		s.hermes[i].Save(w)
+		s.hermes[i].State(c)
 	}
 }
 
-func (s *System) loadHermes(r *snapshot.Reader) {
-	for i := range s.hermes {
-		s.hermes[i].Load(r)
+// dynClipState walks the dynamic-CLIP engagement state.
+func (s *System) dynClipState(c *snapshot.Coder) {
+	c.Bool(&s.dynClip.active)
+	c.U64(&s.dynClip.activeCycles)
+	c.U64(&s.dynClip.totalCycles)
+}
+
+// state walks the translation port's delayed-request queue.
+func (p *corePort) state(c *snapshot.Coder) {
+	for i := range snapshot.Slice(c, "sim: port queue", &p.pending, portQueueDepth, mem.RequestBytes+8) {
+		p.pending[i].req.State(c)
+		c.U64(&p.pending[i].ready)
 	}
 }
 
-func (s *System) saveDynClip(w *snapshot.Writer) {
-	s.dynClip.save(w)
-}
-
-func (s *System) loadDynClip(r *snapshot.Reader) {
-	s.dynClip.load(r)
-}
-
-// save serializes the translation port's delayed-request queue.
-func (p *corePort) save(w *snapshot.Writer) {
-	w.Int(len(p.pending))
-	for i := range p.pending {
-		mem.SaveRequest(w, &p.pending[i].req)
-		w.U64(p.pending[i].ready)
-	}
-}
-
-func (p *corePort) load(r *snapshot.Reader) {
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if n < 0 || n > 16 {
-		r.Fail(fmt.Errorf("sim: port queue %d entries: %w", n, snapshot.ErrCorrupt))
-		return
-	}
-	p.pending = p.pending[:0]
-	for i := 0; i < n; i++ {
-		var d delayedReq
-		mem.LoadRequest(r, &d.req)
-		d.ready = r.U64()
-		p.pending = append(p.pending, d)
-	}
-}
-
-// save serializes the L1I tag array and counters.
-func (ic *icache) save(w *snapshot.Writer) {
-	w.Int(len(ic.tags))
-	for i := range ic.tags {
-		l := &ic.tags[i]
-		w.Bool(l.valid)
-		w.U64(l.tag)
-		w.U64(l.stamp)
-	}
-	w.U64(ic.clock)
-	w.U64(ic.stats.Fetches)
-	w.U64(ic.stats.Misses)
-}
-
-func (ic *icache) load(r *snapshot.Reader) {
-	if n := r.Int(); r.Err() == nil && n != len(ic.tags) {
-		r.Fail(fmt.Errorf("sim: snapshot has %d L1I lines, receiver has %d: %w",
-			n, len(ic.tags), snapshot.ErrCorrupt))
-	}
-	if r.Err() != nil {
+// state walks the L1I tag array and counters.
+func (ic *icache) state(c *snapshot.Coder) {
+	if !c.Fixed("sim: L1I lines", len(ic.tags)) {
 		return
 	}
 	for i := range ic.tags {
 		l := &ic.tags[i]
-		l.valid = r.Bool()
-		l.tag = r.U64()
-		l.stamp = r.U64()
+		c.Bool(&l.valid)
+		c.U64(&l.tag)
+		c.U64(&l.stamp)
 	}
-	ic.clock = r.U64()
-	ic.stats.Fetches = r.U64()
-	ic.stats.Misses = r.U64()
-}
-
-// save serializes the dynamic-CLIP engagement state.
-func (d *dynamicClip) save(w *snapshot.Writer) {
-	w.Bool(d.active)
-	w.U64(d.activeCycles)
-	w.U64(d.totalCycles)
-}
-
-func (d *dynamicClip) load(r *snapshot.Reader) {
-	d.active = r.Bool()
-	d.activeCycles = r.U64()
-	d.totalCycles = r.U64()
+	c.U64(&ic.clock)
+	c.U64(&ic.stats.Fetches)
+	c.U64(&ic.stats.Misses)
 }

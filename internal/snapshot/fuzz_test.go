@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -49,9 +51,85 @@ func drive(r *Reader, ops []byte) {
 	_ = r.Done()
 }
 
-// FuzzReader feeds arbitrary bytes through every accessor: a Reader must
-// fail with a latched error on garbage, never panic and never allocate a
-// slice larger than the input could justify.
+// driveCoder is drive for a loading Coder: every walk method against
+// arbitrary input, into receivers of arbitrary prior content.
+func driveCoder(s *Coder, ops []byte) {
+	var (
+		u64  uint64
+		u32  uint32
+		u16  uint16
+		u8   uint8
+		i64  int64
+		i32  int32
+		i8   int8
+		n    int
+		b    bool
+		f    float64
+		str  string
+		list = []uint16{1, 2, 3}
+	)
+	for _, op := range ops {
+		switch op % 24 {
+		case 0:
+			s.U64(&u64)
+		case 1:
+			s.U32(&u32)
+		case 2:
+			s.U16(&u16)
+		case 3:
+			s.U8(&u8)
+		case 4:
+			s.I64(&i64)
+		case 5:
+			s.I32(&i32)
+		case 6:
+			s.I8(&i8)
+		case 7:
+			s.Int(&n)
+		case 8:
+			s.Bool(&b)
+		case 9:
+			s.F64(&f)
+		case 10:
+			s.String(&str)
+		case 11:
+			s.U64s(make([]uint64, 3))
+		case 12:
+			s.U8s(make([]uint8, 5))
+		case 13:
+			s.I32s(make([]int32, 2))
+		case 14:
+			s.I8s(make([]int8, 4))
+		case 15:
+			s.Bools(make([]bool, 2))
+		case 16:
+			s.Window(int(op))
+		case 17:
+			s.Fixed("fixed", 3)
+		case 18:
+			s.Kind("kind", op)
+		case 19:
+			if got := s.Len("len", 0, 1<<10, 8); got < 0 || got > 1<<10 {
+				panic("Len returned a count outside its bounds")
+			}
+		case 20:
+			for i := range Slice(s, "slice", &list, MaxLen, 2) {
+				s.U16(&list[i])
+			}
+		case 21:
+			s.Section("s", func() { s.U64(&u64) })
+		case 22:
+			s.Corrupt("op %d", op)
+		case 23:
+			_ = s.Loading()
+		}
+	}
+}
+
+// FuzzReader feeds arbitrary bytes through every accessor, of a Reader and
+// of a loading Coder: both must fail with a latched ErrCorrupt on garbage,
+// never panic and never allocate a slice larger than the input could
+// justify.
 func FuzzReader(f *testing.F) {
 	w := NewWriter()
 	w.U64(42)
@@ -67,11 +145,59 @@ func FuzzReader(f *testing.F) {
 			return // short or wrong-magic input is rejected at Open
 		}
 		drive(r, ops)
+
+		r, _ = NewReader(data)
+		driveCoder(r.Coder(), ops)
+		if err := r.Done(); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a loading Coder latched %v, want ErrCorrupt", err)
+		}
 	})
 }
 
+// roundTrip is the value set FuzzRoundTrip sends through the codec.
+type roundTrip struct {
+	u    uint64
+	i    int64
+	s    string
+	b    []byte
+	flag bool
+	fl   float64
+	us   [2]uint64
+	bs   [2]bool
+	list []uint8 // b again, as a variable-length list of one-byte elements
+	tail uint32
+}
+
+// walk visits v in the order FuzzRoundTrip's Writer lays it out.
+func (v *roundTrip) walk(s *Coder) {
+	s.U64(&v.u)
+	s.I64(&v.i)
+	s.String(&v.s)
+	s.U8s(v.b)
+	s.Bool(&v.flag)
+	s.F64(&v.fl)
+	s.Section("sec", func() {
+		s.U64s(v.us[:])
+		s.Bools(v.bs[:])
+	})
+	for i := range Slice(s, "list", &v.list, MaxLen, 1) {
+		s.U8(&v.list[i])
+	}
+	s.Fixed("fixed", 3)
+	s.Kind("kind", 7)
+	if w := s.Window(4); w != nil {
+		if s.Loading() {
+			v.tail = binary.LittleEndian.Uint32(w)
+		} else {
+			binary.LittleEndian.PutUint32(w, v.tail)
+		}
+	}
+}
+
 // FuzzRoundTrip writes fuzz-chosen values through the Writer and requires
-// the Reader to return them exactly, with the stream fully consumed.
+// the Reader to return them exactly, with the stream fully consumed; then
+// sends the same values through a saving Coder, which must produce the same
+// bytes, and a loading one, which must return them.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint64(1), int64(-9), "hello", []byte{1, 2, 3}, true, 3.25)
 	f.Add(^uint64(0), int64(0), "", []byte(nil), false, -0.0)
@@ -87,6 +213,13 @@ func FuzzRoundTrip(f *testing.F) {
 			w.U64s([]uint64{u, u ^ 1})
 			w.Bools([]bool{flag, !flag})
 		})
+		w.Int(len(b))
+		for _, x := range b {
+			w.U8(x)
+		}
+		w.Int(3)
+		w.U8(7)
+		w.U32(uint32(u))
 		enc, err := w.Bytes()
 		if err != nil {
 			t.Fatal(err)
@@ -126,8 +259,47 @@ func FuzzRoundTrip(f *testing.F) {
 				t.Fatalf("bools: %v", bs)
 			}
 		})
+		if n := r.Int(); n != len(b) {
+			t.Fatalf("list length: %d != %d", n, len(b))
+		}
+		for _, x := range b {
+			if got := r.U8(); got != x {
+				t.Fatalf("list element: %d != %d", got, x)
+			}
+		}
+		if n, k, tail := r.Int(), r.U8(), r.U32(); n != 3 || k != 7 || tail != uint32(u) {
+			t.Fatalf("fixed, kind, window: %d %d %d", n, k, tail)
+		}
 		if err := r.Done(); err != nil {
 			t.Fatal(err)
+		}
+
+		// The same values through a saving Coder, then a loading one.
+		in := roundTrip{u: u, i: i, s: s, b: b, flag: flag, fl: fl,
+			us: [2]uint64{u, u ^ 1}, bs: [2]bool{flag, !flag}, list: b, tail: uint32(u)}
+		cw := NewWriter()
+		in.walk(cw.Coder())
+		if cenc, err := cw.Bytes(); err != nil || !bytes.Equal(cenc, enc) {
+			t.Fatalf("saving Coder: err %v, stream equal to the Writer's: %v", err, bytes.Equal(cenc, enc))
+		}
+		out := roundTrip{b: make([]byte, len(b)), list: []uint8{9, 9}}
+		cr, err := NewReader(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.walk(cr.Coder())
+		if err := cr.Done(); err != nil {
+			t.Fatal(err)
+		}
+		if out.fl != in.fl && !(out.fl != out.fl && in.fl != in.fl) { // NaN-safe
+			t.Fatalf("loading Coder: f64 %v != %v", out.fl, in.fl)
+		}
+		in.fl, out.fl = 0, 0 // DeepEqual has no NaN == NaN
+		if len(b) == 0 {
+			in.b, in.list, out.b, out.list = nil, nil, nil, nil
+		}
+		if !reflect.DeepEqual(in, out) {
+			t.Fatalf("loading Coder returned %+v, want %+v", out, in)
 		}
 
 		// Every strict prefix must fail somewhere — a truncated stream can
@@ -148,8 +320,20 @@ func FuzzRoundTrip(f *testing.F) {
 				tr.U64s(r2)
 				tr.Bools(make([]bool, 2))
 			})
+			for n := tr.Int(); n > 0 && tr.Err() == nil; n-- {
+				tr.U8()
+			}
+			tr.Int()
+			tr.U8()
+			tr.U32()
 			if tr.Done() == nil {
 				t.Fatalf("truncation at %d/%d read to completion", cut, len(enc))
+			}
+			tr, _ = NewReader(enc[:cut])
+			out := roundTrip{b: make([]byte, len(b))}
+			out.walk(tr.Coder())
+			if !errors.Is(tr.Done(), ErrCorrupt) {
+				t.Fatalf("truncation at %d/%d walked to completion by a loading Coder", cut, len(enc))
 			}
 		}
 	})
@@ -193,7 +377,7 @@ func TestReaderRejectsBadHeader(t *testing.T) {
 // before it drives an allocation.
 func TestReaderHugeLengthRejected(t *testing.T) {
 	w := NewWriter()
-	w.Int(maxSliceLen + 1)
+	w.Int(MaxLen + 1)
 	enc, _ := w.Bytes()
 	r, err := NewReader(enc)
 	if err != nil {

@@ -13,8 +13,8 @@ type TestingT interface {
 }
 
 // CheckManifest is the exhaustiveness guard behind every component codec:
-// a per-package test lists, field by field, whether Save/Load covers a
-// field (saved) or deliberately reconstructs/skips it (rebuilt), and this
+// a per-package test lists, field by field, whether State visits a field
+// (saved) or deliberately reconstructs/skips it (rebuilt), and this
 // helper fails the test when the struct has drifted — a new field that is
 // in neither list, a listed field that no longer exists, or a field listed
 // twice. Adding a field to a snapshotted struct therefore breaks the build
@@ -56,7 +56,7 @@ func CheckManifest(t TestingT, typ reflect.Type, saved, rebuilt []string) {
 		}
 		fields[name] = true
 		if _, ok := claimed[name]; !ok {
-			t.Errorf("snapshot manifest %v: field %q is not covered — declare it saved or rebuilt (and update Save/Load)", typ, name)
+			t.Errorf("snapshot manifest %v: field %q is not covered — declare it saved or rebuilt (and update State)", typ, name)
 		}
 	}
 	var stale []string

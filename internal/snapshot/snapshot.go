@@ -3,11 +3,11 @@
 //
 // The format is deliberately simple: a magic+version header, then a flat
 // little-endian stream of fixed-width primitives produced by Writer and
-// consumed by Reader. Writer and Reader expose the *same method names*
-// (U64, U32, I64, Bool, ...) so a component's Save and Load bodies are
-// line-for-line mirrors of each other; the clipvet snapsym analyzer checks
-// that the two call sequences stay structurally identical, and the
-// equivalence matrix in internal/sim checks the semantics.
+// consumed by Reader. Components use neither directly: each has one
+// State(*Coder) walk over its fields (coder.go), and a Coder bound to a
+// Writer or a Reader runs that walk in either direction, so the two
+// directions share one field order by construction; the equivalence matrix
+// in internal/sim checks the semantics.
 //
 // Sections give the stream a skippable, length-prefixed coarse structure:
 // a reader that does not understand (or does not want) a section can skip
@@ -15,7 +15,7 @@
 // throttlers) stays forward-compatible with configs that lack it.
 //
 // Error handling is sticky on both sides: the first failure latches and
-// every subsequent call is a cheap no-op, so Save/Load bodies stay free of
+// every subsequent call is a cheap no-op, so State bodies stay free of
 // error plumbing and the caller checks once at the end. A Reader never
 // panics on truncated or corrupt input — it latches ErrCorrupt — which the
 // fuzz tests pin down.
@@ -39,9 +39,12 @@ const Version = 1
 // ErrCorrupt is latched by a Reader on truncated or malformed input.
 var ErrCorrupt = errors.New("snapshot: corrupt or truncated stream")
 
-// maxSliceLen bounds decoded element counts so a corrupt length prefix
-// cannot drive a giant allocation before the per-element reads fail.
-const maxSliceLen = 1 << 28
+// MaxLen bounds every decoded element count, and is the cap a list passes to
+// Coder.Len when no configuration bounds its length. What actually limits
+// such a list is the stream: a count whose elements could not fit in the
+// bytes that remain is refused, so a corrupt length prefix cannot drive a
+// giant allocation before the per-element reads fail.
+const MaxLen = 1 << 28
 
 // Writer serializes into an in-memory buffer.
 type Writer struct {
@@ -347,7 +350,7 @@ func (r *Reader) sliceLen(what string, elemSize int) int {
 	if r.err != nil {
 		return 0
 	}
-	if n < 0 || n > maxSliceLen || n*elemSize > len(r.buf)-r.off {
+	if n < 0 || n > MaxLen || n*elemSize > len(r.buf)-r.off {
 		r.corrupt(what)
 		return 0
 	}

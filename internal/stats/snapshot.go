@@ -2,16 +2,9 @@ package stats
 
 import "clip/internal/snapshot"
 
-// Save serializes the accumulator.
-func (l *LatencyAcc) Save(w *snapshot.Writer) {
-	w.U64(l.Sum)
-	w.U64(l.Count)
-	w.U64(l.Max)
-}
-
-// Load restores the accumulator.
-func (l *LatencyAcc) Load(r *snapshot.Reader) {
-	l.Sum = r.U64()
-	l.Count = r.U64()
-	l.Max = r.U64()
+// State walks the accumulator.
+func (l *LatencyAcc) State(s *snapshot.Coder) {
+	s.U64(&l.Sum)
+	s.U64(&l.Count)
+	s.U64(&l.Max)
 }

@@ -1,10 +1,6 @@
 package table
 
-import (
-	"fmt"
-
-	"clip/internal/snapshot"
-)
+import "clip/internal/snapshot"
 
 // The table kernels serialize their *exact* cell layout, not their logical
 // content. Slot assignment and probe-chain shape influence deterministic
@@ -14,64 +10,35 @@ import (
 // different byte-level future. Verbatim layout restore keeps "restore then
 // run" byte-identical to "never stopped".
 
-// Save serializes a Fixed table. The policy and capacity are written as a
+// State walks a Fixed table. The policy and capacity are written as a
 // geometry check: a snapshot taken from a differently-shaped table fails to
 // load rather than silently mis-restoring.
-func (t *Fixed[V]) Save(w *snapshot.Writer, elem func(*V)) {
-	w.U8(uint8(t.policy))
-	w.Int(t.capacity)
-	w.U64s(t.keys)
-	w.Int(len(t.vals))
-	for i := range t.vals {
-		elem(&t.vals[i])
-	}
-	w.I32s(t.prev)
-	w.I32s(t.next)
-	w.I32(t.head)
-	w.I32(t.tail)
-	w.I32(t.freeList)
-	w.Int(t.n)
-	w.I32s(t.idx)
-}
-
-// Load restores a Fixed table saved by Save into an identically-constructed
-// receiver.
-func (t *Fixed[V]) Load(r *snapshot.Reader, elem func(*V)) {
-	if p := Policy(r.U8()); r.Err() == nil && p != t.policy {
-		r.Fail(fmt.Errorf("table: snapshot policy %v, table has %v: %w", p, t.policy, snapshot.ErrCorrupt))
-	}
-	if c := r.Int(); r.Err() == nil && c != t.capacity {
-		r.Fail(fmt.Errorf("table: snapshot capacity %d, table has %d: %w", c, t.capacity, snapshot.ErrCorrupt))
-	}
-	if r.Err() != nil {
+func (t *Fixed[V]) State(s *snapshot.Coder, elem func(*V)) {
+	if !s.Kind("table: policy", uint8(t.policy)) || !s.Fixed("table: capacity", t.capacity) {
 		return
 	}
-	r.U64s(t.keys)
-	if n := r.Int(); r.Err() == nil && n != len(t.vals) {
-		r.Fail(snapshot.ErrCorrupt)
-	}
-	if r.Err() != nil {
+	s.U64s(t.keys)
+	if !s.Fixed("table: values", len(t.vals)) {
 		return
 	}
 	for i := range t.vals {
 		elem(&t.vals[i])
 	}
-	r.I32s(t.prev)
-	r.I32s(t.next)
-	t.head = r.I32()
-	t.tail = r.I32()
-	t.freeList = r.I32()
-	t.n = r.Int()
-	r.I32s(t.idx)
-	t.validate(r)
+	s.I32s(t.prev)
+	s.I32s(t.next)
+	s.I32(&t.head)
+	s.I32(&t.tail)
+	s.I32(&t.freeList)
+	s.Int(&t.n)
+	s.I32s(t.idx)
+	if s.Loading() && s.Err() == nil {
+		t.validate(s)
+	}
 }
 
 // validate bounds-checks the restored linkage so corrupt input cannot plant
 // out-of-range slot ids that later index out of bounds.
-func (t *Fixed[V]) validate(r *snapshot.Reader) {
-	if r.Err() != nil {
-		return
-	}
+func (t *Fixed[V]) validate(s *snapshot.Coder) {
 	inRange := func(s int32) bool { return s == noSlot || (s >= 0 && int(s) < t.capacity) }
 	ok := inRange(t.head) && inRange(t.tail) && inRange(t.freeList) &&
 		t.n >= 0 && t.n <= t.capacity
@@ -85,31 +52,20 @@ func (t *Fixed[V]) validate(r *snapshot.Reader) {
 		ok = ok && e >= 0 && int(e) <= t.capacity
 	}
 	if !ok {
-		r.Fail(fmt.Errorf("table: Fixed linkage out of range: %w", snapshot.ErrCorrupt))
+		s.Corrupt("table: Fixed linkage out of range")
 	}
 }
 
-// Save serializes a Map cell-for-cell.
-func (m *Map[V]) Save(w *snapshot.Writer, elem func(*V)) {
-	w.Int(len(m.keys))
-	w.U64s(m.keys)
-	w.Int(len(m.vals))
-	for i := range m.vals {
-		elem(&m.vals[i])
-	}
-	w.Bools(m.live)
-	w.Int(m.n)
-}
-
-// Load restores a Map, resizing the backing cells to the snapshot's size
-// (the map is unbounded, so the live size is state, not geometry).
-func (m *Map[V]) Load(r *snapshot.Reader, elem func(*V)) {
-	size := r.Int()
-	if r.Err() != nil {
+// State walks a Map cell-for-cell. Loading resizes the backing cells to the
+// snapshot's size (the map is unbounded, so the live size is state, not
+// geometry); a cell is at least a key and a live flag in the stream.
+func (m *Map[V]) State(s *snapshot.Coder, elem func(*V)) {
+	size := s.Len("table: Map size", len(m.keys), snapshot.MaxLen, 8+1)
+	if s.Err() != nil {
 		return
 	}
-	if size <= 0 || size&(size-1) != 0 || size > 1<<28 {
-		r.Fail(fmt.Errorf("table: Map size %d not a power of two: %w", size, snapshot.ErrCorrupt))
+	if size <= 0 || size&(size-1) != 0 {
+		s.Corrupt("table: Map size %d not a power of two", size)
 		return
 	}
 	if size != len(m.keys) {
@@ -118,34 +74,23 @@ func (m *Map[V]) Load(r *snapshot.Reader, elem func(*V)) {
 		m.live = make([]bool, size)
 		m.mask = uint64(size - 1)
 	}
-	r.U64s(m.keys)
-	if n := r.Int(); r.Err() == nil && n != len(m.vals) {
-		r.Fail(snapshot.ErrCorrupt)
-	}
-	if r.Err() != nil {
+	s.U64s(m.keys)
+	if !s.Fixed("table: Map values", len(m.vals)) {
 		return
 	}
 	for i := range m.vals {
 		elem(&m.vals[i])
 	}
-	r.Bools(m.live)
-	m.n = r.Int()
-	if r.Err() == nil && (m.n < 0 || m.n > size) {
-		r.Fail(snapshot.ErrCorrupt)
+	s.Bools(m.live)
+	s.Int(&m.n)
+	if s.Loading() && (m.n < 0 || m.n > size) {
+		s.Corrupt("table: Map holds %d of %d cells", m.n, size)
 	}
 }
 
-// Save serializes a Bits occupancy bitmap (the slot count is geometry and
-// is checked on Load).
-func (b *Bits) Save(w *snapshot.Writer) {
-	w.Int(b.n)
-	w.U64s(b.words)
-}
-
-// Load restores a Bits bitmap into an identically-sized receiver.
-func (b *Bits) Load(r *snapshot.Reader) {
-	if n := r.Int(); r.Err() == nil && n != b.n {
-		r.Fail(fmt.Errorf("table: snapshot bitmap %d slots, receiver has %d: %w", n, b.n, snapshot.ErrCorrupt))
-	}
-	r.U64s(b.words)
+// State walks a Bits occupancy bitmap (the slot count is geometry and is
+// checked on load).
+func (b *Bits) State(s *snapshot.Coder) {
+	s.Fixed("table: bitmap slots", b.n)
+	s.U64s(b.words)
 }

@@ -31,50 +31,25 @@ func kindOf(t Throttler) (uint8, bool) {
 	return 0, false
 }
 
-// SaveThrottler serializes any throttler built by New.
-func SaveThrottler(w *snapshot.Writer, t Throttler) {
+// State walks any throttler built by New, behind a kind byte so an image
+// restores only into a receiver of the same kind.
+func State(s *snapshot.Coder, t Throttler) {
 	kind, ok := kindOf(t)
 	if !ok {
-		w.Fail(fmt.Errorf("throttle: cannot snapshot throttler type %T", t))
+		s.Fail(fmt.Errorf("throttle: cannot snapshot throttler type %T", t))
 		return
 	}
-	w.U8(kind)
+	if !s.Kind("throttle: throttler", kind) {
+		return
+	}
 	switch th := t.(type) {
 	case *fdp, *hpac:
 		// Stateless beyond the target's aggressiveness level.
 	case *spac:
-		w.F64(th.lastUtil)
-		w.Int(th.lastLevel)
-		w.Int(th.dir)
+		s.F64(&th.lastUtil)
+		s.Int(&th.lastLevel)
+		s.Int(&th.dir)
 	case *nst:
-		w.Int(th.good)
-	}
-}
-
-// LoadThrottler restores a throttler saved by SaveThrottler into a receiver
-// of the same kind.
-func LoadThrottler(r *snapshot.Reader, t Throttler) {
-	want, ok := kindOf(t)
-	if !ok {
-		r.Fail(fmt.Errorf("throttle: cannot restore into throttler type %T", t))
-		return
-	}
-	kind := r.U8()
-	if r.Err() != nil {
-		return
-	}
-	if kind != want {
-		r.Fail(fmt.Errorf("throttle: snapshot holds throttler kind %d, receiver is %s: %w",
-			kind, t.Name(), snapshot.ErrCorrupt))
-		return
-	}
-	switch th := t.(type) {
-	case *fdp, *hpac:
-	case *spac:
-		th.lastUtil = r.F64()
-		th.lastLevel = r.Int()
-		th.dir = r.Int()
-	case *nst:
-		th.good = r.Int()
+		s.Int(&th.good)
 	}
 }

@@ -1,57 +1,27 @@
 package tlb
 
-import (
-	"fmt"
+import "clip/internal/snapshot"
 
-	"clip/internal/snapshot"
-)
-
-// Save serializes both translation buffers and the counters.
-func (h *Hierarchy) Save(w *snapshot.Writer) {
-	h.dtlb.save(w)
-	h.stlb.save(w)
-	w.U64(h.stats.Accesses)
-	w.U64(h.stats.DTLBHits)
-	w.U64(h.stats.STLBHits)
-	w.U64(h.stats.Walks)
-	h.stats.WalkDelay.Save(w)
+// State walks both translation buffers and the counters.
+func (h *Hierarchy) State(s *snapshot.Coder) {
+	h.dtlb.state(s)
+	h.stlb.state(s)
+	s.U64(&h.stats.Accesses)
+	s.U64(&h.stats.DTLBHits)
+	s.U64(&h.stats.STLBHits)
+	s.U64(&h.stats.Walks)
+	h.stats.WalkDelay.State(s)
 }
 
-// Load restores a snapshot taken from an identically-configured hierarchy.
-func (h *Hierarchy) Load(r *snapshot.Reader) {
-	h.dtlb.load(r)
-	h.stlb.load(r)
-	h.stats.Accesses = r.U64()
-	h.stats.DTLBHits = r.U64()
-	h.stats.STLBHits = r.U64()
-	h.stats.Walks = r.U64()
-	h.stats.WalkDelay.Load(r)
-}
-
-func (t *tlb) save(w *snapshot.Writer) {
-	w.Int(len(t.entries))
-	for i := range t.entries {
-		e := &t.entries[i]
-		w.Bool(e.valid)
-		w.U64(e.tag)
-		w.U64(e.stamp)
-	}
-	w.U64(t.clock)
-}
-
-func (t *tlb) load(r *snapshot.Reader) {
-	if n := r.Int(); r.Err() == nil && n != len(t.entries) {
-		r.Fail(fmt.Errorf("tlb: snapshot has %d entries, receiver has %d: %w",
-			n, len(t.entries), snapshot.ErrCorrupt))
-	}
-	if r.Err() != nil {
+func (t *tlb) state(s *snapshot.Coder) {
+	if !s.Fixed("tlb: entries", len(t.entries)) {
 		return
 	}
 	for i := range t.entries {
 		e := &t.entries[i]
-		e.valid = r.Bool()
-		e.tag = r.U64()
-		e.stamp = r.U64()
+		s.Bool(&e.valid)
+		s.U64(&e.tag)
+		s.U64(&e.stamp)
 	}
-	t.clock = r.U64()
+	s.U64(&t.clock)
 }
