@@ -83,20 +83,6 @@ func DefaultCLIPConfig() CLIPConfig { return core.DefaultConfig() }
 // Run executes one simulation.
 func Run(cfg Config) (*Result, error) { return sim.Run(cfg) }
 
-// SlabGeometry describes the flat-slab layout NewSystem allocates for a
-// config (see sim.SlabGeometry). cmd/clipbench stamps it into the benchmark
-// JSON alongside GOMAXPROCS.
-type SlabGeometry = sim.SlabGeometry
-
-// BenchSlabGeometry constructs a system for cfg and reports its slab layout.
-func BenchSlabGeometry(cfg Config) (SlabGeometry, error) {
-	s, err := sim.NewSystem(cfg)
-	if err != nil {
-		return SlabGeometry{}, err
-	}
-	return s.SlabGeometry(), nil
-}
-
 // NewRunner wraps a template config for mix-based evaluation with weighted
 // speedup normalization.
 func NewRunner(template Config) *Runner { return workload.NewRunner(template) }

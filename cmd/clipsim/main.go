@@ -104,8 +104,21 @@ func run() int {
 		}()
 	}
 
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "unexpected argument %q (select an experiment with -experiment <name>)\n", flag.Arg(0))
+		return 2
+	}
+	var noskip bool
+	switch *skipMode {
+	case "on":
+	case "off":
+		noskip = true
+	default:
+		fmt.Fprintf(os.Stderr, "bad -skip value %q (want on or off)\n", *skipMode)
+		return 2
+	}
+
 	if *checkpoint != "" {
-		noskip := *skipMode == "off"
 		return runCheckpoint(*checkpoint, *ckptFile, ckptConfig{
 			workload: *ckptWl, prefetcher: *ckptPf, clip: *ckptCLIP,
 			cores: *cores, instr: *instr, warmup: *warmup, seed: *seed,
@@ -150,15 +163,7 @@ func run() int {
 		sc.Seed = *seed
 	}
 	sc.Workers = *workers
-	switch *skipMode {
-	case "on":
-		sc.NoSkip = false
-	case "off":
-		sc.NoSkip = true
-	default:
-		fmt.Fprintf(os.Stderr, "bad -skip value %q (want on or off)\n", *skipMode)
-		return 2
-	}
+	sc.NoSkip = noskip
 	if *channels != "" {
 		var chs []int
 		for _, part := range strings.Split(*channels, ",") {

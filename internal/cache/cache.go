@@ -257,7 +257,8 @@ func (c *Cache) Stats() *Stats { return &c.stats }
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// SlabWords returns the line-state slab size in words (bench diagnostics).
+// SlabWords returns the line-state slab size in words (SaveState sizes its
+// buffer from it).
 func (c *Cache) SlabWords() int { return len(c.slab) }
 
 // OnResponse registers the response sink for the level above. The response

@@ -172,13 +172,11 @@ type Core struct {
 	cfg Config
 	id  int
 	gen trace.Generator
-	// batch is gen's bulk-decode fast path when it implements trace.Batcher
-	// (pre-decoded replays): one memcpy per ibuf refill. win is the zero-copy
-	// variant (trace.Windower): dispatch reads the shared pre-decoded window
-	// in place, no copy at all, until the window is exhausted.
-	batch trace.Batcher
-	win   trace.Windower
-	port  MemoryPort
+	// win is gen's zero-copy fast path when it implements trace.Windower
+	// (pre-decoded replays): dispatch reads the shared pre-decoded window in
+	// place until the window is exhausted.
+	win  trace.Windower
+	port MemoryPort
 
 	// The ROB as a structure of arrays. The flag bitmaps pack one bit per
 	// slot into []uint64 words (bit i of word i/64 is slot i):
@@ -285,7 +283,7 @@ type Core struct {
 
 	// ibuf is the pre-decoded instruction window dispatch reads: either a
 	// borrowed view of the shared trace window (win path, zero-copy) or the
-	// private priv buffer refilled in bulk from the generator.
+	// private priv buffer refilled from gen.Next().
 	ibuf []trace.Instr
 	ipos int
 	priv []trace.Instr
@@ -316,7 +314,6 @@ func New(id int, cfg Config, gen trace.Generator, port MemoryPort, budget uint64
 		cfg:          cfg,
 		id:           id,
 		gen:          gen,
-		batch:        batcherOf(gen),
 		win:          windowerOf(gen),
 		port:         port,
 		robSize:      size,
@@ -634,8 +631,7 @@ func (c *Core) accountStall() {
 }
 
 // retire commits up to RetireWidth instructions from a contiguous done-run at
-// the ROB head. The run length comes from one word scan of the done bitmap;
-// with no retire listeners the stats are batched over the whole run.
+// the ROB head. The run length comes from one word scan of the done bitmap.
 //
 //clipvet:hotpath
 func (c *Core) retire() {
@@ -646,15 +642,9 @@ func (c *Core) retire() {
 	if max == 0 {
 		return
 	}
-	n := c.doneRun(c.head, max)
-	if n == 0 {
-		return
+	if n := c.doneRun(c.head, max); n > 0 {
+		c.retireRun(n)
 	}
-	if len(c.onRetire) > 0 {
-		c.retireRunSlow(n)
-		return
-	}
-	c.retireRun(n)
 }
 
 // doneRun returns the length of the contiguous run of done bits starting at
@@ -690,14 +680,28 @@ func (c *Core) doneRun(pos, max int) int {
 	return n
 }
 
-// retireRun is the listener-free fast path: stall accounting per slot, one
-// batched update for the retire counters and the budget check.
+// retireRun commits the n done instructions at the ROB head in program order:
+// stall accounting, one RetireEvent per instruction when anyone listens, and
+// the bit clears run per slot; the retire counters and the budget check are
+// batched over the run.
 //
 //clipvet:hotpath
 func (c *Core) retireRun(n int) {
+	listen := len(c.onRetire) > 0
 	slot := c.head
 	for k := 0; k < n; k++ {
 		c.stats.StallsByLevel[c.servedCol[slot]] += c.stallCol[slot]
+		if listen {
+			c.retireEv = RetireEvent{
+				Core: c.id, IP: c.ipCol[slot], Op: trace.Op(c.opCol[slot]), Addr: mem.Addr(c.addrCol[slot]),
+				IsLoad: trace.Op(c.opCol[slot]) == trace.OpLoad, ServedBy: mem.Level(c.servedCol[slot]),
+				StallCycles: c.stallCol[slot], DependChain: bitOf(c.chainW, slot),
+				Cycle: c.cycle,
+			}
+			for _, f := range c.onRetire {
+				f(&c.retireEv)
+			}
+		}
 		if c.lastLoadSlot == slot {
 			c.lastLoadSlot = -1
 		}
@@ -716,42 +720,6 @@ func (c *Core) retireRun(n int) {
 		if c.onFinished != nil {
 			c.onFinished()
 		}
-	}
-}
-
-// retireRunSlow materializes one RetireEvent per committed instruction, in
-// program order, with the exact per-entry side-effect interleaving the event
-// consumers observe.
-func (c *Core) retireRunSlow(n int) {
-	for k := 0; k < n; k++ {
-		slot := c.head
-		c.stats.Retired++
-		c.retiredTotal++
-		if c.finishCycle == 0 && c.retiredTotal >= c.budget {
-			c.finishCycle = c.cycle
-			if c.onFinished != nil {
-				c.onFinished()
-			}
-		}
-		c.stats.StallsByLevel[c.servedCol[slot]] += c.stallCol[slot]
-		c.retireEv = RetireEvent{
-			Core: c.id, IP: c.ipCol[slot], Op: trace.Op(c.opCol[slot]), Addr: mem.Addr(c.addrCol[slot]),
-			IsLoad: trace.Op(c.opCol[slot]) == trace.OpLoad, ServedBy: mem.Level(c.servedCol[slot]),
-			StallCycles: c.stallCol[slot], DependChain: bitOf(c.chainW, slot),
-			Cycle: c.cycle,
-		}
-		for _, f := range c.onRetire {
-			f(&c.retireEv)
-		}
-		if c.lastLoadSlot == slot {
-			c.lastLoadSlot = -1
-		}
-		clearBit(c.validW, slot)
-		c.head++
-		if c.head == c.robSize {
-			c.head = 0
-		}
-		c.count--
 	}
 }
 
@@ -1153,17 +1121,16 @@ func (c *Core) CompleteLoad(resp *mem.Response) {
 	}
 }
 
-// ibufBatch is the pre-decode batch size for the private fallback buffer:
-// dispatch consumes instructions from a flat array refilled from the trace
-// generator in bulk.
+// ibufBatch is the size of the private fallback buffer: dispatch consumes
+// instructions from a flat array refilled from the trace generator.
 const ibufBatch = 4096
 
 // refillIbuf replenishes the dispatch window. The fast path borrows the next
 // chunk of the shared pre-decoded trace window in place (no copy); once that
-// is exhausted the core falls back to bulk-copying batches into a private
-// buffer, and finally to per-instruction generator calls. Every path yields
-// exactly the per-call gen.Next() stream (the synthetic generators are pure
-// sequences, independent of simulation time).
+// is exhausted, or when the generator has no window, the core fills a private
+// buffer from gen.Next(). Both paths yield exactly the per-call gen.Next()
+// stream (the synthetic generators are pure sequences, independent of
+// simulation time).
 func (c *Core) refillIbuf() {
 	if c.win != nil {
 		if w := c.win.Window(); len(w) > 0 {
@@ -1171,17 +1138,13 @@ func (c *Core) refillIbuf() {
 			c.ipos = 0
 			return
 		}
-		// Shared window exhausted; switch to the private batch buffer.
+		// Shared window exhausted; switch to the private buffer.
 		c.win = nil
 		c.priv = make([]trace.Instr, ibufBatch) //clipvet:allocok once per core, at shared-window exhaustion
 	}
 	buf := c.priv[:ibufBatch]
-	if c.batch != nil {
-		buf = buf[:c.batch.NextBatch(buf)]
-	} else {
-		for i := range buf {
-			buf[i] = c.gen.Next()
-		}
+	for i := range buf {
+		buf[i] = c.gen.Next()
 	}
 	c.ibuf = buf
 	c.ipos = 0
@@ -1203,14 +1166,6 @@ func (c *Core) DebugHead() string {
 	return fmt.Sprintf("slot=%d op=%v ip=%#x addr=%#x done=%v issued=%v dep=%d pendingLoads=%d outstanding=%d",
 		h, trace.Op(c.opCol[h]), c.ipCol[h], c.addrCol[h], bitOf(c.doneW, h), bitOf(c.issuedW, h),
 		c.depCol[h], c.pendLen, c.outstanding)
-}
-
-// batcherOf returns gen's bulk-decode interface when available.
-func batcherOf(gen trace.Generator) trace.Batcher {
-	if b, ok := gen.(trace.Batcher); ok {
-		return b
-	}
-	return nil
 }
 
 // windowerOf returns gen's zero-copy window interface when available.

@@ -25,7 +25,7 @@ func TestCoreSnapshotManifest(t *testing.T) {
 		[]string{
 			// From config: wiring and geometry set by New and the owner, and
 			// buffers consumed within one call.
-			"cfg", "id", "batch", "port", "robSize", "staller",
+			"cfg", "id", "port", "robSize", "staller",
 			"onFinished", "fetchCheck", "onLoad", "onRetire",
 			"priv", "reqBuf", "loadEv", "retireEv",
 			// Memo: the issue-stall verdict, marked stale by a load so one real

@@ -40,12 +40,13 @@ type Scale struct {
 	// -skip=off). Reports are byte-identical with skipping on or off; the
 	// escape hatch exists for debugging and perf comparison.
 	NoSkip bool
-	// WarmFork enables warmup-once-fork-many execution (clipbench
-	// -warmfork): each figure point's variants fork from one checkpointed
-	// warmup image (the mechanism-free canonical warmup, sim.WarmupConfig)
-	// instead of each re-running the warmup. Mechanisms start cold at the
-	// measurement barrier under this protocol, so reports differ from the
-	// in-process-warmup ones — deterministically so; see EXPERIMENTS.md.
+	// WarmFork enables warmup-once-fork-many execution (bench/'s
+	// suite_fig9_warm workload sets it): each figure point's variants fork
+	// from one checkpointed warmup image (the mechanism-free canonical
+	// warmup, sim.WarmupConfig) instead of each re-running the warmup.
+	// Mechanisms start cold at the measurement barrier under this protocol,
+	// so reports differ from the in-process-warmup ones — deterministically
+	// so; see EXPERIMENTS.md.
 	WarmFork bool
 }
 

@@ -305,9 +305,6 @@ func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
 // the whole mesh (the simulator's response/request router).
 func (m *Mesh) OnDeliver(f DeliverFunc) { m.onDeliver = f }
 
-// SlabGeometry reports the packet-slab capacity (diagnostics / bench JSON).
-func (m *Mesh) SlabGeometry() (pkts, links int) { return cap(m.pkts), len(m.links) }
-
 const (
 	dirEast = iota
 	dirWest

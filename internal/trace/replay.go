@@ -10,27 +10,20 @@ import (
 // generator inside the core's dispatch loop, a workload's instruction stream
 // is decoded once into a flat []Instr window shared by every simulation of
 // that workload (a trace-driven simulator reads the same trace file for every
-// configuration it evaluates). Cores then consume instructions with a bulk
-// memcpy per refill, so the generator never runs on the tick hot path.
+// configuration it evaluates). Cores then read the window in place, so the
+// generator never runs on the tick hot path while the window lasts.
 //
 // Sharing is safe because generators are deterministic in their Config: two
 // simulations of the same (name, seed, offset, ...) see byte-identical
 // streams whether they decode privately or read the shared window.
 
-// Batcher is an optional Generator fast path: NextBatch fills dst with the
-// next len(dst) instructions of the stream and returns how many it wrote
-// (always len(dst) for the endless synthetic streams).
-type Batcher interface {
-	NextBatch(dst []Instr) int
-}
-
-// Windower is an optional Generator fast path one step beyond Batcher: Window
-// returns a read-only view of the next pre-decoded instructions *in place*
-// (no copy), advancing the stream past them. An empty return means the
-// zero-copy window is exhausted for good and the caller must fall back to
-// Next/NextBatch, which continue the stream seamlessly. Callers must not
-// mutate the returned slice: its backing array is shared between every
-// simulation replaying the same workload.
+// Windower is an optional Generator fast path: Window returns a read-only
+// view of the next pre-decoded instructions *in place* (no copy), advancing
+// the stream past them. An empty return means the zero-copy window is
+// exhausted for good and the caller must fall back to Next, which continues
+// the stream seamlessly. Callers must not mutate the returned slice: its
+// backing array is shared between every simulation replaying the same
+// workload.
 type Windower interface {
 	Window() []Instr
 }
@@ -39,7 +32,7 @@ const (
 	// sharedWindow bounds the pre-decoded prefix per stream (16k Instr,
 	// ~512KB). Runs that consume more fall back to a private generator
 	// clone positioned at the window edge — correctness never depends on
-	// the window size, only how much of the stream is served by memcpy.
+	// the window size, only how much of the stream is served in place.
 	sharedWindow = 16384
 	// sharedChunk is the growth step: windows extend on demand so short
 	// runs do not pay for the full window.
@@ -120,7 +113,7 @@ func (r *Replay) Next() Instr {
 // Window implements Windower: it hands out the not-yet-consumed tail of the
 // published window without copying, growing the shared window if needed, and
 // returns nil once the window is exhausted (the continuation generator then
-// serves Next/NextBatch).
+// serves Next).
 func (r *Replay) Window() []Instr {
 	if r.pos >= len(r.prog) && !r.refill() {
 		return nil
@@ -128,27 +121,6 @@ func (r *Replay) Window() []Instr {
 	w := r.prog[r.pos:]
 	r.pos = len(r.prog)
 	return w
-}
-
-// NextBatch implements Batcher: bulk-copies from the window (the common
-// case is one memcpy per core refill).
-func (r *Replay) NextBatch(dst []Instr) int {
-	n := 0
-	for n < len(dst) {
-		if r.pos < len(r.prog) {
-			c := copy(dst[n:], r.prog[r.pos:])
-			r.pos += c
-			n += c
-			continue
-		}
-		if r.refill() {
-			continue
-		}
-		for ; n < len(dst); n++ {
-			dst[n] = r.cont.Next()
-		}
-	}
-	return n
 }
 
 // refill advances r.prog past r.pos, growing the shared window if needed.
