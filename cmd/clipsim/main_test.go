@@ -1,22 +1,34 @@
 package main
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"clip/internal/snapshot"
 )
+
+// buildClipsim builds the command into the test's temporary directory.
+func buildClipsim(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "clipsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/clipsim: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // TestRejectsBadArguments builds the command and checks that arguments no
 // mode can use end the process with exit 2 and a one-line message on stderr,
 // in every mode: -skip is validated before the -checkpoint branch, and a
 // positional argument is not silently ignored.
 func TestRejectsBadArguments(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "clipsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/clipsim: %v\n%s", err, out)
-	}
+	bin := buildClipsim(t)
 	for _, tc := range []struct {
 		name, want string
 		args       []string
@@ -44,5 +56,32 @@ func TestRejectsBadArguments(t *testing.T) {
 				t.Errorf("clipsim %v: stderr = %q, want one line containing %q", tc.args, msg, tc.want)
 			}
 		})
+	}
+}
+
+// TestRefusesOlderImage: an image of the previous format version is refused
+// when it is opened — exit 1 and the version error on one line, nothing
+// decoded and no panic — which is what CI's image-compatibility step requires
+// of a version bump, checked here without a base build.
+func TestRefusesOlderImage(t *testing.T) {
+	bin := buildClipsim(t)
+	image := binary.LittleEndian.AppendUint32(nil, snapshot.Magic)
+	image = binary.LittleEndian.AppendUint32(image, 1)
+	image = append(image, make([]byte, 64)...) // whatever version 1 went on to say
+	file := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(file, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, "-checkpoint", "load", "-checkpoint-file", file, "-instructions", "200", "-warmup", "50")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("loading a version-1 image: err = %v, want exit status 1\nstdout: %s\nstderr: %s", err, out, stderr.String())
+	}
+	want := fmt.Sprintf("unsupported version 1 (want %d)", snapshot.Version)
+	if msg := stderr.String(); !strings.Contains(msg, want) || strings.Count(msg, "\n") != 1 || len(out) != 0 {
+		t.Errorf("loading a version-1 image: stdout %q, stderr %q, want only one line containing %q", out, msg, want)
 	}
 }

@@ -16,9 +16,9 @@
 // bitmaps (valid/done/issued/chain plus the pending- and ready-load sets) and
 // the payload fields in flat columns, so retire consumes contiguous done-runs
 // with one word scan, dispatch fills slots in per-kind spans between branches,
-// and completeALU drains a wheel bucket by setting done bits directly. See
-// DESIGN.md §10 for the layout and the staleness proofs the fast paths rely
-// on.
+// and completeALU drains a wheel bucket by walking its slot chain and setting
+// done bits directly. See DESIGN.md §10 for the layout and the staleness
+// proofs the fast paths rely on.
 package cpu
 
 import (
@@ -138,15 +138,6 @@ func (s *Stats) IPC() float64 {
 	return float64(s.Retired) / float64(s.Cycles)
 }
 
-// wheelEntry files one non-load completion. No sequence number is needed: a
-// non-load slot's done bit is only ever set by its own wheel entry, and an
-// un-done slot cannot retire, so the slot cannot be reallocated before the
-// entry fires (completeALU asserts this under -tags clipdebug).
-type wheelEntry struct {
-	at   uint64
-	slot int32
-}
-
 // issueStall classifies what the last issueLoads left behind.
 type issueStall uint8
 
@@ -195,14 +186,16 @@ type Core struct {
 	// machine types; accessors cast at the use site. depCol records the
 	// producer slot a load was *blocked on* at dispatch (-1 otherwise);
 	// childCol is the inverse link used by CompleteLoad to wake the single
-	// dependent.
+	// dependent. doneAt is the completion cycle of a non-load slot, written
+	// when it is filed on the timing wheel.
 	validW, doneW, issuedW, chainW []uint64
 	pendW, readyW                  []uint64
 	ipCol                          []uint64
 	addrCol                        []uint64 // mem.Addr values
 	stallCol                       []uint64 // head-of-ROB stall cycles attributed
-	opCol                          []uint8  // trace.Op values
-	servedCol                      []uint8  // mem.Level values
+	doneAt                         []uint64
+	opCol                          []uint8 // trace.Op values
+	servedCol                      []uint8 // mem.Level values
 	depCol, childCol               []int32
 
 	robSize    int
@@ -229,17 +222,29 @@ type Core struct {
 	outstanding     int    // loads in flight
 	lastLoadSlot    int    // youngest load's ROB slot (for dependence)
 
-	// wheel schedules non-load completions without scanning the ROB: slot
-	// indices are filed under (completionCycle mod wheelSize).
-	wheel    [][]wheelEntry
-	overflow []wheelEntry // completions beyond the wheel horizon
-	// overflowMin is the earliest `at` among overflow entries (NoEvent when
-	// none): completeALU refiles overflow entries into the wheel eagerly the
-	// moment they come within the horizon, and NextEvent derives a real
-	// deadline instead of forcing per-cycle ticking while any exist.
-	overflowMin uint64
+	// The timing wheel schedules non-load completions without scanning the
+	// ROB. It is intrusive and slot-indexed: a valid, un-done non-load slot is
+	// on exactly one chain, linked through wheelNext (-1 ends a chain) —
+	// bucket doneAt[slot] mod wheelSize, headed by wheelHead, or the overflow
+	// chain when its completion lies beyond the wheel horizon. A slot needs
+	// no sequence number: a non-load slot's done bit is only ever set by
+	// draining its own chain entry, and an un-done slot cannot retire, so the
+	// slot cannot be reallocated before the entry fires (completeALU asserts
+	// this under -tags clipdebug). A drain only ORs done bits, so the order of
+	// a chain is unobservable — which makes the chains, and every field of
+	// this group, rebuilt state: State saves doneAt and refiles.
+	wheelNext    []int32
+	wheelHead    [wheelSize]int32
+	overflowHead int32
+	// overflowLive counts the overflow chain and overflowMin is its earliest
+	// doneAt (NoEvent when empty): completeALU refiles overflow slots into
+	// the wheel eagerly the moment they come within the horizon, and
+	// NextEvent derives a real deadline instead of forcing per-cycle ticking
+	// while any exist.
+	overflowLive int
+	overflowMin  uint64
 
-	// wheelLive counts entries filed and not yet drained (wheel + overflow);
+	// wheelLive counts slots filed and not yet drained (wheel + overflow);
 	// earliestWheel is a monotone lower bound on the earliest live entry's
 	// completion cycle. Together they bound the core's wakeup horizon without
 	// scanning buckets.
@@ -320,13 +325,16 @@ func New(id int, cfg Config, gen trace.Generator, port MemoryPort, budget uint64
 		pendHead:     -1,
 		budget:       budget,
 		lastLoadSlot: -1,
+		overflowHead: -1,
 		overflowMin:  mem.NoEvent,
 		bp:           NewPerceptron(),
-		wheel:        make([][]wheelEntry, wheelSize),
+	}
+	for i := range c.wheelHead {
+		c.wheelHead[i] = -1
 	}
 	c.staller, _ = port.(mem.Staller)
 	// Carve the SoA columns out of three typed slabs (one allocation each).
-	u64 := make([]uint64, 6*words+3*size)
+	u64 := make([]uint64, 6*words+4*size)
 	carve := func(n int) []uint64 {
 		s := u64[:n:n]
 		u64 = u64[n:]
@@ -334,11 +342,11 @@ func New(id int, cfg Config, gen trace.Generator, port MemoryPort, budget uint64
 	}
 	c.validW, c.doneW, c.issuedW = carve(words), carve(words), carve(words)
 	c.chainW, c.pendW, c.readyW = carve(words), carve(words), carve(words)
-	c.ipCol, c.addrCol, c.stallCol = carve(size), carve(size), carve(size)
+	c.ipCol, c.addrCol, c.stallCol, c.doneAt = carve(size), carve(size), carve(size), carve(size)
 	u8 := make([]uint8, 2*size)
 	c.opCol, c.servedCol = u8[:size:size], u8[size:]
-	i32 := make([]int32, 2*size)
-	c.depCol, c.childCol = i32[:size:size], i32[size:]
+	i32 := make([]int32, 3*size)
+	c.depCol, c.childCol, c.wheelNext = i32[:size:size], i32[size:2*size:2*size], i32[2*size:]
 	for i := range c.depCol {
 		c.depCol[i] = -1
 		c.childCol[i] = -1
@@ -346,14 +354,6 @@ func New(id int, cfg Config, gen trace.Generator, port MemoryPort, budget uint64
 	if c.win == nil {
 		c.priv = make([]trace.Instr, ibufBatch)
 		c.ibuf = c.priv[:0]
-	}
-	// Carve every wheel bucket out of one flat allocation with a few entries
-	// of capacity; buckets are drained to [:0] each revolution, so the
-	// common case never allocates again (a bucket that outgrows its slice
-	// simply escapes to its own backing array).
-	backing := make([]wheelEntry, wheelSize*wheelBucketCap)
-	for i := range c.wheel {
-		c.wheel[i] = backing[i*wheelBucketCap : i*wheelBucketCap : (i+1)*wheelBucketCap]
 	}
 	return c, nil
 }
@@ -526,14 +526,19 @@ const scanLimit = 16
 // headroom, so 512 slots suffice.
 const wheelSize = 512
 
-// wheelBucketCap is the pre-allocated per-bucket capacity (few completions
-// share one cycle in practice).
-const wheelBucketCap = 8
+// file links slot into the bucket of its completion cycle `at`, which must
+// lie within the wheel horizon. The caller keeps wheelLive and earliestWheel.
+func (c *Core) file(slot int, at uint64) {
+	c.doneAt[slot] = at
+	b := at % wheelSize
+	c.wheelNext[slot] = c.wheelHead[b]
+	c.wheelHead[b] = int32(slot)
+}
 
 // schedule files a completion event for slot at cycle `at`. Dispatch files
 // its spans directly into buckets (latencies are always below the horizon)
 // and updates the live/earliest bookkeeping once per span; this general form
-// also handles beyond-horizon completions via the overflow list.
+// also handles beyond-horizon completions via the overflow chain.
 func (c *Core) schedule(slot int, at uint64) {
 	if at <= c.cycle {
 		at = c.cycle + 1
@@ -543,45 +548,56 @@ func (c *Core) schedule(slot int, at uint64) {
 	}
 	c.wheelLive++
 	if at-c.cycle >= wheelSize {
-		if at < c.overflowMin {
-			c.overflowMin = at
-		}
-		c.overflow = append(c.overflow, wheelEntry{slot: int32(slot), at: at}) //clipvet:allocok overflow list retains capacity; beyond-horizon completions are rare
+		c.fileOverflow(slot, at)
 		return
 	}
-	c.wheel[at%wheelSize] = append(c.wheel[at%wheelSize], wheelEntry{slot: int32(slot), at: at}) //clipvet:allocok wheel buckets retain capacity across ticks
+	c.file(slot, at)
+}
+
+// fileOverflow links slot, due at `at` beyond the wheel horizon, into the
+// overflow chain.
+func (c *Core) fileOverflow(slot int, at uint64) {
+	if at < c.overflowMin {
+		c.overflowMin = at
+	}
+	c.doneAt[slot] = at
+	c.wheelNext[slot] = c.overflowHead
+	c.overflowHead = int32(slot)
+	c.overflowLive++
 }
 
 // completeALU drains this cycle's wheel bucket by setting done bits directly.
-// The entries are fresh by construction (see wheelEntry), so no per-entry
-// revalidation is needed on the fast path.
+// The chain's slots are fresh by construction (see wheelNext), so no
+// per-slot revalidation is needed on the fast path.
 //
 //clipvet:hotpath
 func (c *Core) completeALU() {
-	if len(c.overflow) > 0 && c.overflowMin-c.cycle < wheelSize {
+	if c.overflowLive > 0 && c.overflowMin-c.cycle < wheelSize {
 		c.refileOverflow()
 	}
 	idx := c.cycle % wheelSize
-	if events := c.wheel[idx]; len(events) > 0 {
-		for i := range events {
-			slot := int(events[i].slot)
+	if next := c.wheelHead[idx]; next >= 0 {
+		n := 0
+		for ; next >= 0; n++ {
+			slot := int(next)
 			if invariant.Enabled {
-				// A bucket is reached exactly at its entries' completion
-				// cycle; firing later means the loop skipped past a deadline.
-				invariant.Check(events[i].at == c.cycle,
-					"cpu %d: wheel entry for cycle %d fired at %d", c.id, events[i].at, c.cycle)
+				// A bucket is reached exactly at its slots' completion cycle;
+				// firing later means the loop skipped past a deadline.
+				invariant.Check(c.doneAt[slot] == c.cycle,
+					"cpu %d: wheel entry for cycle %d fired at %d", c.id, c.doneAt[slot], c.cycle)
 				invariant.Check(bitOf(c.validW, slot) && !bitOf(c.doneW, slot) && trace.Op(c.opCol[slot]) != trace.OpLoad,
 					"cpu %d: stale wheel entry for slot %d", c.id, slot)
 			}
 			c.doneW[slot>>6] |= 1 << uint(slot&63)
+			next = c.wheelNext[slot]
 		}
-		c.wheelLive -= len(events)
-		c.wheel[idx] = events[:0]
+		c.wheelLive -= n
+		c.wheelHead[idx] = -1
 	}
 	if c.wheelLive == 0 {
 		c.earliestWheel = mem.NoEvent
 	} else if c.earliestWheel <= c.cycle {
-		if c.wheelLive == len(c.overflow) {
+		if c.wheelLive == c.overflowLive {
 			// Only beyond-horizon completions remain live: the earliest
 			// overflow `at` is the exact next completion deadline, so the
 			// skip loop can jump straight to it (refileOverflow runs before
@@ -600,27 +616,22 @@ func (c *Core) completeALU() {
 	}
 }
 
-// refileOverflow moves overflow entries that have come within the wheel
+// refileOverflow moves overflow slots that have come within the wheel
 // horizon into their buckets and recomputes the earliest remaining overflow
-// deadline. Entries cannot be stale: their slots cannot retire before the
-// completion fires (see wheelEntry).
-//
-//clipvet:allocok appends into overflow[:0] and capacity-retaining wheel buckets
+// deadline. Slots cannot be stale: they cannot retire before the completion
+// fires (see wheelNext).
 func (c *Core) refileOverflow() {
-	rest := c.overflow[:0]
-	min := mem.NoEvent
-	for _, ev := range c.overflow {
-		if ev.at-c.cycle < wheelSize {
-			c.wheel[ev.at%wheelSize] = append(c.wheel[ev.at%wheelSize], ev)
+	next := c.overflowHead
+	c.overflowHead, c.overflowLive, c.overflowMin = -1, 0, mem.NoEvent
+	for next >= 0 {
+		slot := int(next)
+		next = c.wheelNext[slot]
+		if at := c.doneAt[slot]; at-c.cycle < wheelSize {
+			c.file(slot, at)
 		} else {
-			if ev.at < min {
-				min = ev.at
-			}
-			rest = append(rest, ev)
+			c.fileOverflow(slot, at)
 		}
 	}
-	c.overflow = rest
-	c.overflowMin = min
 }
 
 func (c *Core) accountStall() {
@@ -959,7 +970,7 @@ func (c *Core) dispatchSpan(buf []trace.Instr) (int, uint64) {
 			// Latencies are always below the wheel horizon (ExecLat <= 255 <
 			// wheelSize), so file straight into the bucket.
 			at := c.cycle + lat
-			c.wheel[at%wheelSize] = append(c.wheel[at%wheelSize], wheelEntry{slot: int32(slot), at: at}) //clipvet:allocok wheel buckets retain capacity across ticks
+			c.file(slot, at)
 			filed++
 			if at < minAt {
 				minAt = at
@@ -1001,7 +1012,7 @@ func (c *Core) dispatchBranch(ins *trace.Instr) (uint64, bool) {
 	c.bp.Update(ins.Taken, pred)
 	c.BranchHist = c.BranchHist<<1 | b2u(ins.Taken)
 	at := c.cycle + 1
-	c.wheel[at%wheelSize] = append(c.wheel[at%wheelSize], wheelEntry{slot: int32(slot), at: at}) //clipvet:allocok wheel buckets retain capacity across ticks
+	c.file(slot, at)
 	if pred != ins.Taken {
 		c.stats.Mispredicts++
 		c.fetchStallUntil = c.cycle + uint64(c.cfg.MispredictPenalty)

@@ -234,8 +234,8 @@ func newManualCore(t *testing.T) *Core {
 func TestOverflowDerivesDeadline(t *testing.T) {
 	c := newManualCore(t)
 	c.schedule(0, wheelSize+88) // beyond the horizon: lands in the overflow list
-	if len(c.overflow) != 1 || c.overflowMin != wheelSize+88 {
-		t.Fatalf("entry not filed to overflow: len=%d min=%d", len(c.overflow), c.overflowMin)
+	if c.overflowLive != 1 || c.overflowMin != wheelSize+88 {
+		t.Fatalf("entry not filed to overflow: len=%d min=%d", c.overflowLive, c.overflowMin)
 	}
 	if c.wheelLive != 1 || c.earliestWheel != wheelSize+88 {
 		t.Fatalf("wheel bookkeeping wrong: live=%d earliest=%d", c.wheelLive, c.earliestWheel)
@@ -259,8 +259,8 @@ func TestOverflowRefileExact(t *testing.T) {
 		c.completeALU()
 		if land < at {
 			// Within horizon but before completion: refiled, not fired.
-			if len(c.overflow) != 0 || c.wheelLive != 1 {
-				t.Fatalf("land=%d: not refiled (overflow=%d live=%d)", land, len(c.overflow), c.wheelLive)
+			if c.overflowLive != 0 || c.wheelLive != 1 {
+				t.Fatalf("land=%d: not refiled (overflow=%d live=%d)", land, c.overflowLive, c.wheelLive)
 			}
 			if bitOf(c.doneW, 0) {
 				t.Fatalf("land=%d: fired early", land)

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"clip/internal/mem"
 	"clip/internal/snapshot"
@@ -11,31 +12,36 @@ import (
 // Core checkpointing. The ROB columns and bitmaps restore verbatim into the
 // slabs NewSystem carved; wiring (generator, port, listeners, fetch checker)
 // is rebuilt by construction and only the generator's stream position is
-// captured (trace.State). The pre-decoded instruction buffer needs care:
-// ibuf may borrow the shared trace window in place, so saving walks the
-// unconsumed remainder and loading parks it in a private buffer — dispatch
-// refills mid-cycle whenever the buffer drains, so the changed refill
-// boundary cannot affect timing. The issue-stall memo is rebuilt state and
-// is not saved.
+// captured (trace.State). What the image says about the pre-decoded
+// instruction buffer depends on whose buffer it is. While ibuf borrows the
+// shared trace window, the image holds the stream position of the core's next
+// undispatched instruction and nothing else: how far the borrowed view
+// reaches depends on what other simulations of the process have published,
+// and a restored core simply borrows the tail again, in place, at its next
+// refill — dispatch refills mid-cycle whenever the buffer drains, so a moved
+// refill boundary cannot affect timing. Past the window ibuf is a private
+// batch the generator has already advanced beyond and cannot be rewound to,
+// so its unconsumed remainder (less than ibufBatch instructions) is in the
+// image. The timing wheel's chains and the issue-stall memo are rebuilt state
+// and are not saved.
 
 // State walks the core's architectural and microarchitectural state; loading
 // needs a freshly constructed core of the same configuration.
 func (c *Core) State(s *snapshot.Coder) {
-	trace.State(s, c.gen)
-
-	// Unconsumed pre-decoded instructions, plus whether the zero-copy shared
-	// window was still live (its successor position is inside the generator).
-	rem := c.ibuf[c.ipos:]
-	if s.Loading() {
-		rem = nil // never decode over the shared window ibuf may borrow
-	}
-	for i := range snapshot.Slice(s, "cpu: ibuf", &rem, snapshot.MaxLen, instrBytes) {
-		instrState(s, &rem[i])
-	}
 	winActive := c.win != nil
+	rem := c.ibuf[c.ipos:]
+	unread := 0
+	if winActive {
+		unread, rem = len(rem), nil
+	}
+	trace.State(s, c.gen, unread)
 	s.Bool(&winActive)
 	if s.Err() != nil {
 		return
+	}
+	limit := ibufBatch
+	if winActive {
+		limit = 0 // a live window leaves no remainder
 	}
 	if s.Loading() {
 		// Keep the zero-copy window only if both the snapshot and this core
@@ -47,6 +53,12 @@ func (c *Core) State(s *snapshot.Coder) {
 				c.priv = make([]trace.Instr, ibufBatch)
 			}
 		}
+		rem = c.priv[:0] // never decode over the shared window ibuf may borrow
+	}
+	for i := range snapshot.Slice(s, "cpu: ibuf", &rem, limit, instrBytes) {
+		instrState(s, &rem[i])
+	}
+	if s.Loading() {
 		c.ibuf, c.ipos = rem, 0
 	}
 
@@ -59,6 +71,7 @@ func (c *Core) State(s *snapshot.Coder) {
 	s.U64s(c.ipCol)
 	s.U64s(c.addrCol)
 	s.U64s(c.stallCol)
+	s.U64s(c.doneAt)
 	s.U8s(c.opCol)
 	s.U8s(c.servedCol)
 	s.I32s(c.depCol)
@@ -79,22 +92,6 @@ func (c *Core) State(s *snapshot.Coder) {
 	s.Int(&c.outstanding)
 	s.Int(&c.lastLoadSlot)
 
-	// A wheel bucket or the overflow list holds at most one entry per ROB
-	// slot.
-	for i := range c.wheel {
-		b := snapshot.Slice(s, "cpu: wheel bucket", &c.wheel[i], c.robSize, 8+4)
-		for j := range b {
-			s.U64(&b[j].at)
-			s.I32(&b[j].slot)
-		}
-	}
-	for j := range snapshot.Slice(s, "cpu: wheel overflow", &c.overflow, c.robSize, 8+4) {
-		s.U64(&c.overflow[j].at)
-		s.I32(&c.overflow[j].slot)
-	}
-	s.U64(&c.overflowMin)
-	s.Int(&c.wheelLive)
-	s.U64(&c.earliestWheel)
 	s.Bool(&c.wake)
 
 	c.bp.State(s)
@@ -114,6 +111,26 @@ func (c *Core) State(s *snapshot.Coder) {
 			c.pendHead < -1 || c.pendHead >= c.robSize ||
 			c.lastLoadSlot < -1 || c.lastLoadSlot >= c.robSize {
 			s.Corrupt("cpu: snapshot ROB cursors out of range")
+		}
+		if pad := c.robSize & 63; pad != 0 && c.validW[len(c.validW)-1]>>uint(pad) != 0 {
+			s.Corrupt("cpu: snapshot marks slots beyond the %d-entry ROB valid", c.robSize)
+		}
+		if s.Err() == nil {
+			c.refileWheel()
+		}
+	}
+}
+
+// refileWheel rebuilds the timing wheel of a freshly constructed core from
+// the loaded columns: the slots with a completion pending are exactly the
+// valid, un-done non-loads, each due at its doneAt.
+func (c *Core) refileWheel() {
+	for wi, w := range c.validW {
+		for w &^= c.doneW[wi]; w != 0; w &= w - 1 {
+			slot := wi<<6 + bits.TrailingZeros64(w)
+			if trace.Op(c.opCol[slot]) != trace.OpLoad {
+				c.schedule(slot, c.doneAt[slot])
+			}
 		}
 	}
 }

@@ -278,8 +278,8 @@ func TestLoadStateTruncatedAndCorrupt(t *testing.T) {
 	}
 	// A count the stream cannot back is refused before it sizes anything: a
 	// valid prefix up to core 0's unconsumed-instruction count (its generator
-	// a replay of the shared window at position 0, no private continuation),
-	// a count of 2^24 there, end of stream.
+	// a replay of the shared window at position 0, no private continuation,
+	// window not live), a count of 2^24 there, end of stream.
 	s := fresh()
 	w := snapshot.NewWriter()
 	c := w.Coder()
@@ -289,7 +289,7 @@ func TestLoadStateTruncatedAndCorrupt(t *testing.T) {
 	m.state(c)
 	c.Section("base", func() {
 		var cycle, measureStart uint64
-		var warmed, cont bool
+		var warmed, cont, winActive bool
 		finished, kind, pos, count := 0, uint8(1), 0, 1<<24
 		c.U64(&cycle)
 		c.U64(&measureStart)
@@ -298,6 +298,7 @@ func TestLoadStateTruncatedAndCorrupt(t *testing.T) {
 		c.U8(&kind)
 		c.Int(&pos)
 		c.Bool(&cont)
+		c.Bool(&winActive)
 		c.Int(&count)
 	})
 	crafted, err := w.Bytes()

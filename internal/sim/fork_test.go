@@ -1,0 +1,163 @@
+package sim
+
+import (
+	"bytes"
+	"encoding/json"
+	"runtime"
+	"testing"
+
+	"clip/internal/mem"
+	"clip/internal/trace"
+)
+
+// What a fork costs (ROADMAP item 1(b)): the tests below pin the image as a
+// function of the simulated state, NewSystem's footprint, and SaveState's
+// first-buffer estimate, on the geometries bench/ measures.
+
+// mem8 is bench's bandwidth mix: streaming, pointer-chasing and mixed traces,
+// so cores cross a warm-up barrier at very different stream positions.
+var mem8 = []string{"619.lbm_s-2676B", "603.bwaves_s-1740B", "649.fotonik3d_s-1176B", "654.roms_s-1007B",
+	"605.mcf_s-1554B", "607.cactuBSSN_s-2421B", "620.omnetpp_s-141B", "657.xz_s-1306B"}
+
+// meshGeometry is bench's kernelConfig: cores on 8 channels, caches scaled by
+// 8, one SPEC+GAP trace drawn per core (the draw of workload.Heterogeneous(1,
+// cores, 1), which imports this package), berti+CLIP, 2000+2000 instructions.
+func meshGeometry(cores int) Config {
+	cfg := withCLIP(DefaultConfig(cores, 8, 8))
+	pool := append(append([]string{}, trace.SpecHomogeneous45...), trace.GAPTraces...)
+	rng := mem.NewPRNG(1 ^ 0x48e7e20)
+	for i := range cfg.Workload {
+		cfg.Workload[i] = pool[rng.Intn(len(pool))]
+	}
+	cfg.InstrPerCore, cfg.WarmupInstr = 2000, 2000
+	cfg.Prefetcher = "berti"
+	return cfg
+}
+
+// TestImageCanonical: an image is a function of the simulated state, not of
+// what the process has decoded. The shared trace window grows as simulations
+// consume it, and a core borrows whatever is published; the image holds only
+// the core's own stream position, so warming the same point up before and
+// after a full run has published every stream's whole window yields the same
+// bytes, and either image resumes to the uninterrupted run's report. In the
+// second arm the warm-up carries the faster cores past the window, whose
+// private batch remainder is in the image, while the slowest still borrow.
+func TestImageCanonical(t *testing.T) {
+	for _, arm := range []struct {
+		name          string
+		warmup, instr uint64
+		overrun       bool
+	}{
+		{"in-window", 1000, 17000, false},
+		{"past-window", 14000, 4000, true},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := DefaultConfig(8, 8, 8)
+			cfg.Workload = append([]string(nil), mem8...)
+			cfg.WarmupInstr, cfg.InstrPerCore = arm.warmup, arm.instr
+			cfg.Prefetcher = "berti"
+			// A seed no other test uses: these streams start unpublished.
+			cfg.Seed = 0x1ca7 + arm.warmup
+
+			cold, err := WarmupImage(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _ := json.Marshal(mustRun(t, cfg))
+			hot, err := WarmupImage(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cold, hot) {
+				t.Errorf("the image depends on process history: %d bytes before the streams were published, %d after",
+					len(cold), len(hot))
+			}
+			for name, image := range map[string][]byte{"cold": cold, "hot": hot} {
+				res, err := RunFromImage(cfg, image)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, _ := json.Marshal(res); !bytes.Equal(got, ref) {
+					t.Errorf("%s image diverges from the uninterrupted run: %s", name, firstDiff(ref, got))
+				}
+			}
+
+			// Which side of the shared window's edge (trace.sharedWindow
+			// instructions) each core was dispatching from at the barrier.
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.LoadState(cold); err != nil {
+				t.Fatal(err)
+			}
+			inside, past := 0, 0
+			for _, c := range s.cores {
+				if c.RetiredTotal()+uint64(c.ROBOccupancy()) > 16384 {
+					past++
+				} else {
+					inside++
+				}
+			}
+			if arm.overrun && (past == 0 || inside == 0) || !arm.overrun && past != 0 {
+				t.Errorf("arm does not cover what it is for: %d cores inside the window, %d past it", inside, past)
+			}
+		})
+	}
+}
+
+// TestNewSystemFootprint budgets what one fork allocates before it loads
+// anything: bytes and allocation count of NewSystem on the 64-core geometry,
+// counted by the runtime and so the same on every host. The budget is what
+// NewSystem costs now (18.76 MB in 6,670 allocations; a -race build adds some
+// 200 of its own) plus 5%; spending more is a decision to make here, not
+// something a fork-per-point campaign discovers.
+func TestNewSystemFootprint(t *testing.T) {
+	const (
+		budgetBytes   = 19_700_000
+		budgetMallocs = 7_000
+	)
+	cfg := meshGeometry(64)
+	build := func() {
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	}
+	build() // the shared streams' generators are built once a process
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.ReadMemStats(&after)
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("NewSystem(64 cores): %d bytes in %d allocations", bytes, mallocs)
+	if bytes > budgetBytes || mallocs > budgetMallocs {
+		t.Errorf("NewSystem(64 cores) allocated %d bytes in %d allocations; the budget is %d bytes, %d allocations",
+			bytes, mallocs, budgetBytes, budgetMallocs)
+	}
+}
+
+// TestImageSizeHint: SaveState's estimate for a system that has never seen an
+// image covers the warm-up image of both bench geometries (no regrowth while
+// encoding) without reserving more than 15% over it.
+func TestImageSizeHint(t *testing.T) {
+	for _, cores := range []int{8, 64} {
+		cfg := meshGeometry(cores)
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hint := s.imageSizeHint()
+		s.Close()
+		image, err := WarmupImage(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hint < len(image) || float64(hint) > 1.15*float64(len(image)) {
+			t.Errorf("%d cores: hint %d for a %d-byte image (%.3fx), want 1 to 1.15x", cores, hint, len(image),
+				float64(hint)/float64(len(image)))
+		}
+	}
+}

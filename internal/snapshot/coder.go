@@ -207,21 +207,9 @@ func (s *Coder) Bools(vs []bool) {
 // has latched (a truncated stream latches ErrCorrupt).
 func (s *Coder) Window(n int) []byte {
 	if s.r != nil {
-		r := s.r
-		if r.err != nil || n > len(r.buf)-r.off {
-			r.corrupt("window")
-			return nil
-		}
-		r.off += n
-		return r.buf[r.off-n : r.off]
+		return s.r.window("window", n)
 	}
-	w := s.w
-	if w.err != nil {
-		return nil
-	}
-	at := len(w.buf)
-	w.buf = slices.Grow(w.buf, n)[:at+n]
-	return w.buf[at:]
+	return s.w.window(n)
 }
 
 // Fixed walks a count that configuration fixes (a table's entries, a

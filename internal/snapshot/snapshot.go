@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Magic identifies a snapshot stream ("CLPS" | version byte appended).
@@ -34,7 +35,7 @@ const Magic = 0x43_4C_50_53 // "CLPS"
 // Version is the current format version. Bump on any layout change; old
 // versions are rejected at Open (checkpoints are cheap to regenerate, so
 // there is no migration machinery).
-const Version = 1
+const Version = 2
 
 // ErrCorrupt is latched by a Reader on truncated or malformed input.
 var ErrCorrupt = errors.New("snapshot: corrupt or truncated stream")
@@ -161,44 +162,65 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
+// window appends n bytes for the caller to fill, growing the buffer at most
+// once; nil once an error has latched.
+func (w *Writer) window(n int) []byte {
+	if w.err != nil {
+		return nil
+	}
+	at := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:at+n]
+	return w.buf[at:]
+}
+
+// column appends the length prefix of an n-element column and returns the
+// window its elements, size bytes each, encode into.
+func (w *Writer) column(n, size int) []byte {
+	w.Int(n)
+	return w.window(n * size)
+}
+
 // U64s appends a length-prefixed []uint64 (slabs, bitmap words, columns).
 func (w *Writer) U64s(vs []uint64) {
-	w.Int(len(vs))
-	for _, v := range vs {
-		w.U64(v)
+	if b := w.column(len(vs), 8); b != nil {
+		for i, v := range vs {
+			binary.LittleEndian.PutUint64(b[8*i:], v)
+		}
 	}
 }
 
 // U8s appends a length-prefixed []uint8 column.
 func (w *Writer) U8s(vs []uint8) {
-	w.Int(len(vs))
-	if w.err != nil {
-		return
-	}
-	w.buf = append(w.buf, vs...)
+	copy(w.column(len(vs), 1), vs)
 }
 
 // I32s appends a length-prefixed []int32 column.
 func (w *Writer) I32s(vs []int32) {
-	w.Int(len(vs))
-	for _, v := range vs {
-		w.I32(v)
+	if b := w.column(len(vs), 4); b != nil {
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
 	}
 }
 
 // I8s appends a length-prefixed []int8 table.
 func (w *Writer) I8s(vs []int8) {
-	w.Int(len(vs))
-	for _, v := range vs {
-		w.I8(v)
+	if b := w.column(len(vs), 1); b != nil {
+		for i, v := range vs {
+			b[i] = uint8(v)
+		}
 	}
 }
 
-// Bools appends a length-prefixed []bool.
+// Bools appends a length-prefixed []bool, one byte an element.
 func (w *Writer) Bools(vs []bool) {
-	w.Int(len(vs))
-	for _, v := range vs {
-		w.Bool(v)
+	if b := w.column(len(vs), 1); b != nil {
+		for i, v := range vs {
+			b[i] = 0
+			if v {
+				b[i] = 1
+			}
+		}
 	}
 }
 
@@ -380,20 +402,40 @@ func (r *Reader) String() string {
 	return s
 }
 
-// U64s reads a length-prefixed []uint64 into dst, which must have exactly
-// the encoded length (columns and slabs are geometry-fixed, so a length
-// mismatch means the snapshot belongs to a different configuration).
-func (r *Reader) U64s(dst []uint64) {
-	n := r.sliceLen("u64 slice", 8)
+// window consumes the next n bytes and returns them; nil, with ErrCorrupt
+// latched, when the stream is shorter.
+func (r *Reader) window(what string, n int) []byte {
+	if r.err != nil || n < 0 || n > len(r.buf)-r.off {
+		r.corrupt(what)
+		return nil
+	}
+	r.off += n
+	return r.buf[r.off-n : r.off]
+}
+
+// column reads the length prefix of a column that must hold exactly want
+// elements (columns and slabs are geometry-fixed, so a length mismatch means
+// the snapshot belongs to a different configuration) and returns the window
+// its elements, size bytes each, decode from; nil once an error has latched.
+func (r *Reader) column(what string, want, size int) []byte {
+	n := r.sliceLen(what, size)
 	if r.err != nil {
-		return
+		return nil
 	}
-	if n != len(dst) {
-		r.corrupt("u64 slice length")
-		return
+	if n != want {
+		r.corrupt(what + " length")
+		return nil
 	}
-	for i := range dst {
-		dst[i] = r.U64()
+	return r.window(what, n*size)
+}
+
+// U64s reads a length-prefixed []uint64 into dst, which must have exactly
+// the encoded length.
+func (r *Reader) U64s(dst []uint64) {
+	if b := r.column("u64 slice", len(dst), 8); b != nil {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
 	}
 }
 
@@ -412,60 +454,38 @@ func (r *Reader) U64sVar() []uint64 {
 
 // U8s reads a length-prefixed []uint8 into dst (exact length).
 func (r *Reader) U8s(dst []uint8) {
-	n := r.sliceLen("u8 slice", 1)
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.corrupt("u8 slice length")
-		return
-	}
-	copy(dst, r.buf[r.off:r.off+n])
-	r.off += n
+	copy(dst, r.column("u8 slice", len(dst), 1))
 }
 
 // I32s reads a length-prefixed []int32 into dst (exact length).
 func (r *Reader) I32s(dst []int32) {
-	n := r.sliceLen("i32 slice", 4)
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.corrupt("i32 slice length")
-		return
-	}
-	for i := range dst {
-		dst[i] = r.I32()
+	if b := r.column("i32 slice", len(dst), 4); b != nil {
+		for i := range dst {
+			dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
 	}
 }
 
 // I8s reads a length-prefixed []int8 into dst (exact length).
 func (r *Reader) I8s(dst []int8) {
-	n := r.sliceLen("i8 slice", 1)
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.corrupt("i8 slice length")
-		return
-	}
-	for i := range dst {
-		dst[i] = r.I8()
+	if b := r.column("i8 slice", len(dst), 1); b != nil {
+		for i := range dst {
+			dst[i] = int8(b[i])
+		}
 	}
 }
 
-// Bools reads a length-prefixed []bool into dst (exact length).
+// Bools reads a length-prefixed []bool into dst (exact length); any byte
+// other than 0/1 is corrupt.
 func (r *Reader) Bools(dst []bool) {
-	n := r.sliceLen("bool slice", 1)
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.corrupt("bool slice length")
-		return
-	}
-	for i := range dst {
-		dst[i] = r.Bool()
+	if b := r.column("bool slice", len(dst), 1); b != nil {
+		for i := range dst {
+			if b[i] > 1 {
+				r.corrupt("bool")
+				return
+			}
+			dst[i] = b[i] == 1
+		}
 	}
 }
 

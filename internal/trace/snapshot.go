@@ -12,14 +12,17 @@ import (
 // state, program counter, emitted count, phase flag and per-site cursors.
 //
 // Replay adds one wrinkle: its position indexes a process-wide shared
-// window that grows lazily (one sharedChunk per refill), so a restored
-// position cannot simply be assigned — the window in the restoring process
-// may be shorter, and refill only guarantees progress one chunk at a time.
-// Restore instead replays the stream by discarding Next() results up to the
-// saved position (at most sharedWindow calls), which grows the shared
-// window through the same code path a live run uses. If a private
-// continuation generator was active, one extra Next() forces its creation
-// and the saved continuation state then overwrites the clone's cursors.
+// window that grows lazily (one sharedChunk per refill), so the window in the
+// restoring process may be shorter than the saved position. Restore publishes
+// whole chunks through refill — the code path a live run grows the window by
+// — until the window covers the position, then assigns it: O(pos/sharedChunk)
+// and nothing is decoded twice. The saved position is the consumer's, not the
+// view's: Window hands out everything published, which depends on what other
+// simulations of the process have decoded, so State subtracts what the
+// consumer still holds unread and the image is a function of the simulated
+// state alone. If a private continuation generator was active the position
+// is the window's edge, refill creates the continuation there and the saved
+// continuation state overwrites the clone's cursors.
 
 // state walks the mutable generator state of a generator built from the same
 // Config.
@@ -56,8 +59,13 @@ const (
 // loading seeks a freshly constructed Generator of the same Config to a
 // position that may have been saved from the other kind (the shared-stream
 // cache fills process-locally), as long as both produce the identical
-// stream — a private receiver seeks by discarding, exactly like a Replay.
-func State(s *snapshot.Coder, gn Generator) {
+// stream.
+//
+// unread is how many instructions of its last Window the consumer has not
+// consumed yet: saving writes the position that many back, so a restored
+// consumer's next Window starts at its first unconsumed instruction. Only a
+// Replay hands out windows; loading ignores it.
+func State(s *snapshot.Coder, gn Generator, unread int) {
 	if !s.Loading() {
 		switch g := gn.(type) {
 		case *gen:
@@ -65,9 +73,9 @@ func State(s *snapshot.Coder, gn Generator) {
 			s.U8(&kind)
 			g.state(s)
 		case *Replay:
-			kind, cont := genKindReplay, g.cont != nil
+			kind, pos, cont := genKindReplay, g.pos-unread, g.cont != nil
 			s.U8(&kind)
-			s.Int(&g.pos)
+			s.Int(&pos)
 			s.Bool(&cont)
 			if cont {
 				g.cont.state(s)
@@ -102,17 +110,17 @@ func State(s *snapshot.Coder, gn Generator) {
 		if s.Err() != nil {
 			return
 		}
-		if pos < 0 || pos > sharedWindow {
-			s.Corrupt("trace: snapshot replay position %d out of range", pos)
+		if pos < 0 || pos > sharedWindow || (contActive && pos != sharedWindow) {
+			s.Corrupt("trace: snapshot replay position %d (continuation %t) out of range", pos, contActive)
 			return
 		}
 		switch g := gn.(type) {
 		case *Replay:
 			seekReplay(s, g, pos, contActive)
 		case *gen:
-			// The saved view was a shared-window index; replay the same
-			// number of instructions on the private generator, then apply
-			// the continuation state if one was active.
+			// The saved view was a shared-window index; a private generator
+			// has no window to seek in, so it replays that many instructions,
+			// then applies the continuation state if one was active.
 			for i := 0; i < pos; i++ {
 				g.Next()
 			}
@@ -127,22 +135,20 @@ func State(s *snapshot.Coder, gn Generator) {
 	}
 }
 
-// seekReplay advances a fresh Replay to pos by consuming the stream (which
-// extends the process-wide shared window through the normal refill path),
-// then forces and overwrites the continuation generator when one was
-// active at save time.
+// seekReplay positions a fresh Replay at pos <= sharedWindow: refill extends
+// the process-wide shared window a chunk at a time (or adopts what another
+// view already published) until it covers pos. With a continuation active
+// pos is the window's edge, where one more refill creates the continuation
+// for the saved state to overwrite.
 func seekReplay(s *snapshot.Coder, g *Replay, pos int, contActive bool) {
-	for i := 0; i < pos; i++ {
-		g.Next()
+	for len(g.prog) < pos {
+		g.pos = len(g.prog)
+		g.refill()
 	}
+	g.pos = pos
 	if !contActive {
 		return
 	}
-	if g.cont == nil {
-		// One discarded instruction forces continuation creation; the
-		// clone's cursors are then overwritten wholesale by the saved
-		// state, erasing the discard.
-		g.Next()
-	}
+	g.refill()
 	g.cont.state(s)
 }
