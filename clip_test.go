@@ -1,6 +1,9 @@
 package clip
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestFacadeQuickRun(t *testing.T) {
 	cfg := DefaultConfig(4, 2, 8)
@@ -75,5 +78,33 @@ func TestFacadeRunnerNormalization(t *testing.T) {
 	}
 	if ws < 0.99 || ws > 1.01 {
 		t.Fatalf("self-normalized WS = %v", ws)
+	}
+}
+
+// TestRunRetainsNoDecodedTrace: a finished run leaves no decoded instructions
+// behind. On bench's pt_mesh64 point (64 cores, 8 channels, one SPEC+GAP mix,
+// berti+CLIP) every core runs well past its budget while the slowest
+// finishes, and what the process keeps afterwards is the trace programs
+// (loop bodies and chase tables, tens of kilobytes a core), not the
+// instructions generated from them — a 512 KB window a core would be 32 MB.
+func TestRunRetainsNoDecodedTrace(t *testing.T) {
+	cfg := DefaultConfig(64, 8, 8)
+	cfg.Workload = HeterogeneousMixes(1, 64, 1)[0].Benchmarks
+	cfg.InstrPerCore, cfg.WarmupInstr = 8000, 0
+	cfg.Prefetcher = "berti"
+	cc := DefaultCLIPConfig()
+	cfg.CLIP = &cc
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("a pt_mesh64 run leaves the heap %.2f MB larger", float64(grew)/(1<<20))
+	if grew >= 8<<20 {
+		t.Fatalf("a pt_mesh64 run left the heap %d bytes larger, want < 8 MB", grew)
 	}
 }

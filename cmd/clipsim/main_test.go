@@ -65,10 +65,11 @@ func TestRejectsBadArguments(t *testing.T) {
 // of a version bump, checked here without a base build.
 func TestRefusesOlderImage(t *testing.T) {
 	bin := buildClipsim(t)
+	older := uint32(snapshot.Version - 1)
 	image := binary.LittleEndian.AppendUint32(nil, snapshot.Magic)
-	image = binary.LittleEndian.AppendUint32(image, 1)
-	image = append(image, make([]byte, 64)...) // whatever version 1 went on to say
-	file := filepath.Join(t.TempDir(), "v1.ckpt")
+	image = binary.LittleEndian.AppendUint32(image, older)
+	image = append(image, make([]byte, 64)...) // whatever that version went on to say
+	file := filepath.Join(t.TempDir(), "older.ckpt")
 	if err := os.WriteFile(file, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +79,10 @@ func TestRefusesOlderImage(t *testing.T) {
 	out, err := cmd.Output()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("loading a version-1 image: err = %v, want exit status 1\nstdout: %s\nstderr: %s", err, out, stderr.String())
+		t.Fatalf("loading a version-%d image: err = %v, want exit status 1\nstdout: %s\nstderr: %s", older, err, out, stderr.String())
 	}
-	want := fmt.Sprintf("unsupported version 1 (want %d)", snapshot.Version)
+	want := fmt.Sprintf("unsupported version %d (want %d)", older, snapshot.Version)
 	if msg := stderr.String(); !strings.Contains(msg, want) || strings.Count(msg, "\n") != 1 || len(out) != 0 {
-		t.Errorf("loading a version-1 image: stdout %q, stderr %q, want only one line containing %q", out, msg, want)
+		t.Errorf("loading a version-%d image: stdout %q, stderr %q, want only one line containing %q", older, out, msg, want)
 	}
 }

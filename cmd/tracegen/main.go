@@ -48,8 +48,7 @@ func main() {
 	}
 
 	if !*summary {
-		for i := 0; i < *n; i++ {
-			ins := gen.Next()
+		each(gen, *n, func(i int, ins *trace.Instr) {
 			switch ins.Op {
 			case trace.OpLoad:
 				dep := ""
@@ -64,15 +63,14 @@ func main() {
 			default:
 				fmt.Printf("%6d  %#012x  alu    lat=%d\n", i, ins.IP, ins.ExecLat)
 			}
-		}
+		})
 		return
 	}
 
 	var loads, stores, branches, deps int
 	ips := map[uint64]bool{}
 	lines := map[uint64]bool{}
-	for i := 0; i < *n; i++ {
-		ins := gen.Next()
+	each(gen, *n, func(_ int, ins *trace.Instr) {
 		switch ins.Op {
 		case trace.OpLoad:
 			loads++
@@ -86,7 +84,7 @@ func main() {
 		case trace.OpBranch:
 			branches++
 		}
-	}
+	})
 	total := float64(*n)
 	fmt.Printf("workload:            %s\n", *name)
 	fmt.Printf("instructions:        %d\n", *n)
@@ -96,4 +94,17 @@ func main() {
 	fmt.Printf("distinct load IPs:   %d\n", len(ips))
 	fmt.Printf("distinct lines:      %d (%.1f lines/kilo-instr)\n",
 		len(lines), float64(len(lines))/(total/1000))
+}
+
+// each hands the first n instructions of gen to f, generated in place a
+// batch at a time.
+func each(gen *trace.Cursor, n int, f func(i int, ins *trace.Instr)) {
+	buf := make([]trace.Instr, 512)
+	for i := 0; i < n; i += len(buf) {
+		batch := buf[:min(len(buf), n-i)]
+		gen.Fill(batch)
+		for k := range batch {
+			f(i+k, &batch[k])
+		}
+	}
 }

@@ -160,13 +160,9 @@ const (
 
 // Core is one simulated core.
 type Core struct {
-	cfg Config
-	id  int
-	gen trace.Generator
-	// win is gen's zero-copy fast path when it implements trace.Windower
-	// (pre-decoded replays): dispatch reads the shared pre-decoded window in
-	// place until the window is exhausted.
-	win  trace.Windower
+	cfg  Config
+	id   int
+	gen  trace.Generator
 	port MemoryPort
 
 	// The ROB as a structure of arrays. The flag bitmaps pack one bit per
@@ -286,12 +282,14 @@ type Core struct {
 	onLoad   []func(*LoadEvent)
 	onRetire []func(*RetireEvent)
 
-	// ibuf is the pre-decoded instruction window dispatch reads: either a
-	// borrowed view of the shared trace window (win path, zero-copy) or the
-	// private priv buffer refilled from gen.Next().
+	// ibuf is the batch dispatch reads, ipos how much of it is dispatched.
+	// An empty ibuf means nothing is filled since New or a load: gen is at
+	// the batch's start, and ipos (restored by a load) is where dispatch
+	// resumes once the next refill has filled it. b, allocated at the first
+	// refill, backs ibuf and marks where gen was when it was filled.
 	ibuf []trace.Instr
 	ipos int
-	priv []trace.Instr
+	b    *batch
 
 	// reqBuf/loadEv/retireEv buffer the values handed to the memory port
 	// and event listeners, so the pointers passed through interfaces and
@@ -319,7 +317,6 @@ func New(id int, cfg Config, gen trace.Generator, port MemoryPort, budget uint64
 		cfg:          cfg,
 		id:           id,
 		gen:          gen,
-		win:          windowerOf(gen),
 		port:         port,
 		robSize:      size,
 		pendHead:     -1,
@@ -350,10 +347,6 @@ func New(id int, cfg Config, gen trace.Generator, port MemoryPort, budget uint64
 	for i := range c.depCol {
 		c.depCol[i] = -1
 		c.childCol[i] = -1
-	}
-	if c.win == nil {
-		c.priv = make([]trace.Instr, ibufBatch)
-		c.ibuf = c.priv[:0]
 	}
 	return c, nil
 }
@@ -859,7 +852,7 @@ func (c *Core) nextPending(pos int) int {
 	}
 }
 
-// dispatch fills ROB slots from the pre-decoded window in per-kind spans:
+// dispatch fills ROB slots from the instruction batch in per-kind spans:
 // the run of non-branch instructions up to the next branch dispatches as one
 // batch (dispatchSpan), branches are handled individually because a
 // mispredict redirects fetch. Wheel bookkeeping (live count, earliest bound)
@@ -875,7 +868,7 @@ func (c *Core) dispatch() {
 	filed := 0
 	minAt := mem.NoEvent
 	for width > 0 && c.count < c.robSize {
-		if c.ipos == len(c.ibuf) {
+		if c.ipos >= len(c.ibuf) {
 			c.refillIbuf()
 		}
 		k := len(c.ibuf) - c.ipos
@@ -1132,33 +1125,32 @@ func (c *Core) CompleteLoad(resp *mem.Response) {
 	}
 }
 
-// ibufBatch is the size of the private fallback buffer: dispatch consumes
-// instructions from a flat array refilled from the trace generator.
-const ibufBatch = 4096
+// ibufBatch is how many instructions one refill generates: enough to
+// amortise the call, few enough (12 KB) to stay in the L1 cache.
+const ibufBatch = 512
 
-// refillIbuf replenishes the dispatch window. The fast path borrows the next
-// chunk of the shared pre-decoded trace window in place (no copy); once that
-// is exhausted, or when the generator has no window, the core fills a private
-// buffer from gen.Next(). Both paths yield exactly the per-call gen.Next()
-// stream (the synthetic generators are pure sequences, independent of
-// simulation time).
+// batch is a core's instruction buffer and the generator position it was
+// filled from: the one stream position an image needs (see State).
+type batch struct {
+	mark trace.Cursor
+	buf  [ibufBatch]trace.Instr
+}
+
+// refillIbuf generates the next batch in place into the core's own buffer.
+// A spent batch restarts dispatch at its first instruction; a batch filled
+// after New or a load resumes at the restored ipos. Batch boundaries cannot
+// affect timing: dispatch refills mid-cycle whenever the buffer drains, and
+// the generators are pure sequences.
 func (c *Core) refillIbuf() {
-	if c.win != nil {
-		if w := c.win.Window(); len(w) > 0 {
-			c.ibuf = w
-			c.ipos = 0
-			return
-		}
-		// Shared window exhausted; switch to the private buffer.
-		c.win = nil
-		c.priv = make([]trace.Instr, ibufBatch) //clipvet:allocok once per core, at shared-window exhaustion
+	if c.b == nil {
+		c.b = new(batch) //clipvet:allocok once per core, at its first refill
 	}
-	buf := c.priv[:ibufBatch]
-	for i := range buf {
-		buf[i] = c.gen.Next()
+	if len(c.ibuf) > 0 {
+		c.ipos = 0
 	}
-	c.ibuf = buf
-	c.ipos = 0
+	trace.Tell(c.gen, &c.b.mark)
+	c.ibuf = c.b.buf[:]
+	trace.Fill(c.gen, c.ibuf)
 }
 
 func b2u(b bool) uint32 {
@@ -1177,12 +1169,4 @@ func (c *Core) DebugHead() string {
 	return fmt.Sprintf("slot=%d op=%v ip=%#x addr=%#x done=%v issued=%v dep=%d pendingLoads=%d outstanding=%d",
 		h, trace.Op(c.opCol[h]), c.ipCol[h], c.addrCol[h], bitOf(c.doneW, h), bitOf(c.issuedW, h),
 		c.depCol[h], c.pendLen, c.outstanding)
-}
-
-// windowerOf returns gen's zero-copy window interface when available.
-func windowerOf(gen trace.Generator) trace.Windower {
-	if w, ok := gen.(trace.Windower); ok {
-		return w
-	}
-	return nil
 }

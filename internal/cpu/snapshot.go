@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"encoding/binary"
 	"math/bits"
 
 	"clip/internal/mem"
@@ -11,55 +10,31 @@ import (
 
 // Core checkpointing. The ROB columns and bitmaps restore verbatim into the
 // slabs NewSystem carved; wiring (generator, port, listeners, fetch checker)
-// is rebuilt by construction and only the generator's stream position is
-// captured (trace.State). What the image says about the pre-decoded
-// instruction buffer depends on whose buffer it is. While ibuf borrows the
-// shared trace window, the image holds the stream position of the core's next
-// undispatched instruction and nothing else: how far the borrowed view
-// reaches depends on what other simulations of the process have published,
-// and a restored core simply borrows the tail again, in place, at its next
-// refill — dispatch refills mid-cycle whenever the buffer drains, so a moved
-// refill boundary cannot affect timing. Past the window ibuf is a private
-// batch the generator has already advanced beyond and cannot be rewound to,
-// so its unconsumed remainder (less than ibufBatch instructions) is in the
-// image. The timing wheel's chains and the issue-stall memo are rebuilt state
-// and are not saved.
+// is rebuilt by construction. Of the instruction stream the image holds the
+// generator's position at the start of the current batch and how many of the
+// batch's instructions the core has dispatched — no decoded instruction: the
+// batch is a pure function of that position. Loading restores the position
+// into the generator itself and allocates nothing; the first dispatch fills
+// the batch there and resumes at the dispatched count. A spent batch saves as
+// the position it ended at with nothing dispatched, so the image depends only
+// on how far the core has dispatched. The timing wheel's chains and the
+// issue-stall memo are rebuilt state and are not saved.
 
 // State walks the core's architectural and microarchitectural state; loading
 // needs a freshly constructed core of the same configuration.
 func (c *Core) State(s *snapshot.Coder) {
-	winActive := c.win != nil
-	rem := c.ibuf[c.ipos:]
-	unread := 0
-	if winActive {
-		unread, rem = len(rem), nil
+	if !s.Loading() && len(c.ibuf) > 0 && c.ipos == len(c.ibuf) {
+		// Settle a spent batch: the next one starts where the generator is.
+		c.ibuf, c.ipos = c.ibuf[:0], 0
 	}
-	trace.State(s, c.gen, unread)
-	s.Bool(&winActive)
+	start := c.gen // the batch's start until one is filled, then its mark
+	if len(c.ibuf) > 0 {
+		start = &c.b.mark
+	}
+	trace.State(s, start)
+	s.Int(&c.ipos)
 	if s.Err() != nil {
 		return
-	}
-	limit := ibufBatch
-	if winActive {
-		limit = 0 // a live window leaves no remainder
-	}
-	if s.Loading() {
-		// Keep the zero-copy window only if both the snapshot and this core
-		// have one (the shared-stream cache fills process-locally, so the
-		// kinds can differ while the streams stay identical).
-		if !winActive || c.win == nil {
-			c.win = nil
-			if c.priv == nil {
-				c.priv = make([]trace.Instr, ibufBatch)
-			}
-		}
-		rem = c.priv[:0] // never decode over the shared window ibuf may borrow
-	}
-	for i := range snapshot.Slice(s, "cpu: ibuf", &rem, limit, instrBytes) {
-		instrState(s, &rem[i])
-	}
-	if s.Loading() {
-		c.ibuf, c.ipos = rem, 0
 	}
 
 	s.U64s(c.validW)
@@ -106,6 +81,9 @@ func (c *Core) State(s *snapshot.Coder) {
 		// re-derives it the core counts as woken, whatever horizon the loop
 		// cached for it.
 		c.stall, c.refusal = issueStale, mem.Watch{}
+		if c.ipos < 0 || c.ipos >= ibufBatch {
+			s.Corrupt("cpu: snapshot dispatched %d of a %d-instruction batch", c.ipos, ibufBatch)
+		}
 		if c.head < 0 || c.head >= c.robSize || c.tail < 0 || c.tail >= c.robSize ||
 			c.count < 0 || c.count > c.robSize ||
 			c.pendHead < -1 || c.pendHead >= c.robSize ||
@@ -133,41 +111,6 @@ func (c *Core) refileWheel() {
 			}
 		}
 	}
-}
-
-// instrBytes is the encoded size of one trace.Instr.
-const instrBytes = 8 + 1 + 8 + 1 + 1 + 1
-
-// instrState walks one instruction as a single record rather than field by
-// field: the unconsumed buffer is the one element-heavy list of the image
-// (up to a whole shared window per core), and six codec calls an element
-// cost a fifth of SaveState's time.
-func instrState(s *snapshot.Coder, ins *trace.Instr) {
-	b := s.Window(instrBytes)
-	if b == nil {
-		return
-	}
-	if !s.Loading() {
-		binary.LittleEndian.PutUint64(b, ins.IP)
-		b[8] = uint8(ins.Op)
-		binary.LittleEndian.PutUint64(b[9:], uint64(ins.Addr))
-		b[17], b[18], b[19] = 0, ins.ExecLat, 0
-		if ins.Taken {
-			b[17] = 1
-		}
-		if ins.DependsOnPrevLoad {
-			b[19] = 1
-		}
-		return
-	}
-	if b[17] > 1 || b[19] > 1 {
-		s.Corrupt("cpu: instruction flag bytes %d, %d", b[17], b[19])
-		return
-	}
-	ins.IP = binary.LittleEndian.Uint64(b)
-	ins.Op = trace.Op(b[8])
-	ins.Addr = mem.Addr(binary.LittleEndian.Uint64(b[9:]))
-	ins.Taken, ins.ExecLat, ins.DependsOnPrevLoad = b[17] == 1, b[18], b[19] == 1
 }
 
 func (st *Stats) state(s *snapshot.Coder) {

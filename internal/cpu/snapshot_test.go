@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -15,9 +16,9 @@ import (
 func TestCoreSnapshotManifest(t *testing.T) {
 	snapshot.CheckManifest(t, snapshot.MustStruct(Core{}),
 		[]string{
-			"gen", // the stream position only
-			"win", // whether the zero-copy window was still live
-			"ibuf", "ipos",
+			// Where the batch starts — gen's position until one is filled, b's
+			// mark after — and how much of it is dispatched.
+			"gen", "b", "ipos",
 			"validW", "doneW", "issuedW", "chainW", "pendW", "readyW",
 			"ipCol", "addrCol", "stallCol", "doneAt", "opCol", "servedCol", "depCol", "childCol",
 			"head", "tail", "count", "pendHead", "pendLen", "readyCount",
@@ -31,7 +32,9 @@ func TestCoreSnapshotManifest(t *testing.T) {
 			// buffers consumed within one call.
 			"cfg", "id", "port", "robSize", "staller",
 			"onFinished", "fetchCheck", "onLoad", "onRetire",
-			"priv", "reqBuf", "loadEv", "retireEv",
+			"reqBuf", "loadEv", "retireEv",
+			// Rebuilt: the batch, filled at the first dispatch after a load.
+			"ibuf",
 			// Rebuilt: the timing wheel's chains and bounds, refiled by a load
 			// from doneAt over the valid, un-done non-load slots.
 			"wheelNext", "wheelHead", "overflowHead", "overflowLive", "overflowMin",
@@ -42,56 +45,122 @@ func TestCoreSnapshotManifest(t *testing.T) {
 		})
 }
 
-// TestCoreIbufRemainderBounded: the only instruction list an image may carry
-// is the unconsumed tail of a private batch, so a loader sizes nothing past
-// ibufBatch and accepts no remainder at all beside a live shared window —
-// however many bytes of stream a hostile image offers to back its count.
+// batchTrace is the stream the batch tests run: loads, stores, branches and
+// ALU work, so dispatch stalls and redirects on the way through a batch.
+var batchTrace = trace.Config{
+	Name: "batch",
+	Sites: []trace.SiteSpec{
+		{Class: trace.PatStream, StrideLines: 1, Weight: 2},
+		{Class: trace.PatChase, Weight: 1},
+		{Class: trace.PatMixed, StrideLines: 1, Weight: 1},
+	},
+	FootprintLines: 4096, LoadFrac: 0.3, StoreFrac: 0.1, BranchFrac: 0.1,
+	BranchMispredictRate: 0.05, MixedTakenProb: 0.5, ChaseChainFrac: 0.5, ExecLatMean: 2,
+}
+
+// batchCore is a one-wide core over a fresh cursor of batchTrace, so dispatch
+// moves through a batch at most one instruction a cycle and a save can land
+// on every offset.
+func batchCore(t *testing.T) (*Core, *skipMem) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.IssueWidth = 1
+	fm := &skipMem{latency: 3, level: mem.LevelL2}
+	c, err := New(0, cfg, trace.MustNew(batchTrace), fm, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm.core = c
+	return c, fm
+}
+
+func saveCore(t *testing.T, c *Core) []byte {
+	t.Helper()
+	w := snapshot.NewWriter()
+	c.State(w.Coder())
+	img, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+func loadCore(t *testing.T, c *Core, img []byte) error {
+	t.Helper()
+	r, err := snapshot.NewReader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.State(r.Coder())
+	return r.Done()
+}
+
+// TestCoreIbufRemainderBounded: an image says how many instructions of its
+// batch the core had dispatched, and a loader refuses a count outside
+// [0, ibufBatch) — a spent batch saves as the start of the next — instead of
+// regenerating a batch and skipping past its end.
 func TestCoreIbufRemainderBounded(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		winActive bool
-		count     int
-		want      string
+		name string
+		ipos int
 	}{
-		{"batch+1", false, ibufBatch + 1, "at most 4096"},
-		{"window live", true, 1, "at most 0"},
+		{"batch+1", ibufBatch + 1},
+		{"spent batch", ibufBatch},
+		{"negative", -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			gen, err := trace.Shared(trace.Config{
-				Name:           "ibuf-bound",
-				Sites:          []trace.SiteSpec{{Class: trace.PatStream, StrideLines: 1, Weight: 1}},
-				FootprintLines: 64, LoadFrac: 0.1, ExecLatMean: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := New(0, DefaultConfig(), gen, &skipMem{latency: 1, level: mem.LevelL1}, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A replay at position 0 with no continuation, then the window
-			// flag, the count, and zeroed records enough to back it.
-			w := snapshot.NewWriter()
-			w.U8(1)
-			w.Int(0)
-			w.Bool(false)
-			w.Bool(tc.winActive)
-			w.Int(tc.count)
-			for i := 0; i < tc.count*instrBytes; i++ {
-				w.U8(0)
-			}
-			img, err := w.Bytes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := snapshot.NewReader(img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.State(r.Coder())
-			if err := r.Err(); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "cpu: ibuf") || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("count %d, window live %t: err = %v, want ErrCorrupt at cpu: ibuf (%s)", tc.count, tc.winActive, err, tc.want)
+			c, _ := batchCore(t)
+			c.ipos = tc.ipos // nothing is filled yet, so the save writes it as it is
+			fresh, _ := batchCore(t)
+			err := loadCore(t, fresh, saveCore(t, c))
+			if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "cpu: snapshot dispatched") {
+				t.Fatalf("ipos %d: err = %v, want ErrCorrupt at cpu: snapshot dispatched", tc.ipos, err)
 			}
 		})
+	}
+}
+
+// TestCoreRestoresMidBatch: a core saved having dispatched any number of its
+// batch's instructions — none, every offset inside the batch, all of them —
+// restores into a fresh core that holds no buffer and saves as the image it
+// loaded until its first dispatch, which regenerates the batch at the saved
+// position; from there it runs in lockstep with the core it was saved from,
+// across its next refill, and ends in the same image.
+func TestCoreRestoresMidBatch(t *testing.T) {
+	const lockstep = ibufBatch + 200
+	for k := 0; k <= ibufBatch; k++ {
+		ref, fm := batchCore(t)
+		cy := uint64(0)
+		for k > 0 && ref.ipos < k {
+			ref.Tick(cy)
+			fm.tick(cy)
+			cy++
+		}
+		img := saveCore(t, ref)
+
+		got, gm := batchCore(t)
+		gm.inflight = append(gm.inflight, fm.inflight...) // what the memory system saves
+		if err := loadCore(t, got, img); err != nil {
+			t.Fatalf("offset %d: %v", k, err)
+		}
+		if got.b != nil {
+			t.Fatalf("offset %d: the load allocated a batch", k)
+		}
+		if again := saveCore(t, got); !bytes.Equal(again, img) {
+			t.Fatalf("offset %d: the restored core saves differently before it dispatches", k)
+		}
+		for end := cy + lockstep; cy < end; cy++ {
+			ref.Tick(cy)
+			fm.tick(cy)
+			got.Tick(cy)
+			gm.tick(cy)
+			if want, have := observeCore(ref), observeCore(got); want != have || ref.ipos != got.ipos {
+				t.Fatalf("offset %d, cycle %d: restored core diverged:\n got %+v (ipos %d)\nwant %+v (ipos %d)",
+					k, cy, have, got.ipos, want, ref.ipos)
+			}
+		}
+		if !bytes.Equal(saveCore(t, got), saveCore(t, ref)) {
+			t.Fatalf("offset %d: the restored core's image differs after %d cycles in lockstep", k, lockstep)
+		}
 	}
 }

@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -276,44 +277,38 @@ func TestLoadStateTruncatedAndCorrupt(t *testing.T) {
 		s := fresh()
 		_ = s.LoadState(mut) // must not panic
 	}
-	// A count the stream cannot back is refused before it sizes anything: a
-	// valid prefix up to core 0's unconsumed-instruction count (its generator
-	// a replay of the shared window at position 0, no private continuation,
-	// window not live), a count of 2^24 there, end of stream.
+	// A generator position the program cannot take is refused at load, not
+	// left to panic at the first dispatch. Core 0's saved batch start is found
+	// by its RNG state, read off a restored core; after it come the program
+	// counter, the emitted count, the phase flag, the site count, then a
+	// 29-byte record a site whose second field is its 4-byte delta index, then
+	// the count of the batch's instructions dispatched.
 	s := fresh()
-	w := snapshot.NewWriter()
-	c := w.Coder()
-	fp := cfg.stateFingerprint()
-	c.String(&fp)
-	m := s.mechs()
-	m.state(c)
-	c.Section("base", func() {
-		var cycle, measureStart uint64
-		var warmed, cont, winActive bool
-		finished, kind, pos, count := 0, uint8(1), 0, 1<<24
-		c.U64(&cycle)
-		c.U64(&measureStart)
-		c.Bool(&warmed)
-		c.Int(&finished)
-		c.U8(&kind)
-		c.Int(&pos)
-		c.Bool(&cont)
-		c.Bool(&winActive)
-		c.Int(&count)
-	})
-	crafted, err := w.Bytes()
-	if err != nil {
+	if err := s.LoadState(image); err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err = s.LoadState(crafted)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "cpu: ibuf") {
-		t.Fatalf("a 2^24 instruction count at the end of the stream: err = %v, want ErrCorrupt at cpu: ibuf", err)
+	// A restored core holds the batch's start in its generator.
+	rng := reflect.ValueOf(s.cores[0]).Elem().FieldByName("gen").Elem().Elem().FieldByName("rng").Field(0).Uint()
+	key := binary.LittleEndian.AppendUint64(nil, rng)
+	at := bytes.Index(image, key)
+	if at < 0 || bytes.Contains(image[at+1:], key) {
+		t.Fatalf("core 0's RNG state is not in the image exactly once")
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-		t.Fatalf("refusing the count allocated %d bytes", grew)
+	sites := at + 8 + 8 + 8 + 1 + 8
+	n := int(binary.LittleEndian.Uint64(image[sites-8:]))
+	for _, tc := range []struct {
+		name string
+		put  func(b []byte)
+		want string
+	}{
+		{"site 0's delta index", func(b []byte) { binary.LittleEndian.PutUint32(b[sites+8:], 1<<24) }, "delta index"},
+		{"the dispatched count", func(b []byte) { binary.LittleEndian.PutUint64(b[sites+n*29:], 1<<24) }, "cpu: snapshot dispatched"},
+	} {
+		mut := append([]byte(nil), image...)
+		tc.put(mut)
+		if err := fresh().LoadState(mut); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s set to 2^24: err = %v, want ErrCorrupt at %q", tc.name, err, tc.want)
+		}
 	}
 }
 

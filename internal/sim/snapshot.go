@@ -143,9 +143,8 @@ func (s *System) SaveState() ([]byte, error) {
 // replacement state and MSHRs; 84 KB a core for its ROB columns and branch
 // predictor (26 KB), Berti's tables (37 KB), CLIP, both TLBs and the L1I
 // tags (12 KB) and a few percent of slack; 128 KB for DRAM, the mesh and the
-// queues between them. A low estimate (a core past the shared trace window
-// adds its private batch remainder, up to 80 KB) only costs the growth it
-// was meant to save; TestImageSizeHint pins it to the bench geometries.
+// queues between them. A low estimate only costs the growth it was meant to
+// save; TestImageSizeHint pins it to the bench geometries.
 func (s *System) imageSizeHint() int {
 	if s.imageLen > 0 {
 		return s.imageLen + s.imageLen/64

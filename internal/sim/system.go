@@ -252,7 +252,7 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 		tcfg.Seed = mem.HashString(cfg.Workload[i]) ^ cfg.Seed ^ uint64(i)<<32
 		// SPEC-rate semantics: each core runs in a private address space.
 		tcfg.AddrOffset = mem.Addr(uint64(i+1) << 42)
-		gen, err := trace.Shared(tcfg)
+		gen, err := trace.New(tcfg)
 		if err != nil {
 			return nil, err
 		}

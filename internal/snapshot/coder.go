@@ -200,18 +200,6 @@ func (s *Coder) Bools(vs []bool) {
 	}
 }
 
-// Window walks n raw bytes at once, for an element-heavy list whose record
-// is cheaper to lay out by hand than through one call per field: saving
-// returns n fresh bytes of the stream for the caller to fill, loading
-// returns the next n bytes for it to decode. It returns nil once an error
-// has latched (a truncated stream latches ErrCorrupt).
-func (s *Coder) Window(n int) []byte {
-	if s.r != nil {
-		return s.r.window("window", n)
-	}
-	return s.w.window(n)
-}
-
 // Fixed walks a count that configuration fixes (a table's entries, a
 // queue's capacity): saving writes n, loading requires the image to hold
 // the same n. It reports whether the walk may go on.

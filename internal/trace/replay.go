@@ -6,16 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// This file implements trace pre-decoding: instead of running the synthetic
-// generator inside the core's dispatch loop, a workload's instruction stream
-// is decoded once into a flat []Instr window shared by every simulation of
-// that workload (a trace-driven simulator reads the same trace file for every
-// configuration it evaluates). Cores then read the window in place, so the
-// generator never runs on the tick hot path while the window lasts.
+// This file keeps the pre-decoded form of a stream: Shared decodes a
+// workload's instructions once into a flat []Instr window that every Replay
+// of the same Config reads in place. No simulation reads it — a core fills
+// its own small batches from a Cursor (cpu.Core.refillIbuf) — and it stays
+// only as what bench's trace.window_ns_per_instr and trace.shared_build_ms
+// kernels time.
 //
 // Sharing is safe because generators are deterministic in their Config: two
-// simulations of the same (name, seed, offset, ...) see byte-identical
-// streams whether they decode privately or read the shared window.
+// readers of the same (name, seed, offset, ...) see byte-identical streams
+// whether they decode privately or read the shared window.
 
 // Windower is an optional Generator fast path: Window returns a read-only
 // view of the next pre-decoded instructions *in place* (no copy), advancing
@@ -46,7 +46,7 @@ const (
 // element writes before any reader indexes them, so readers are lock-free.
 type stream struct {
 	mu  sync.Mutex
-	g   *gen // positioned exactly at len(*pub.Load())
+	g   *Cursor // positioned exactly at len(*pub.Load())
 	pub atomic.Pointer[[]Instr]
 }
 
@@ -70,7 +70,7 @@ func Shared(cfg Config) (Generator, error) {
 			sharedMu.Unlock()
 			return New(cfg)
 		}
-		g, err := newGen(cfg)
+		g, err := New(cfg)
 		if err != nil {
 			sharedMu.Unlock()
 			return nil, err
@@ -89,7 +89,7 @@ type Replay struct {
 	prog []Instr // snapshot of the published window
 	pos  int
 	st   *stream
-	cont *gen // continuation past the shared window; nil until needed
+	cont *Cursor // continuation past the shared window; nil until needed
 }
 
 // Name implements Generator.
@@ -167,15 +167,11 @@ func (r *Replay) refill() bool {
 	return true
 }
 
-// clone deep-copies the generator's mutable state so a continuation advances
-// independently of the shared stream position. The program, chase table and
-// per-site delta sets are immutable after construction and stay shared.
+// clone copies the cursor so a continuation advances independently of the
+// shared stream position; the program stays shared.
 //
-//clipvet:allocok runs once per core, at shared-window exhaustion
-func (g *gen) clone() *gen {
-	cp := *g
-	rng := *g.rng
-	cp.rng = &rng
-	cp.sites = append([]siteState(nil), g.sites...)
+//clipvet:allocok runs once per replay, at shared-window exhaustion
+func (c *Cursor) clone() *Cursor {
+	cp := *c
 	return &cp
 }

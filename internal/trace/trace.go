@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"clip/internal/mem"
 )
@@ -40,12 +41,13 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// Instr is one decoded instruction handed to the core model.
+// Instr is one decoded instruction handed to the core model. The word-sized
+// fields come first, so an Instr is 24 bytes.
 type Instr struct {
 	IP    uint64
-	Op    Op
 	Addr  mem.Addr // data address for loads/stores
-	Taken bool     // actual outcome for branches
+	Op    Op
+	Taken bool // actual outcome for branches
 
 	// ExecLat is the execution latency in cycles for non-memory work.
 	ExecLat uint8
@@ -63,6 +65,18 @@ type Generator interface {
 	Next() Instr
 	// Name identifies the workload (paper trace name).
 	Name() string
+}
+
+// Fill writes the next len(buf) instructions of gen into buf: in place when
+// gen is a Cursor, one Next call an instruction otherwise.
+func Fill(gen Generator, buf []Instr) {
+	if c, ok := gen.(*Cursor); ok {
+		c.Fill(buf)
+		return
+	}
+	for i := range buf {
+		buf[i] = gen.Next()
+	}
 }
 
 // PatternClass describes the memory behaviour of one static load site.
@@ -189,38 +203,69 @@ func (c *Config) Validate() error {
 	if c.FootprintLines == 0 {
 		return fmt.Errorf("trace %s: zero footprint", c.Name)
 	}
+	if n := expandedSites(c.Sites); n > maxSites {
+		return fmt.Errorf("trace %s: %d load sites, at most %d", c.Name, n, maxSites)
+	}
 	return nil
 }
 
-// siteState is the runtime state of one load site.
-type siteState struct {
-	spec       SiteSpec
-	ip         uint64
-	guardIP    uint64 // branch IP guarding a PatMixed site
-	base       mem.Addr
-	cursor     uint64 // line offset within region for streams
-	deltaIdx   int
-	deltas     []int64
-	chaseAt    uint64 // current position for chase sites
-	takenState bool   // last guard outcome
-	wordRep    int    // accesses made to the current line (word reuse)
-	rowLeft    int    // lines until the stream's next row/plane boundary
+// maxSites bounds a configuration's load sites, so a Cursor carries its
+// per-site state inline; the registry's largest workload has 9.
+const maxSites = 16
+
+// expandedSites counts the load sites specs expand into (Weight each, at
+// least one).
+func expandedSites(specs []SiteSpec) int {
+	n := 0
+	for _, spec := range specs {
+		n += max(spec.Weight, 1)
+	}
+	return n
 }
 
-// gen implements Generator.
-type gen struct {
-	cfg  Config
-	rng  *mem.PRNG
-	prog []progSlot // the unrolled loop body
-	pc   int
-	emit uint64 // instructions emitted
+// site holds what construction fixes about one expanded load site.
+type site struct {
+	class   PatternClass
+	ip      uint64
+	guardIP uint64 // branch IP guarding a PatMixed site
+	base    mem.Addr
+	deltas  []int64
+}
 
-	sites     []siteState
-	farBase   mem.Addr
+// siteCur is the part of one load site that advances with the stream.
+type siteCur struct {
+	cursor     uint64 // line offset within region for streams
+	chaseAt    uint64 // current position for chase sites
+	deltaIdx   int32
+	wordRep    int32 // accesses made to the current line (word reuse)
+	rowLeft    int32 // lines until the stream's next row/plane boundary
+	takenState bool  // last guard outcome
+}
+
+// program is everything construction derives from a Config: the unrolled
+// loop body, the site constants, the chase table, and the stream's first
+// position. It is immutable once built, so any number of Cursors share one.
+type program struct {
+	cfg       Config
+	body      []progSlot
+	sites     []site
 	chaseTab  []uint32 // shuffled successor table for chase sites
 	siteLines uint64   // per-stream-site region share
+	words     int      // accesses a streaming site makes to one line
+	start     Cursor   // the position construction ends at
+}
 
+// Cursor is the Generator New returns: a private position in a shared
+// program's stream. It is one allocation — the RNG and the per-site state
+// live inside it — and a plain value: assigning a Cursor copies a stream
+// position, which is how a consumer marks where a batch started (Tell).
+type Cursor struct {
+	p          *program
+	rng        mem.PRNG
+	pc         int
+	emit       uint64 // instructions emitted
 	inAltPhase bool
+	sites      [maxSites]siteCur
 }
 
 // progSlot is one slot of the synthetic loop body.
@@ -230,41 +275,92 @@ type progSlot struct {
 	isGuard bool // branch slot that guards the following mixed site
 	guarded int  // site index whose behaviour this guard controls
 	ip      uint64
-	execLat uint8
+	execLat uint8 // at least 1
 	// storeSite: stores reuse site addressing (write the line just loaded).
 	storeSite int
 }
 
-// New constructs a Generator from cfg. The construction is deterministic in
-// cfg.Seed and cfg.Name.
-func New(cfg Config) (Generator, error) {
-	return newGen(cfg)
+// maxPrograms bounds the process-wide program cache. A program is the chase
+// table (a quarter of the footprint's lines, four bytes each) plus a loop
+// body of some dozens to a few thousand slots, so at the simulator's scaled
+// caches a full cache is tens of megabytes; past it New builds privately.
+const maxPrograms = 256
+
+var (
+	programsMu sync.Mutex
+	programs   = map[string]*program{}
+	programKey []byte // the lookup key, rebuilt in place under programsMu
+)
+
+// New returns a Cursor at the start of cfg's stream. The stream is
+// deterministic in cfg.Seed and cfg.Name. Programs are cached process-wide,
+// so a configuration that recurs — every variant of a figure point runs the
+// same streams — is built once.
+func New(cfg Config) (*Cursor, error) {
+	p, err := programFor(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c := new(Cursor)
+	*c = p.start
+	return c, nil
 }
 
-func newGen(cfg Config) (*gen, error) {
+// MustNew is New but panics on config errors; for registry-internal use.
+func MustNew(cfg Config) *Cursor {
+	c, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// programFor returns cfg's program from the cache, building it if needed.
+func programFor(cfg Config) (*program, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	programsMu.Lock()
+	defer programsMu.Unlock()
+	// Config fully determines the program, so its printed form is the key.
+	programKey = fmt.Appendf(programKey[:0], "%#v", cfg)
+	if p, ok := programs[string(programKey)]; ok {
+		return p, nil
+	}
+	p := build(cfg)
+	if len(programs) < maxPrograms {
+		programs[string(programKey)] = p
+	}
+	return p, nil
+}
+
+// build constructs the program of a valid cfg.
+func build(cfg Config) *program {
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = mem.HashString(cfg.Name)
 	}
-	g := &gen{cfg: cfg, rng: mem.NewPRNG(seed)}
-	g.buildSites()
-	g.buildProgram()
-	return g, nil
-}
-
-// MustNew is New but panics on config errors; for registry-internal use.
-func MustNew(cfg Config) Generator {
-	g, err := New(cfg)
-	if err != nil {
-		panic(err)
+	p := &program{cfg: cfg, words: 16}
+	if cfg.WordsPerLine > 0 {
+		p.words = cfg.WordsPerLine
 	}
-	return g
+	rng := mem.NewPRNG(seed)
+	p.buildSites(rng)
+	p.buildBody(rng)
+	p.start.p, p.start.rng = p, *rng
+	return p
 }
 
-func (g *gen) Name() string { return g.cfg.Name }
+// Name implements Generator.
+func (c *Cursor) Name() string { return c.p.cfg.Name }
+
+// Tell copies gen's stream position into at when gen is a Cursor; any other
+// generator has no position to tell, and at is left alone.
+func Tell(gen Generator, at *Cursor) {
+	if c, ok := gen.(*Cursor); ok {
+		*at = *c
+	}
+}
 
 const (
 	ipBase     = 0x400000 // synthetic text segment
@@ -273,39 +369,34 @@ const (
 	chaseScale = 4          // chase table entries = footprint/chaseScale
 )
 
-func (g *gen) buildSites() {
-	g.farBase = mem.Addr(farOffset)
+func (p *program) buildSites(rng *mem.PRNG) {
 	// Chase successor table: a shuffled ring so traversal order is a random
 	// permutation (defeats spatial prefetching) but deterministic.
-	n := int(g.cfg.FootprintLines / chaseScale)
+	n := int(p.cfg.FootprintLines / chaseScale)
 	if n < 16 {
 		n = 16
 	}
-	g.chaseTab = make([]uint32, n)
-	for i := range g.chaseTab {
-		g.chaseTab[i] = uint32(i)
+	p.chaseTab = make([]uint32, n)
+	for i := range p.chaseTab {
+		p.chaseTab[i] = uint32(i)
 	}
 	for i := n - 1; i > 0; i-- {
-		j := g.rng.Intn(i + 1)
-		g.chaseTab[i], g.chaseTab[j] = g.chaseTab[j], g.chaseTab[i]
+		j := rng.Intn(i + 1)
+		p.chaseTab[i], p.chaseTab[j] = p.chaseTab[j], p.chaseTab[i]
 	}
 
 	// Each SiteSpec expands into Weight distinct sites: separate load IPs
 	// walking separate regions, like the per-array loads of a real loop.
-	ipStride := uint64(16)
-	idx := 0
-	for _, spec := range g.cfg.Sites {
-		w := spec.Weight
-		if w <= 0 {
-			w = 1
-		}
-		for k := 0; k < w; k++ {
+	streamers := 0
+	for _, spec := range p.cfg.Sites {
+		for k := 0; k < max(spec.Weight, 1); k++ {
 			// Load IPs sit compactly in the loop body like real code (two
 			// instruction slots per site: the load and its guard).
-			st := siteState{
-				spec: spec,
-				ip:   ipBase + uint64(idx)*8,
-				base: mem.Addr(dataBase + uint64(idx)*0x1000000),
+			idx := len(p.sites)
+			st := site{
+				class: spec.Class,
+				ip:    ipBase + uint64(idx)*8,
+				base:  mem.Addr(dataBase + uint64(idx)*0x1000000),
 			}
 			stride := spec.StrideLines
 			if stride == 0 {
@@ -318,53 +409,48 @@ func (g *gen) buildSites() {
 				st.deltas = []int64{stride}
 			}
 			st.guardIP = st.ip + 4
-			st.chaseAt = uint64(g.rng.Intn(len(g.chaseTab)))
-			g.sites = append(g.sites, st)
-			idx++
+			p.start.sites[idx].chaseAt = uint64(rng.Intn(len(p.chaseTab)))
+			p.sites = append(p.sites, st)
+			switch spec.Class {
+			case PatStream, PatMultiStride, PatMixed:
+				streamers++
+			}
 		}
 	}
-	_ = ipStride
 	// Streaming sites share the stream footprint; each wraps in its slice.
-	streamers := 0
-	for _, st := range g.sites {
-		switch st.spec.Class {
-		case PatStream, PatMultiStride, PatMixed:
-			streamers++
-		}
-	}
-	total := g.cfg.StreamRegionLines
+	total := p.cfg.StreamRegionLines
 	if total == 0 {
-		total = g.cfg.FootprintLines
+		total = p.cfg.FootprintLines
 	}
 	if streamers > 0 {
-		g.siteLines = total / uint64(streamers)
+		p.siteLines = total / uint64(streamers)
 	}
-	if g.siteLines < 256 {
-		g.siteLines = 256
+	if p.siteLines < 256 {
+		p.siteLines = 256
 	}
-	for i := range g.sites {
-		g.sites[i].cursor = uint64(i*977) % g.siteLines // desync streams
+	for i := range p.sites {
+		p.start.sites[i].cursor = uint64(i*977) % p.siteLines // desync streams
 	}
 }
 
-// buildProgram unrolls one loop body. Slots get stable IPs so every dynamic
+// buildBody unrolls one loop body. Slots get stable IPs so every dynamic
 // execution of a slot reuses the same instruction pointer.
-func (g *gen) buildProgram() {
+func (p *program) buildBody(rng *mem.PRNG) {
 	// One load slot per expanded site per body iteration.
-	loadSlots := len(g.sites)
-	bodyLen := int(float64(loadSlots) / g.cfg.LoadFrac)
+	loadSlots := len(p.sites)
+	bodyLen := int(float64(loadSlots) / p.cfg.LoadFrac)
 	if bodyLen < loadSlots+2 {
 		bodyLen = loadSlots + 2
 	}
-	storeSlots := int(g.cfg.StoreFrac * float64(bodyLen))
-	branchSlots := int(g.cfg.BranchFrac * float64(bodyLen))
+	storeSlots := int(p.cfg.StoreFrac * float64(bodyLen))
+	branchSlots := int(p.cfg.BranchFrac * float64(bodyLen))
 
-	ipBlocks := g.cfg.IPFootprint
+	ipBlocks := p.cfg.IPFootprint
 	if ipBlocks < 1 {
 		ipBlocks = 1
 	}
 
-	var prog []progSlot
+	var body []progSlot
 	nextIP := uint64(ipBase + 0x100000)
 	takeIP := func() uint64 {
 		ip := nextIP
@@ -372,11 +458,11 @@ func (g *gen) buildProgram() {
 		return ip
 	}
 	execLat := func() uint8 {
-		m := g.cfg.ExecLatMean
+		m := p.cfg.ExecLatMean
 		if m <= 0 {
 			m = 1
 		}
-		l := 1 + g.rng.Intn(2*m)
+		l := 1 + rng.Intn(2*m)
 		if l > 250 {
 			l = 250
 		}
@@ -391,43 +477,37 @@ func (g *gen) buildProgram() {
 		for slot := 0; slot < bodyLen; slot++ {
 			switch {
 			case loadsPlaced < loadSlots && slot%max(1, bodyLen/loadSlots) == 0:
-				si := g.pickSite(&siteIdx)
+				si := siteIdx % len(p.sites)
+				siteIdx++
 				// Mixed sites get a guard branch immediately before.
-				if g.sites[si].spec.Class == PatMixed {
-					prog = append(prog, progSlot{
+				if p.sites[si].class == PatMixed {
+					body = append(body, progSlot{
 						op: OpBranch, site: -1, isGuard: true, guarded: si,
-						ip: g.sites[si].guardIP + uint64(blk)*0x100000,
+						ip: p.sites[si].guardIP + uint64(blk)*0x100000, execLat: 1,
 					})
 				}
-				prog = append(prog, progSlot{
+				body = append(body, progSlot{
 					op: OpLoad, site: si,
-					ip: g.sites[si].ip + uint64(blk)*0x100000,
+					ip: p.sites[si].ip + uint64(blk)*0x100000, execLat: 1,
 				})
 				loadsPlaced++
 			case storesPlaced < storeSlots && slot%max(1, bodyLen/(storeSlots+1)) == 1:
-				prog = append(prog, progSlot{
-					op: OpStore, site: -1, storeSite: storesPlaced % len(g.sites),
-					ip: takeIP(),
+				body = append(body, progSlot{
+					op: OpStore, site: -1, storeSite: storesPlaced % len(p.sites),
+					ip: takeIP(), execLat: 1,
 				})
 				storesPlaced++
 			case branchesPlaced < branchSlots && slot%max(1, bodyLen/(branchSlots+1)) == 2:
-				prog = append(prog, progSlot{op: OpBranch, site: -1, guarded: -1, ip: takeIP()})
+				body = append(body, progSlot{op: OpBranch, site: -1, guarded: -1, ip: takeIP(), execLat: 1})
 				branchesPlaced++
 			default:
-				prog = append(prog, progSlot{op: OpALU, site: -1, ip: takeIP(), execLat: execLat()})
+				body = append(body, progSlot{op: OpALU, site: -1, ip: takeIP(), execLat: execLat()})
 			}
 		}
 		// Loop back-edge branch.
-		prog = append(prog, progSlot{op: OpBranch, site: -1, guarded: -1, ip: takeIP()})
+		body = append(body, progSlot{op: OpBranch, site: -1, guarded: -1, ip: takeIP(), execLat: 1})
 	}
-	g.prog = prog
-}
-
-// pickSite round-robins over the expanded sites.
-func (g *gen) pickSite(cursor *int) int {
-	i := *cursor % len(g.sites)
-	*cursor++
-	return i
+	p.body = body
 }
 
 func max(a, b int) int {
@@ -438,106 +518,107 @@ func max(a, b int) int {
 }
 
 // Next implements Generator.
-func (g *gen) Next() Instr {
-	ins := g.next()
-	if ins.Addr != 0 {
-		ins.Addr += g.cfg.AddrOffset
-	}
+func (c *Cursor) Next() Instr {
+	var ins Instr
+	c.nextInto(&ins)
 	return ins
 }
 
-func (g *gen) next() Instr {
-	slot := g.prog[g.pc]
-	g.pc++
-	if g.pc == len(g.prog) {
-		g.pc = 0
+// Fill writes the next len(buf) instructions into buf in place: the stream
+// Next returns one instruction at a time.
+//
+//clipvet:hotpath
+func (c *Cursor) Fill(buf []Instr) {
+	for i := range buf {
+		c.nextInto(&buf[i])
 	}
-	g.emit++
+}
 
-	if g.cfg.PhasePeriod > 0 {
-		phase := (g.emit / g.cfg.PhasePeriod) % 2
-		g.inAltPhase = phase == 1
+// nextInto writes every field of the next instruction into ins.
+//
+//clipvet:hotpath
+func (c *Cursor) nextInto(ins *Instr) {
+	p := c.p
+	slot := &p.body[c.pc]
+	c.pc++
+	if c.pc == len(p.body) {
+		c.pc = 0
+	}
+	c.emit++
+
+	if p.cfg.PhasePeriod > 0 {
+		c.inAltPhase = (c.emit/p.cfg.PhasePeriod)%2 == 1
 	}
 
-	ins := Instr{IP: slot.ip, Op: slot.op, ExecLat: slot.execLat}
-	if ins.ExecLat == 0 {
-		ins.ExecLat = 1
-	}
-
+	*ins = Instr{IP: slot.ip, Op: slot.op, ExecLat: slot.execLat}
 	switch slot.op {
 	case OpBranch:
 		if slot.isGuard {
-			st := &g.sites[slot.guarded]
-			st.takenState = g.rng.Bool(g.cfg.MixedTakenProb)
+			st := &c.sites[slot.guarded]
+			st.takenState = c.rng.Bool(p.cfg.MixedTakenProb)
 			ins.Taken = st.takenState
 		} else {
 			// Loop-style branch: mostly taken with occasional app-intrinsic
 			// "hard" outcomes at the configured rate.
-			ins.Taken = !g.rng.Bool(g.cfg.BranchMispredictRate)
+			ins.Taken = !c.rng.Bool(p.cfg.BranchMispredictRate)
 		}
 	case OpLoad:
-		st := &g.sites[slot.site]
-		ins.Addr, ins.DependsOnPrevLoad = g.loadAddr(st)
+		addr, dep := c.loadAddr(slot.site)
+		ins.Addr, ins.DependsOnPrevLoad = addr+p.cfg.AddrOffset, dep
 	case OpStore:
-		st := &g.sites[slot.storeSite%len(g.sites)]
 		// Stores write near the site's last address (read-modify-write).
-		ins.Addr = st.base + mem.Addr(st.cursor*mem.LineBytes)
+		si := slot.storeSite % len(p.sites)
+		ins.Addr = p.sites[si].base + mem.Addr(c.sites[si].cursor*mem.LineBytes) + p.cfg.AddrOffset
 	}
-	return ins
 }
 
-// loadAddr advances site state and returns the access address.
-func (g *gen) loadAddr(st *siteState) (mem.Addr, bool) {
+// loadAddr advances site si and returns its access address (before the
+// configuration's AddrOffset, which the caller adds).
+func (c *Cursor) loadAddr(si int) (mem.Addr, bool) {
+	p := c.p
+	s, st := &p.sites[si], &c.sites[si]
 	// In the alternate phase the workload turns cache-resident: every site
 	// reuses a tiny region (drops MPKI, shifts APC).
-	if g.inAltPhase {
+	if c.inAltPhase {
 		st.cursor = (st.cursor + 1) % 32
-		return st.base + mem.Addr(st.cursor*mem.LineBytes), false
+		return s.base + mem.Addr(st.cursor*mem.LineBytes), false
 	}
-	switch st.spec.Class {
+	switch s.class {
 	case PatStream:
-		return g.streamAddr(st), false
+		return c.streamAddr(s, st), false
 	case PatMultiStride:
-		if st.wordRep+1 < g.wordsPerLine() {
+		if int(st.wordRep)+1 < p.words {
 			st.wordRep++
 		} else {
 			st.wordRep = 0
-			d := st.deltas[st.deltaIdx]
-			st.deltaIdx = (st.deltaIdx + 1) % len(st.deltas)
-			st.cursor = wrapAdd(st.cursor, d, g.regionLines())
+			d := s.deltas[st.deltaIdx]
+			st.deltaIdx = (st.deltaIdx + 1) % int32(len(s.deltas))
+			st.cursor = wrapAdd(st.cursor, d, p.siteLines)
 		}
-		return st.base + mem.Addr(st.cursor*mem.LineBytes) + mem.Addr(st.wordRep*8), false
+		return s.base + mem.Addr(st.cursor*mem.LineBytes) + mem.Addr(st.wordRep*8), false
 	case PatChase:
-		st.chaseAt = uint64(g.chaseTab[st.chaseAt%uint64(len(g.chaseTab))])
-		addr := g.farBase + mem.Addr((st.chaseAt*chaseScale%g.cfg.FootprintLines)*mem.LineBytes)
-		dep := g.rng.Bool(g.cfg.ChaseChainFrac)
+		st.chaseAt = uint64(p.chaseTab[st.chaseAt%uint64(len(p.chaseTab))])
+		addr := farOffset + mem.Addr((st.chaseAt*chaseScale%p.cfg.FootprintLines)*mem.LineBytes)
+		dep := c.rng.Bool(p.cfg.ChaseChainFrac)
 		return addr, dep
 	case PatIrregular:
-		line := g.rng.Uint64() % g.cfg.FootprintLines
-		return g.farBase + mem.Addr(line*mem.LineBytes), false
+		line := c.rng.Uint64() % p.cfg.FootprintLines
+		return farOffset + mem.Addr(line*mem.LineBytes), false
 	case PatMixed:
 		if st.takenState {
-			return g.streamAddr(st), false
+			return c.streamAddr(s, st), false
 		}
-		line := g.rng.Uint64() % g.cfg.FootprintLines
-		return g.farBase + mem.Addr(line*mem.LineBytes), true
+		line := c.rng.Uint64() % p.cfg.FootprintLines
+		return farOffset + mem.Addr(line*mem.LineBytes), true
 	}
-	return st.base, false
+	return s.base, false
 }
 
-func (g *gen) regionLines() uint64 { return g.siteLines }
-
-func (g *gen) wordsPerLine() int {
-	if g.cfg.WordsPerLine > 0 {
-		return g.cfg.WordsPerLine
-	}
-	return 16
-}
-
-func (g *gen) streamAddr(st *siteState) mem.Addr {
+func (c *Cursor) streamAddr(s *site, st *siteCur) mem.Addr {
+	p := c.p
 	// Sequential word accesses reuse the line before advancing by the delta,
 	// like real streaming code walking 8-byte elements.
-	if st.wordRep+1 < g.wordsPerLine() {
+	if int(st.wordRep)+1 < p.words {
 		st.wordRep++
 	} else {
 		st.wordRep = 0
@@ -547,15 +628,14 @@ func (g *gen) streamAddr(st *siteState) mem.Addr {
 		// which is what caps real stream-prefetch accuracy near the paper's
 		// 83% for Berti.
 		if st.rowLeft <= 0 {
-			st.rowLeft = 16 + g.rng.Intn(32)
-			st.cursor = g.rng.Uint64() % g.regionLines()
+			st.rowLeft = 16 + int32(c.rng.Intn(32))
+			st.cursor = c.rng.Uint64() % p.siteLines
 		} else {
 			st.rowLeft--
-			d := st.deltas[0]
-			st.cursor = wrapAdd(st.cursor, d, g.regionLines())
+			st.cursor = wrapAdd(st.cursor, s.deltas[0], p.siteLines)
 		}
 	}
-	return st.base + mem.Addr(st.cursor*mem.LineBytes) + mem.Addr(st.wordRep*8)
+	return s.base + mem.Addr(st.cursor*mem.LineBytes) + mem.Addr(st.wordRep*8)
 }
 
 func wrapAdd(cur uint64, delta int64, mod uint64) uint64 {

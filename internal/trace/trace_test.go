@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"clip/internal/mem"
@@ -419,6 +421,99 @@ func TestAddrOffsetIsolation(t *testing.T) {
 			if ib.Addr != ia.Addr+1<<42 {
 				t.Fatalf("offset not applied uniformly: %#x vs %#x",
 					uint64(ia.Addr), uint64(ib.Addr))
+			}
+		}
+	}
+}
+
+// TestFillMatchesNext: a batch written in place is the stream Next returns,
+// whatever the batch size and wherever a batch boundary falls — on every
+// registered workload, at two address offsets, far enough to cross
+// 621.wrf's 40k-instruction phase boundary and back.
+func TestFillMatchesNext(t *testing.T) {
+	const n = 120_000
+	ref := make([]Instr, n)
+	got := make([]Instr, n)
+	for _, name := range AllNames() {
+		for _, off := range []mem.Addr{0, 3 << 42} {
+			cfg := MustLookup(name, testScale)
+			cfg.AddrOffset = off
+			g := MustNew(cfg)
+			for i := range ref {
+				ref[i] = g.Next()
+			}
+			for _, batch := range []int{1, 7, 256, 4096} {
+				g := MustNew(cfg)
+				for i := 0; i < n; i += batch {
+					g.Fill(got[i:min(i+batch, n)])
+				}
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("%s offset %#x batch %d: instruction %d is %+v, Next gives %+v",
+							name, uint64(off), batch, i, got[i], ref[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInstrIs24Bytes: the word-sized fields first, the four byte-sized ones
+// packed after them.
+func TestInstrIs24Bytes(t *testing.T) {
+	if size := reflect.TypeOf(Instr{}).Size(); size != 24 {
+		t.Fatalf("trace.Instr is %d bytes, want 24", size)
+	}
+}
+
+// BenchmarkFill and BenchmarkNext price trace supply per instruction: a
+// 512-instruction batch written in place, against one Next call (through
+// the Generator interface, as a consumer without Fill pays) per instruction.
+func BenchmarkFill(b *testing.B) {
+	g := MustNew(MustLookup("605.mcf_s-1554B", testScale))
+	buf := make([]Instr, 512)
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(buf) {
+		g.Fill(buf)
+	}
+}
+
+func BenchmarkNext(b *testing.B) {
+	var g Generator = MustNew(MustLookup("605.mcf_s-1554B", testScale))
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += g.Next().IP
+	}
+	benchSink = sink
+}
+
+var benchSink uint64
+
+// TestNewConcurrent: cursors built from several goroutines at once — the
+// experiment engine's workers do — build and share one program per Config,
+// and each produces the stream a cursor built alone afterwards does.
+func TestNewConcurrent(t *testing.T) {
+	cfgs := []Config{MustLookup("605.mcf_s-1554B", testScale), MustLookup("bfs-road", testScale)}
+	for i := range cfgs {
+		cfgs[i].Seed ^= 0xc0c0 // programs no other test has built
+	}
+	got := make([][]Instr, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = make([]Instr, 2000)
+			MustNew(cfgs[g%len(cfgs)]).Fill(got[g])
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		want := make([]Instr, 2000)
+		MustNew(cfgs[g%len(cfgs)]).Fill(want)
+		for k := range want {
+			if got[g][k] != want[k] {
+				t.Fatalf("goroutine %d: instruction %d is %+v, want %+v", g, k, got[g][k], want[k])
 			}
 		}
 	}
