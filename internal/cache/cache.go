@@ -111,11 +111,20 @@ func (s *Stats) Accuracy() float64 {
 
 // waiter is a request parked on an MSHR, with its arrival cycle so demand
 // miss latency is measured from *its* arrival (a late-prefetch merge waits
-// less than the full fill time).
+// less than the full fill time). next links it to the pool slot of the next
+// waiter on the same chain (-1 ends it).
 type waiter struct {
 	req     mem.Request
 	arrived uint64
+	next    int32
 }
+
+// l1WaitersPerMSHR sizes the waiter pool of an L1 cache, where the core's
+// loads and stores merge onto in-flight misses in bursts: the deepest storm
+// over the bench workloads parks 213 waiters on a 24-MSHR L1D (8.9 an MSHR).
+// Below L1 an MSHR is waited on by at most one upper-level miss, so one slot
+// an MSHR is enough there.
+const l1WaitersPerMSHR = 10
 
 type queued struct {
 	req     mem.Request
@@ -131,7 +140,10 @@ type AccessEvent struct {
 	// HitPrefetchedLine: the demand hit a line originally brought by a
 	// prefetch (first touch) — per-IP prefetch usefulness feeds from this.
 	HitPrefetchedLine bool
-	TriggerIP         uint64 // trigger IP of the prefetched line, if any
+	// TriggerIP is the trigger IP of the prefetched line, if any. It is
+	// always zero at the LLC, which keeps no trigger column: no prefetcher
+	// attaches there.
+	TriggerIP uint64
 }
 
 // Cache is one level of the hierarchy.
@@ -145,7 +157,8 @@ type Cache struct {
 	// dirtyBits/pfBits/validBits[set] hold one bit per way (validBits makes
 	// the install free-way pick a TrailingZeros64 scan and gives Probe an
 	// empty-set early out). trigger[set*Ways+way] is the prefetch trigger
-	// IP. All five are carved from slab.
+	// IP; only levels below the LLC, where a prefetcher can attach, have
+	// the column (nil at the LLC). All are carved from slab.
 	slab      []uint64
 	tags      []uint64
 	trigger   []uint64
@@ -164,7 +177,15 @@ type Cache struct {
 	mshrLine  []mem.Addr
 	mshrFirst []uint64      // allocation cycle
 	mshrPfReq []mem.Request // original prefetch request (fill bookkeeping)
-	mshrWait  [][]waiter
+
+	// MSHR waiters live in one pool per cache. MSHR i's waiters are a chain
+	// through waiter.next in arrival order, from pool slot waitHead[i] to
+	// waitTail[i] (-1 for none); the free slots are a chain from waitFree.
+	// The pool grows only when a merge storm outruns its construction size.
+	waiters  []waiter
+	waitHead []int32
+	waitTail []int32
+	waitFree int32
 
 	respQ []mem.Response // responses to the level above, ready-ordered
 
@@ -222,24 +243,95 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 		mshrLine:  make([]mem.Addr, cfg.MSHRs),
 		mshrFirst: make([]uint64, cfg.MSHRs),
 		mshrPfReq: make([]mem.Request, cfg.MSHRs),
-		mshrWait:  make([][]waiter, cfg.MSHRs),
 		shift:     uint(bits.TrailingZeros(uint(cfg.Sets))),
 	}
 	c.staller, _ = lower.(mem.Staller)
 	lines := cfg.Sets * cfg.Ways
-	c.slab = make([]uint64, 2*lines+3*cfg.Sets)
-	c.tags, c.trigger = c.slab[:lines], c.slab[lines:2*lines]
-	c.dirtyBits = c.slab[2*lines : 2*lines+cfg.Sets]
-	c.pfBits = c.slab[2*lines+cfg.Sets : 2*lines+2*cfg.Sets]
-	c.validBits = c.slab[2*lines+2*cfg.Sets:]
-	// Carve every MSHR's waiter list out of one backing array (full slice
-	// expressions cap each list at its 8-slot share, so an overflowing append
-	// migrates that list to its own array instead of clobbering a neighbour).
-	wbacking := make([]waiter, cfg.MSHRs*8)
-	for i := range c.mshrWait {
-		c.mshrWait[i] = wbacking[i*8 : i*8 : (i+1)*8]
+	cols := lines // tags
+	if cfg.Level < mem.LevelLLC {
+		cols += lines // trigger
 	}
+	c.slab = make([]uint64, cols+3*cfg.Sets)
+	c.tags = c.slab[:lines]
+	if cols > lines {
+		c.trigger = c.slab[lines:cols]
+	}
+	c.dirtyBits = c.slab[cols : cols+cfg.Sets]
+	c.pfBits = c.slab[cols+cfg.Sets : cols+2*cfg.Sets]
+	c.validBits = c.slab[cols+2*cfg.Sets:]
+
+	perMSHR := 1
+	if cfg.Level <= mem.LevelL1 {
+		perMSHR = l1WaitersPerMSHR
+	}
+	c.waiters = make([]waiter, cfg.MSHRs*perMSHR)
+	ends := make([]int32, 2*cfg.MSHRs)
+	c.waitHead, c.waitTail = ends[:cfg.MSHRs:cfg.MSHRs], ends[cfg.MSHRs:]
+	c.resetWaiters()
 	return c, nil
+}
+
+// resetWaiters empties every MSHR's chain and frees the whole pool, in slot
+// order.
+func (c *Cache) resetWaiters() {
+	for i := range c.waitHead {
+		c.waitHead[i], c.waitTail[i] = -1, -1
+	}
+	c.waitFree = -1
+	c.freeSlots(0)
+}
+
+// freeSlots puts pool slots [from, len) on the free chain, lowest first.
+func (c *Cache) freeSlots(from int) {
+	for j := len(c.waiters) - 1; j >= from; j-- {
+		c.waiters[j].next = c.waitFree
+		c.waitFree = int32(j)
+	}
+}
+
+// park appends req, arriving now, to MSHR i's waiter chain.
+func (c *Cache) park(i int, req *mem.Request) {
+	if c.waitFree < 0 {
+		c.growWaiters()
+	}
+	j := c.waitFree
+	w := &c.waiters[j]
+	c.waitFree = w.next
+	w.req, w.arrived, w.next = *req, c.cycle, -1
+	if t := c.waitTail[i]; t >= 0 {
+		c.waiters[t].next = j
+	} else {
+		c.waitHead[i] = j
+	}
+	c.waitTail[i] = j
+}
+
+// growWaiters doubles the waiter pool. Chains are pool indices, so they
+// survive the move.
+//
+//clipvet:allocok the pool is sized for the merges the bench workloads reach and keeps what it grows to
+func (c *Cache) growWaiters() {
+	n := len(c.waiters)
+	c.waiters = append(c.waiters, make([]waiter, n)...)
+	c.freeSlots(n)
+}
+
+// unpark returns MSHR i's whole waiter chain to the free chain.
+func (c *Cache) unpark(i int) {
+	if h := c.waitHead[i]; h >= 0 {
+		c.waiters[c.waitTail[i]].next = c.waitFree
+		c.waitFree = h
+		c.waitHead[i], c.waitTail[i] = -1, -1
+	}
+}
+
+// waitCount returns the number of requests waiting on MSHR i.
+func (c *Cache) waitCount(i int) int {
+	n := 0
+	for j := c.waitHead[i]; j >= 0; j = c.waiters[j].next {
+		n++
+	}
+	return n
 }
 
 // MustNew panics on config errors.
@@ -271,7 +363,14 @@ func (c *Cache) OnAccess(f func(*AccessEvent)) { c.onAccess = f }
 
 // OnPFEvict registers a callback fired when a prefetched line is evicted
 // without ever being demand-touched (negative usefulness feedback for PPF).
-func (c *Cache) OnPFEvict(f func(trigger uint64, addr mem.Addr)) { c.onPFEvict = f }
+// It panics at the LLC, which keeps no trigger column to report from.
+func (c *Cache) OnPFEvict(f func(trigger uint64, addr mem.Addr)) {
+	if c.trigger == nil {
+		panic("cache " + c.cfg.Name + ": OnPFEvict at " + c.cfg.Level.String() +
+			", which keeps no trigger column (only levels below the LLC do)")
+	}
+	c.onPFEvict = f
+}
 
 // Issue enqueues a request (copied; the pointer is not retained). Returns
 // false (caller must retry) when the input queue is full — except
@@ -368,7 +467,7 @@ func (c *Cache) DebugMSHRs(now uint64) string {
 	out := ""
 	for i := c.mshrValid.First(); i >= 0; i = c.mshrValid.Next(i + 1) {
 		out += fmt.Sprintf("[%x w%d pf%v age%d]",
-			uint64(c.mshrLine[i]), len(c.mshrWait[i]), c.mshrPF.Test(i), now-c.mshrFirst[i])
+			uint64(c.mshrLine[i]), c.waitCount(i), c.mshrPF.Test(i), now-c.mshrFirst[i])
 	}
 	return out
 }
@@ -569,7 +668,6 @@ func (c *Cache) process() {
 // req points into the input queue head and is not retained.
 func (c *Cache) lookup(req *mem.Request, first bool) bool {
 	set, tag := c.index(req.Addr)
-	base := set * c.cfg.Ways
 
 	// Writeback from above: update in place or install dirty; no response.
 	if req.Type == mem.Writeback {
@@ -597,7 +695,6 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 		c.policy.OnHit(set, w)
 		wbit := uint64(1) << uint(w)
 		hitPF := c.pfBits[set]&wbit != 0
-		trig := c.trigger[base+w]
 		if isDemand && hitPF {
 			c.pfBits[set] &^= wbit
 			c.stats.PFUseful++
@@ -620,8 +717,10 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 			c.respond(req, c.cfg.Level, c.cycle, false, false)
 		}
 		if c.onAccess != nil && isDemand {
-			c.accessEv = AccessEvent{Req: *req, Hit: true, Cycle: c.cycle,
-				HitPrefetchedLine: hitPF, TriggerIP: trig}
+			c.accessEv = AccessEvent{Req: *req, Hit: true, Cycle: c.cycle, HitPrefetchedLine: hitPF}
+			if c.trigger != nil {
+				c.accessEv.TriggerIP = c.trigger[set*c.cfg.Ways+w]
+			}
 			c.onAccess(&c.accessEv)
 		}
 		return true
@@ -651,7 +750,7 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 		}
 		// Demands and owned prefetches (an upper-level MSHR depends on
 		// the fill coming back up) wait for the outstanding fill.
-		c.mshrWait[i] = append(c.mshrWait[i], waiter{req: *req, arrived: c.cycle}) //clipvet:allocok MSHR waiter lists are slab-carved; overflow migration is rare
+		c.park(i, req)
 		return true
 	}
 
@@ -688,9 +787,9 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 	}
 	c.trace("mshr-alloc", req)
 	if invariant.Enabled {
-		invariant.Check(!c.mshrValid.Test(idx) && len(c.mshrWait[idx]) == 0,
+		invariant.Check(!c.mshrValid.Test(idx) && c.waitHead[idx] < 0,
 			"cache %s: allocating live MSHR %d (line %x, %d waiters)",
-			c.cfg.Name, idx, uint64(c.mshrLine[idx]), len(c.mshrWait[idx]))
+			c.cfg.Name, idx, uint64(c.mshrLine[idx]), c.waitCount(idx))
 	}
 	c.mshrValid.Set(idx)
 	c.mshrLine[idx] = lineAddr
@@ -707,7 +806,7 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 			c.cfg.Name, c.MSHRInUse(), c.cfg.MSHRs)
 	}
 	if req.Type != mem.Prefetch {
-		c.mshrWait[idx] = append(c.mshrWait[idx], waiter{req: *req, arrived: c.cycle}) //clipvet:allocok MSHR waiter lists are slab-carved; overflow migration is rare
+		c.park(idx, req)
 	} else {
 		c.stats.PFIssued++
 	}
@@ -732,14 +831,14 @@ func (c *Cache) Fill(resp *mem.Response) {
 			c.stats.PFFills++
 		}
 		c.install(&resp.Req, false)
-		waiters := c.mshrWait[i]
-		if isPrefetch && len(waiters) > 0 {
+		head := c.waitHead[i]
+		if isPrefetch && head >= 0 {
 			// Demand(s) merged into this prefetch: the line is demand-touched
 			// already.
 			c.touchAsDemand(lineAddr)
 		}
-		for wi := range waiters {
-			w := &waiters[wi]
+		for j := head; j >= 0; j = c.waiters[j].next {
+			w := &c.waiters[j]
 			if w.req.Type == mem.Store {
 				c.setDirty(lineAddr)
 			}
@@ -750,15 +849,15 @@ func (c *Cache) Fill(resp *mem.Response) {
 				c.stats.DemandMissLatency.Add(c.cycle - w.arrived)
 			}
 		}
-		for wi := range waiters {
-			c.respond(&waiters[wi].req, resp.ServedBy, c.cycle, isPrefetch, isPrefetch)
+		for j := head; j >= 0; j = c.waiters[j].next {
+			c.respond(&c.waiters[j].req, resp.ServedBy, c.cycle, isPrefetch, isPrefetch)
 		}
 		if isPrefetch {
 			// Propagate the prefetch fill toward its target level.
 			c.respond(&c.mshrPfReq[i], resp.ServedBy, c.cycle, false, false)
 		}
 		c.mshrValid.Clear(i)
-		c.mshrWait[i] = c.mshrWait[i][:0]
+		c.unpark(i)
 		if invariant.Enabled {
 			// A line must never be tracked by two MSHRs: merges are required
 			// to land on the existing entry.
@@ -836,7 +935,9 @@ func (c *Cache) install(req *mem.Request, dirty bool) {
 	wbit := uint64(1) << uint(way)
 	c.tags[base+way] = tag<<1 | 1
 	c.validBits[set] |= wbit
-	c.trigger[base+way] = req.TriggerIP
+	if c.trigger != nil {
+		c.trigger[base+way] = req.TriggerIP
+	}
 	if dirty {
 		c.dirtyBits[set] |= wbit
 	} else {

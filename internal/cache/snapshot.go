@@ -6,8 +6,10 @@ import (
 )
 
 // Cache checkpointing: the line-state slab (tags/trigger/dirty/pf/valid are
-// views into it) and replacement-policy slabs restore verbatim; queues and
-// the MSHR file restore by content into the construction-time backing. The
+// views into it; its length follows geometry and level, since only levels
+// below the LLC carry the trigger column) and replacement-policy slabs
+// restore verbatim; queues and the MSHR file restore by content into the
+// construction-time backing, the waiters into the cache's pool. The
 // sleep memos (headMSHR/headLow/wbLow) are rebuilt state: loading drops them,
 // so a cache restored asleep takes one real Tick, is refused exactly as its
 // skipped retry would have been, and re-arms. The pop epoch needs no reset:
@@ -40,11 +42,21 @@ func (c *Cache) State(s *snapshot.Coder) {
 	for i := range c.mshrPfReq {
 		c.mshrPfReq[i].State(s)
 	}
-	for i := range c.mshrWait {
-		lst := snapshot.Slice(s, "cache: MSHR waiters", &c.mshrWait[i], snapshot.MaxLen, mem.RequestBytes+8)
-		for j := range lst {
-			lst[j].req.State(s)
-			s.U64(&lst[j].arrived)
+	// Each MSHR's waiters as a count and then the entries in arrival order;
+	// the pool layout and free chain are not in the image. Loading parks the
+	// count afresh and fills the chain in place.
+	if s.Loading() {
+		c.resetWaiters()
+	}
+	var blank mem.Request
+	for i := range c.waitHead {
+		n := s.Len("cache: MSHR waiters", c.waitCount(i), snapshot.MaxLen, mem.RequestBytes+8)
+		for k := 0; s.Loading() && k < n && s.Err() == nil; k++ {
+			c.park(i, &blank)
+		}
+		for j := c.waitHead[i]; j >= 0; j = c.waiters[j].next {
+			c.waiters[j].req.State(s)
+			s.U64(&c.waiters[j].arrived)
 		}
 	}
 

@@ -12,7 +12,9 @@ func TestCacheSnapshotManifest(t *testing.T) {
 	snapshot.CheckManifest(t, snapshot.MustStruct(Cache{}),
 		[]string{
 			"slab", "policy", "inQ", "wbQ",
-			"mshrValid", "mshrPF", "mshrLine", "mshrFirst", "mshrPfReq", "mshrWait",
+			"mshrValid", "mshrPF", "mshrLine", "mshrFirst", "mshrPfReq",
+			// Each MSHR's waiter chain, as a count and its entries.
+			"waiters", "waitHead", "waitTail",
 			"respQ", "cycle", "stats",
 		},
 		[]string{
@@ -21,6 +23,9 @@ func TestCacheSnapshotManifest(t *testing.T) {
 			"cfg", "lower", "shift", "staller",
 			"tags", "trigger", "dirtyBits", "pfBits", "validBits",
 			"onResp", "onAccess", "onPFEvict", "down", "accessEv",
+			// The pool's free chain: a load frees the whole pool and parks
+			// the saved waiters afresh.
+			"waitFree",
 			// Memo: the sleep protocol. A load drops the verdicts, so a cache
 			// restored asleep takes one real Tick and re-arms; pops is an
 			// epoch its watchers, restored alongside, compare afresh.

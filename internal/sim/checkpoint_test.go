@@ -176,7 +176,10 @@ func TestWarmupImageRunEquivalence(t *testing.T) {
 // many variants fork from one mechanism-free warmed image (WarmupConfig),
 // their mechanisms starting cold at the barrier. The result is a different
 // (self-consistent) protocol from in-process warmup, so the contract here is
-// determinism and image-sharing, not equality with Run.
+// determinism and image-sharing, not equality with Run. Every prefetcher
+// forks, at L1 (berti, ipcp) and at L2 (bingo, spppf, whose PPF registers
+// eviction feedback), and so does a DSPatch-wrapped base: the image's layout
+// must depend on geometry alone, never on which mechanisms are attached.
 func TestWarmForkDeterminism(t *testing.T) {
 	base := checkpointMatrix()["clip"]
 	wcfg := WarmupConfig(base)
@@ -191,8 +194,19 @@ func TestWarmForkDeterminism(t *testing.T) {
 	if WarmupConfig(variant).Prefetcher != wcfg.Prefetcher {
 		t.Fatalf("warmup configs do not canonicalize")
 	}
+	arms := map[string]Config{}
 	for _, name := range []string{"clip", "dynclip", "spac"} {
-		cfg := checkpointMatrix()[name]
+		arms[name] = checkpointMatrix()[name]
+	}
+	for _, pf := range []string{"ipcp", "bingo", "spppf"} {
+		cfg := base
+		cfg.Prefetcher = pf
+		arms[pf] = cfg
+	}
+	dsp := base
+	dsp.DSPatch = true
+	arms["berti-dspatch"] = dsp
+	for name, cfg := range arms {
 		t.Run(name, func(t *testing.T) {
 			a, err := RunFromImage(cfg, image)
 			if err != nil {

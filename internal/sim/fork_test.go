@@ -39,16 +39,16 @@ func meshGeometry(cores int) Config {
 // process-wide and a core's image is the start of its current batch plus how
 // much of the batch it dispatched, so warming the same point up before and
 // after a full run of it yields the same bytes, and either image resumes to
-// the uninterrupted run's report. The first arm ends warm-up inside the
-// cores' first few batches, the second tens of batches in, with the cores far
+// the uninterrupted run's report. The short warm-up ends inside the cores'
+// first few batches, the long one tens of batches in, with the cores far
 // apart.
 func TestImageCanonical(t *testing.T) {
 	for _, arm := range []struct {
 		name          string
 		warmup, instr uint64
 	}{
-		{"in-window", 1000, 17000},
-		{"past-window", 14000, 4000},
+		{"short-warmup", 1000, 17000},
+		{"long-warmup", 14000, 4000},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			cfg := DefaultConfig(8, 8, 8)
@@ -87,13 +87,14 @@ func TestImageCanonical(t *testing.T) {
 // TestNewSystemFootprint budgets what one fork allocates before it loads
 // anything: bytes and allocation count of NewSystem on the 64-core geometry,
 // counted by the runtime and so the same on every host. The budget is what
-// NewSystem costs now (18.75 MB in 6,605 allocations; a -race build adds some
-// 200 of its own) plus 5%; spending more is a decision to make here, not
-// something a fork-per-point campaign discovers. A core's instruction batch
-// is not in it: the core allocates the batch at its first dispatch.
+// NewSystem costs now (14.02 MB in about 6,615 allocations; a -race build
+// adds some 200 of its own) plus 5%; spending more is a decision to make
+// here, not something a fork-per-point campaign discovers. A core's
+// instruction batch is not in it: the core allocates the batch at its first
+// dispatch.
 func TestNewSystemFootprint(t *testing.T) {
 	const (
-		budgetBytes   = 19_690_000
+		budgetBytes   = 14_720_000
 		budgetMallocs = 7_000
 	)
 	cfg := meshGeometry(64)
@@ -133,9 +134,10 @@ func TestImageSizeHint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hint < len(image) || float64(hint) > 1.15*float64(len(image)) {
-			t.Errorf("%d cores: hint %d for a %d-byte image (%.3fx), want 1 to 1.15x", cores, hint, len(image),
-				float64(hint)/float64(len(image)))
+		ratio := float64(hint) / float64(len(image))
+		t.Logf("%d cores: hint %d for a %d-byte image (%.3fx)", cores, hint, len(image), ratio)
+		if ratio < 1 || ratio > 1.15 {
+			t.Errorf("%d cores: the hint is %.3fx the image, want 1 to 1.15x", cores, ratio)
 		}
 	}
 }

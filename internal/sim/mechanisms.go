@@ -187,7 +187,7 @@ func (s *System) onAccess(i int, attach *cache.Cache, ev *cache.AccessEvent) {
 		if s.attachL2 && fill < mem.LevelL2 {
 			fill = mem.LevelL2 // an L2 prefetcher cannot fill L1
 		}
-		if s.pfQ[i].Len() >= 16 {
+		if s.pfQ[i].Len() >= pfQueueDepth {
 			continue // PQ full: candidate dropped
 		}
 		s.pfQ[i].Push(pfEntry{

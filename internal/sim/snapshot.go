@@ -139,12 +139,13 @@ func (s *System) SaveState() ([]byte, error) {
 // imageSizeHint sizes SaveState's buffer: the length of the last image this
 // system loaded or saved (an image's length depends on configuration and
 // queue occupancies, so it barely moves), else an estimate from what makes
-// up the bulk of it — the cache line-state slabs with a quarter on top for
-// replacement state and MSHRs; 84 KB a core for its ROB columns and branch
-// predictor (26 KB), Berti's tables (37 KB), CLIP, both TLBs and the L1I
-// tags (12 KB) and a few percent of slack; 128 KB for DRAM, the mesh and the
-// queues between them. A low estimate only costs the growth it was meant to
-// save; TestImageSizeHint pins it to the bench geometries.
+// up the bulk of it — the three caches of a tile, which encode to about
+// 1.45 times their line-state slabs (replacement state, MSHRs and queues on
+// top), so 12 bytes a slab word; 78 KB a core for its ROB columns and branch
+// predictor (27 KB), Berti's tables (37 KB), CLIP (5 KB), both TLBs, the L1I
+// tags, its port queue and its share of the mesh (9 KB); 32 KB for DRAM. A
+// low estimate only costs the growth it was meant to save; TestImageSizeHint
+// pins it to the bench geometries.
 func (s *System) imageSizeHint() int {
 	if s.imageLen > 0 {
 		return s.imageLen + s.imageLen/64
@@ -153,7 +154,7 @@ func (s *System) imageSizeHint() int {
 	for i := range s.cores {
 		words += s.l1d[i].SlabWords() + s.l2[i].SlabWords() + s.llc[i].SlabWords()
 	}
-	return 10*words + len(s.cores)*84<<10 + 128<<10
+	return 12*words + len(s.cores)*78<<10 + 32<<10
 }
 
 // LoadState restores a SaveState stream into s, which must have been built by

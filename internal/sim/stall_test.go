@@ -70,16 +70,15 @@ func runBuilt(t *testing.T, build func() (*System, error)) (*Result, []byte, Sel
 	return res, data, s.SelfStats()
 }
 
-// TestStallSkipShardTightQueues: with controller queues of a handful of
+// TestStallSkipTightQueues: with controller queues of a handful of
 // entries every stall site fires constantly — including the write queue's —
 // and the result must not depend on whether stalled components sleep (skip)
 // or poll (noskip). It also shows the sleep engaging in a whole system: the
 // per-cycle loop ticks every core every cycle, the skipping loop only when
 // something a core waits for has happened. (That a sleeping cache head
 // performs no lookup and a refused core no Issue is pinned exactly, with
-// counting stubs, in internal/cache and internal/cpu. The name dates from
-// when the test also ran on four shard workers.)
-func TestStallSkipShardTightQueues(t *testing.T) {
+// counting stubs, in internal/cache and internal/cpu.)
+func TestStallSkipTightQueues(t *testing.T) {
 	for _, arm := range tightArms() {
 		arm := arm
 		t.Run(arm.name, func(t *testing.T) {

@@ -113,6 +113,10 @@ type scoredPredictor struct {
 	score criticality.Score
 }
 
+// pfQueueDepth bounds each core's prefetch queue: a candidate that finds it
+// full is dropped.
+const pfQueueDepth = 16
+
 // pfEntry is one queued prefetch and its injection cache.
 type pfEntry struct {
 	req  mem.Request
@@ -276,11 +280,11 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 
 	// Size every per-tile buffer up front so the steady-state loop does not
 	// allocate: the direct-DRAM queue is bounded by directDRAMDepth, the
-	// retry/prefetch rings by their drain rates.
+	// prefetch queue by pfQueueDepth, the retry ring by its drain rate.
 	for i := 0; i < n; i++ {
 		s.stage[i].dramQ.Grow(directDRAMDepth)
 		s.llcRetry[i].Grow(16)
-		s.pfQ[i].Grow(64)
+		s.pfQ[i].Grow(pfQueueDepth)
 	}
 
 	s.skip = !cfg.DisableSkip
