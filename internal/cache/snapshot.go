@@ -9,7 +9,8 @@ import (
 // views into it; its length follows geometry and level, since only levels
 // below the LLC carry the trigger column) and replacement-policy slabs
 // restore verbatim; queues and the MSHR file restore by content into the
-// construction-time backing, the waiters into the cache's pool. The
+// construction-time backing, the waiters into the cache's pool, and an
+// MSHR's prefetch request only while a prefetch holds the MSHR. The
 // sleep memos (headMSHR/headLow/wbLow) are rebuilt state: loading drops them,
 // so a cache restored asleep takes one real Tick, is refused exactly as its
 // skipped retry would have been, and re-arms. The pop epoch needs no reset:
@@ -36,11 +37,15 @@ func (c *Cache) State(s *snapshot.Coder) {
 		s.U64((*uint64)(&c.mshrLine[i]))
 	}
 	s.U64s(c.mshrFirst)
-	if !s.Fixed("cache: MSHR prefetch requests", len(c.mshrPfReq)) {
-		return
-	}
+	// Fill reads an MSHR's prefetch request only while the MSHR is live and
+	// was allocated by a prefetch, so the image holds those entries alone and
+	// loading zeroes the rest.
 	for i := range c.mshrPfReq {
-		c.mshrPfReq[i].State(s)
+		if c.mshrValid.Test(i) && c.mshrPF.Test(i) {
+			c.mshrPfReq[i].State(s)
+		} else if s.Loading() {
+			c.mshrPfReq[i] = mem.Request{}
+		}
 	}
 	// Each MSHR's waiters as a count and then the entries in arrival order;
 	// the pool layout and free chain are not in the image. Loading parks the

@@ -17,7 +17,8 @@ func (acceptLower) Issue(*mem.Request) bool { return true }
 // restoreCache saves c, loads the image into into (a fresh cache of the same
 // configuration, or c itself with its chains still parked) and checks that
 // into saves the same bytes: the image holds the waiter chains, not the pool
-// they sit in.
+// they sit in, and only the prefetch requests of live prefetch MSHRs, the
+// rest restoring as zero.
 func restoreCache(t *testing.T, c, into *Cache) *Cache {
 	t.Helper()
 	save := func(c *Cache) []byte {
@@ -40,6 +41,11 @@ func restoreCache(t *testing.T, c, into *Cache) *Cache {
 	}
 	if again := save(into); !bytes.Equal(img, again) {
 		t.Fatalf("a restored cache saves a different image (%d bytes, was %d)", len(again), len(img))
+	}
+	for i := range into.mshrPfReq {
+		if !(into.mshrValid.Test(i) && into.mshrPF.Test(i)) && into.mshrPfReq[i] != (mem.Request{}) {
+			t.Fatalf("MSHR %d holds no prefetch, yet its restored prefetch request is %+v", i, into.mshrPfReq[i])
+		}
 	}
 	return into
 }

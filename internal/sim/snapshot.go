@@ -130,22 +130,30 @@ func (s *System) SaveState() ([]byte, error) {
 		}
 	}
 	image, err := w.Bytes()
-	if err == nil {
-		s.imageLen = len(image)
+	if err != nil {
+		return nil, err
 	}
-	return image, err
+	if len(image) < cap(image)*10/13 {
+		// The estimate was far over: do not hand a caller that keeps the
+		// image (runner.Cache memoises warm-up images) the unused tail.
+		image = slices.Clone(image)
+	}
+	s.imageLen = len(image)
+	return image, nil
 }
 
 // imageSizeHint sizes SaveState's buffer: the length of the last image this
 // system loaded or saved (an image's length depends on configuration and
-// queue occupancies, so it barely moves), else an estimate from what makes
-// up the bulk of it — the three caches of a tile, which encode to about
-// 1.45 times their line-state slabs (replacement state, MSHRs and queues on
-// top), so 12 bytes a slab word; 78 KB a core for its ROB columns and branch
-// predictor (27 KB), Berti's tables (37 KB), CLIP (5 KB), both TLBs, the L1I
-// tags, its port queue and its share of the mesh (9 KB); 32 KB for DRAM. A
-// low estimate only costs the growth it was meant to save; TestImageSizeHint
-// pins it to the bench geometries.
+// queue occupancies, so it barely moves), else an estimate. Packed columns
+// make a fresh system's image depend on how much of its state is nonzero:
+// on the bench geometries the three caches of a tile encode to 1.8 bytes a
+// slab word fresh, 4 after a 2k-instruction warm-up, 5.2 after 8k and 7.2 at
+// saturation (200k), and everything else to 23–33 KB a core. The estimate,
+// 5 bytes a slab word, 32 KB a core and 32 KB for DRAM, is the image of a
+// warm-up of some thousands of instructions: a shorter one is copied out of
+// the buffer by SaveState, a longer one grows the buffer once. Either costs
+// less than the unpacked image's estimate used to. TestImageSizeHint pins
+// the returned capacity.
 func (s *System) imageSizeHint() int {
 	if s.imageLen > 0 {
 		return s.imageLen + s.imageLen/64
@@ -154,7 +162,7 @@ func (s *System) imageSizeHint() int {
 	for i := range s.cores {
 		words += s.l1d[i].SlabWords() + s.l2[i].SlabWords() + s.llc[i].SlabWords()
 	}
-	return 12*words + len(s.cores)*78<<10 + 32<<10
+	return 5*words + len(s.cores)*32<<10 + 32<<10
 }
 
 // LoadState restores a SaveState stream into s, which must have been built by

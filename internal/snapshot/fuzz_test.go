@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -30,9 +31,9 @@ func drive(r *Reader, ops []byte) {
 		case 7:
 			_ = r.String()
 		case 8:
-			r.Bytes8()
+			r.I32s(make([]int32, 2))
 		case 9:
-			r.U64sVar()
+			r.U64s(make([]uint64, op%67)) // packed columns of many lengths
 		case 10:
 			r.U64s(make([]uint64, 3))
 		case 11:
@@ -66,7 +67,11 @@ func driveCoder(s *Coder, ops []byte) {
 		f    float64
 		str  string
 		list = []uint16{1, 2, 3}
+		col  = make([]uint64, 64)
 	)
+	for i := range col {
+		col[i] = ^uint64(i)
+	}
 	for _, op := range ops {
 		switch op % 24 {
 		case 0:
@@ -92,7 +97,7 @@ func driveCoder(s *Coder, ops []byte) {
 		case 10:
 			s.String(&str)
 		case 11:
-			s.U64s(make([]uint64, 3))
+			s.U64s(col[:op%64])
 		case 12:
 			s.U8s(make([]uint8, 5))
 		case 13:
@@ -138,6 +143,10 @@ func FuzzReader(f *testing.F) {
 	f.Add(valid, []byte{0, 7, 13})
 	f.Add([]byte{}, []byte{0})
 	f.Add([]byte{0x53, 0x50, 0x4c, 0x43, 1, 0, 0, 0}, []byte{9, 9, 9})
+	w = NewWriter()
+	w.U64s([]uint64{0, 0x1234, 0, 7, ^uint64(0), 1})
+	packed, _ := w.Bytes()
+	f.Add(packed, []byte{73}) // op 73 reads a six-element column
 	f.Fuzz(func(t *testing.T, data, ops []byte) {
 		r, err := NewReader(data)
 		if err != nil {
@@ -162,6 +171,7 @@ type roundTrip struct {
 	flag bool
 	fl   float64
 	us   [2]uint64
+	col  []uint64
 	bs   [2]bool
 	list []uint8 // b again, as a variable-length list of one-byte elements
 	tail uint32
@@ -177,6 +187,7 @@ func (v *roundTrip) walk(s *Coder) {
 	s.F64(&v.fl)
 	s.Section("sec", func() {
 		s.U64s(v.us[:])
+		s.U64s(v.col)
 		s.Bools(v.bs[:])
 	})
 	for i := range Slice(s, "list", &v.list, MaxLen, 1) {
@@ -187,23 +198,59 @@ func (v *roundTrip) walk(s *Coder) {
 	s.U32(&v.tail)
 }
 
-// FuzzRoundTrip writes fuzz-chosen values through the Writer and requires
-// the Reader to return them exactly, with the stream fully consumed; then
-// sends the same values through a saving Coder, which must produce the same
-// bytes, and a loading one, which must return them.
+// column draws a word column from seed and shape: up to 199 elements, a
+// share of zeros from none to all, and each other value of a random width
+// from one byte up to a maximum that shape sets between 0 (an all-zero
+// column) and 8 bytes.
+func column(seed, shape uint64) []uint64 {
+	x := seed ^ shape
+	next := func() uint64 { // splitmix64
+		x += 0x9e3779b97f4a7c15
+		z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return z ^ z>>31
+	}
+	col := make([]uint64, shape%200)
+	zeroPct, width := shape>>8%101, shape>>16%9
+	for i := range col {
+		if width > 0 && next()%100 >= zeroPct {
+			col[i] = next() >> (64 - 8*(1+next()%width))
+		}
+	}
+	return col
+}
+
+// used returns an n-element receiver that already holds nonzero values.
+func used(n int) []uint64 {
+	col := make([]uint64, n)
+	for i := range col {
+		col[i] = ^uint64(i)
+	}
+	return col
+}
+
+// FuzzRoundTrip writes fuzz-chosen values, among them a word column of
+// fuzz-chosen length, zero density and value widths, through the Writer and
+// requires the Reader to return them exactly, with the stream fully
+// consumed; then sends the same values through a saving Coder, which must
+// produce the same bytes, and a loading one into used receivers, which must
+// return them and save them again to the same bytes.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add(uint64(1), int64(-9), "hello", []byte{1, 2, 3}, true, 3.25)
-	f.Add(^uint64(0), int64(0), "", []byte(nil), false, -0.0)
-	f.Fuzz(func(t *testing.T, u uint64, i int64, s string, b []byte, flag bool, fl float64) {
+	f.Add(uint64(1), int64(-9), "hello", []byte{1, 2, 3}, true, 3.25, uint64(0x04_28_40))
+	f.Add(^uint64(0), int64(0), "", []byte(nil), false, -0.0, uint64(0))
+	f.Add(uint64(7), int64(3), "x", []byte{0}, true, 1.0, uint64(0x08_00_c7))
+	f.Fuzz(func(t *testing.T, u uint64, i int64, s string, b []byte, flag bool, fl float64, shape uint64) {
+		col := column(u, shape)
 		w := NewWriter()
 		w.U64(u)
 		w.I64(i)
 		w.String(s)
-		w.Bytes8(b)
+		w.U8s(b)
 		w.Bool(flag)
 		w.F64(fl)
 		w.Section("sec", func() {
 			w.U64s([]uint64{u, u ^ 1})
+			w.U64s(col)
 			w.Bools([]bool{flag, !flag})
 		})
 		w.Int(len(b))
@@ -231,7 +278,8 @@ func FuzzRoundTrip(f *testing.F) {
 		if got := r.String(); got != s {
 			t.Fatalf("string: %q != %q", got, s)
 		}
-		if got := r.Bytes8(); !bytes.Equal(got, b) {
+		got := make([]byte, len(b))
+		if r.U8s(got); !bytes.Equal(got, b) {
 			t.Fatalf("bytes: %v != %v", got, b)
 		}
 		if got := r.Bool(); got != flag {
@@ -245,6 +293,10 @@ func FuzzRoundTrip(f *testing.F) {
 			r.U64s(us)
 			if us[0] != u || us[1] != u^1 {
 				t.Fatalf("u64s: %v", us)
+			}
+			got := used(len(col))
+			if r.U64s(got); !slices.Equal(got, col) {
+				t.Fatalf("column: %v != %v", got, col)
 			}
 			bs := make([]bool, 2)
 			r.Bools(bs)
@@ -269,13 +321,13 @@ func FuzzRoundTrip(f *testing.F) {
 
 		// The same values through a saving Coder, then a loading one.
 		in := roundTrip{u: u, i: i, s: s, b: b, flag: flag, fl: fl,
-			us: [2]uint64{u, u ^ 1}, bs: [2]bool{flag, !flag}, list: b, tail: uint32(u)}
+			us: [2]uint64{u, u ^ 1}, col: col, bs: [2]bool{flag, !flag}, list: b, tail: uint32(u)}
 		cw := NewWriter()
 		in.walk(cw.Coder())
 		if cenc, err := cw.Bytes(); err != nil || !bytes.Equal(cenc, enc) {
 			t.Fatalf("saving Coder: err %v, stream equal to the Writer's: %v", err, bytes.Equal(cenc, enc))
 		}
-		out := roundTrip{b: make([]byte, len(b)), list: []uint8{9, 9}}
+		out := roundTrip{b: make([]byte, len(b)), col: used(len(col)), list: []uint8{9, 9}}
 		cr, err := NewReader(enc)
 		if err != nil {
 			t.Fatal(err)
@@ -283,6 +335,11 @@ func FuzzRoundTrip(f *testing.F) {
 		out.walk(cr.Coder())
 		if err := cr.Done(); err != nil {
 			t.Fatal(err)
+		}
+		again := NewWriter()
+		out.walk(again.Coder())
+		if aenc, err := again.Bytes(); err != nil || !bytes.Equal(aenc, enc) {
+			t.Fatalf("re-saving the loaded values: err %v, stream equal to the loaded one: %v", err, bytes.Equal(aenc, enc))
 		}
 		if out.fl != in.fl && !(out.fl != out.fl && in.fl != in.fl) { // NaN-safe
 			t.Fatalf("loading Coder: f64 %v != %v", out.fl, in.fl)
@@ -305,12 +362,12 @@ func FuzzRoundTrip(f *testing.F) {
 			tr.U64()
 			tr.I64()
 			_ = tr.String()
-			tr.Bytes8()
+			tr.U8s(make([]byte, len(b)))
 			tr.Bool()
 			tr.F64()
 			tr.Section("sec", func() {
-				r2 := make([]uint64, 2)
-				tr.U64s(r2)
+				tr.U64s(make([]uint64, 2))
+				tr.U64s(used(len(col)))
 				tr.Bools(make([]bool, 2))
 			})
 			for n := tr.Int(); n > 0 && tr.Err() == nil; n-- {
@@ -319,17 +376,93 @@ func FuzzRoundTrip(f *testing.F) {
 			tr.Int()
 			tr.U8()
 			tr.U32()
-			if tr.Done() == nil {
+			if !errors.Is(tr.Done(), ErrCorrupt) {
 				t.Fatalf("truncation at %d/%d read to completion", cut, len(enc))
 			}
 			tr, _ = NewReader(enc[:cut])
-			out := roundTrip{b: make([]byte, len(b))}
+			out := roundTrip{b: make([]byte, len(b)), col: used(len(col))}
 			out.walk(tr.Coder())
 			if !errors.Is(tr.Done(), ErrCorrupt) {
 				t.Fatalf("truncation at %d/%d walked to completion by a loading Coder", cut, len(enc))
 			}
 		}
 	})
+}
+
+// TestU64sLayout pins the packed encoding of a word column, and that a used
+// receiver takes back exactly the encoded values.
+func TestU64sLayout(t *testing.T) {
+	for _, tc := range []struct {
+		col  []uint64
+		body []byte // after the count: bitmap, width, values
+	}{
+		{[]uint64{}, []byte{0}},
+		{[]uint64{0, 0, 0}, []byte{0, 0}},
+		{[]uint64{0, 0x1234, 0, 7}, []byte{0b1010, 2, 0x34, 0x12, 0x07, 0x00}},
+		{[]uint64{1, 0, 0, 0, 0, 0, 0, 0, 0, 1 << 63},
+			[]byte{0b1, 0b10, 8, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80}},
+	} {
+		w := NewWriter()
+		w.U64s(tc.col)
+		got, _ := w.Bytes()
+		if want := crafted(len(tc.col), tc.body...); !bytes.Equal(got, want) {
+			t.Errorf("%v encodes to % x, want % x", tc.col, got, want)
+		}
+		r, _ := NewReader(got)
+		dst := used(len(tc.col))
+		if r.U64s(dst); r.Done() != nil || !slices.Equal(dst, tc.col) {
+			t.Errorf("%v decodes to %v (%v)", tc.col, dst, r.Done())
+		}
+	}
+}
+
+// crafted returns a stream holding a count and then body's bytes verbatim.
+func crafted(count int, body ...byte) []byte {
+	w := NewWriter()
+	w.Int(count)
+	for _, x := range body {
+		w.U8(x)
+	}
+	enc, _ := w.Bytes()
+	return enc
+}
+
+// TestU64sRefusesNoncanonical: a packed column has one accepted encoding,
+// so every other stream that would decode is refused with ErrCorrupt —
+// through a Reader and through a loading Coder — and none panics.
+func TestU64sRefusesNoncanonical(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int // the receiver's length
+		stream []byte
+	}{
+		{"width above the element size", 1, crafted(1, 0b1, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0)},
+		{"width wider than the widest value needs", 2, crafted(2, 0b11, 2, 5, 0, 7, 0)},
+		{"width narrower than the widest value needs", 1, crafted(1, 0b1, 0)},
+		{"width on an all-zero column", 3, crafted(3, 0, 1)},
+		{"flagged element decodes to zero", 2, crafted(2, 0b11, 1, 5, 0)},
+		{"bitmap bit set past the count", 3, crafted(3, 0b1001, 1, 5, 6)},
+		// The body is a valid three-element column.
+		{"count above the receiver's", 3, crafted(4, 0b11, 1, 5, 6)},
+		{"count below the receiver's", 3, crafted(2, 0b11, 1, 5, 6)},
+		{"values cut short", 2, crafted(2, 0b11, 1, 5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewReader(tc.stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.U64s(used(tc.n))
+			if !errors.Is(r.Err(), ErrCorrupt) {
+				t.Errorf("Reader: err %v, want ErrCorrupt", r.Err())
+			}
+			r, _ = NewReader(tc.stream)
+			r.Coder().U64s(used(tc.n))
+			if !errors.Is(r.Err(), ErrCorrupt) {
+				t.Errorf("loading Coder: err %v, want ErrCorrupt", r.Err())
+			}
+		})
+	}
 }
 
 // TestReaderCorruptErrors pins the error taxonomy: malformed input latches
@@ -376,7 +509,7 @@ func TestReaderHugeLengthRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Bytes8(); got != nil {
+	if got := r.String(); got != "" {
 		t.Fatalf("oversized length produced %d bytes", len(got))
 	}
 	if !errors.Is(r.Err(), ErrCorrupt) {

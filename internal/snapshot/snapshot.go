@@ -2,8 +2,12 @@
 // checkpoint/restore of simulator state (DESIGN.md §12).
 //
 // The format is deliberately simple: a magic+version header, then a flat
-// little-endian stream of fixed-width primitives produced by Writer and
-// consumed by Reader. Components use neither directly: each has one
+// little-endian stream produced by Writer and consumed by Reader. Scalars
+// and the byte-sized and int32 columns are fixed-width; a []uint64 column,
+// the bulk of an image, is packed — a bitmap of its nonzero elements, then
+// those values at the width of the widest — and has exactly one accepted
+// encoding, so an image re-saves to the same bytes. Components use neither
+// Writer nor Reader directly: each has one
 // State(*Coder) walk over its fields (coder.go), and a Coder bound to a
 // Writer or a Reader runs that walk in either direction, so the two
 // directions share one field order by construction; the equivalence matrix
@@ -26,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -35,7 +40,7 @@ const Magic = 0x43_4C_50_53 // "CLPS"
 // Version is the current format version. Bump on any layout change; old
 // versions are rejected at Open (checkpoints are cheap to regenerate, so
 // there is no migration machinery).
-const Version = 4
+const Version = 5
 
 // ErrCorrupt is latched by a Reader on truncated or malformed input.
 var ErrCorrupt = errors.New("snapshot: corrupt or truncated stream")
@@ -49,8 +54,9 @@ const MaxLen = 1 << 28
 
 // Writer serializes into an in-memory buffer.
 type Writer struct {
-	buf []byte
-	err error
+	buf    []byte
+	bitmap []byte // scratch: the bitmap of the column U64s is packing
+	err    error
 }
 
 // NewWriter returns a Writer with the magic+version header already emitted.
@@ -144,15 +150,6 @@ func (w *Writer) Bool(v bool) {
 // F64 appends a float64 by bit pattern (exact round-trip, NaN included).
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
-// Bytes8 appends a length-prefixed byte slice.
-func (w *Writer) Bytes8(b []byte) {
-	w.Int(len(b))
-	if w.err != nil {
-		return
-	}
-	w.buf = append(w.buf, b...)
-}
-
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Int(len(s))
@@ -180,14 +177,59 @@ func (w *Writer) column(n, size int) []byte {
 	return w.window(n * size)
 }
 
-// U64s appends a length-prefixed []uint64 (slabs, bitmap words, columns).
+// U64s appends a []uint64 (slabs, bitmap words, columns) packed: the count,
+// a bitmap of the nonzero elements (bit i%8 of byte i/8), one byte giving
+// the width in bytes of the widest value, then each nonzero value in that
+// many little-endian bytes. Most of an image's words are zero or small.
+//
+// A first pass builds the bitmap in the Writer's scratch and finds the
+// width, which sizes the column's one window; a second visits only the
+// flagged elements. Each value is stored as a whole word and the cursor
+// advances by the width, so the next store overwrites the zero high bytes,
+// and the last spills into 8 bytes reserved past the window's end.
 func (w *Writer) U64s(vs []uint64) {
-	if b := w.column(len(vs), 8); b != nil {
-		for i, v := range vs {
-			binary.LittleEndian.PutUint64(b[8*i:], v)
+	mapLen := (len(vs) + 7) / 8
+	w.bitmap = slices.Grow(w.bitmap[:0], mapLen)[:mapLen]
+	var or uint64
+	full := len(vs) / 8
+	for i := range full {
+		c := vs[8*i : 8*i+8 : 8*i+8]
+		or |= c[0] | c[1] | c[2] | c[3] | c[4] | c[5] | c[6] | c[7]
+		w.bitmap[i] = uint8(nonzero(c[0]) | nonzero(c[1])<<1 | nonzero(c[2])<<2 | nonzero(c[3])<<3 |
+			nonzero(c[4])<<4 | nonzero(c[5])<<5 | nonzero(c[6])<<6 | nonzero(c[7])<<7)
+	}
+	if full < mapLen {
+		var m uint64
+		for j, v := range vs[8*full:] {
+			or |= v
+			m |= nonzero(v) << j
+		}
+		w.bitmap[full] = uint8(m)
+	}
+	count := 0
+	for _, m := range w.bitmap {
+		count += bits.OnesCount8(m)
+	}
+	width := (bits.Len64(or) + 7) / 8
+	w.Int(len(vs))
+	b := w.window(mapLen + 1 + count*width + 8)
+	if b == nil {
+		return
+	}
+	w.buf = w.buf[:len(w.buf)-8]
+	copy(b, w.bitmap)
+	b[mapLen] = uint8(width)
+	at := mapLen + 1
+	for i, m := range w.bitmap {
+		for ; m != 0; m &= m - 1 {
+			binary.LittleEndian.PutUint64(b[at:], vs[8*i+bits.TrailingZeros8(m)])
+			at += width
 		}
 	}
 }
+
+// nonzero is 1 for a nonzero v and 0 for zero, without a branch.
+func nonzero(v uint64) uint64 { return (v | -v) >> 63 }
 
 // U8s appends a length-prefixed []uint8 column.
 func (w *Writer) U8s(vs []uint8) {
@@ -379,18 +421,6 @@ func (r *Reader) sliceLen(what string, elemSize int) int {
 	return n
 }
 
-// Bytes8 reads a length-prefixed byte slice (a fresh copy).
-func (r *Reader) Bytes8() []byte {
-	n := r.sliceLen("bytes", 1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
-	r.off += n
-	return out
-}
-
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	n := r.sliceLen("string", 1)
@@ -429,27 +459,68 @@ func (r *Reader) column(what string, want, size int) []byte {
 	return r.window(what, n*size)
 }
 
-// U64s reads a length-prefixed []uint64 into dst, which must have exactly
-// the encoded length.
+// U64s reads a packed []uint64 (see Writer.U64s) into dst, which must have
+// exactly the encoded count: it clears dst and scatters the nonzero values.
+// Only the encoding Writer.U64s produces is accepted, so loading and saving
+// again returns the same bytes: a width above 8 or other than the widest
+// value needs, a flagged element that decodes to zero and a bitmap bit set
+// past the count are all corrupt.
 func (r *Reader) U64s(dst []uint64) {
-	if b := r.column("u64 slice", len(dst), 8); b != nil {
-		for i := range dst {
-			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	const what = "u64 slice"
+	if n := r.Int(); r.err == nil && n != len(dst) {
+		r.corrupt(what + " length")
+	}
+	mapLen := (len(dst) + 7) / 8
+	if r.err != nil || mapLen+1 > len(r.buf)-r.off {
+		r.corrupt(what)
+		return
+	}
+	head := r.buf[r.off : r.off+mapLen+1]
+	width := int(head[mapLen])
+	if width > 8 {
+		r.corrupt(what + " width")
+		return
+	}
+	if tail := len(dst) % 8; tail != 0 && head[mapLen-1]>>tail != 0 {
+		r.corrupt(what + " bitmap padding")
+		return
+	}
+	count := 0
+	for _, m := range head[:mapLen] {
+		count += bits.OnesCount8(m)
+	}
+	b := r.window(what, mapLen+1+count*width)
+	if b == nil {
+		return
+	}
+	clear(dst)
+	// A value is one word load masked to width (a zero width masks to 0),
+	// except within a word of the stream's end, where it is read bytewise.
+	mask := ^uint64(0) >> (64 - 8*width)
+	at := r.off - count*width // the first value's offset in r.buf
+	var or uint64
+	for i, m := range b[:mapLen] {
+		for ; m != 0; m &= m - 1 {
+			var v uint64
+			if at+8 <= len(r.buf) {
+				v = binary.LittleEndian.Uint64(r.buf[at:]) & mask
+			} else {
+				for k := width - 1; k >= 0; k-- {
+					v = v<<8 | uint64(r.buf[at+k])
+				}
+			}
+			if v == 0 {
+				r.corrupt(what + " zero value")
+				return
+			}
+			dst[8*i+bits.TrailingZeros8(m)] = v
+			or |= v
+			at += width
 		}
 	}
-}
-
-// U64sVar reads a length-prefixed []uint64 of any length (content queues).
-func (r *Reader) U64sVar() []uint64 {
-	n := r.sliceLen("u64 slice", 8)
-	if r.err != nil || n == 0 {
-		return nil
+	if (bits.Len64(or)+7)/8 != width {
+		r.corrupt(what + " width")
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.U64()
-	}
-	return out
 }
 
 // U8s reads a length-prefixed []uint8 into dst (exact length).

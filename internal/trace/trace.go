@@ -12,6 +12,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"sync"
 
 	"clip/internal/mem"
@@ -322,8 +324,7 @@ func programFor(cfg Config) (*program, error) {
 	}
 	programsMu.Lock()
 	defer programsMu.Unlock()
-	// Config fully determines the program, so its printed form is the key.
-	programKey = fmt.Appendf(programKey[:0], "%#v", cfg)
+	programKey = cfg.appendKey(programKey[:0])
 	if p, ok := programs[string(programKey)]; ok {
 		return p, nil
 	}
@@ -332,6 +333,39 @@ func programFor(cfg Config) (*program, error) {
 		programs[string(programKey)] = p
 	}
 	return p, nil
+}
+
+// appendKey appends c's program-cache key to b: every field, since Config
+// fully determines the program. The name is length-prefixed and every other
+// value ends in a separator, so two configs share a key only when they are
+// equal; floats go by bit pattern.
+func (c *Config) appendKey(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(len(c.Name)), 10)
+	b = append(b, ':')
+	b = append(b, c.Name...)
+	b = appendWord(b, c.Seed)
+	b = appendWord(b, uint64(len(c.Sites)))
+	for _, s := range c.Sites {
+		b = appendWord(b, uint64(s.Class))
+		b = appendWord(b, uint64(s.StrideLines))
+		b = appendWord(b, uint64(s.Weight))
+	}
+	b = appendWord(b, c.FootprintLines)
+	b = appendWord(b, c.StreamRegionLines)
+	for _, f := range [...]float64{c.LoadFrac, c.StoreFrac, c.BranchFrac,
+		c.BranchMispredictRate, c.MixedTakenProb, c.ChaseChainFrac} {
+		b = appendWord(b, math.Float64bits(f))
+	}
+	b = appendWord(b, uint64(c.ExecLatMean))
+	b = appendWord(b, uint64(c.IPFootprint))
+	b = appendWord(b, c.PhasePeriod)
+	b = appendWord(b, uint64(c.AddrOffset))
+	return appendWord(b, uint64(c.WordsPerLine))
+}
+
+// appendWord appends v in hex and a separator.
+func appendWord(b []byte, v uint64) []byte {
+	return append(strconv.AppendUint(b, v, 16), ',')
 }
 
 // build constructs the program of a valid cfg.

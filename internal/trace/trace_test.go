@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -516,5 +517,63 @@ func TestNewConcurrent(t *testing.T) {
 				t.Fatalf("goroutine %d: instruction %d is %+v, want %+v", g, k, got[g][k], want[k])
 			}
 		}
+	}
+}
+
+// TestProgramKey: the program cache's key tells apart two configs that
+// differ in any one field — every Config field and every field of each load
+// site, walked by reflection so that a field added later is covered, and a
+// site more or fewer — and two equal configs built apart share a key.
+func TestProgramKey(t *testing.T) {
+	key := func(c Config) string { return string(c.appendKey(nil)) }
+	base := key(testConfig())
+	if got := key(testConfig()); got != base {
+		t.Fatalf("equal configs keyed %q and %q", base, got)
+	}
+	differs := func(what string, c Config) {
+		t.Helper()
+		if key(c) == base {
+			t.Errorf("changing %s leaves the key %q", what, base)
+		}
+	}
+	perturb := func(what string, v reflect.Value) {
+		t.Helper()
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint8, reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 0.125)
+		default:
+			t.Fatalf("%s: no perturbation for a %v field", what, v.Kind())
+		}
+	}
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if name != "Sites" {
+			c := testConfig()
+			perturb(name, reflect.ValueOf(&c).Elem().Field(i))
+			differs(name, c)
+			continue
+		}
+		for s := range testConfig().Sites {
+			site := reflect.TypeOf(SiteSpec{})
+			for j := 0; j < site.NumField(); j++ {
+				c := testConfig()
+				what := fmt.Sprintf("Sites[%d].%s", s, site.Field(j).Name)
+				perturb(what, reflect.ValueOf(&c.Sites[s]).Elem().Field(j))
+				differs(what, c)
+			}
+		}
+		c := testConfig()
+		c.Sites = c.Sites[:len(c.Sites)-1]
+		differs("the site count (one fewer)", c)
+		c = testConfig()
+		c.Sites = append(c.Sites, SiteSpec{})
+		differs("the site count (one more)", c)
 	}
 }
