@@ -1,6 +1,6 @@
 // Command clipvet runs the project's determinism analyzers (see
-// internal/analysis): callgraph, maporder, wallclock, trainalias, floatsum,
-// hotmap, soaescape, hotalloc and detflow.
+// internal/analysis): directives, maporder, wallclock, trainalias, floatsum,
+// hotmap and soaescape.
 //
 // Standalone:
 //
@@ -31,12 +31,11 @@ import (
 // jsonDiag is the machine-readable diagnostic shape emitted under -json, one
 // array of these on stdout. CI turns them into GitHub annotations.
 type jsonDiag struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Analyzer string   `json:"analyzer"`
-	Message  string   `json:"message"`
-	Chain    []string `json:"chain,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 func main() {
@@ -93,20 +92,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Load returns dependencies before dependents, so one summary table
-	// threaded through the loop gives every package the facts of its whole
-	// in-module dependency cone. SummarizeOnly packages run with no
-	// analyzers: they contribute summaries, not diagnostics.
-	table := analysis.NewSummaryTable()
 	var all []jsonDiag
 	exit := 0
 	for _, pkg := range pkgs {
-		run := analyzers
-		if pkg.SummarizeOnly {
-			run = nil
-		}
-		diags, _, err := analysis.RunAnalyzers(run, fset, pkg.Files, pkg.AllFiles,
-			pkg.Types, pkg.Info, table)
+		diags, err := analysis.RunAnalyzers(analyzers, fset, pkg.Files, pkg.Files, pkg.Types, pkg.Info)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "clipvet:", err)
 			os.Exit(2)
@@ -114,14 +103,10 @@ func main() {
 		for _, d := range diags {
 			exit = 1
 			if *jsonMode {
-				jd := jsonDiag{
+				all = append(all, jsonDiag{
 					File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
 					Analyzer: d.Analyzer, Message: d.Message,
-				}
-				for _, id := range d.Chain {
-					jd.Chain = append(jd.Chain, string(id))
-				}
-				all = append(all, jd)
+				})
 			} else {
 				fmt.Println(d)
 			}

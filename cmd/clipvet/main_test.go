@@ -47,10 +47,9 @@ func TestUnitcheckerHandshake(t *testing.T) {
 
 // TestGoVetCleanTree runs the full unitchecker protocol end-to-end over a
 // real slice of the audited tree: go vet invokes the tool once per package
-// unit with a JSON *.cfg file — VetxOnly facts passes for every dependency
-// (empty vetx for stdlib, JSON summaries for in-module packages), then the
-// diagnostic pass for the named package. The audited tree must come back
-// clean.
+// unit with a JSON *.cfg file — a facts pass for every dependency, which
+// leaves an empty vetx file, then the diagnostic pass for the named package.
+// The audited tree must come back clean.
 func TestGoVetCleanTree(t *testing.T) {
 	bin := buildClipvet(t)
 	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/sim")
@@ -60,12 +59,10 @@ func TestGoVetCleanTree(t *testing.T) {
 	}
 }
 
-// TestSeededHotAlloc plants an allocation behind a hot root in a scratch
-// module — in a dependency package, so the diagnostic only exists if
-// function summaries cross the package boundary — and checks that both
-// drivers report it: the standalone -json mode (machine-readable, with the
-// call chain) and the go vet backend (vetx facts files).
-func TestSeededHotAlloc(t *testing.T) {
+// TestSeededDiagnostic plants a map range in a deterministic package of a
+// scratch module and checks that both drivers report it: the standalone
+// -json mode (machine-readable, with position) and the go vet backend.
+func TestSeededDiagnostic(t *testing.T) {
 	bin := buildClipvet(t)
 	dir := t.TempDir()
 	write := func(rel, content string) {
@@ -79,19 +76,16 @@ func TestSeededHotAlloc(t *testing.T) {
 		}
 	}
 	write("go.mod", "module clip\n\ngo 1.22\n")
-	write("internal/mem/mem.go",
-		"package mem\n\nfunc Grow() []int { return make([]int, 8) }\n")
-	write("internal/sim/tile/tile.go", `package tile
+	write("internal/mem/mem.go", "package mem\n\nfunc Keys() map[int]int { return map[int]int{1: 1} }\n")
+	write("internal/sim/sim.go", `package sim
 
 import "clip/internal/mem"
 
-//clipvet:hotpath
-func Tick() {
-	helper()
-}
-
-func helper() {
-	_ = mem.Grow()
+func First() int {
+	for k := range mem.Keys() {
+		return k
+	}
+	return 0
 }
 `)
 
@@ -108,31 +102,23 @@ func helper() {
 		Line     int
 		Analyzer string
 		Message  string
-		Chain    []string
 	}
 	if err := json.Unmarshal(out, &diags); err != nil {
 		t.Fatalf("decoding -json output: %v\n%s", err, out)
 	}
-	found := false
-	for _, d := range diags {
-		if d.Analyzer == "hotalloc" && strings.Contains(d.Message, "mem.Grow") &&
-			d.Line > 0 && strings.HasSuffix(d.File, "tile.go") && len(d.Chain) >= 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no hotalloc diagnostic with a cross-package call chain in:\n%s", out)
+	if len(diags) != 1 || diags[0].Analyzer != "maporder" || diags[0].Line != 6 ||
+		!strings.HasSuffix(diags[0].File, "sim.go") {
+		t.Errorf("want one maporder diagnostic at sim.go:6, got:\n%s", out)
 	}
 
-	// The go vet backend must reach the same verdict through vetx facts.
+	// The go vet backend must reach the same verdict.
 	cmd = exec.Command("go", "vet", "-vettool="+bin, "./...")
 	cmd.Dir = dir
 	vetOut, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatal("go vet over seeded module succeeded; want hotalloc failure")
+		t.Fatal("go vet over seeded module succeeded; want a maporder failure")
 	}
-	if !strings.Contains(string(vetOut), "call chain reaches make allocates") ||
-		!strings.Contains(string(vetOut), "mem.Grow") {
-		t.Errorf("go vet output missing the hotalloc chain diagnostic:\n%s", vetOut)
+	if !strings.Contains(string(vetOut), "sim.go:6") || !strings.Contains(string(vetOut), "clipvet/maporder") {
+		t.Errorf("go vet output missing the maporder diagnostic:\n%s", vetOut)
 	}
 }

@@ -1,43 +1,27 @@
 // Package analysis implements clipvet, the project's static-analysis suite
 // enforcing the simulator's determinism contract.
 //
-// PR 1 made every figure report byte-identical for any -workers count, but
-// that guarantee rests on conventions the compiler does not know about:
-// map iterations must be order-free or sorted, simulation code must not read
+// Every figure report is byte-identical for any -workers count, but that
+// guarantee rests on conventions the compiler does not know about: map
+// iterations must be order-free or sorted, simulation code must not read
 // wall-clock time or ambient randomness, and Prefetcher.Train's returned
 // slice is scratch that must not be retained. This package turns those
-// conventions into machine-checked rules.
+// conventions into machine-checked rules, and only those no test enforces:
+// allocation on the tick path, for one, is budgeted at run time by
+// internal/sim's TestSteadyStateAllocs.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer / Pass / Diagnostic) but is built entirely on the standard
 // library — go/ast, go/parser, go/types and gc export data resolved through
 // `go list -export` — so the module stays dependency-free. cmd/clipvet runs
 // the suite standalone (`clipvet ./...`) and as a `go vet -vettool=`
-// unitchecker.
-//
-// PR 7 added an interprocedural layer: every package's functions are
-// summarized (callgraph.go — allocation sites, shared-state mutation
-// effects, nondeterminism taint, call edges) and the summaries are exported
-// as facts across package boundaries — JSON vetx files under go vet, one
-// in-process SummaryTable threaded in `go list -deps` order standalone.
-// Static calls resolve exactly; interface and func-value calls resolve
-// conservatively to every method or address-taken function with a matching
-// name/arity, so the checks over-approximate rather than miss.
+// unitchecker. Every analyzer looks at one package at a time.
 //
 // # Analyzers
 //
-//   - callgraph: integrity of the //clipvet: annotations that parameterize
-//     the graph — unknown directive names, and function-level directives
-//     (hotpath, slab, sink) attached to nothing.
-//   - hotalloc: allocations (make/new/append/closure/boxing/...) in any
-//     function reachable from a //clipvet:hotpath root, reported with the
-//     root-to-sink call chain, unless escaped by //clipvet:allocok at the
-//     function, site or call-edge level.
-//   - detflow: taint from nondeterminism sources (map iteration order
-//     without //clipvet:orderfree, wall-clock reads, the unseeded global
-//     rand, pointer-to-uintptr conversions) to result sinks (stats entry
-//     points, canonical JSON encoding), composed transitively through
-//     function summaries.
+//   - directives: integrity of the //clipvet: annotations — unknown
+//     directive names, and the function-level slab directive attached to
+//     nothing.
 //   - maporder: `for range` over a map in a deterministic package, unless
 //     annotated //clipvet:orderfree.
 //   - wallclock: time.Now/Since/Until, global math/rand, os.Getenv in
@@ -83,14 +67,11 @@ type Analyzer struct {
 	Run  func(*Pass) error
 }
 
-// Diagnostic is one reported finding. Chain, when set, is the root-to-sink
-// call chain the interprocedural analyzers walked to reach the finding
-// (FuncIDs, outermost first).
+// Diagnostic is one reported finding.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Chain    []FuncID
 }
 
 func (d Diagnostic) String() string {
@@ -108,16 +89,8 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Cur holds this package's freshly-built function summaries; Table holds
-	// Cur plus the facts of every summarized dependency. The interprocedural
-	// analyzers (hotalloc, detflow) resolve call chains here.
-	Cur   *PkgSummaries
-	Table *SummaryTable
-
 	report func(Diagnostic)
-
-	dirs     *directiveIndex
-	allFiles []*ast.File
+	dirs   *directiveIndex
 }
 
 // Reportf records a diagnostic at pos.
@@ -129,30 +102,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportChain records a diagnostic at pos carrying an interprocedural call
-// chain (root first).
-func (p *Pass) ReportChain(pos token.Pos, chain []FuncID, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Chain:    chain,
-	})
-}
-
 // DirectivePrefix is the comment prefix of clipvet annotations.
 const DirectivePrefix = "clipvet:"
 
 // HasDirective reports whether a //clipvet:<name> annotation covers pos:
 // the directive sits on the same line or on the line immediately above.
 func (p *Pass) HasDirective(pos token.Pos, name string) bool {
-	if p.dirs == nil {
-		files := p.allFiles
-		if files == nil {
-			files = p.Files
-		}
-		p.dirs = newDirectiveIndex(p.Fset, files)
-	}
 	return p.dirs.has(p.Fset, pos, name)
 }
 
@@ -163,8 +118,8 @@ type directive struct {
 }
 
 // directiveIndex maps filename -> line -> directives on that line. It backs
-// both Pass.HasDirective and the summary builder, and retains positions so
-// the callgraph analyzer can lint misplaced or unknown directives.
+// Pass.HasDirective and retains positions so the directives analyzer can
+// lint misplaced or unknown directives.
 type directiveIndex struct {
 	lines map[string]map[int][]directive
 }
@@ -210,14 +165,15 @@ func (idx *directiveIndex) has(fset *token.FileSet, pos token.Pos, name string) 
 // deterministicPkgs are the internal packages whose behaviour must be a pure
 // function of the simulation inputs: everything that executes between
 // workload generation and report assembly. internal/mem is exempt (it hosts
-// the seeded PRNG); internal/runner and internal/workload orchestrate
-// goroutines whose scheduling is invisible to results by construction
-// (order-free reductions are re-asserted where they land, in experiments).
+// the seeded PRNG); internal/runner orchestrates goroutines whose scheduling
+// is invisible to results by construction (order-free reductions are
+// re-asserted where they land, in experiments). internal/workload draws the
+// mixes and names the report rows, so a clock read there reaches a report.
 var deterministicPkgs = map[string]bool{
 	"sim": true, "cpu": true, "cache": true, "dram": true, "noc": true,
 	"prefetch": true, "core": true, "criticality": true, "hermes": true,
 	"dspatch": true, "throttle": true, "tlb": true, "trace": true,
-	"energy": true, "stats": true, "experiments": true,
+	"energy": true, "stats": true, "experiments": true, "workload": true,
 }
 
 // IsDeterministic reports whether pkgPath is subject to the determinism
@@ -241,13 +197,10 @@ func internalSegment(pkgPath string) string {
 	return seg
 }
 
-// Analyzers returns the full suite in stable order. CallGraph runs first:
-// it owns the summary/fact layer the two interprocedural analyzers
-// (hotalloc, detflow) consume, and lints the annotations that
-// parameterize it.
+// Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CallGraph, MapOrder, WallClock, TrainAlias, FloatSum,
-		HotMap, SoaEscape, HotAlloc, DetFlow}
+	return []*Analyzer{Directives, MapOrder, WallClock, TrainAlias, FloatSum,
+		HotMap, SoaEscape}
 }
 
 // ByName resolves a comma-separated analyzer list ("" means all).
@@ -271,31 +224,20 @@ func ByName(names string) ([]*Analyzer, error) {
 }
 
 // RunAnalyzers applies each analyzer to one loaded package and returns the
-// diagnostics sorted by position, plus the package's function summaries.
-//
-// deps carries the facts of already-summarized dependencies (nil for a
-// leaf package); the current package's summaries are added to it, so a
-// driver analyzing packages in dependency order can thread one table
-// through every call.
+// diagnostics sorted by position. files are the analyzed (non-test) files;
+// allFiles adds the test files, whose directives count too.
 func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files, allFiles []*ast.File,
-	pkg *types.Package, info *types.Info, deps *SummaryTable) ([]Diagnostic, *PkgSummaries, error) {
-	if deps == nil {
-		deps = NewSummaryTable()
-	}
+	pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
 	dirs := newDirectiveIndex(fset, allFiles)
-	cur := BuildSummaries(fset, files, pkg, info, dirs, deps)
-	deps.Add(cur)
-
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer: a, Fset: fset, Files: files, allFiles: allFiles,
-			Pkg: pkg, TypesInfo: info,
-			Cur: cur, Table: deps, dirs: dirs,
+			Analyzer: a, Fset: fset, Files: files,
+			Pkg: pkg, TypesInfo: info, dirs: dirs,
 			report: func(d Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path(), err)
+			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path(), err)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -311,7 +253,7 @@ func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files, allFiles []
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags, cur, nil
+	return diags, nil
 }
 
 // NewTypesInfo returns a types.Info with every map the analyzers consult.
@@ -321,7 +263,5 @@ func NewTypesInfo() *types.Info {
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
 	}
 }

@@ -28,22 +28,15 @@ func TestHotMap(t *testing.T)     { testAnalyzer(t, HotMap, "clip/internal/dspat
 
 func TestSoaEscape(t *testing.T) { testAnalyzer(t, SoaEscape, "clip/internal/cache") }
 
-// The PR 7 interprocedural analyzers: allocation-freedom from hot roots,
-// nondeterminism taint to result sinks, and directive integrity.
-func TestHotAlloc(t *testing.T) { testAnalyzer(t, HotAlloc, "clip/internal/sim/hotalloc") }
-
-// TestHotAllocRetire pins hotalloc on the batched ROB-commit shape of the
-// SoA core: a seeded allocation inside a done-run loop must be flagged, the
-// capacity-retaining wheel range-file append must stay excused.
-func TestHotAllocRetire(t *testing.T) { testAnalyzer(t, HotAlloc, "clip/internal/cpu/retire") }
-func TestDetFlow(t *testing.T)        { testAnalyzer(t, DetFlow, "clip/internal/sim/flow") }
-func TestCallGraph(t *testing.T)      { testAnalyzer(t, CallGraph, "clip/internal/sim/lint") }
+// TestCallGraph pins the directive lint (the test is named for the
+// analyzer that used to host it).
+func TestCallGraph(t *testing.T) { testAnalyzer(t, Directives, "clip/internal/sim/lint") }
 
 // Outside the deterministic package set the whole suite must stay silent,
 // even over code that would trip every analyzer inside it.
 func TestSuiteSilentOutsideContract(t *testing.T) {
 	for _, a := range Analyzers() {
-		testAnalyzer(t, a, "clip/internal/workload")
+		testAnalyzer(t, a, "clip/internal/runner")
 	}
 }
 
@@ -51,6 +44,7 @@ func TestIsDeterministic(t *testing.T) {
 	cases := map[string]bool{
 		"clip/internal/sim":                          true,
 		"clip/internal/experiments":                  true,
+		"clip/internal/workload":                     true,
 		"clip/internal/sim [clip/internal/sim.test]": true,
 		"clip/internal/mem":                          false,
 		"clip/internal/runner":                       false,
@@ -70,7 +64,7 @@ func testAnalyzer(t *testing.T, a *Analyzer, target string) {
 	t.Helper()
 	l := newFixtureLoader(t)
 	pkg := l.load(target)
-	diags, _, err := RunAnalyzers([]*Analyzer{a}, l.fset, pkg.files, pkg.files, pkg.tpkg, pkg.info, l.table)
+	diags, err := RunAnalyzers([]*Analyzer{a}, l.fset, pkg.files, pkg.files, pkg.tpkg, pkg.info)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", a.Name, target, err)
 	}
@@ -126,15 +120,12 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[stri
 
 // fixtureLoader type-checks testdata/src packages on demand, resolving
 // fixture-internal imports (including the fake time/os/math-rand stand-ins)
-// recursively through itself. In-module fixture packages are summarized as
-// they load, so table carries the dependency cone's facts in dependency
-// order — the same threading the standalone driver does over `go list -deps`.
+// recursively through itself.
 type fixtureLoader struct {
-	t     *testing.T
-	fset  *token.FileSet
-	root  string
-	pkgs  map[string]*fixturePkg
-	table *SummaryTable
+	t    *testing.T
+	fset *token.FileSet
+	root string
+	pkgs map[string]*fixturePkg
 }
 
 type fixturePkg struct {
@@ -146,20 +137,15 @@ type fixturePkg struct {
 func newFixtureLoader(t *testing.T) *fixtureLoader {
 	t.Helper()
 	return &fixtureLoader{
-		t:     t,
-		fset:  token.NewFileSet(),
-		root:  filepath.Join("testdata", "src"),
-		pkgs:  map[string]*fixturePkg{},
-		table: NewSummaryTable(),
+		t:    t,
+		fset: token.NewFileSet(),
+		root: filepath.Join("testdata", "src"),
+		pkgs: map[string]*fixturePkg{},
 	}
 }
 
 func (l *fixtureLoader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	p := l.load(path)
-	return p.tpkg, nil
+	return l.load(path).tpkg, nil
 }
 
 func (l *fixtureLoader) load(path string) *fixturePkg {
@@ -192,11 +178,5 @@ func (l *fixtureLoader) load(path string) *fixturePkg {
 	}
 	p := &fixturePkg{files: files, tpkg: tpkg, info: info}
 	l.pkgs[path] = p
-	// Dependencies finish loading (via Import, above) before their dependents
-	// reach this point, so summaries land in the table in dependency order.
-	if isModulePath(path) {
-		dirs := newDirectiveIndex(l.fset, files)
-		l.table.Add(BuildSummaries(l.fset, files, tpkg, info, dirs, l.table))
-	}
 	return p
 }

@@ -6,44 +6,27 @@ import (
 	"sort"
 )
 
-// CallGraph is the fact layer's visible analyzer. The summaries themselves
-// (per-function allocation, mutation-effect and taint facts plus call
-// edges) are built for every package and exported across package boundaries
-// — JSON vetx facts under `go vet -vettool=`, an in-process table
-// standalone — whether or not this analyzer is selected; hotalloc and
-// detflow consume them. What CallGraph itself reports is
-// the integrity of the annotations that parameterize the graph: an unknown
-// //clipvet: directive name (a typo silently disables its check), or a
-// function-level directive (hotpath, slab, sink) that is not
-// attached to a function declaration and therefore roots nothing.
-var CallGraph = &Analyzer{
-	Name: "callgraph",
-	Doc: "builds the interprocedural function-summary fact layer and lints " +
-		"//clipvet: annotations: unknown directive names and function-level " +
-		"directives (hotpath, slab, sink) not attached to a " +
-		"function declaration",
-	Run: runCallGraph,
+// Directives lints the //clipvet: annotations the other analyzers read: an
+// unknown directive name (a typo silently disables the check it was meant to
+// configure), or a function-level directive (slab) that is not attached to a
+// function declaration and therefore scopes nothing.
+var Directives = &Analyzer{
+	Name: "directives",
+	Doc: "lints //clipvet: annotations: unknown directive names and the " +
+		"function-level slab directive not attached to a function declaration",
+	Run: runDirectives,
 }
 
 // knownDirectives is the complete annotation vocabulary; funcDirectives are
 // the ones that must sit on a function declaration to mean anything.
 var (
 	knownDirectives = map[string]bool{
-		"orderfree": true, "floatorder": true, "hotmap": true, "slabok": true,
-		"allocok": true, "hotpath": true, "slab": true, "sink": true,
+		"orderfree": true, "floatorder": true, "hotmap": true, "slabok": true, "slab": true,
 	}
-	funcDirectives = map[string]bool{"hotpath": true, "slab": true, "sink": true}
+	funcDirectives = map[string]bool{"slab": true}
 )
 
-func runCallGraph(pass *Pass) error {
-	if pass.dirs == nil {
-		files := pass.allFiles
-		if files == nil {
-			files = pass.Files
-		}
-		pass.dirs = newDirectiveIndex(pass.Fset, files)
-	}
-
+func runDirectives(pass *Pass) error {
 	// Lines on which a function declaration may claim a directive: the
 	// declaration's own line and the line above it (HasDirective's window).
 	declLines := map[string]map[int]bool{}
@@ -91,13 +74,13 @@ func runCallGraph(pass *Pass) error {
 					pass.Reportf(d.pos,
 						"unknown clipvet directive //clipvet:%s — a typo here silently "+
 							"disables the check it was meant to configure (known: orderfree, "+
-							"floatorder, hotmap, slabok, allocok, hotpath, slab, sink)", d.name)
+							"floatorder, hotmap, slabok, slab)", d.name)
 					continue
 				}
 				if funcDirectives[d.name] && !declLines[fname][l] {
 					pass.Reportf(d.pos,
 						"//clipvet:%s must be attached to a function declaration (same "+
-							"line or the line above) — here it roots nothing", d.name)
+							"line or the line above) — here it scopes nothing", d.name)
 				}
 			}
 		}

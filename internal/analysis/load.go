@@ -19,17 +19,10 @@ import (
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	Path     string
-	Files    []*ast.File // non-test files (analyzed)
-	AllFiles []*ast.File // includes test files when loaded (directive scan)
-	Types    *types.Package
-	Info     *types.Info
-
-	// SummarizeOnly marks an in-module dependency that was loaded only so
-	// the interprocedural analyzers can build its function summaries: it was
-	// pulled in by -deps rather than matched by the patterns, so drivers run
-	// the suite over it but suppress its diagnostics.
-	SummarizeOnly bool
+	Path  string
+	Files []*ast.File // non-test files
+	Types *types.Package
+	Info  *types.Info
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -41,7 +34,6 @@ type listPkg struct {
 	Export     string
 	DepOnly    bool
 	Standard   bool
-	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
@@ -50,14 +42,10 @@ type listPkg struct {
 // artifacts the build uses, produced offline by `go list -export`. All
 // imports (stdlib and intra-module alike) type-check from export data, which
 // keeps a whole-tree run under a second after the build cache is warm.
-//
-// In-module packages that appear only as dependencies of the patterns are
-// parsed too, marked SummarizeOnly: the interprocedural analyzers need their
-// function summaries even when their own diagnostics are not wanted. The
-// returned slice preserves `go list -deps` order — dependencies before
-// dependents — so a driver can thread one SummaryTable straight through.
+// Dependencies are listed only for their export data: the returned packages
+// are the ones the patterns match, in `go list -deps` order.
 func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,CgoFiles,Export,DepOnly,Standard,Module,Error"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,CgoFiles,Export,DepOnly,Standard,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -82,10 +70,7 @@ func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if p.Standard {
-			continue
-		}
-		if !p.DepOnly || isModulePath(p.ImportPath) {
+		if !p.Standard && !p.DepOnly {
 			target := p
 			targets = append(targets, &target)
 		}
@@ -117,8 +102,7 @@ func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
 			return nil, nil, fmt.Errorf("type-checking %s: %v", t.ImportPath, err)
 		}
 		pkgs = append(pkgs, &Package{
-			Path: t.ImportPath, Files: files, AllFiles: files,
-			Types: tpkg, Info: info, SummarizeOnly: t.DepOnly,
+			Path: t.ImportPath, Files: files, Types: tpkg, Info: info,
 		})
 	}
 	return pkgs, fset, nil

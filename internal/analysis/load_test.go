@@ -4,47 +4,30 @@ import "testing"
 
 // TestLoadRealPackage round-trips the standalone loader over a real module
 // package: resolve through `go list -export`, type-check against gc export
-// data, and run the full suite. internal/stats must load cleanly and, being
-// part of the audited tree, produce zero diagnostics. In-module dependencies
-// come back first, marked SummarizeOnly, so one summary table threads
-// through in dependency order.
+// data, and run the full suite. internal/stats must load cleanly, come back
+// alone (its dependencies are listed only for their export data) and, being
+// part of the audited tree, produce zero diagnostics.
 func TestLoadRealPackage(t *testing.T) {
 	pkgs, fset, err := Load("../..", []string{"./internal/stats"})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	var target *Package
-	for _, p := range pkgs {
-		if p.Path == "clip/internal/stats" {
-			if p.SummarizeOnly {
-				t.Error("matched package marked SummarizeOnly")
-			}
-			target = p
-		} else if !p.SummarizeOnly {
-			t.Errorf("dependency %s not marked SummarizeOnly", p.Path)
+	if len(pkgs) != 1 || pkgs[0].Path != "clip/internal/stats" {
+		var paths []string
+		for _, p := range pkgs {
+			paths = append(paths, p.Path)
 		}
+		t.Fatalf("loaded %v, want just clip/internal/stats", paths)
 	}
-	if target == nil {
-		t.Fatal("clip/internal/stats not among loaded packages")
-	}
-	if len(target.Files) == 0 || target.Types == nil {
+	p := pkgs[0]
+	if len(p.Files) == 0 || p.Types == nil {
 		t.Fatal("package loaded without files or type information")
 	}
-	table := NewSummaryTable()
-	for _, p := range pkgs {
-		run := Analyzers()
-		if p.SummarizeOnly {
-			run = nil
-		}
-		diags, cur, err := RunAnalyzers(run, fset, p.Files, p.AllFiles, p.Types, p.Info, table)
-		if err != nil {
-			t.Fatalf("RunAnalyzers(%s): %v", p.Path, err)
-		}
-		if cur == nil || len(cur.Funcs) == 0 {
-			t.Errorf("%s: no function summaries built", p.Path)
-		}
-		for _, d := range diags {
-			t.Errorf("unexpected diagnostic on audited tree: %s", d)
-		}
+	diags, err := RunAnalyzers(Analyzers(), fset, p.Files, p.Files, p.Types, p.Info)
+	if err != nil {
+		t.Fatalf("RunAnalyzers(%s): %v", p.Path, err)
+	}
+	for _, d := range diags {
+		t.Errorf("unexpected diagnostic on audited tree: %s", d)
 	}
 }

@@ -1,36 +1,38 @@
-// Package lint exercises the callgraph directive linter: a misspelled
-// directive or a function directive attached to nothing would otherwise
-// silently disable the check it was meant to configure.
+// Package lint exercises the directive linter: a misspelled directive or a
+// function directive attached to nothing would otherwise silently disable
+// the check it was meant to configure.
 package lint
 
-//clipvet:hotpat hot root // want "unknown clipvet directive"
+//clipvet:slb slab kernel // want "unknown clipvet directive"
 func Misspelled() {}
 
-// Good is correctly rooted: line-above attachment binds.
+// Good is correctly scoped: line-above attachment binds.
 //
-//clipvet:hotpath
+//clipvet:slab
 func Good() {}
 
 //clipvet:slab // want "must be attached to a function declaration"
 var Phase = 3
 
-// tilephase, staged and serial are not directives: an annotation left over
-// from when they were is reported instead of silently doing nothing.
+// hotpath, allocok, sink, tilephase, staged and serial are not directives:
+// an annotation left over from when they were is reported instead of
+// silently doing nothing.
 //
-//clipvet:tilephase // want "unknown clipvet directive"
-func Tile() {}
+//clipvet:hotpath // want "unknown clipvet directive"
+func Tick() {}
+
+func grow(s []int) []int {
+	return append(s, 1) //clipvet:allocok amortized // want "unknown clipvet directive"
+}
 
 func staged(m map[string]int) {
 	//clipvet:staged commit-phase code // want "unknown clipvet directive"
 	m["k"]++
 }
 
-//clipvet:serial runs between ticks // want "unknown clipvet directive"
-func Serial() {}
-
 // Function literals claim their declaration lines like named functions do.
 //
-//clipvet:hotpath
+//clipvet:slab
 var handler = func() {}
 
 // Statement-level directives are not function directives: no attachment

@@ -11,25 +11,17 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 )
 
-// vetConfig mirrors the JSON configuration file the go command hands a
-// -vettool for each package unit (the unitchecker protocol).
+// vetConfig is the part of the JSON configuration file the go command hands
+// a -vettool for each package unit (the unitchecker protocol) that this tool
+// reads.
 type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
 	ImportPath                string
-	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -67,15 +59,14 @@ func unitcheckFile(cfgPath string, analyzers []*Analyzer) (*vetConfig, []Diagnos
 	if err := json.Unmarshal(data, cfg); err != nil {
 		return nil, nil, fmt.Errorf("parsing vet config %s: %v", cfgPath, err)
 	}
-	// Out-of-module dependencies (stdlib) are modelled by fact tables inside
-	// the analyzers, not by summaries, so their VetxOnly visits just need the
-	// facts file to exist: write it empty and return.
-	if cfg.VetxOnly && !isModulePath(cfg.ImportPath) {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				return cfg, nil, err
-			}
+	// The analyzers export no facts, so a dependency's facts pass only has
+	// to leave the (empty) vetx file the go command expects.
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
+			return cfg, nil, err
 		}
+	}
+	if cfg.VetxOnly {
 		return cfg, nil, nil
 	}
 
@@ -92,12 +83,8 @@ func unitcheckFile(cfgPath string, analyzers []*Analyzer) (*vetConfig, []Diagnos
 			nonTest = append(nonTest, f)
 		}
 	}
-	exports := map[string]string{}
-	for path, file := range cfg.PackageFile {
-		exports[path] = file
-	}
 	imp := resolvingImporter{
-		imp: exportImporter(fset, exports),
+		imp: exportImporter(fset, cfg.PackageFile),
 		// ImportMap translates source-level import paths (e.g. under
 		// vendoring or test variants) to the canonical paths keyed in
 		// PackageFile.
@@ -110,62 +97,8 @@ func unitcheckFile(cfgPath string, analyzers []*Analyzer) (*vetConfig, []Diagnos
 		return cfg, nil, fmt.Errorf("type-checking %s: %v", cfg.ImportPath, err)
 	}
 
-	// Facts: each in-module dependency's vetx file carries its PkgSummaries as
-	// JSON (empty for stdlib). Loading them gives the interprocedural analyzers
-	// the same dependency cone the standalone driver threads in memory.
-	table := NewSummaryTable()
-	if err := loadVetxFacts(table, cfg.PackageVetx); err != nil {
-		return cfg, nil, err
-	}
-
-	run := analyzers
-	if cfg.VetxOnly {
-		run = nil // facts pass: summarize, export, no diagnostics
-	}
-	diags, cur, err := RunAnalyzers(run, fset, nonTest, all, tpkg, info, table)
-	if err != nil {
-		return cfg, nil, err
-	}
-	if cfg.VetxOutput != "" {
-		facts, err := json.Marshal(cur)
-		if err != nil {
-			return cfg, nil, err
-		}
-		if err := os.WriteFile(cfg.VetxOutput, facts, 0o666); err != nil {
-			return cfg, nil, err
-		}
-	}
-	return cfg, diags, nil
-}
-
-// loadVetxFacts merges every non-empty dependency vetx file (JSON-encoded
-// PkgSummaries, written by this tool's own facts passes) into table.
-// Dependency paths are visited in sorted order so the table's conservative
-// resolution indexes are deterministic.
-func loadVetxFacts(table *SummaryTable, packageVetx map[string]string) error {
-	paths := make([]string, 0, len(packageVetx))
-	for path := range packageVetx {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if !isModulePath(path) {
-			continue
-		}
-		data, err := os.ReadFile(packageVetx[path])
-		if err != nil {
-			return fmt.Errorf("reading facts for %s: %v", path, err)
-		}
-		if len(data) == 0 {
-			continue
-		}
-		ps := new(PkgSummaries)
-		if err := json.Unmarshal(data, ps); err != nil {
-			return fmt.Errorf("decoding facts for %s: %v", path, err)
-		}
-		table.Add(ps)
-	}
-	return nil
+	diags, err := RunAnalyzers(analyzers, fset, nonTest, all, tpkg, info)
+	return cfg, diags, err
 }
 
 type resolvingImporter struct {

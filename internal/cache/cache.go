@@ -30,7 +30,6 @@ import (
 // through every cache instance (bring-up / debugging aid).
 var TraceLine mem.Addr
 
-//clipvet:allocok debug-only line tracing; dead unless TraceLine is set
 func (c *Cache) trace(event string, req *mem.Request) {
 	if TraceLine != 0 && req.Addr.Line() == TraceLine {
 		fmt.Printf("  [%s cy%d] %s type=%v owned=%v fill=%v\n",
@@ -308,8 +307,6 @@ func (c *Cache) park(i int, req *mem.Request) {
 
 // growWaiters doubles the waiter pool. Chains are pool indices, so they
 // survive the move.
-//
-//clipvet:allocok the pool is sized for the merges the bench workloads reach and keeps what it grows to
 func (c *Cache) growWaiters() {
 	n := len(c.waiters)
 	c.waiters = append(c.waiters, make([]waiter, n)...)
@@ -376,8 +373,6 @@ func (c *Cache) OnPFEvict(f func(trigger uint64, addr mem.Addr)) {
 // false (caller must retry) when the input queue is full — except
 // prefetches, which are dropped instead of retried, matching the paper's
 // "dropped and not allocated to the MSHR" semantics.
-//
-//clipvet:hotpath
 func (c *Cache) Issue(req *mem.Request) bool {
 	if c.Full() {
 		if req.Type == mem.Prefetch && !req.Owned {
@@ -490,8 +485,6 @@ func (c *Cache) index(addr mem.Addr) (set int, tag uint64) {
 
 // Tick advances one cycle: drain writebacks, process ready requests, deliver
 // ready responses upward.
-//
-//clipvet:hotpath
 func (c *Cache) Tick(cycle uint64) {
 	c.cycle = cycle
 	c.drainWritebacks()
@@ -815,8 +808,6 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 
 // Fill delivers a response from the lower level: install the line, wake
 // MSHR waiters. The response is consumed during the call.
-//
-//clipvet:hotpath
 func (c *Cache) Fill(resp *mem.Response) {
 	// A fill frees an MSHR or installs a line: either can change a blocked
 	// head's verdict, so it retries on the next Tick.
@@ -962,8 +953,6 @@ func (c *Cache) install(req *mem.Request, dirty bool) {
 // upper levels fill and wake their MSHRs — demand loads merged behind a
 // store miss depend on it. The core-level sink ignores them (stores
 // complete through the store buffer, ROBIndex < 0).
-//
-//clipvet:hotpath
 func (c *Cache) respond(req *mem.Request, servedBy mem.Level, done uint64, wasPF, latePF bool) {
 	if req.Type == mem.Prefetch && req.FillLevel >= c.cfg.Level {
 		return // reached (or passed) its fill level: terminate
@@ -972,7 +961,7 @@ func (c *Cache) respond(req *mem.Request, servedBy mem.Level, done uint64, wasPF
 	if n < cap(c.respQ) {
 		c.respQ = c.respQ[:n+1]
 	} else {
-		c.respQ = append(c.respQ, mem.Response{}) //clipvet:allocok respQ retains capacity across ticks
+		c.respQ = append(c.respQ, mem.Response{})
 	}
 	r := &c.respQ[n]
 	r.Req = *req

@@ -601,9 +601,13 @@ func (c *CLIP) endWindow(cycle uint64) {
 				}
 			}
 		}
-		c.apcHistory = append(c.apcHistory, apc)
-		if len(c.apcHistory) > c.cfg.APCWindows {
-			c.apcHistory = c.apcHistory[1:]
+		// Keep the last APCWindows values, shifting in place once full so
+		// the history never reallocates.
+		if h := c.apcHistory; len(h) < c.cfg.APCWindows {
+			c.apcHistory = append(h, apc)
+		} else if len(h) > 0 {
+			copy(h, h[1:])
+			h[len(h)-1] = apc
 		}
 	}
 	c.windowMisses = 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"clip/internal/cpu"
@@ -322,6 +323,35 @@ func TestPhaseResetOnAPCShift(t *testing.T) {
 	}
 	if c.Stats().PhaseResets == 0 {
 		t.Fatal("phase change not detected")
+	}
+}
+
+// TestAPCHistoryKeepsLastWindows: the phase detector's history holds the
+// last APCWindows window APCs, oldest first, at every length (none at 0),
+// and stops allocating once full.
+func TestAPCHistoryKeepsLastWindows(t *testing.T) {
+	for windows := 0; windows <= 4; windows++ {
+		cfg := DefaultConfig()
+		cfg.APCWindows = windows
+		cfg.APCThreshold = 1e9 // never reset: only the history is under test
+		c := MustNew(cfg)
+		var want []float64
+		cycle := uint64(0)
+		for w := 1; w <= 3*windows+3; w++ {
+			c.windowAccesses = uint64(w)
+			cycle += 10
+			c.endWindow(cycle)
+			want = append(want, float64(w)/10)
+			if len(want) > windows {
+				want = want[1:]
+			}
+			if !reflect.DeepEqual(append([]float64{}, c.apcHistory...), append([]float64{}, want...)) {
+				t.Fatalf("APCWindows=%d, window %d: history %v, want %v", windows, w, c.apcHistory, want)
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() { cycle += 10; c.endWindow(cycle) }); n != 0 {
+			t.Errorf("APCWindows=%d: a window end allocates %.1f times once the history is full", windows, n)
+		}
 	}
 }
 

@@ -414,8 +414,6 @@ func (c *Core) HeadStalled() bool {
 
 // Tick advances the core one cycle: retire, complete ALU work, issue pending
 // loads, then fetch/dispatch.
-//
-//clipvet:hotpath
 func (c *Core) Tick(cycle uint64) {
 	c.cycle = cycle
 	c.stats.Cycles++
@@ -562,8 +560,6 @@ func (c *Core) fileOverflow(slot int, at uint64) {
 // completeALU drains this cycle's wheel bucket by setting done bits directly.
 // The chain's slots are fresh by construction (see wheelNext), so no
 // per-slot revalidation is needed on the fast path.
-//
-//clipvet:hotpath
 func (c *Core) completeALU() {
 	if c.overflowLive > 0 && c.overflowMin-c.cycle < wheelSize {
 		c.refileOverflow()
@@ -636,8 +632,6 @@ func (c *Core) accountStall() {
 
 // retire commits up to RetireWidth instructions from a contiguous done-run at
 // the ROB head. The run length comes from one word scan of the done bitmap.
-//
-//clipvet:hotpath
 func (c *Core) retire() {
 	max := c.cfg.RetireWidth
 	if c.count < max {
@@ -688,8 +682,6 @@ func (c *Core) doneRun(pos, max int) int {
 // stall accounting, one RetireEvent per instruction when anyone listens, and
 // the bit clears run per slot; the retire counters and the budget check are
 // batched over the run.
-//
-//clipvet:hotpath
 func (c *Core) retireRun(n int) {
 	listen := len(c.onRetire) > 0
 	slot := c.head
@@ -732,8 +724,6 @@ func (c *Core) retireRun(n int) {
 // the L1D. Blocked loads (readyW bit clear) are skipped; CompleteLoad flips
 // their bit when the producer returns, so no per-cycle dependence rescan is
 // needed.
-//
-//clipvet:hotpath
 func (c *Core) issueLoads() {
 	c.stall = issueOpen
 	if c.pendLen == 0 {
@@ -857,8 +847,6 @@ func (c *Core) nextPending(pos int) int {
 // batch (dispatchSpan), branches are handled individually because a
 // mispredict redirects fetch. Wheel bookkeeping (live count, earliest bound)
 // is committed once per dispatch call rather than per instruction.
-//
-//clipvet:hotpath
 func (c *Core) dispatch() {
 	if c.cycle < c.fetchStallUntil {
 		c.stats.FetchStallCycles++
@@ -917,8 +905,6 @@ func (c *Core) dispatch() {
 // dispatchSpan enters a run of non-branch instructions into the ROB,
 // returning the number of wheel entries filed and their earliest completion
 // cycle (the caller commits the wheel bookkeeping once per dispatch).
-//
-//clipvet:hotpath
 func (c *Core) dispatchSpan(buf []trace.Instr) (int, uint64) {
 	filed := 0
 	minAt := mem.NoEvent
@@ -1065,8 +1051,6 @@ func (c *Core) dispatchLoad(slot int, ins *trace.Instr) {
 // resp.Req.ROBIndex. It updates the criticality history and fires LoadEvent
 // listeners — this is the paper's training moment: "on a load response back
 // to the processor, check the ROB stall flag and the miss-level flag".
-//
-//clipvet:hotpath
 func (c *Core) CompleteLoad(resp *mem.Response) {
 	c.wake = true
 	slot := resp.Req.ROBIndex
@@ -1143,7 +1127,7 @@ type batch struct {
 // the generators are pure sequences.
 func (c *Core) refillIbuf() {
 	if c.b == nil {
-		c.b = new(batch) //clipvet:allocok once per core, at its first refill
+		c.b = new(batch)
 	}
 	if len(c.ibuf) > 0 {
 		c.ipos = 0

@@ -378,8 +378,6 @@ func (d *DRAM) bankRow(addr mem.Addr) (bk int, row int64) {
 // queue, writebacks the write queue. Returns false when the target queue is
 // full — except prefetches, which are dropped (the controller never blocks
 // the chip on a prefetch).
-//
-//clipvet:hotpath
 func (d *DRAM) Issue(req *mem.Request) bool {
 	ch := d.ChannelOf(req.Addr)
 	c := &d.chans[ch]
@@ -390,8 +388,8 @@ func (d *DRAM) Issue(req *mem.Request) bool {
 			return false
 		}
 		bk, row := d.bankRow(req.Addr)
-		c.wrRow = append(c.wrRow, uint64(row)) //clipvet:allocok columns carved with full queue capacity at New
-		c.wrBk = append(c.wrBk, uint64(bk))    //clipvet:allocok columns carved with full queue capacity at New
+		c.wrRow = append(c.wrRow, uint64(row))
+		c.wrBk = append(c.wrBk, uint64(bk))
 		c.banks[bk].wrQueued++
 		c.wrFree = min(c.wrFree, c.banks[bk].busyUntil)
 		return true
@@ -404,11 +402,13 @@ func (d *DRAM) Issue(req *mem.Request) bool {
 		d.refusedLine, d.refusedCh = req.Addr.LineID(), ch
 		return false
 	}
+	// The queue columns are carved with the full queue capacity at New, so
+	// these appends (and the write queue's above) never grow them.
 	bk, row := d.bankRow(req.Addr)
-	c.rdReq = append(c.rdReq, *req)            //clipvet:allocok columns carved with full queue capacity at New
-	c.rdArrived = append(c.rdArrived, d.cycle) //clipvet:allocok columns carved with full queue capacity at New
-	c.rdRow = append(c.rdRow, uint64(row))     //clipvet:allocok columns carved with full queue capacity at New
-	c.rdBk = append(c.rdBk, uint64(bk))        //clipvet:allocok columns carved with full queue capacity at New
+	c.rdReq = append(c.rdReq, *req)
+	c.rdArrived = append(c.rdArrived, d.cycle)
+	c.rdRow = append(c.rdRow, uint64(row))
+	c.rdBk = append(c.rdBk, uint64(bk))
 	c.banks[bk].rdQueued++
 	c.rdFree = min(c.rdFree, c.banks[bk].busyUntil)
 	return true
@@ -456,8 +456,6 @@ func (d *DRAM) QueueOccupancy() int {
 }
 
 // Tick advances one memory-controller cycle on every channel.
-//
-//clipvet:hotpath
 func (d *DRAM) Tick(cycle uint64) {
 	d.cycle = cycle
 	// Cycles counts channel-cycles so Utilization() stays in [0,1]

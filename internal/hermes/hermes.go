@@ -76,8 +76,6 @@ func (p *Predictor) PredictOffChip(ip uint64, addr mem.Addr) bool {
 
 // Train updates the perceptron with the observed service level and scores
 // the previous prediction.
-//
-//clipvet:hotpath
 func (p *Predictor) Train(ip uint64, addr mem.Addr, servedBy mem.Level, predicted bool) {
 	offChip := servedBy == mem.LevelDRAM
 	switch {

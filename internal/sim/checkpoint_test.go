@@ -77,6 +77,13 @@ func runSplitRestoredWith(t *testing.T, build func() (*System, error), frac floa
 	if err := s3.LoadState(image); err != nil {
 		t.Fatal(err)
 	}
+	// An image is canonical: saving the state it restored gives its bytes
+	// back, whatever order the restored maps iterate in.
+	if again, err := s3.SaveState(); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(again, image) {
+		t.Fatalf("re-saving a restored image changes its bytes (%d vs %d)", len(again), len(image))
+	}
 	for s3.Step(maxCycles) {
 	}
 	got = s3.collect()

@@ -99,7 +99,7 @@ func (p *corePort) Tick(cycle uint64) {
 		if d.ready <= cycle && p.s.l1d[p.core].Issue(&d.req) {
 			continue
 		}
-		rest = append(rest, *d) //clipvet:allocok appends into pending[:0]; never exceeds original capacity
+		rest = append(rest, *d)
 	}
 	p.pending = rest
 }

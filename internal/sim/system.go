@@ -442,8 +442,6 @@ func (s *System) hermesFor(core int) *hermes.Predictor {
 // walks visit only the awake sets (awake.go); under DisableSkip they visit
 // everything and read no awake-set state. Results are byte-identical between
 // the two.
-//
-//clipvet:hotpath
 func (s *System) Tick() {
 	cy := s.cycle
 	s.coresTicked = 0

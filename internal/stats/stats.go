@@ -140,7 +140,6 @@ func (t *Table) String() string {
 	if t.Title != "" {
 		fmt.Fprintf(&b, "== %s ==\n", t.Title)
 	}
-	//clipvet:allocok report-time cold path; conservative func-value resolution reaches it from hot dispatch sites
 	writeRow := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {

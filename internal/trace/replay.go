@@ -126,8 +126,6 @@ func (r *Replay) Window() []Instr {
 // refill advances r.prog past r.pos, growing the shared window if needed.
 // It returns false once the window is exhausted, with r.cont set to a
 // private generator positioned at the window edge.
-//
-//clipvet:allocok grows the shared window once per chunk; amortized over thousands of instructions
 func (r *Replay) refill() bool {
 	if r.cont != nil {
 		return false
@@ -169,8 +167,6 @@ func (r *Replay) refill() bool {
 
 // clone copies the cursor so a continuation advances independently of the
 // shared stream position; the program stays shared.
-//
-//clipvet:allocok runs once per replay, at shared-window exhaustion
 func (c *Cursor) clone() *Cursor {
 	cp := *c
 	return &cp

@@ -560,8 +560,6 @@ func (c *Cursor) Next() Instr {
 
 // Fill writes the next len(buf) instructions into buf in place: the stream
 // Next returns one instruction at a time.
-//
-//clipvet:hotpath
 func (c *Cursor) Fill(buf []Instr) {
 	for i := range buf {
 		c.nextInto(&buf[i])
@@ -569,8 +567,6 @@ func (c *Cursor) Fill(buf []Instr) {
 }
 
 // nextInto writes every field of the next instruction into ins.
-//
-//clipvet:hotpath
 func (c *Cursor) nextInto(ins *Instr) {
 	p := c.p
 	slot := &p.body[c.pc]
