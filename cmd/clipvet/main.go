@@ -1,6 +1,5 @@
 // Command clipvet runs the project's determinism analyzers (see
-// internal/analysis): directives, maporder, wallclock, trainalias, floatsum,
-// hotmap and soaescape.
+// internal/analysis): directives, maporder, wallclock, floatsum and hotmap.
 //
 // Standalone:
 //

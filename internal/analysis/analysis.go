@@ -4,11 +4,10 @@
 // Every figure report is byte-identical for any -workers count, but that
 // guarantee rests on conventions the compiler does not know about: map
 // iterations must be order-free or sorted, simulation code must not read
-// wall-clock time or ambient randomness, and Prefetcher.Train's returned
-// slice is scratch that must not be retained. This package turns those
-// conventions into machine-checked rules, and only those no test enforces:
-// allocation on the tick path, for one, is budgeted at run time by
-// internal/sim's TestSteadyStateAllocs.
+// wall-clock time or ambient randomness, and float sums must not depend on
+// map order. This package turns those conventions into machine-checked rules,
+// and only those no test enforces: allocation on the tick path, for one, is
+// budgeted at run time by internal/sim's TestSteadyStateAllocs.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer / Pass / Diagnostic) but is built entirely on the standard
@@ -20,14 +19,11 @@
 // # Analyzers
 //
 //   - directives: integrity of the //clipvet: annotations — unknown
-//     directive names, and the function-level slab directive attached to
-//     nothing.
+//     directive names.
 //   - maporder: `for range` over a map in a deterministic package, unless
 //     annotated //clipvet:orderfree.
 //   - wallclock: time.Now/Since/Until, global math/rand, os.Getenv in
 //     deterministic packages.
-//   - trainalias: retaining the scratch []Candidate returned by
-//     Prefetcher.Train in a struct field or package variable.
 //   - floatsum: order-sensitive float accumulation inside a map-range body
 //     (fires even under //clipvet:orderfree — float addition is not
 //     associative; sort the keys instead), unless annotated
@@ -36,10 +32,6 @@
 //     internal/criticality, internal/core, internal/dspatch) — per-access
 //     state there must use the internal/table kernels — unless annotated
 //     //clipvet:hotmap.
-//   - soaescape: retaining a pointer or reslice into a slab slice (&slab[i],
-//     slab[a:b]) in a struct field, package variable or composite literal
-//     inside a //clipvet:slab function — slab entries are recycled every
-//     tick — unless annotated //clipvet:slabok.
 //
 // # Annotations
 //
@@ -199,8 +191,7 @@ func internalSegment(pkgPath string) string {
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Directives, MapOrder, WallClock, TrainAlias, FloatSum,
-		HotMap, SoaEscape}
+	return []*Analyzer{Directives, MapOrder, WallClock, FloatSum, HotMap}
 }
 
 // ByName resolves a comma-separated analyzer list ("" means all).

@@ -20,13 +20,10 @@ import (
 // fixtures include stand-ins for time, os and math/rand so the suite
 // type-checks offline without GOROOT sources.
 
-func TestMapOrder(t *testing.T)   { testAnalyzer(t, MapOrder, "clip/internal/sim") }
-func TestWallClock(t *testing.T)  { testAnalyzer(t, WallClock, "clip/internal/cpu") }
-func TestFloatSum(t *testing.T)   { testAnalyzer(t, FloatSum, "clip/internal/stats") }
-func TestTrainAlias(t *testing.T) { testAnalyzer(t, TrainAlias, "clip/internal/core") }
-func TestHotMap(t *testing.T)     { testAnalyzer(t, HotMap, "clip/internal/dspatch") }
-
-func TestSoaEscape(t *testing.T) { testAnalyzer(t, SoaEscape, "clip/internal/cache") }
+func TestMapOrder(t *testing.T)  { testAnalyzer(t, MapOrder, "clip/internal/sim") }
+func TestWallClock(t *testing.T) { testAnalyzer(t, WallClock, "clip/internal/cpu") }
+func TestFloatSum(t *testing.T)  { testAnalyzer(t, FloatSum, "clip/internal/stats") }
+func TestHotMap(t *testing.T)    { testAnalyzer(t, HotMap, "clip/internal/dspatch") }
 
 // TestCallGraph pins the directive lint (the test is named for the
 // analyzer that used to host it).

@@ -1,7 +1,7 @@
 // Package runner is outside the determinism contract (it orchestrates
 // goroutines; its reductions are re-asserted where they land). maporder,
-// wallclock and floatsum must stay silent here; trainalias still applies
-// everywhere but has nothing to find.
+// wallclock and floatsum must stay silent here, and the other analyzers
+// have nothing to find.
 package runner
 
 import "time"

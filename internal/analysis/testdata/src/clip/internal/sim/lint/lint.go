@@ -1,22 +1,13 @@
-// Package lint exercises the directive linter: a misspelled directive or a
-// function directive attached to nothing would otherwise silently disable
-// the check it was meant to configure.
+// Package lint exercises the directive linter: a misspelled directive would
+// otherwise silently disable the check it was meant to configure.
 package lint
 
-//clipvet:slb slab kernel // want "unknown clipvet directive"
+//clipvet:orderfre commutative count // want "unknown clipvet directive"
 func Misspelled() {}
 
-// Good is correctly scoped: line-above attachment binds.
-//
-//clipvet:slab
-func Good() {}
-
-//clipvet:slab // want "must be attached to a function declaration"
-var Phase = 3
-
-// hotpath, allocok, sink, tilephase, staged and serial are not directives:
-// an annotation left over from when they were is reported instead of
-// silently doing nothing.
+// hotpath, allocok, sink, tilephase, staged, serial, slab and slabok are not
+// directives: an annotation left over from when they were is reported
+// instead of silently doing nothing.
 //
 //clipvet:hotpath // want "unknown clipvet directive"
 func Tick() {}
@@ -30,13 +21,13 @@ func staged(m map[string]int) {
 	m["k"]++
 }
 
-// Function literals claim their declaration lines like named functions do.
-//
-//clipvet:slab
-var handler = func() {}
+//clipvet:slab // want "unknown clipvet directive"
+func deliver(slab []int) *int {
+	//clipvet:slabok read before the next tick // want "unknown clipvet directive"
+	return &slab[0]
+}
 
-// Statement-level directives are not function directives: no attachment
-// required.
+// Known directives pass.
 func uses(m map[string]int) int {
 	n := 0
 	//clipvet:orderfree commutative count

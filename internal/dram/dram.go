@@ -161,9 +161,7 @@ type channel struct {
 
 // removeRead closes the gap left by dispatching read-queue entry i, keeping
 // every column index-aligned. copy on each column compiles to memmove — no
-// per-entry struct shuffling. (Not a //clipvet:slab function: the column
-// fields are the queues' canonical owners, so re-storing their own reslices
-// is the point, not a leak.)
+// per-entry struct shuffling.
 func (c *channel) removeRead(i int) {
 	n := len(c.rdBk) - 1
 	c.banks[c.rdBk[i]].rdQueued--
@@ -667,8 +665,6 @@ const agePromote = 600
 // bitmaps; the winner is then the first set bit of the best nonempty class
 // word — identical to the old per-entry rank loop, which also took the first
 // entry of the globally minimal rank.
-//
-//clipvet:slab
 func (d *DRAM) scheduleRead(c *channel) bool {
 	n := len(c.rdBk)
 	d.work.ReadAttempts++
@@ -817,8 +813,6 @@ func firstBit(elig, rhit, dmnd []uint64, words int) int {
 
 // scheduleWrite dispatches the first write whose bank is free (writes are
 // drained oldest-first; they are latency-insensitive so no class ranking).
-//
-//clipvet:slab
 func (d *DRAM) scheduleWrite(c *channel) bool {
 	d.work.WriteAttempts++
 	for i := range c.wrBk {

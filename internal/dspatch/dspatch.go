@@ -90,9 +90,6 @@ func (d *DSPatch) TableGeometries() []table.Geometry {
 	}
 }
 
-// Base returns the wrapped prefetcher.
-func (d *DSPatch) Base() prefetch.Prefetcher { return d.base }
-
 func sigOf(ip uint64, addr mem.Addr) uint64 {
 	return mem.Mix64(ip ^ uint64(addr.LineID()%regionLines)<<48)
 }

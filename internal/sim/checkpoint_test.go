@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -15,14 +16,84 @@ import (
 
 // checkpointMatrix enumerates the mechanism combinations the checkpoint
 // contract is enforced over: the skip-equivalence configs (every subsystem
-// with serialized deadlines) plus a SPAC-throttled CLIP config, so all four
-// throttler-family snapshot kinds appear in at least one stream.
+// with serialized deadlines), a SPAC-throttled CLIP config, so all four
+// throttler-family snapshot kinds appear in at least one stream, and the six
+// scored criticality predictors, the only arm whose image has a scored
+// section.
 func checkpointMatrix() map[string]Config {
 	m := skipMatrix()
 	spac := m["clip"]
 	spac.Throttler = "spac"
 	m["spac"] = spac
+	m["scored"] = scoredArm()
 	return m
+}
+
+// scoredArm attaches every criticality predictor in observation mode.
+func scoredArm() Config {
+	cfg := small("605.mcf_s-1554B", 1)
+	cfg.Prefetcher = "berti"
+	cfg.ScorePredictors = true
+	return cfg
+}
+
+// imageDigestSteps is how far TestCheckpointImageDigests runs each arm before
+// it saves.
+const imageDigestSteps = 3000
+
+// imageDigestsVersion is the snapshot.Version imageDigests was recorded at.
+const imageDigestsVersion = 5
+
+// imageDigests holds the sha256 of each checkpointMatrix arm's image after
+// imageDigestSteps steps. Re-record it only with a snapshot.Version bump, or
+// together with a re-record of the goldens for an intended change of
+// behaviour.
+var imageDigests = map[string]string{
+	"clip":            "5b287918ead84eac2a6b644e1a63cbe88ee686d422b22f76ba41408588dbc297",
+	"critpred":        "839f55056e506c48692f35dfa701f1b173be6e3db06049da75c995108bc3687a",
+	"dynclip":         "ba3f57ea329798bc36449bb341a49ede338841e70c65177c5238da40dc8dcced",
+	"hermes":          "ee1660d945fc25e5fbc2cafd4860aaf3d61ca2b8ce4a2891036be91dfc72f243",
+	"het-dspatch":     "bb022b35a0d30bbcc331c2bf195ef46aaa9ccbc151ec8bc4eb9b45fa9b99d1f3",
+	"mesh16-1ch":      "d13bc5355eddc0631a2d4bdb81125f08f01a80f09af0dad758e57fb64fabab56",
+	"mesh64":          "ab36671c40a2d0e3fd8d413c83e5ed259b52e3f1bed61c518df253a5291187a1",
+	"noc-prio-off":    "454fa7c08346693c308c386cf11f0e1acc20b9fd2b231c8e30c285bf657947a3",
+	"scored":          "8d80f63a36f62d8d45a5c3d17cbccf6edeee28bbf12f01df6dd85fb22d1f931c",
+	"spac":            "4ae2eebfce3f10395db75571d967e6d52a48b550ca011d6575d23892b860222e",
+	"stall-hermes":    "25f6ef678222337163761ef606db3abb65c29d8c3d5afea7bb304ab377841e01",
+	"stall-mshr":      "a13d53cdc10fb2ab7dadb72e7f59a3d534fd646274b817714a6632f091deab31",
+	"stall-rq-shard4": "53e79a7a9e471f2e39e9d6809a7f46feaf6897b041dc6fefca3ec6dc0dc8f6bc",
+	"throttler":       "476e6d3ef3089a34f9ac7c540c833a9691d29976018c9e1989e6616ca8354514",
+}
+
+// TestCheckpointImageDigests pins the image bytes of every mechanism section
+// offline: each checkpointMatrix arm, stepped a fixed count and saved, must
+// hash to its recorded digest.
+func TestCheckpointImageDigests(t *testing.T) {
+	if snapshot.Version != imageDigestsVersion {
+		t.Fatalf("snapshot.Version is %d, the digests were taken at %d: re-record them", snapshot.Version, imageDigestsVersion)
+	}
+	matrix := checkpointMatrix()
+	for name := range imageDigests {
+		if _, ok := matrix[name]; !ok {
+			t.Errorf("digest recorded for %q, which is not a checkpointMatrix arm", name)
+		}
+	}
+	for name, cfg := range matrix {
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxCycles := s.MaxCycles()
+		for k := 0; k < imageDigestSteps && s.Step(maxCycles); k++ {
+		}
+		image, err := s.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(image)); got != imageDigests[name] {
+			t.Errorf("%s: image (%d bytes) hashes to %s, recorded %q", name, len(image), got, imageDigests[name])
+		}
+	}
 }
 
 // runSplitRestored runs cfg to completion twice: once straight through, and
@@ -348,8 +419,7 @@ func TestSystemSnapshotManifest(t *testing.T) {
 			"stage", // each tile's direct-DRAM queue
 			"coreNext",
 			// mechanism sections
-			"pf", "clip", "critPred", "scored", "throttler", "hermes",
-			"dynClip", "nextThrottle",
+			"mech", "dynClip", "nextThrottle",
 		},
 		[]string{
 			// Rebuilt by NewSystem from the (fingerprint-checked) Config.
@@ -364,6 +434,14 @@ func TestSystemSnapshotManifest(t *testing.T) {
 			// About the host run, not the simulated machine.
 			"self", "imageLen",
 		})
+}
+
+// TestCoreMechsSnapshotManifest: each mechanism a core carries has its
+// section; the capabilities resolved at attach are views of the prefetcher.
+func TestCoreMechsSnapshotManifest(t *testing.T) {
+	snapshot.CheckManifest(t, snapshot.MustStruct(coreMechs{}),
+		[]string{"pf", "clip", "crit", "scored", "throttler", "hermes"},
+		[]string{"dspatch", "feedback", "berti"})
 }
 
 // TestTileStageSnapshotManifest: a tile's direct-DRAM queue is in the image.

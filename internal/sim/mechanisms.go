@@ -12,89 +12,102 @@ import (
 	"clip/internal/throttle"
 )
 
-// attachMechanisms wires prefetchers, CLIP, criticality predictors,
-// throttlers and Hermes onto the assembled hierarchy.
+// coreMechs is one core's mechanisms. A nil field is a mechanism the
+// configuration does not attach. What a mechanism can do is resolved into the
+// record once, by attachMechanisms: nothing later asks a mechanism's type.
+type coreMechs struct {
+	// pf is the prefetcher the core trains: the DSPatch wrapper when one is
+	// configured (dspatch is then the same object), otherwise the engine.
+	pf      prefetch.Prefetcher
+	dspatch *dspatch.DSPatch
+	// feedback and berti are the engine under any wrapper, when it learns
+	// from prefetch usefulness and when it observes miss latency.
+	feedback prefetch.FeedbackSink
+	berti    *prefetch.Berti
+
+	clip      *core.CLIP
+	crit      criticality.Predictor // filter predictor (Fig 5)
+	scored    []scoredPredictor     // observation predictors (Fig 4)
+	throttler throttle.Throttler    // nil also when pf is not Throttleable
+	hermes    *hermes.Predictor
+}
+
+type scoredPredictor struct {
+	pred  criticality.Predictor
+	score criticality.Score
+}
+
+// attachMechanisms builds each core's record — prefetcher, CLIP, criticality
+// predictors, throttler and Hermes — and wires it onto the assembled
+// hierarchy.
 func (s *System) attachMechanisms() error {
 	n := s.cfg.Cores()
 	cfg := &s.cfg
 
-	s.pf = make([]prefetch.Prefetcher, n)
+	s.mech = make([]coreMechs, n)
 	s.pfGenerated = make([]uint64, n)
 	s.pfIssued = make([]uint64, n)
 
-	if cfg.CLIP != nil {
-		s.clip = make([]*core.CLIP, n)
-	}
-	if cfg.CritPredictor != "" {
-		s.critPred = make([]criticality.Predictor, n)
-	}
-	if cfg.ScorePredictors {
-		s.scored = make([][]scoredPredictor, n)
-	}
-	if cfg.Throttler != "" {
-		s.throttler = make([]throttle.Throttler, n)
-	}
-	if cfg.Hermes {
-		s.hermes = make([]*hermes.Predictor, n)
-	}
-
-	for i := 0; i < n; i++ {
-		i := i
-		pf, err := prefetch.New(cfg.Prefetcher)
+	for i := range s.mech {
+		m := &s.mech[i]
+		engine, err := prefetch.New(cfg.Prefetcher)
 		if err != nil {
 			return err
 		}
+		m.pf = engine
+		m.feedback, _ = engine.(prefetch.FeedbackSink)
+		m.berti, _ = engine.(*prefetch.Berti)
 		if cfg.DSPatch {
 			// DSPatch samples ONE controller's utilization — deliberately
 			// myopic, as the paper stresses.
-			pf = dspatch.New(pf, func() float64 { return s.dram.ChannelUtilization(0) })
+			m.dspatch = dspatch.New(engine, func() float64 { return s.dram.ChannelUtilization(0) })
+			m.pf = m.dspatch
 		}
-		s.pf[i] = pf
 
-		if s.clip != nil {
+		if cfg.CLIP != nil {
 			ccfg := cfg.clipConfig()
 			ccfg.CriticalityLevel = effLevel(s.attachL2)
 			cl, err := core.New(ccfg)
 			if err != nil {
 				return err
 			}
-			s.clip[i] = cl
+			m.clip = cl
 		}
-		if s.critPred != nil {
+		if cfg.CritPredictor != "" {
 			p, err := criticality.New(cfg.CritPredictor, cfg.CPU.ROBSize)
 			if err != nil {
 				return err
 			}
-			s.critPred[i] = p
+			m.crit = p
 		}
-		if s.scored != nil {
+		if cfg.ScorePredictors {
 			for _, name := range criticality.Names() {
 				p, err := criticality.New(name, cfg.CPU.ROBSize)
 				if err != nil {
 					return err
 				}
-				s.scored[i] = append(s.scored[i], scoredPredictor{pred: p})
+				m.scored = append(m.scored, scoredPredictor{pred: p})
 			}
 		}
-		if s.throttler != nil {
-			if th, ok := pf.(prefetch.Throttleable); ok {
+		if cfg.Throttler != "" {
+			if th, ok := m.pf.(prefetch.Throttleable); ok {
 				t, err := throttle.New(cfg.Throttler, th)
 				if err != nil {
 					return err
 				}
-				s.throttler[i] = t
+				m.throttler = t
 			}
 		}
-		if s.hermes != nil {
-			s.hermes[i] = hermes.New()
+		if cfg.Hermes {
+			m.hermes = hermes.New()
 		}
 
 		attach := s.l1d[i]
 		if s.attachL2 {
 			attach = s.l2[i]
 		}
-		attach.OnAccess(func(ev *cache.AccessEvent) { s.onAccess(i, attach, ev) })
-		if sink, ok := basePrefetcher(pf).(prefetch.FeedbackSink); ok {
+		attach.OnAccess(func(ev *cache.AccessEvent) { s.onAccess(i, ev) })
+		if sink := m.feedback; sink != nil {
 			attach.OnPFEvict(func(trigger uint64, addr mem.Addr) {
 				sink.Feedback(prefetch.Candidate{Addr: addr, TriggerIP: trigger}, false)
 			})
@@ -103,42 +116,31 @@ func (s *System) attachMechanisms() error {
 		// Register the event listeners only when a mechanism consumes them:
 		// the core skips building events with no listeners, which keeps the
 		// plain-prefetcher hot path free of per-load/per-retire event work.
-		_, berti := basePrefetcher(pf).(*prefetch.Berti)
-		if s.clip != nil || s.critPred != nil || s.scored != nil || s.hermes != nil || berti {
-			s.cores[i].OnLoadComplete(func(ev *cpu.LoadEvent) { s.onLoadComplete(i, ev) })
+		if m.clip != nil || m.crit != nil || m.scored != nil || m.hermes != nil || m.berti != nil {
+			s.cores[i].OnLoadComplete(m.onLoadComplete)
 		}
-		if s.critPred != nil || s.scored != nil {
-			s.cores[i].OnRetire(func(ev *cpu.RetireEvent) { s.onRetire(i, ev) })
+		if m.crit != nil || m.scored != nil {
+			s.cores[i].OnRetire(m.onRetire)
 		}
 	}
 	return nil
 }
 
-// basePrefetcher unwraps DSPatch to reach the underlying prefetcher (for
-// feedback sinks and Berti's latency observation).
-func basePrefetcher(p prefetch.Prefetcher) prefetch.Prefetcher {
-	if d, ok := p.(*dspatch.DSPatch); ok {
-		return d.Base()
-	}
-	return p
-}
-
 // onAccess handles a demand access at the prefetcher attach level: CLIP
 // observation, PPF feedback, prefetcher training and candidate filtering.
-func (s *System) onAccess(i int, attach *cache.Cache, ev *cache.AccessEvent) {
-	if s.clip != nil {
-		s.clip[i].OnAccess(ev.Req.Addr, ev.Hit, ev.Cycle)
+func (s *System) onAccess(i int, ev *cache.AccessEvent) {
+	m := &s.mech[i]
+	if m.clip != nil {
+		m.clip.OnAccess(ev.Req.Addr, ev.Hit, ev.Cycle)
 	}
-	if ev.Hit && ev.HitPrefetchedLine {
-		if sink, ok := basePrefetcher(s.pf[i]).(prefetch.FeedbackSink); ok {
-			sink.Feedback(prefetch.Candidate{Addr: ev.Req.Addr,
-				TriggerIP: ev.TriggerIP}, true)
-		}
+	if ev.Hit && ev.HitPrefetchedLine && m.feedback != nil {
+		m.feedback.Feedback(prefetch.Candidate{Addr: ev.Req.Addr,
+			TriggerIP: ev.TriggerIP}, true)
 	}
 	if ev.Req.Type != mem.Load {
 		return // prefetchers train on the load stream
 	}
-	cands := s.pf[i].Train(prefetch.Access{
+	cands := m.pf.Train(prefetch.Access{
 		IP: ev.Req.IP, Addr: ev.Req.Addr, Hit: ev.Hit, Cycle: ev.Cycle,
 	})
 	if len(cands) == 0 {
@@ -146,26 +148,24 @@ func (s *System) onAccess(i int, attach *cache.Cache, ev *cache.AccessEvent) {
 	}
 	s.pfGenerated[i] += uint64(len(cands))
 
-	if s.clip != nil {
-		s.clip[i].SetHistories(s.cores[i].BranchHist, s.cores[i].CritHist)
+	if m.clip != nil {
+		m.clip.SetHistories(s.cores[i].BranchHist, s.cores[i].CritHist)
 	}
 	// Dynamic CLIP (§5.3): with ample bandwidth the filter stands down and
 	// the prefetcher runs free; training continues via OnLoadComplete.
-	clipEngaged := s.clip != nil
+	clipEngaged := m.clip != nil
 	if clipEngaged && s.dynClip != nil && !s.dynClip.active {
 		clipEngaged = false
 	}
 	for _, c := range cands {
 		critFlag := false
-		if s.critPred != nil {
-			// Figure 5 mode: a prior predictor gates prefetches by trigger
-			// IP (its only vocabulary).
-			if !s.critPred[i].Critical(c.TriggerIP, c.Addr) {
-				continue
-			}
+		// Figure 5 mode: a prior predictor gates prefetches by trigger IP
+		// (its only vocabulary).
+		if m.crit != nil && !m.crit.Critical(c.TriggerIP, c.Addr) {
+			continue
 		}
 		if clipEngaged {
-			ok, crit := s.clip[i].Allow(c)
+			ok, crit := m.clip.Allow(c)
 			if !ok {
 				continue
 			}
@@ -201,39 +201,38 @@ func (s *System) onAccess(i int, attach *cache.Cache, ev *cache.AccessEvent) {
 	}
 }
 
-// onLoadComplete trains every attached mechanism with a finished load.
-func (s *System) onLoadComplete(i int, ev *cpu.LoadEvent) {
-	if s.clip != nil {
-		s.clip[i].OnLoadComplete(ev)
+// onLoadComplete trains every attached mechanism with a finished load, in a
+// fixed order: CLIP, the filter predictor, the scored predictors, Hermes,
+// then Berti's miss-latency observation.
+func (m *coreMechs) onLoadComplete(ev *cpu.LoadEvent) {
+	if m.clip != nil {
+		m.clip.OnLoadComplete(ev)
 	}
-	if s.critPred != nil {
-		s.critPred[i].OnLoadComplete(ev)
+	if m.crit != nil {
+		m.crit.OnLoadComplete(ev)
 	}
-	if s.scored != nil {
+	if m.scored != nil {
 		actual := criticality.IsCriticalEvent(ev)
-		for j := range s.scored[i] {
-			sp := &s.scored[i][j]
+		for j := range m.scored {
+			sp := &m.scored[j]
 			sp.score.Update(sp.pred.Critical(ev.IP, ev.Addr), actual)
 			sp.pred.OnLoadComplete(ev)
 		}
 	}
-	if s.hermes != nil && ev.ServedBy >= mem.LevelL2 {
-		h := s.hermes[i]
-		h.Train(ev.IP, ev.Addr, ev.ServedBy, h.PredictOffChip(ev.IP, ev.Addr))
+	if m.hermes != nil && ev.ServedBy >= mem.LevelL2 {
+		m.hermes.Train(ev.IP, ev.Addr, ev.ServedBy, m.hermes.PredictOffChip(ev.IP, ev.Addr))
 	}
-	if b, ok := basePrefetcher(s.pf[i]).(*prefetch.Berti); ok && ev.ServedBy >= mem.LevelL2 {
-		b.ObserveMissLatency(ev.Latency)
+	if m.berti != nil && ev.ServedBy >= mem.LevelL2 {
+		m.berti.ObserveMissLatency(ev.Latency)
 	}
 }
 
 // onRetire feeds retire-stream predictors.
-func (s *System) onRetire(i int, ev *cpu.RetireEvent) {
-	if s.critPred != nil {
-		s.critPred[i].OnRetire(ev)
+func (m *coreMechs) onRetire(ev *cpu.RetireEvent) {
+	if m.crit != nil {
+		m.crit.OnRetire(ev)
 	}
-	if s.scored != nil {
-		for j := range s.scored[i] {
-			s.scored[i][j].pred.OnRetire(ev)
-		}
+	for j := range m.scored {
+		m.scored[j].pred.OnRetire(ev)
 	}
 }

@@ -152,7 +152,7 @@ func (s *System) collect() *Result {
 		Finished:   s.Finished(),
 		PredScores: map[string]criticality.Score{},
 	}
-	if s.clip != nil {
+	if s.cfg.CLIP != nil {
 		r.ClipActiveFraction = 1
 		if s.dynClip != nil {
 			r.ClipActiveFraction = s.dynClip.ActiveFraction()
@@ -190,30 +190,29 @@ func (s *System) collect() *Result {
 		r.PFGenerated += s.pfGenerated[i]
 		r.PFIssued += s.pfIssued[i]
 
-		if s.clip != nil {
+		m := &s.mech[i]
+		if m.clip != nil {
 			if r.Clip == nil {
 				r.Clip = &core.Stats{}
 			}
-			addClip(r.Clip, s.clip[i].Stats())
-			st, dy := s.clip[i].CriticalIPCounts()
+			addClip(r.Clip, m.clip.Stats())
+			st, dy := m.clip.CriticalIPCounts()
 			r.ClipStaticIPs += float64(st)
 			r.ClipDynamicIPs += float64(dy)
 		}
-		if s.scored != nil {
-			for _, sp := range s.scored[i] {
-				sc := r.PredScores[sp.pred.Name()]
-				sc.TruePos += sp.score.TruePos
-				sc.FalsePos += sp.score.FalsePos
-				sc.FalseNeg += sp.score.FalseNeg
-				sc.TrueNeg += sp.score.TrueNeg
-				r.PredScores[sp.pred.Name()] = sc
-			}
+		for _, sp := range m.scored {
+			sc := r.PredScores[sp.pred.Name()]
+			sc.TruePos += sp.score.TruePos
+			sc.FalsePos += sp.score.FalsePos
+			sc.FalseNeg += sp.score.FalseNeg
+			sc.TrueNeg += sp.score.TrueNeg
+			r.PredScores[sp.pred.Name()] = sc
 		}
-		if s.hermes != nil {
+		if m.hermes != nil {
 			if r.Hermes == nil {
 				r.Hermes = &hermes.Stats{}
 			}
-			h := s.hermes[i].Stats()
+			h := m.hermes.Stats()
 			r.Hermes.Predictions += h.Predictions
 			r.Hermes.PredOffChip += h.PredOffChip
 			r.Hermes.TruePos += h.TruePos

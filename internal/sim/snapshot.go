@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"clip/internal/criticality"
-	"clip/internal/dspatch"
 	"clip/internal/mem"
 	"clip/internal/prefetch"
 	"clip/internal/snapshot"
@@ -61,16 +60,16 @@ type mechSet struct {
 	dyn     bool
 }
 
-func (s *System) mechs() mechSet {
+func (c *Config) mechSet() mechSet {
 	return mechSet{
-		pf:      s.cfg.Prefetcher,
-		dspatch: s.cfg.DSPatch,
-		clip:    s.clip != nil,
-		crit:    s.cfg.CritPredictor,
-		scored:  s.scored != nil,
-		thr:     s.cfg.Throttler,
-		hermes:  s.hermes != nil,
-		dyn:     s.dynClip != nil,
+		pf:      c.Prefetcher,
+		dspatch: c.DSPatch,
+		clip:    c.CLIP != nil,
+		crit:    c.CritPredictor,
+		scored:  c.ScorePredictors,
+		thr:     c.Throttler,
+		hermes:  c.Hermes,
+		dyn:     c.DynamicCLIP,
 	}
 }
 
@@ -122,7 +121,7 @@ func (s *System) SaveState() ([]byte, error) {
 	c := w.Coder()
 	fp := s.cfg.stateFingerprint()
 	c.String(&fp)
-	m := s.mechs()
+	m := s.cfg.mechSet()
 	m.state(c)
 	for _, sec := range sections(m, m) {
 		if sec.present {
@@ -186,7 +185,7 @@ func (s *System) LoadState(data []byte) error {
 		return err
 	}
 	thrLoaded := false
-	for _, sec := range sections(saved, s.mechs()) {
+	for _, sec := range sections(saved, s.cfg.mechSet()) {
 		switch {
 		case !sec.present:
 		case sec.match:
@@ -202,7 +201,7 @@ func (s *System) LoadState(data []byte) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if s.throttler != nil && !thrLoaded {
+	if s.cfg.Throttler != "" && !thrLoaded {
 		// A freshly-attached throttler epochs from the next boundary after
 		// the restored cycle (a cold run epochs from the first boundary).
 		ep := s.throttleEpoch()
@@ -328,52 +327,52 @@ func (s *System) bypassState(c *snapshot.Coder) {
 // pfState walks the per-core prefetchers (through their DSPatch wrapper when
 // one is configured).
 func (s *System) pfState(c *snapshot.Coder) {
-	for i := range s.pf {
-		if d, ok := s.pf[i].(*dspatch.DSPatch); ok {
-			d.State(c)
+	for i := range s.mech {
+		if m := &s.mech[i]; m.dspatch != nil {
+			m.dspatch.State(c)
 		} else {
-			prefetch.State(c, s.pf[i])
+			prefetch.State(c, m.pf)
 		}
 	}
 }
 
 func (s *System) clipState(c *snapshot.Coder) {
-	for i := range s.clip {
-		s.clip[i].State(c)
+	for i := range s.mech {
+		s.mech[i].clip.State(c)
 	}
 }
 
 func (s *System) critState(c *snapshot.Coder) {
-	for i := range s.critPred {
-		criticality.State(c, s.critPred[i])
+	for i := range s.mech {
+		criticality.State(c, s.mech[i].crit)
 	}
 }
 
 func (s *System) scoredState(c *snapshot.Coder) {
-	for i := range s.scored {
-		if !c.Fixed("sim: scored predictors", len(s.scored[i])) {
+	for i := range s.mech {
+		scored := s.mech[i].scored
+		if !c.Fixed("sim: scored predictors", len(scored)) {
 			return
 		}
-		for j := range s.scored[i] {
-			sp := &s.scored[i][j]
-			criticality.State(c, sp.pred)
-			sp.score.State(c)
+		for j := range scored {
+			criticality.State(c, scored[j].pred)
+			scored[j].score.State(c)
 		}
 	}
 }
 
 func (s *System) throttleState(c *snapshot.Coder) {
 	c.U64(&s.nextThrottle)
-	for _, th := range s.throttler {
-		if present(c, "throttler", th != nil) {
+	for i := range s.mech {
+		if th := s.mech[i].throttler; present(c, "throttler", th != nil) {
 			throttle.State(c, th)
 		}
 	}
 }
 
 func (s *System) hermesState(c *snapshot.Coder) {
-	for i := range s.hermes {
-		s.hermes[i].State(c)
+	for i := range s.mech {
+		s.mech[i].hermes.State(c)
 	}
 }
 

@@ -61,10 +61,7 @@ func steadyArms() []steadyArm {
 		cfg.Prefetcher = pf
 		arms = append(arms, steadyArm{"pf-" + pf, cfg})
 	}
-	scored := small("605.mcf_s-1554B", 1)
-	scored.Prefetcher = "berti"
-	scored.ScorePredictors = true
-	arms = append(arms, steadyArm{"score-predictors", scored})
+	arms = append(arms, steadyArm{"score-predictors", scoredArm()})
 	arms = append(arms, steadyArm{"mesh-geometry64", meshGeometry(64)})
 	return arms
 }

@@ -10,11 +10,9 @@ import (
 	"clip/internal/cpu"
 	"clip/internal/criticality"
 	"clip/internal/dram"
-	"clip/internal/hermes"
 	"clip/internal/invariant"
 	"clip/internal/mem"
 	"clip/internal/noc"
-	"clip/internal/prefetch"
 	"clip/internal/throttle"
 	"clip/internal/tlb"
 	"clip/internal/trace"
@@ -36,12 +34,8 @@ type System struct {
 	tlbs    []*tlb.Hierarchy
 	dynClip *dynamicClip
 
-	pf        []prefetch.Prefetcher
-	clip      []*core.CLIP
-	critPred  []criticality.Predictor // per-core filter predictor (Fig 5)
-	scored    [][]scoredPredictor     // per-core observation predictors (Fig 4)
-	throttler []throttle.Throttler
-	hermes    []*hermes.Predictor
+	// mech holds each core's mechanisms (mechanisms.go).
+	mech []coreMechs
 
 	// dramPending holds DRAM responses until their DoneCycle, one lane per
 	// channel.
@@ -106,11 +100,6 @@ type System struct {
 	watchAt uint64
 	watched []uint64
 	hung    error
-}
-
-type scoredPredictor struct {
-	pred  criticality.Predictor
-	score criticality.Score
 }
 
 // pfQueueDepth bounds each core's prefetch queue: a candidate that finds it
@@ -298,7 +287,7 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	for _, c := range s.cores {
 		c.OnFinished(onFinished)
 	}
-	if s.throttler != nil {
+	if cfg.Throttler != "" {
 		s.nextThrottle = s.throttleEpoch()
 	}
 	return s, nil
@@ -330,8 +319,6 @@ const (
 
 // onMeshDeliver routes payload packets at their destination node. The
 // response points into the mesh's packet slab and is consumed synchronously.
-//
-//clipvet:slab
 func (s *System) onMeshDeliver(kind uint8, dst int, r *mem.Response, cycle uint64) {
 	switch kind {
 	case pktLLCResp:
@@ -386,7 +373,7 @@ type l1Lower struct {
 // read queue does.
 func (l *l1Lower) Issue(req *mem.Request) bool {
 	s := l.s
-	if h := s.hermesFor(l.core); h != nil && req.Type == mem.Load {
+	if h := s.mech[l.core].hermes; h != nil && req.Type == mem.Load {
 		if h.PredictOffChip(req.IP, req.Addr) {
 			slice := s.sliceOf(req.Addr)
 			st := &s.stage[l.core]
@@ -416,7 +403,7 @@ func (l *l1Lower) Issue(req *mem.Request) bool {
 // retrying: every retry re-runs PredictOffChip and may push another waste
 // read, which no bulk charge reproduces. Everything else is the L2's call.
 func (l *l1Lower) StallEpoch(req *mem.Request) *uint64 {
-	if req.Type == mem.Load && l.s.hermesFor(l.core) != nil {
+	if req.Type == mem.Load && l.s.mech[l.core].hermes != nil {
 		return nil
 	}
 	return l.s.l2[l.core].StallEpoch(req)
@@ -427,13 +414,6 @@ func (l *l1Lower) Refused(req *mem.Request, n uint64) { l.s.l2[l.core].Refused(r
 
 func bypassKey(core int, addr mem.Addr) uint64 {
 	return uint64(core)<<48 ^ addr.LineID()
-}
-
-func (s *System) hermesFor(core int) *hermes.Predictor {
-	if s.hermes == nil {
-		return nil
-	}
-	return s.hermes[core]
 }
 
 // Tick advances the whole system one cycle: the tiles in ascending core
@@ -467,7 +447,7 @@ func (s *System) Tick() {
 	s.dram.Tick(cy)
 	s.deliverDRAM(cy)
 	s.deliverHermesHeld(cy)
-	if s.throttler != nil {
+	if s.cfg.Throttler != "" {
 		s.tickThrottlers(cy)
 	}
 	s.cycle++
@@ -588,7 +568,7 @@ func (s *System) skipAhead(maxCycles uint64) {
 		invariant.Check(false, "%s", s.stall)
 	}
 	h = min(h, s.dram.NextEvent(now), maxCycles)
-	if s.throttler != nil {
+	if s.cfg.Throttler != "" {
 		h = min(h, s.nextThrottle)
 	}
 	if s.dynClip != nil {
@@ -632,13 +612,12 @@ func (s *System) resetStats() {
 		*s.l1d[i].Stats() = cache.Stats{}
 		*s.l2[i].Stats() = cache.Stats{}
 		*s.llc[i].Stats() = cache.Stats{}
-		if s.clip != nil && s.clip[i] != nil {
-			*s.clip[i].Stats() = core.Stats{}
+		m := &s.mech[i]
+		if m.clip != nil {
+			*m.clip.Stats() = core.Stats{}
 		}
-		if s.scored != nil {
-			for j := range s.scored[i] {
-				s.scored[i][j].score = criticality.Score{}
-			}
+		for j := range m.scored {
+			m.scored[j].score = criticality.Score{}
 		}
 	}
 	*s.dram.Stats() = dram.Stats{}
@@ -846,7 +825,8 @@ func (s *System) tickThrottlers(cy uint64) {
 			"sim: throttle epoch %d missed, ticked at %d", s.nextThrottle, cy)
 	}
 	s.nextThrottle += epoch
-	for i, th := range s.throttler {
+	for i := range s.mech {
+		th := s.mech[i].throttler
 		if th == nil {
 			continue
 		}
