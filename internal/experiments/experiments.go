@@ -1,16 +1,15 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§5): each Fig*/Table*/Sens* function runs the required
-// simulations at a configurable scale and returns the same rows/series the
-// paper reports. cmd/clipsim and the repository benchmarks drive these.
+// evaluation (§5): each Fig*/Table*/Sens* function declares the rows/series
+// the paper reports and the simulations behind each number, and one driver
+// (report, figure.go) runs them at a configurable scale. cmd/clipsim and the
+// repository benchmarks drive these.
 package experiments
 
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"clip/internal/core"
-	"clip/internal/runner"
 	"clip/internal/sim"
 	"clip/internal/stats"
 	"clip/internal/workload"
@@ -178,195 +177,22 @@ func pfVariant(name string) workload.Variant {
 	}}
 }
 
-func clipVariant(pf string) workload.Variant {
-	return workload.Variant{Name: pf + "+clip", Mutate: func(c *sim.Config) {
+// mech is prefetcher pf paired with a mechanism, named pf+suffix; set
+// attaches the mechanism.
+func mech(pf, suffix string, set func(*sim.Config)) workload.Variant {
+	return workload.Variant{Name: pf + "+" + suffix, Mutate: func(c *sim.Config) {
 		c.Prefetcher = pf
-		cc := core.DefaultConfig()
-		c.CLIP = &cc
+		set(c)
 	}}
 }
+
+func clipVariant(pf string) workload.Variant { return clipVariantCfg(pf, core.DefaultConfig()) }
 
 func clipVariantCfg(pf string, cc core.Config) workload.Variant {
-	return workload.Variant{Name: pf + "+clip", Mutate: func(c *sim.Config) {
-		c.Prefetcher = pf
+	return mech(pf, "clip", func(c *sim.Config) {
 		cfg := cc
 		c.CLIP = &cfg
-	}}
-}
-
-func critVariant(pf, pred string) workload.Variant {
-	return workload.Variant{Name: pf + "+" + pred, Mutate: func(c *sim.Config) {
-		c.Prefetcher = pf
-		c.CritPredictor = pred
-	}}
-}
-
-func throttleVariant(pf, th string) workload.Variant {
-	return workload.Variant{Name: pf + "+" + th, Mutate: func(c *sim.Config) {
-		c.Prefetcher = pf
-		c.Throttler = th
-	}}
-}
-
-func hermesVariant(pf string) workload.Variant {
-	return workload.Variant{Name: pf + "+hermes", Mutate: func(c *sim.Config) {
-		c.Prefetcher = pf
-		c.Hermes = true
-	}}
-}
-
-func dspatchVariant(pf string) workload.Variant {
-	return workload.Variant{Name: pf + "+dspatch", Mutate: func(c *sim.Config) {
-		c.Prefetcher = pf
-		c.DSPatch = true
-	}}
-}
-
-// engine schedules one experiment's simulations across a bounded worker
-// pool. Figure drivers submit every (mix, variant, channels) job up front —
-// meanWS/normWS/runMix return futures immediately — then call wait once and
-// assemble the report from the futures in a fixed order. Completion order
-// therefore never influences the output: a Report built with Workers=1 is
-// byte-identical to one built with Workers=N.
-//
-// Runner instances (and with them alone-IPC and per-mix baseline memos) are
-// shared across variants of one experiment, keyed by paper channel count;
-// raw runs additionally dedup across experiments through the process-wide
-// run cache (internal/runner).
-type engine struct {
-	sc   Scale
-	pool *runner.Pool
-	fail *firstErr
-	// cache overrides the process-wide run cache when the scale opts into
-	// warm-fork execution; nil selects runner.Shared(). One engine tree
-	// shares one cache, so warm-fork images and warm-fork results never
-	// leak into the shared cold-run cache (the two protocols differ).
-	cache *runner.Cache
-
-	mu      sync.Mutex
-	runners map[int]*workload.Runner
-}
-
-// firstErr records the first failure among concurrently executing jobs.
-type firstErr struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (f *firstErr) set(err error) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
-}
-
-func (f *firstErr) get() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
-func newEngine(sc Scale) *engine {
-	e := &engine{sc: sc, pool: runner.NewPool(sc.Workers),
-		fail: &firstErr{}, runners: map[int]*workload.Runner{}}
-	if sc.WarmFork {
-		e.cache = runner.NewCache()
-		e.cache.WarmFork = true
-	}
-	return e
-}
-
-// sub derives an engine for a modified scale (different core count, say)
-// sharing the worker pool, error sink and run cache but not the runner
-// templates.
-func (e *engine) sub(sc Scale) *engine {
-	return &engine{sc: sc, pool: e.pool, fail: e.fail, cache: e.cache,
-		runners: map[int]*workload.Runner{}}
-}
-
-// at returns the shared Runner for a paper channel count.
-func (e *engine) at(paperCh int) *workload.Runner {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if r, ok := e.runners[paperCh]; ok {
-		return r
-	}
-	r := workload.NewRunner(template(e.sc, paperCh))
-	r.Cache = e.cache
-	e.runners[paperCh] = r
-	return r
-}
-
-// wait blocks until every submitted job finished and returns the first
-// error, if any. Futures must only be read after wait returns nil.
-func (e *engine) wait() error {
-	e.pool.Wait()
-	return e.fail.get()
-}
-
-// wsMean is the future of a mean normalized weighted speedup over a mix
-// list; one job per mix fills its slot, the mean is taken in mix order.
-type wsMean struct{ vals []float64 }
-
-func (f *wsMean) value() float64 { return stats.Mean(f.vals) }
-
-// meanWS submits one NormalizedWS job per mix at one paper channel count.
-func (e *engine) meanWS(paperCh int, mixes []workload.Mix, v workload.Variant) *wsMean {
-	f := &wsMean{vals: make([]float64, len(mixes))}
-	r := e.at(paperCh)
-	for i, m := range mixes {
-		e.pool.Go(func() {
-			ws, _, _, err := r.NormalizedWS(m, v)
-			if err != nil {
-				e.fail.set(err)
-				return
-			}
-			f.vals[i] = ws
-		})
-	}
-	return f
-}
-
-// normRun is the future of one NormalizedWS call (per-mix figures need the
-// raw variant/baseline results, not just the ratio).
-type normRun struct {
-	ws              float64
-	varRes, baseRes *sim.Result
-}
-
-func (e *engine) normWS(paperCh int, m workload.Mix, v workload.Variant) *normRun {
-	f := &normRun{}
-	r := e.at(paperCh)
-	e.pool.Go(func() {
-		ws, varRes, baseRes, err := r.NormalizedWS(m, v)
-		if err != nil {
-			e.fail.set(err)
-			return
-		}
-		f.ws, f.varRes, f.baseRes = ws, varRes, baseRes
 	})
-	return f
-}
-
-// mixRun is the future of one RunMix call.
-type mixRun struct {
-	res *sim.Result
-	ws  float64
-}
-
-func (e *engine) runMix(paperCh int, m workload.Mix, v workload.Variant) *mixRun {
-	f := &mixRun{}
-	r := e.at(paperCh)
-	e.pool.Go(func() {
-		res, ws, err := r.RunMix(m, v)
-		if err != nil {
-			e.fail.set(err)
-			return
-		}
-		f.res, f.ws = res, ws
-	})
-	return f
 }
 
 // Registry of all experiments for the CLI.

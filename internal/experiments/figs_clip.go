@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"clip/internal/sim"
 	"clip/internal/stats"
 	"clip/internal/workload"
 )
@@ -9,254 +10,125 @@ import (
 // the paper's 8-channel point, homogeneous and heterogeneous. Expected
 // shape: CLIP lifts every prefetcher; largest gain with Berti.
 func Fig9(sc Scale) (*Report, error) {
-	rep := newReport("fig9", "CLIP with the four prefetchers at 8 channels (normalized WS)")
-	parts := []struct {
-		label string
-		mixes []workload.Mix
-	}{{"hom", homMixes(sc)}, {"het", hetMixes(sc)}}
-	e := newEngine(sc)
-	means := map[string]*wsMean{}
-	for _, part := range parts {
+	var ts []table
+	for _, p := range parts(sc) {
+		t := table{title: "fig9-" + p.label, headers: []string{"prefetcher", "alone", "with CLIP"}}
 		for _, pf := range paperPrefetchers {
-			means[part.label+"."+pf] = e.meanWS(8, part.mixes, pfVariant(pf))
-			means[part.label+"."+pf+"+clip"] = e.meanWS(8, part.mixes, clipVariant(pf))
+			key := p.label + "." + pf
+			t.rows = append(t.rows, []any{pf,
+				wsCell(key, 8, p.mixes, pfVariant(pf)),
+				wsCell(key+"+clip", 8, p.mixes, clipVariant(pf))})
 		}
+		ts = append(ts, t)
 	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	for _, part := range parts {
-		tb := &stats.Table{Title: "fig9-" + part.label,
-			Headers: []string{"prefetcher", "alone", "with CLIP"}}
-		for _, pf := range paperPrefetchers {
-			alone := means[part.label+"."+pf].value()
-			with := means[part.label+"."+pf+"+clip"].value()
-			tb.AddRow(pf, alone, with)
-			rep.Values[part.label+"."+pf] = alone
-			rep.Values[part.label+"."+pf+"+clip"] = with
-		}
-		rep.Tables = append(rep.Tables, tb)
-	}
-	return rep, nil
+	return report(sc, "fig9", "CLIP with the four prefetchers at 8 channels (normalized WS)", ts...)
 }
 
-// perMix runs Berti and Berti+CLIP per homogeneous mix at 8 channels and
-// hands each mix's results to visit, in mix order. All simulations are
-// submitted up front and run concurrently.
-func perMix(sc Scale, visit func(mix string, berti, clip *mixOutcome)) error {
-	mixes := homMixes(sc)
-	e := newEngine(sc)
-	bs := make([]*normRun, len(mixes))
-	cs := make([]*normRun, len(mixes))
-	for i, m := range mixes {
-		bs[i] = e.normWS(8, m, pfVariant("berti"))
-		cs[i] = e.normWS(8, m, clipVariant("berti"))
-	}
-	if err := e.wait(); err != nil {
-		return err
-	}
-	for i, m := range mixes {
-		visit(m.Name,
-			&mixOutcome{ws: bs[i].ws, res: bs[i].varRes},
-			&mixOutcome{ws: cs[i].ws, res: cs[i].varRes})
-	}
-	return nil
+// bertiVsClip runs Berti (arm 0) and Berti+CLIP (arm 1) with their
+// baselines on every homogeneous mix at 8 channels (Figures 10, 11, 12, 16).
+func bertiVsClip(sc Scale) *batch {
+	return &batch{ch: 8, mixes: homMixes(sc), norm: true,
+		arms: []workload.Variant{pfVariant("berti"), clipVariant("berti")}}
 }
 
-type mixOutcome struct {
-	ws  float64
-	res *resultAlias
+// clipRuns runs variant v on every homogeneous mix at 8 channels (Figures
+// 13-15).
+func clipRuns(sc Scale, v workload.Variant) *batch {
+	return &batch{ch: 8, mixes: homMixes(sc), arms: []workload.Variant{v}}
 }
-
-// resultAlias avoids re-exporting sim.Result in the signature.
-type resultAlias = simResult
 
 // Fig10 reproduces Figure 10: per-mix normalized weighted speedup of Berti
 // and Berti+CLIP on the homogeneous mixes at 8 channels. Expected shape:
 // CLIP turns most slowdown mixes into speedups.
 func Fig10(sc Scale) (*Report, error) {
-	rep := newReport("fig10", "per-mix normalized WS: Berti vs Berti+CLIP (8 channels)")
-	tb := &stats.Table{Title: "fig10", Headers: []string{"mix", "berti", "berti+clip"}}
-	var b, c []float64
-	err := perMix(sc, func(mix string, berti, clip *mixOutcome) {
-		tb.AddRow(mix, berti.ws, clip.ws)
-		rep.Values[mix+".berti"] = berti.ws
-		rep.Values[mix+".clip"] = clip.ws
-		b = append(b, berti.ws)
-		c = append(c, clip.ws)
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("MEAN", stats.Mean(b), stats.Mean(c))
-	rep.Values["mean.berti"] = stats.Mean(b)
-	rep.Values["mean.clip"] = stats.Mean(c)
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "fig10", "per-mix normalized WS: Berti vs Berti+CLIP (8 channels)",
+		perMix("fig10", bertiVsClip(sc),
+			column{"berti", "berti", "mean.berti", wsOf(0)},
+			column{"berti+clip", "clip", "mean.clip", wsOf(1)}))
 }
 
 // Fig11 reproduces Figure 11: per-mix average L1 miss latency for Berti and
 // Berti+CLIP. Expected shape: CLIP lowers the average latency.
 func Fig11(sc Scale) (*Report, error) {
-	rep := newReport("fig11", "per-mix average L1 miss latency (cycles)")
-	tb := &stats.Table{Title: "fig11", Headers: []string{"mix", "berti", "berti+clip"}}
-	var b, c []float64
-	err := perMix(sc, func(mix string, berti, clip *mixOutcome) {
-		lb := berti.res.AvgL1MissLatency()
-		lc := clip.res.AvgL1MissLatency()
-		tb.AddRow(mix, lb, lc)
-		b = append(b, lb)
-		c = append(c, lc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("MEAN", stats.Mean(b), stats.Mean(c))
-	rep.Values["mean.berti"] = stats.Mean(b)
-	rep.Values["mean.clip"] = stats.Mean(c)
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	lat := (*sim.Result).AvgL1MissLatency
+	return report(sc, "fig11", "per-mix average L1 miss latency (cycles)",
+		perMix("fig11", bertiVsClip(sc),
+			column{"berti", "", "mean.berti", resOf(0, lat)},
+			column{"berti+clip", "", "mean.clip", resOf(1, lat)}))
 }
 
 // Fig12 reproduces Figure 12: L1/L2/LLC prefetch miss coverage for Berti and
 // Berti+CLIP. Expected shape: CLIP costs some coverage (the latency-for-
 // coverage trade the paper describes), most visibly at L1.
 func Fig12(sc Scale) (*Report, error) {
-	rep := newReport("fig12", "prefetch miss coverage by level (%)")
-	var bl1, bl2, bl3, cl1, cl2, cl3 []float64
-	err := perMix(sc, func(mix string, berti, clip *mixOutcome) {
-		bl1 = append(bl1, berti.res.L1.Coverage()*100)
-		bl2 = append(bl2, berti.res.L2.Coverage()*100)
-		bl3 = append(bl3, berti.res.LLC.Coverage()*100)
-		cl1 = append(cl1, clip.res.L1.Coverage()*100)
-		cl2 = append(cl2, clip.res.L2.Coverage()*100)
-		cl3 = append(cl3, clip.res.LLC.Coverage()*100)
-	})
-	if err != nil {
-		return nil, err
+	b := bertiVsClip(sc)
+	cov := func(a int, f func(*sim.Result) float64) func([][]run) float64 {
+		return meanOf(resOf(a, func(r *sim.Result) float64 { return f(r) * 100 }))
 	}
-	tb := &stats.Table{Title: "fig12", Headers: []string{"level", "berti", "berti+clip"}}
-	tb.AddRow("L1", stats.Mean(bl1), stats.Mean(cl1))
-	tb.AddRow("L2", stats.Mean(bl2), stats.Mean(cl2))
-	tb.AddRow("LLC", stats.Mean(bl3), stats.Mean(cl3))
-	rep.Values["L1.berti"] = stats.Mean(bl1)
-	rep.Values["L1.clip"] = stats.Mean(cl1)
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
-}
-
-// clipPerMixRuns submits one RunMix job per homogeneous mix at 8 channels
-// for a variant and waits (shared shape of Figures 13-15).
-func clipPerMixRuns(sc Scale, v workload.Variant) ([]workload.Mix, []*mixRun, error) {
-	mixes := homMixes(sc)
-	e := newEngine(sc)
-	futs := make([]*mixRun, len(mixes))
-	for i, m := range mixes {
-		futs[i] = e.runMix(8, m, v)
-	}
-	if err := e.wait(); err != nil {
-		return nil, nil, err
-	}
-	return mixes, futs, nil
+	l1 := func(r *sim.Result) float64 { return r.L1.Coverage() }
+	l2 := func(r *sim.Result) float64 { return r.L2.Coverage() }
+	llc := func(r *sim.Result) float64 { return r.LLC.Coverage() }
+	return report(sc, "fig12", "prefetch miss coverage by level (%)", table{
+		title: "fig12", headers: []string{"level", "berti", "berti+clip"},
+		rows: [][]any{
+			{"L1", cell{"L1.berti", b, cov(0, l1)}, cell{"L1.clip", b, cov(1, l1)}},
+			{"L2", cell{"", b, cov(0, l2)}, cell{"", b, cov(1, l2)}},
+			{"LLC", cell{"", b, cov(0, llc)}, cell{"", b, cov(1, llc)}},
+		}})
 }
 
 // Fig13 reproduces Figure 13: CLIP's per-mix critical-load prediction
 // accuracy against the best prior predictor. Expected shape: CLIP >90% on
 // most mixes; the best prior predictor far below.
 func Fig13(sc Scale) (*Report, error) {
-	rep := newReport("fig13", "critical-load prediction accuracy per mix")
-	tb := &stats.Table{Title: "fig13", Headers: []string{"mix", "clip", "best-prior"}}
-	mixes, futs, err := clipPerMixRuns(sc, scoredClipVariant())
-	if err != nil {
-		return nil, err
-	}
-	var cs, ps []float64
-	for i, m := range mixes {
-		res := futs[i].res
-		clipAcc := res.Clip.PredictionAccuracy()
-		// Scan predictors in sorted-name order: when two predictors tie on
-		// accuracy the winner (and with it the reported value's provenance)
-		// must not depend on map iteration order.
+	// Berti+CLIP with the prior predictors attached in observation mode, so
+	// both are scored on the same run.
+	clip := clipVariant("berti")
+	scored := mech("berti", "clip+score", func(c *sim.Config) {
+		clip.Mutate(c)
+		c.ScorePredictors = true
+	})
+	// Scan predictors in sorted-name order: when two predictors tie on
+	// accuracy the winner (and with it the reported value's provenance) must
+	// not depend on map iteration order.
+	best := func(r *sim.Result) float64 {
 		best := 0.0
-		for _, name := range stats.SortedKeys(res.PredScores) {
-			s := res.PredScores[name]
+		for _, name := range stats.SortedKeys(r.PredScores) {
+			s := r.PredScores[name]
 			if a := s.Accuracy(); a > best {
 				best = a
 			}
 		}
-		tb.AddRow(m.Name, clipAcc, best)
-		rep.Values[m.Name+".clip"] = clipAcc
-		cs = append(cs, clipAcc)
-		ps = append(ps, best)
+		return best
 	}
-	tb.AddRow("MEAN", stats.Mean(cs), stats.Mean(ps))
-	rep.Values["mean.clip"] = stats.Mean(cs)
-	rep.Values["mean.best-prior"] = stats.Mean(ps)
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "fig13", "critical-load prediction accuracy per mix",
+		perMix("fig13", clipRuns(sc, scored),
+			column{"clip", "clip", "mean.clip", resOf(0, func(r *sim.Result) float64 { return r.Clip.PredictionAccuracy() })},
+			column{"best-prior", "", "mean.best-prior", resOf(0, best)}))
 }
 
 // Fig14 reproduces Figure 14: CLIP's per-mix criticality prediction
 // coverage. Expected shape: ~0.5-0.9 per mix, mean near 0.76.
 func Fig14(sc Scale) (*Report, error) {
-	rep := newReport("fig14", "critical-load prediction coverage per mix")
-	tb := &stats.Table{Title: "fig14", Headers: []string{"mix", "coverage"}}
-	mixes, futs, err := clipPerMixRuns(sc, clipVariant("berti"))
-	if err != nil {
-		return nil, err
-	}
-	var cov []float64
-	for i, m := range mixes {
-		c := futs[i].res.Clip.PredictionCoverage()
-		tb.AddRow(m.Name, c)
-		cov = append(cov, c)
-	}
-	tb.AddRow("MEAN", stats.Mean(cov))
-	rep.Values["mean"] = stats.Mean(cov)
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "fig14", "critical-load prediction coverage per mix",
+		perMix("fig14", clipRuns(sc, clipVariant("berti")),
+			column{"coverage", "", "mean", resOf(0, func(r *sim.Result) float64 { return r.Clip.PredictionCoverage() })}))
 }
 
 // Fig15 reproduces Figure 15: the number of critical-and-accurate IPs CLIP
 // selects per mix, split into static- and dynamic-critical. Expected shape:
 // tens of IPs per mix, roughly half dynamic.
 func Fig15(sc Scale) (*Report, error) {
-	rep := newReport("fig15", "critical IPs selected by CLIP (static/dynamic)")
-	tb := &stats.Table{Title: "fig15", Headers: []string{"mix", "static", "dynamic"}}
-	mixes, futs, err := clipPerMixRuns(sc, clipVariant("berti"))
-	if err != nil {
-		return nil, err
-	}
-	var st, dy []float64
-	for i, m := range mixes {
-		res := futs[i].res
-		tb.AddRow(m.Name, res.ClipStaticIPs, res.ClipDynamicIPs)
-		st = append(st, res.ClipStaticIPs)
-		dy = append(dy, res.ClipDynamicIPs)
-	}
-	tb.AddRow("MEAN", stats.Mean(st), stats.Mean(dy))
-	rep.Values["mean.static"] = stats.Mean(st)
-	rep.Values["mean.dynamic"] = stats.Mean(dy)
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "fig15", "critical IPs selected by CLIP (static/dynamic)",
+		perMix("fig15", clipRuns(sc, clipVariant("berti")),
+			column{"static", "", "mean.static", resOf(0, func(r *sim.Result) float64 { return r.ClipStaticIPs })},
+			column{"dynamic", "", "mean.dynamic", resOf(0, func(r *sim.Result) float64 { return r.ClipDynamicIPs })}))
 }
 
 // Fig16 reproduces Figure 16: the reduction in prefetch requests issued when
 // CLIP gates Berti. Expected shape: ~50% average reduction.
 func Fig16(sc Scale) (*Report, error) {
-	rep := newReport("fig16", "prefetch requests issued: CLIP relative to Berti")
-	tb := &stats.Table{Title: "fig16", Headers: []string{"mix", "reduction"}}
-	var red []float64
-	err := perMix(sc, func(mix string, berti, clip *mixOutcome) {
-		r := 1 - stats.Ratio(clip.res.PFIssued, berti.res.PFIssued)
-		tb.AddRow(mix, r)
-		red = append(red, r)
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("MEAN", stats.Mean(red))
-	rep.Values["mean.reduction"] = stats.Mean(red)
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	reduction := func(rs []run) float64 { return 1 - stats.Ratio(rs[1].res.PFIssued, rs[0].res.PFIssued) }
+	return report(sc, "fig16", "prefetch requests issued: CLIP relative to Berti",
+		perMix("fig16", bertiVsClip(sc), column{"reduction", "", "mean.reduction", reduction}))
 }

@@ -1,14 +1,42 @@
 package experiments
 
 import (
+	"strconv"
+
 	"clip/internal/criticality"
 	"clip/internal/sim"
-	"clip/internal/stats"
 	"clip/internal/workload"
 )
 
 // prefetchers evaluated throughout §5.
 var paperPrefetchers = []string{"berti", "ipcp", "bingo", "spppf"}
+
+// A part is one of a figure's mix sets; its label titles a table and
+// prefixes its value keys.
+type part struct {
+	label string
+	mixes []workload.Mix
+}
+
+// parts are the homogeneous and heterogeneous mix sets.
+func parts(sc Scale) []part {
+	return []part{{"hom", homMixes(sc)}, {"het", hetMixes(sc)}}
+}
+
+// allMixes is the homogeneous mixes followed by the heterogeneous ones.
+func allMixes(sc Scale) []workload.Mix {
+	return append(homMixes(sc), hetMixes(sc)...)
+}
+
+func chLabel(ch int) string { return strconv.Itoa(ch) + "ch" }
+
+func chLabels(chs []int) []string {
+	out := make([]string, len(chs))
+	for i, c := range chs {
+		out[i] = chLabel(c)
+	}
+	return out
+}
 
 // Fig1 reproduces Figure 1: normalized weighted speedup of the four
 // prefetchers across DRAM channel counts on homogeneous mixes. Expected
@@ -23,211 +51,96 @@ func Fig2(sc Scale) (*Report, error) {
 }
 
 func figPrefetchersVsChannels(sc Scale, name string, mixes []workload.Mix) (*Report, error) {
-	rep := newReport(name, "normalized weighted speedup vs paper channel count")
-	e := newEngine(sc)
-	means := map[string]*wsMean{}
+	var vs []workload.Variant
 	for _, pf := range paperPrefetchers {
-		for _, ch := range sc.Channels {
-			means[pf+"@"+chLabel(ch)] = e.meanWS(ch, mixes, pfVariant(pf))
-		}
+		vs = append(vs, pfVariant(pf))
 	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	tb := &stats.Table{Title: name, Headers: append([]string{"prefetcher"}, chLabels(sc.Channels)...)}
-	for _, pf := range paperPrefetchers {
-		ser := &stats.Series{Name: pf}
-		row := []interface{}{pf}
-		for _, ch := range sc.Channels {
-			ws := means[pf+"@"+chLabel(ch)].value()
-			ser.Add(chLabel(ch), ws)
-			row = append(row, ws)
-			rep.Values[pf+"@"+chLabel(ch)] = ws
-		}
-		rep.Series = append(rep.Series, ser)
-		tb.AddRow(row...)
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
-}
-
-func chLabel(ch int) string { return fmtInt(ch) + "ch" }
-
-func chLabels(chs []int) []string {
-	out := make([]string, len(chs))
-	for i, c := range chs {
-		out[i] = chLabel(c)
-	}
-	return out
-}
-
-func fmtInt(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	t := sweep(sc, name, "prefetcher", "", mixes, vs...)
+	t.series = true
+	return report(sc, name, "normalized weighted speedup vs paper channel count", t)
 }
 
 // Fig3 reproduces Figure 3: the increase in average L1/L2/L3 demand miss
 // latency with Berti relative to no prefetching, across channel counts.
 // Expected shape: ~2x inflation at 4-8 channels, near 1x at high counts.
 func Fig3(sc Scale) (*Report, error) {
-	rep := newReport("fig3", "demand miss latency with Berti / no-PF, by level")
-	mixes := append(homMixes(sc), hetMixes(sc)...)
-	e := newEngine(sc)
-	runs := make([][]*normRun, len(sc.Channels))
-	for ci, ch := range sc.Channels {
-		runs[ci] = make([]*normRun, len(mixes))
-		for mi, m := range mixes {
-			runs[ci][mi] = e.normWS(ch, m, pfVariant("berti"))
-		}
+	mixes := allMixes(sc)
+	inflation := func(lat func(*sim.Result) float64) func([][]run) float64 {
+		return meanOf(func(rs []run) float64 {
+			if b := lat(rs[0].base); b != 0 {
+				return lat(rs[0].res) / b
+			}
+			return 1
+		})
 	}
-	if err := e.wait(); err != nil {
-		return nil, err
+	l1 := inflation(func(r *sim.Result) float64 { return r.L1.DemandMissLatency.Mean() })
+	l2 := inflation(func(r *sim.Result) float64 { return r.L2.DemandMissLatency.Mean() })
+	llc := inflation(func(r *sim.Result) float64 { return r.LLC.DemandMissLatency.Mean() })
+	t := table{title: "fig3", headers: []string{"channels", "L1", "L2", "LLC"}}
+	for _, ch := range sc.Channels {
+		b := &batch{ch: ch, mixes: mixes, arms: []workload.Variant{pfVariant("berti")}, norm: true}
+		l := chLabel(ch)
+		t.rows = append(t.rows, []any{l, cell{"", b, l1}, cell{"L2@" + l, b, l2}, cell{"LLC@" + l, b, llc}})
 	}
-	tb := &stats.Table{Title: "fig3", Headers: []string{"channels", "L1", "L2", "LLC"}}
-	for ci, ch := range sc.Channels {
-		var l1r, l2r, l3r []float64
-		for _, f := range runs[ci] {
-			l1r = append(l1r, ratioOr1(f.varRes.L1.DemandMissLatency.Mean(), f.baseRes.L1.DemandMissLatency.Mean()))
-			l2r = append(l2r, ratioOr1(f.varRes.L2.DemandMissLatency.Mean(), f.baseRes.L2.DemandMissLatency.Mean()))
-			l3r = append(l3r, ratioOr1(f.varRes.LLC.DemandMissLatency.Mean(), f.baseRes.LLC.DemandMissLatency.Mean()))
-		}
-		tb.AddRow(chLabel(ch), stats.Mean(l1r), stats.Mean(l2r), stats.Mean(l3r))
-		rep.Values["L2@"+chLabel(ch)] = stats.Mean(l2r)
-		rep.Values["LLC@"+chLabel(ch)] = stats.Mean(l3r)
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
-}
-
-func ratioOr1(a, b float64) float64 {
-	if b == 0 {
-		return 1
-	}
-	return a / b
+	return report(sc, "fig3", "demand miss latency with Berti / no-PF, by level", t)
 }
 
 // Fig4 reproduces Figure 4: criticality prediction accuracy and coverage of
 // the six prior predictors, measured while Berti prefetches. Expected shape:
 // CATCH/FVP near 100% coverage with poor accuracy; best accuracy ~41%.
 func Fig4(sc Scale) (*Report, error) {
-	rep := newReport("fig4", "prior predictor accuracy/coverage under Berti")
-	mixes := append(homMixes(sc), hetMixes(sc)...)
-	scored := workload.Variant{
-		Name: "berti+score",
-		Mutate: func(c *sim.Config) {
-			c.Prefetcher = "berti"
-			c.ScorePredictors = true
-		},
-	}
-	e := newEngine(sc)
-	futs := make([]*mixRun, len(mixes))
-	for i, m := range mixes {
-		futs[i] = e.runMix(8, m, scored)
-	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	agg := map[string]*criticality.Score{}
-	for _, name := range criticality.Names() {
-		agg[name] = &criticality.Score{}
-	}
-	for _, f := range futs {
-		// Iterate the registry, not the map: a stray PredScores key would have
-		// nil-derefed agg[name] anyway, and a missing one sums zeros.
-		for _, name := range criticality.Names() {
-			sc2 := f.res.PredScores[name]
-			a := agg[name]
-			a.TruePos += sc2.TruePos
-			a.FalsePos += sc2.FalsePos
-			a.FalseNeg += sc2.FalseNeg
-			a.TrueNeg += sc2.TrueNeg
+	scored := mech("berti", "score", func(c *sim.Config) { c.ScorePredictors = true })
+	b := &batch{ch: 8, mixes: allMixes(sc), arms: []workload.Variant{scored}}
+	// score sums one predictor's confusion matrix over the mixes, then reads it.
+	score := func(name string, f func(*criticality.Score) float64) func([][]run) float64 {
+		return func(out [][]run) float64 {
+			var s criticality.Score
+			for _, rs := range out {
+				p := rs[0].res.PredScores[name]
+				s.TruePos += p.TruePos
+				s.FalsePos += p.FalsePos
+				s.FalseNeg += p.FalseNeg
+				s.TrueNeg += p.TrueNeg
+			}
+			return f(&s)
 		}
 	}
-	tb := &stats.Table{Title: "fig4", Headers: []string{"predictor", "accuracy", "coverage"}}
+	t := table{title: "fig4", headers: []string{"predictor", "accuracy", "coverage"}}
 	for _, name := range criticality.Names() {
-		s := agg[name]
-		tb.AddRow(name, s.Accuracy(), s.Coverage())
-		rep.Values[name+".accuracy"] = s.Accuracy()
-		rep.Values[name+".coverage"] = s.Coverage()
+		t.rows = append(t.rows, []any{name,
+			cell{name + ".accuracy", b, score(name, (*criticality.Score).Accuracy)},
+			cell{name + ".coverage", b, score(name, (*criticality.Score).Coverage)}})
 	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "fig4", "prior predictor accuracy/coverage under Berti", t)
 }
 
 // Fig5 reproduces Figure 5: Berti gated by each prior criticality predictor
 // across channel counts, homogeneous and heterogeneous. Expected shape: no
 // predictor rescues Berti at low bandwidth.
 func Fig5(sc Scale) (*Report, error) {
-	rep := newReport("fig5", "Berti with prior criticality predictors (normalized WS)")
-	variants := []workload.Variant{pfVariant("berti")}
+	vs := []workload.Variant{pfVariant("berti")}
 	for _, p := range criticality.Names() {
-		variants = append(variants, critVariant("berti", p))
+		vs = append(vs, mech("berti", p, func(c *sim.Config) { c.CritPredictor = p }))
 	}
-	return fillVariantsByChannels(rep, sc, "fig5", variants)
+	return sweepParts(sc, "fig5", "Berti with prior criticality predictors (normalized WS)", vs...)
 }
 
 // Fig6 reproduces Figure 6: Berti under the four throttlers across channel
 // counts. Expected shape: marginal improvements, slowdown remains.
 func Fig6(sc Scale) (*Report, error) {
-	rep := newReport("fig6", "Berti with prefetch throttlers (normalized WS)")
-	variants := []workload.Variant{pfVariant("berti")}
+	vs := []workload.Variant{pfVariant("berti")}
 	for _, th := range []string{"fdp", "hpac", "spac", "nst"} {
-		variants = append(variants, throttleVariant("berti", th))
+		vs = append(vs, mech("berti", th, func(c *sim.Config) { c.Throttler = th }))
 	}
-	return fillVariantsByChannels(rep, sc, "fig6", variants)
+	return sweepParts(sc, "fig6", "Berti with prefetch throttlers (normalized WS)", vs...)
 }
 
-// fillVariantsByChannels runs a variant list over the hom and het mix sets at
-// every channel count and fills one table per part (Figures 5, 6 and 21 all
-// share this shape). All jobs across both parts run on one engine.
-func fillVariantsByChannels(rep *Report, sc Scale, name string, variants []workload.Variant) (*Report, error) {
-	parts := []struct {
-		label string
-		mixes []workload.Mix
-	}{{"hom", homMixes(sc)}, {"het", hetMixes(sc)}}
-	e := newEngine(sc)
-	means := map[string]*wsMean{}
-	for _, part := range parts {
-		for _, v := range variants {
-			for _, ch := range sc.Channels {
-				means[part.label+"."+v.Name+"@"+chLabel(ch)] = e.meanWS(ch, part.mixes, v)
-			}
-		}
+// sweepParts sweeps variants over channel counts on the hom and het mixes,
+// one table each (Figures 5, 6 and 21).
+func sweepParts(sc Scale, name, about string, vs ...workload.Variant) (*Report, error) {
+	var ts []table
+	for _, p := range parts(sc) {
+		ts = append(ts, sweep(sc, name+"-"+p.label, "variant", p.label+".", p.mixes, vs...))
 	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	for _, part := range parts {
-		tb := &stats.Table{Title: name + "-" + part.label,
-			Headers: append([]string{"variant"}, chLabels(sc.Channels)...)}
-		for _, v := range variants {
-			row := []interface{}{v.Name}
-			for _, ch := range sc.Channels {
-				key := part.label + "." + v.Name + "@" + chLabel(ch)
-				ws := means[key].value()
-				row = append(row, ws)
-				rep.Values[key] = ws
-			}
-			tb.AddRow(row...)
-		}
-		rep.Tables = append(rep.Tables, tb)
-	}
-	return rep, nil
+	return report(sc, name, about, ts...)
 }

@@ -1,84 +1,38 @@
 package experiments
 
 import (
+	"strconv"
+
 	"clip/internal/core"
 	"clip/internal/sim"
 	"clip/internal/stats"
 	"clip/internal/workload"
 )
 
-// simResult aliases sim.Result for the per-mix plumbing.
-type simResult = sim.Result
-
-// scoredClipVariant runs Berti+CLIP with the prior predictors attached in
-// observation mode (Figure 13 compares both on the same run).
-func scoredClipVariant() workload.Variant {
-	return workload.Variant{Name: "berti+clip+score", Mutate: func(c *sim.Config) {
-		c.Prefetcher = "berti"
-		cc := core.DefaultConfig()
-		c.CLIP = &cc
-		c.ScorePredictors = true
-	}}
-}
-
 // Fig17 reproduces Figure 17: CloudSuite and CVP homogeneous workloads
 // across channel counts. Expected shape: prefetchers gain little (<10%) even
 // with ample bandwidth, so the constrained-bandwidth problem is mild.
 func Fig17(sc Scale) (*Report, error) {
-	rep := newReport("fig17", "CloudSuite/CVP workloads (normalized WS)")
 	mixes := workload.CloudCVP(sc.Cores, sc.CloudMixes)
-	variants := []workload.Variant{pfVariant("berti"), clipVariant("berti")}
-	e := newEngine(sc)
-	means := map[string]*wsMean{}
-	for _, v := range variants {
-		for _, ch := range sc.Channels {
-			means[v.Name+"@"+chLabel(ch)] = e.meanWS(ch, mixes, v)
-		}
-	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	tb := &stats.Table{Title: "fig17",
-		Headers: append([]string{"variant"}, chLabels(sc.Channels)...)}
-	for _, v := range variants {
-		row := []interface{}{v.Name}
-		for _, ch := range sc.Channels {
-			ws := means[v.Name+"@"+chLabel(ch)].value()
-			row = append(row, ws)
-			rep.Values[v.Name+"@"+chLabel(ch)] = ws
-		}
-		tb.AddRow(row...)
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "fig17", "CloudSuite/CVP workloads (normalized WS)",
+		sweep(sc, "fig17", "variant", "", mixes, pfVariant("berti"), clipVariant("berti")))
 }
 
 // Fig18 reproduces Figure 18: sensitivity to CLIP's table sizes, sweeping
 // both tables from 0.25x to 4x. Expected shape: small losses below 1x,
 // marginal gains above.
 func Fig18(sc Scale) (*Report, error) {
-	rep := newReport("fig18", "CLIP table size sensitivity (normalized WS at 8 channels)")
-	mixes := append(homMixes(sc), hetMixes(sc)...)
-	factors := []float64{0.25, 0.5, 1, 2, 4}
-	e := newEngine(sc)
-	means := make([]*wsMean, len(factors))
-	for i, f := range factors {
-		cc := core.DefaultConfig().Scale(f)
-		means[i] = e.meanWS(8, mixes, clipVariantCfg("berti", cc))
+	mixes := allMixes(sc)
+	t := table{title: "fig18", headers: []string{"scale", "normalized WS"}}
+	for _, f := range []float64{0.25, 0.5, 1, 2, 4} {
+		v := clipVariantCfg("berti", core.DefaultConfig().Scale(f))
+		t.rows = append(t.rows, []any{f, wsCell(fmtFloat(f), 8, mixes, v)})
 	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	tb := &stats.Table{Title: "fig18", Headers: []string{"scale", "normalized WS"}}
-	for i, f := range factors {
-		ws := means[i].value()
-		tb.AddRow(f, ws)
-		rep.Values[fmtFloat(f)] = ws
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "fig18", "CLIP table size sensitivity (normalized WS at 8 channels)", t)
 }
 
+// fmtFloat labels Fig 18's table-size factors. Any other value is "x", so
+// ablation-thresholds records its 0.8 and 0.9 hit rates under one key.
 func fmtFloat(f float64) string {
 	switch f {
 	case 0.25:
@@ -107,49 +61,24 @@ func Fig20(sc Scale) (*Report, error) {
 }
 
 func figClipVsChannels(sc Scale, name string, mixes []workload.Mix) (*Report, error) {
-	rep := newReport(name, "prefetcher and prefetcher+CLIP vs channels (normalized WS)")
-	var variants []workload.Variant
+	var vs []workload.Variant
 	for _, pf := range paperPrefetchers {
-		variants = append(variants, pfVariant(pf), clipVariant(pf))
+		vs = append(vs, pfVariant(pf), clipVariant(pf))
 	}
-	e := newEngine(sc)
-	means := map[string]*wsMean{}
-	for _, v := range variants {
-		for _, ch := range sc.Channels {
-			means[v.Name+"@"+chLabel(ch)] = e.meanWS(ch, mixes, v)
-		}
-	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	tb := &stats.Table{Title: name,
-		Headers: append([]string{"variant"}, chLabels(sc.Channels)...)}
-	for _, v := range variants {
-		ser := &stats.Series{Name: v.Name}
-		row := []interface{}{v.Name}
-		for _, ch := range sc.Channels {
-			ws := means[v.Name+"@"+chLabel(ch)].value()
-			ser.Add(chLabel(ch), ws)
-			row = append(row, ws)
-			rep.Values[v.Name+"@"+chLabel(ch)] = ws
-		}
-		rep.Series = append(rep.Series, ser)
-		tb.AddRow(row...)
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	t := sweep(sc, name, "variant", "", mixes, vs...)
+	t.series = true
+	return report(sc, name, "prefetcher and prefetcher+CLIP vs channels (normalized WS)", t)
 }
 
 // Fig21 reproduces Figure 21: Hermes and DSPatch against CLIP, all paired
 // with Berti, homogeneous and heterogeneous. Expected shape: CLIP wins at
 // 4-8 channels; Hermes catches up with ample bandwidth; DSPatch trails.
 func Fig21(sc Scale) (*Report, error) {
-	rep := newReport("fig21", "Hermes vs DSPatch vs CLIP with Berti (normalized WS)")
-	variants := []workload.Variant{
-		pfVariant("berti"), hermesVariant("berti"),
-		dspatchVariant("berti"), clipVariant("berti"),
-	}
-	return fillVariantsByChannels(rep, sc, "fig21", variants)
+	return sweepParts(sc, "fig21", "Hermes vs DSPatch vs CLIP with Berti (normalized WS)",
+		pfVariant("berti"),
+		mech("berti", "hermes", func(c *sim.Config) { c.Hermes = true }),
+		mech("berti", "dspatch", func(c *sim.Config) { c.DSPatch = true }),
+		clipVariant("berti"))
 }
 
 // Table2 reproduces Table 2: CLIP's per-core storage budget.
@@ -173,259 +102,131 @@ func Table2() (*Report, error) {
 // reduction on homogeneous mixes (paper: 18.21%), smaller on heterogeneous
 // (paper: <7%).
 func Energy(sc Scale) (*Report, error) {
-	rep := newReport("energy", "dynamic memory-hierarchy energy: CLIP vs Berti")
-	parts := []struct {
-		label string
-		mixes []workload.Mix
-	}{{"hom", homMixes(sc)}, {"het", hetMixes(sc)}}
-	e := newEngine(sc)
-	type pair struct{ b, c *mixRun }
-	futs := make([][]pair, len(parts))
-	for pi, part := range parts {
-		futs[pi] = make([]pair, len(part.mixes))
-		for mi, m := range part.mixes {
-			futs[pi][mi] = pair{
-				b: e.runMix(8, m, pfVariant("berti")),
-				c: e.runMix(8, m, clipVariant("berti")),
-			}
-		}
+	t := table{title: "energy", headers: []string{"mixes", "berti (uJ)", "berti+clip (uJ)", "reduction"}}
+	berti := meanOf(resOf(0, func(r *sim.Result) float64 { return r.Energy.Total() }))
+	clip := meanOf(resOf(1, func(r *sim.Result) float64 { return r.Energy.Total() }))
+	reduction := func(out [][]run) float64 { return 1 - stats.SafeDiv(clip(out), berti(out)) }
+	for _, p := range parts(sc) {
+		b := &batch{ch: 8, mixes: p.mixes, arms: []workload.Variant{pfVariant("berti"), clipVariant("berti")}}
+		t.rows = append(t.rows, []any{p.label, cell{"", b, berti}, cell{"", b, clip},
+			cell{p.label + ".reduction", b, reduction}})
 	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	tb := &stats.Table{Title: "energy",
-		Headers: []string{"mixes", "berti (uJ)", "berti+clip (uJ)", "reduction"}}
-	for pi, part := range parts {
-		var eb, ec []float64
-		for _, p := range futs[pi] {
-			eb = append(eb, p.b.res.Energy.Total())
-			ec = append(ec, p.c.res.Energy.Total())
-		}
-		mb, mc := stats.Mean(eb), stats.Mean(ec)
-		red := 1 - stats.SafeDiv(mc, mb)
-		tb.AddRow(part.label, mb, mc, red)
-		rep.Values[part.label+".reduction"] = red
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "energy", "dynamic memory-hierarchy energy: CLIP vs Berti", t)
 }
 
 // SensCores reproduces the §5.2 core-count sensitivity: CLIP's benefit at a
-// fixed cores-per-channel ratio across core counts. Each core count needs
-// its own templates (sub-engine); all jobs share one worker pool.
+// fixed cores-per-channel ratio across core counts.
 func SensCores(sc Scale) (*Report, error) {
-	rep := newReport("sens-cores", "CLIP benefit across core counts (8-channel-equivalent ratio)")
-	coreCounts := []int{4, 8, 16}
-	e := newEngine(sc)
-	type pair struct{ b, c *wsMean }
-	futs := make([]pair, len(coreCounts))
-	for i, cores := range coreCounts {
-		s2 := sc
-		s2.Cores = cores
-		se := e.sub(s2)
-		mixes := homMixes(s2)
-		futs[i] = pair{
-			b: se.meanWS(8, mixes, pfVariant("berti")),
-			c: se.meanWS(8, mixes, clipVariant("berti")),
-		}
+	t := table{title: "sens-cores", headers: []string{"cores", "berti", "berti+clip"}}
+	for _, cores := range []int{4, 8, 16} {
+		s := sc
+		s.Cores = cores
+		n := strconv.Itoa(cores)
+		berti := wsCell(n+".berti", 8, homMixes(s), pfVariant("berti"))
+		clip := wsCell(n+".clip", 8, homMixes(s), clipVariant("berti"))
+		berti.b.cores, clip.b.cores = cores, cores
+		t.rows = append(t.rows, []any{cores, berti, clip})
 	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	tb := &stats.Table{Title: "sens-cores", Headers: []string{"cores", "berti", "berti+clip"}}
-	for i, cores := range coreCounts {
-		b, c := futs[i].b.value(), futs[i].c.value()
-		tb.AddRow(cores, b, c)
-		rep.Values[fmtInt(cores)+".berti"] = b
-		rep.Values[fmtInt(cores)+".clip"] = c
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "sens-cores", "CLIP benefit across core counts (8-channel-equivalent ratio)", t)
 }
 
 // SensLLC reproduces the §5.2 LLC-capacity sensitivity: Berti and Berti+CLIP
 // at 8 channels while sweeping LLC capacity per core. Expected shape: Berti's
 // slowdown worsens with smaller LLCs; CLIP's protection grows.
 func SensLLC(sc Scale) (*Report, error) {
-	rep := newReport("sens-llc", "LLC capacity sweep at 8 channels (normalized WS)")
 	base := template(sc, 8)
 	mixes := homMixes(sc)
-	e := newEngine(sc)
-	type pt struct {
-		sets int
-		b, c *wsMean
-	}
-	var pts []pt
+	t := table{title: "sens-llc", headers: []string{"llc-sets", "berti", "berti+clip"}}
 	for _, mult := range []float64{0.25, 0.5, 1, 2} {
 		sets := int(float64(base.LLC.Sets) * mult)
 		p := 1
 		for p*2 <= sets {
 			p *= 2
 		}
-		wrap := func(v workload.Variant) workload.Variant {
+		// withLLC runs v on p LLC sets; its no-prefetch baseline keeps the
+		// template's LLC.
+		withLLC := func(v workload.Variant) workload.Variant {
 			inner := v.Mutate
 			return workload.Variant{Name: v.Name, Mutate: func(c *sim.Config) {
 				c.LLC.Sets = p
-				if inner != nil {
-					inner(c)
-				}
+				inner(c)
 			}}
 		}
-		pts = append(pts, pt{
-			sets: p,
-			b:    e.meanWS(8, mixes, wrap(pfVariant("berti"))),
-			c:    e.meanWS(8, mixes, wrap(clipVariant("berti"))),
-		})
+		n := strconv.Itoa(p)
+		t.rows = append(t.rows, []any{p,
+			wsCell(n+".berti", 8, mixes, withLLC(pfVariant("berti"))),
+			wsCell(n+".clip", 8, mixes, withLLC(clipVariant("berti")))})
 	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	tb := &stats.Table{Title: "sens-llc", Headers: []string{"llc-sets", "berti", "berti+clip"}}
-	for _, p := range pts {
-		b, c := p.b.value(), p.c.value()
-		tb.AddRow(p.sets, b, c)
-		rep.Values[fmtInt(p.sets)+".berti"] = b
-		rep.Values[fmtInt(p.sets)+".clip"] = c
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "sens-llc", "LLC capacity sweep at 8 channels (normalized WS)", t)
 }
 
 // AblationSignature compares the critical signature against IP-only
 // predictor indexing (§4.2: IP-only "drops compared to a simple IP-based
 // prediction" in accuracy).
 func AblationSignature(sc Scale) (*Report, error) {
-	rep := newReport("ablation-signature", "critical signature vs IP-only indexing")
-	mixes := homMixes(sc)
-	full := core.DefaultConfig()
 	ipOnly := core.DefaultConfig()
 	ipOnly.UseSignature = false
-	variants := []struct {
+	acc := meanOf(resOf(0, func(r *sim.Result) float64 { return r.Clip.PredictionAccuracy() }))
+	t := table{title: "ablation-signature", headers: []string{"variant", "normWS@8ch", "pred accuracy"}}
+	for _, v := range []struct {
 		name string
 		cfg  core.Config
-	}{{"signature", full}, {"ip-only", ipOnly}}
-	e := newEngine(sc)
-	futs := make([][]*normRun, len(variants))
-	for vi, v := range variants {
-		futs[vi] = make([]*normRun, len(mixes))
-		for mi, m := range mixes {
-			futs[vi][mi] = e.normWS(8, m, clipVariantCfg("berti", v.cfg))
-		}
+	}{{"signature", core.DefaultConfig()}, {"ip-only", ipOnly}} {
+		ws := wsCell(v.name+".ws", 8, homMixes(sc), clipVariantCfg("berti", v.cfg))
+		t.rows = append(t.rows, []any{v.name, ws, cell{v.name + ".accuracy", ws.b, acc}})
 	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	tb := &stats.Table{Title: "ablation-signature",
-		Headers: []string{"variant", "normWS@8ch", "pred accuracy"}}
-	for vi, v := range variants {
-		var ws, acc []float64
-		for _, f := range futs[vi] {
-			ws = append(ws, f.ws)
-			acc = append(acc, f.varRes.Clip.PredictionAccuracy())
-		}
-		tb.AddRow(v.name, stats.Mean(ws), stats.Mean(acc))
-		rep.Values[v.name+".ws"] = stats.Mean(ws)
-		rep.Values[v.name+".accuracy"] = stats.Mean(acc)
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "ablation-signature", "critical signature vs IP-only indexing", t)
 }
 
 // AblationStages isolates Stage I (criticality filtering) from the full
 // two-stage design (§5.1: 77.5% of the benefit comes from criticality
 // filtering and prediction, the rest from accuracy filtering).
 func AblationStages(sc Scale) (*Report, error) {
-	rep := newReport("ablation-stages", "criticality-only vs two-stage CLIP")
-	mixes := homMixes(sc)
 	stage1 := core.DefaultConfig()
 	stage1.UseAccuracyStage = false
-	variants := []struct {
-		name string
-		cfg  core.Config
-	}{{"two-stage", core.DefaultConfig()}, {"criticality-only", stage1}}
-	e := newEngine(sc)
-	means := make([]*wsMean, len(variants))
-	for i, v := range variants {
-		means[i] = e.meanWS(8, mixes, clipVariantCfg("berti", v.cfg))
-	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	tb := &stats.Table{Title: "ablation-stages", Headers: []string{"variant", "normWS@8ch"}}
-	for i, v := range variants {
-		ws := means[i].value()
-		tb.AddRow(v.name, ws)
-		rep.Values[v.name] = ws
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	mixes := homMixes(sc)
+	return report(sc, "ablation-stages", "criticality-only vs two-stage CLIP", table{
+		title: "ablation-stages", headers: []string{"variant", "normWS@8ch"},
+		rows: [][]any{
+			{"two-stage", wsCell("two-stage", 8, mixes, clipVariant("berti"))},
+			{"criticality-only", wsCell("criticality-only", 8, mixes, clipVariantCfg("berti", stage1))},
+		}})
 }
 
 // AblationThresholds sweeps the per-IP hit-rate threshold (80/90/100%) and
 // the criticality count threshold (§4.2's design-choice discussion).
 func AblationThresholds(sc Scale) (*Report, error) {
-	rep := newReport("ablation-thresholds", "hit-rate and criticality-count thresholds")
 	mixes := homMixes(sc)
-	hitRates := []float64{0.8, 0.9, 1.0}
-	critCounts := []uint8{1, 2, 3}
-	e := newEngine(sc)
-	hrMeans := make([]*wsMean, len(hitRates))
-	for i, hr := range hitRates {
+	t := table{title: "ablation-thresholds", headers: []string{"knob", "value", "normWS@8ch"}}
+	for _, hr := range []float64{0.8, 0.9, 1.0} {
 		cc := core.DefaultConfig()
 		cc.HitRateThreshold = hr
-		hrMeans[i] = e.meanWS(8, mixes, clipVariantCfg("berti", cc))
+		t.rows = append(t.rows, []any{"hit-rate", hr,
+			wsCell("hitrate."+fmtFloat(hr), 8, mixes, clipVariantCfg("berti", cc))})
 	}
-	ccMeans := make([]*wsMean, len(critCounts))
-	for i, cnt := range critCounts {
+	for _, cnt := range []uint8{1, 2, 3} {
 		cc := core.DefaultConfig()
 		cc.CritCountThreshold = cnt
-		ccMeans[i] = e.meanWS(8, mixes, clipVariantCfg("berti", cc))
+		t.rows = append(t.rows, []any{"crit-count", cnt, wsCell("", 8, mixes, clipVariantCfg("berti", cc))})
 	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	tb := &stats.Table{Title: "ablation-thresholds", Headers: []string{"knob", "value", "normWS@8ch"}}
-	for i, hr := range hitRates {
-		ws := hrMeans[i].value()
-		tb.AddRow("hit-rate", hr, ws)
-		rep.Values["hitrate."+fmtFloat(hr)] = ws
-	}
-	for i, cnt := range critCounts {
-		tb.AddRow("crit-count", cnt, ccMeans[i].value())
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "ablation-thresholds", "hit-rate and criticality-count thresholds", t)
 }
 
 // AblationPriority toggles the criticality-conscious NoC and DRAM (§5.1:
 // they contribute 2.8% of the 24% gain).
 func AblationPriority(sc Scale) (*Report, error) {
-	rep := newReport("ablation-priority", "criticality-conscious NoC/DRAM on vs off")
-	mixes := homMixes(sc)
+	clip := clipVariant("berti")
 	off := workload.Variant{Name: "clip-noprio", Mutate: func(c *sim.Config) {
-		c.Prefetcher = "berti"
-		cc := core.DefaultConfig()
-		c.CLIP = &cc
+		clip.Mutate(c)
 		c.NoCCriticalPriority = false
 		c.DRAMCriticalPriority = false
 	}}
-	variants := []workload.Variant{clipVariant("berti"), off}
-	e := newEngine(sc)
-	means := make([]*wsMean, len(variants))
-	for i, v := range variants {
-		means[i] = e.meanWS(8, mixes, v)
+	mixes := homMixes(sc)
+	t := table{title: "ablation-priority", headers: []string{"variant", "normWS@8ch"}}
+	for _, v := range []workload.Variant{clip, off} {
+		t.rows = append(t.rows, []any{v.Name, wsCell(v.Name, 8, mixes, v)})
 	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	tb := &stats.Table{Title: "ablation-priority", Headers: []string{"variant", "normWS@8ch"}}
-	for i, v := range variants {
-		ws := means[i].value()
-		tb.AddRow(v.Name, ws)
-		rep.Values[v.Name] = ws
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	return report(sc, "ablation-priority", "criticality-conscious NoC/DRAM on vs off", t)
 }
 
 // AblationDynamic evaluates the paper's §5.3 "Dynamic CLIP" future-work
@@ -433,36 +234,11 @@ func AblationPriority(sc Scale) (*Report, error) {
 // ample. Expected shape: dynamic CLIP tracks plain CLIP at low channel
 // counts and recovers (part of) the prefetcher's upside at high counts.
 func AblationDynamic(sc Scale) (*Report, error) {
-	rep := newReport("ablation-dynamic", "static vs dynamic CLIP across channels")
-	mixes := homMixes(sc)
-	dyn := workload.Variant{Name: "berti+dynclip", Mutate: func(c *sim.Config) {
-		c.Prefetcher = "berti"
-		cc := core.DefaultConfig()
-		c.CLIP = &cc
+	clip := clipVariant("berti")
+	dyn := mech("berti", "dynclip", func(c *sim.Config) {
+		clip.Mutate(c)
 		c.DynamicCLIP = true
-	}}
-	variants := []workload.Variant{pfVariant("berti"), clipVariant("berti"), dyn}
-	e := newEngine(sc)
-	means := map[string]*wsMean{}
-	for _, v := range variants {
-		for _, ch := range sc.Channels {
-			means[v.Name+"@"+chLabel(ch)] = e.meanWS(ch, mixes, v)
-		}
-	}
-	if err := e.wait(); err != nil {
-		return nil, err
-	}
-	tb := &stats.Table{Title: "ablation-dynamic",
-		Headers: append([]string{"variant"}, chLabels(sc.Channels)...)}
-	for _, v := range variants {
-		row := []interface{}{v.Name}
-		for _, ch := range sc.Channels {
-			ws := means[v.Name+"@"+chLabel(ch)].value()
-			row = append(row, ws)
-			rep.Values[v.Name+"@"+chLabel(ch)] = ws
-		}
-		tb.AddRow(row...)
-	}
-	rep.Tables = append(rep.Tables, tb)
-	return rep, nil
+	})
+	return report(sc, "ablation-dynamic", "static vs dynamic CLIP across channels",
+		sweep(sc, "ablation-dynamic", "variant", "", homMixes(sc), pfVariant("berti"), clip, dyn))
 }
