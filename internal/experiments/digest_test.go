@@ -53,7 +53,7 @@ var reportDigests = map[string]string{
 	"cold/sens-llc":            "1df0e8a546f557df4ef107b0747ef9e9ede1759a3895f86115cdf18a2b3e0b22",
 	"cold/ablation-signature":  "369867f27b60fb351d3877bd5a13c270465cdcdecb7b7c60b449b5ca358bb80a",
 	"cold/ablation-stages":     "c0fd0c50cac6b3d0f71c0fee992aae5f457ad29e046b0610080a20f4f903d4d5",
-	"cold/ablation-thresholds": "20d8a9bdb79c34face8de2bed923d73f0828c2eaad0a892270db2794d57f762d",
+	"cold/ablation-thresholds": "9fd61d50ff354dd1dc5f57be27dbd53a580ccb0b2b7da0524f7ccb50a77de801",
 	"cold/ablation-priority":   "e8230b56c76aa3d15c0ddda77774ea4154e7fbfb877e11ed44fb98b063051c28",
 	"cold/ablation-dynamic":    "81a3da0977b1585f66dda11763b3edf91a5ccf39e124b6cf29cf57d6e6d37316",
 	"warm/fig1":                "b65f743d30d556baa2b95e83e802056202c009ee2ee8edd6a6a2294dbcd7da9e",
@@ -81,7 +81,7 @@ var reportDigests = map[string]string{
 	"warm/sens-llc":            "3efe745a930fd2c62a53691706cb2add9e34b9b61ce777b005f163191a6ffa51",
 	"warm/ablation-signature":  "28f551134f858c94b7236524e45accd137f3b801811af97b68eac3cbf466134e",
 	"warm/ablation-stages":     "39ed9c5f3de87e173df9c50234b50755c043c8a22a9ca45a44d575bc818cb998",
-	"warm/ablation-thresholds": "58f0362f0b387f6088d21be2a45f37a708310074f07863d396582e8966342ffe",
+	"warm/ablation-thresholds": "ba424cc26b62ccb00f283956c09e00d9c6520e5ba4c6dd7220050e2b9461a571",
 	"warm/ablation-priority":   "47aaefca65ffd71452c941de4680af69c19540d9f99c8cca018593182343835c",
 	"warm/ablation-dynamic":    "dfdc16cd8520cb3aa0d7adf0ec63b84c747a306e1c5cf7185260bd0687fb068c",
 }

@@ -24,29 +24,14 @@ func Fig17(sc Scale) (*Report, error) {
 func Fig18(sc Scale) (*Report, error) {
 	mixes := allMixes(sc)
 	t := table{title: "fig18", headers: []string{"scale", "normalized WS"}}
-	for _, f := range []float64{0.25, 0.5, 1, 2, 4} {
-		v := clipVariantCfg("berti", core.DefaultConfig().Scale(f))
-		t.rows = append(t.rows, []any{f, wsCell(fmtFloat(f), 8, mixes, v)})
+	for _, f := range []struct {
+		scale float64
+		label string
+	}{{0.25, "0.25x"}, {0.5, "0.50x"}, {1, "1x"}, {2, "2x"}, {4, "4x"}} {
+		v := clipVariantCfg("berti", core.DefaultConfig().Scale(f.scale))
+		t.rows = append(t.rows, []any{f.scale, wsCell(f.label, 8, mixes, v)})
 	}
 	return report(sc, "fig18", "CLIP table size sensitivity (normalized WS at 8 channels)", t)
-}
-
-// fmtFloat labels Fig 18's table-size factors. Any other value is "x", so
-// ablation-thresholds records its 0.8 and 0.9 hit rates under one key.
-func fmtFloat(f float64) string {
-	switch f {
-	case 0.25:
-		return "0.25x"
-	case 0.5:
-		return "0.50x"
-	case 1:
-		return "1x"
-	case 2:
-		return "2x"
-	case 4:
-		return "4x"
-	}
-	return "x"
 }
 
 // Fig19 reproduces Figure 19: CLIP with every prefetcher across channel
@@ -202,7 +187,7 @@ func AblationThresholds(sc Scale) (*Report, error) {
 		cc := core.DefaultConfig()
 		cc.HitRateThreshold = hr
 		t.rows = append(t.rows, []any{"hit-rate", hr,
-			wsCell("hitrate."+fmtFloat(hr), 8, mixes, clipVariantCfg("berti", cc))})
+			wsCell("hitrate."+strconv.FormatFloat(hr, 'f', 2, 64), 8, mixes, clipVariantCfg("berti", cc))})
 	}
 	for _, cnt := range []uint8{1, 2, 3} {
 		cc := core.DefaultConfig()

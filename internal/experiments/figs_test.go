@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"encoding/json"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -214,6 +216,27 @@ func TestAblationsRun(t *testing.T) {
 	}
 	if dyn.Values["berti+dynclip@8ch"] <= 0 {
 		t.Fatal("dynamic ablation empty")
+	}
+}
+
+// TestAblationThresholdsKeys: each hit-rate threshold reports under its own
+// key.
+func TestAblationThresholdsKeys(t *testing.T) {
+	sc := micro()
+	sc.HomMixes = 1
+	rep, err := AblationThresholds(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range rep.Values {
+		if strings.HasPrefix(k, "hitrate.") {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	if want := []string{"hitrate.0.80", "hitrate.0.90", "hitrate.1.00"}; !slices.Equal(keys, want) {
+		t.Fatalf("hit-rate keys %q, want %q", keys, want)
 	}
 }
 

@@ -1,27 +1,37 @@
 package prefetch
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
 
 	"clip/internal/mem"
 )
 
-// The Berti train-equivalence fixture pins the flattened column layout to
-// the behaviour of the pre-rewrite struct-of-arrays-of-structs tables: the
-// fixture was captured from the PR 8 Berti (per-IP bertiEntry structs held
-// inline in table.Fixed) over a deterministic access stream, and the test
-// replays the same stream through the current implementation, requiring
-// candidate-for-candidate identical output including confidences.
+// The Berti train-equivalence check pins the flattened column layout to the
+// behaviour of the pre-rewrite tables: the expected output was captured from
+// the Berti that held per-IP bertiEntry structs inline in table.Fixed, over a
+// deterministic access stream, and the test replays the same stream through
+// the current implementation, requiring candidate-for-candidate identical
+// output including confidences. The whole capture is pinned by the sha256 of
+// its canonical encoding (json.Marshal of the steps with their output); its
+// first steps are kept readable, so a divergence there is shown step by step.
 //
-// Regenerate (only when deliberately changing Berti's *algorithm*, never
-// for a layout change) with:
+// Re-record (only when deliberately changing Berti's *algorithm*, never for a
+// layout change) with
 //
-//	CLIP_REGEN_BERTI_GOLDEN=1 go test ./internal/prefetch -run BertiGolden
+//	CLIP_REGEN_BERTI_GOLDEN=1 go test ./internal/prefetch -run BertiGolden -v
+//
+// which rewrites the readable prefix and logs the digest to put below.
 
-const bertiGoldenPath = "testdata/berti_train_golden.json"
+const (
+	bertiPrefixPath = "testdata/berti_train_prefix.json"
+	bertiPrefixLen  = 200
+	bertiGoldenSum  = "f52f4a3fce3eb2ad3356500f4ded7817c60d5f2d688925af87204bcc519bad76"
+)
 
 // bertiGoldenStep is one Train call and its observed output.
 type bertiGoldenStep struct {
@@ -110,49 +120,45 @@ func runBertiGolden(steps []bertiGoldenStep) {
 }
 
 func TestBertiGoldenEquivalence(t *testing.T) {
-	steps := bertiGoldenStream()
+	got := bertiGoldenStream()
+	runBertiGolden(got)
+	canon, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := fmt.Sprintf("%x", sha256.Sum256(canon))
 	if os.Getenv("CLIP_REGEN_BERTI_GOLDEN") != "" {
-		runBertiGolden(steps)
-		data, err := json.MarshalIndent(steps, "", " ")
+		data, err := json.MarshalIndent(got[:bertiPrefixLen], "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(bertiGoldenPath), 0o755); err != nil {
+		if err := os.WriteFile(bertiPrefixPath, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(bertiGoldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s (%d steps)", bertiGoldenPath, len(steps))
+		t.Logf("rewrote %s; the %d steps hash to %s", bertiPrefixPath, len(got), sum)
 		return
 	}
-	data, err := os.ReadFile(bertiGoldenPath)
+	data, err := os.ReadFile(bertiPrefixPath)
 	if err != nil {
-		t.Fatalf("fixture missing (regenerate with CLIP_REGEN_BERTI_GOLDEN=1): %v", err)
+		t.Fatal(err)
 	}
 	var want []bertiGoldenStep
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(steps) {
-		t.Fatalf("fixture has %d steps, stream generates %d — stream generator drifted", len(want), len(steps))
+	if len(want) != bertiPrefixLen {
+		t.Fatalf("%s holds %d steps, want %d", bertiPrefixPath, len(want), bertiPrefixLen)
 	}
-	got := make([]bertiGoldenStep, len(steps))
-	copy(got, steps)
-	runBertiGolden(got)
-	for i := range want {
-		w, g := want[i], got[i]
+	for i, w := range want {
+		g := got[i]
 		if w.IP != g.IP || w.Addr != g.Addr || w.Cycle != g.Cycle {
 			t.Fatalf("step %d: stream drifted (ip %x vs %x)", i, g.IP, w.IP)
 		}
-		if len(w.Out) != len(g.Out) {
-			t.Fatalf("step %d (ip %x cy %d): got %d candidates, fixture has %d\ngot:  %+v\nwant: %+v",
-				i, w.IP, w.Cycle, len(g.Out), len(w.Out), g.Out, w.Out)
+		if !reflect.DeepEqual(w.Out, g.Out) {
+			t.Fatalf("step %d (ip %x cy %d): candidates differ\ngot:  %+v\nwant: %+v", i, w.IP, w.Cycle, g.Out, w.Out)
 		}
-		for j := range w.Out {
-			if w.Out[j] != g.Out[j] {
-				t.Fatalf("step %d candidate %d: got %+v, fixture has %+v", i, j, g.Out[j], w.Out[j])
-			}
-		}
+	}
+	if sum != bertiGoldenSum {
+		t.Fatalf("the %d steps hash to %s, recorded %s: the output differs after step %d", len(got), sum, bertiGoldenSum, bertiPrefixLen)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -15,7 +16,17 @@ import (
 // self-counters.
 func runSelf(t *testing.T, cfg Config) ([]byte, SelfStats) {
 	t.Helper()
-	_, data, self := runBuilt(t, func() (*System, error) { return NewSystem(cfg) })
+	res, self, err := RunSelf(cfg, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Finished {
+		t.Fatal("run did not finish")
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return data, self
 }
 
@@ -112,102 +123,6 @@ func TestAwakeTickDirect(t *testing.T) {
 	}
 }
 
-// asleepOwing counts the sleeping tiles and slices that have cycles owed.
-func (s *System) asleepOwing() (tiles, slices int) {
-	for i := range s.cores {
-		if !hasBit(s.awake.tiles, i) && s.awake.tileOwed[i] < s.cycle {
-			tiles++
-		}
-		if !hasBit(s.awake.slices, i) && s.awake.sliceOwed[i] < s.cycle {
-			slices++
-		}
-	}
-	return tiles, slices
-}
-
-// TestCheckpointAsleepAtSave saves while tiles and slices are asleep with
-// uncharged cycles: SaveState must settle them (the image is what the
-// per-cycle loop would have written), settling must be idempotent (two saves
-// in a row are the same bytes), and neither the saved system nor one restored
-// from the image may end differently from an uninterrupted run.
-func TestCheckpointAsleepAtSave(t *testing.T) {
-	for _, arm := range []string{"mesh64", "mesh16-1ch"} {
-		cfg := skipMatrix()[arm]
-		// Two seeds; the subtest names date from when the second arm ran seed
-		// 1 on four shard workers.
-		for _, seeded := range []struct {
-			label string
-			seed  uint64
-		}{{"shard0", 1}, {"shard4", 2}} {
-			cfg.Seed = seeded.seed
-			t.Run(arm+"/"+seeded.label, func(t *testing.T) {
-				t.Parallel()
-				refJSON, _ := runSelf(t, cfg)
-				finish := func(s *System) []byte {
-					s.runLoop(s.MaxCycles())
-					data, err := json.Marshal(s.collect())
-					if err != nil {
-						t.Fatal(err)
-					}
-					return data
-				}
-
-				s, err := NewSystem(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				maxCycles := s.MaxCycles()
-				saves := 0
-				for iter := 1; s.Step(maxCycles); iter++ {
-					// Three saves spread over warmup and measurement, each at
-					// the first iteration that has both kinds of sleeper.
-					if saves == 3 || iter < 600*(saves+1)*(saves+1) {
-						continue
-					}
-					if tiles, slices := s.asleepOwing(); tiles == 0 || slices == 0 {
-						continue
-					}
-					saves++
-					image, err := s.SaveState()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if tiles, slices := s.asleepOwing(); tiles+slices != 0 {
-						t.Fatalf("SaveState left %d tiles and %d slices unsettled", tiles, slices)
-					}
-					again, err := s.SaveState()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(image, again) {
-						t.Fatalf("two saves in a row differ at cycle %d", s.cycle)
-					}
-					r, err := NewSystem(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := r.LoadState(image); err != nil {
-						t.Fatal(err)
-					}
-					if resaved, err := r.SaveState(); err != nil || !bytes.Equal(image, resaved) {
-						t.Fatalf("save after load differs from the image (err=%v)", err)
-					}
-					got := finish(r)
-					if !bytes.Equal(refJSON, got) {
-						t.Fatalf("restored at cycle %d diverges: %s", s.cycle, firstDiff(refJSON, got))
-					}
-				}
-				if saves < 2 {
-					t.Fatalf("only %d save points had sleepers owing cycles", saves)
-				}
-				if got, err := json.Marshal(s.collect()); err != nil || !bytes.Equal(refJSON, got) {
-					t.Fatalf("the saved run itself diverges (err=%v): %s", err, firstDiff(refJSON, got))
-				}
-			})
-		}
-	}
-}
-
 // tileCounters is what a tile's lazy settlement charges in bulk, plus the
 // clocks its callees read.
 type tileCounters struct {
@@ -246,15 +161,11 @@ func (s *System) tileCountersOf(i int) tileCounters {
 func TestAwakeWakeSettles(t *testing.T) {
 	const minOwed = 2
 	for _, arm := range tightArms() {
-		arm := arm
 		t.Run(arm.name, func(t *testing.T) {
 			t.Parallel()
-			skip, err := arm.build(false)()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := arm.build(true)()
-			if err != nil {
+			skip, err1 := arm.build(1, false)
+			ref, err2 := arm.build(1, true)
+			if err := errors.Join(err1, err2); err != nil {
 				t.Fatal(err)
 			}
 			n := len(skip.cores)

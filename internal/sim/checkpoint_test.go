@@ -6,9 +6,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"clip/internal/snapshot"
@@ -49,20 +54,20 @@ const imageDigestsVersion = 5
 // together with a re-record of the goldens for an intended change of
 // behaviour.
 var imageDigests = map[string]string{
-	"clip":            "5b287918ead84eac2a6b644e1a63cbe88ee686d422b22f76ba41408588dbc297",
-	"critpred":        "839f55056e506c48692f35dfa701f1b173be6e3db06049da75c995108bc3687a",
-	"dynclip":         "ba3f57ea329798bc36449bb341a49ede338841e70c65177c5238da40dc8dcced",
-	"hermes":          "ee1660d945fc25e5fbc2cafd4860aaf3d61ca2b8ce4a2891036be91dfc72f243",
-	"het-dspatch":     "bb022b35a0d30bbcc331c2bf195ef46aaa9ccbc151ec8bc4eb9b45fa9b99d1f3",
-	"mesh16-1ch":      "d13bc5355eddc0631a2d4bdb81125f08f01a80f09af0dad758e57fb64fabab56",
-	"mesh64":          "ab36671c40a2d0e3fd8d413c83e5ed259b52e3f1bed61c518df253a5291187a1",
-	"noc-prio-off":    "454fa7c08346693c308c386cf11f0e1acc20b9fd2b231c8e30c285bf657947a3",
-	"scored":          "8d80f63a36f62d8d45a5c3d17cbccf6edeee28bbf12f01df6dd85fb22d1f931c",
-	"spac":            "4ae2eebfce3f10395db75571d967e6d52a48b550ca011d6575d23892b860222e",
-	"stall-hermes":    "25f6ef678222337163761ef606db3abb65c29d8c3d5afea7bb304ab377841e01",
-	"stall-mshr":      "a13d53cdc10fb2ab7dadb72e7f59a3d534fd646274b817714a6632f091deab31",
-	"stall-rq-shard4": "53e79a7a9e471f2e39e9d6809a7f46feaf6897b041dc6fefca3ec6dc0dc8f6bc",
-	"throttler":       "476e6d3ef3089a34f9ac7c540c833a9691d29976018c9e1989e6616ca8354514",
+	"clip":         "5b287918ead84eac2a6b644e1a63cbe88ee686d422b22f76ba41408588dbc297",
+	"critpred":     "839f55056e506c48692f35dfa701f1b173be6e3db06049da75c995108bc3687a",
+	"dynclip":      "ba3f57ea329798bc36449bb341a49ede338841e70c65177c5238da40dc8dcced",
+	"hermes":       "ee1660d945fc25e5fbc2cafd4860aaf3d61ca2b8ce4a2891036be91dfc72f243",
+	"het-dspatch":  "bb022b35a0d30bbcc331c2bf195ef46aaa9ccbc151ec8bc4eb9b45fa9b99d1f3",
+	"mesh16-1ch":   "d13bc5355eddc0631a2d4bdb81125f08f01a80f09af0dad758e57fb64fabab56",
+	"mesh64":       "ab36671c40a2d0e3fd8d413c83e5ed259b52e3f1bed61c518df253a5291187a1",
+	"noc-prio-off": "454fa7c08346693c308c386cf11f0e1acc20b9fd2b231c8e30c285bf657947a3",
+	"scored":       "8d80f63a36f62d8d45a5c3d17cbccf6edeee28bbf12f01df6dd85fb22d1f931c",
+	"spac":         "4ae2eebfce3f10395db75571d967e6d52a48b550ca011d6575d23892b860222e",
+	"stall-hermes": "25f6ef678222337163761ef606db3abb65c29d8c3d5afea7bb304ab377841e01",
+	"stall-mshr":   "a13d53cdc10fb2ab7dadb72e7f59a3d534fd646274b817714a6632f091deab31",
+	"stall-rq":     "53e79a7a9e471f2e39e9d6809a7f46feaf6897b041dc6fefca3ec6dc0dc8f6bc",
+	"throttler":    "476e6d3ef3089a34f9ac7c540c833a9691d29976018c9e1989e6616ca8354514",
 }
 
 // TestCheckpointImageDigests pins the image bytes of every mechanism section
@@ -96,131 +101,487 @@ func TestCheckpointImageDigests(t *testing.T) {
 	}
 }
 
-// runSplitRestored runs cfg to completion twice: once straight through, and
-// once pausing at iteration k to SaveState, restoring the image into a
-// completely fresh System, and finishing there. Both Results are returned
-// with their canonical JSON encodings; the checkpoint contract says they are
-// byte-identical.
-func runSplitRestored(t *testing.T, cfg Config, frac float64) (ref, got *Result, refJSON, gotJSON []byte) {
-	t.Helper()
-	return runSplitRestoredWith(t, func() (*System, error) { return NewSystem(cfg) }, frac)
+// oracleArm is one configuration TestOracleEquivalence runs: a Config, the
+// seeds it runs at, where its runs save images, and what it must provoke.
+type oracleArm struct {
+	name   string
+	cfg    Config
+	rq, wq int // controller queue sizes no Config reaches; 0 keeps cfg's
+	seeds  []uint64
+	// fracs are the split points in ascending order, as fractions of the
+	// instructions the cores retire over warmup and measurement; the first
+	// must fall inside the warmup.
+	fracs []float64
+	// golden arms have their result under testdata/soa at seeds 1 and 2.
+	golden bool
+	// asleep arms save a skipping run only at a step where tiles and LLC
+	// slices both sleep owing cycles: each split point moves to the first
+	// such step after it.
+	asleep bool
+	// heavy is the stalls the arm exists to provoke; nil for the other arms.
+	heavy func(stallCounters) bool
 }
 
-// runSplitRestoredWith is runSplitRestored over systems from build, which
-// must return an identically configured fresh System on every call.
-func runSplitRestoredWith(t *testing.T, build func() (*System, error), frac float64) (ref, got *Result, refJSON, gotJSON []byte) {
-	t.Helper()
-
-	// Reference pass, counting loop iterations so the split point can sit at
-	// a fraction of the real run length (cycle counts vary with skipping).
-	s, err := build()
-	if err != nil {
-		t.Fatal(err)
+// oracleArms is every checkpointMatrix arm, at seeds 1 and 2 (clip also at 3
+// and 4) and split at a fifth and half of the run (clip also at 0.05, 0.25,
+// 0.75 and 0.95), then the tight-queue arms.
+func oracleArms() []oracleArm {
+	matrix := checkpointMatrix()
+	mshrBound := func(sc stallCounters) bool { return sc.L1MSHRFull > 0 && sc.TLBAccesses > 0 }
+	heavy := map[string]func(stallCounters) bool{
+		"stall-mshr":   mshrBound,
+		"stall-hermes": mshrBound,
+		"stall-rq":     func(sc stallCounters) bool { return mshrBound(sc) && sc.RQFull > 0 },
+		"mesh16-1ch":   func(sc stallCounters) bool { return sc.RQFull > 0 },
 	}
-	maxCycles := s.MaxCycles()
-	iters := 0
-	for s.Step(maxCycles) {
-		iters++
+	var arms []oracleArm
+	for _, name := range sortedNames(matrix) {
+		a := oracleArm{name: name, cfg: matrix[name], seeds: []uint64{1, 2}, fracs: []float64{0.2, 0.5}, heavy: heavy[name]}
+		switch name {
+		case "clip":
+			a.seeds = append(a.seeds, 3, 4)
+			a.fracs = []float64{0.05, 0.2, 0.25, 0.5, 0.75, 0.95}
+			a.golden = true
+		case "hermes", "throttler", "het-dspatch", "critpred":
+			a.golden = true
+		case "mesh64", "mesh16-1ch":
+			a.asleep = true
+		}
+		arms = append(arms, a)
 	}
-	ref = s.collect()
-	if !ref.Finished {
-		t.Fatalf("reference run did not finish")
-	}
-
-	// Paused pass: step to k, snapshot, throw the system away.
-	k := int(float64(iters) * frac)
-	s2, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < k && s2.Step(maxCycles); i++ {
-	}
-	image, err := s2.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Restored pass: a fresh System resumes from the image.
-	s3, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s3.LoadState(image); err != nil {
-		t.Fatal(err)
-	}
-	// An image is canonical: saving the state it restored gives its bytes
-	// back, whatever order the restored maps iterate in.
-	if again, err := s3.SaveState(); err != nil {
-		t.Fatal(err)
-	} else if !bytes.Equal(again, image) {
-		t.Fatalf("re-saving a restored image changes its bytes (%d vs %d)", len(again), len(image))
-	}
-	for s3.Step(maxCycles) {
-	}
-	got = s3.collect()
-
-	if refJSON, err = json.Marshal(ref); err != nil {
-		t.Fatal(err)
-	}
-	if gotJSON, err = json.Marshal(got); err != nil {
-		t.Fatal(err)
-	}
-	return ref, got, refJSON, gotJSON
+	return append(arms, tightArms()...)
 }
 
-// TestCheckpointSplitEquivalence is the core checkpoint contract: "run N
-// cycles" and "run k, snapshot, restore into a fresh process image, run
-// N−k" must produce byte-identical Results — for every mechanism
-// combination, across seeds, with cycle skipping on and off, and at two
-// split points: halfway, and a fifth of the way in, which for these budgets
-// is before or at the warmup barrier. (The last element of the subtest names
-// dates from when it selected the shard-worker count.)
-func TestCheckpointSplitEquivalence(t *testing.T) {
-	for name, base := range checkpointMatrix() {
-		for _, seed := range []uint64{1, 2} {
-			for _, noskip := range []bool{false, true} {
-				for _, split := range []struct {
-					label string
-					frac  float64
-				}{{"shard0", 0.5}, {"shard4", 0.2}} {
-					cfg := base
-					cfg.Seed = seed
-					cfg.DisableSkip = noskip
-					label := fmt.Sprintf("%s/seed%d/skip=%t/%s", name, seed, !noskip, split.label)
-					t.Run(label, func(t *testing.T) {
-						t.Parallel()
-						ref, got, refJSON, gotJSON := runSplitRestored(t, cfg, split.frac)
-						if !got.Finished {
-							t.Fatalf("restored run did not finish")
-						}
-						if !reflect.DeepEqual(ref, got) {
-							t.Errorf("results diverge after restore")
-						}
-						if string(refJSON) != string(gotJSON) {
-							t.Fatalf("reports not byte-identical: %s", firstDiff(refJSON, gotJSON))
-						}
-					})
-				}
-			}
+// build returns a fresh system for the arm at seed under the given mode.
+func (a oracleArm) build(seed uint64, noskip bool) (*System, error) {
+	cfg := a.cfg
+	cfg.Seed, cfg.DisableSkip = seed, noskip
+	d := cfg.dramConfig()
+	if a.rq != 0 {
+		d.RQ, d.WQ = a.rq, a.wq
+	}
+	return newSystem(cfg, d)
+}
+
+// oracleRun is one full run of an arm and the images it saved on the way.
+type oracleRun struct {
+	res       *Result
+	coreTicks uint64 // real core Ticks the loop made
+	images    [][]byte
+}
+
+// run simulates the arm at seed to the end in one mode, saving an image at
+// each split point. Every save must leave no sleeper owing cycles and must
+// equal a second save made straight after it.
+func (a oracleArm) run(seed uint64, noskip bool) (run oracleRun, err error) {
+	s, err := a.build(seed, noskip)
+	if err != nil {
+		return run, err
+	}
+	total := float64(a.cfg.Cores()) * float64(a.cfg.WarmupInstr+a.cfg.InstrPerCore)
+	for maxCycles := s.MaxCycles(); s.Step(maxCycles); {
+		next := len(run.images)
+		if next == len(a.fracs) || float64(s.retired()) < a.fracs[next]*total {
+			continue
+		}
+		if tiles, slices := s.asleepOwing(); a.asleep && !noskip && (tiles == 0 || slices == 0) {
+			continue
+		}
+		if next == 0 && s.warmed {
+			return run, fmt.Errorf("skip=%t: the first split point %v falls after the warmup", !noskip, a.fracs[0])
+		}
+		image, err := s.SaveState()
+		if err != nil {
+			return run, err
+		}
+		if tiles, slices := s.asleepOwing(); tiles+slices != 0 {
+			return run, fmt.Errorf("skip=%t: SaveState at cycle %d left %d tiles and %d slices unsettled", !noskip, s.cycle, tiles, slices)
+		}
+		if again, err := s.SaveState(); err != nil || !bytes.Equal(image, again) {
+			return run, fmt.Errorf("skip=%t: two saves in a row at cycle %d differ (err=%v)", !noskip, s.cycle, err)
+		}
+		run.images = append(run.images, image)
+	}
+	if run.res = s.collect(); !run.res.Finished {
+		return run, fmt.Errorf("skip=%t: run did not finish%s", !noskip, s.stallNote())
+	}
+	if len(run.images) != len(a.fracs) {
+		return run, fmt.Errorf("skip=%t: saved at %d of the split points %v", !noskip, len(run.images), a.fracs)
+	}
+	run.coreTicks = s.SelfStats().TileVisitsCoreTicked
+	return run, nil
+}
+
+// retired is the instructions the cores have retired since the start.
+func (s *System) retired() (n uint64) {
+	for _, c := range s.cores {
+		n += c.RetiredTotal()
+	}
+	return n
+}
+
+// asleepOwing counts the sleeping tiles and slices that have cycles owed.
+func (s *System) asleepOwing() (tiles, slices int) {
+	for i := range s.cores {
+		if !hasBit(s.awake.tiles, i) && s.awake.tileOwed[i] < s.cycle {
+			tiles++
+		}
+		if !hasBit(s.awake.slices, i) && s.awake.sliceOwed[i] < s.cycle {
+			slices++
+		}
+	}
+	return tiles, slices
+}
+
+// restore resumes image in a fresh system under the given mode, which must
+// save the image back byte for byte and then finish equal to ref.
+func (a oracleArm) restore(seed uint64, noskip bool, image []byte, ref *Result) error {
+	s, err := a.build(seed, noskip)
+	if err != nil {
+		return err
+	}
+	if err := s.LoadState(image); err != nil {
+		return err
+	}
+	if again, err := s.SaveState(); err != nil || !bytes.Equal(again, image) {
+		return fmt.Errorf("restored with skip=%t, re-saving the image changes its bytes (err=%v)", !noskip, err)
+	}
+	for maxCycles := s.MaxCycles(); s.Step(maxCycles); {
+	}
+	return sameResult(fmt.Sprintf("restored with skip=%t", !noskip), ref, s.collect())
+}
+
+// sameResult fails unless got finished equal to want: bulk-charged counters
+// first, for a pointed message, then the Result and its report bytes.
+func sameResult(what string, want, got *Result) error {
+	if !got.Finished {
+		return fmt.Errorf("%s: run did not finish", what)
+	}
+	var errs []error
+	if a, b := stallCountersOf(want), stallCountersOf(got); a != b {
+		errs = append(errs, fmt.Errorf("%s: bulk-charged counters diverge:\n want: %+v\n got:  %+v", what, a, b))
+	}
+	if !reflect.DeepEqual(want, got) {
+		errs = append(errs, fmt.Errorf("%s: Result diverges", what))
+	}
+	wantJSON, _ := json.Marshal(want)
+	gotJSON, _ := json.Marshal(got)
+	if !bytes.Equal(wantJSON, gotJSON) {
+		errs = append(errs, fmt.Errorf("%s: report not byte-identical: %s", what, firstDiff(wantJSON, gotJSON)))
+	}
+	return errors.Join(errs...)
+}
+
+// updateSoA rewrites the golden results under testdata/soa from the strict
+// runs. The fixtures were captured before the tick kernel's
+// structure-of-arrays rewrite; regenerate them only for an intended change of
+// behaviour, never to paper over a diff.
+var updateSoA = flag.Bool("update-soa", false, "rewrite the golden results under testdata/soa")
+
+// checkGolden compares res with the golden result of arm at seed.
+func checkGolden(arm string, seed uint64, res *Result) error {
+	path := filepath.Join("testdata", "soa", fmt.Sprintf("%s-seed%d.json", arm, seed))
+	got, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return err
+	}
+	got = append(got, '\n')
+	if *updateSoA {
+		return os.WriteFile(path, got, 0o644)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(want, got) {
+		return fmt.Errorf("result diverges from the golden %s: %s", path, firstDiff(want, got))
+	}
+	return nil
+}
+
+// oracleOutcome is what one arm showed at one seed: the failures of each
+// check the harness made, keyed by the check. A check without one passed.
+type oracleOutcome map[string][]string
+
+// The checks of an outcome: the strict run against the golden, the skipping
+// run against the strict one, the skipping run's stalls, and the run
+// restored from the image the mode-skip run saved at frac.
+const (
+	goldenCheck = "golden"
+	skipCheck   = "skip"
+	heavyCheck  = "heavy"
+)
+
+func restoreCheck(skip bool, frac float64) string {
+	return fmt.Sprintf("restore/skip=%t/frac=%v", skip, frac)
+}
+
+func (o oracleOutcome) fail(check string, err error) {
+	if err != nil {
+		o[check] = append(o[check], err.Error())
+	}
+}
+
+// report fails t with the failures of the named checks.
+func (o oracleOutcome) report(t *testing.T, checks ...string) {
+	t.Helper()
+	for _, c := range checks {
+		fails, ok := o[c]
+		if !ok {
+			t.Errorf("the harness makes no check %q", c)
+		}
+		for _, f := range fails {
+			t.Errorf("%s: %s", c, f)
 		}
 	}
 }
 
-// TestCheckpointSplitPoints varies the split fraction on one config so the
-// snapshot is exercised mid-warmup (before the barrier) as well as deep into
-// measurement.
-func TestCheckpointSplitPoints(t *testing.T) {
-	cfg := checkpointMatrix()["clip"]
-	for _, frac := range []float64{0.05, 0.25, 0.75, 0.95} {
-		frac := frac
-		t.Run(fmt.Sprintf("frac=%v", frac), func(t *testing.T) {
+// outcome runs the arm at seed in both modes and makes every check on the
+// runs. A full run that fails fails every check resting on it.
+func (a oracleArm) outcome(seed uint64) oracleOutcome {
+	o := oracleOutcome{}
+	var onStrict, onSkip []string
+	if a.golden && seed <= 2 {
+		onStrict = append(onStrict, goldenCheck)
+	}
+	onSkip = append(onSkip, skipCheck)
+	if a.heavy != nil {
+		onSkip = append(onSkip, heavyCheck)
+	}
+	for _, frac := range a.fracs {
+		onStrict = append(onStrict, restoreCheck(false, frac))
+		onSkip = append(onSkip, restoreCheck(true, frac))
+	}
+	for _, c := range append(onStrict, onSkip...) {
+		o[c] = nil
+	}
+	ref, err := a.run(seed, true)
+	if err != nil {
+		for c := range o {
+			o.fail(c, err)
+		}
+		return o
+	}
+	if a.golden && seed <= 2 {
+		o.fail(goldenCheck, checkGolden(a.name, seed, ref.res))
+	}
+	for k, image := range ref.images {
+		o.fail(restoreCheck(false, a.fracs[k]), a.restore(seed, false, image, ref.res))
+	}
+	skip, err := a.run(seed, false)
+	if err != nil {
+		for _, c := range onSkip {
+			o.fail(c, err)
+		}
+		return o
+	}
+	o.fail(skipCheck, sameResult("the skipping run", ref.res, skip.res))
+	if a.heavy != nil {
+		if sc := stallCountersOf(ref.res); !a.heavy(sc) {
+			o.fail(heavyCheck, fmt.Errorf("arm is no longer stall-heavy: %+v", sc))
+		}
+		if on, off := skip.coreTicks, ref.coreTicks; 2*on > off {
+			o.fail(heavyCheck, fmt.Errorf("stalled cores still poll under skipping: %d core Ticks against the strict loop's %d", on, off))
+		}
+	}
+	for k, image := range skip.images {
+		o.fail(restoreCheck(true, a.fracs[k]), a.restore(seed, true, image, ref.res))
+	}
+	return o
+}
+
+// oracleOutcomes memoises outcomes by "arm/seedN", so every test that reads
+// an arm at a seed shares one run set.
+var oracleOutcomes sync.Map
+
+// oracleOf returns the outcome of the arm at seed, running it on first use.
+func oracleOf(a oracleArm, seed uint64) oracleOutcome {
+	f, _ := oracleOutcomes.LoadOrStore(fmt.Sprintf("%s/seed%d", a.name, seed),
+		sync.OnceValue(func() oracleOutcome { return a.outcome(seed) }))
+	return f.(func() oracleOutcome)()
+}
+
+// TestOracleEquivalence is the simulator's contract with its own strict
+// oracle. Per arm and seed it makes three kinds of run:
+//   - the strict reference (DisableSkip), which must reproduce the arm's
+//     golden result where it has one;
+//   - the skipping run, which must equal the reference — bulk-charged
+//     counters, Result, report bytes — and provoke the arm's stalls, with its
+//     stalled cores asleep: at most half the strict loop's core Ticks;
+//   - per image saved by either full run, a run restored from it in the
+//     other mode, which must re-save the image byte for byte and then finish
+//     equal to the reference.
+//
+// The tests after it read single checks of the same outcomes.
+func TestOracleEquivalence(t *testing.T) {
+	for _, a := range oracleArms() {
+		for _, seed := range a.seeds {
+			t.Run(fmt.Sprintf("%s/seed%d", a.name, seed), func(t *testing.T) {
+				t.Parallel()
+				o := oracleOf(a, seed)
+				checks := make([]string, 0, len(o))
+				for c := range o {
+					checks = append(checks, c)
+				}
+				sort.Strings(checks)
+				o.report(t, checks...)
+			})
+		}
+	}
+}
+
+// oracleView is one subtest that reads checks of an arm's outcome at a seed.
+type oracleView struct {
+	name, arm string
+	seed      uint64
+	checks    []string
+}
+
+// runOracleViews runs each view as a parallel subtest.
+func runOracleViews(t *testing.T, views []oracleView) {
+	arms := oracleArmsByName()
+	for _, v := range views {
+		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
-			_, _, refJSON, gotJSON := runSplitRestored(t, cfg, frac)
-			if string(refJSON) != string(gotJSON) {
-				t.Fatalf("split at %v diverges: %s", frac, firstDiff(refJSON, gotJSON))
+			a, ok := arms[v.arm]
+			if !ok {
+				t.Fatalf("no oracle arm %q", v.arm)
 			}
+			oracleOf(a, v.seed).report(t, v.checks...)
 		})
 	}
+}
+
+func oracleArmsByName() map[string]oracleArm {
+	m := map[string]oracleArm{}
+	for _, a := range oracleArms() {
+		m[a.name] = a
+	}
+	return m
+}
+
+// sortedNames returns the keys of m in order.
+func sortedNames(m map[string]Config) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestCheckpointSplitEquivalence: for every checkpointMatrix arm at seeds 1
+// and 2, the image either full run saved halfway (label shard0) or a fifth of
+// the way in (shard4, inside the warmup), restored in the other mode, finishes
+// byte-identical to the strict run.
+func TestCheckpointSplitEquivalence(t *testing.T) {
+	var views []oracleView
+	for _, name := range sortedNames(checkpointMatrix()) {
+		for seed := uint64(1); seed <= 2; seed++ {
+			for _, skip := range []bool{false, true} {
+				for _, split := range []struct {
+					label string
+					frac  float64
+				}{{"shard0", 0.5}, {"shard4", 0.2}} {
+					views = append(views, oracleView{fmt.Sprintf("%s/seed%d/skip=%t/%s", name, seed, skip, split.label),
+						name, seed, []string{restoreCheck(skip, split.frac)}})
+				}
+			}
+		}
+	}
+	runOracleViews(t, views)
+}
+
+// TestCheckpointSplitPoints: clip's images from mid-warmup to deep into
+// measurement restore, in both directions, to the strict run.
+func TestCheckpointSplitPoints(t *testing.T) {
+	var views []oracleView
+	for _, frac := range []float64{0.05, 0.25, 0.75, 0.95} {
+		views = append(views, oracleView{fmt.Sprintf("frac=%v", frac), "clip", 1,
+			[]string{restoreCheck(false, frac), restoreCheck(true, frac)}})
+	}
+	runOracleViews(t, views)
+}
+
+// TestSkipEquivalenceMatrix: every skipMatrix arm's skipping run equals its
+// strict run at seed 1, and the stall arms still provoke their stalls.
+func TestSkipEquivalenceMatrix(t *testing.T) {
+	arms := oracleArmsByName()
+	var views []oracleView
+	for _, name := range sortedNames(skipMatrix()) {
+		checks := []string{skipCheck}
+		if arms[name].heavy != nil {
+			checks = append(checks, heavyCheck)
+		}
+		views = append(views, oracleView{name, name, 1, checks})
+	}
+	runOracleViews(t, views)
+}
+
+// TestSkipEquivalenceSeeds: clip's skipping run equals its strict run at
+// seeds 2 to 4.
+func TestSkipEquivalenceSeeds(t *testing.T) {
+	var views []oracleView
+	for seed := uint64(2); seed <= 4; seed++ {
+		views = append(views, oracleView{fmt.Sprintf("seed%d", seed), "clip", seed, []string{skipCheck}})
+	}
+	runOracleViews(t, views)
+}
+
+// TestSoAGoldenReference: the golden arms' strict runs reproduce their
+// results under testdata/soa at seeds 1 and 2.
+func TestSoAGoldenReference(t *testing.T) {
+	var views []oracleView
+	for _, a := range oracleArms() {
+		for seed := uint64(1); a.golden && seed <= 2; seed++ {
+			views = append(views, oracleView{fmt.Sprintf("%s-seed%d", a.name, seed), a.name, seed, []string{goldenCheck}})
+		}
+	}
+	runOracleViews(t, views)
+}
+
+// TestCheckpointAsleepAtSave: on the many-core arms, images saved while
+// tiles and slices sleep owing cycles restore to the strict run, and the
+// skipping run that saved them ends equal to it (label shard0 is seed 1,
+// shard4 seed 2).
+func TestCheckpointAsleepAtSave(t *testing.T) {
+	var views []oracleView
+	for _, name := range []string{"mesh64", "mesh16-1ch"} {
+		for seed, label := range []string{"shard0", "shard4"} {
+			views = append(views, oracleView{name + "/" + label, name, uint64(seed) + 1,
+				[]string{skipCheck, restoreCheck(true, 0.2), restoreCheck(true, 0.5)}})
+		}
+	}
+	runOracleViews(t, views)
+}
+
+// TestStallSkipTightQueues: the tight-queue arms' skipping runs equal their
+// strict runs at seed 1, with every stall site firing and stalled cores
+// asleep.
+func TestStallSkipTightQueues(t *testing.T) {
+	var views []oracleView
+	for _, a := range tightArms() {
+		views = append(views, oracleView{a.name, a.name, 1, []string{skipCheck, heavyCheck}})
+	}
+	runOracleViews(t, views)
+}
+
+// TestStallCheckpointTightQueues: the tight-queue arms' images, saved while
+// components are asleep, restore to the strict run at seed 1 (the shard
+// label is part of the subtest name only).
+func TestStallCheckpointTightQueues(t *testing.T) {
+	var views []oracleView
+	for _, a := range tightArms() {
+		for _, split := range []struct {
+			skip  bool
+			label string
+			frac  float64
+		}{{true, "shard0", 0.3}, {true, "shard0", 0.7}, {true, "shard4", 0.5}, {false, "shard0", 0.5}} {
+			views = append(views, oracleView{fmt.Sprintf("%s/skip=%t/%s/frac=%v", a.name, split.skip, split.label, split.frac),
+				a.name, 1, []string{restoreCheck(split.skip, split.frac)}})
+		}
+	}
+	runOracleViews(t, views)
 }
 
 // TestWarmupImageRunEquivalence pins the warm-fork primitive against the

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -132,16 +133,19 @@ func TestImageFootprint(t *testing.T) {
 		{8, 559_100},    // 532,437 bytes
 		{64, 4_350_400}, // 4,143,235 bytes
 	} {
-		cfg := meshGeometry(arm.cores)
-		cfg.WarmupInstr, cfg.InstrPerCore = 4000, 4000
-		image, err := WarmupImage(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%d cores: a %d-byte warm-up image", arm.cores, len(image))
-		if len(image) > arm.budget {
-			t.Errorf("%d cores: the warm-up image is %d bytes; the budget is %d", arm.cores, len(image), arm.budget)
-		}
+		t.Run(fmt.Sprintf("cores%d", arm.cores), func(t *testing.T) {
+			t.Parallel()
+			cfg := meshGeometry(arm.cores)
+			cfg.WarmupInstr, cfg.InstrPerCore = 4000, 4000
+			image, err := WarmupImage(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("a %d-byte warm-up image", len(image))
+			if len(image) > arm.budget {
+				t.Errorf("the warm-up image is %d bytes; the budget is %d", len(image), arm.budget)
+			}
+		})
 	}
 }
 
@@ -154,19 +158,20 @@ func TestImageFootprint(t *testing.T) {
 func TestImageSizeHint(t *testing.T) {
 	for _, cores := range []int{8, 64} {
 		for _, warmup := range []uint64{500, 14000} {
-			cfg := meshGeometry(cores)
-			cfg.WarmupInstr = warmup
-			image, err := WarmupImage(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ratio := float64(cap(image)) / float64(len(image))
-			t.Logf("%d cores, %d-instruction warm-up: a %d-byte image in a %d-byte buffer (%.3fx)",
-				cores, warmup, len(image), cap(image), ratio)
-			if ratio > 1.3 {
-				t.Errorf("%d cores, %d-instruction warm-up: the image's capacity is %.3fx its length, want at most 1.3x",
-					cores, warmup, ratio)
-			}
+			t.Run(fmt.Sprintf("cores%d/warmup%d", cores, warmup), func(t *testing.T) {
+				t.Parallel()
+				cfg := meshGeometry(cores)
+				cfg.WarmupInstr = warmup
+				image, err := WarmupImage(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ratio := float64(cap(image)) / float64(len(image))
+				t.Logf("a %d-byte image in a %d-byte buffer (%.3fx)", len(image), cap(image), ratio)
+				if ratio > 1.3 {
+					t.Errorf("the image's capacity is %.3fx its length, want at most 1.3x", ratio)
+				}
+			})
 		}
 	}
 }

@@ -1,11 +1,7 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
-	"reflect"
-	"strings"
-	"testing"
 
 	"clip/internal/core"
 )
@@ -80,9 +76,8 @@ func skipMatrix() map[string]Config {
 	sh.Hermes = true // refused L1→L2 loads must keep polling; the rest sleeps
 	m["stall-hermes"] = sh
 
-	// Eight cores fill the 64-entry read queue. (The arm once also ran on four
-	// shard workers; its name is what the equivalence matrices print.)
-	m["stall-rq-shard4"] = withCLIP(stallBase(stallMix8))
+	// Eight cores fill the 64-entry read queue.
+	m["stall-rq"] = withCLIP(stallBase(stallMix8))
 
 	// Many-core arms: most tiles and LLC slices are asleep on most cycles, so
 	// these are the ones that exercise the awake sets, the lazy settling and
@@ -147,7 +142,7 @@ var (
 )
 
 // stallCounters are the counters the sleep protocol charges in bulk; the
-// equivalence tests name them before falling back to the full-report diff.
+// equivalence harness names them before falling back to the full-report diff.
 type stallCounters struct {
 	L1MSHRFull, L2MSHRFull, LLCMSHRFull uint64
 	RQFull, WQFull                      uint64
@@ -159,97 +154,6 @@ func stallCountersOf(r *Result) stallCounters {
 		L1MSHRFull: r.L1.MSHRFullEvents, L2MSHRFull: r.L2.MSHRFullEvents, LLCMSHRFull: r.LLC.MSHRFullEvents,
 		RQFull: r.DRAM.RQFullEvents, WQFull: r.DRAM.WQFullEvents,
 		TLBAccesses: r.TLB.Accesses, DTLBHits: r.TLB.DTLBHits,
-	}
-}
-
-// runSkipPair runs one config with skipping on and off and returns both
-// results plus their canonical JSON encodings.
-func runSkipPair(t *testing.T, cfg Config) (on, off *Result, onJSON, offJSON []byte) {
-	t.Helper()
-	cfg.DisableSkip = false
-	on = mustRun(t, cfg)
-	cfg.DisableSkip = true
-	off = mustRun(t, cfg)
-	var err error
-	if onJSON, err = json.Marshal(on); err != nil {
-		t.Fatal(err)
-	}
-	if offJSON, err = json.Marshal(off); err != nil {
-		t.Fatal(err)
-	}
-	return on, off, onJSON, offJSON
-}
-
-// checkSkipEquivalent runs cfg with skipping on and off, fails unless both
-// runs finish with the same bulk-charged counters, Result and report bytes,
-// and returns those counters.
-func checkSkipEquivalent(t *testing.T, cfg Config) stallCounters {
-	t.Helper()
-	on, off, onJSON, offJSON := runSkipPair(t, cfg)
-	if !on.Finished || !off.Finished {
-		t.Fatalf("run did not finish (on=%v off=%v)", on.Finished, off.Finished)
-	}
-	sc := stallCountersOf(on)
-	if b := stallCountersOf(off); sc != b {
-		t.Errorf("bulk-charged counters diverge:\nskip on:  %+v\nskip off: %+v", sc, b)
-	}
-	if !reflect.DeepEqual(on, off) {
-		t.Errorf("results diverge between skip modes")
-	}
-	if string(onJSON) != string(offJSON) {
-		t.Fatalf("reports not byte-identical: %s", firstDiff(onJSON, offJSON))
-	}
-	return sc
-}
-
-// TestSkipEquivalenceMatrix is the determinism contract for event-horizon
-// cycle skipping: for every mechanism combination, the full Result — cycle
-// counts, per-core stats, cache/NoC/DRAM counters, energy, predictor scores
-// — must be identical whether the simulator walks every cycle or jumps
-// between horizons.
-func TestSkipEquivalenceMatrix(t *testing.T) {
-	for name, cfg := range skipMatrix() {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			sc := checkSkipEquivalent(t, cfg)
-			if strings.HasPrefix(name, "stall-") && (sc.L1MSHRFull == 0 || sc.TLBAccesses == 0 ||
-				(name == "stall-rq-shard4" && sc.RQFull == 0)) || (name == "mesh16-1ch" && sc.RQFull == 0) {
-				t.Errorf("arm is no longer stall-heavy: %+v", sc)
-			}
-		})
-	}
-}
-
-// TestSkipEquivalenceSeeds varies the workload seed to shake out
-// initial-state-dependent divergence the fixed-seed matrix could miss.
-func TestSkipEquivalenceSeeds(t *testing.T) {
-	cfg := skipMatrix()["clip"]
-	for seed := uint64(2); seed <= 4; seed++ {
-		cfg.Seed = seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			_, _, onJSON, offJSON := runSkipPair(t, cfg)
-			if string(onJSON) != string(offJSON) {
-				t.Fatalf("seed %d diverges: %s", seed, firstDiff(onJSON, offJSON))
-			}
-		})
-	}
-}
-
-// TestShardEquivalenceMatrix is TestSkipEquivalenceMatrix across two seeds:
-// every mechanism combination of the skip matrix must report the same bytes
-// with skipping on and off whatever the initial state. (It used to carry
-// shard-worker arms as well, hence the name.)
-func TestShardEquivalenceMatrix(t *testing.T) {
-	for name, cfg := range skipMatrix() {
-		for seed := uint64(1); seed <= 2; seed++ {
-			cfg := cfg
-			cfg.Seed = seed
-			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				t.Parallel()
-				checkSkipEquivalent(t, cfg)
-			})
-		}
 	}
 }
 
