@@ -518,23 +518,30 @@ func (c *Cache) NextEvent(now uint64) uint64 {
 	return mem.NoEvent
 }
 
-// SkipTick replaces Tick for the cycles (c.cycle, cycle] the simulation loop
-// proved idle via NextEvent. The internal clock advances — Issue stamps
-// lookup maturity relative to it, so it must track the global cycle even
-// across skips — and every sleeper is charged what its per-cycle retries
-// would have counted: MSHRFullEvents for a head blocked on the MSHR file,
-// the lower level's own refusal accounting (mem.Staller.Refused) for a head
-// or writeback it refused.
-func (c *Cache) SkipTick(cycle uint64) {
+// SkipCycles replaces Tick for the n cycles [from, from+n) the simulation
+// loop proved idle via NextEvent; from is the cycle after the clock. The
+// clock lands on from+n-1 — Issue stamps lookup maturity relative to it, so
+// it must track the global cycle even across skips — and every sleeper is
+// charged what its per-cycle retries would have counted: MSHRFullEvents for
+// a head blocked on the MSHR file, the lower level's own refusal accounting
+// (mem.Staller.Refused) for a head or writeback it refused.
+func (c *Cache) SkipCycles(from, n uint64) {
+	if n == 0 {
+		return
+	}
+	last := from + n - 1
 	if invariant.Enabled {
-		invariant.Check(c.NextEvent(cycle) > cycle,
+		// A fresh cache's clock stands at 0 before its first cycle too.
+		invariant.Check(from == c.cycle+1 || from == 0 && c.cycle == 0,
+			"cache %s: skipping [%d,%d) with its clock at %d", c.cfg.Name, from, from+n, c.cycle)
+		invariant.Check(c.NextEvent(last) > last,
 			"cache %s: tick skipped at cycle %d with work pending (inQ=%d wbQ=%d resp=%d)",
-			c.cfg.Name, cycle, c.inQ.Len(), c.wbQ.Len(), len(c.respQ))
+			c.cfg.Name, last, c.inQ.Len(), c.wbQ.Len(), len(c.respQ))
 	}
 	if c.wbQ.Len() > 0 || c.headMSHR || c.headLow.Holds() {
-		c.chargeSleepers(cycle - c.cycle)
+		c.chargeSleepers(n)
 	}
-	c.cycle = cycle
+	c.cycle = last
 }
 
 // chargeSleepers applies n cycles of refused retries. NextEvent vouched that
@@ -579,9 +586,9 @@ func (c *Cache) Refused(req *mem.Request, n uint64) {
 	}
 }
 
-// Cycle returns the cache's clock: the last cycle Tick or SkipTick accounted
-// for. Issue, Fill and SkipTick all measure from it, so a caller that lets
-// the cache sleep through cycles must SkipTick it up to date first.
+// Cycle returns the cache's clock: the last cycle Tick or SkipCycles
+// accounted for. Issue, Fill and SkipCycles all measure from it, so a caller
+// that lets the cache sleep through cycles must skip it up to date first.
 func (c *Cache) Cycle() uint64 { return c.cycle }
 
 // LowerWaits returns the requests this cache currently sleeps on its lower

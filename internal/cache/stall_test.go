@@ -82,7 +82,7 @@ func imageOf(t *testing.T, c *Cache) []byte {
 }
 
 // play runs sc from cycle 0. In skip mode each cycle follows the simulation
-// loop's gate: Tick when NextEvent says there is work, SkipTick otherwise.
+// loop's gate: Tick when NextEvent says there is work, SkipCycles otherwise.
 // restoreAt > 0 (skip mode) saves the cache before that cycle and carries on
 // in a fresh cache restored from the image, with a copy of the lower level.
 func play(t *testing.T, sc scene, skip bool, restoreAt uint64) outcome {
@@ -114,7 +114,7 @@ func play(t *testing.T, sc scene, skip bool, restoreAt uint64) outcome {
 				out.ticks++
 			}
 		} else {
-			c.SkipTick(cy)
+			c.SkipCycles(cy, 1)
 		}
 		if cy >= sc.from && cy <= sc.to {
 			out.issues += l.issues - issued
@@ -197,7 +197,7 @@ func TestStallMSHRFullSleepsUntilFill(t *testing.T) {
 		if c.NextEvent(cy) <= cy {
 			c.Tick(cy)
 		} else {
-			c.SkipTick(cy)
+			c.SkipCycles(cy, 1)
 		}
 	}
 	if got := c.Stats().MSHRFullEvents; got != 11 {
@@ -344,9 +344,9 @@ func TestLowerWaitsNamesWhatTheCacheSleepsOn(t *testing.T) {
 	if head == nil || head.Addr != lineAddr(5) || wb != nil {
 		t.Fatalf("blocked head: LowerWaits = %v, %v", head, wb)
 	}
-	c.SkipTick(9)
+	c.SkipCycles(3, 7)
 	if c.Cycle() != 9 {
-		t.Fatalf("clock at %d after SkipTick(9)", c.Cycle())
+		t.Fatalf("clock at %d after SkipCycles(3, 7)", c.Cycle())
 	}
 	if l.refusals != 1+7 {
 		t.Fatalf("%d refusals charged for the block and 7 slept cycles", l.refusals)
@@ -373,7 +373,7 @@ func TestRecheckLowerKeepsTheSleepWhenTheSlotIsGone(t *testing.T) {
 	if !c.RecheckLower() {
 		t.Fatal("a refusal whose epoch stands does not hold")
 	}
-	c.SkipTick(6) // cycles 3..6 asleep
+	c.SkipCycles(3, 4) // cycles 3..6 asleep
 	l.free()
 	l.full = true // someone ahead of this cache took the slot
 	if c.NextEvent(7) != 7 {
@@ -389,7 +389,7 @@ func TestRecheckLowerKeepsTheSleepWhenTheSlotIsGone(t *testing.T) {
 	if head, _ := c.LowerWaits(); head == nil || head.Addr != lineAddr(5) {
 		t.Fatalf("re-armed cache waits on %v", head)
 	}
-	c.SkipTick(9) // cycles 7..9 asleep
+	c.SkipCycles(7, 3) // cycles 7..9 asleep
 	if l.refusals != 1+4+3 {
 		t.Fatalf("%d refusals charged for the block and 7 slept cycles", l.refusals)
 	}

@@ -549,7 +549,7 @@ func (d *DRAM) due(c *channel, free uint64, bks []uint64) bool {
 // NextEvent returns the earliest cycle >= now at which Tick can do real
 // work: a refresh deadline (or refresh completion), or the earliest schedule
 // deadline of a queue it would schedule from. Utilization-epoch rollovers are
-// deliberately not folded in — AdvanceTo replays them in bulk, and nothing
+// deliberately not folded in — SkipCycles replays them in bulk, and nothing
 // reads the utilization signal during a skipped window (the simulation
 // loop's horizon already folds every reader's own deadline).
 func (d *DRAM) NextEvent(now uint64) uint64 {
@@ -592,14 +592,14 @@ func (d *DRAM) NextEvent(now uint64) uint64 {
 	return next
 }
 
-// AdvanceTo bulk-applies the per-cycle accounting of the n skipped cycles
+// SkipCycles bulk-applies the per-cycle accounting of the n skipped cycles
 // [from, from+n): channel-cycle counting, utilization-epoch rollovers, and
 // the write-drain hysteresis (whose inputs are constant across an idle
 // window). The caller proved via NextEvent that no refresh deadline falls
 // inside the window and no queued request becomes schedulable in it, and
 // the controller clock must land on from+n-1 so requests issued at the wake
 // cycle are stamped exactly as in the per-cycle loop.
-func (d *DRAM) AdvanceTo(from, n uint64) {
+func (d *DRAM) SkipCycles(from, n uint64) {
 	if n == 0 {
 		return
 	}

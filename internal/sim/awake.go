@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"strings"
 
-	"clip/internal/cache"
 	"clip/internal/dram"
 	"clip/internal/invariant"
 	"clip/internal/mem"
@@ -19,8 +18,8 @@ import (
 // through until someone needs its clocks or counters — the component that
 // wakes it, collect, the warmup barrier, SaveState. All of it is rebuilt
 // state: SaveState settles every sleeper so the image holds what the
-// per-cycle loop would have written, LoadState marks everything awake. The
-// strict loop (Config.DisableSkip) reads none of it.
+// per-cycle loop would have written, LoadState marks everything awake. Under
+// the strict loop (Config.DisableSkip) everything stays awake.
 
 // WakeSource says what woke a sleeping tile or LLC slice.
 type WakeSource int
@@ -75,28 +74,80 @@ func (s *System) SelfStats() SelfStats {
 // awakeSets is the skipping loop's view of who has work. Every slice below is
 // carved from one slab (carveColumns).
 type awakeSets struct {
-	// tiles and slices are the awake bitmaps; dramQ marks tiles with a
-	// non-empty direct-DRAM queue, which the tile walk drains whether or not
-	// the tile is awake.
-	tiles, slices, dramQ []uint64
-	// tileNext[i] / sliceNext[i] is a sleeper's own deadline — the earliest
-	// cycle one of its components has work with nobody else acting — and
-	// mem.NoEvent for one that is awake or waits on others only. tileMin /
-	// sliceMin is a lower bound on the column's minimum, so a cycle on which
-	// no deadline is due costs one compare.
-	tileNext, sliceNext []uint64
-	tileMin, sliceMin   uint64
-	// tileOwed[i] / sliceOwed[i] is the first cycle a sleeper has not been
-	// charged for.
-	tileOwed, sliceOwed []uint64
+	tiles, slices sleepers
+	// dramQ marks tiles with a non-empty direct-DRAM queue, which the tile
+	// walk drains whether or not the tile is awake.
+	dramQ []uint64
 	// parked holds, per DRAM controller queue, the slices asleep on a refusal
-	// by that queue (words per queue = len(slices)). popped marks the sleeping
-	// slices one of whose queues has dequeued since: each asks the controller
-	// again at its turn in the next slice walk (tickSlices).
+	// by that queue (words per queue = len(slices.awake)). popped marks the
+	// sleeping slices one of whose queues has dequeued since: each asks the
+	// controller again at its turn in the next slice walk (tickSlices).
 	parked, popped []uint64
 	// sliceWoke[i] is 1 + the source of slice i's last wake until its next
 	// visit, 0 after it.
 	sliceWoke []uint64
+}
+
+// sleepers is the awake bookkeeping of one kind of sleeper, the tiles or the
+// LLC slices. A sleeper owes the cycles after its components' clocks; only
+// who is asleep and until when is kept here.
+type sleepers struct {
+	// awake is the awake bitmap.
+	awake []uint64
+	// next[i] is a sleeper's own deadline — the earliest cycle one of its
+	// components has work with nobody else acting — and mem.NoEvent for one
+	// that is awake or waits on others only. min is a lower bound on the
+	// column's minimum, so a cycle on which no deadline is due costs one
+	// compare.
+	next []uint64
+	min  uint64
+}
+
+func (z *sleepers) asleep(i int) bool { return !hasBit(z.awake, i) }
+
+// sleep takes i, with nothing due before next, out of the awake set.
+func (z *sleepers) sleep(i int, next uint64) {
+	clearBit(z.awake, i)
+	z.next[i] = next
+	if next < z.min {
+		z.min = next
+	}
+}
+
+// wake puts i back in the awake set and reports whether it was asleep.
+func (z *sleepers) wake(i int) bool {
+	if hasBit(z.awake, i) {
+		return false
+	}
+	setBit(z.awake, i)
+	z.next[i] = mem.NoEvent
+	return true
+}
+
+// wakeAll marks every one awake.
+func (z *sleepers) wakeAll() {
+	for i := range z.next {
+		setBit(z.awake, i)
+		z.next[i] = mem.NoEvent
+	}
+	z.min = mem.NoEvent
+}
+
+// due hands wake every sleeper whose own deadline is cycle cy, in ascending
+// index. On most cycles none is and the cached minimum makes this a compare.
+func (z *sleepers) due(cy uint64, wake func(i int)) {
+	if cy < z.min {
+		return
+	}
+	min := mem.NoEvent
+	for i, next := range z.next {
+		if next <= cy {
+			wake(i)
+		} else if next < min {
+			min = next
+		}
+	}
+	z.min = min
 }
 
 func setBit(w []uint64, i int)      { w[i>>6] |= 1 << uint(i&63) }
@@ -112,42 +163,39 @@ func anyBit(w []uint64) bool {
 	return false
 }
 
-// carveColumns allocates the one slab behind coreNext and the awake-set
-// columns and marks everything awake.
+// carveColumns allocates the one slab behind the watchdog's marks and the
+// awake-set columns and marks everything awake.
 func (s *System) carveColumns() {
 	n := len(s.cores)
 	words := (n + 63) / 64
-	rest := make([]uint64, 7*n+(4+s.dram.Queues())*words)
+	rest := make([]uint64, 4*n+(4+s.dram.Queues())*words)
 	carve := func(k int) []uint64 {
 		c := rest[:k:k]
 		rest = rest[k:]
 		return c
 	}
 	a := &s.awake
-	s.coreNext, s.watched = carve(n), carve(n)
-	a.tileNext, a.tileOwed = carve(n), carve(n)
-	a.sliceNext, a.sliceOwed, a.sliceWoke = carve(n), carve(n), carve(n)
-	a.tiles, a.slices, a.dramQ, a.popped = carve(words), carve(words), carve(words), carve(words)
+	s.watched = carve(n)
+	a.tiles = sleepers{awake: carve(words), next: carve(n)}
+	a.slices = sleepers{awake: carve(words), next: carve(n)}
+	a.sliceWoke, a.dramQ, a.popped = carve(n), carve(words), carve(words)
 	a.parked = rest
 	s.wakeAll()
 }
 
-// wakeAll marks every tile and slice awake with nothing owed — the state of
-// a fresh or just-restored system, whose components find their own sleep
-// again on their first visit — and restarts the progress watchdog from the
-// current cycle.
+// wakeAll marks every tile and slice awake — the state of a fresh or
+// just-restored system, whose components find their own sleep again on their
+// first visit — and restarts the progress watchdog from the current cycle.
 func (s *System) wakeAll() {
 	a := &s.awake
+	a.tiles.wakeAll()
+	a.slices.wakeAll()
 	for i := range s.cores {
-		setBit(a.tiles, i)
-		setBit(a.slices, i)
-		a.tileNext[i], a.sliceNext[i] = mem.NoEvent, mem.NoEvent
 		s.markDramQ(i)
 	}
 	clear(a.parked)
 	clear(a.popped)
 	clear(a.sliceWoke)
-	a.tileMin, a.sliceMin = mem.NoEvent, mem.NoEvent
 	for i, c := range s.cores {
 		s.watched[i] = c.RetiredTotal()
 	}
@@ -168,8 +216,12 @@ func (s *System) markDramQ(i int) {
 // The direct-DRAM queue is not part of it — the tile walk drains that queue
 // every cycle whether or not the tile is awake.
 func (s *System) tileHorizon(i int, now uint64) uint64 {
-	h := s.coreNext[i]
-	if h <= now || s.cores[i].Woken() {
+	c := s.cores[i]
+	if c.Woken() {
+		return now
+	}
+	h := c.NextEvent(now)
+	if h <= now {
 		return now
 	}
 	// A queue whose head waits on a full target has no event of its own: it
@@ -197,34 +249,11 @@ func (s *System) sliceHorizon(i int, now uint64) uint64 {
 	return s.llc[i].NextEvent(now)
 }
 
-// sleepTile takes tile i, just visited at cycle from-1 with nothing due
-// before next, out of the awake set.
-func (s *System) sleepTile(i int, from, next uint64) {
-	a := &s.awake
-	clearBit(a.tiles, i)
-	a.tileOwed[i], a.tileNext[i] = from, next
-	if next < a.tileMin {
-		a.tileMin = next
-	}
-}
-
-// sleepSlice is sleepTile for an LLC slice, which can also sleep on a DRAM
-// queue: it parks on the queue of each request the controller refused it.
-func (s *System) sleepSlice(i int, from, next uint64) {
-	a := &s.awake
-	clearBit(a.slices, i)
-	a.sliceOwed[i], a.sliceNext[i] = from, next
-	if next < a.sliceMin {
-		a.sliceMin = next
-	}
-	s.parkSlice(i)
-}
-
 // parkSlice files sleeping slice i under the controller queue of each request
 // the controller refused it.
 func (s *System) parkSlice(i int) {
 	a := &s.awake
-	words := len(a.slices)
+	words := len(a.slices.awake)
 	head, wb := s.llc[i].LowerWaits()
 	if head != nil {
 		setBit(a.parked[s.dram.QueueOf(head)*words:], i)
@@ -234,39 +263,24 @@ func (s *System) parkSlice(i int) {
 	}
 }
 
-// settleTile charges sleeping tile i for the cycles [owed, upTo) it has not
-// been charged for — exactly what the per-cycle loop applies one cycle at a
-// time (tickTile's skip branches).
+// settleTile charges sleeping tile i for the cycles after its clock up to
+// (not including) upTo — exactly what the per-cycle loop applies one cycle at
+// a time (tickTile's skip branches). The L1D's clock is the tile's: core, L1D
+// and L2 were visited together and have slept since.
 func (s *System) settleTile(i int, upTo uint64) {
-	owed := s.awake.tileOwed[i]
-	if owed >= upTo {
+	from := s.l1d[i].Cycle() + 1
+	if from >= upTo {
 		return
 	}
-	s.cores[i].SkipCycles(owed, upTo-owed)
-	settleCache(s.l1d[i], owed, upTo)
-	settleCache(s.l2[i], owed, upTo)
-	s.awake.tileOwed[i] = upTo
+	s.cores[i].SkipCycles(from, upTo-from)
+	s.l1d[i].SkipCycles(from, upTo-from)
+	s.l2[i].SkipCycles(from, upTo-from)
 }
 
 // settleSlice is settleTile for a sleeping LLC slice.
 func (s *System) settleSlice(i int, upTo uint64) {
-	owed := s.awake.sliceOwed[i]
-	if owed >= upTo {
-		return
-	}
-	settleCache(s.llc[i], owed, upTo)
-	s.awake.sliceOwed[i] = upTo
-}
-
-func settleCache(c *cache.Cache, owed, upTo uint64) {
-	if invariant.Enabled {
-		invariant.Check(c.Cycle()+1 == owed,
-			"sim: %s owes from cycle %d but its clock stands at %d", c.Config().Name, owed, c.Cycle())
-	}
-	c.SkipTick(upTo - 1)
-	if invariant.Enabled {
-		invariant.Check(c.Cycle() == upTo-1,
-			"sim: %s settled to %d, clock at %d", c.Config().Name, upTo, c.Cycle())
+	if from := s.llc[i].Cycle() + 1; from < upTo {
+		s.llc[i].SkipCycles(from, upTo-from)
 	}
 }
 
@@ -274,14 +288,11 @@ func settleCache(c *cache.Cache, owed, upTo uint64) {
 // reads clocks or bulk-charged counters from outside the loop calls it
 // first; settling twice is a no-op.
 func (s *System) settleAll() {
-	if !s.skip {
-		return
-	}
 	for i := range s.cores {
-		if !hasBit(s.awake.tiles, i) {
+		if s.awake.tiles.asleep(i) {
 			s.settleTile(i, s.cycle)
 		}
-		if !hasBit(s.awake.slices, i) {
+		if s.awake.slices.asleep(i) {
 			s.settleSlice(i, s.cycle)
 		}
 	}
@@ -289,56 +300,28 @@ func (s *System) settleAll() {
 
 // wakeTile puts tile i back in the awake set before an outside event touches
 // it, first charging it up to (not including) cycle upTo — the callee reads
-// its own clock and stall columns. A no-op for an awake tile and under
-// DisableSkip.
+// its own clock and stall columns. A no-op for an awake tile, and so under
+// DisableSkip, where every tile stays awake.
 func (s *System) wakeTile(i int, upTo uint64, source WakeSource) {
-	if !s.skip || hasBit(s.awake.tiles, i) {
-		return
+	if s.awake.tiles.wake(i) {
+		s.settleTile(i, upTo)
+		s.self.Wakes[source]++
 	}
-	s.settleTile(i, upTo)
-	setBit(s.awake.tiles, i)
-	s.awake.tileNext[i] = mem.NoEvent
-	s.self.Wakes[source]++
 }
 
 // wakeSlice is wakeTile for an LLC slice.
 func (s *System) wakeSlice(i int, upTo uint64, source WakeSource) {
-	if !s.skip || hasBit(s.awake.slices, i) {
-		return
+	if s.awake.slices.wake(i) {
+		s.settleSlice(i, upTo)
+		s.awake.sliceWoke[i] = uint64(source) + 1
+		s.self.Wakes[source]++
 	}
-	s.settleSlice(i, upTo)
-	setBit(s.awake.slices, i)
-	s.awake.sliceNext[i] = mem.NoEvent
-	s.awake.sliceWoke[i] = uint64(source) + 1
-	s.self.Wakes[source]++
 }
 
-// wakeDue wakes the sleepers whose own deadline is cycle cy. On most cycles
-// none is and the cached minima make this two compares.
+// wakeDue wakes the sleepers whose own deadline is cycle cy.
 func (s *System) wakeDue(cy uint64) {
-	a := &s.awake
-	if cy >= a.tileMin {
-		min := mem.NoEvent
-		for i, next := range a.tileNext {
-			if next <= cy {
-				s.wakeTile(i, cy, WakeTimed)
-			} else if next < min {
-				min = next
-			}
-		}
-		a.tileMin = min
-	}
-	if cy >= a.sliceMin {
-		min := mem.NoEvent
-		for i, next := range a.sliceNext {
-			if next <= cy {
-				s.wakeSlice(i, cy, WakeTimed)
-			} else if next < min {
-				min = next
-			}
-		}
-		a.sliceMin = min
-	}
+	s.awake.tiles.due(cy, func(i int) { s.wakeTile(i, cy, WakeTimed) })
+	s.awake.slices.due(cy, func(i int) { s.wakeSlice(i, cy, WakeTimed) })
 }
 
 // wakeParked runs just before DRAM queue q dequeues (dram.OnDequeue), inside
@@ -349,10 +332,10 @@ func (s *System) wakeDue(cy uint64) {
 // marked popped and asks again at its turn in that walk (recheckPopped).
 func (s *System) wakeParked(q int) {
 	a := &s.awake
-	words := len(a.slices)
+	words := len(a.slices.awake)
 	for wi, w := range a.parked[q*words : (q+1)*words] {
 		a.parked[q*words+wi] = 0
-		w &^= a.slices[wi] // bits of slices that woke since they parked are stale
+		w &^= a.slices.awake[wi] // bits of slices that woke since they parked are stale
 		a.popped[wi] |= w
 		for ; w != 0; w &= w - 1 {
 			s.settleSlice(wi<<6+bits.TrailingZeros64(w), s.cycle+1)
@@ -386,7 +369,7 @@ func (s *System) recheckPopped(i int, cy uint64) (woke bool) {
 // cycle it matters.
 func (s *System) checkSleepingTiles(cy uint64) {
 	for i := range s.cores {
-		if !hasBit(s.awake.tiles, i) && s.tileHorizon(i, cy) <= cy {
+		if s.awake.tiles.asleep(i) && s.tileHorizon(i, cy) <= cy {
 			invariant.Check(false, "sim: tile %d asleep at cycle %d with work pending (%s)", i, cy, s.describeTile(i))
 		}
 	}
@@ -395,7 +378,7 @@ func (s *System) checkSleepingTiles(cy uint64) {
 // checkSleepingSlices is checkSleepingTiles for the LLC slices.
 func (s *System) checkSleepingSlices(cy uint64) {
 	for i := range s.llc {
-		if !hasBit(s.awake.slices, i) && !hasBit(s.awake.popped, i) && s.sliceHorizon(i, cy) <= cy {
+		if s.awake.slices.asleep(i) && !hasBit(s.awake.popped, i) && s.sliceHorizon(i, cy) <= cy {
 			invariant.Check(false, "sim: LLC slice %d asleep at cycle %d with work pending (%s)", i, cy, s.describeSlice(i))
 		}
 	}
@@ -405,7 +388,7 @@ func (s *System) checkSleepingSlices(cy uint64) {
 func (s *System) describeTile(i int) string {
 	c, l1, l2 := s.cores[i], s.l1d[i], s.l2[i]
 	return fmt.Sprintf("core %d: rob=%d head=%s next=%d; port=%d pfQ=%d dramQ=%d; l1d inQ=%d mshr=%d; l2 inQ=%d mshr=%d",
-		i, c.ROBOccupancy(), c.DebugHead(), s.awake.tileNext[i], len(s.ports[i].pending), s.pfQ[i].Len(),
+		i, c.ROBOccupancy(), c.DebugHead(), s.awake.tiles.next[i], len(s.ports[i].pending), s.pfQ[i].Len(),
 		s.stage[i].dramQ.Len(), l1.InQLen(), l1.MSHRInUse(), l2.InQLen(), l2.MSHRInUse())
 }
 
@@ -414,7 +397,7 @@ func (s *System) describeSlice(i int) string {
 	l := s.llc[i]
 	head, wb := l.LowerWaits()
 	return fmt.Sprintf("llc %d: inQ=%d mshr=%d retry=%d next=%d dram-refused head=%t wb=%t",
-		i, l.InQLen(), l.MSHRInUse(), s.llcRetry[i].Len(), s.awake.sliceNext[i], head != nil, wb != nil)
+		i, l.InQLen(), l.MSHRInUse(), s.llcRetry[i].Len(), s.awake.slices.next[i], head != nil, wb != nil)
 }
 
 // stallNote renders the stall diagnosis, if any, as an error-message suffix.

@@ -179,9 +179,9 @@ func TestAwakeWakeSettles(t *testing.T) {
 			dramQRefused := 0
 			for cy := uint64(0); cy < 40000; cy++ {
 				for i := 0; i < n; i++ {
-					tiles[i] = sleeper{asleep: !hasBit(skip.awake.tiles, i), owed: cy - min(cy, skip.awake.tileOwed[i])}
+					tiles[i] = sleeper{asleep: skip.awake.tiles.asleep(i), owed: cy - min(cy, skip.l1d[i].Cycle()+1)}
 					head, wb := skip.llc[i].LowerWaits()
-					slices[i] = sleeper{asleep: !hasBit(skip.awake.slices, i), owed: cy - min(cy, skip.awake.sliceOwed[i]),
+					slices[i] = sleeper{asleep: skip.awake.slices.asleep(i), owed: cy - min(cy, skip.llc[i].Cycle()+1),
 						head: head != nil, wb: wb != nil}
 					if q := &skip.stage[i].dramQ; q.Len() > 0 && skip.dram.StallEpoch(&q.Front().req) != nil {
 						dramQRefused++
@@ -203,7 +203,7 @@ func TestAwakeWakeSettles(t *testing.T) {
 					source = w.String()
 				}
 				for i := 0; i < n; i++ {
-					if tiles[i].asleep && hasBit(skip.awake.tiles, i) && tiles[i].owed >= minOwed {
+					if tiles[i].asleep && !skip.awake.tiles.asleep(i) && tiles[i].owed >= minOwed {
 						if got, want := skip.tileCountersOf(i), ref.tileCountersOf(i); got != want {
 							t.Fatalf("cycle %d: tile %d woken (%s) owing %d cycles:\n got:  %+v\n want: %+v",
 								cy, i, source, tiles[i].owed, got, want)
@@ -211,8 +211,8 @@ func TestAwakeWakeSettles(t *testing.T) {
 						seen["tile/"+source]++
 					}
 					// Only a dequeue charges a slice and leaves it asleep.
-					popped := slices[i].asleep && !hasBit(skip.awake.slices, i) && skip.awake.sliceOwed[i] == cy+1
-					if slices[i].asleep && (popped || hasBit(skip.awake.slices, i)) && slices[i].owed >= minOwed {
+					popped := slices[i].asleep && skip.awake.slices.asleep(i) && skip.llc[i].Cycle() == cy
+					if slices[i].asleep && (popped || !skip.awake.slices.asleep(i)) && slices[i].owed >= minOwed {
 						if popped {
 							source = "popped"
 						}

@@ -63,11 +63,10 @@ type Config struct {
 	// "spppf", "stride", "stream", "none").
 	Prefetcher string
 
-	// CLIP, when non-nil, gates prefetches per the paper's mechanism.
+	// CLIP, when non-nil, gates prefetches per the paper's mechanism. Its
+	// exploration window is replaced by the power of two just above the
+	// (scaled) L1D capacity, as §4.2 prescribes (clipConfig).
 	CLIP *core.Config
-	// CLIPAutoWindow recomputes the exploration window as the power of two
-	// just above the (scaled) L1D capacity, as §4.2 prescribes.
-	CLIPAutoWindow bool
 
 	// CritPredictor, when set, filters prefetches with a prior criticality
 	// predictor (Figure 5): "catch", "fp", "fvp", "cbp", "robo", "crisp".
@@ -77,10 +76,9 @@ type Config struct {
 	// reports their accuracy/coverage (Figure 4) without filtering.
 	ScorePredictors bool
 
-	// Throttler names an epoch throttler ("fdp", "hpac", "spac", "nst").
+	// Throttler names an epoch throttler ("fdp", "hpac", "spac", "nst") of
+	// the prefetcher, which must be a throttleable engine, not DSPatch.
 	Throttler string
-	// ThrottleEpoch is the epoch length in cycles (0 = 4096).
-	ThrottleEpoch uint64
 
 	// Hermes enables the off-chip load predictor bypass.
 	Hermes bool
@@ -153,7 +151,6 @@ func DefaultConfig(cores, channels, div int) Config {
 		Channels:             channels,
 		TransferCycles:       10,
 		Prefetcher:           "none",
-		CLIPAutoWindow:       true,
 		NoCCriticalPriority:  true,
 		DRAMCriticalPriority: true,
 		EnableTLB:            true,
@@ -201,23 +198,19 @@ func (c *Config) dramConfig() dram.Config {
 	return d
 }
 
-// clipConfig resolves the CLIP configuration, applying the auto window rule.
+// clipConfig resolves the CLIP configuration: the exploration window is the
+// power of two just above the L1D's line count.
 func (c *Config) clipConfig() core.Config {
 	cfg := *c.CLIP
-	if c.CLIPAutoWindow {
-		lines := c.L1D.Lines()
-		w := uint64(1)
-		for w <= lines {
-			w *= 2
-		}
-		// Scaled-down L1Ds would otherwise produce windows so short that
-		// per-IP hit rates and APC samples are pure noise (§4.2 warns that
-		// "smaller exploration windows make the training noisy").
-		if w < 512 {
-			w = 512
-		}
-		cfg.ExplorationWindow = w
+	lines := c.L1D.Lines()
+	w := uint64(1)
+	for w <= lines {
+		w *= 2
 	}
+	// Scaled-down L1Ds would otherwise produce windows so short that per-IP
+	// hit rates and APC samples are pure noise (§4.2 warns that "smaller
+	// exploration windows make the training noisy").
+	cfg.ExplorationWindow = max(w, 512)
 	return cfg
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"clip/internal/cache"
 	"clip/internal/core"
 	"clip/internal/cpu"
@@ -28,7 +30,7 @@ type coreMechs struct {
 	clip      *core.CLIP
 	crit      criticality.Predictor // filter predictor (Fig 5)
 	scored    []scoredPredictor     // observation predictors (Fig 4)
-	throttler throttle.Throttler    // nil also when pf is not Throttleable
+	throttler throttle.Throttler
 	hermes    *hermes.Predictor
 }
 
@@ -90,13 +92,15 @@ func (s *System) attachMechanisms() error {
 			}
 		}
 		if cfg.Throttler != "" {
-			if th, ok := m.pf.(prefetch.Throttleable); ok {
-				t, err := throttle.New(cfg.Throttler, th)
-				if err != nil {
-					return err
-				}
-				m.throttler = t
+			th, ok := m.pf.(prefetch.Throttleable)
+			t, err := throttle.New(cfg.Throttler, th) // an unknown name errs first
+			if err != nil {
+				return err
 			}
+			if !ok {
+				return fmt.Errorf("sim: prefetcher %q (DSPatch %t) cannot take throttler %q", cfg.Prefetcher, cfg.DSPatch, cfg.Throttler)
+			}
+			m.throttler = t
 		}
 		if cfg.Hermes {
 			m.hermes = hermes.New()

@@ -285,6 +285,28 @@ func TestThrottlerAdjusts(t *testing.T) {
 	}
 }
 
+// TestThrottlerNeedsAThrottleablePrefetcher: NewSystem refuses a throttler it
+// cannot attach — an unknown name, or a prefetcher without an aggressiveness
+// knob (none, or any engine behind DSPatch) — instead of running unthrottled.
+// TestThrottlerAdjusts runs the attachable case.
+func TestThrottlerNeedsAThrottleablePrefetcher(t *testing.T) {
+	for _, tc := range []struct {
+		pf, throttler string
+		dspatch       bool
+	}{
+		{"none", "bogus", false},
+		{"berti", "bogus", false},
+		{"none", "fdp", false},
+		{"berti", "fdp", true},
+	} {
+		cfg := small("619.lbm_s-2676B", 1)
+		cfg.Prefetcher, cfg.Throttler, cfg.DSPatch = tc.pf, tc.throttler, tc.dspatch
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("prefetcher %q, DSPatch %t, throttler %q: NewSystem accepted it", tc.pf, tc.dspatch, tc.throttler)
+		}
+	}
+}
+
 func TestHermesRuns(t *testing.T) {
 	cfg := small("605.mcf_s-1554B", 2)
 	cfg.Prefetcher = "berti"

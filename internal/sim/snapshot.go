@@ -104,8 +104,8 @@ func sections(saved, have mechSet) [8]section {
 		{"clip", saved.clip, have.clip, (*System).clipState},
 		{"crit", saved.crit != "", saved.crit == have.crit, (*System).critState},
 		{"scored", saved.scored, have.scored, (*System).scoredState},
-		// Throttlers bind the prefetcher (per-core nil-ness follows its
-		// Throttleable-ness), so they only restore alongside a matching pf.
+		// Throttlers bind the prefetcher, so they only restore alongside a
+		// matching pf.
 		{"throttle", saved.thr != "", saved.thr == have.thr && pfMatch, (*System).throttleState},
 		{"hermes", saved.hermes, have.hermes, (*System).hermesState},
 		{"dynclip", saved.dyn, have.dyn, (*System).dynClipState},
@@ -204,8 +204,7 @@ func (s *System) LoadState(data []byte) error {
 	if s.cfg.Throttler != "" && !thrLoaded {
 		// A freshly-attached throttler epochs from the next boundary after
 		// the restored cycle (a cold run epochs from the first boundary).
-		ep := s.throttleEpoch()
-		s.nextThrottle = (s.cycle/ep + 1) * ep
+		s.nextThrottle = (s.cycle/throttleEpoch + 1) * throttleEpoch
 	}
 	s.coresTicked = 0
 	s.imageLen = len(data)
@@ -292,7 +291,6 @@ func (s *System) baseState(c *snapshot.Coder) {
 			c.Bool(&e.bypass)
 		})
 	}
-	c.U64s(s.coreNext)
 }
 
 // bypassState walks the Hermes bypass map as a list of (line, count) pairs.
@@ -364,9 +362,7 @@ func (s *System) scoredState(c *snapshot.Coder) {
 func (s *System) throttleState(c *snapshot.Coder) {
 	c.U64(&s.nextThrottle)
 	for i := range s.mech {
-		if th := s.mech[i].throttler; present(c, "throttler", th != nil) {
-			throttle.State(c, th)
-		}
+		throttle.State(c, s.mech[i].throttler)
 	}
 }
 

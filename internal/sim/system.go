@@ -74,9 +74,6 @@ type System struct {
 	// over windows in which no component has work.
 	skip  bool
 	awake awakeSets
-	// coreNext caches each core's NextEvent horizon; a core is tick-skipped
-	// while the horizon is in the future and no load completion woke it.
-	coreNext []uint64
 	// coresTicked counts cores that took a real Tick this cycle.
 	coresTicked int
 	// finished counts cores whose instruction budget is exhausted,
@@ -288,7 +285,7 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 		c.OnFinished(onFinished)
 	}
 	if cfg.Throttler != "" {
-		s.nextThrottle = s.throttleEpoch()
+		s.nextThrottle = throttleEpoch
 	}
 	return s, nil
 }
@@ -297,13 +294,8 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 // release. It stays because bench/ calls it.
 func (s *System) Close() {}
 
-// throttleEpoch returns the throttler epoch length.
-func (s *System) throttleEpoch() uint64 {
-	if s.cfg.ThrottleEpoch != 0 {
-		return s.cfg.ThrottleEpoch
-	}
-	return 4096
-}
+// throttleEpoch is the throttler epoch length in cycles.
+const throttleEpoch = 4096
 
 func meshConfig(nodes int, critPrio bool) noc.Config {
 	c := noc.DefaultConfig(nodes)
@@ -418,19 +410,17 @@ func bypassKey(core int, addr mem.Addr) uint64 {
 
 // Tick advances the whole system one cycle: the tiles in ascending core
 // index (tile.go), then the shared components — mesh, LLC slices, DRAM,
-// response deliveries, throttlers. With skipping enabled the tile and slice
-// walks visit only the awake sets (awake.go); under DisableSkip they visit
-// everything and read no awake-set state. Results are byte-identical between
+// response deliveries, throttlers. The tile and slice walks visit the awake
+// sets (awake.go); under DisableSkip nothing ever sleeps, so they visit
+// everything and tick every component. Results are byte-identical between
 // the two.
 func (s *System) Tick() {
 	cy := s.cycle
 	s.coresTicked = 0
 	s.self.Ticks++
-	if s.skip {
-		s.wakeDue(cy)
-		if invariant.Enabled {
-			s.checkSleepingTiles(cy)
-		}
+	s.wakeDue(cy)
+	if invariant.Enabled {
+		s.checkSleepingTiles(cy)
 	}
 	s.tickTiles(cy)
 	if s.dynClip != nil {
@@ -453,24 +443,16 @@ func (s *System) Tick() {
 	s.cycle++
 }
 
-// tickSlices advances the LLC slices: every one under DisableSkip; otherwise
-// the awake ones and, in the same ascending walk, the sleepers a controller
-// dequeue marked popped that find room at their turn. A visited slice that
-// is left with nothing due next cycle goes to sleep.
+// tickSlices advances the awake LLC slices and, in the same ascending walk,
+// the sleepers a controller dequeue marked popped that find room at their
+// turn. Under skipping, a visited slice that is left with nothing due next
+// cycle goes to sleep; under DisableSkip every slice stays awake.
 func (s *System) tickSlices(cy uint64) {
-	if !s.skip {
-		for i, l := range s.llc {
-			s.retryLLC(i)
-			l.Tick(cy)
-		}
-		s.self.SliceVisits += uint64(len(s.llc))
-		return
-	}
 	if invariant.Enabled {
 		s.checkSleepingSlices(cy)
 	}
 	a := &s.awake
-	for wi, awake := range a.slices {
+	for wi, awake := range a.slices.awake {
 		s.self.SliceVisits += uint64(bits.OnesCount64(awake))
 		w := awake | a.popped[wi]
 		a.popped[wi] = 0
@@ -483,19 +465,19 @@ func (s *System) tickSlices(cy uint64) {
 			l := s.llc[i]
 			// Against a full queue every retry is refused and the rotation is
 			// the identity (the ring never holds a droppable prefetch, which
-			// Issue accepts): leave the ring alone.
-			if !l.Full() {
+			// Issue accepts): under skipping, leave the ring alone.
+			if !s.skip || !l.Full() {
 				s.retryLLC(i)
 			}
-			if l.NextEvent(cy) <= cy {
-				l.Tick(cy)
-			} else {
-				l.SkipTick(cy)
+			s.tickCache(l, cy)
+			if !s.skip {
+				continue
 			}
 			woke := a.sliceWoke[i]
 			a.sliceWoke[i] = 0
 			if next := s.sliceHorizon(i, cy+1); next > cy+1 {
-				s.sleepSlice(i, cy+1, next)
+				a.slices.sleep(i, next)
+				s.parkSlice(i)
 				if woke != 0 {
 					s.self.SliceResleeps[woke-1]++
 				}
@@ -528,10 +510,10 @@ func (s *System) Finished() bool { return s.finished == len(s.cores) }
 // way anywhere above the memory controller.
 func (s *System) horizon(now uint64) uint64 {
 	a := &s.awake
-	if anyBit(a.tiles) || anyBit(a.slices) || anyBit(a.popped) {
+	if anyBit(a.tiles.awake) || anyBit(a.slices.awake) || anyBit(a.popped) {
 		return now
 	}
-	h := min(a.tileMin, a.sliceMin, s.mesh.NextEvent(now), s.dramPending.Next(), s.hermesHold.Next())
+	h := min(a.tiles.min, a.slices.min, s.mesh.NextEvent(now), s.dramPending.Next(), s.hermesHold.Next())
 	if h <= now {
 		return now
 	}
@@ -589,7 +571,7 @@ func (s *System) skipAhead(maxCycles uint64) {
 		}
 	}
 	s.mesh.SkipCycles(now, n)
-	s.dram.AdvanceTo(now, n)
+	s.dram.SkipCycles(now, n)
 	for wi, w := range s.awake.dramQ {
 		for ; w != 0; w &= w - 1 {
 			// tickTiles would have re-issued each refused direct-DRAM head
@@ -764,11 +746,9 @@ func WarmupConfig(cfg Config) Config {
 	c := cfg
 	c.Prefetcher = "none"
 	c.CLIP = nil
-	c.CLIPAutoWindow = false
 	c.CritPredictor = ""
 	c.ScorePredictors = false
 	c.Throttler = ""
-	c.ThrottleEpoch = 0
 	c.Hermes = false
 	c.DSPatch = false
 	c.DynamicCLIP = false
@@ -819,12 +799,11 @@ func (s *System) tickThrottlers(cy uint64) {
 	if cy < s.nextThrottle {
 		return
 	}
-	epoch := s.throttleEpoch()
 	if invariant.Enabled {
 		invariant.Check(cy == s.nextThrottle,
 			"sim: throttle epoch %d missed, ticked at %d", s.nextThrottle, cy)
 	}
-	s.nextThrottle += epoch
+	s.nextThrottle += throttleEpoch
 	for i := range s.mech {
 		th := s.mech[i].throttler
 		if th == nil {
@@ -848,7 +827,7 @@ func (s *System) tickThrottlers(cy uint64) {
 
 		m := throttle.Metrics{
 			BandwidthUtil: s.dram.GlobalUtilization(),
-			CoreIPC:       float64(dRet) / float64(epoch),
+			CoreIPC:       float64(dRet) / throttleEpoch,
 		}
 		if dFills+dLate > 0 {
 			m.Accuracy = float64(dUseful+dLate) / float64(dFills+dLate)

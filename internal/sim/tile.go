@@ -34,23 +34,14 @@ type tileStage struct {
 	dramQ mem.Ring[directRead]
 }
 
-// tickTiles advances the tiles due this cycle in ascending core index: every
-// one under DisableSkip, the awake ones otherwise, plus — awake or not — those
-// with direct-DRAM reads queued, whose head is offered to the controller
-// every cycle. A visited tile that is left with nothing due next cycle goes
-// to sleep.
+// tickTiles advances the awake tiles in ascending core index plus — awake or
+// not — those with direct-DRAM reads queued, whose head is offered to the
+// controller every cycle. Under skipping, a visited tile that is left with
+// nothing due next cycle goes to sleep; under DisableSkip every tile stays
+// awake.
 func (s *System) tickTiles(cy uint64) {
-	if !s.skip {
-		for i := range s.cores {
-			s.tickTile(i, cy)
-			s.drainDirectDRAM(i)
-		}
-		s.self.TileVisits += uint64(len(s.cores))
-		s.self.TileVisitsCoreTicked += uint64(s.coresTicked)
-		return
-	}
 	a := &s.awake
-	for wi, awake := range a.tiles {
+	for wi, awake := range a.tiles.awake {
 		s.self.TileVisits += uint64(bits.OnesCount64(awake))
 		for w := awake | a.dramQ[wi]; w != 0; w &= w - 1 {
 			b := uint(bits.TrailingZeros64(w))
@@ -61,42 +52,41 @@ func (s *System) tickTiles(cy uint64) {
 			}
 			s.drainDirectDRAM(i)
 			s.markDramQ(i)
-			if !ticked {
-				continue // asleep: only its direct-DRAM queue was served
+			if !ticked || !s.skip {
+				continue // asleep, only its direct-DRAM queue served; or strict
 			}
 			// Folded after L1 and L2 ticked, so this visit's in-tile wakes (a
 			// completed load, an L1D or L2 pop) are already in it.
 			if next := s.tileHorizon(i, cy+1); next > cy+1 {
-				s.sleepTile(i, cy+1, next)
+				a.tiles.sleep(i, next)
 			}
 		}
 	}
 	s.self.TileVisitsCoreTicked += uint64(s.coresTicked)
 }
 
-// tickTile advances tile i by one cycle.
+// tickTile advances tile i by one cycle. Under skipping a component with no
+// work this cycle is charged for it instead of ticked.
 func (s *System) tickTile(i int, cy uint64) {
-	c := s.cores[i]
-	if s.skip && s.coreNext[i] > cy && !c.Woken() {
-		c.SkipCycles(cy, 1)
-	} else {
+	if c := s.cores[i]; !s.skip || c.Woken() || c.NextEvent(cy) <= cy {
 		c.Tick(cy)
 		s.coresTicked++
-		if s.skip {
-			s.coreNext[i] = c.NextEvent(cy + 1)
-		}
+	} else {
+		c.SkipCycles(cy, 1)
 	}
 	s.ports[i].Tick(cy)
 	s.drainPFQ(i)
-	if l1 := s.l1d[i]; !s.skip || l1.NextEvent(cy) <= cy {
-		l1.Tick(cy)
+	s.tickCache(s.l1d[i], cy)
+	s.tickCache(s.l2[i], cy)
+}
+
+// tickCache ticks c at cycle cy, or under skipping, when c has no work then,
+// charges it the cycle.
+func (s *System) tickCache(c *cache.Cache, cy uint64) {
+	if !s.skip || c.NextEvent(cy) <= cy {
+		c.Tick(cy)
 	} else {
-		l1.SkipTick(cy)
-	}
-	if l2 := s.l2[i]; !s.skip || l2.NextEvent(cy) <= cy {
-		l2.Tick(cy)
-	} else {
-		l2.SkipTick(cy)
+		c.SkipCycles(cy, 1)
 	}
 }
 
