@@ -68,6 +68,9 @@ func (c Config) Validate() error {
 	if c.MSHRs <= 0 || c.Ports <= 0 {
 		return fmt.Errorf("cache %s: MSHRs and Ports must be positive", c.Name)
 	}
+	if _, ok := policyKinds[c.Policy]; !ok {
+		return fmt.Errorf("cache %s: unknown replacement policy %q", c.Name, c.Policy)
+	}
 	return nil
 }
 

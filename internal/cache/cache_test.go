@@ -76,6 +76,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad, nil); err == nil {
 		t.Fatal("zero MSHRs accepted")
 	}
+	bad = smallConfig("x", mem.LevelL1)
+	bad.Policy = "belady"
+	if _, err := New(bad, nil); err == nil {
+		t.Fatal("unknown policy accepted")
+	}
 }
 
 func TestMissThenHit(t *testing.T) {

@@ -46,31 +46,38 @@ const (
 	policyMockingjay
 )
 
-// NewPolicy constructs the named policy for a sets x ways cache. Supported:
-// "lru", "nru", "srrip" (L2 default, Table 3) and "mockingjay" (LLC default —
-// a lightweight mimicry of Mockingjay's reuse-distance bypassing built on
-// RRIP plus a trigger-signature reuse table; see OnFill).
+// policyKinds names the supported policies: "lru" (also the empty name),
+// "nru", "srrip" (L2 default, Table 3) and "mockingjay" (LLC default — a
+// lightweight mimicry of Mockingjay's reuse-distance bypassing built on RRIP
+// plus a trigger-signature reuse table; see OnFill).
+var policyKinds = map[string]policyKind{
+	"": policyLRU, "lru": policyLRU, "nru": policyNRU,
+	"srrip": policySRRIP, "mockingjay": policyMockingjay,
+}
+
+// NewPolicy constructs the named policy for a sets x ways cache; it panics
+// on a name policyKinds does not list.
 func NewPolicy(name string, sets, ways int) *Policy {
+	kind, ok := policyKinds[name]
+	if !ok {
+		panic("cache: unknown replacement policy " + name)
+	}
 	lines := sets * ways
-	p := &Policy{ways: ways}
-	switch name {
-	case "", "lru":
-		p.kind = policyLRU
+	p := &Policy{ways: ways, kind: kind}
+	switch kind {
+	case policyLRU:
 		p.words = make([]uint64, lines)
 		p.stamp = p.words
-	case "nru":
-		p.kind = policyNRU
+	case policyNRU:
 		p.words = make([]uint64, sets)
 		p.ref = p.words
-	case "srrip":
-		p.kind = policySRRIP
+	case policySRRIP:
 		p.bytesSlab = make([]uint8, lines)
 		p.rrpv = p.bytesSlab
 		for i := range p.rrpv {
 			p.rrpv[i] = rrpvMax
 		}
-	case "mockingjay":
-		p.kind = policyMockingjay
+	case policyMockingjay:
 		p.words = make([]uint64, sets)
 		p.reused = p.words
 		p.bytesSlab = make([]uint8, 2*lines)
@@ -79,8 +86,6 @@ func NewPolicy(name string, sets, ways int) *Policy {
 		for i := range p.rrpv {
 			p.rrpv[i] = rrpvMax
 		}
-	default:
-		panic("cache: unknown replacement policy " + name)
 	}
 	return p
 }

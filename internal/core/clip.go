@@ -39,23 +39,13 @@ type Config struct {
 	PredictorSets, PredictorWays int // criticality predictor: 128 x 4 = 512
 	UtilityEntries               int // utility buffer CAM: 64
 
-	CritCountBits      int     // criticality count width (2 bits)
 	CritCountThreshold uint8   // "four provides the sweet spot" (§4.1 fn 1)
 	HitRateThreshold   float64 // per-IP prefetch hit rate gate: 0.90
-	CounterBits        int     // predictor saturating counter: 3 bits
 
 	ExplorationWindow uint64 // L1D misses per window: 1024
 
-	BranchHistBits int // branch history length in the signature: 32
-	CritHistBits   int // criticality history length in the signature: 32
-
 	APCWindows   int     // windows averaged for phase detection: 16
 	APCThreshold float64 // relative APC change that flags a phase: 0.15
-
-	// ExploreQuota issues the first N prefetches of a criticality-qualified
-	// IP each window even when its accuracy bit is off, so the per-IP hit
-	// rate keeps being measured (exploration vs. exploitation).
-	ExploreQuota int
 
 	// UseSignature selects critical-signature indexing; false degrades the
 	// predictor to IP-only indexing (the ablation the paper reports hurts
@@ -75,22 +65,35 @@ type Config struct {
 	CriticalityLevel mem.Level
 }
 
+// CLIP parameters that no configuration varies: Table 2's widths and the
+// exploration quota.
+const (
+	critCountBits  = 2  // criticality count width
+	counterBits    = 3  // predictor saturating counter width
+	branchHistBits = 32 // branch history length in the signature
+	critHistBits   = 32 // criticality history length in the signature
+
+	critCountMax = 1<<critCountBits - 1
+	counterMax   = 1<<counterBits - 1
+	counterInit  = 1 << (counterBits - 1) // a k-bit counter starts at half
+
+	// exploreQuota issues the first prefetches of a criticality-qualified
+	// IP each window even when its accuracy bit is off, so the per-IP hit
+	// rate keeps being measured (exploration vs. exploitation).
+	exploreQuota = 8
+)
+
 // DefaultConfig returns the paper's configuration (Table 2).
 func DefaultConfig() Config {
 	return Config{
 		FilterSets: 32, FilterWays: 4,
 		PredictorSets: 128, PredictorWays: 4,
 		UtilityEntries:     64,
-		CritCountBits:      2,
 		CritCountThreshold: 3, // 2-bit counter saturates at 3 = the 4th stall
 		HitRateThreshold:   0.90,
-		CounterBits:        3,
 		ExplorationWindow:  1024,
-		BranchHistBits:     32,
-		CritHistBits:       32,
 		APCWindows:         16,
 		APCThreshold:       0.15,
-		ExploreQuota:       8,
 		UseSignature:       true,
 		UseAccuracyStage:   true,
 		CriticalityLevel:   mem.LevelL2,
@@ -108,9 +111,6 @@ func (c Config) Validate() error {
 	}
 	if c.HitRateThreshold <= 0 || c.HitRateThreshold > 1 {
 		return fmt.Errorf("core: hit rate threshold %v out of (0,1]", c.HitRateThreshold)
-	}
-	if c.CounterBits < 1 || c.CounterBits > 8 {
-		return fmt.Errorf("core: counter bits %d out of [1,8]", c.CounterBits)
 	}
 	if c.ExplorationWindow == 0 {
 		return fmt.Errorf("core: zero exploration window")
@@ -226,9 +226,6 @@ type CLIP struct {
 	utilTrig  []uint64
 	utilPos   int
 
-	counterInit uint8 // half of max
-	counterMax  uint8
-
 	// Exploration window state.
 	windowMisses   uint64
 	windowAccesses uint64
@@ -270,8 +267,6 @@ func New(cfg Config) (*CLIP, error) {
 		utilTrig:  make([]uint64, cfg.UtilityEntries),
 		ipSeen:    table.NewMap[ipObs](0),
 	}
-	c.counterMax = uint8(1<<cfg.CounterBits - 1)
-	c.counterInit = uint8(1 << (cfg.CounterBits - 1)) // k-bit counter init k/2
 	return c, nil
 }
 
@@ -353,8 +348,9 @@ func (c *CLIP) filterInsert(key uint64) *filterEntry {
 // folding realises that correlation while still separating far addresses,
 // which line-exact matching cannot do for never-revisited stream data.
 func (c *CLIP) signature(ip uint64, addr mem.Addr, branchHist, critHist uint32) uint64 {
-	bh := uint64(branchHist) & maskBits(c.cfg.BranchHistBits)
-	ch := uint64(critHist) & maskBits(c.cfg.CritHistBits)
+	// The registers are branchHistBits and critHistBits wide: all of each
+	// enters the signature.
+	bh, ch := uint64(branchHist), uint64(critHist)
 	if !c.cfg.UseSignature {
 		return mem.Mix64(ip)
 	}
@@ -382,16 +378,6 @@ func popcount(x uint64) int {
 		n++
 	}
 	return n
-}
-
-func maskBits(n int) uint64 {
-	if n <= 0 {
-		return 0
-	}
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(n) - 1
 }
 
 func (c *CLIP) predIndex(sig uint64) (set int, tag uint8) {
@@ -427,7 +413,7 @@ func (c *CLIP) predLookup(sig uint64, allocate bool) *predEntry {
 			break
 		}
 	}
-	c.pred[victim] = predEntry{valid: true, tag: tag, counter: c.counterInit, nru: true}
+	c.pred[victim] = predEntry{valid: true, tag: tag, counter: counterInit, nru: true}
 	c.maybeClearNRU(base)
 	return &c.pred[victim]
 }
@@ -450,7 +436,7 @@ func (c *CLIP) maybeClearNRU(base int) {
 // msbSet reports counter confidence: most significant bit of the k-bit
 // counter.
 func (c *CLIP) msbSet(counter uint8) bool {
-	return counter >= uint8(1<<(c.cfg.CounterBits-1))
+	return counter >= 1<<(counterBits-1)
 }
 
 // ---- training ----
@@ -489,8 +475,7 @@ func (c *CLIP) OnLoadComplete(ev *cpu.LoadEvent) {
 	if actual {
 		// Stage I: shortlist the IP, bump its criticality count.
 		e := c.filterInsert(key)
-		maxCount := uint8(1<<c.cfg.CritCountBits - 1)
-		if e.critCount < maxCount {
+		if e.critCount < critCountMax {
 			e.critCount++
 		}
 		c.stats.CritInserts++
@@ -504,7 +489,7 @@ func (c *CLIP) OnLoadComplete(ev *cpu.LoadEvent) {
 	sig := c.signature(ev.IP, ev.Addr, ev.BranchHist, ev.CritHist)
 	if ev.ServedBy >= mem.LevelL2 && ev.StalledHead {
 		e := c.predLookup(sig, true)
-		if e.counter < c.counterMax {
+		if e.counter < counterMax {
 			e.counter++
 		}
 		c.stats.PredTrainInc++
@@ -649,7 +634,7 @@ func (c *CLIP) Allow(cand prefetch.Candidate) (bool, bool) {
 	explore := false
 	if c.cfg.UseAccuracyStage && !e.critAcc {
 		// Exploration quota: keep measuring a quieted IP.
-		if int(e.explored) < c.cfg.ExploreQuota {
+		if e.explored < exploreQuota {
 			explore = true
 		} else {
 			c.stats.Dropped[DropInaccurateIP]++

@@ -34,7 +34,7 @@ func TestUtilityBufferWrapsAround(t *testing.T) {
 	// Issue more prefetches than the buffer holds; the CAM keeps the most
 	// recent UtilityEntries.
 	issued := 0
-	for i := 0; i < cfg.ExploreQuota; i++ {
+	for i := 0; i < exploreQuota; i++ {
 		if ok, _ := c.Allow(cand(ip, mem.Addr(0x100000+i*64))); ok {
 			issued++
 		}
@@ -82,8 +82,8 @@ func TestWindowHalvesCounts(t *testing.T) {
 
 func TestCounterInitAtHalf(t *testing.T) {
 	c := MustNew(DefaultConfig())
-	if c.counterInit != 4 || c.counterMax != 7 {
-		t.Fatalf("3-bit counter init/max = %d/%d, want 4/7", c.counterInit, c.counterMax)
+	if counterInit != 4 || counterMax != 7 {
+		t.Fatalf("3-bit counter init/max = %d/%d, want 4/7", counterInit, counterMax)
 	}
 	if !c.msbSet(4) || c.msbSet(3) {
 		t.Fatal("MSB boundary wrong for 3-bit counter")

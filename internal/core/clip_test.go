@@ -37,7 +37,7 @@ func qualify(t *testing.T, c *CLIP, ip uint64, addrs []mem.Addr) {
 	// Issue prefetches under the exploration quota and hit them all.
 	cycle := uint64(1000)
 	for w := 0; w < 3; w++ {
-		for i := 0; i < c.cfg.ExploreQuota; i++ {
+		for i := 0; i < exploreQuota; i++ {
 			a := addrs[i%len(addrs)]
 			ok, _ := c.Allow(cand(ip, a))
 			if !ok && w == 0 && i == 0 {
@@ -199,7 +199,7 @@ func TestSignatureSeparatesBranchContexts(t *testing.T) {
 func qualifyAccuracy(c *CLIP, ip uint64, addr mem.Addr) {
 	cycle := uint64(10000)
 	for w := 0; w < 2; w++ {
-		for i := 0; i < c.cfg.ExploreQuota; i++ {
+		for i := 0; i < exploreQuota; i++ {
 			c.SetHistories(0xAAAA, 0xFF)
 			if ok, _ := c.Allow(cand(ip, addr)); ok {
 				c.OnAccess(addr, true, cycle)
@@ -241,7 +241,7 @@ func TestAccuracyStageDemotesInaccurateIP(t *testing.T) {
 	}
 	// Explore with zero hits: accuracy 0 -> bit stays off after the window.
 	cycle := uint64(0)
-	for i := 0; i < c.cfg.ExploreQuota; i++ {
+	for i := 0; i < exploreQuota; i++ {
 		c.Allow(cand(ip, mem.Addr(0xB000+i*64)))
 	}
 	for m := uint64(0); m < c.cfg.ExplorationWindow; m++ {
@@ -251,7 +251,7 @@ func TestAccuracyStageDemotesInaccurateIP(t *testing.T) {
 	// Quota exhausted in a fresh window only after it resets; bit is off so
 	// non-explore prefetches are dropped.
 	drops := c.Stats().Dropped[DropInaccurateIP]
-	for i := 0; i < c.cfg.ExploreQuota+4; i++ {
+	for i := 0; i < exploreQuota+4; i++ {
 		c.Allow(cand(ip, mem.Addr(0xB000+i*64)))
 	}
 	if c.Stats().Dropped[DropInaccurateIP] <= drops {

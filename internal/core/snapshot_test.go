@@ -17,7 +17,7 @@ func TestCLIPSnapshotManifest(t *testing.T) {
 		},
 		[]string{
 			// From config.
-			"cfg", "counterInit", "counterMax",
+			"cfg",
 		})
 	snapshot.CheckManifest(t, snapshot.MustStruct(filterEntry{}),
 		[]string{"valid", "tag", "critCount", "hitCount", "issueCount", "critAcc", "explored"}, nil)

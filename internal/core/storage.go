@@ -18,10 +18,10 @@ func (s StorageItem) Bytes() float64 { return float64(s.Bits) / 8 }
 func StorageBudget(cfg Config, robEntries int) []StorageItem {
 	filterEntries := cfg.FilterSets * cfg.FilterWays
 	// 6-bit IP tag + crit count + 6-bit hit + 6-bit issue + crit-acc bit.
-	filterEntryBits := 6 + cfg.CritCountBits + 6 + 6 + 1
+	filterEntryBits := 6 + critCountBits + 6 + 6 + 1
 	predEntries := cfg.PredictorSets * cfg.PredictorWays
 	// 6-bit criticality tag + k-bit saturating counter + NRU bit.
-	predEntryBits := 6 + cfg.CounterBits + 1
+	predEntryBits := 6 + counterBits + 1
 
 	return []StorageItem{
 		{
@@ -55,8 +55,8 @@ func StorageBudget(cfg Config, robEntries int) []StorageItem {
 		{
 			Structure: "Branch and criticality history",
 			Detail: fmt.Sprintf("%d-bit and %d-bit shift registers",
-				cfg.BranchHistBits, cfg.CritHistBits),
-			Bits: cfg.BranchHistBits + cfg.CritHistBits,
+				branchHistBits, critHistBits),
+			Bits: branchHistBits + critHistBits,
 		},
 		{
 			Structure: "APC",

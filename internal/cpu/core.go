@@ -32,29 +32,30 @@ import (
 
 // Config sizes the core.
 type Config struct {
-	ROBSize           int // reorder buffer entries (paper: 512)
-	IssueWidth        int // dispatch width (paper: 6)
-	RetireWidth       int // retire width (paper: 4)
-	LoadPorts         int // loads issued to L1D per cycle (paper LOAD width: 2)
-	MispredictPenalty int // fetch redirect penalty in cycles
-	LQSize            int // load queue entries
+	ROBSize    int // reorder buffer entries (paper: 512)
+	IssueWidth int // dispatch width (paper: 6)
+	LQSize     int // load queue entries
 }
+
+// Table 3's core parameters that no configuration varies.
+const (
+	retireWidth       = 4  // retire width
+	loadPorts         = 2  // loads issued to L1D per cycle (LOAD width)
+	mispredictPenalty = 12 // fetch redirect penalty in cycles
+)
 
 // DefaultConfig matches Table 3.
 func DefaultConfig() Config {
 	return Config{
-		ROBSize:           512,
-		IssueWidth:        6,
-		RetireWidth:       4,
-		LoadPorts:         2,
-		MispredictPenalty: 12,
-		LQSize:            96,
+		ROBSize:    512,
+		IssueWidth: 6,
+		LQSize:     96,
 	}
 }
 
 // Validate reports sizing errors.
 func (c Config) Validate() error {
-	if c.ROBSize < 4 || c.IssueWidth < 1 || c.RetireWidth < 1 || c.LoadPorts < 1 {
+	if c.ROBSize < 4 || c.IssueWidth < 1 || c.LQSize < 1 {
 		return fmt.Errorf("cpu: invalid config %+v", c)
 	}
 	return nil
@@ -630,17 +631,14 @@ func (c *Core) accountStall() {
 	}
 }
 
-// retire commits up to RetireWidth instructions from a contiguous done-run at
+// retire commits up to retireWidth instructions from a contiguous done-run at
 // the ROB head. The run length comes from one word scan of the done bitmap.
 func (c *Core) retire() {
-	max := c.cfg.RetireWidth
-	if c.count < max {
-		max = c.count
-	}
-	if max == 0 {
+	limit := min(retireWidth, c.count)
+	if limit == 0 {
 		return
 	}
-	if n := c.doneRun(c.head, max); n > 0 {
+	if n := c.doneRun(c.head, limit); n > 0 {
 		c.retireRun(n)
 	}
 }
@@ -730,7 +728,7 @@ func (c *Core) issueLoads() {
 		return
 	}
 	attempted := false
-	ports := c.cfg.LoadPorts
+	ports := loadPorts
 	// Bound per-cycle scheduling effort: examine the oldest few ready loads
 	// (an age-ordered LQ scheduler), and stop on L1 backpressure — when the
 	// L1 refuses one request it refuses them all this cycle.
@@ -994,7 +992,7 @@ func (c *Core) dispatchBranch(ins *trace.Instr) (uint64, bool) {
 	c.file(slot, at)
 	if pred != ins.Taken {
 		c.stats.Mispredicts++
-		c.fetchStallUntil = c.cycle + uint64(c.cfg.MispredictPenalty)
+		c.fetchStallUntil = c.cycle + mispredictPenalty
 		return at, true
 	}
 	return at, false

@@ -90,6 +90,13 @@ func TestCoreConfigValidate(t *testing.T) {
 	if _, err := New(0, bad, testGen(t), newFakeMem(1, mem.LevelL1), 10); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+	// With no load queue every load would take the LQ-full path and
+	// complete as an L1 hit.
+	bad = DefaultConfig()
+	bad.LQSize = 0
+	if _, err := New(0, bad, testGen(t), newFakeMem(1, mem.LevelL1), 10); err == nil {
+		t.Fatal("zero-entry load queue accepted")
+	}
 	if _, err := New(0, DefaultConfig(), nil, newFakeMem(1, mem.LevelL1), 10); err == nil {
 		t.Fatal("nil generator accepted")
 	}

@@ -24,16 +24,11 @@ import (
 // Config sizes the memory system.
 type Config struct {
 	Channels int
-	Banks    int // banks per channel
 	RQ, WQ   int // read/write queue entries per channel
 
-	// Timing in core cycles (4 GHz core, 12.5ns tRP=tRCD=CAS => 50 cycles).
-	CAS, RCD, RP int
 	// Transfer is the data-bus occupancy per 64B line (10 cycles at
 	// 25.6GB/s on a 4GHz core).
 	Transfer int
-
-	RowLines int // lines per row buffer (4KB row = 64 lines)
 
 	// REFI is the refresh interval and RFC the refresh cycle time, in core
 	// cycles (DDR4: tREFI 7.8us, tRFC ~350ns at a 4GHz core clock). During
@@ -45,32 +40,35 @@ type Config struct {
 	// CriticalPriority treats CLIP-flagged critical prefetches as demands in
 	// the scheduler (the paper's "load criticality conscious DRAM").
 	CriticalPriority bool
-
-	// WriteWatermark (numerator/denominator = 7/8 in the paper) triggers
-	// write drain when the WQ fills beyond it.
-	WriteWatermarkNum, WriteWatermarkDen int
 }
+
+// Table 3's DRAM parameters that no configuration varies.
+const (
+	banks    = 16 // banks per channel
+	rowLines = 64 // lines per row buffer (4KB row)
+
+	// Timing in core cycles (4 GHz core, 12.5ns tRP=tRCD=CAS => 50 cycles).
+	tCAS, tRCD, tRP = 50, 50, 50
+
+	// Write drain starts when the WQ fills beyond 7/8 of its entries.
+	writeWatermarkNum, writeWatermarkDen = 7, 8
+)
 
 // DefaultConfig matches Table 3 for the given channel count.
 func DefaultConfig(channels int) Config {
 	return Config{
-		Channels: channels, Banks: 16, RQ: 64, WQ: 64,
-		CAS: 50, RCD: 50, RP: 50, Transfer: 10, RowLines: 64,
-		REFI: 31200, RFC: 1400,
-		PADC: true, WriteWatermarkNum: 7, WriteWatermarkDen: 8,
+		Channels: channels, RQ: 64, WQ: 64, Transfer: 10,
+		REFI: 31200, RFC: 1400, PADC: true,
 	}
 }
 
 // Validate reports sizing errors.
 func (c Config) Validate() error {
-	if c.Channels <= 0 || c.Banks <= 0 || c.RQ <= 0 || c.WQ <= 0 {
+	if c.Channels <= 0 || c.RQ <= 0 || c.WQ <= 0 {
 		return fmt.Errorf("dram: non-positive sizes in %+v", c)
 	}
-	if c.Transfer <= 0 || c.RowLines <= 0 {
+	if c.Transfer <= 0 {
 		return fmt.Errorf("dram: non-positive timing in %+v", c)
-	}
-	if c.WriteWatermarkNum < 0 || c.WriteWatermarkDen <= 0 {
-		return fmt.Errorf("dram: write watermark %d/%d", c.WriteWatermarkNum, c.WriteWatermarkDen)
 	}
 	return nil
 }
@@ -258,7 +256,7 @@ func New(cfg Config) (*DRAM, error) {
 		return nil, err
 	}
 	d := &DRAM{cfg: cfg, chans: make([]channel, cfg.Channels),
-		drainHi: cfg.WQ * cfg.WriteWatermarkNum / cfg.WriteWatermarkDen, drainLo: cfg.WQ / 4}
+		drainHi: cfg.WQ * writeWatermarkNum / writeWatermarkDen, drainLo: cfg.WQ / 4}
 	words := (cfg.RQ + 63) / 64
 	scratch := make([]uint64, 3*words)
 	d.eligW = scratch[0*words : 1*words]
@@ -268,7 +266,7 @@ func New(cfg Config) (*DRAM, error) {
 		ch := &d.chans[i]
 		ch.id = i
 		ch.rdFree, ch.wrFree = mem.NoEvent, mem.NoEvent
-		ch.banks = make([]bank, cfg.Banks)
+		ch.banks = make([]bank, banks)
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
 		}
@@ -369,7 +367,7 @@ func (d *DRAM) ChannelOf(addr mem.Addr) int {
 // bankRow returns where in its channel addr lives.
 func (d *DRAM) bankRow(addr mem.Addr) (bk int, row int64) {
 	perCh := addr.LineID() / uint64(d.cfg.Channels)
-	return int(perCh % uint64(d.cfg.Banks)), int64(perCh / uint64(d.cfg.Banks) / uint64(d.cfg.RowLines))
+	return int(perCh % banks), int64(perCh / banks / rowLines)
 }
 
 // Issue implements cache.Lower: reads (loads/prefetches) enter the read
@@ -735,13 +733,13 @@ func (d *DRAM) scheduleRead(c *channel) bool {
 	var access uint64
 	switch {
 	case b.openRow == row:
-		access = uint64(d.cfg.CAS)
+		access = tCAS
 		d.stats.RowHits++
 	case b.openRow < 0:
-		access = uint64(d.cfg.RCD + d.cfg.CAS)
+		access = tRCD + tCAS
 		d.stats.RowMisses++
 	default:
-		access = uint64(d.cfg.RP + d.cfg.RCD + d.cfg.CAS)
+		access = tRP + tRCD + tCAS
 		d.stats.RowConflicts++
 	}
 	b.openRow = row
@@ -756,8 +754,8 @@ func (d *DRAM) scheduleRead(c *channel) bool {
 	if invariant.Enabled {
 		// A row conflict must pay at least the full tRP+tRCD+CAS of a row
 		// hit, and the data bus can only move forward in time.
-		invariant.Check(access >= uint64(d.cfg.CAS),
-			"dram: bank %d access latency %d below CAS %d", bk, access, d.cfg.CAS)
+		invariant.Check(access >= tCAS,
+			"dram: bank %d access latency %d below CAS %d", bk, access, tCAS)
 		invariant.Check(done >= c.busFreeAt && busAt >= ready,
 			"dram: data-bus schedule went backwards (busAt=%d ready=%d done=%d busFreeAt=%d)",
 			busAt, ready, done, c.busFreeAt)
@@ -824,13 +822,13 @@ func (d *DRAM) scheduleWrite(c *channel) bool {
 		var access uint64
 		switch {
 		case b.openRow == row:
-			access = uint64(d.cfg.CAS)
+			access = tCAS
 			d.stats.RowHits++
 		case b.openRow < 0:
-			access = uint64(d.cfg.RCD + d.cfg.CAS)
+			access = tRCD + tCAS
 			d.stats.RowMisses++
 		default:
-			access = uint64(d.cfg.RP + d.cfg.RCD + d.cfg.CAS)
+			access = tRP + tRCD + tCAS
 			d.stats.RowConflicts++
 		}
 		b.openRow = row

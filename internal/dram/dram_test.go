@@ -295,9 +295,9 @@ func TestRefreshBlocksChannelAndClosesRows(t *testing.T) {
 	second := dones[1] - 600
 	// Without refresh this would be a row hit (CAS only); the refresh
 	// closed the row, so it must cost at least RCD+CAS.
-	if second < uint64(cfg.RCD+cfg.CAS) {
+	if second < tRCD+tCAS {
 		t.Fatalf("post-refresh access took %d, want >= %d (row closed)",
-			second, cfg.RCD+cfg.CAS)
+			second, tRCD+tCAS)
 	}
 	_ = first
 	if d.Stats().Refreshes == 0 {

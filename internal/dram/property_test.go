@@ -62,7 +62,7 @@ func TestPropertyBankExclusive(t *testing.T) {
 	var dones []uint64
 	d.OnResponse(func(r *mem.Response) { dones = append(dones, r.DoneCycle) })
 	// Same bank, different rows: guaranteed conflict.
-	rowStride := uint64(cfg.Banks) * uint64(cfg.RowLines) * mem.LineBytes
+	rowStride := uint64(banks * rowLines * mem.LineBytes)
 	d.Issue(&mem.Request{Addr: 0, Type: mem.Load})
 	d.Issue(&mem.Request{Addr: mem.Addr(rowStride), Type: mem.Load})
 	for cy := uint64(0); cy < 2000; cy++ {
@@ -76,7 +76,7 @@ func TestPropertyBankExclusive(t *testing.T) {
 		gap = -gap
 	}
 	// A row conflict costs at least RP+RCD+CAS after the first access.
-	if gap < int64(cfg.RP) {
+	if gap < tRP {
 		t.Fatalf("conflicting accesses too close: gap %d", gap)
 	}
 }
@@ -102,7 +102,7 @@ func refNextEvent(d *DRAM, now uint64) uint64 {
 		}
 		// The next Tick applies the hysteresis before it schedules.
 		drain := c.draining
-		if len(c.wrBk) >= d.cfg.WQ*d.cfg.WriteWatermarkNum/d.cfg.WriteWatermarkDen {
+		if len(c.wrBk) >= d.cfg.WQ*writeWatermarkNum/writeWatermarkDen {
 			drain = true
 		} else if len(c.wrBk) <= d.cfg.WQ/4 {
 			drain = false

@@ -139,9 +139,8 @@ func (s *System) tileCountersOf(i int) tileCounters {
 		L1Clock: s.l1d[i].Cycle(), L2Clock: s.l2[i].Cycle(),
 		L1MSHRFull: s.l1d[i].Stats().MSHRFullEvents, L2MSHRFull: s.l2[i].Stats().MSHRFullEvents,
 	}
-	if h := s.tlbs[i]; h != nil {
-		c.TLBAccesses, c.DTLBHits = h.Stats().Accesses, h.Stats().DTLBHits
-	}
+	h := s.ports[i].tlb
+	c.TLBAccesses, c.DTLBHits = h.Stats().Accesses, h.Stats().DTLBHits
 	return c
 }
 

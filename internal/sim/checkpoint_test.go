@@ -47,27 +47,27 @@ func scoredArm() Config {
 const imageDigestSteps = 3000
 
 // imageDigestsVersion is the snapshot.Version imageDigests was recorded at.
-const imageDigestsVersion = 6
+const imageDigestsVersion = 7
 
 // imageDigests holds the sha256 of each checkpointMatrix arm's image after
 // imageDigestSteps steps. Re-record it only with a snapshot.Version bump, or
 // together with a re-record of the goldens for an intended change of
 // behaviour.
 var imageDigests = map[string]string{
-	"clip":         "06e93282849887235884a7aa50430e477b903f0b23a439f38fd67325a668ef9e",
-	"critpred":     "f71cccd3fe775a34d0f3d5d285c316b4372f16d1e514a32b672b92e917a8172b",
-	"dynclip":      "f995640b110643cf64094fb118a86dac5e0ad0568cfc15735245958ea0d8184e",
-	"hermes":       "3c9cbe644e360b4ad6bf7b0f2af18db7f18da218f86a7e02a5a4889797159941",
-	"het-dspatch":  "8f4d93f781fb4c29d6d2ff6f258d5ee79067ee6d73a60021edbdc05a4a15931d",
-	"mesh16-1ch":   "2c1f05c0354317054473628671193964c20ed5eeeea39ef9bf6fa982103602cb",
-	"mesh64":       "6107c770ce6181bb9576ab666343b7ca68b009dac4680aa5c98f06ff90e1a1f8",
-	"noc-prio-off": "18a708343ee2bb57023fb90828d166dd09b98a30a393a6f6d3675cde72a719dd",
-	"scored":       "4414d7a1b19389fa13bd59b8f3eef78e5e955c7b0e8e99d75b4badbfa45af32f",
-	"spac":         "b88b4a443e34885daff94d7c337e4998e5c4573d0778c115a7db56bb782f2af5",
-	"stall-hermes": "6bcec5f314333b2afec6554030a73136c64eec2ff1cb634e63b4da2ac7cd69bd",
-	"stall-mshr":   "b612730269db139dcf32ebbd7b9d2d14dd4bde9119812ee9862e7fbb8bac09fe",
-	"stall-rq":     "462cf7e32dd0347bea8a2818e202f71adc5e027f1d39497478dde35a933b1832",
-	"throttler":    "f49e925513a9bdba047513435f2ffa7774be0f5ea31c26807fd452b33c8170ca",
+	"clip":         "eacb0beff0ab129d5fc65508290ceb9ef795205b6956f08994fb8c6b9cdfe04b",
+	"critpred":     "6bfbbb979a489bf9e75852dddf89a04af5ede54699f52a4778afaa6888b6e462",
+	"dynclip":      "41ede922babaf846aaf3881b22a16faf25bd224005432ddad08544204c038b9c",
+	"hermes":       "92cb6717905ee3edeebe787286bc529d381677f00b39af1a203ae973fadbf440",
+	"het-dspatch":  "278dc37457b9fae8ba01572af38ea4fc721487ab55674c9b317e67d9733c249e",
+	"mesh16-1ch":   "40b693e712f6d3da899655402ae780177e96d971b7da3f133f93503b99b2b141",
+	"mesh64":       "c536c3924bcd5d1ae60e4c13194654d1a2d19eb767b0832e960e80e3409e6134",
+	"noc-prio-off": "0d4634f38c55a29013898bcfd8733196dede7bfa84bb2af69c903c84c20e898f",
+	"scored":       "4f15a431775e8396970980b9f401bf3ae86a8ddf4311d120cfc8e73d927b716a",
+	"spac":         "e022e0cb2ef31c539696ba9ed49a51a20e9b03b118c3c6171200ab89f4e15a19",
+	"stall-hermes": "954c6d8fc3bc8d5d05a4fa1d5ff13fe7a2a3c4f4245f8f2bbeedae3a422b825f",
+	"stall-mshr":   "eb72bbd4904fb2326d92b00358e8141e478a3dd3ac7d04879374f72066985acc",
+	"stall-rq":     "6edac0427c3e373c0bc9039b4a8c2920363a0dbb10f905ed17ca59e5f5bf1bac",
+	"throttler":    "a20b87b41f37bd5955f6801072887f8a0f087dfdda56c4a4ca7aebbe0633b44b",
 }
 
 // TestCheckpointImageDigests pins the image bytes of every mechanism section
@@ -829,7 +829,7 @@ func TestSystemSnapshotManifest(t *testing.T) {
 			// baseState
 			"cycle", "measureStart", "warmed", "finished",
 			"cores", "l1d", "l2", "llc", "mesh", "dram",
-			"ports", "icaches", "tlbs",
+			"ports", // each with its L1I and TLB
 			"dramPending", "llcRetry",
 			"hermesBypass", "hermesHold",
 			"epochPrev", "pfGenerated", "pfIssued", "pfQ",
@@ -866,11 +866,11 @@ func TestTileStageSnapshotManifest(t *testing.T) {
 }
 
 // TestCorePortSnapshotManifest / icache / dynamicClip: the sim-local
-// structures serialized inline by saveBase.
+// structures serialized inline by baseState.
 func TestCorePortSnapshotManifest(t *testing.T) {
 	snapshot.CheckManifest(t, snapshot.MustStruct(corePort{}),
-		[]string{"pending"},
-		[]string{"s", "core", "tlbs"})
+		[]string{"pending", "l1i", "tlb"},
+		[]string{"s", "core"})
 }
 
 func TestICacheSnapshotManifest(t *testing.T) {

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"clip/internal/core"
 	"clip/internal/cpu"
@@ -90,13 +91,6 @@ type Config struct {
 	NoCCriticalPriority  bool
 	DRAMCriticalPriority bool
 
-	// EnableTLB models the DTLB/STLB/page-walk path of Table 3 in front of
-	// the L1D; EnableL1I models the 32KB L1I as a front-end stall source.
-	EnableTLB bool
-	EnableL1I bool
-	// DisableDRAMRefresh turns off tREFI/tRFC modelling (diagnostics).
-	DisableDRAMRefresh bool
-
 	// DynamicCLIP enables the paper's §5.3 future-work extension: CLIP's
 	// filtering engages only while DRAM utilization indicates constrained
 	// bandwidth (training continues either way). Requires CLIP != nil.
@@ -118,16 +112,6 @@ func DefaultConfig(cores, channels, div int) Config {
 	if div < 1 {
 		div = 1
 	}
-	pow2 := func(v int) int {
-		if v < 1 {
-			return 1
-		}
-		p := 1
-		for p*2 <= v {
-			p *= 2
-		}
-		return p
-	}
 	work := make([]string, cores)
 	for i := range work {
 		work[i] = "619.lbm_s-2676B"
@@ -142,21 +126,28 @@ func DefaultConfig(cores, channels, div int) Config {
 		// 16-way 20cy. Sets scale with the divisor; the L1D scales half as
 		// fast (and keeps extra MSHRs) because miss *rates* do not shrink
 		// with capacity scaling and a 96-line L1 would be all-MSHR-stall.
-		L1D: CacheGeom{Sets: pow2(64 / max(1, div/2)), Ways: 12, Latency: 5, MSHRs: 24,
+		L1D: CacheGeom{Sets: floorPow2(64 / max(1, div/2)), Ways: 12, Latency: 5, MSHRs: 24,
 			Policy: "lru", Ports: 2, InQ: 16},
-		L2: CacheGeom{Sets: pow2(1024 / div), Ways: 8, Latency: 10, MSHRs: 32,
+		L2: CacheGeom{Sets: floorPow2(1024 / div), Ways: 8, Latency: 10, MSHRs: 32,
 			Policy: "srrip", Ports: 1, InQ: 16},
-		LLC: CacheGeom{Sets: pow2(2048 / div), Ways: 16, Latency: 20, MSHRs: 64,
+		LLC: CacheGeom{Sets: floorPow2(2048 / div), Ways: 16, Latency: 20, MSHRs: 64,
 			Policy: "mockingjay", Ports: 1, InQ: 32},
 		Channels:             channels,
 		TransferCycles:       10,
 		Prefetcher:           "none",
 		NoCCriticalPriority:  true,
 		DRAMCriticalPriority: true,
-		EnableTLB:            true,
-		EnableL1I:            true,
 		Seed:                 1,
 	}
+}
+
+// floorPow2 returns the largest power of two <= v, and 1 for v < 1: cache
+// set counts must be powers of two.
+func floorPow2(v int) int {
+	if v < 1 {
+		return 1
+	}
+	return 1 << (bits.Len(uint(v)) - 1)
 }
 
 // Validate reports configuration errors.
@@ -192,9 +183,6 @@ func (c *Config) dramConfig() dram.Config {
 		d.Transfer = c.TransferCycles
 	}
 	d.CriticalPriority = c.DRAMCriticalPriority
-	if c.DisableDRAMRefresh {
-		d.REFI = 0
-	}
 	return d
 }
 

@@ -6,10 +6,11 @@ import (
 	"clip/internal/tlb"
 )
 
-// corePort sits between a core and its L1D: it applies address-translation
-// latency (DTLB/STLB/page walk, Table 3) to demand accesses before they
-// reach the cache. Translated-but-delayed requests wait in a small queue and
-// retry the L1D until accepted, preserving backpressure.
+// corePort is a core's front end. It owns the core's L1I and sits between
+// the core and its L1D: it applies address-translation latency (DTLB/STLB/
+// page walk, Table 3) to demand accesses before they reach the cache.
+// Translated-but-delayed requests wait in a small queue and retry the L1D
+// until accepted, preserving backpressure.
 //
 // It is a mem.Staller: a load refused by a full L1D queue after a DTLB hit
 // is refused again — one more DTLB hit each time — until the L1D pops, so
@@ -17,7 +18,8 @@ import (
 type corePort struct {
 	s       *System
 	core    int
-	tlbs    *tlb.Hierarchy
+	tlb     *tlb.Hierarchy
+	l1i     *icache
 	pending []delayedReq
 }
 
@@ -31,10 +33,7 @@ const portQueueDepth = 16
 
 // Issue implements cpu.MemoryPort.
 func (p *corePort) Issue(req *mem.Request) bool {
-	if p.tlbs == nil {
-		return p.s.l1d[p.core].Issue(req)
-	}
-	extra := p.tlbs.Translate(req.Addr)
+	extra := p.tlb.Translate(req.Addr)
 	if extra == 0 {
 		return p.s.l1d[p.core].Issue(req)
 	}
@@ -50,7 +49,7 @@ func (p *corePort) Issue(req *mem.Request) bool {
 // when the translation hits the DTLB (so nothing is installed or delayed)
 // and the L1D's queue refuses the access.
 func (p *corePort) StallEpoch(req *mem.Request) *uint64 {
-	if p.tlbs != nil && !p.tlbs.DTLBResident(req.Addr) {
+	if !p.tlb.DTLBResident(req.Addr) {
 		return nil
 	}
 	return p.s.l1d[p.core].StallEpoch(req)
@@ -58,9 +57,7 @@ func (p *corePort) StallEpoch(req *mem.Request) *uint64 {
 
 // Refused implements mem.Staller: every refused retry re-translated first.
 func (p *corePort) Refused(req *mem.Request, n uint64) {
-	if p.tlbs != nil {
-		p.tlbs.RepeatHits(req.Addr, n)
-	}
+	p.tlb.RepeatHits(req.Addr, n)
 	p.s.l1d[p.core].Refused(req, n)
 }
 
@@ -137,6 +134,13 @@ type icLine struct {
 func newICache(sets, ways int, missPenalty uint64) *icache {
 	return &icache{sets: sets, ways: ways,
 		tags: make([]icLine, sets*ways), missPenalty: missPenalty}
+}
+
+// newL1I builds Table 3's 32KB 8-way L1I (64 sets) with its sets scaled like
+// the L1D's, and no fewer than 8: a power of two, which fetch's set mask
+// needs. A miss costs the on-chip round trip to where code resides.
+func newL1I(div int, missPenalty uint64) *icache {
+	return newICache(max(8, floorPow2(64/max(1, div/2))), 8, missPenalty)
 }
 
 // fetch returns the stall for the block containing ip (0 on hit).

@@ -45,7 +45,7 @@ type Result struct {
 	// (Figure 16).
 	PFGenerated, PFIssued uint64
 
-	// TLB aggregates translation statistics (zero-valued when disabled).
+	// TLB aggregates translation statistics.
 	TLB tlbStats
 	// ICache aggregates instruction-fetch statistics.
 	ICache ICacheStats
@@ -159,17 +159,14 @@ func (s *System) collect() *Result {
 		}
 	}
 	for i := range s.cores {
-		if s.tlbs[i] != nil {
-			ts := s.tlbs[i].Stats()
-			r.TLB.Accesses += ts.Accesses
-			r.TLB.DTLBHits += ts.DTLBHits
-			r.TLB.STLBHits += ts.STLBHits
-			r.TLB.Walks += ts.Walks
-		}
-		if s.icaches[i] != nil {
-			r.ICache.Fetches += s.icaches[i].stats.Fetches
-			r.ICache.Misses += s.icaches[i].stats.Misses
-		}
+		p := s.ports[i]
+		ts := p.tlb.Stats()
+		r.TLB.Accesses += ts.Accesses
+		r.TLB.DTLBHits += ts.DTLBHits
+		r.TLB.STLBHits += ts.STLBHits
+		r.TLB.Walks += ts.Walks
+		r.ICache.Fetches += p.l1i.stats.Fetches
+		r.ICache.Misses += p.l1i.stats.Misses
 	}
 	measured := s.cycle - s.measureStart
 	for i, c := range s.cores {

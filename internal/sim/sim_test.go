@@ -45,6 +45,21 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("unknown prefetcher accepted")
 	}
+	for _, tc := range []struct {
+		name string
+		bad  func(*Config)
+	}{
+		{"L1D sets not a power of two", func(c *Config) { c.L1D.Sets = 3 }},
+		{"unknown L2 policy", func(c *Config) { c.L2.Policy = "bogus" }},
+		{"LLC without MSHRs", func(c *Config) { c.LLC.MSHRs = 0 }},
+		{"no load queue", func(c *Config) { c.CPU.LQSize = 0 }},
+	} {
+		cfg = small("619.lbm_s-2676B", 1)
+		tc.bad(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
+	}
 }
 
 func TestRunCompletes(t *testing.T) {
@@ -484,15 +499,5 @@ func TestTLBAndICacheStatsPopulated(t *testing.T) {
 	}
 	if r.ICache.HitRate() < 0.95 {
 		t.Fatalf("loop-kernel L1I hit rate %v < 0.95", r.ICache.HitRate())
-	}
-}
-
-func TestFrontendDisableFlags(t *testing.T) {
-	cfg := small("619.lbm_s-2676B", 2)
-	cfg.EnableTLB = false
-	cfg.EnableL1I = false
-	r := mustRun(t, cfg)
-	if r.TLB.Accesses != 0 || r.ICache.Fetches != 0 {
-		t.Fatal("disabled front-end models still collected stats")
 	}
 }

@@ -54,7 +54,6 @@ func skipMatrix() map[string]Config {
 	mixed := base("620.omnetpp_s-874B")
 	mixed.Workload[1] = "619.lbm_s-2676B"
 	mixed.Workload[2] = "605.mcf_s-665B"
-	mixed.EnableTLB = true
 	mixed.DSPatch = true
 	m["het-dspatch"] = mixed
 

@@ -18,9 +18,8 @@ import (
 // two:
 //
 //   - The state fingerprint — everything that shapes serialized state or the
-//     deterministic input stream (workloads, seeds, geometry, front-end
-//     models) — must match exactly, or LoadState refuses with
-//     ErrConfigMismatch.
+//     deterministic input stream (workloads, seeds, geometry) — must match
+//     exactly, or LoadState refuses with ErrConfigMismatch.
 //
 //   - Mechanisms (prefetcher, CLIP, criticality predictors, throttlers,
 //     Hermes, DSPatch, dynamic CLIP) are carried in skippable sections. A
@@ -42,10 +41,9 @@ var ErrConfigMismatch = errors.New("sim: snapshot was taken under an incompatibl
 // deliberately absent (they live in skippable sections), as is DisableSkip,
 // whose results are byte-identical by the equivalence tests.
 func (c *Config) stateFingerprint() string {
-	return fmt.Sprintf("w=%v i=%d wu=%d cpu=%+v div=%d l1d=%+v l2=%+v llc=%+v ch=%d tr=%d tlb=%t l1i=%t norefresh=%t seed=%d",
+	return fmt.Sprintf("w=%v i=%d wu=%d cpu=%+v div=%d l1d=%+v l2=%+v llc=%+v ch=%d tr=%d seed=%d",
 		c.Workload, c.InstrPerCore, c.WarmupInstr, c.CPU, c.ScaleDivisor,
-		c.L1D, c.L2, c.LLC, c.Channels, c.TransferCycles,
-		c.EnableTLB, c.EnableL1I, c.DisableDRAMRefresh, c.Seed)
+		c.L1D, c.L2, c.LLC, c.Channels, c.TransferCycles, c.Seed)
 }
 
 // mechSet describes which mechanism sections a system carries.
@@ -213,16 +211,6 @@ func (s *System) LoadState(data []byte) error {
 	return nil
 }
 
-// present walks the presence flag of an optional per-core component, on
-// which image and receiver must agree, and reports whether there is one.
-func present(c *snapshot.Coder, what string, has bool) bool {
-	saved := has
-	if c.Bool(&saved); saved != has {
-		c.Corrupt("sim: %s presence mismatch", what)
-	}
-	return has
-}
-
 // baseState walks everything outside the mechanism sections: cores, caches,
 // interconnect, DRAM, front-end models and the simulation-level queues and
 // counters.
@@ -251,16 +239,6 @@ func (s *System) baseState(c *snapshot.Coder) {
 	s.dram.State(c)
 	for _, p := range s.ports {
 		p.state(c)
-	}
-	for _, ic := range s.icaches {
-		if present(c, "L1I", ic != nil) {
-			ic.state(c)
-		}
-	}
-	for _, t := range s.tlbs {
-		if present(c, "TLB", t != nil) {
-			t.State(c)
-		}
 	}
 	s.dramPending.State(c, func(resp *mem.Response) int { return s.dram.ChannelOf(resp.Req.Addr) })
 	for i := range s.llcRetry {
@@ -379,12 +357,14 @@ func (s *System) dynClipState(c *snapshot.Coder) {
 	c.U64(&s.dynClip.totalCycles)
 }
 
-// state walks the translation port's delayed-request queue.
+// state walks the port's delayed-request queue, its L1I and its TLB.
 func (p *corePort) state(c *snapshot.Coder) {
 	for i := range snapshot.Slice(c, "sim: port queue", &p.pending, portQueueDepth, mem.RequestBytes+8) {
 		p.pending[i].req.State(c)
 		c.U64(&p.pending[i].ready)
 	}
+	p.l1i.state(c)
+	p.tlb.State(c)
 }
 
 // state walks the L1I tag array and counters.

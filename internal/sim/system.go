@@ -30,8 +30,6 @@ type System struct {
 	dram  *dram.DRAM
 
 	ports   []*corePort
-	icaches []*icache
-	tlbs    []*tlb.Hierarchy
 	dynClip *dynamicClip
 
 	// mech holds each core's mechanisms (mechanisms.go).
@@ -160,7 +158,10 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 			MSHRs: cfg.LLC.MSHRs, Policy: cfg.LLC.Policy, Ports: cfg.LLC.Ports,
 			InQ: cfg.LLC.InQ,
 		}
-		llc := cache.MustNew(llcCfg, s.dram)
+		llc, err := cache.New(llcCfg, s.dram)
+		if err != nil {
+			return nil, err
+		}
 		// LLC responses travel the mesh back to the requesting core's L2 as
 		// payload packets (kind pktLLCResp).
 		llc.OnResponse(func(r *mem.Response) {
@@ -177,7 +178,10 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 			MSHRs: cfg.L2.MSHRs, Policy: cfg.L2.Policy, Ports: cfg.L2.Ports,
 			InQ: cfg.L2.InQ,
 		}
-		l2 := cache.MustNew(l2Cfg, &l2Lower{s: s, core: i})
+		l2, err := cache.New(l2Cfg, &l2Lower{s: s, core: i})
+		if err != nil {
+			return nil, err
+		}
 		l2.OnResponse(func(r *mem.Response) { s.l1d[i].Fill(r) })
 		s.l2 = append(s.l2, l2)
 	}
@@ -190,7 +194,10 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 			MSHRs: cfg.L1D.MSHRs, Policy: cfg.L1D.Policy, Ports: cfg.L1D.Ports,
 			InQ: cfg.L1D.InQ,
 		}
-		l1 := cache.MustNew(l1Cfg, &l1Lower{s: s, core: i})
+		l1, err := cache.New(l1Cfg, &l1Lower{s: s, core: i})
+		if err != nil {
+			return nil, err
+		}
 		l1.OnResponse(func(r *mem.Response) {
 			if r.Req.ROBIndex >= 0 && r.Req.Core == i {
 				s.cores[i].CompleteLoad(r)
@@ -199,34 +206,15 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 		s.l1d = append(s.l1d, l1)
 	}
 
-	// Front-end models: per-core TLB hierarchy and L1I.
-	div := cfg.ScaleDivisor
-	if div < 1 {
-		div = 1
-	}
+	// Front-end models: each core's port owns its TLB hierarchy and L1I.
+	div := max(1, cfg.ScaleDivisor)
 	for i := 0; i < n; i++ {
-		var th *tlb.Hierarchy
-		if cfg.EnableTLB {
-			h, err := tlb.New(tlb.DefaultConfig(div))
-			if err != nil {
-				return nil, err
-			}
-			th = h
+		th, err := tlb.New(tlb.DefaultConfig(div))
+		if err != nil {
+			return nil, err
 		}
-		s.tlbs = append(s.tlbs, th)
-		s.ports = append(s.ports, &corePort{s: s, core: i, tlbs: th})
-		if cfg.EnableL1I {
-			// Table 3: 32KB 8-way L1I (512 lines), scaled like the L1D; a
-			// miss costs the on-chip round trip to where code resides.
-			sets := 64 / max(1, div/2)
-			if sets < 8 {
-				sets = 8
-			}
-			s.icaches = append(s.icaches, newICache(sets, 8,
-				cfg.L2.Latency+cfg.LLC.Latency))
-		} else {
-			s.icaches = append(s.icaches, nil)
-		}
+		s.ports = append(s.ports, &corePort{s: s, core: i, tlb: th,
+			l1i: newL1I(div, cfg.L2.Latency+cfg.LLC.Latency)})
 	}
 	if cfg.DynamicCLIP {
 		s.dynClip = &dynamicClip{active: true}
@@ -254,9 +242,7 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ic := s.icaches[i]; ic != nil {
-			c.SetFetchChecker(ic.fetch)
-		}
+		c.SetFetchChecker(s.ports[i].l1i.fetch)
 		s.cores = append(s.cores, c)
 	}
 

@@ -40,7 +40,7 @@ const Magic = 0x43_4C_50_53 // "CLPS"
 // Version is the current format version. Bump on any layout change; old
 // versions are rejected at Open (checkpoints are cheap to regenerate, so
 // there is no migration machinery).
-const Version = 6
+const Version = 7
 
 // ErrCorrupt is latched by a Reader on truncated or malformed input.
 var ErrCorrupt = errors.New("snapshot: corrupt or truncated stream")
