@@ -72,8 +72,8 @@ type outcome struct {
 
 func imageOf(t *testing.T, c *Cache) []byte {
 	t.Helper()
-	w := snapshot.NewWriter()
-	c.State(w.Coder())
+	w := snapshot.NewSaver(0)
+	c.State(w)
 	b, err := w.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -92,14 +92,14 @@ func play(t *testing.T, sc scene, skip bool, restoreAt uint64) outcome {
 	var out outcome
 	for cy := uint64(0); cy < sc.cycles; cy++ {
 		if restoreAt != 0 && cy == restoreAt {
-			r, err := snapshot.NewReader(imageOf(t, c))
+			r, err := snapshot.NewLoader(imageOf(t, c))
 			if err != nil {
 				t.Fatal(err)
 			}
 			l2 := *l
 			l = &l2
 			c = MustNew(sc.cfg, l)
-			c.State(r.Coder())
+			c.State(r)
 			if err := r.Done(); err != nil {
 				t.Fatal(err)
 			}
@@ -265,11 +265,11 @@ func TestStallWritebackSleepsUntilPop(t *testing.T) {
 	on := play(t, sc, true, 0)
 	l := &stallLower{}
 	c := MustNew(cfg, l)
-	r, err := snapshot.NewReader(on.image)
+	r, err := snapshot.NewLoader(on.image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.State(r.Coder())
+	c.State(r)
 	if c.Stats().Writebacks != 1 {
 		t.Fatalf("writeback did not drain after the pop: Writebacks = %d", c.Stats().Writebacks)
 	}

@@ -22,8 +22,8 @@ func (acceptLower) Issue(*mem.Request) bool { return true }
 func restoreCache(t *testing.T, c, into *Cache) *Cache {
 	t.Helper()
 	save := func(c *Cache) []byte {
-		w := snapshot.NewWriter()
-		c.State(w.Coder())
+		w := snapshot.NewSaver(0)
+		c.State(w)
 		img, err := w.Bytes()
 		if err != nil {
 			t.Fatal(err)
@@ -31,11 +31,11 @@ func restoreCache(t *testing.T, c, into *Cache) *Cache {
 		return img
 	}
 	img := save(c)
-	r, err := snapshot.NewReader(img)
+	r, err := snapshot.NewLoader(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	into.State(r.Coder())
+	into.State(r)
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}

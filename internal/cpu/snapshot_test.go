@@ -76,8 +76,8 @@ func batchCore(t *testing.T) (*Core, *skipMem) {
 
 func saveCore(t *testing.T, c *Core) []byte {
 	t.Helper()
-	w := snapshot.NewWriter()
-	c.State(w.Coder())
+	w := snapshot.NewSaver(0)
+	c.State(w)
 	img, err := w.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -87,11 +87,11 @@ func saveCore(t *testing.T, c *Core) []byte {
 
 func loadCore(t *testing.T, c *Core, img []byte) error {
 	t.Helper()
-	r, err := snapshot.NewReader(img)
+	r, err := snapshot.NewLoader(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.State(r.Coder())
+	c.State(r)
 	return r.Done()
 }
 

@@ -240,18 +240,18 @@ func windowRun(t *testing.T, skip bool, restoreAt, stop uint64) (stallObs, *stal
 			q.hold = false
 		}
 		if restoreAt != 0 && cy == restoreAt {
-			w := snapshot.NewWriter()
-			r.core.State(w.Coder())
+			w := snapshot.NewSaver(0)
+			r.core.State(w)
 			img, err := w.Bytes()
 			if err != nil {
 				t.Fatal(err)
 			}
-			rd, err := snapshot.NewReader(img)
+			rd, err := snapshot.NewLoader(img)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fresh := newStallRun(t, cfg, g, q, 1<<40)
-			fresh.core.State(rd.Coder())
+			fresh.core.State(rd)
 			if err := rd.Done(); err != nil {
 				t.Fatal(err)
 			}

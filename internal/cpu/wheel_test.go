@@ -77,18 +77,18 @@ func wheelLatency(rng *mem.PRNG) uint64 {
 // restoreWheelCore saves c and loads the image into a fresh core.
 func restoreWheelCore(t *testing.T, c *Core) *Core {
 	t.Helper()
-	w := snapshot.NewWriter()
-	c.State(w.Coder())
+	w := snapshot.NewSaver(0)
+	c.State(w)
 	img, err := w.Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := snapshot.NewReader(img)
+	r, err := snapshot.NewLoader(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := newWheelCore(t, c.robSize)
-	fresh.State(r.Coder())
+	fresh.State(r)
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}

@@ -221,8 +221,8 @@ func TestCATCHWindowIsAFIFOOfEight(t *testing.T) {
 	c := newCATCH()
 	var ref []uint64
 	encode := func(p *catchPred) []byte {
-		w := snapshot.NewWriter()
-		State(w.Coder(), p)
+		w := snapshot.NewSaver(0)
+		State(w, p)
 		b, err := w.Bytes()
 		if err != nil {
 			t.Fatal(err)
@@ -246,12 +246,12 @@ func TestCATCHWindowIsAFIFOOfEight(t *testing.T) {
 		// A fresh predictor restored from the image re-encodes to the same
 		// bytes and tracks the original from there on.
 		img := encode(c)
-		r, err := snapshot.NewReader(img)
+		r, err := snapshot.NewLoader(img)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := newCATCH()
-		State(r.Coder(), d)
+		State(r, d)
 		if err := r.Done(); err != nil {
 			t.Fatal(err)
 		}

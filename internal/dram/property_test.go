@@ -222,18 +222,18 @@ func TestPropertyDeadlineScheduler(t *testing.T) {
 			const split, end = 4321, 9000
 			lockstepTraffic(t, seed, []*DRAM{scan, gated}, 0, split)
 
-			w := snapshot.NewWriter()
-			gated.State(w.Coder())
+			w := snapshot.NewSaver(0)
+			gated.State(w)
 			image, err := w.Bytes()
 			if err != nil {
 				t.Fatal(err)
 			}
 			restored := MustNew(cfg)
-			r, err := snapshot.NewReader(image)
+			r, err := snapshot.NewLoader(image)
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored.State(r.Coder())
+			restored.State(r)
 			if err := r.Done(); err != nil {
 				t.Fatal(err)
 			}

@@ -29,14 +29,15 @@ func (l *naiveDue) deliver(cy uint64) (due []Response) {
 // DoneCycle.
 func (l naiveDue) image(t *testing.T) []byte {
 	t.Helper()
-	w := snapshot.NewWriter()
-	w.Int(len(l))
+	w := snapshot.NewSaver(0)
+	n := len(l)
+	w.Int(&n)
 	next := NoEvent
 	for i := range l {
-		l[i].State(w.Coder())
+		l[i].State(w)
 		next = min(next, l[i].DoneCycle)
 	}
-	w.U64(next)
+	w.U64(&next)
 	b, err := w.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -46,8 +47,8 @@ func (l naiveDue) image(t *testing.T) []byte {
 
 func saveDue(t *testing.T, q *DueQueue) []byte {
 	t.Helper()
-	w := snapshot.NewWriter()
-	q.State(w.Coder(), nil)
+	w := snapshot.NewSaver(0)
+	q.State(w, nil)
 	b, err := w.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -102,12 +103,12 @@ func TestDueQueueMatchesScannedList(t *testing.T) {
 			if !bytes.Equal(image, list.image(t)) {
 				t.Fatalf("seed %d cycle %d: image is not the push-ordered list", seed, cy)
 			}
-			r, err := snapshot.NewReader(image)
+			r, err := snapshot.NewLoader(image)
 			if err != nil {
 				t.Fatal(err)
 			}
 			q = NewDueQueue(lanes)
-			q.State(r.Coder(), func(r *Response) int { return r.Req.Core })
+			q.State(r, func(r *Response) int { return r.Req.Core })
 			if err := r.Done(); err != nil {
 				t.Fatal(err)
 			}
@@ -125,12 +126,12 @@ func TestDueQueueMatchesScannedList(t *testing.T) {
 // order cannot come from a run; loading it must fail, not deliver late.
 func TestDueQueueRejectsUnorderedLane(t *testing.T) {
 	image := naiveDue{{DoneCycle: 20}, {DoneCycle: 10}}.image(t)
-	r, err := snapshot.NewReader(image)
+	r, err := snapshot.NewLoader(image)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := NewDueQueue(1)
-	q.State(r.Coder(), func(*Response) int { return 0 })
+	q.State(r, func(*Response) int { return 0 })
 	if !errors.Is(r.Err(), snapshot.ErrCorrupt) {
 		t.Fatalf("unordered lane loaded: err=%v", r.Err())
 	}

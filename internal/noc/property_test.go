@@ -361,19 +361,19 @@ func TestPropertyReferenceArbiter(t *testing.T) {
 				ref.stats = Stats{}
 			case !restored && cy >= 2500 && m.linkActive > 0:
 				restored = true
-				w := snapshot.NewWriter()
-				m.State(w.Coder())
+				w := snapshot.NewSaver(0)
+				m.State(w)
 				image, err := w.Bytes()
 				if err != nil {
 					t.Fatal(err)
 				}
 				m = newMesh()
 				ref.m = m
-				r, err := snapshot.NewReader(image)
+				r, err := snapshot.NewLoader(image)
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.State(r.Coder())
+				m.State(r)
 				if err := r.Done(); err != nil {
 					t.Fatal(err)
 				}

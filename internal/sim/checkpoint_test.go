@@ -875,10 +875,8 @@ func TestCorePortSnapshotManifest(t *testing.T) {
 
 func TestICacheSnapshotManifest(t *testing.T) {
 	snapshot.CheckManifest(t, snapshot.MustStruct(icache{}),
-		[]string{"tags", "clock", "stats"},
-		[]string{"sets", "ways", "missPenalty"})
-	snapshot.CheckManifest(t, snapshot.MustStruct(icLine{}),
-		[]string{"valid", "tag", "stamp"}, nil)
+		[]string{"tags", "stats"},
+		[]string{"missPenalty"})
 }
 
 func TestDynamicClipSnapshotManifest(t *testing.T) {

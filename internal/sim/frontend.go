@@ -107,10 +107,8 @@ func (p *corePort) Tick(cycle uint64) {
 // memory request — enough to make large-IP-footprint workloads (CloudSuite/
 // CVP) pay realistic front-end stalls while loop kernels run free.
 type icache struct {
-	sets, ways  int
-	tags        []icLine
+	tags        tlb.TagArray
 	missPenalty uint64
-	clock       uint64
 	stats       ICacheStats
 }
 
@@ -125,55 +123,29 @@ func (s *ICacheStats) HitRate() float64 {
 	return 1 - stats.Ratio(s.Misses, s.Fetches)
 }
 
-type icLine struct {
-	valid bool
-	tag   uint64
-	stamp uint64
-}
-
 func newICache(sets, ways int, missPenalty uint64) *icache {
-	return &icache{sets: sets, ways: ways,
-		tags: make([]icLine, sets*ways), missPenalty: missPenalty}
+	return &icache{tags: tlb.NewTagArray(sets, ways), missPenalty: missPenalty}
 }
 
-// newL1I builds Table 3's 32KB 8-way L1I (64 sets) with its sets scaled like
-// the L1D's, and no fewer than 8: a power of two, which fetch's set mask
-// needs. A miss costs the on-chip round trip to where code resides.
+// newL1I builds Table 3's 32KB 8-way L1I. A miss costs the on-chip round
+// trip to where code resides.
 func newL1I(div int, missPenalty uint64) *icache {
-	return newICache(max(8, floorPow2(64/max(1, div/2))), 8, missPenalty)
+	return newICache(l1iSets(div), 8, missPenalty)
 }
+
+// l1iSets scales the L1I's 64 sets like the L1D's, to no fewer than 8: a
+// power of two, which the tag array's set mask needs.
+func l1iSets(div int) int { return max(8, floorPow2(64/max(1, div/2))) }
 
 // fetch returns the stall for the block containing ip (0 on hit).
 func (ic *icache) fetch(ip uint64) uint64 {
 	ic.stats.Fetches++
 	block := ip >> 6
-	// Hashed set index: synthetic code blocks are power-of-two aligned and
-	// plain low-bit indexing would alias hot blocks into one set.
-	set := int(mem.Mix64(block) & uint64(ic.sets-1))
-	tag := block
-	base := set * ic.ways
-	for w := 0; w < ic.ways; w++ {
-		l := &ic.tags[base+w]
-		if l.valid && l.tag == tag {
-			ic.clock++
-			l.stamp = ic.clock
-			return 0
-		}
+	if ic.tags.Lookup(block) {
+		return 0
 	}
 	ic.stats.Misses++
-	victim := base
-	for w := 0; w < ic.ways; w++ {
-		l := &ic.tags[base+w]
-		if !l.valid {
-			victim = base + w
-			break
-		}
-		if l.stamp < ic.tags[victim].stamp {
-			victim = base + w
-		}
-	}
-	ic.clock++
-	ic.tags[victim] = icLine{valid: true, tag: tag, stamp: ic.clock}
+	ic.tags.Insert(block)
 	return ic.missPenalty
 }
 

@@ -37,14 +37,12 @@ func TestICacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestL1ISetsArePowersOfTwo: fetch masks its set hash with sets-1, so an L1I
-// with, say, 21 sets (ScaleDivisor 6) could reach only 4 of them.
+// TestL1ISetsArePowersOfTwo: the tag array masks its set hash with sets-1,
+// so an L1I with, say, 21 sets (ScaleDivisor 6) could reach only 4 of them.
 func TestL1ISetsArePowersOfTwo(t *testing.T) {
 	for div := 1; div <= 32; div++ {
-		ic := newL1I(div, 30)
-		if ic.sets < 8 || ic.sets&(ic.sets-1) != 0 || len(ic.tags) != ic.sets*ic.ways {
-			t.Fatalf("div %d: L1I of %d sets x %d ways, want a power of two >= 8",
-				div, ic.sets, ic.ways)
+		if sets := l1iSets(div); sets < 8 || sets&(sets-1) != 0 {
+			t.Fatalf("div %d: L1I of %d sets, want a power of two >= 8", div, sets)
 		}
 	}
 }

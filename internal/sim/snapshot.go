@@ -115,8 +115,7 @@ func (s *System) SaveState() ([]byte, error) {
 	// The image holds every component's clock and counters as of the last
 	// simulated cycle, which sleepers have not been charged up to yet.
 	s.settleAll()
-	w := snapshot.NewWriterSize(s.imageSizeHint())
-	c := w.Coder()
+	c := snapshot.NewSaver(s.imageSizeHint())
 	fp := s.cfg.stateFingerprint()
 	c.String(&fp)
 	m := s.cfg.mechSet()
@@ -126,7 +125,7 @@ func (s *System) SaveState() ([]byte, error) {
 			c.Section(sec.tag, func() { sec.walk(s, c) })
 		}
 	}
-	image, err := w.Bytes()
+	image, err := c.Bytes()
 	if err != nil {
 		return nil, err
 	}
@@ -167,19 +166,18 @@ func (s *System) imageSizeHint() int {
 // sections restore only into a matching mechanism; mismatched sections are
 // skipped and the receiver's mechanism starts cold (the warm-fork contract).
 func (s *System) LoadState(data []byte) error {
-	r, err := snapshot.NewReader(data)
+	c, err := snapshot.NewLoader(data)
 	if err != nil {
 		return err
 	}
-	c := r.Coder()
 	var fp string
-	if c.String(&fp); r.Err() == nil && fp != s.cfg.stateFingerprint() {
+	if c.String(&fp); c.Err() == nil && fp != s.cfg.stateFingerprint() {
 		return fmt.Errorf("%w: snapshot %q vs receiver %q",
 			ErrConfigMismatch, fp, s.cfg.stateFingerprint())
 	}
 	var saved mechSet
 	saved.state(c)
-	if err := r.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		return err
 	}
 	thrLoaded := false
@@ -190,13 +188,13 @@ func (s *System) LoadState(data []byte) error {
 			c.Section(sec.tag, func() { sec.walk(s, c) })
 			thrLoaded = thrLoaded || sec.tag == "throttle"
 		default:
-			if got := r.SkipSection(); r.Err() == nil && got != sec.tag {
-				r.Fail(fmt.Errorf("sim: snapshot section %q, expected %q: %w",
+			if got := c.SkipSection(); c.Err() == nil && got != sec.tag {
+				c.Fail(fmt.Errorf("sim: snapshot section %q, expected %q: %w",
 					got, sec.tag, snapshot.ErrCorrupt))
 			}
 		}
 	}
-	if err := r.Done(); err != nil {
+	if err := c.Done(); err != nil {
 		return err
 	}
 	if s.cfg.Throttler != "" && !thrLoaded {
@@ -363,22 +361,8 @@ func (p *corePort) state(c *snapshot.Coder) {
 		p.pending[i].req.State(c)
 		c.U64(&p.pending[i].ready)
 	}
-	p.l1i.state(c)
+	p.l1i.tags.State(c)
+	c.U64(&p.l1i.stats.Fetches)
+	c.U64(&p.l1i.stats.Misses)
 	p.tlb.State(c)
-}
-
-// state walks the L1I tag array and counters.
-func (ic *icache) state(c *snapshot.Coder) {
-	if !c.Fixed("sim: L1I lines", len(ic.tags)) {
-		return
-	}
-	for i := range ic.tags {
-		l := &ic.tags[i]
-		c.Bool(&l.valid)
-		c.U64(&l.tag)
-		c.U64(&l.stamp)
-	}
-	c.U64(&ic.clock)
-	c.U64(&ic.stats.Fetches)
-	c.U64(&ic.stats.Misses)
 }

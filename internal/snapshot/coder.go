@@ -1,202 +1,306 @@
 package snapshot
 
 import (
-	"fmt"
+	"encoding/binary"
+	"math"
+	"math/bits"
 	"slices"
 )
 
-// Coder walks state in one direction. Bound to a Writer it encodes every
-// value it is shown; bound to a Reader it decodes into the same values. A
-// component therefore has one State(*Coder) function that visits its fields
-// in stream order, and saving and loading cannot disagree about that order.
-//
-// Within a State body the convention is: a field that is visited is saved; a
-// field that is not visited is rebuilt from configuration by the
-// constructor; a memo derived from saved state is settled in an
-// `if !s.Loading()` head before the walk and dropped or rebuilt, with the
-// restored cursors validated, in an `if s.Loading()` tail after it.
-//
-// Errors latch in the underlying Writer or Reader, so a body needs no error
-// plumbing beyond stopping where a decoded value would be used as an index.
-type Coder struct {
-	w *Writer
-	r *Reader
-}
+// The walk methods. Each takes a pointer and, by the Coder's direction,
+// encodes what it points at or decodes into it; a failed load leaves a
+// scalar receiver at zero.
 
-// Coder returns a Coder that saves into w.
-func (w *Writer) Coder() *Coder { return &Coder{w: w} }
-
-// Coder returns a Coder that loads from r.
-func (r *Reader) Coder() *Coder { return &Coder{r: r} }
-
-// Loading reports whether the walk decodes (true) or encodes (false).
-func (s *Coder) Loading() bool { return s.r != nil }
-
-// Err returns the latched error of the stream.
-func (s *Coder) Err() error {
-	if s.r != nil {
-		return s.r.err
-	}
-	return s.w.err
-}
-
-// Fail latches err on the stream.
-func (s *Coder) Fail(err error) {
-	if s.r != nil {
-		s.r.Fail(err)
-	} else {
-		s.w.Fail(err)
-	}
-}
-
-// Corrupt latches ErrCorrupt with a formatted description of what a loaded
-// value violated.
-func (s *Coder) Corrupt(format string, args ...any) {
-	s.Fail(fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), ErrCorrupt))
-}
-
-// U64 walks a uint64.
+// U64 walks a little-endian uint64.
 func (s *Coder) U64(v *uint64) {
-	if s.r != nil {
-		*v = s.r.U64()
+	if b := s.word("u64", 8); s.loading {
+		*v = binary.LittleEndian.Uint64(b)
 	} else {
-		s.w.U64(*v)
+		binary.LittleEndian.PutUint64(b, *v)
 	}
 }
 
-// U32 walks a uint32.
+// U32 walks a little-endian uint32.
 func (s *Coder) U32(v *uint32) {
-	if s.r != nil {
-		*v = s.r.U32()
+	if b := s.word("u32", 4); s.loading {
+		*v = binary.LittleEndian.Uint32(b)
 	} else {
-		s.w.U32(*v)
+		binary.LittleEndian.PutUint32(b, *v)
 	}
 }
 
-// U16 walks a uint16.
+// U16 walks a little-endian uint16.
 func (s *Coder) U16(v *uint16) {
-	if s.r != nil {
-		*v = s.r.U16()
+	if b := s.word("u16", 2); s.loading {
+		*v = binary.LittleEndian.Uint16(b)
 	} else {
-		s.w.U16(*v)
+		binary.LittleEndian.PutUint16(b, *v)
 	}
 }
 
 // U8 walks one byte.
 func (s *Coder) U8(v *uint8) {
-	if s.r != nil {
-		*v = s.r.U8()
+	if b := s.word("u8", 1); s.loading {
+		*v = b[0]
 	} else {
-		s.w.U8(*v)
+		b[0] = *v
 	}
 }
 
-// I64 walks an int64.
+// I64 walks an int64 by its two's-complement bit pattern.
 func (s *Coder) I64(v *int64) {
-	if s.r != nil {
-		*v = s.r.I64()
-	} else {
-		s.w.I64(*v)
+	u := uint64(*v)
+	if s.U64(&u); s.loading {
+		*v = int64(u)
 	}
 }
 
 // I32 walks an int32.
 func (s *Coder) I32(v *int32) {
-	if s.r != nil {
-		*v = s.r.I32()
-	} else {
-		s.w.I32(*v)
+	u := uint32(*v)
+	if s.U32(&u); s.loading {
+		*v = int32(u)
 	}
 }
 
 // I8 walks an int8.
 func (s *Coder) I8(v *int8) {
-	if s.r != nil {
-		*v = s.r.I8()
-	} else {
-		s.w.I8(*v)
+	u := uint8(*v)
+	if s.U8(&u); s.loading {
+		*v = int8(u)
 	}
 }
 
 // Int walks an int as 64 bits.
 func (s *Coder) Int(v *int) {
-	if s.r != nil {
-		*v = s.r.Int()
-	} else {
-		s.w.Int(*v)
+	u := uint64(*v)
+	if s.U64(&u); s.loading {
+		*v = int(int64(u))
 	}
 }
 
-// Bool walks a bool; loading any byte other than 0/1 is corrupt.
+// Bool walks a bool as one byte; loading any byte other than 0/1 is corrupt.
 func (s *Coder) Bool(v *bool) {
-	if s.r != nil {
-		*v = s.r.Bool()
-	} else {
-		s.w.Bool(*v)
+	var u uint8
+	if *v {
+		u = 1
+	}
+	if s.U8(&u); s.loading {
+		if u > 1 {
+			s.corrupt("bool")
+		}
+		*v = u == 1
 	}
 }
 
-// F64 walks a float64 by bit pattern.
+// F64 walks a float64 by bit pattern (exact round-trip, NaN included).
 func (s *Coder) F64(v *float64) {
-	if s.r != nil {
-		*v = s.r.F64()
-	} else {
-		s.w.F64(*v)
+	u := math.Float64bits(*v)
+	if s.U64(&u); s.loading {
+		*v = math.Float64frombits(u)
 	}
 }
 
 // String walks a length-prefixed string.
 func (s *Coder) String(v *string) {
-	if s.r != nil {
-		*v = s.r.String()
-	} else {
-		s.w.String(*v)
+	b := s.window("string", s.count("string", len(*v), 1))
+	switch {
+	case s.loading:
+		*v = string(b)
+	case b != nil:
+		copy(b, *v)
 	}
 }
 
-// U64s walks a geometry-fixed []uint64 (a slab, a column, bitmap words):
-// loading requires the encoded length to equal len(vs).
+// U64s walks a geometry-fixed []uint64 (a slab, a column, bitmap words),
+// packed: the count, a bitmap of the nonzero elements (bit i%8 of byte
+// i/8), one byte giving the width in bytes of the widest value, then each
+// nonzero value in that many little-endian bytes. Most of an image's words
+// are zero or small. Loading requires the encoded count to equal len(vs),
+// clears vs and scatters the nonzero values into it.
 func (s *Coder) U64s(vs []uint64) {
-	if s.r != nil {
-		s.r.U64s(vs)
+	if s.loading {
+		s.loadU64s(vs)
 	} else {
-		s.w.U64s(vs)
+		s.saveU64s(vs)
+	}
+}
+
+// saveU64s encodes vs. A first pass builds the bitmap in the Coder's scratch
+// and finds the width, which sizes the column's one window; a second visits
+// only the flagged elements. Each value is stored as a whole word and the
+// cursor advances by the width, so the next store overwrites the zero high
+// bytes, and the last spills into 8 bytes reserved past the window's end.
+func (s *Coder) saveU64s(vs []uint64) {
+	mapLen := (len(vs) + 7) / 8
+	s.bitmap = slices.Grow(s.bitmap[:0], mapLen)[:mapLen]
+	var or uint64
+	full := len(vs) / 8
+	for i := range full {
+		c := vs[8*i : 8*i+8 : 8*i+8]
+		or |= c[0] | c[1] | c[2] | c[3] | c[4] | c[5] | c[6] | c[7]
+		s.bitmap[i] = uint8(nonzero(c[0]) | nonzero(c[1])<<1 | nonzero(c[2])<<2 | nonzero(c[3])<<3 |
+			nonzero(c[4])<<4 | nonzero(c[5])<<5 | nonzero(c[6])<<6 | nonzero(c[7])<<7)
+	}
+	if full < mapLen {
+		var m uint64
+		for j, v := range vs[8*full:] {
+			or |= v
+			m |= nonzero(v) << j
+		}
+		s.bitmap[full] = uint8(m)
+	}
+	count := 0
+	for _, m := range s.bitmap {
+		count += bits.OnesCount8(m)
+	}
+	width := (bits.Len64(or) + 7) / 8
+	n := len(vs)
+	s.Int(&n)
+	b := s.window("u64 slice", mapLen+1+count*width+8)
+	if b == nil {
+		return
+	}
+	s.buf = s.buf[:len(s.buf)-8]
+	copy(b, s.bitmap)
+	b[mapLen] = uint8(width)
+	at := mapLen + 1
+	for i, m := range s.bitmap {
+		for ; m != 0; m &= m - 1 {
+			binary.LittleEndian.PutUint64(b[at:], vs[8*i+bits.TrailingZeros8(m)])
+			at += width
+		}
+	}
+}
+
+// nonzero is 1 for a nonzero v and 0 for zero, without a branch.
+func nonzero(v uint64) uint64 { return (v | -v) >> 63 }
+
+// loadU64s decodes into dst. Only the encoding saveU64s produces is
+// accepted, so loading and saving again returns the same bytes: a width
+// above 8 or other than the widest value needs, a flagged element that
+// decodes to zero and a bitmap bit set past the count are all corrupt.
+func (s *Coder) loadU64s(dst []uint64) {
+	const what = "u64 slice"
+	var n int
+	if s.Int(&n); s.err == nil && n != len(dst) {
+		s.corrupt(what + " length")
+	}
+	mapLen := (len(dst) + 7) / 8
+	if s.err != nil || mapLen+1 > len(s.buf)-s.off {
+		s.corrupt(what)
+		return
+	}
+	head := s.buf[s.off : s.off+mapLen+1]
+	width := int(head[mapLen])
+	if width > 8 {
+		s.corrupt(what + " width")
+		return
+	}
+	if tail := len(dst) % 8; tail != 0 && head[mapLen-1]>>tail != 0 {
+		s.corrupt(what + " bitmap padding")
+		return
+	}
+	count := 0
+	for _, m := range head[:mapLen] {
+		count += bits.OnesCount8(m)
+	}
+	b := s.window(what, mapLen+1+count*width)
+	if b == nil {
+		return
+	}
+	clear(dst)
+	// A value is one word load masked to width (a zero width masks to 0),
+	// except within a word of the stream's end, where it is read bytewise.
+	mask := ^uint64(0) >> (64 - 8*width)
+	at := s.off - count*width // the first value's offset in s.buf
+	var or uint64
+	for i, m := range b[:mapLen] {
+		for ; m != 0; m &= m - 1 {
+			var v uint64
+			if at+8 <= len(s.buf) {
+				v = binary.LittleEndian.Uint64(s.buf[at:]) & mask
+			} else {
+				for k := width - 1; k >= 0; k-- {
+					v = v<<8 | uint64(s.buf[at+k])
+				}
+			}
+			if v == 0 {
+				s.corrupt(what + " zero value")
+				return
+			}
+			dst[8*i+bits.TrailingZeros8(m)] = v
+			or |= v
+			at += width
+		}
+	}
+	if (bits.Len64(or)+7)/8 != width {
+		s.corrupt(what + " width")
 	}
 }
 
 // U8s walks a geometry-fixed []uint8 column.
 func (s *Coder) U8s(vs []uint8) {
-	if s.r != nil {
-		s.r.U8s(vs)
+	if b := s.column("u8 slice", len(vs), 1); s.loading {
+		copy(vs, b)
 	} else {
-		s.w.U8s(vs)
+		copy(b, vs)
 	}
 }
 
 // I32s walks a geometry-fixed []int32 column.
 func (s *Coder) I32s(vs []int32) {
-	if s.r != nil {
-		s.r.I32s(vs)
-	} else {
-		s.w.I32s(vs)
+	b := s.column("i32 slice", len(vs), 4)
+	switch {
+	case b == nil:
+	case s.loading:
+		for i := range vs {
+			vs[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	default:
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
 	}
 }
 
 // I8s walks a geometry-fixed []int8 table.
 func (s *Coder) I8s(vs []int8) {
-	if s.r != nil {
-		s.r.I8s(vs)
-	} else {
-		s.w.I8s(vs)
+	b := s.column("i8 slice", len(vs), 1)
+	switch {
+	case b == nil:
+	case s.loading:
+		for i := range vs {
+			vs[i] = int8(b[i])
+		}
+	default:
+		for i, v := range vs {
+			b[i] = uint8(v)
+		}
 	}
 }
 
-// Bools walks a geometry-fixed []bool.
+// Bools walks a geometry-fixed []bool, one byte an element; loading any
+// byte other than 0/1 is corrupt.
 func (s *Coder) Bools(vs []bool) {
-	if s.r != nil {
-		s.r.Bools(vs)
-	} else {
-		s.w.Bools(vs)
+	b := s.column("bool slice", len(vs), 1)
+	switch {
+	case b == nil:
+	case s.loading:
+		for i := range vs {
+			if b[i] > 1 {
+				s.corrupt("bool")
+				return
+			}
+			vs[i] = b[i] == 1
+		}
+	default:
+		for i, v := range vs {
+			b[i] = 0
+			if v {
+				b[i] = 1
+			}
+		}
 	}
 }
 
@@ -204,27 +308,21 @@ func (s *Coder) Bools(vs []bool) {
 // queue's capacity): saving writes n, loading requires the image to hold
 // the same n. It reports whether the walk may go on.
 func (s *Coder) Fixed(what string, n int) bool {
-	if s.r == nil {
-		s.w.Int(n)
-		return s.w.err == nil
-	}
-	if got := s.r.Int(); s.r.err == nil && got != n {
+	got := n
+	if s.Int(&got); s.loading && s.err == nil && got != n {
 		s.Corrupt("%s: snapshot has %d, receiver has %d", what, got, n)
 	}
-	return s.r.err == nil
+	return s.err == nil
 }
 
 // Kind is Fixed for a one-byte discriminator (which policy, which
 // predictor): an image restores only into a receiver of the same kind.
 func (s *Coder) Kind(what string, k uint8) bool {
-	if s.r == nil {
-		s.w.U8(k)
-		return s.w.err == nil
-	}
-	if got := s.r.U8(); s.r.err == nil && got != k {
+	got := k
+	if s.U8(&got); s.loading && s.err == nil && got != k {
 		s.Corrupt("%s: snapshot holds kind %d, receiver is kind %d", what, got, k)
 	}
-	return s.r.err == nil
+	return s.err == nil
 }
 
 // Len walks the count of a variable-length list and returns it: saving
@@ -233,16 +331,11 @@ func (s *Coder) Kind(what string, k uint8) bool {
 // it has none) or more than the rest of the stream could hold at elemSize
 // encoded bytes an element — so a corrupt count never sizes an allocation.
 func (s *Coder) Len(what string, n, max, elemSize int) int {
-	if s.r == nil {
-		s.w.Int(n)
-		return n
-	}
-	got := s.r.sliceLen(what, elemSize)
-	if got > max {
-		s.Corrupt("%s: %d entries, at most %d", what, got, max)
+	if n = s.count(what, n, elemSize); s.loading && n > max {
+		s.Corrupt("%s: %d entries, at most %d", what, n, max)
 		return 0
 	}
-	return got
+	return n
 }
 
 // Slice walks the count of the variable-length list *p (see Len) and returns
@@ -259,14 +352,4 @@ func Slice[T any](s *Coder, what string, p *[]T, max, elemSize int) []T {
 		}
 	}
 	return *p
-}
-
-// Section brackets fn's walk with a tag and a length prefix (see
-// Writer.Section and Reader.Section).
-func (s *Coder) Section(tag string, fn func()) {
-	if s.r != nil {
-		s.r.Section(tag, fn)
-	} else {
-		s.w.Section(tag, fn)
-	}
 }

@@ -8,51 +8,10 @@ import (
 	"testing"
 )
 
-// drive exercises every Reader accessor against arbitrary input, with the
-// op sequence itself drawn from the input so the fuzzer explores interleavings.
-// The contract under test: no accessor panics, whatever the bytes.
-func drive(r *Reader, ops []byte) {
-	for _, op := range ops {
-		switch op % 16 {
-		case 0:
-			r.U64()
-		case 1:
-			r.U32()
-		case 2:
-			r.U16()
-		case 3:
-			r.U8()
-		case 4:
-			r.I64()
-		case 5:
-			r.Bool()
-		case 6:
-			r.F64()
-		case 7:
-			_ = r.String()
-		case 8:
-			r.I32s(make([]int32, 2))
-		case 9:
-			r.U64s(make([]uint64, op%67)) // packed columns of many lengths
-		case 10:
-			r.U64s(make([]uint64, 3))
-		case 11:
-			r.U8s(make([]uint8, 5))
-		case 12:
-			r.Bools(make([]bool, 2))
-		case 13:
-			r.Section("s", func() { r.U64() })
-		case 14:
-			r.SkipSection()
-		case 15:
-			r.NextSection()
-		}
-	}
-	_ = r.Done()
-}
-
-// driveCoder is drive for a loading Coder: every walk method against
-// arbitrary input, into receivers of arbitrary prior content.
+// driveCoder exercises every walk method of a loading Coder against
+// arbitrary input, into receivers of arbitrary prior content, with the op
+// sequence itself drawn from the input so the fuzzer explores interleavings.
+// The contract under test: no method panics, whatever the bytes.
 func driveCoder(s *Coder, ops []byte) {
 	var (
 		u64  uint64
@@ -67,13 +26,10 @@ func driveCoder(s *Coder, ops []byte) {
 		f    float64
 		str  string
 		list = []uint16{1, 2, 3}
-		col  = make([]uint64, 64)
+		col  = used(64)
 	)
-	for i := range col {
-		col[i] = ^uint64(i)
-	}
 	for _, op := range ops {
-		switch op % 24 {
+		switch op % 25 {
 		case 0:
 			s.U64(&u64)
 		case 1:
@@ -93,11 +49,11 @@ func driveCoder(s *Coder, ops []byte) {
 		case 8:
 			s.Bool(&b)
 		case 9:
-			s.F64(&f)
+			s.U64s(col[:op%64]) // packed columns of many lengths
 		case 10:
 			s.String(&str)
 		case 11:
-			s.U64s(col[:op%64])
+			s.F64(&f)
 		case 12:
 			s.U8s(make([]uint8, 5))
 		case 13:
@@ -123,39 +79,38 @@ func driveCoder(s *Coder, ops []byte) {
 		case 21:
 			s.Section("s", func() { s.U64(&u64) })
 		case 22:
-			s.Corrupt("op %d", op)
+			s.SkipSection()
 		case 23:
+			s.Corrupt("op %d", op)
+		case 24:
 			_ = s.Loading()
 		}
 	}
 }
 
-// FuzzReader feeds arbitrary bytes through every accessor, of a Reader and
-// of a loading Coder: both must fail with a latched ErrCorrupt on garbage,
-// never panic and never allocate a slice larger than the input could
-// justify.
+// FuzzReader feeds arbitrary bytes through every walk method of a loading
+// Coder: it must fail with a latched ErrCorrupt on garbage, never panic and
+// never allocate a slice larger than the input could justify.
 func FuzzReader(f *testing.F) {
-	w := NewWriter()
-	w.U64(42)
-	w.String("tag")
-	w.Section("base", func() { w.Bools([]bool{true, false}) })
+	w := NewSaver(0)
+	u, tag := uint64(42), "tag"
+	w.U64(&u)
+	w.String(&tag)
+	w.Section("s", func() { w.U64(&u) })
 	valid, _ := w.Bytes()
-	f.Add(valid, []byte{0, 7, 13})
+	f.Add(valid, []byte{0, 10, 21})
 	f.Add([]byte{}, []byte{0})
 	f.Add([]byte{0x53, 0x50, 0x4c, 0x43, 1, 0, 0, 0}, []byte{9, 9, 9})
-	w = NewWriter()
+	w = NewSaver(0)
 	w.U64s([]uint64{0, 0x1234, 0, 7, ^uint64(0), 1})
 	packed, _ := w.Bytes()
-	f.Add(packed, []byte{73}) // op 73 reads a six-element column
+	f.Add(packed, []byte{134}) // op 134 reads a six-element column
 	f.Fuzz(func(t *testing.T, data, ops []byte) {
-		r, err := NewReader(data)
+		r, err := NewLoader(data)
 		if err != nil {
-			return // short or wrong-magic input is rejected at Open
+			return // short or wrong-magic input is refused by NewLoader
 		}
-		drive(r, ops)
-
-		r, _ = NewReader(data)
-		driveCoder(r.Coder(), ops)
+		driveCoder(r, ops)
 		if err := r.Done(); err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("a loading Coder latched %v, want ErrCorrupt", err)
 		}
@@ -177,7 +132,7 @@ type roundTrip struct {
 	tail uint32
 }
 
-// walk visits v in the order FuzzRoundTrip's Writer lays it out.
+// walk visits every field of v.
 func (v *roundTrip) walk(s *Coder) {
 	s.U64(&v.u)
 	s.I64(&v.i)
@@ -229,161 +184,62 @@ func used(n int) []uint64 {
 	return col
 }
 
-// FuzzRoundTrip writes fuzz-chosen values, among them a word column of
-// fuzz-chosen length, zero density and value widths, through the Writer and
-// requires the Reader to return them exactly, with the stream fully
-// consumed; then sends the same values through a saving Coder, which must
-// produce the same bytes, and a loading one into used receivers, which must
-// return them and save them again to the same bytes.
+// FuzzRoundTrip saves fuzz-chosen values, among them a word column of
+// fuzz-chosen length, zero density and value widths, and requires a loading
+// Coder to return them exactly into used receivers, with the stream fully
+// consumed, and the loaded values to save again to the same bytes; then
+// requires every strict prefix of the stream to be refused.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint64(1), int64(-9), "hello", []byte{1, 2, 3}, true, 3.25, uint64(0x04_28_40))
 	f.Add(^uint64(0), int64(0), "", []byte(nil), false, -0.0, uint64(0))
 	f.Add(uint64(7), int64(3), "x", []byte{0}, true, 1.0, uint64(0x08_00_c7))
 	f.Fuzz(func(t *testing.T, u uint64, i int64, s string, b []byte, flag bool, fl float64, shape uint64) {
 		col := column(u, shape)
-		w := NewWriter()
-		w.U64(u)
-		w.I64(i)
-		w.String(s)
-		w.U8s(b)
-		w.Bool(flag)
-		w.F64(fl)
-		w.Section("sec", func() {
-			w.U64s([]uint64{u, u ^ 1})
-			w.U64s(col)
-			w.Bools([]bool{flag, !flag})
-		})
-		w.Int(len(b))
-		for _, x := range b {
-			w.U8(x)
-		}
-		w.Int(3)
-		w.U8(7)
-		w.U32(uint32(u))
+		in := roundTrip{u: u, i: i, s: s, b: b, flag: flag, fl: fl,
+			us: [2]uint64{u, u ^ 1}, col: col, bs: [2]bool{flag, !flag}, list: b, tail: uint32(u)}
+		w := NewSaver(0)
+		in.walk(w)
 		enc, err := w.Bytes()
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		r, err := NewReader(enc)
+		out := roundTrip{b: make([]byte, len(b)), col: used(len(col)), list: []uint8{9, 9}}
+		r, err := NewLoader(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := r.U64(); got != u {
-			t.Fatalf("u64: %d != %d", got, u)
-		}
-		if got := r.I64(); got != i {
-			t.Fatalf("i64: %d != %d", got, i)
-		}
-		if got := r.String(); got != s {
-			t.Fatalf("string: %q != %q", got, s)
-		}
-		got := make([]byte, len(b))
-		if r.U8s(got); !bytes.Equal(got, b) {
-			t.Fatalf("bytes: %v != %v", got, b)
-		}
-		if got := r.Bool(); got != flag {
-			t.Fatalf("bool: %v != %v", got, flag)
-		}
-		if got := r.F64(); got != fl && !(got != got && fl != fl) { // NaN-safe
-			t.Fatalf("f64: %v != %v", got, fl)
-		}
-		r.Section("sec", func() {
-			us := make([]uint64, 2)
-			r.U64s(us)
-			if us[0] != u || us[1] != u^1 {
-				t.Fatalf("u64s: %v", us)
-			}
-			got := used(len(col))
-			if r.U64s(got); !slices.Equal(got, col) {
-				t.Fatalf("column: %v != %v", got, col)
-			}
-			bs := make([]bool, 2)
-			r.Bools(bs)
-			if bs[0] != flag || bs[1] == flag {
-				t.Fatalf("bools: %v", bs)
-			}
-		})
-		if n := r.Int(); n != len(b) {
-			t.Fatalf("list length: %d != %d", n, len(b))
-		}
-		for _, x := range b {
-			if got := r.U8(); got != x {
-				t.Fatalf("list element: %d != %d", got, x)
-			}
-		}
-		if n, k, tail := r.Int(), r.U8(), r.U32(); n != 3 || k != 7 || tail != uint32(u) {
-			t.Fatalf("fixed, kind, tail: %d %d %d", n, k, tail)
-		}
+		out.walk(r)
 		if err := r.Done(); err != nil {
 			t.Fatal(err)
 		}
-
-		// The same values through a saving Coder, then a loading one.
-		in := roundTrip{u: u, i: i, s: s, b: b, flag: flag, fl: fl,
-			us: [2]uint64{u, u ^ 1}, col: col, bs: [2]bool{flag, !flag}, list: b, tail: uint32(u)}
-		cw := NewWriter()
-		in.walk(cw.Coder())
-		if cenc, err := cw.Bytes(); err != nil || !bytes.Equal(cenc, enc) {
-			t.Fatalf("saving Coder: err %v, stream equal to the Writer's: %v", err, bytes.Equal(cenc, enc))
-		}
-		out := roundTrip{b: make([]byte, len(b)), col: used(len(col)), list: []uint8{9, 9}}
-		cr, err := NewReader(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.walk(cr.Coder())
-		if err := cr.Done(); err != nil {
-			t.Fatal(err)
-		}
-		again := NewWriter()
-		out.walk(again.Coder())
+		again := NewSaver(0)
+		out.walk(again)
 		if aenc, err := again.Bytes(); err != nil || !bytes.Equal(aenc, enc) {
 			t.Fatalf("re-saving the loaded values: err %v, stream equal to the loaded one: %v", err, bytes.Equal(aenc, enc))
 		}
 		if out.fl != in.fl && !(out.fl != out.fl && in.fl != in.fl) { // NaN-safe
-			t.Fatalf("loading Coder: f64 %v != %v", out.fl, in.fl)
+			t.Fatalf("f64 %v != %v", out.fl, in.fl)
 		}
 		in.fl, out.fl = 0, 0 // DeepEqual has no NaN == NaN
 		if len(b) == 0 {
 			in.b, in.list, out.b, out.list = nil, nil, nil, nil
 		}
 		if !reflect.DeepEqual(in, out) {
-			t.Fatalf("loading Coder returned %+v, want %+v", out, in)
+			t.Fatalf("loaded %+v, want %+v", out, in)
 		}
 
 		// Every strict prefix must fail somewhere — a truncated stream can
-		// never read to Done without a latched error.
+		// never be walked to Done without a latched error.
 		for cut := 0; cut < len(enc); cut++ {
-			tr, err := NewReader(enc[:cut])
+			tr, err := NewLoader(enc[:cut])
 			if err != nil {
 				continue
 			}
-			tr.U64()
-			tr.I64()
-			_ = tr.String()
-			tr.U8s(make([]byte, len(b)))
-			tr.Bool()
-			tr.F64()
-			tr.Section("sec", func() {
-				tr.U64s(make([]uint64, 2))
-				tr.U64s(used(len(col)))
-				tr.Bools(make([]bool, 2))
-			})
-			for n := tr.Int(); n > 0 && tr.Err() == nil; n-- {
-				tr.U8()
-			}
-			tr.Int()
-			tr.U8()
-			tr.U32()
-			if !errors.Is(tr.Done(), ErrCorrupt) {
-				t.Fatalf("truncation at %d/%d read to completion", cut, len(enc))
-			}
-			tr, _ = NewReader(enc[:cut])
 			out := roundTrip{b: make([]byte, len(b)), col: used(len(col))}
-			out.walk(tr.Coder())
+			out.walk(tr)
 			if !errors.Is(tr.Done(), ErrCorrupt) {
-				t.Fatalf("truncation at %d/%d walked to completion by a loading Coder", cut, len(enc))
+				t.Fatalf("truncation at %d/%d walked to completion", cut, len(enc))
 			}
 		}
 	})
@@ -402,13 +258,13 @@ func TestU64sLayout(t *testing.T) {
 		{[]uint64{1, 0, 0, 0, 0, 0, 0, 0, 0, 1 << 63},
 			[]byte{0b1, 0b10, 8, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80}},
 	} {
-		w := NewWriter()
+		w := NewSaver(0)
 		w.U64s(tc.col)
 		got, _ := w.Bytes()
 		if want := crafted(len(tc.col), tc.body...); !bytes.Equal(got, want) {
 			t.Errorf("%v encodes to % x, want % x", tc.col, got, want)
 		}
-		r, _ := NewReader(got)
+		r, _ := NewLoader(got)
 		dst := used(len(tc.col))
 		if r.U64s(dst); r.Done() != nil || !slices.Equal(dst, tc.col) {
 			t.Errorf("%v decodes to %v (%v)", tc.col, dst, r.Done())
@@ -418,18 +274,18 @@ func TestU64sLayout(t *testing.T) {
 
 // crafted returns a stream holding a count and then body's bytes verbatim.
 func crafted(count int, body ...byte) []byte {
-	w := NewWriter()
-	w.Int(count)
-	for _, x := range body {
-		w.U8(x)
+	w := NewSaver(0)
+	w.Int(&count)
+	for i := range body {
+		w.U8(&body[i])
 	}
 	enc, _ := w.Bytes()
 	return enc
 }
 
 // TestU64sRefusesNoncanonical: a packed column has one accepted encoding,
-// so every other stream that would decode is refused with ErrCorrupt —
-// through a Reader and through a loading Coder — and none panics.
+// so every other stream that would decode is refused with ErrCorrupt, and
+// none panics.
 func TestU64sRefusesNoncanonical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -448,18 +304,12 @@ func TestU64sRefusesNoncanonical(t *testing.T) {
 		{"values cut short", 2, crafted(2, 0b11, 1, 5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := NewReader(tc.stream)
+			r, err := NewLoader(tc.stream)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.U64s(used(tc.n))
-			if !errors.Is(r.Err(), ErrCorrupt) {
-				t.Errorf("Reader: err %v, want ErrCorrupt", r.Err())
-			}
-			r, _ = NewReader(tc.stream)
-			r.Coder().U64s(used(tc.n))
-			if !errors.Is(r.Err(), ErrCorrupt) {
-				t.Errorf("loading Coder: err %v, want ErrCorrupt", r.Err())
+			if r.U64s(used(tc.n)); !errors.Is(r.Err(), ErrCorrupt) {
+				t.Errorf("err %v, want ErrCorrupt", r.Err())
 			}
 		})
 	}
@@ -468,33 +318,82 @@ func TestU64sRefusesNoncanonical(t *testing.T) {
 // TestReaderCorruptErrors pins the error taxonomy: malformed input latches
 // ErrCorrupt (wrapped, so errors.Is works) and subsequent reads are no-ops.
 func TestReaderCorruptErrors(t *testing.T) {
-	w := NewWriter()
-	w.Bool(true)
+	w := NewSaver(0)
+	flag := true
+	w.Bool(&flag)
 	enc, _ := w.Bytes()
 	enc = append(enc[:len(enc)-1], 7) // bool byte must be 0 or 1
 
-	r, err := NewReader(enc)
+	r, err := NewLoader(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Bool()
+	r.Bool(&flag)
 	if !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("bad bool byte: err=%v, want ErrCorrupt", r.Err())
 	}
-	if v := r.U64(); v != 0 {
+	v := uint64(9)
+	if r.U64(&v); v != 0 {
 		t.Fatalf("read after latched error returned %d", v)
 	}
 }
 
-// TestReaderRejectsBadHeader: wrong magic and future versions fail at Open.
+// zeroed returns a walk of a receiver prefilled with v, reporting whether
+// the receiver holds zero after it.
+func zeroed[T comparable](walk func(*Coder, *T), v T) func(*Coder) bool {
+	return func(s *Coder) bool {
+		var zero T
+		x := v
+		walk(s, &x)
+		return x == zero
+	}
+}
+
+// TestScalarsZeroOnError: every scalar walk that loads from a stream cut
+// one byte short latches ErrCorrupt and leaves zero in its receiver,
+// whatever the receiver held before.
+func TestScalarsZeroOnError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		walk func(*Coder) bool
+	}{
+		{"U64", zeroed((*Coder).U64, ^uint64(0))},
+		{"U32", zeroed((*Coder).U32, uint32(0xdead))},
+		{"U16", zeroed((*Coder).U16, uint16(0xbeef))},
+		{"U8", zeroed((*Coder).U8, uint8(7))},
+		{"I64", zeroed((*Coder).I64, int64(-3))},
+		{"I32", zeroed((*Coder).I32, int32(-3))},
+		{"I8", zeroed((*Coder).I8, int8(-3))},
+		{"Int", zeroed((*Coder).Int, -3)},
+		{"Bool", zeroed((*Coder).Bool, true)},
+		{"F64", zeroed((*Coder).F64, 2.5)},
+		{"String", zeroed((*Coder).String, "snapshot")},
+	} {
+		w := NewSaver(0)
+		tc.walk(w)
+		enc, err := w.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewLoader(enc[:len(enc)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if zero := tc.walk(r); !zero || !errors.Is(r.Err(), ErrCorrupt) {
+			t.Errorf("%s over a truncated stream: receiver zero %v, err %v; want zero and ErrCorrupt", tc.name, zero, r.Err())
+		}
+	}
+}
+
+// TestReaderRejectsBadHeader: wrong magic and future versions are refused
+// by NewLoader.
 func TestReaderRejectsBadHeader(t *testing.T) {
-	if _, err := NewReader([]byte("nonsense")); !errors.Is(err, ErrCorrupt) {
+	if _, err := NewLoader([]byte("nonsense")); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: %v", err)
 	}
-	w := NewWriter()
-	enc, _ := w.Bytes()
+	enc, _ := NewSaver(0).Bytes()
 	enc[4] = Version + 1
-	if _, err := NewReader(enc); err == nil {
+	if _, err := NewLoader(enc); err == nil {
 		t.Fatal("future version accepted")
 	}
 }
@@ -502,14 +401,16 @@ func TestReaderRejectsBadHeader(t *testing.T) {
 // TestReaderHugeLengthRejected: a corrupt length prefix must be refused
 // before it drives an allocation.
 func TestReaderHugeLengthRejected(t *testing.T) {
-	w := NewWriter()
-	w.Int(MaxLen + 1)
+	w := NewSaver(0)
+	n := MaxLen + 1
+	w.Int(&n)
 	enc, _ := w.Bytes()
-	r, err := NewReader(enc)
+	r, err := NewLoader(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.String(); got != "" {
+	got := "prior"
+	if r.String(&got); got != "" {
 		t.Fatalf("oversized length produced %d bytes", len(got))
 	}
 	if !errors.Is(r.Err(), ErrCorrupt) {
@@ -517,16 +418,18 @@ func TestReaderHugeLengthRejected(t *testing.T) {
 	}
 }
 
-// TestWriterSizedSameBytes: the capacity a Writer starts with changes how
-// often its buffer grows, never what it holds — a stream written into a
-// buffer that fits is not reallocated, one written into a buffer far too
-// small still comes out whole.
+// TestWriterSizedSameBytes: the capacity a saving Coder starts with changes
+// how often its buffer grows, never what it holds — a stream saved into a
+// buffer that fits is not reallocated, one saved into a buffer far too small
+// still comes out whole.
 func TestWriterSizedSameBytes(t *testing.T) {
-	write := func(w *Writer) []byte {
-		w.String("fingerprint")
+	save := func(w *Coder) []byte {
+		fp := "fingerprint"
+		w.String(&fp)
 		w.Section("body", func() {
 			for i := uint64(0); i < 5000; i++ {
-				w.U64(i * 0x9e3779b97f4a7c15)
+				v := i * 0x9e3779b97f4a7c15
+				w.U64(&v)
 			}
 		})
 		b, err := w.Bytes()
@@ -535,9 +438,9 @@ func TestWriterSizedSameBytes(t *testing.T) {
 		}
 		return b
 	}
-	want := write(NewWriter())
+	want := save(NewSaver(1 << 16))
 	for _, capacity := range []int{0, 1, len(want) - 1, len(want), 2 * len(want)} {
-		got := write(NewWriterSize(capacity))
+		got := save(NewSaver(capacity))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("capacity %d changed the stream", capacity)
 		}

@@ -4,8 +4,8 @@ import "clip/internal/snapshot"
 
 // State walks both translation buffers and the counters.
 func (h *Hierarchy) State(s *snapshot.Coder) {
-	h.dtlb.state(s)
-	h.stlb.state(s)
+	h.dtlb.State(s)
+	h.stlb.State(s)
 	s.U64(&h.stats.Accesses)
 	s.U64(&h.stats.DTLBHits)
 	s.U64(&h.stats.STLBHits)
@@ -13,7 +13,8 @@ func (h *Hierarchy) State(s *snapshot.Coder) {
 	h.stats.WalkDelay.State(s)
 }
 
-func (t *tlb) state(s *snapshot.Coder) {
+// State walks the array's entries and its clock.
+func (t *TagArray) State(s *snapshot.Coder) {
 	if !s.Fixed("tlb: entries", len(t.entries)) {
 		return
 	}

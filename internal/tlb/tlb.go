@@ -82,50 +82,47 @@ type entry struct {
 	stamp uint64
 }
 
-// tlb is one set-associative translation buffer (LRU).
-type tlb struct {
+// TagArray is a set-associative tag array with LRU replacement: each TLB
+// level, and the L1I of internal/sim, is one. A key's set is a hash of the
+// key; a fill takes the set's first invalid way, else its oldest stamp; and
+// every hit and fill advances the clock that stamps the entry it touched.
+type TagArray struct {
 	sets, ways int
 	entries    []entry
 	clock      uint64
 }
 
-func newTLB(c Config) *tlb {
-	sets := c.Entries / c.Ways
-	return &tlb{sets: sets, ways: c.Ways, entries: make([]entry, c.Entries)}
+// NewTagArray returns an empty array of sets x ways entries; sets must be a
+// power of two.
+func NewTagArray(sets, ways int) TagArray {
+	return TagArray{sets: sets, ways: ways, entries: make([]entry, sets*ways)}
 }
 
-func (t *tlb) index(page uint64) (set int, tag uint64) {
-	// Hash the set index: synthetic workloads allocate their arrays at
-	// large aligned boundaries, so plain low-bit indexing piles every
-	// concurrent stream's page into one set. Hashing spreads them the way
-	// real (higher-associativity) TLBs and unaligned heaps do.
-	h := mem.Mix64(page)
-	return int(h & uint64(t.sets-1)), page
+// base returns the index of the first entry of key's set. The set index is
+// hashed: synthetic workloads allocate their arrays, and lay out their code,
+// at large aligned boundaries, so plain low-bit indexing piles every
+// concurrent stream's page (or every hot block) into one set. Hashing
+// spreads them the way real (higher-associativity) structures and unaligned
+// heaps do.
+func (t *TagArray) base(key uint64) int {
+	return int(mem.Mix64(key)&uint64(t.sets-1)) * t.ways
 }
 
-func log2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
-}
-
-// find returns page's entry, or nil when it is not resident.
-func (t *tlb) find(page uint64) *entry {
-	set, tag := t.index(page)
-	ways := t.entries[set*t.ways : (set+1)*t.ways]
+// find returns key's entry, or nil when it is not resident.
+func (t *TagArray) find(key uint64) *entry {
+	base := t.base(key)
+	ways := t.entries[base : base+t.ways]
 	for w := range ways {
-		if e := &ways[w]; e.valid && e.tag == tag {
+		if e := &ways[w]; e.valid && e.tag == key {
 			return e
 		}
 	}
 	return nil
 }
 
-// lookup probes for page; hit updates recency.
-func (t *tlb) lookup(page uint64) bool {
-	e := t.find(page)
+// Lookup probes for key; a hit updates its recency.
+func (t *TagArray) Lookup(key uint64) bool {
+	e := t.find(key)
 	if e == nil {
 		return false
 	}
@@ -134,10 +131,9 @@ func (t *tlb) lookup(page uint64) bool {
 	return true
 }
 
-// insert installs page, evicting LRU.
-func (t *tlb) insert(page uint64) {
-	set, tag := t.index(page)
-	base := set * t.ways
+// Insert installs key, evicting the set's least recently used entry.
+func (t *TagArray) Insert(key uint64) {
+	base := t.base(key)
 	victim := base
 	for w := 0; w < t.ways; w++ {
 		e := &t.entries[base+w]
@@ -150,14 +146,14 @@ func (t *tlb) insert(page uint64) {
 		}
 	}
 	t.clock++
-	t.entries[victim] = entry{valid: true, tag: tag, stamp: t.clock}
+	t.entries[victim] = entry{valid: true, tag: key, stamp: t.clock}
 }
 
 // Hierarchy is one core's DTLB backed by the shared STLB.
 type Hierarchy struct {
 	cfg   HierarchyConfig
-	dtlb  *tlb
-	stlb  *tlb // shared in hardware; modelled per-core for simplicity
+	dtlb  TagArray
+	stlb  TagArray // shared in hardware; modelled per-core for simplicity
 	stats Stats
 }
 
@@ -169,7 +165,9 @@ func New(cfg HierarchyConfig) (*Hierarchy, error) {
 	if err := cfg.STLB.Validate(); err != nil {
 		return nil, err
 	}
-	return &Hierarchy{cfg: cfg, dtlb: newTLB(cfg.DTLB), stlb: newTLB(cfg.STLB)}, nil
+	return &Hierarchy{cfg: cfg,
+		dtlb: NewTagArray(cfg.DTLB.Entries/cfg.DTLB.Ways, cfg.DTLB.Ways),
+		stlb: NewTagArray(cfg.STLB.Entries/cfg.STLB.Ways, cfg.STLB.Ways)}, nil
 }
 
 // MustNew panics on config errors.
@@ -218,19 +216,19 @@ func (h *Hierarchy) RepeatHits(addr mem.Addr, n uint64) {
 func (h *Hierarchy) Translate(addr mem.Addr) uint64 {
 	page := addr.PageID()
 	h.stats.Accesses++
-	if h.dtlb.lookup(page) {
+	if h.dtlb.Lookup(page) {
 		h.stats.DTLBHits++
 		return 0
 	}
-	if h.stlb.lookup(page) {
+	if h.stlb.Lookup(page) {
 		h.stats.STLBHits++
-		h.dtlb.insert(page)
+		h.dtlb.Insert(page)
 		return h.cfg.STLB.Latency
 	}
 	h.stats.Walks++
 	delay := h.cfg.STLB.Latency + h.cfg.WalkLatency
 	h.stats.WalkDelay.Add(delay)
-	h.stlb.insert(page)
-	h.dtlb.insert(page)
+	h.stlb.Insert(page)
+	h.dtlb.Insert(page)
 	return delay
 }

@@ -30,8 +30,8 @@ func multiStrideConfig() Config {
 
 func saveCursor(t *testing.T, c *Cursor) []byte {
 	t.Helper()
-	w := snapshot.NewWriter()
-	State(w.Coder(), c)
+	w := snapshot.NewSaver(0)
+	State(w, c)
 	img, err := w.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -41,11 +41,11 @@ func saveCursor(t *testing.T, c *Cursor) []byte {
 
 func loadCursor(t *testing.T, c *Cursor, img []byte) error {
 	t.Helper()
-	r, err := snapshot.NewReader(img)
+	r, err := snapshot.NewLoader(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	State(r.Coder(), c)
+	State(r, c)
 	return r.Done()
 }
 
@@ -100,8 +100,8 @@ func TestCursorStateRefusesHostileImage(t *testing.T) {
 		})
 	}
 	// A generator that is not a Cursor has no position to save.
-	w := snapshot.NewWriter()
-	State(w.Coder(), &Replay{})
+	w := snapshot.NewSaver(0)
+	State(w, &Replay{})
 	if _, err := w.Bytes(); err == nil {
 		t.Fatal("a replay saved a position")
 	}
