@@ -314,6 +314,7 @@ func printSelf(st sim.SelfStats) {
 		fmt.Fprintf(w, "wakes by %s: %d, slice asleep again after one visit: %d\n", src, st.Wakes[src], st.SliceResleeps[src])
 	}
 	fmt.Fprintf(w, "slices re-parked without a visit: %d\n", st.Reparks)
+	fmt.Fprintf(w, "direct-DRAM heads offered %d, parked on a full queue %d\n", st.DirectIssues, st.DirectParks)
 	fmt.Fprintf(w, "dram schedule attempts: read %d (%d futile), write %d (%d futile)\n",
 		st.DRAM.ReadAttempts, st.DRAM.ReadFutile, st.DRAM.WriteAttempts, st.DRAM.WriteFutile)
 	fmt.Fprintf(w, "mesh link visits %d for %d grants and %d completions\n", st.Links.Visits, st.Links.Grants, st.Links.Completions)

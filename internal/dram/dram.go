@@ -442,15 +442,6 @@ func (d *DRAM) Refused(req *mem.Request, n uint64) {
 	}
 }
 
-// QueueOccupancy returns total read-queue occupancy (diagnostics).
-func (d *DRAM) QueueOccupancy() int {
-	n := 0
-	for i := range d.chans {
-		n += len(d.chans[i].rdBk)
-	}
-	return n
-}
-
 // Tick advances one memory-controller cycle on every channel.
 func (d *DRAM) Tick(cycle uint64) {
 	d.cycle = cycle

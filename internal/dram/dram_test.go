@@ -79,6 +79,14 @@ func TestChannelInterleaving(t *testing.T) {
 	}
 }
 
+// readsQueued sums the read-queue columns of every channel.
+func readsQueued(d *DRAM) (n int) {
+	for i := range d.chans {
+		n += len(d.chans[i].rdBk)
+	}
+	return n
+}
+
 func TestMoreChannelsMoreThroughput(t *testing.T) {
 	run := func(channels int) uint64 {
 		d := MustNew(DefaultConfig(channels))
@@ -98,7 +106,7 @@ func TestMoreChannelsMoreThroughput(t *testing.T) {
 		}
 		for ; cy < 1000000; cy++ {
 			d.Tick(cy)
-			if d.QueueOccupancy() == 0 && cy > last {
+			if readsQueued(d) == 0 && cy > last {
 				break
 			}
 		}
@@ -231,7 +239,7 @@ func TestUtilizationSignal(t *testing.T) {
 	for cy := uint64(0); cy < 4*utilEpoch; cy++ {
 		for d.Issue(req(mem.Addr(line*64), mem.Load)) {
 			line++
-			if d.QueueOccupancy() >= 32 {
+			if len(d.chans[0].rdBk) >= 32 {
 				break
 			}
 		}
@@ -263,7 +271,7 @@ func TestQueueDelayGrowsUnderLoad(t *testing.T) {
 				cy++
 			}
 		}
-		for ; d.QueueOccupancy() > 0; cy++ {
+		for ; readsQueued(d) > 0; cy++ {
 			d.Tick(cy)
 		}
 		return d.Stats().QueueDelay.Mean()

@@ -39,7 +39,7 @@ func TestPropertyReadConservation(t *testing.T) {
 			d.Tick(cy)
 			cy++
 		}
-		for d.QueueOccupancy() > 0 {
+		for readsQueued(d) > 0 {
 			d.Tick(cy)
 			cy++
 		}

@@ -59,19 +59,25 @@ func (p *Predictor) features(ip uint64, addr mem.Addr) [hermesTables]uint32 {
 }
 
 // PredictOffChip returns true when the load at (ip, addr) is predicted to be
-// served by DRAM.
+// served by DRAM, and counts the decision.
 func (p *Predictor) PredictOffChip(ip uint64, addr mem.Addr) bool {
+	off := p.OffChip(ip, addr)
+	p.stats.Predictions++
+	if off {
+		p.stats.PredOffChip++
+	}
+	return off
+}
+
+// OffChip is the perceptron's verdict on (ip, addr) without counting it: the
+// re-evaluation that scores a completed load in Train.
+func (p *Predictor) OffChip(ip uint64, addr mem.Addr) bool {
 	idx := p.features(ip, addr)
 	sum := 0
 	for t := 0; t < hermesTables; t++ {
 		sum += int(p.tables[t][idx[t]])
 	}
-	p.stats.Predictions++
-	if sum >= p.threshold {
-		p.stats.PredOffChip++
-		return true
-	}
-	return false
+	return sum >= p.threshold
 }
 
 // Train updates the perceptron with the observed service level and scores

@@ -80,3 +80,26 @@ func TestStatsAccuracy(t *testing.T) {
 		t.Fatal("empty accuracy must be 0")
 	}
 }
+
+// TestOffChipDoesNotCount: OffChip gives PredictOffChip's verdict without
+// counting a prediction, so scoring a completed load moves neither
+// Predictions nor PredOffChip.
+func TestOffChipDoesNotCount(t *testing.T) {
+	p := New()
+	ip, addr := uint64(0x77), mem.Addr(0x9000)
+	for i := 0; i < 8; i++ {
+		p.Train(ip, addr, mem.LevelDRAM, p.OffChip(ip, addr))
+	}
+	if !p.OffChip(ip, addr) {
+		t.Fatal("trained off-chip line predicted on-chip")
+	}
+	if s := *p.Stats(); s.Predictions != 0 || s.PredOffChip != 0 {
+		t.Fatalf("OffChip counted predictions: %+v", s)
+	}
+	if !p.PredictOffChip(ip, addr) || p.PredictOffChip(ip+1, 0x40) {
+		t.Fatal("PredictOffChip disagrees with OffChip")
+	}
+	if s := *p.Stats(); s.Predictions != 2 || s.PredOffChip != 1 {
+		t.Fatalf("two counted predictions, one off-chip: got %+v", s)
+	}
+}

@@ -28,7 +28,7 @@ const (
 	WakeMesh       WakeSource = iota // a packet delivered by the mesh (L2 fill, LLC request)
 	WakeDRAMFill                     // a DRAM response filling an LLC slice
 	WakeHermesFill                   // a held Hermes bypass fill
-	WakeDRAMPop                      // a controller queue that refused the sleeper has room at its turn
+	WakeDRAMPop                      // a queue that refused the sleeper has room: a controller queue at a slice's turn, or a tile's direct-DRAM queue
 	WakeTimed                        // the sleeper's own deadline came due
 	NumWakeSources
 )
@@ -54,6 +54,10 @@ type SelfStats struct {
 	// Reparks are slices a controller dequeue would have woken that found the
 	// queue full again at their turn and slept on without a visit.
 	Reparks uint64
+	// DirectIssues are the direct-DRAM heads offered to the controller, and
+	// DirectParks those the controller refused under skipping, which then
+	// sleep on the queue that refused them (wakeParked).
+	DirectIssues, DirectParks uint64
 
 	// The serial tail: DRAM schedule attempts, mesh link visits, and the
 	// pending DRAM responses delivered against the queue entries examined.
@@ -75,9 +79,13 @@ func (s *System) SelfStats() SelfStats {
 // carved from one slab (carveColumns).
 type awakeSets struct {
 	tiles, slices sleepers
-	// dramQ marks tiles with a non-empty direct-DRAM queue, which the tile
-	// walk drains whether or not the tile is awake.
-	dramQ []uint64
+	// dramReady marks the tiles whose direct-DRAM head the tile walk offers
+	// to the controller, awake or not: a head that just reached the front,
+	// every head under the strict loop, and a parked head whose queue has
+	// dequeued since. headParked holds, per DRAM controller queue, the tiles
+	// whose head sleeps on a refusal by that queue. A non-empty direct-DRAM
+	// queue's head is in exactly one of the two.
+	dramReady, headParked []uint64
 	// parked holds, per DRAM controller queue, the slices asleep on a refusal
 	// by that queue (words per queue = len(slices.awake)). popped marks the
 	// sleeping slices one of whose queues has dequeued since: each asks the
@@ -168,7 +176,7 @@ func anyBit(w []uint64) bool {
 func (s *System) carveColumns() {
 	n := len(s.cores)
 	words := (n + 63) / 64
-	rest := make([]uint64, 4*n+(4+s.dram.Queues())*words)
+	rest := make([]uint64, 4*n+(4+2*s.dram.Queues())*words)
 	carve := func(k int) []uint64 {
 		c := rest[:k:k]
 		rest = rest[k:]
@@ -178,8 +186,8 @@ func (s *System) carveColumns() {
 	s.watched = carve(n)
 	a.tiles = sleepers{awake: carve(words), next: carve(n)}
 	a.slices = sleepers{awake: carve(words), next: carve(n)}
-	a.sliceWoke, a.dramQ, a.popped = carve(n), carve(words), carve(words)
-	a.parked = rest
+	a.sliceWoke, a.dramReady, a.popped = carve(n), carve(words), carve(words)
+	a.headParked, a.parked = carve(s.dram.Queues()*words), rest
 	s.wakeAll()
 }
 
@@ -190,9 +198,13 @@ func (s *System) wakeAll() {
 	a := &s.awake
 	a.tiles.wakeAll()
 	a.slices.wakeAll()
-	for i := range s.cores {
-		s.markDramQ(i)
+	clear(a.dramReady)
+	for i := range s.stage {
+		if s.stage[i].dramQ.Len() > 0 {
+			setBit(a.dramReady, i)
+		}
 	}
+	clear(a.headParked)
 	clear(a.parked)
 	clear(a.popped)
 	clear(a.sliceWoke)
@@ -202,19 +214,10 @@ func (s *System) wakeAll() {
 	s.watchAt, s.hung = s.cycle+stallLimit, nil
 }
 
-// markDramQ records whether tile i has direct-DRAM reads queued.
-func (s *System) markDramQ(i int) {
-	if s.stage[i].dramQ.Len() > 0 {
-		setBit(s.awake.dramQ, i)
-	} else {
-		clearBit(s.awake.dramQ, i)
-	}
-}
-
 // tileHorizon folds tile i's component horizons: the earliest cycle >= now
 // at which its core, translation port, prefetch queue, L1D or L2 has work.
-// The direct-DRAM queue is not part of it — the tile walk drains that queue
-// every cycle whether or not the tile is awake.
+// The direct-DRAM queue is not part of it: its head has its own place in the
+// tile walk (dramReady) or sleeps on the controller (headParked).
 func (s *System) tileHorizon(i int, now uint64) uint64 {
 	c := s.cores[i]
 	if c.Woken() {
@@ -284,13 +287,16 @@ func (s *System) settleSlice(i int, upTo uint64) {
 	}
 }
 
-// settleAll charges every sleeper through the last simulated cycle. Whoever
-// reads clocks or bulk-charged counters from outside the loop calls it
-// first; settling twice is a no-op.
+// settleAll charges every sleeper, parked direct-DRAM heads included,
+// through the last simulated cycle. Whoever reads clocks or bulk-charged
+// counters from outside the loop calls it first; settling twice is a no-op.
 func (s *System) settleAll() {
 	for i := range s.cores {
 		if s.awake.tiles.asleep(i) {
 			s.settleTile(i, s.cycle)
+		}
+		if s.headIsParked(i) {
+			s.chargeHead(i, s.cycle-1)
 		}
 		if s.awake.slices.asleep(i) {
 			s.settleSlice(i, s.cycle)
@@ -324,15 +330,31 @@ func (s *System) wakeDue(cy uint64) {
 	s.awake.slices.due(cy, func(i int) { s.wakeSlice(i, cy, WakeTimed) })
 }
 
+// headIsParked reports whether tile i's direct-DRAM head sleeps on a
+// controller queue.
+func (s *System) headIsParked(i int) bool {
+	return s.stage[i].dramQ.Len() > 0 && !hasBit(s.awake.dramReady, i)
+}
+
 // wakeParked runs just before DRAM queue q dequeues (dram.OnDequeue), inside
-// the serial tail's dram.Tick: every slice asleep on a refusal by q is
-// charged through the current cycle while the refusal still stands. None
-// wakes yet: the strict loop retries them in ascending slice index on the
-// next cycle and the freed slot goes to the first that asks, so each is
-// marked popped and asks again at its turn in that walk (recheckPopped).
+// the serial tail's dram.Tick: every direct-DRAM head and every slice asleep
+// on a refusal by q is charged through the current cycle while the refusal
+// still stands. None is offered the slot yet: the strict loop retries them
+// on the next cycle — the tile walk's heads in ascending core index, then
+// the slices in ascending index — and the freed slot goes to the first that
+// asks. So each head is marked ready and asks again at its turn in the tile
+// walk (drainDirectDRAM), each slice is marked popped and asks again at its
+// turn in the slice walk (recheckPopped).
 func (s *System) wakeParked(q int) {
 	a := &s.awake
 	words := len(a.slices.awake)
+	for wi, w := range a.headParked[q*words : (q+1)*words] {
+		a.headParked[q*words+wi] = 0
+		a.dramReady[wi] |= w
+		for ; w != 0; w &= w - 1 {
+			s.chargeHead(wi<<6+bits.TrailingZeros64(w), s.cycle)
+		}
+	}
 	for wi, w := range a.parked[q*words : (q+1)*words] {
 		a.parked[q*words+wi] = 0
 		w &^= a.slices.awake[wi] // bits of slices that woke since they parked are stale
@@ -364,13 +386,17 @@ func (s *System) recheckPopped(i int, cy uint64) (woke bool) {
 
 // checkSleepingTiles (clipdebug) re-derives from scratch, at the point of
 // cycle cy where the loop would have visited them, that every sleeping tile
-// really has nothing to do: no component horizon has come due and no watched
-// epoch has moved. A wake the bookkeeping missed panics here on the first
-// cycle it matters.
+// really has nothing to do — no component horizon has come due and no watched
+// epoch has moved — and that every parked direct-DRAM head would still be
+// refused. A wake the bookkeeping missed panics here on the first cycle it
+// matters.
 func (s *System) checkSleepingTiles(cy uint64) {
 	for i := range s.cores {
 		if s.awake.tiles.asleep(i) && s.tileHorizon(i, cy) <= cy {
 			invariant.Check(false, "sim: tile %d asleep at cycle %d with work pending (%s)", i, cy, s.describeTile(i))
+		}
+		if s.headIsParked(i) && s.dram.StallEpoch(&s.stage[i].dramQ.Front().req) == nil {
+			invariant.Check(false, "sim: tile %d's direct-DRAM head parked at cycle %d on a queue with room", i, cy)
 		}
 	}
 }
@@ -387,9 +413,9 @@ func (s *System) checkSleepingSlices(cy uint64) {
 // describeTile says what sleeping tile i holds and waits on.
 func (s *System) describeTile(i int) string {
 	c, l1, l2 := s.cores[i], s.l1d[i], s.l2[i]
-	return fmt.Sprintf("core %d: rob=%d head=%s next=%d; port=%d pfQ=%d dramQ=%d; l1d inQ=%d mshr=%d; l2 inQ=%d mshr=%d",
+	return fmt.Sprintf("core %d: rob=%d head=%s next=%d; port=%d pfQ=%d dramQ=%d parked=%t; l1d inQ=%d mshr=%d; l2 inQ=%d mshr=%d",
 		i, c.ROBOccupancy(), c.DebugHead(), s.awake.tiles.next[i], len(s.ports[i].pending), s.pfQ[i].Len(),
-		s.stage[i].dramQ.Len(), l1.InQLen(), l1.MSHRInUse(), l2.InQLen(), l2.MSHRInUse())
+		s.stage[i].dramQ.Len(), s.headIsParked(i), l1.InQLen(), l1.MSHRInUse(), l2.InQLen(), l2.MSHRInUse())
 }
 
 // describeSlice says what sleeping LLC slice i holds and waits on.

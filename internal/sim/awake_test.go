@@ -151,15 +151,26 @@ func (s *System) tileCountersOf(i int) tileCounters {
 // sleep — the target's clocks and bulk-charged counters (core cycles and
 // ROB/fetch stall cycles, MSHR-full events, TLB accesses; for slices charged
 // off a DRAM queue, the controller's RQ/WQ-full events) equal the strict
-// loop's. Every wake source must be seen, and for DRAM dequeues both a parked
-// LLC head and a parked writeback, a slice that found room at its turn and
-// one that found the queue full again and slept on. The direct-DRAM queue's
-// head is never asleep — the tile walk retries it every cycle — so its
-// refusals are counted by the retries themselves; the arm must still produce
-// them.
+// loop's. A parked direct-DRAM head is a sleeper too: after the Tick whose
+// dequeue charged it, the controller's RQ/WQ-full events equal the strict
+// loop's, whose tile walk offered that head on every cycle. Every wake source
+// an arm provokes must be seen, and for DRAM dequeues both a parked LLC head
+// and a parked writeback, a slice that found room at its turn and one that
+// found the queue full again and slept on.
 func TestAwakeWakeSettles(t *testing.T) {
 	const minOwed = 2
-	for _, arm := range tightArms() {
+	tight := []string{"tile/mesh", "tile/timed", "slice/mesh", "slice/dram-fill", "slice/timed", "pop/head", "pop/wb"}
+	arms := []struct {
+		oracleArm
+		want []string
+	}{
+		{tightArms()[0], tight},
+		{tightArms()[1], append(tight, "tile/hermes-fill", "head/popped")},
+		// The L1 misses of the irregular mix fill their direct-DRAM queues:
+		// a tile asleep on its refused bypass route wakes on the queue's pop.
+		{hermesIrrArm(), []string{"tile/mesh", "tile/timed", "tile/hermes-fill", "tile/dram-pop", "slice/dram-fill", "head/popped"}},
+	}
+	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
 			t.Parallel()
 			skip, err1 := arm.build(1, false)
@@ -174,17 +185,26 @@ func TestAwakeWakeSettles(t *testing.T) {
 				head, wb bool
 			}
 			tiles, slices := make([]sleeper, n), make([]sleeper, n)
+			parked := make([]bool, n)
 			seen := map[string]int{}
-			dramQRefused := 0
+			// settledDRAM settles every sleeper of the skipping run and
+			// compares the controller's bulk-charged counters.
+			settledDRAM := func(cy uint64, what string) {
+				t.Helper()
+				skip.settleAll()
+				got, want := skip.dram.Stats(), ref.dram.Stats()
+				if got.RQFullEvents != want.RQFullEvents || got.WQFullEvents != want.WQFullEvents {
+					t.Fatalf("cycle %d: after a dequeue charged %s: RQ/WQ full %d/%d, want %d/%d",
+						cy, what, got.RQFullEvents, got.WQFullEvents, want.RQFullEvents, want.WQFullEvents)
+				}
+			}
 			for cy := uint64(0); cy < 40000; cy++ {
 				for i := 0; i < n; i++ {
 					tiles[i] = sleeper{asleep: skip.awake.tiles.asleep(i), owed: cy - min(cy, skip.l1d[i].Cycle()+1)}
 					head, wb := skip.llc[i].LowerWaits()
 					slices[i] = sleeper{asleep: skip.awake.slices.asleep(i), owed: cy - min(cy, skip.llc[i].Cycle()+1),
 						head: head != nil, wb: wb != nil}
-					if q := &skip.stage[i].dramQ; q.Len() > 0 && skip.dram.StallEpoch(&q.Front().req) != nil {
-						dramQRefused++
-					}
+					parked[i] = skip.headIsParked(i)
 				}
 				before := skip.SelfStats()
 				skip.Tick()
@@ -209,6 +229,12 @@ func TestAwakeWakeSettles(t *testing.T) {
 						}
 						seen["tile/"+source]++
 					}
+					// A parked head that a dequeue charged is ready for the
+					// next tile walk.
+					if parked[i] && !skip.headIsParked(i) {
+						seen["head/popped"]++
+						settledDRAM(cy, fmt.Sprintf("tile %d's direct-DRAM head", i))
+					}
 					// Only a dequeue charges a slice and leaves it asleep.
 					popped := slices[i].asleep && skip.awake.slices.asleep(i) && skip.llc[i].Cycle() == cy
 					if slices[i].asleep && (popped || !skip.awake.slices.asleep(i)) && slices[i].owed >= minOwed {
@@ -231,12 +257,7 @@ func TestAwakeWakeSettles(t *testing.T) {
 							}
 							// Everyone still asleep on the controller owes it
 							// full events; settle them to compare its totals.
-							skip.settleAll()
-							got, want := skip.dram.Stats(), ref.dram.Stats()
-							if got.RQFullEvents != want.RQFullEvents || got.WQFullEvents != want.WQFullEvents {
-								t.Fatalf("cycle %d: after a dequeue charged slice %d: RQ/WQ full %d/%d, want %d/%d",
-									cy, i, got.RQFullEvents, got.WQFullEvents, want.RQFullEvents, want.WQFullEvents)
-							}
+							settledDRAM(cy, fmt.Sprintf("slice %d", i))
 						}
 					}
 				}
@@ -249,14 +270,7 @@ func TestAwakeWakeSettles(t *testing.T) {
 			if self := skip.SelfStats(); self.Wakes[WakeDRAMPop] == 0 || self.Reparks == 0 {
 				t.Errorf("dequeues woke %d slices and left %d parked, want both", self.Wakes[WakeDRAMPop], self.Reparks)
 			}
-			want := []string{"tile/mesh", "tile/timed", "slice/mesh", "slice/dram-fill", "slice/timed", "pop/head", "pop/wb"}
-			if arm.cfg.Hermes {
-				want = append(want, "tile/hermes-fill")
-				if dramQRefused == 0 {
-					t.Errorf("no direct-DRAM head was ever refused")
-				}
-			}
-			for _, k := range want {
+			for _, k := range arm.want {
 				if seen[k] == 0 {
 					t.Errorf("never saw a %s wake of a sleeper owing >= %d cycles (saw %v)", k, minOwed, seen)
 				}

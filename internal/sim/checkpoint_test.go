@@ -47,27 +47,27 @@ func scoredArm() Config {
 const imageDigestSteps = 3000
 
 // imageDigestsVersion is the snapshot.Version imageDigests was recorded at.
-const imageDigestsVersion = 7
+const imageDigestsVersion = 8
 
 // imageDigests holds the sha256 of each checkpointMatrix arm's image after
 // imageDigestSteps steps. Re-record it only with a snapshot.Version bump, or
 // together with a re-record of the goldens for an intended change of
 // behaviour.
 var imageDigests = map[string]string{
-	"clip":         "eacb0beff0ab129d5fc65508290ceb9ef795205b6956f08994fb8c6b9cdfe04b",
-	"critpred":     "6bfbbb979a489bf9e75852dddf89a04af5ede54699f52a4778afaa6888b6e462",
-	"dynclip":      "41ede922babaf846aaf3881b22a16faf25bd224005432ddad08544204c038b9c",
-	"hermes":       "92cb6717905ee3edeebe787286bc529d381677f00b39af1a203ae973fadbf440",
-	"het-dspatch":  "278dc37457b9fae8ba01572af38ea4fc721487ab55674c9b317e67d9733c249e",
-	"mesh16-1ch":   "40b693e712f6d3da899655402ae780177e96d971b7da3f133f93503b99b2b141",
-	"mesh64":       "c536c3924bcd5d1ae60e4c13194654d1a2d19eb767b0832e960e80e3409e6134",
-	"noc-prio-off": "0d4634f38c55a29013898bcfd8733196dede7bfa84bb2af69c903c84c20e898f",
-	"scored":       "4f15a431775e8396970980b9f401bf3ae86a8ddf4311d120cfc8e73d927b716a",
-	"spac":         "e022e0cb2ef31c539696ba9ed49a51a20e9b03b118c3c6171200ab89f4e15a19",
-	"stall-hermes": "954c6d8fc3bc8d5d05a4fa1d5ff13fe7a2a3c4f4245f8f2bbeedae3a422b825f",
-	"stall-mshr":   "eb72bbd4904fb2326d92b00358e8141e478a3dd3ac7d04879374f72066985acc",
-	"stall-rq":     "6edac0427c3e373c0bc9039b4a8c2920363a0dbb10f905ed17ca59e5f5bf1bac",
-	"throttler":    "a20b87b41f37bd5955f6801072887f8a0f087dfdda56c4a4ca7aebbe0633b44b",
+	"clip":         "19b0725ebe2e6b4946382611b243fad662a29eb02aa496337727429fb4104370",
+	"critpred":     "3f170dd00a386fc47b8452ba2091059e4bb544802eba5f85b397aede79c0cb64",
+	"dynclip":      "cd6782a9765a5bdb0ca28337ab77ae33691540d5e028c228f647be204f289ab6",
+	"hermes":       "6a971bbfa2f3dcba3b87c98b108e60d20daee299d5ec77a944e66d31990f330f",
+	"het-dspatch":  "dd00ec1b05265343891301b8034be602c57f7755d7bd360141f274c9a03f1a94",
+	"mesh16-1ch":   "b45448d567695b25d96184f79c9befcb8de7c1a21ce0e981aa85b1d3f089a56a",
+	"mesh64":       "ace26fdea8f0808bf5d9041800ee8ccd194b26d043dd7f07a765b245cab7bc4a",
+	"noc-prio-off": "a67a8c7f4e9be50c9890065f2fcb03276170dfd47f0b831da6f3dcacae91edff",
+	"scored":       "445b24457a6ad87c34f8fd64ec49c8f39c65c84a9ec9ed0758c855572039cba6",
+	"spac":         "773dad1aa761309746b5967defb1596dcd6f40f281faf5dad881767e93a60d2b",
+	"stall-hermes": "d9c63451636acd8bc71b3fd6406bc4f224708c0d9c9c0e88b24458a8225ee537",
+	"stall-mshr":   "893fc6cc59e6267e065143d2c4cbf47097128e8d030ec164c6f642e766b9c253",
+	"stall-rq":     "09690d5dc2e91f9c6e0aef34d7bbe7c699c2a8e60ef2503695e949f30219bdd0",
+	"throttler":    "dfaed97e7ea168a386074e109d232d46f8c44ce1bf1acfbed48eb481591ff5f2",
 }
 
 // TestCheckpointImageDigests pins the image bytes of every mechanism section
@@ -114,10 +114,10 @@ type oracleArm struct {
 	fracs []float64
 	// golden arms have their result under testdata/soa at seeds 1 and 2.
 	golden bool
-	// asleep arms save a skipping run only at a step where tiles and LLC
-	// slices both sleep owing cycles: each split point moves to the first
-	// such step after it.
-	asleep bool
+	// saveWhen, when set, is the state a skipping run must be in to save: each
+	// split point moves to the first step after it where saveWhen holds, and a
+	// run that never gets there fails.
+	saveWhen func(*System) bool
 	// heavy is the stalls the arm exists to provoke; nil for the other arms.
 	heavy func(stallCounters) bool
 }
@@ -145,11 +145,17 @@ func oracleArms() []oracleArm {
 		case "hermes", "throttler", "het-dspatch", "critpred":
 			a.golden = true
 		case "mesh64", "mesh16-1ch":
-			a.asleep = true
+			a.saveWhen = owingBoth
 		}
 		arms = append(arms, a)
 	}
-	return append(arms, tightArms()...)
+	return append(append(arms, tightArms()...), hermesIrrArm())
+}
+
+// owingBoth holds while tiles and LLC slices both sleep owing cycles.
+func owingBoth(s *System) bool {
+	tiles, slices := s.asleepOwing()
+	return tiles > 0 && slices > 0
 }
 
 // build returns a fresh system for the arm at seed under the given mode.
@@ -158,7 +164,10 @@ func (a oracleArm) build(seed uint64, noskip bool) (*System, error) {
 	cfg.Seed, cfg.DisableSkip = seed, noskip
 	d := cfg.dramConfig()
 	if a.rq != 0 {
-		d.RQ, d.WQ = a.rq, a.wq
+		d.RQ = a.rq
+	}
+	if a.wq != 0 {
+		d.WQ = a.wq
 	}
 	return newSystem(cfg, d)
 }
@@ -184,7 +193,7 @@ func (a oracleArm) run(seed uint64, noskip bool) (run oracleRun, err error) {
 		if next == len(a.fracs) || float64(s.retired()) < a.fracs[next]*total {
 			continue
 		}
-		if tiles, slices := s.asleepOwing(); a.asleep && !noskip && (tiles == 0 || slices == 0) {
+		if a.saveWhen != nil && !noskip && !a.saveWhen(s) {
 			continue
 		}
 		if next == 0 && s.warmed {
@@ -320,40 +329,42 @@ const (
 // loop that keeps every result but does more or other work moves a pin.
 // Re-record a pin only for an intended change of the loop's work.
 var selfDigests = map[string]string{
-	"clip/seed1":         "c79a1989607d9e77c006704f7b540d2de5b363d2ac12e242e60f75037cfbd564",
-	"clip/seed2":         "e8b6732055d09f4167ab4d0694d6191726936033379073432731ed9981b7d527",
-	"clip/seed3":         "f20b4d03bc0bd03501835156968ab8330a1ab3545d9ea2e05746d61b2eaa2f59",
-	"clip/seed4":         "cb972b1fc142113c964a827ff8e8ad44c01d6381b0fb24a442cbbb948b5e2130",
-	"critpred/seed1":     "397899ce11ab0c92ece81c1e1006059b2bd43d9039f46b0699f4c953359515a4",
-	"critpred/seed2":     "8b667fbbc76c75d22a0eb3c4aefcc9fcd18022a0de34268349222ce64acbe51d",
-	"dynclip/seed1":      "06190214629607bf8ef0bc4a758b6ae2294b56851f3c417fe8eb4ee74f3866b8",
-	"dynclip/seed2":      "946808ea04c978d5058cf854beff8cd292967da8ab9af700b739d8b1b4d1c965",
-	"hermes/seed1":       "3d3dad97e416e1b41f69433de0fb503c128b0f12614690081a01f6361e0932e3",
-	"hermes/seed2":       "c57b4e095bfbff7396fc819f4643144a3e83eb395c4f448259f8ecc37948bb09",
-	"het-dspatch/seed1":  "8eb56b5a07e608c87b0a5189ddc552af7eff19826a6e8fac82163a5508cfc74d",
-	"het-dspatch/seed2":  "dbbd5ce0631bbeb6b62e871cbe4b9254864fd1250451703c2181fc8279751ce2",
-	"mesh16-1ch/seed1":   "8ad6332a2c825f83157b2ca0ac461a7466943838d1d7577eaa3e28eb38501863",
-	"mesh16-1ch/seed2":   "386b085ad340437f121f411d9a6d84f007197e219e2b62edb97a27d53d36dfc6",
-	"mesh64/seed1":       "5045984268fd7e4f821729ce65c6d880437ea1fed4a336f660bfb24bf19f7dea",
-	"mesh64/seed2":       "17425baf6942de7c26b01b516d24ab109ba8605e99433048050e70e52c5e64ea",
-	"noc-prio-off/seed1": "d66fa07f980528ef9a91c302adb41cc6ec3c8031b05d25573e53ac655d128168",
-	"noc-prio-off/seed2": "766b907b568a73ef3f2090abcc4c23edf6dc6e5e416df1ad2a0e44e05f91c64f",
-	"scored/seed1":       "75a168000d94dca6b7ad96417bb89e7f61661b868fdf81b570569229d64d96be",
-	"scored/seed2":       "37ffe282da910644e8a7932a1a46ed5168efb47bf804f3721f59967ae0399400",
-	"spac/seed1":         "0e269aa24b3e235520f74a985f991bcbe2081664a091b04d92dde2c5165a8e3b",
-	"spac/seed2":         "e583414f3b345001b75e84e54a21387aac5da9a864409d5d30e673c87738fe51",
-	"stall-hermes/seed1": "7ed882c92045f3ff7a514dfdbe2580021c3265da85a0621fa55f7610d3a1681a",
-	"stall-hermes/seed2": "ba8ef341c1925885e65498a9402f5218578eceb69844cde2bcec04ac67cacc60",
-	"stall-mshr/seed1":   "4d603c6ec160b3132ddd57e10780560576460965b883128a19e0166c451010a2",
-	"stall-mshr/seed2":   "b75ad6eb6fe0e09d97c64c3152469190c6a764c009c1309c5828953948746630",
-	"stall-rq/seed1":     "779fe94aeee598d50f68440c84079d7318b3aa48d3156efcb6c284acb3cd86f5",
-	"stall-rq/seed2":     "652dd0b8e7261605a127f4720951700609bf3fdae3ef9257daf729728ac51828",
-	"throttler/seed1":    "d0f8bd0f85636d3a707c8ce830af30ed498e5a9325ed2a9d8cdf25fa6bb3d3a1",
-	"throttler/seed2":    "51f74d3a1bed3d1594496e1026d7f3ffdc648e1a6007660397597a29c0ebd654",
-	"tight-clip/seed1":   "33b6cc0b6f4b03567153e91953ae5d2f0848eaff5b57638cc3ccf2e5b8c9d577",
-	"tight-clip/seed2":   "2cd8b4ca45c985eb06e1269c660529834eaac630726fdd7e980bc8e1b3e252f7",
-	"tight-hermes/seed1": "489247afded9613561b5cb74d8d771b1271275a07702f66de17d712178ed3ef4",
-	"tight-hermes/seed2": "d9f9d6a92cdfee60bc8171aa337cd73ea516f7ef90c07cc2ef682cec54b23f48",
+	"clip/seed1":         "ff91e37fb9dc0b104768490921de483c5f8ff699fe965617975a77d2dd21cf8a",
+	"clip/seed2":         "2e597a87a95cefd0994309b265bb211e6e53fcab2cf85a25c2bb67e88f28764b",
+	"clip/seed3":         "15acb09ba7215b4ab735fb60b9fb0588d67f82803480b7486b0aefcfd4dd39ca",
+	"clip/seed4":         "f33d8ab84f6b26bc073a5e4a9451e98e4b358d818c6a21eec0d4bc66d6607c7e",
+	"critpred/seed1":     "8ab58924c5e38524253213c0303cc86dad1b85ba9dd5235853bd87addd10d4c7",
+	"critpred/seed2":     "368d613d9c16a2a5a3686db47db15e979b21c87fc39bfbe345df42699b2c5e70",
+	"dynclip/seed1":      "2e3b6690d736a45fb6440d6d984b7a129337ebf9b758c6a62a972e53f72044ad",
+	"dynclip/seed2":      "e996639a2037165f7dc3b263fec94f67a0edd8f3394d3f0a748a5559f31eb7e4",
+	"hermes/seed1":       "13e238c33e2a738d5d701c2c25bf1417b5d4d66e555cb9886921760c3ece3e39",
+	"hermes/seed2":       "a7b6ce2464179190deb1c5509e6ef2f398312f61fc5f832b6fd6f68fdc0e14c3",
+	"hermes-irr/seed1":   "f8d69e51ccb286022f1b8250faccaac7e1e0ce6a75b2c135c26df440e0c7599f",
+	"hermes-irr/seed2":   "d30c135433a6f9fb2d8225384ae4750fc9827f32f6ff3fe25952b1319824418f",
+	"het-dspatch/seed1":  "53bec0078cd7ac27b002330890767075dfeaf928ef275881ce5df34b38919bb2",
+	"het-dspatch/seed2":  "0b4ddd02c0bc09ffb8f9e913c6c9016129a5b69ef89711addc9751be6d43da62",
+	"mesh16-1ch/seed1":   "c1720bd78c5d9a5ce130010142e030fbfcee47fbd438260fbb2490a53f723fe6",
+	"mesh16-1ch/seed2":   "1f92c6441a17d3b20f252bd3404930e50ef14d39797a8288c553a8f66d8b8a64",
+	"mesh64/seed1":       "b11b6c2b4f9cfc7f252577e13063e3b5f676bf928d6ad2b8277dbea968ad2efc",
+	"mesh64/seed2":       "99f2061118089520bcc40efc387575e80d11ecf7bff4ca93eb23474152e64d63",
+	"noc-prio-off/seed1": "e3b539afb9264bc815b2e7b09663a453ba9a6672be953525223a6d410d1f4f83",
+	"noc-prio-off/seed2": "33c3230e37fecbac37806a69d8c4816fb20e50b7f23fd704a923d76be0f5b2ac",
+	"scored/seed1":       "7e6fd57bafe50ba6731736024c6d040baa26f0316c4e149400b59a788d9a0d69",
+	"scored/seed2":       "2d2b813c9ebb6c1e9f444660c8df6534c0ff63bde1d31514b3bec6060202cce7",
+	"spac/seed1":         "239be350d3ff34e192785581e45cffed138bf96b81434f641d4773dd4c1b5595",
+	"spac/seed2":         "b1779bd87f54e5056b833b8e02ab4065105b94328f9047cde04933807f634fe6",
+	"stall-hermes/seed1": "6f2b0f22cc8dc397458b39b450814f1e09258beb1e39821deeebc22b9246884e",
+	"stall-hermes/seed2": "63542837ab9a9b178e0739108bdb763da9a73d8d03c794e02482e4d89990bcd8",
+	"stall-mshr/seed1":   "eaa756b83e0eabb86e19b50eb9a0156e25e7838d62627b161f55226ca838e662",
+	"stall-mshr/seed2":   "0fefec74ba8331d7f9c0e5f2b053df09661b539f8249168a097c3275b92e3ddb",
+	"stall-rq/seed1":     "af761c952a9cdaf04bd6aef27d4d44afb852595a395872f1a51b5493e3688762",
+	"stall-rq/seed2":     "bbba50139f2c1075232753e286d07c63f5edb379ab6cb5f395a6cf683a89f04b",
+	"throttler/seed1":    "f668645be432096a09e2e19752e129e5bd6e9a19422586ae7c016021e34e2b02",
+	"throttler/seed2":    "4a1a0c364fe4de1e6c10af2cdf7d748b9c3b82b2468adf855347d059197c254f",
+	"tight-clip/seed1":   "b723550ed81a190e491ac392d4d7a6109d81d07a43c89a406879169625b856df",
+	"tight-clip/seed2":   "ed73b6ea791b2fe55eff5e05ccb40d979e3eb78ce613d8509c3d3c8f006dcbda",
+	"tight-hermes/seed1": "eb8e1e892cbbcd352c53ef0f55fde0c6d1bcebd06ce44ed899bd42145fc03121",
+	"tight-hermes/seed2": "2bba1340dcac1d461e25db91bf41e34cd29ab22921788036c2d2edd6dd8b8f4c",
 }
 
 // checkSelf compares the skipping run's SelfStats of the arm at seed with its
@@ -860,9 +871,13 @@ func TestCoreMechsSnapshotManifest(t *testing.T) {
 		[]string{"dspatch", "feedback", "berti"})
 }
 
-// TestTileStageSnapshotManifest: a tile's direct-DRAM queue is in the image.
+// TestTileStageSnapshotManifest: a tile's direct-DRAM queue is in the image,
+// and so is the Hermes route of its refused L1 miss (in the Hermes section).
+// The pop epoch and the parked head's charge mark are rebuilt: a restored
+// head is offered to the controller again.
 func TestTileStageSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(tileStage{}), []string{"dramQ"}, nil)
+	snapshot.CheckManifest(t, snapshot.MustStruct(tileStage{}), []string{"dramQ", "route"}, []string{"pops", "charged"})
+	snapshot.CheckManifest(t, snapshot.MustStruct(hermesRoute{}), []string{"live", "bypass", "req"}, nil)
 }
 
 // TestCorePortSnapshotManifest / icache / dynamicClip: the sim-local

@@ -224,7 +224,7 @@ func (m *coreMechs) onLoadComplete(ev *cpu.LoadEvent) {
 		}
 	}
 	if m.hermes != nil && ev.ServedBy >= mem.LevelL2 {
-		m.hermes.Train(ev.IP, ev.Addr, ev.ServedBy, m.hermes.PredictOffChip(ev.IP, ev.Addr))
+		m.hermes.Train(ev.IP, ev.Addr, ev.ServedBy, m.hermes.OffChip(ev.IP, ev.Addr))
 	}
 	if m.berti != nil && ev.ServedBy >= mem.LevelL2 {
 		m.berti.ObserveMissLatency(ev.Latency)

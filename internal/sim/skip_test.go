@@ -72,7 +72,7 @@ func skipMatrix() map[string]Config {
 
 	sh := stallBase(stallMix)
 	sh.L1D.MSHRs = 4
-	sh.Hermes = true // refused L1→L2 loads must keep polling; the rest sleeps
+	sh.Hermes = true // a refused L1 miss keeps its route and sleeps on that route's queue
 	m["stall-hermes"] = sh
 
 	// Eight cores fill the 64-entry read queue.

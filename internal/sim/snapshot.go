@@ -342,10 +342,24 @@ func (s *System) throttleState(c *snapshot.Coder) {
 	}
 }
 
+// hermesState walks each core's predictor and the route of the L1 miss it
+// holds, if any.
 func (s *System) hermesState(c *snapshot.Coder) {
 	for i := range s.mech {
 		s.mech[i].hermes.State(c)
+		s.stage[i].route.state(c)
 	}
+}
+
+// state walks a route: whether a refused miss holds one, and if so the route
+// and the miss it belongs to.
+func (r *hermesRoute) state(c *snapshot.Coder) {
+	if c.Bool(&r.live); !r.live {
+		*r = hermesRoute{}
+		return
+	}
+	c.Bool(&r.bypass)
+	r.req.State(c)
 }
 
 // dynClipState walks the dynamic-CLIP engagement state.

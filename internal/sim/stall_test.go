@@ -31,3 +31,28 @@ func tightArms() []oracleArm {
 	}
 	return arms
 }
+
+// hermesIrrArm is Hermes on an irregular mix — four integer codes, two of
+// them pointer chasers — behind one channel whose read queue holds eight
+// entries, so the direct-DRAM queues fill and the L1 misses routed into them
+// are refused. Its skipping run saves only while some tile's refused miss
+// holds the bypass route and that tile's direct-DRAM head is parked on the
+// controller, so the restores start from both. Every (workload, core) of the
+// mix is one another arm already runs: the arm adds no trace program to the
+// process-wide cache, whose room TestNewSystemFootprint relies on.
+func hermesIrrArm() oracleArm {
+	cfg := stallBase([]string{"620.omnetpp_s-874B", "605.mcf_s-665B", "620.omnetpp_s-874B", "602.gcc_s-734B"})
+	cfg.Hermes = true
+	return oracleArm{name: "hermes-irr", cfg: cfg, rq: 8, seeds: []uint64{1, 2}, fracs: []float64{0.2, 0.5}, saveWhen: routeParked}
+}
+
+// routeParked holds while some tile's refused L1 miss holds the bypass route
+// and its direct-DRAM head is parked on a controller queue.
+func routeParked(s *System) bool {
+	for i := range s.stage {
+		if r := &s.stage[i].route; r.live && r.bypass && s.headIsParked(i) {
+			return true
+		}
+	}
+	return false
+}

@@ -10,6 +10,7 @@ import (
 	"clip/internal/cpu"
 	"clip/internal/criticality"
 	"clip/internal/dram"
+	"clip/internal/hermes"
 	"clip/internal/invariant"
 	"clip/internal/mem"
 	"clip/internal/noc"
@@ -345,50 +346,86 @@ type l1Lower struct {
 	core int
 }
 
-// Issue implements cache.Lower. The Hermes bypass puts its direct-DRAM read in
-// the tile's queue, which tickTiles offers to the controller once the tile
-// has ticked; a full queue backpressures the L1 miss path the way a full DRAM
+// Issue implements cache.Lower. Under Hermes a load miss is routed once, on
+// its first attempt, and keeps that route until it is accepted (hermesRoute).
+// The bypass puts its direct-DRAM read in the tile's queue, which the tile
+// walk offers to the controller; a full queue refuses it the way a full DRAM
 // read queue does.
 func (l *l1Lower) Issue(req *mem.Request) bool {
 	s := l.s
-	if h := s.mech[l.core].hermes; h != nil && req.Type == mem.Load {
-		if h.PredictOffChip(req.IP, req.Addr) {
-			slice := s.sliceOf(req.Addr)
-			st := &s.stage[l.core]
-			if !s.l2[l.core].Probe(req.Addr) && !s.llc[slice].Probe(req.Addr) {
-				// True off-chip: queue the DRAM access, skipping the on-chip
-				// walk (the paper's latency saving).
-				if st.dramQ.Len() >= directDRAMDepth {
-					return false
-				}
-				st.dramQ.Push(directRead{req: *req, bypass: true})
-				return true
-			}
-			// Mispredicted probe: the real Hermes would have burned a DRAM
-			// read; model the wasted bandwidth with a low-priority read.
-			waste := *req
-			waste.Type = mem.Prefetch
-			waste.ROBIndex = -1
-			if st.dramQ.Len() < directDRAMDepth {
-				st.dramQ.Push(directRead{req: waste})
-			}
-		}
+	h := s.mech[l.core].hermes
+	if h == nil || req.Type != mem.Load {
+		return s.l2[l.core].Issue(req)
 	}
-	return s.l2[l.core].Issue(req)
+	st := &s.stage[l.core]
+	if !st.route.live || st.route.req != *req {
+		st.route = hermesRoute{live: true, bypass: s.routeOffChip(l.core, h, req), req: *req}
+	}
+	if st.route.bypass {
+		if st.dramQ.Len() >= directDRAMDepth {
+			return false
+		}
+		s.pushDirect(l.core, directRead{req: *req, bypass: true})
+	} else if !s.l2[l.core].Issue(req) {
+		return false
+	}
+	st.route = hermesRoute{}
+	return true
 }
 
-// StallEpoch implements mem.Staller. Under Hermes a refused load must keep
-// retrying: every retry re-runs PredictOffChip and may push another waste
-// read, which no bulk charge reproduces. Everything else is the L2's call.
+// routeOffChip is Hermes' one decision for a load miss of core i: whether it
+// takes the bypass, skipping the on-chip walk (the paper's latency saving).
+// A predicted off-chip load whose line is on-chip after all takes the L2
+// route; the real Hermes would have burned a DRAM read on it, which is
+// modelled by a low-priority waste read, queued here once.
+func (s *System) routeOffChip(i int, h *hermes.Predictor, req *mem.Request) bool {
+	if !h.PredictOffChip(req.IP, req.Addr) {
+		return false
+	}
+	if !s.l2[i].Probe(req.Addr) && !s.llc[s.sliceOf(req.Addr)].Probe(req.Addr) {
+		return true
+	}
+	waste := *req
+	waste.Type = mem.Prefetch
+	waste.ROBIndex = -1
+	if s.stage[i].dramQ.Len() < directDRAMDepth {
+		s.pushDirect(i, directRead{req: waste})
+	}
+	return false
+}
+
+// bypassed reports whether req is the refused miss that holds the bypass
+// route.
+func (l *l1Lower) bypassed(req *mem.Request) bool {
+	r := &l.s.stage[l.core].route
+	return r.live && r.bypass && r.req == *req
+}
+
+// StallEpoch implements mem.Staller. A retry repeats its route, so it is
+// refused purely until the route's queue frees a slot: the tile's
+// direct-DRAM queue pops for the bypass, the L2's input-queue pops otherwise.
 func (l *l1Lower) StallEpoch(req *mem.Request) *uint64 {
-	if req.Type == mem.Load && l.s.mech[l.core].hermes != nil {
+	if l.bypassed(req) {
+		if st := &l.s.stage[l.core]; st.dramQ.Len() >= directDRAMDepth {
+			return &st.pops
+		}
 		return nil
 	}
 	return l.s.l2[l.core].StallEpoch(req)
 }
 
-// Refused implements mem.Staller.
-func (l *l1Lower) Refused(req *mem.Request, n uint64) { l.s.l2[l.core].Refused(req, n) }
+// Refused implements mem.Staller: a refusal of the bypass counts nothing.
+func (l *l1Lower) Refused(req *mem.Request, n uint64) {
+	if !l.bypassed(req) {
+		l.s.l2[l.core].Refused(req, n)
+		return
+	}
+	if invariant.Enabled {
+		invariant.Check(l.s.stage[l.core].dramQ.Len() >= directDRAMDepth,
+			"sim: %d retries of core %d's bypass load %x charged as refused, but its direct-DRAM queue has room",
+			n, l.core, uint64(req.Addr))
+	}
+}
 
 func bypassKey(core int, addr mem.Addr) uint64 {
 	return uint64(core)<<48 ^ addr.LineID()
@@ -489,39 +526,29 @@ func (s *System) retryLLC(i int) {
 func (s *System) Finished() bool { return s.finished == len(s.cores) }
 
 // horizon returns the earliest cycle >= now at which anything that carries a
-// request has work: now while any tile or slice is awake or a direct-DRAM
-// head can issue, otherwise the minimum of the sleepers' deadlines, the mesh
-// horizon, pending DRAM responses and held Hermes fills — read off the
-// columns, not re-folded per component. mem.NoEvent means nothing is on its
-// way anywhere above the memory controller.
+// request has work: now while any tile or slice is awake, a slice is popped
+// or a direct-DRAM head is ready, otherwise the minimum of the sleepers'
+// deadlines, the mesh horizon, pending DRAM responses and held Hermes fills —
+// read off the columns, not re-folded per component. A parked direct-DRAM
+// head has no event of its own: it moves after its queue's dequeue, which the
+// DRAM horizon reports. mem.NoEvent means nothing is on its way anywhere
+// above the memory controller.
 func (s *System) horizon(now uint64) uint64 {
 	a := &s.awake
-	if anyBit(a.tiles.awake) || anyBit(a.slices.awake) || anyBit(a.popped) {
+	if anyBit(a.tiles.awake) || anyBit(a.slices.awake) || anyBit(a.popped) || anyBit(a.dramReady) {
 		return now
 	}
-	h := min(a.tiles.min, a.slices.min, s.mesh.NextEvent(now), s.dramPending.Next(), s.hermesHold.Next())
-	if h <= now {
-		return now
-	}
-	for wi, w := range a.dramQ {
-		for ; w != 0; w &= w - 1 {
-			// A head the controller refuses has no event of its own: it moves
-			// after the queue's dequeue, which the DRAM horizon reports.
-			if s.dram.StallEpoch(&s.stage[wi<<6+bits.TrailingZeros64(w)].dramQ.Front().req) == nil {
-				return now
-			}
-		}
-	}
-	return h
+	return max(now, min(a.tiles.min, a.slices.min, s.mesh.NextEvent(now), s.dramPending.Next(), s.hermesHold.Next()))
 }
 
 // skipAhead jumps the global clock to the earliest future cycle at which
 // any component has work — horizon folded with the DRAM controller's own
 // horizon and the timekeeping deadlines (throttler epoch, dynamic-CLIP
 // sample) — bulk-applying what the skipped cycles would have counted on the
-// shared components. Sleeping tiles and slices are not touched: the jump only
-// widens the window they are charged for when they wake. A no-op when
-// something has work next cycle. The caller has seen unfinished cores.
+// shared components. Sleeping tiles, slices and parked direct-DRAM heads are
+// not touched: the jump only widens the window they are charged for when
+// they wake or their queue dequeues. A no-op when something has work next
+// cycle. The caller has seen unfinished cores.
 func (s *System) skipAhead(maxCycles uint64) {
 	now := s.cycle // the next cycle to simulate
 	h := s.horizon(now)
@@ -558,13 +585,6 @@ func (s *System) skipAhead(maxCycles uint64) {
 	}
 	s.mesh.SkipCycles(now, n)
 	s.dram.SkipCycles(now, n)
-	for wi, w := range s.awake.dramQ {
-		for ; w != 0; w &= w - 1 {
-			// tickTiles would have re-issued each refused direct-DRAM head
-			// once per cycle (horizon vouched that it is refused).
-			s.dram.Refused(&s.stage[wi<<6+bits.TrailingZeros64(w)].dramQ.Front().req, n)
-		}
-	}
 	if s.dynClip != nil {
 		s.dynClip.advance(n)
 	}
