@@ -143,7 +143,7 @@ func TestPhaseResetClearsEverything(t *testing.T) {
 			t.Fatal("predictor survived phase reset")
 		}
 	}
-	if c.utilValid.Any() {
+	if c.utilValid.Count() != 0 {
 		t.Fatal("utility buffer survived phase reset")
 	}
 }

@@ -182,14 +182,11 @@ func perMix(title string, b *batch, cols ...column) table {
 // engine runs one figure's batches on a bounded worker pool. Runners (and
 // with them the alone-IPC and per-mix baseline memos) are shared by every
 // batch at the same core and paper channel count; raw runs also dedup across
-// figures through the run cache (internal/runner).
+// figures through the process-wide run cache of the scale's protocol
+// (internal/runner).
 type engine struct {
 	sc   Scale
 	pool *runner.Pool
-	// cache is the warm-fork engine's own run cache, or nil for the
-	// process-wide runner.Shared(): warm-fork results never leak into the
-	// cold-run cache (the two protocols differ).
-	cache *runner.Cache
 	// runners holds one Runner per (cores, paper channels). Only submit
 	// touches it, on the caller's goroutine, so it needs no lock.
 	runners map[[2]int]*workload.Runner
@@ -199,12 +196,7 @@ type engine struct {
 }
 
 func newEngine(sc Scale) *engine {
-	e := &engine{sc: sc, pool: runner.NewPool(sc.Workers), runners: map[[2]int]*workload.Runner{}}
-	if sc.WarmFork {
-		e.cache = runner.NewCache()
-		e.cache.WarmFork = true
-	}
-	return e
+	return &engine{sc: sc, pool: runner.NewPool(sc.Workers), runners: map[[2]int]*workload.Runner{}}
 }
 
 // submit queues one job per (mix, arm) of b. Each job fills its own slot of
@@ -218,7 +210,9 @@ func (e *engine) submit(b *batch) {
 	r := e.runners[key]
 	if r == nil {
 		r = workload.NewRunner(template(sc, b.ch))
-		r.Cache = e.cache
+		if sc.WarmFork {
+			r.Cache = runner.SharedWarmFork()
+		}
 		e.runners[key] = r
 	}
 	b.out = make([][]run, len(b.mixes))

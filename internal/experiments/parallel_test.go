@@ -1,46 +1,12 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
 	"clip/internal/runner"
 	"clip/internal/sim"
 	"clip/internal/workload"
 )
-
-// TestReportDeterministicAcrossWorkerCounts is the engine's core guarantee:
-// the same Scale (and Seed) produces byte-identical reports no matter how
-// many workers race over the jobs. The shared run cache is dropped between
-// runs so the second run really recomputes every simulation.
-func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
-	for _, name := range []string{"fig9", "fig10"} {
-		e, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := micro()
-		sc.Workers = 1
-		runner.ResetShared()
-		seq, err := e.Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.Workers = 8
-		runner.ResetShared()
-		par, err := e.Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.String() != par.String() {
-			t.Errorf("%s: Workers=1 and Workers=8 reports differ:\n--- 1 worker ---\n%s\n--- 8 workers ---\n%s",
-				name, seq.String(), par.String())
-		}
-		if !reflect.DeepEqual(seq.Values, par.Values) {
-			t.Errorf("%s: headline values differ: %v vs %v", name, seq.Values, par.Values)
-		}
-	}
-}
 
 // TestEngineSharesBaselinesAcrossVariants checks the dedup guarantee: two
 // variants over the same mixes share alone-IPC and no-prefetch baseline

@@ -24,9 +24,6 @@ func (a Addr) Line() Addr { return a &^ (LineBytes - 1) }
 // LineID returns the cache-line index (address >> 6).
 func (a Addr) LineID() uint64 { return uint64(a) >> LineShift }
 
-// Page returns the page-aligned address.
-func (a Addr) Page() Addr { return a &^ (PageBytes - 1) }
-
 // PageID returns the page number.
 func (a Addr) PageID() uint64 { return uint64(a) >> PageShift }
 

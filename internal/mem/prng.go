@@ -43,12 +43,6 @@ func (p *PRNG) Bool(prob float64) bool {
 	return p.Float64() < prob
 }
 
-// Fork derives an independent generator; the child stream does not overlap
-// the parent's for any realistic draw count.
-func (p *PRNG) Fork() *PRNG {
-	return NewPRNG(p.Uint64() ^ 0xd1b54a32d192ed03)
-}
-
 // HashString folds a string into a 64-bit seed (FNV-1a).
 func HashString(s string) uint64 {
 	var h uint64 = 14695981039346656037

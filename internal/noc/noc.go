@@ -298,9 +298,6 @@ func (m *Mesh) Stats() *Stats {
 	return &m.stats
 }
 
-// Nodes returns the node count.
-func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
-
 // OnDeliver registers the payload-packet sink. Exactly one handler serves
 // the whole mesh (the simulator's response/request router).
 func (m *Mesh) OnDeliver(f DeliverFunc) { m.onDeliver = f }
@@ -346,9 +343,6 @@ func absInt(v int) int {
 	}
 	return v
 }
-
-// HopCount returns the Manhattan distance between nodes (diagnostics).
-func (m *Mesh) HopCount(src, dst int) int { return m.hops(int32(src), int32(dst)) }
 
 // allocPkt takes a packet slot: the pool grows to its steady size, then
 // recycles through the free list.

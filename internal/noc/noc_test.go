@@ -24,13 +24,13 @@ func TestDefaultConfigCoversNodes(t *testing.T) {
 func TestXYRouteLength(t *testing.T) {
 	m := MustNew(DefaultConfig(64))
 	// Node 0 = (0,0), node 63 = (7,7): 14 hops.
-	if h := m.HopCount(0, 63); h != 14 {
+	if h := m.hops(0, 63); h != 14 {
 		t.Fatalf("hop count 0->63 = %d, want 14", h)
 	}
-	if h := m.HopCount(5, 5); h != 0 {
+	if h := m.hops(5, 5); h != 0 {
 		t.Fatalf("self hop count = %d, want 0", h)
 	}
-	if h := m.HopCount(0, 1); h != 1 {
+	if h := m.hops(0, 1); h != 1 {
 		t.Fatalf("adjacent hop count = %d, want 1", h)
 	}
 }

@@ -43,14 +43,14 @@ type CacheStats struct {
 // which the whole repository already does: a sim.Result is only ever read
 // after Run returns.
 type Cache struct {
-	// WarmFork enables warmup-once-fork-many execution: every configuration
+	// warmFork enables warmup-once-fork-many execution: every configuration
 	// with a warmup budget is canonicalized to its mechanism-free warmup core
 	// (sim.WarmupConfig), the warmed image is built once per core and cached,
 	// and each variant forks from the image instead of re-running the warmup.
 	// All variants of one figure point — same workloads, seed and geometry,
-	// different mechanisms — therefore share a single warmup execution. Set
-	// before first use; flipping it mid-flight would mix protocols.
-	WarmFork bool
+	// different mechanisms — therefore share a single warmup execution. It is
+	// fixed at construction: one cache never mixes the two protocols.
+	warmFork bool
 
 	runs    Memo[string, *sim.Result]
 	images  Memo[string, []byte]
@@ -82,7 +82,7 @@ func (c *Cache) Run(cfg sim.Config) (*sim.Result, error) {
 // mode — a fork from the memoized warmup image shared by every variant with
 // the same canonical warmup configuration.
 func (c *Cache) simulate(cfg sim.Config) (*sim.Result, error) {
-	if !c.WarmFork || cfg.WarmupInstr == 0 {
+	if !c.warmFork || cfg.WarmupInstr == 0 {
 		return sim.Run(cfg)
 	}
 	wcfg := sim.WarmupConfig(cfg)
@@ -108,10 +108,12 @@ func (c *Cache) Stats() CacheStats {
 // Len returns the number of distinct configurations cached or in flight.
 func (c *Cache) Len() int { return c.runs.Len() }
 
-// shared is the process-wide cache used when no explicit cache is chosen.
+// The process-wide caches, one per protocol: shared for straight runs and
+// sharedWarm for warm-fork ones, whose results differ.
 var (
-	sharedMu sync.Mutex
-	shared   = NewCache()
+	sharedMu   sync.Mutex
+	shared     = NewCache()
+	sharedWarm = &Cache{warmFork: true}
 )
 
 // Shared returns the process-wide run cache.
@@ -121,10 +123,19 @@ func Shared() *Cache {
 	return shared
 }
 
-// ResetShared discards the process-wide cache (tests use this to force
+// SharedWarmFork returns the process-wide warm-fork run cache: every
+// warm-fork figure of a process reads its runs and warm-up images from it.
+func SharedWarmFork() *Cache {
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	return sharedWarm
+}
+
+// ResetShared discards both process-wide caches (tests use this to force
 // recomputation; long-lived sweeps can use it to bound memory).
 func ResetShared() {
 	sharedMu.Lock()
 	defer sharedMu.Unlock()
 	shared = NewCache()
+	sharedWarm = &Cache{warmFork: true}
 }

@@ -181,17 +181,30 @@ func TestCacheDedupsConcurrentRuns(t *testing.T) {
 	}
 }
 
+// TestSharedReset: ResetShared drops both process-wide caches, and the
+// warm-fork one forks variants from one warm-up image.
 func TestSharedReset(t *testing.T) {
 	ResetShared()
-	a := Shared()
+	a, w := Shared(), SharedWarmFork()
 	if _, err := a.Run(tinyConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if a.Len() != 1 {
 		t.Fatalf("shared cache len %d", a.Len())
 	}
+	warm := tinyConfig()
+	warm.WarmupInstr = 500
+	for _, pf := range []string{"berti", "stride"} {
+		warm.Prefetcher = pf
+		if _, err := w.Run(warm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := w.Stats(); st.Executions != 2 || st.Warmups != 1 {
+		t.Fatalf("warm-fork cache: %d executions and %d warm-ups, want 2 and 1", st.Executions, st.Warmups)
+	}
 	ResetShared()
-	if Shared().Len() != 0 {
-		t.Fatal("reset did not clear shared cache")
+	if Shared().Len() != 0 || SharedWarmFork().Len() != 0 {
+		t.Fatal("reset did not clear the shared caches")
 	}
 }

@@ -6,16 +6,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"clip/internal/golden"
 	"clip/internal/snapshot"
 )
 
@@ -46,44 +44,23 @@ func scoredArm() Config {
 // it saves.
 const imageDigestSteps = 3000
 
-// imageDigestsVersion is the snapshot.Version imageDigests was recorded at.
-const imageDigestsVersion = 8
-
-// imageDigests holds the sha256 of each checkpointMatrix arm's image after
-// imageDigestSteps steps. Re-record it only with a snapshot.Version bump, or
-// together with a re-record of the goldens for an intended change of
-// behaviour.
-var imageDigests = map[string]string{
-	"clip":         "19b0725ebe2e6b4946382611b243fad662a29eb02aa496337727429fb4104370",
-	"critpred":     "3f170dd00a386fc47b8452ba2091059e4bb544802eba5f85b397aede79c0cb64",
-	"dynclip":      "cd6782a9765a5bdb0ca28337ab77ae33691540d5e028c228f647be204f289ab6",
-	"hermes":       "6a971bbfa2f3dcba3b87c98b108e60d20daee299d5ec77a944e66d31990f330f",
-	"het-dspatch":  "dd00ec1b05265343891301b8034be602c57f7755d7bd360141f274c9a03f1a94",
-	"mesh16-1ch":   "b45448d567695b25d96184f79c9befcb8de7c1a21ce0e981aa85b1d3f089a56a",
-	"mesh64":       "ace26fdea8f0808bf5d9041800ee8ccd194b26d043dd7f07a765b245cab7bc4a",
-	"noc-prio-off": "a67a8c7f4e9be50c9890065f2fcb03276170dfd47f0b831da6f3dcacae91edff",
-	"scored":       "445b24457a6ad87c34f8fd64ec49c8f39c65c84a9ec9ed0758c855572039cba6",
-	"spac":         "773dad1aa761309746b5967defb1596dcd6f40f281faf5dad881767e93a60d2b",
-	"stall-hermes": "d9c63451636acd8bc71b3fd6406bc4f224708c0d9c9c0e88b24458a8225ee537",
-	"stall-mshr":   "893fc6cc59e6267e065143d2c4cbf47097128e8d030ec164c6f642e766b9c253",
-	"stall-rq":     "09690d5dc2e91f9c6e0aef34d7bbe7c699c2a8e60ef2503695e949f30219bdd0",
-	"throttler":    "dfaed97e7ea168a386074e109d232d46f8c44ce1bf1acfbed48eb481591ff5f2",
+// imagePin is what testdata/images.json holds of one arm's image: its
+// sha256, its length, and the bytes of each section (tag, length prefix and
+// body), so a format change shows which section grew.
+type imagePin struct {
+	SHA256   string         `json:"sha256"`
+	Bytes    int            `json:"bytes"`
+	Sections map[string]int `json:"sections"`
 }
 
 // TestCheckpointImageDigests pins the image bytes of every mechanism section
 // offline: each checkpointMatrix arm, stepped a fixed count and saved, must
-// hash to its recorded digest.
+// hash as testdata/images.json records at snapshot.Version. Re-record it
+// (-update) only with a Version bump, or together with the other goldens for
+// an intended change of behaviour.
 func TestCheckpointImageDigests(t *testing.T) {
-	if snapshot.Version != imageDigestsVersion {
-		t.Fatalf("snapshot.Version is %d, the digests were taken at %d: re-record them", snapshot.Version, imageDigestsVersion)
-	}
-	matrix := checkpointMatrix()
-	for name := range imageDigests {
-		if _, ok := matrix[name]; !ok {
-			t.Errorf("digest recorded for %q, which is not a checkpointMatrix arm", name)
-		}
-	}
-	for name, cfg := range matrix {
+	pins := map[string]imagePin{}
+	for name, cfg := range checkpointMatrix() {
 		s, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -95,10 +72,51 @@ func TestCheckpointImageDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(image)); got != imageDigests[name] {
-			t.Errorf("%s: image (%d bytes) hashes to %s, recorded %q", name, len(image), got, imageDigests[name])
+		sections, err := imageSections(image)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		pins[name] = imagePin{fmt.Sprintf("%x", sha256.Sum256(image)), len(image), sections}
 	}
+	if err := golden.CheckJSON("images.json", struct {
+		Version int                 `json:"version"`
+		Arms    map[string]imagePin `json:"arms"`
+	}{snapshot.Version, pins}); err != nil {
+		t.Error(err)
+	}
+}
+
+// imageSections returns the bytes of each section of image. A loading Coder
+// reads the head (fingerprint and mechanism set) and skips the sections one
+// by one; a section's bytes are its tag, its length word and the length.
+func imageSections(image []byte) (map[string]int, error) {
+	c, err := snapshot.NewLoader(image)
+	if err != nil {
+		return nil, err
+	}
+	var fp string
+	var m mechSet
+	c.String(&fp)
+	m.state(c)
+	// The head is as long as a saving Coder writes it.
+	h := snapshot.NewSaver(0)
+	h.String(&fp)
+	m.state(h)
+	head, err := h.Bytes()
+	if err != nil {
+		return nil, err
+	}
+	sections := map[string]int{}
+	for at := len(head); at < len(image); {
+		tag := c.SkipSection()
+		if err := c.Err(); err != nil {
+			return nil, err
+		}
+		n := 8 + len(tag) + 8 + int(binary.LittleEndian.Uint64(image[at+8+len(tag):]))
+		sections[tag] = n
+		at += n
+	}
+	return sections, c.Done()
 }
 
 // oracleArm is one configuration TestOracleEquivalence runs: a Config, the
@@ -281,31 +299,12 @@ func sameResult(what string, want, got *Result) error {
 	return errors.Join(errs...)
 }
 
-// updateSoA rewrites the golden results under testdata/soa from the strict
-// runs. The fixtures were captured before the tick kernel's
-// structure-of-arrays rewrite; regenerate them only for an intended change of
+// checkGolden compares res with the golden result of arm at seed under
+// testdata/soa. The goldens were captured before the tick kernel's
+// structure-of-arrays rewrite; re-record them only for an intended change of
 // behaviour, never to paper over a diff.
-var updateSoA = flag.Bool("update-soa", false, "rewrite the golden results under testdata/soa")
-
-// checkGolden compares res with the golden result of arm at seed.
 func checkGolden(arm string, seed uint64, res *Result) error {
-	path := filepath.Join("testdata", "soa", fmt.Sprintf("%s-seed%d.json", arm, seed))
-	got, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	got = append(got, '\n')
-	if *updateSoA {
-		return os.WriteFile(path, got, 0o644)
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(want, got) {
-		return fmt.Errorf("result diverges from the golden %s: %s", path, firstDiff(want, got))
-	}
-	return nil
+	return golden.CheckJSON(fmt.Sprintf("soa/%s-seed%d.json", arm, seed), res)
 }
 
 // oracleOutcome is what one arm showed at one seed: the failures of each
@@ -323,58 +322,13 @@ const (
 	selfCheck   = "self"
 )
 
-// selfDigests pins, per "arm/seedN", the sha256 of the skipping run's
-// SelfStats: what the loop did — ticks, jumps, visits, wakes by source,
+// checkSelf compares the skipping run's SelfStats of the arm at seed with
+// testdata/self: what the loop did — ticks, jumps, visits, wakes by source,
 // re-parks, scheduler and link work — not what it simulated. A change to the
-// loop that keeps every result but does more or other work moves a pin.
-// Re-record a pin only for an intended change of the loop's work.
-var selfDigests = map[string]string{
-	"clip/seed1":         "ff91e37fb9dc0b104768490921de483c5f8ff699fe965617975a77d2dd21cf8a",
-	"clip/seed2":         "2e597a87a95cefd0994309b265bb211e6e53fcab2cf85a25c2bb67e88f28764b",
-	"clip/seed3":         "15acb09ba7215b4ab735fb60b9fb0588d67f82803480b7486b0aefcfd4dd39ca",
-	"clip/seed4":         "f33d8ab84f6b26bc073a5e4a9451e98e4b358d818c6a21eec0d4bc66d6607c7e",
-	"critpred/seed1":     "8ab58924c5e38524253213c0303cc86dad1b85ba9dd5235853bd87addd10d4c7",
-	"critpred/seed2":     "368d613d9c16a2a5a3686db47db15e979b21c87fc39bfbe345df42699b2c5e70",
-	"dynclip/seed1":      "2e3b6690d736a45fb6440d6d984b7a129337ebf9b758c6a62a972e53f72044ad",
-	"dynclip/seed2":      "e996639a2037165f7dc3b263fec94f67a0edd8f3394d3f0a748a5559f31eb7e4",
-	"hermes/seed1":       "13e238c33e2a738d5d701c2c25bf1417b5d4d66e555cb9886921760c3ece3e39",
-	"hermes/seed2":       "a7b6ce2464179190deb1c5509e6ef2f398312f61fc5f832b6fd6f68fdc0e14c3",
-	"hermes-irr/seed1":   "f8d69e51ccb286022f1b8250faccaac7e1e0ce6a75b2c135c26df440e0c7599f",
-	"hermes-irr/seed2":   "d30c135433a6f9fb2d8225384ae4750fc9827f32f6ff3fe25952b1319824418f",
-	"het-dspatch/seed1":  "53bec0078cd7ac27b002330890767075dfeaf928ef275881ce5df34b38919bb2",
-	"het-dspatch/seed2":  "0b4ddd02c0bc09ffb8f9e913c6c9016129a5b69ef89711addc9751be6d43da62",
-	"mesh16-1ch/seed1":   "c1720bd78c5d9a5ce130010142e030fbfcee47fbd438260fbb2490a53f723fe6",
-	"mesh16-1ch/seed2":   "1f92c6441a17d3b20f252bd3404930e50ef14d39797a8288c553a8f66d8b8a64",
-	"mesh64/seed1":       "b11b6c2b4f9cfc7f252577e13063e3b5f676bf928d6ad2b8277dbea968ad2efc",
-	"mesh64/seed2":       "99f2061118089520bcc40efc387575e80d11ecf7bff4ca93eb23474152e64d63",
-	"noc-prio-off/seed1": "e3b539afb9264bc815b2e7b09663a453ba9a6672be953525223a6d410d1f4f83",
-	"noc-prio-off/seed2": "33c3230e37fecbac37806a69d8c4816fb20e50b7f23fd704a923d76be0f5b2ac",
-	"scored/seed1":       "7e6fd57bafe50ba6731736024c6d040baa26f0316c4e149400b59a788d9a0d69",
-	"scored/seed2":       "2d2b813c9ebb6c1e9f444660c8df6534c0ff63bde1d31514b3bec6060202cce7",
-	"spac/seed1":         "239be350d3ff34e192785581e45cffed138bf96b81434f641d4773dd4c1b5595",
-	"spac/seed2":         "b1779bd87f54e5056b833b8e02ab4065105b94328f9047cde04933807f634fe6",
-	"stall-hermes/seed1": "6f2b0f22cc8dc397458b39b450814f1e09258beb1e39821deeebc22b9246884e",
-	"stall-hermes/seed2": "63542837ab9a9b178e0739108bdb763da9a73d8d03c794e02482e4d89990bcd8",
-	"stall-mshr/seed1":   "eaa756b83e0eabb86e19b50eb9a0156e25e7838d62627b161f55226ca838e662",
-	"stall-mshr/seed2":   "0fefec74ba8331d7f9c0e5f2b053df09661b539f8249168a097c3275b92e3ddb",
-	"stall-rq/seed1":     "af761c952a9cdaf04bd6aef27d4d44afb852595a395872f1a51b5493e3688762",
-	"stall-rq/seed2":     "bbba50139f2c1075232753e286d07c63f5edb379ab6cb5f395a6cf683a89f04b",
-	"throttler/seed1":    "f668645be432096a09e2e19752e129e5bd6e9a19422586ae7c016021e34e2b02",
-	"throttler/seed2":    "4a1a0c364fe4de1e6c10af2cdf7d748b9c3b82b2468adf855347d059197c254f",
-	"tight-clip/seed1":   "b723550ed81a190e491ac392d4d7a6109d81d07a43c89a406879169625b856df",
-	"tight-clip/seed2":   "ed73b6ea791b2fe55eff5e05ccb40d979e3eb78ce613d8509c3d3c8f006dcbda",
-	"tight-hermes/seed1": "eb8e1e892cbbcd352c53ef0f55fde0c6d1bcebd06ce44ed899bd42145fc03121",
-	"tight-hermes/seed2": "2bba1340dcac1d461e25db91bf41e34cd29ab22921788036c2d2edd6dd8b8f4c",
-}
-
-// checkSelf compares the skipping run's SelfStats of the arm at seed with its
-// pin.
-func checkSelf(key string, self SelfStats) error {
-	got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", self))))
-	if want := selfDigests[key]; got != want {
-		return fmt.Errorf("SelfStats of %s hash to %s, recorded %q: %+v", key, got, want, self)
-	}
-	return nil
+// loop that keeps every result but does more or other work moves a counter.
+// Re-record one only for an intended change of the loop's work.
+func checkSelf(arm string, seed uint64, self SelfStats) error {
+	return golden.CheckJSON(fmt.Sprintf("self/%s-seed%d.json", arm, seed), self)
 }
 
 func restoreCheck(skip bool, frac float64) string {
@@ -441,7 +395,7 @@ func (a oracleArm) outcome(seed uint64) oracleOutcome {
 		return o
 	}
 	o.fail(skipCheck, sameResult("the skipping run", ref.res, skip.res))
-	o.fail(selfCheck, checkSelf(fmt.Sprintf("%s/seed%d", a.name, seed), skip.self))
+	o.fail(selfCheck, checkSelf(a.name, seed, skip.self))
 	if a.heavy != nil {
 		if sc := stallCountersOf(ref.res); !a.heavy(sc) {
 			o.fail(heavyCheck, fmt.Errorf("arm is no longer stall-heavy: %+v", sc))
@@ -474,7 +428,7 @@ func oracleOf(a oracleArm, seed uint64) oracleOutcome {
 //   - the skipping run, which must equal the reference — bulk-charged
 //     counters, Result, report bytes — and provoke the arm's stalls, with its
 //     stalled cores asleep: at most half the strict loop's core Ticks; its
-//     SelfStats must hash to the arm's pin;
+//     SelfStats must equal the arm's golden;
 //   - per image saved by either full run, a run restored from it in the
 //     other mode, which must re-save the image byte for byte and then finish
 //     equal to the reference.

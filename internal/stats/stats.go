@@ -5,7 +5,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -71,23 +70,6 @@ func WeightedSpeedup(ipcShared, ipcAlone []float64) float64 {
 		ws += SafeDiv(ipcShared[i], ipcAlone[i])
 	}
 	return ws
-}
-
-// GeoMean returns the geometric mean of strictly positive values; zero or
-// negative entries are skipped.
-func GeoMean(vs []float64) float64 {
-	var sum float64
-	var n int
-	for _, v := range vs {
-		if v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }
 
 // Mean returns the arithmetic mean, or 0 when empty.

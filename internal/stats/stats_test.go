@@ -77,18 +77,6 @@ func TestWeightedSpeedupIdentityProperty(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-9 {
-		t.Fatalf("geomean(1,4) = %v, want 2", g)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("geomean(nil) != 0")
-	}
-	if g := GeoMean([]float64{0, -1, 8, 2}); math.Abs(g-4) > 1e-9 {
-		t.Fatalf("geomean skipping nonpositive = %v, want 4", g)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("mean(nil) != 0")

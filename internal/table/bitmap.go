@@ -50,16 +50,6 @@ func (b *Bits) Count() int {
 	return n
 }
 
-// Any reports whether any slot is occupied.
-func (b *Bits) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // First returns the lowest occupied slot, or -1 when empty — the bitmap form
 // of "first valid entry ascending".
 func (b *Bits) First() int {

@@ -77,9 +77,6 @@ func TestBitsMatchesNaiveScan(t *testing.T) {
 			if got, want := b.Count(), ref.count(); got != want {
 				t.Fatalf("n=%d step=%d: Count()=%d want %d", n, step, got, want)
 			}
-			if got, want := b.Any(), ref.count() > 0; got != want {
-				t.Fatalf("n=%d step=%d: Any()=%v want %v", n, step, got, want)
-			}
 			from := int(rng.Uint64() % uint64(n+1))
 			if got, want := b.Next(from), ref.next(from); got != want {
 				t.Fatalf("n=%d step=%d: Next(%d)=%d want %d", n, step, from, got, want)

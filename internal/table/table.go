@@ -304,16 +304,6 @@ func (t *Fixed[V]) PopVictim() (key uint64, v V, ok bool) {
 	return key, v, true
 }
 
-// Delete removes key, reporting whether it was present.
-func (t *Fixed[V]) Delete(key uint64) bool {
-	e := t.idx[t.findIdx(key)]
-	if e == 0 {
-		return false
-	}
-	t.remove(e - 1)
-	return true
-}
-
 // remove unlinks slot s and repairs the probe chains around its index cell
 // (backward-shift deletion keeps lookups tombstone-free and deterministic).
 func (t *Fixed[V]) remove(s int32) {

@@ -61,23 +61,25 @@ func TestFixedMinKeyEviction(t *testing.T) {
 	}
 }
 
+// TestFixedDeleteAndReuse: PopVictim removes FIFO's oldest entries, and the
+// freed slots take new keys without evicting.
 func TestFixedDeleteAndReuse(t *testing.T) {
 	tb := NewFixed[int](8, FIFO)
 	for i := 0; i < 8; i++ {
 		tb.Insert(uint64(i), i)
 	}
-	for i := 0; i < 8; i += 2 {
-		if !tb.Delete(uint64(i)) {
-			t.Fatalf("Delete(%d) = false", i)
+	for i := 0; i < 4; i++ {
+		if k, v, ok := tb.PopVictim(); !ok || k != uint64(i) || v != i {
+			t.Fatalf("PopVictim = (%d,%d,%v), want (%d,%d,true)", k, v, ok, i, i)
 		}
-	}
-	if tb.Delete(0) {
-		t.Fatal("double delete succeeded")
+		if tb.Get(uint64(i)) != nil {
+			t.Fatalf("popped key %d still present", i)
+		}
 	}
 	if tb.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", tb.Len())
 	}
-	for i := 1; i < 8; i += 2 {
+	for i := 4; i < 8; i++ {
 		if v := tb.Get(uint64(i)); v == nil || *v != i {
 			t.Fatalf("survivor %d missing", i)
 		}
@@ -311,15 +313,11 @@ func TestFixedMatchesReferenceModel(t *testing.T) {
 							*p++
 							ref.m[key]++
 						}
-					case 7: // peek
+					case 7, 8: // peek
 						p := tb.Peek(key)
 						rv, rok := ref.m[key]
 						if (p != nil) != rok || (p != nil && *p != rv) {
 							t.Fatalf("step %d: Peek(%d) mismatch", step, key)
-						}
-					case 8: // delete
-						if got, want := tb.Delete(key), ref.del(key); got != want {
-							t.Fatalf("step %d: Delete(%d) = %v, ref %v", step, key, got, want)
 						}
 					case 9: // pop victim
 						k, v, ok := tb.PopVictim()

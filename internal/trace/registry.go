@@ -341,15 +341,6 @@ func Lookup(name string, sc Scale) (Config, error) {
 	return Config{}, fmt.Errorf("trace: unknown workload %q", name)
 }
 
-// MustLookup is Lookup but panics on unknown names.
-func MustLookup(name string, sc Scale) Config {
-	cfg, err := Lookup(name, sc)
-	if err != nil {
-		panic(err)
-	}
-	return cfg
-}
-
 // AllNames returns every registered trace name, sorted.
 func AllNames() []string {
 	var names []string

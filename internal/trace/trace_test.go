@@ -11,6 +11,15 @@ import (
 
 var testScale = Scale{LLCLinesPerCore: 2048}
 
+// mustLookup is Lookup for names the tests know are registered.
+func mustLookup(name string, sc Scale) Config {
+	cfg, err := Lookup(name, sc)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}
+
 func testConfig() Config {
 	return Config{
 		Name: "unit",
@@ -273,8 +282,8 @@ func TestSpecListHas45Entries(t *testing.T) {
 }
 
 func TestSimpointsOfSameFamilyDiffer(t *testing.T) {
-	a := MustNew(MustLookup("605.mcf_s-1554B", testScale))
-	b := MustNew(MustLookup("605.mcf_s-994B", testScale))
+	a := MustNew(mustLookup("605.mcf_s-1554B", testScale))
+	b := MustNew(mustLookup("605.mcf_s-994B", testScale))
 	diff := false
 	for i := 0; i < 2000; i++ {
 		if a.Next() != b.Next() {
@@ -288,7 +297,7 @@ func TestSimpointsOfSameFamilyDiffer(t *testing.T) {
 }
 
 func TestCVPHasLargeIPFootprint(t *testing.T) {
-	g := MustNew(MustLookup("server_013", testScale))
+	g := MustNew(mustLookup("server_013", testScale))
 	ips := map[uint64]bool{}
 	for i := 0; i < 60000; i++ {
 		ins := g.Next()
@@ -296,7 +305,7 @@ func TestCVPHasLargeIPFootprint(t *testing.T) {
 			ips[ins.IP] = true
 		}
 	}
-	spec := MustNew(MustLookup("619.lbm_s-2676B", testScale))
+	spec := MustNew(mustLookup("619.lbm_s-2676B", testScale))
 	specIPs := map[uint64]bool{}
 	for i := 0; i < 60000; i++ {
 		ins := spec.Next()
@@ -332,8 +341,8 @@ func TestWrapAddNeverNegative(t *testing.T) {
 }
 
 func TestSimpointJitterVariesIntensity(t *testing.T) {
-	a := MustLookup("605.mcf_s-1554B", testScale)
-	b := MustLookup("605.mcf_s-994B", testScale)
+	a := mustLookup("605.mcf_s-1554B", testScale)
+	b := mustLookup("605.mcf_s-994B", testScale)
 	if a.FootprintLines == b.FootprintLines {
 		t.Fatal("simpoints of one family should differ in footprint")
 	}
@@ -343,7 +352,7 @@ func TestSimpointJitterVariesIntensity(t *testing.T) {
 		t.Fatalf("jitter too wild: ratio %v", ratio)
 	}
 	// Deterministic.
-	a2 := MustLookup("605.mcf_s-1554B", testScale)
+	a2 := mustLookup("605.mcf_s-1554B", testScale)
 	if a.FootprintLines != a2.FootprintLines || a.LoadFrac != a2.LoadFrac {
 		t.Fatal("jitter not deterministic")
 	}
@@ -351,7 +360,7 @@ func TestSimpointJitterVariesIntensity(t *testing.T) {
 
 func TestJitterKeepsConfigsValid(t *testing.T) {
 	for _, name := range SpecHomogeneous45 {
-		cfg := MustLookup(name, testScale)
+		cfg := mustLookup(name, testScale)
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -359,7 +368,7 @@ func TestJitterKeepsConfigsValid(t *testing.T) {
 }
 
 func TestWrfHasPhaseBehaviour(t *testing.T) {
-	cfg := MustLookup("621.wrf_s-6673B", testScale)
+	cfg := mustLookup("621.wrf_s-6673B", testScale)
 	if cfg.PhasePeriod == 0 {
 		t.Fatal("wrf should alternate phases (registry models its physics phases)")
 	}
@@ -437,7 +446,7 @@ func TestFillMatchesNext(t *testing.T) {
 	got := make([]Instr, n)
 	for _, name := range AllNames() {
 		for _, off := range []mem.Addr{0, 3 << 42} {
-			cfg := MustLookup(name, testScale)
+			cfg := mustLookup(name, testScale)
 			cfg.AddrOffset = off
 			g := MustNew(cfg)
 			for i := range ref {
@@ -471,7 +480,7 @@ func TestInstrIs24Bytes(t *testing.T) {
 // 512-instruction batch written in place, against one Next call (through
 // the Generator interface, as a consumer without Fill pays) per instruction.
 func BenchmarkFill(b *testing.B) {
-	g := MustNew(MustLookup("605.mcf_s-1554B", testScale))
+	g := MustNew(mustLookup("605.mcf_s-1554B", testScale))
 	buf := make([]Instr, 512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i += len(buf) {
@@ -480,7 +489,7 @@ func BenchmarkFill(b *testing.B) {
 }
 
 func BenchmarkNext(b *testing.B) {
-	var g Generator = MustNew(MustLookup("605.mcf_s-1554B", testScale))
+	var g Generator = MustNew(mustLookup("605.mcf_s-1554B", testScale))
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink += g.Next().IP
@@ -494,7 +503,7 @@ var benchSink uint64
 // experiment engine's workers do — build and share one program per Config,
 // and each produces the stream a cursor built alone afterwards does.
 func TestNewConcurrent(t *testing.T) {
-	cfgs := []Config{MustLookup("605.mcf_s-1554B", testScale), MustLookup("bfs-road", testScale)}
+	cfgs := []Config{mustLookup("605.mcf_s-1554B", testScale), mustLookup("bfs-road", testScale)}
 	for i := range cfgs {
 		cfgs[i].Seed ^= 0xc0c0 // programs no other test has built
 	}
