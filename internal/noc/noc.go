@@ -15,9 +15,9 @@
 // computed incrementally from the current node instead of materialized as a
 // path slice, and links act on deadlines: a grant computes the cycle the
 // packet's last flit crosses and files the link under it, so Tick visits
-// only the links that complete or can grant this cycle. Hot traffic carries a
-// concrete mem.Response payload dispatched through a registered handler
-// (OnDeliver); the closure-based Send remains for tests and cold paths.
+// only the links that complete or can grant this cycle. Every packet carries
+// a concrete mem.Response payload, delivered through one registered handler
+// (OnDeliver).
 package noc
 
 import (
@@ -94,11 +94,9 @@ type packet struct {
 	at, dst int32
 	flits   int32
 	high    bool
-	payload bool // resp/kind carry the payload; deliver is unused
 	kind    uint8
 	sent    uint64
 	resp    mem.Response
-	deliver func(cycle uint64)
 }
 
 type link struct {
@@ -357,7 +355,6 @@ func (m *Mesh) allocPkt() int32 {
 }
 
 func (m *Mesh) freePkt(id int32) {
-	m.pkts[id].deliver = nil // do not pin captured state on the free list
 	m.free = append(m.free, id)
 }
 
@@ -375,22 +372,10 @@ func (m *Mesh) inject(id int32) {
 	m.enqueue(id)
 }
 
-// Send injects a packet. deliver is invoked (during a later Tick) when the
-// packet reaches dst. Zero-hop sends deliver after the router stage.
-func (m *Mesh) Send(src, dst, flits int, high bool, deliver func(cycle uint64)) {
-	if flits <= 0 {
-		flits = 1
-	}
-	id := m.allocPkt()
-	m.pkts[id] = packet{at: int32(src), dst: int32(dst), flits: int32(flits),
-		high: high, sent: m.cycle, deliver: deliver}
-	m.inject(id)
-}
-
 // SendPayload injects a packet carrying resp, delivered through the
-// OnDeliver handler with the given kind. This is the allocation-free hot
-// path: the payload is copied into the packet slab, so no closure is built
-// per send.
+// OnDeliver handler with the given kind (during a later Tick; a zero-hop
+// packet after the router stage). The payload is copied into the packet
+// slab, so a send allocates nothing.
 func (m *Mesh) SendPayload(src, dst, flits int, high bool, kind uint8, resp *mem.Response) {
 	if invariant.Enabled {
 		invariant.Check(m.onDeliver != nil,
@@ -401,7 +386,7 @@ func (m *Mesh) SendPayload(src, dst, flits int, high bool, kind uint8, resp *mem
 	}
 	id := m.allocPkt()
 	m.pkts[id] = packet{at: int32(src), dst: int32(dst), flits: int32(flits),
-		high: high, payload: true, kind: kind, sent: m.cycle, resp: *resp}
+		high: high, kind: kind, sent: m.cycle, resp: *resp}
 	m.inject(id)
 }
 
@@ -562,7 +547,8 @@ func (m *Mesh) NextEvent(now uint64) uint64 {
 
 // SkipCycles advances the mesh clock over the n cycles [from, from+n) the
 // simulation loop proved (via NextEvent) no packet can move in. The clock
-// must track the global cycle because Send stamps injection times from it.
+// must track the global cycle because SendPayload stamps injection times
+// from it.
 func (m *Mesh) SkipCycles(from, n uint64) {
 	if n == 0 {
 		return
@@ -593,11 +579,7 @@ func (m *Mesh) advance(id int32) {
 		invariant.Check(m.live >= 0,
 			"noc: delivered more packets than were injected")
 	}
-	if p.payload {
-		m.onDeliver(p.kind, int(p.dst), &p.resp, m.cycle)
-	} else {
-		p.deliver(m.cycle)
-	}
+	m.onDeliver(p.kind, int(p.dst), &p.resp, m.cycle)
 	m.freePkt(id)
 }
 

@@ -1,6 +1,31 @@
 package noc
 
-import "testing"
+import (
+	"testing"
+
+	"clip/internal/mem"
+)
+
+// delivery is one payload packet's arrival.
+type delivery struct {
+	tag   uint64 // the Req.IP the packet was sent with
+	cycle uint64
+}
+
+// recorder registers an OnDeliver sink on m that appends every arrival, in
+// delivery order, to the returned list.
+func recorder(m *Mesh) *[]delivery {
+	var got []delivery
+	m.OnDeliver(func(_ uint8, _ int, r *mem.Response, cycle uint64) {
+		got = append(got, delivery{r.Req.IP, cycle})
+	})
+	return &got
+}
+
+// send injects a payload packet tagged tag.
+func send(m *Mesh, src, dst, flits int, high bool, tag uint64) {
+	m.SendPayload(src, dst, flits, high, 0, &mem.Response{Req: mem.Request{IP: tag}})
+}
 
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Width: 0, Height: 2}); err == nil {
@@ -37,14 +62,15 @@ func TestXYRouteLength(t *testing.T) {
 
 func TestDelivery(t *testing.T) {
 	m := MustNew(DefaultConfig(16))
-	var deliveredAt uint64
-	m.Send(0, 15, FlitsPerAddr, true, func(cy uint64) { deliveredAt = cy })
+	got := recorder(m)
+	send(m, 0, 15, FlitsPerAddr, true, 0)
 	for cy := uint64(0); cy < 200; cy++ {
 		m.Tick(cy)
 	}
-	if deliveredAt == 0 {
-		t.Fatal("packet never delivered")
+	if len(*got) != 1 {
+		t.Fatalf("%d deliveries of one packet", len(*got))
 	}
+	deliveredAt := (*got)[0].cycle
 	// 6 hops * (1 flit + 2 router stages) => at least 18 cycles.
 	if deliveredAt < 12 {
 		t.Fatalf("delivery too fast: %d", deliveredAt)
@@ -56,12 +82,12 @@ func TestDelivery(t *testing.T) {
 
 func TestZeroHopDelivery(t *testing.T) {
 	m := MustNew(DefaultConfig(4))
-	done := false
-	m.Send(2, 2, FlitsPerData, true, func(uint64) { done = true })
+	got := recorder(m)
+	send(m, 2, 2, FlitsPerData, true, 0)
 	for cy := uint64(0); cy < 10; cy++ {
 		m.Tick(cy)
 	}
-	if !done {
+	if len(*got) != 1 {
 		t.Fatal("zero-hop packet not delivered")
 	}
 }
@@ -69,12 +95,15 @@ func TestZeroHopDelivery(t *testing.T) {
 func TestDataPacketsSlowerThanAddr(t *testing.T) {
 	run := func(flits int) uint64 {
 		m := MustNew(DefaultConfig(16))
-		var at uint64
-		m.Send(0, 3, flits, true, func(cy uint64) { at = cy })
-		for cy := uint64(0); cy < 500 && at == 0; cy++ {
+		got := recorder(m)
+		send(m, 0, 3, flits, true, 0)
+		for cy := uint64(0); cy < 500 && len(*got) == 0; cy++ {
 			m.Tick(cy)
 		}
-		return at
+		if len(*got) == 0 {
+			t.Fatalf("a %d-flit packet never delivered", flits)
+		}
+		return (*got)[0].cycle
 	}
 	if a, d := run(FlitsPerAddr), run(FlitsPerData); d <= a {
 		t.Fatalf("data packet (%d) not slower than addr packet (%d)", d, a)
@@ -84,17 +113,17 @@ func TestDataPacketsSlowerThanAddr(t *testing.T) {
 func TestContentionDelays(t *testing.T) {
 	// Many packets over the same link: later ones wait.
 	m := MustNew(DefaultConfig(16))
-	var last uint64
+	got := recorder(m)
 	for i := 0; i < 20; i++ {
-		m.Send(0, 1, FlitsPerData, true, func(cy uint64) {
-			if cy > last {
-				last = cy
-			}
-		})
+		send(m, 0, 1, FlitsPerData, true, 0)
 	}
 	for cy := uint64(0); cy < 1000; cy++ {
 		m.Tick(cy)
 	}
+	if len(*got) != 20 {
+		t.Fatalf("delivered %d/20", len(*got))
+	}
+	last := (*got)[19].cycle
 	// 20 packets * 8 flits on one link: at least 160 cycles of serialization.
 	if last < 160 {
 		t.Fatalf("no serialization: last delivery at %d", last)
@@ -103,21 +132,26 @@ func TestContentionDelays(t *testing.T) {
 
 func TestPriorityClasses(t *testing.T) {
 	m := MustNew(DefaultConfig(16))
-	var hiAt, loAt uint64
-	// Fill the link with low-class packets, then send one high-class.
+	got := recorder(m)
+	// Fill the link with low-class packets (tag 0), then send one
+	// high-class (tag 1).
 	for i := 0; i < 10; i++ {
-		m.Send(0, 1, FlitsPerData, false, func(cy uint64) {
-			if cy > loAt {
-				loAt = cy
-			}
-		})
+		send(m, 0, 1, FlitsPerData, false, 0)
 	}
-	m.Send(0, 1, FlitsPerData, true, func(cy uint64) { hiAt = cy })
+	send(m, 0, 1, FlitsPerData, true, 1)
 	for cy := uint64(0); cy < 1000; cy++ {
 		m.Tick(cy)
 	}
-	if hiAt == 0 || loAt == 0 {
-		t.Fatal("packets not delivered")
+	if len(*got) != 11 {
+		t.Fatalf("delivered %d/11", len(*got))
+	}
+	var hiAt, loAt uint64
+	for _, d := range *got {
+		if d.tag == 1 {
+			hiAt = d.cycle
+		} else {
+			loAt = max(loAt, d.cycle)
+		}
 	}
 	if hiAt >= loAt {
 		t.Fatalf("high-class packet (%d) should overtake low-class tail (%d)", hiAt, loAt)
@@ -132,36 +166,36 @@ func TestNoPriorityWhenDisabled(t *testing.T) {
 	cfg := DefaultConfig(16)
 	cfg.CriticalPriority = false
 	m := MustNew(cfg)
-	var order []bool
+	got := recorder(m)
 	for i := 0; i < 5; i++ {
-		m.Send(0, 1, FlitsPerData, false, func(cy uint64) { order = append(order, false) })
+		send(m, 0, 1, FlitsPerData, false, 0)
 	}
-	m.Send(0, 1, FlitsPerData, true, func(cy uint64) { order = append(order, true) })
+	send(m, 0, 1, FlitsPerData, true, 1)
 	for cy := uint64(0); cy < 1000; cy++ {
 		m.Tick(cy)
 	}
-	if len(order) != 6 {
-		t.Fatalf("delivered %d/6", len(order))
+	if len(*got) != 6 {
+		t.Fatalf("delivered %d/6", len(*got))
 	}
-	if order[len(order)-1] != true {
+	if (*got)[5].tag != 1 {
 		t.Fatal("without priority, FIFO order should hold (high last)")
 	}
 }
 
 func TestManyToOneHotspot(t *testing.T) {
 	m := MustNew(DefaultConfig(16))
-	delivered := 0
+	got := recorder(m)
 	for src := 0; src < 16; src++ {
 		if src == 5 {
 			continue
 		}
-		m.Send(src, 5, FlitsPerData, true, func(uint64) { delivered++ })
+		send(m, src, 5, FlitsPerData, true, 0)
 	}
 	for cy := uint64(0); cy < 2000; cy++ {
 		m.Tick(cy)
 	}
-	if delivered != 15 {
-		t.Fatalf("hotspot delivered %d/15", delivered)
+	if len(*got) != 15 {
+		t.Fatalf("hotspot delivered %d/15", len(*got))
 	}
 }
 
@@ -181,23 +215,23 @@ func TestVCFairnessAcrossFlows(t *testing.T) {
 	// the shared first link; round-robin must interleave them rather than
 	// letting one flow monopolise.
 	m := MustNew(DefaultConfig(16))
-	var order []int
+	got := recorder(m)
 	for i := 0; i < 6; i++ {
-		m.Send(0, 1, FlitsPerData, true, func(uint64) { order = append(order, 1) }) // 1 hop
-		m.Send(0, 2, FlitsPerData, true, func(uint64) { order = append(order, 2) }) // 2 hops
+		send(m, 0, 1, FlitsPerData, true, 1) // 1 hop
+		send(m, 0, 2, FlitsPerData, true, 2) // 2 hops
 	}
 	for cy := uint64(0); cy < 2000; cy++ {
 		m.Tick(cy)
 	}
-	if len(order) != 12 {
-		t.Fatalf("delivered %d/12", len(order))
+	if len(*got) != 12 {
+		t.Fatalf("delivered %d/12", len(*got))
 	}
 	// The first four deliveries must include both flows (interleaving).
-	seen := map[int]bool{}
-	for _, f := range order[:4] {
-		seen[f] = true
+	seen := map[uint64]bool{}
+	for _, d := range (*got)[:4] {
+		seen[d.tag] = true
 	}
 	if len(seen) != 2 {
-		t.Fatalf("flows not interleaved: first deliveries %v", order[:4])
+		t.Fatalf("flows not interleaved: first deliveries %v", (*got)[:4])
 	}
 }

@@ -17,15 +17,15 @@ func TestPropertyExactlyOnceDelivery(t *testing.T) {
 		m := MustNew(DefaultConfig(16))
 		const n = 500
 		delivered := make([]int, n)
+		m.OnDeliver(func(_ uint8, _ int, r *mem.Response, _ uint64) { delivered[r.Req.IP]++ })
 		var cy uint64
 		for i := 0; i < n; i++ {
-			i := i
 			src, dst := rng.Intn(16), rng.Intn(16)
 			flits := 1
 			if rng.Bool(0.5) {
 				flits = FlitsPerData
 			}
-			m.Send(src, dst, flits, rng.Bool(0.5), func(uint64) { delivered[i]++ })
+			send(m, src, dst, flits, rng.Bool(0.5), uint64(i))
 			// Interleave some ticks so injection isn't one burst.
 			if rng.Bool(0.3) {
 				m.Tick(cy)
@@ -63,11 +63,12 @@ func TestPropertyExactlyOnceDelivery(t *testing.T) {
 func TestPropertyLowClassNotStarved(t *testing.T) {
 	m := MustNew(DefaultConfig(4))
 	lowDone := false
-	m.Send(0, 1, FlitsPerData, false, func(uint64) { lowDone = true })
+	m.OnDeliver(func(_ uint8, _ int, r *mem.Response, _ uint64) { lowDone = lowDone || r.Req.IP == 1 })
+	send(m, 0, 1, FlitsPerData, false, 1)
 	// Continuous high-class pressure on the same link.
 	var cy uint64
 	for i := 0; i < 3000; i++ {
-		m.Send(0, 1, FlitsPerAddr, true, func(uint64) {})
+		send(m, 0, 1, FlitsPerAddr, true, 0)
 		m.Tick(cy)
 		cy++
 		if lowDone {

@@ -1,44 +1,42 @@
 package noc
 
 import (
-	"fmt"
-
 	"clip/internal/mem"
 	"clip/internal/snapshot"
 )
 
 // Mesh checkpointing. Packet ids index the slab and the slab only recycles
 // through the free list, so ids in VC rings, link occupancy and the pending
-// ring stay valid across a verbatim slab restore. The one thing a snapshot
-// cannot carry is a closure: saving fails if any live packet still uses the
-// closure-based Send path (tests and cold paths only — the simulator sends
-// exclusively payload packets dispatched through OnDeliver, which the
-// restoring process re-registers at construction). A busy link is saved as
+// ring stay valid across a verbatim slab restore. A packet is its payload;
+// the delivery handler is the owner's, which the restoring process
+// re-registers at construction. A busy link is saved as
 // the flit-cycles its packet still needs after the current one; the deadline
 // wheel and the grant bitmap are rebuilt from the links.
 
 // packetBytes is the encoded size of one slab packet.
-const packetBytes = 3*4 + 3 + 8 + mem.ResponseBytes
+const packetBytes = 3*4 + 2 + 8 + mem.ResponseBytes
 
 // State walks the mesh; loading needs an identically-configured receiver.
 func (m *Mesh) State(s *snapshot.Coder) {
 	if !s.Loading() {
 		m.Stats() // charge LinkBusy through the current cycle
 	}
+	nodes := int32(m.cfg.Width * m.cfg.Height)
 	for i := range snapshot.Slice(s, "noc: packet slab", &m.pkts, snapshot.MaxLen, packetBytes) {
 		p := &m.pkts[i]
-		if p.deliver != nil {
-			s.Fail(fmt.Errorf("noc: packet %d uses a closure deliver callback; only payload packets are snapshotable", i))
-			return
-		}
 		s.I32(&p.at)
 		s.I32(&p.dst)
 		s.I32(&p.flits)
 		s.Bool(&p.high)
-		s.Bool(&p.payload)
 		s.U8(&p.kind)
 		s.U64(&p.sent)
 		p.resp.State(s)
+		// Every slab entry has been sent once, so even a free one holds a
+		// route: routing indexes the links by its nodes.
+		if s.Loading() && (p.at < 0 || p.at >= nodes || p.dst < 0 || p.dst >= nodes || p.flits < 1) {
+			s.Corrupt("noc: packet %d from node %d to %d with %d flits, %d nodes", i, p.at, p.dst, p.flits, nodes)
+			return
+		}
 	}
 	n := len(m.pkts)
 	// pktID walks a packet id, which must name a slab entry.

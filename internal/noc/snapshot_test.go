@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"errors"
 	"testing"
 
 	"clip/internal/snapshot"
@@ -37,10 +38,45 @@ func TestLinkSnapshotManifest(t *testing.T) {
 		})
 }
 
-// TestPacketSnapshotManifest: a closure cannot be saved; State refuses a
-// slab that still holds one.
+// TestPacketSnapshotManifest: a packet is all state.
 func TestPacketSnapshotManifest(t *testing.T) {
 	snapshot.CheckManifest(t, snapshot.MustStruct(packet{}),
-		[]string{"at", "dst", "flits", "high", "payload", "kind", "sent", "resp"},
-		[]string{"deliver"})
+		[]string{"at", "dst", "flits", "high", "kind", "sent", "resp"}, nil)
+}
+
+// TestMeshRefusesOffMeshPacket: a restored packet routes by its nodes, so
+// one whose node lies off the mesh, or that has no flits, is refused at
+// load instead of indexing past the links at its next hop.
+func TestMeshRefusesOffMeshPacket(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(*packet)
+		ok     bool
+	}{
+		{"undamaged", func(*packet) {}, true},
+		{"destination off the mesh", func(p *packet) { p.dst = 16 }, false},
+		{"negative position", func(p *packet) { p.at = -1 }, false},
+		{"no flits", func(p *packet) { p.flits = 0 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := MustNew(DefaultConfig(16))
+			recorder(m)
+			send(m, 0, 15, FlitsPerData, true, 0)
+			tc.damage(&m.pkts[0])
+			w := snapshot.NewSaver(0)
+			m.State(w)
+			img, err := w.Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := snapshot.NewLoader(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			MustNew(DefaultConfig(16)).State(l)
+			if err := l.Done(); tc.ok != (err == nil) || !tc.ok && !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("loading: %v", err)
+			}
+		})
+	}
 }

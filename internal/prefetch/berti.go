@@ -15,37 +15,29 @@ import (
 // High-coverage timely deltas are what make Berti the most accurate of the
 // evaluated prefetchers (>82.9% average in the paper).
 //
-// Layout: the per-IP state is not a table of entry structs but a set of
-// flat column arrays indexed by a row id, with rows mapped from IPs by a
-// table.Fixed[int32] (FIFO, as before — the row recycles when its IP is
-// evicted). Train's inner loops — the timeliness scan over history and the
-// delta match — walk one word-sized column each instead of striding through
-// 500-byte entry structs, and the whole probe sequence is one table lookup
-// per access (GetOrInsert).
+// Layout: the per-IP state is not a table of entry structs but one slab of
+// words, a block of bertiRowWords per row id, with rows mapped from IPs by
+// a table.Fixed[int32] (FIFO, as before — the row recycles when its IP is
+// evicted). A block holds the access history ring (lines, then cycles), the
+// delta set (values, then hit counts) and the row's four counters, so
+// Train's inner loops — the timeliness scan over history and the delta
+// match — walk one word-sized run each, and the whole probe sequence is one
+// table lookup per access (GetOrInsert).
+//
+// The slab holds bertiInitRows blocks at construction and doubles, up to
+// bertiTableSize, when rowFor hands out a row past its end: most workloads
+// train on a few load IPs, and a core's Berti is built on every fork.
 type Berti struct {
 	aggr
 	rows *table.Fixed[int32] // IP -> row id, FIFO replacement
 
-	// Column views carved from slab (one allocation), one block of
-	// bertiHistLen / bertiDeltaCap elements per row. histLine/histCycle hold
-	// the access history ring; deltaVal/deltaHits the live delta set
-	// ([:nDeltas]). deltaVal stores int64 deltas bit-cast to uint64 so every
-	// column shares the slab; histLen/histPos/nDeltas are small counters
-	// widened to the slab word.
-	slab      []uint64
-	histLine  []uint64
-	histCycle []uint64
-	deltaVal  []uint64 // bit-cast int64
-	deltaHits []uint64
-
-	// Per-row scalar columns, also carved from slab.
-	histLen  []uint64
-	histPos  []uint64
-	nDeltas  []uint64
-	accesses []uint64
+	// slab is the rows' blocks: row r is slab[r*bertiRowWords:][:bertiRowWords].
+	// Delta values are int64 bit-cast to uint64, and the counters are small
+	// values widened to the slab word.
+	slab []uint64
 
 	// nextRow hands out never-used rows until the table fills; after that
-	// rows recycle through FIFO eviction.
+	// rows recycle through FIFO eviction. Rows at and past it are zero.
 	nextRow int32
 
 	// latencyEst estimates the fetch latency that defines timeliness; it is
@@ -73,75 +65,97 @@ const (
 	bertiLoCoverage = 0.30 // fill-to-L2 watermark
 	bertiBaseDegree = 3
 	bertiMinSamples = 8
+
+	// bertiInitRows is the slab's size at construction, in rows.
+	bertiInitRows = 16
 )
 
-// NewBerti constructs Berti with the tuned watermarks. All columns are
-// carved from one slab so constructing a per-core prefetcher costs one
-// allocation beyond the row table.
+// A row's block: offsets of its runs and counters.
+const (
+	rowHistLine   = 0                            // access history ring: lines
+	rowHistCycle  = rowHistLine + bertiHistLen   // and cycles
+	rowDeltaVal   = rowHistCycle + bertiHistLen  // delta set: values
+	rowDeltaHits  = rowDeltaVal + bertiDeltaCap  // and hit counts
+	rowHistLen    = rowDeltaHits + bertiDeltaCap // history entries held
+	rowHistPos    = rowHistLen + 1               // next history slot
+	rowNDeltas    = rowHistPos + 1               // live deltas
+	rowAccesses   = rowNDeltas + 1               // accesses since the last aging
+	bertiRowWords = rowAccesses + 1
+)
+
+// NewBerti constructs Berti with the tuned watermarks. The row blocks are
+// one slab, so constructing a per-core prefetcher costs one allocation
+// beyond the row table.
 func NewBerti() *Berti {
-	const (
-		hist   = bertiTableSize * bertiHistLen
-		deltas = bertiTableSize * bertiDeltaCap
-	)
-	b := &Berti{
+	return &Berti{
 		rows:       table.NewFixed[int32](bertiTableSize, table.FIFO),
-		slab:       make([]uint64, 2*hist+2*deltas+4*bertiTableSize),
+		slab:       make([]uint64, bertiInitRows*bertiRowWords),
 		latencyEst: 120,
 	}
-	s := b.slab
-	b.histLine, s = s[:hist], s[hist:]
-	b.histCycle, s = s[:hist], s[hist:]
-	b.deltaVal, s = s[:deltas], s[deltas:]
-	b.deltaHits, s = s[:deltas], s[deltas:]
-	b.histLen, s = s[:bertiTableSize], s[bertiTableSize:]
-	b.histPos, s = s[:bertiTableSize], s[bertiTableSize:]
-	b.nDeltas, s = s[:bertiTableSize], s[bertiTableSize:]
-	b.accesses = s
-	return b
+}
+
+// fit grows the slab, doubling, until it holds rows blocks.
+func (b *Berti) fit(rows int) {
+	n := len(b.slab)
+	for n < rows*bertiRowWords {
+		n *= 2
+	}
+	if n > len(b.slab) {
+		b.slab = append(b.slab, make([]uint64, n-len(b.slab))...)
+	}
 }
 
 // Name implements Prefetcher.
 func (b *Berti) Name() string { return "berti" }
 
-// rowFor resolves (or allocates) the row id for ip: one table probe. A row
-// freed by FIFO eviction is recycled for the new IP with its columns reset —
-// exactly the fresh zero entry the struct-valued table handed out.
-func (b *Berti) rowFor(ip uint64) int32 {
+// rowFor resolves (or allocates) the row id for ip and returns its block:
+// one table probe. A row freed by FIFO eviction is recycled for the new IP
+// with its counters reset — exactly the fresh zero entry the struct-valued
+// table handed out.
+func (b *Berti) rowFor(ip uint64) []uint64 {
 	rp, present, _, evictedRow, evicted := b.rows.GetOrInsert(ip)
 	if present {
-		return *rp
+		return b.block(*rp)
 	}
 	row := b.nextRow
 	if evicted {
 		row = evictedRow
 	} else {
 		b.nextRow++
+		b.fit(int(b.nextRow))
 	}
 	*rp = row
-	b.histLen[row] = 0
-	b.histPos[row] = 0
-	b.nDeltas[row] = 0
-	b.accesses[row] = 0
-	return row
+	r := b.block(row)
+	r[rowHistLen] = 0
+	r[rowHistPos] = 0
+	r[rowNDeltas] = 0
+	r[rowAccesses] = 0
+	return r
+}
+
+// block returns row's block.
+func (b *Berti) block(row int32) []uint64 {
+	at := int(row) * bertiRowWords
+	return b.slab[at : at+bertiRowWords : at+bertiRowWords]
 }
 
 // Train implements Prefetcher.
 func (b *Berti) Train(a Access) []Candidate {
-	row := b.rowFor(a.IP)
+	r := b.rowFor(a.IP)
 	line := a.Addr.LineID()
-	b.accesses[row]++
+	r[rowAccesses]++
 
-	hbase := int(row) * bertiHistLen
-	dbase := int(row) * bertiDeltaCap
-	hist := b.histCycle[hbase : hbase+bertiHistLen]
-	lines := b.histLine[hbase : hbase+bertiHistLen]
-	nd := int(b.nDeltas[row])
+	lines := r[rowHistLine : rowHistLine+bertiHistLen]
+	hist := r[rowHistCycle : rowHistCycle+bertiHistLen]
+	deltaVal := r[rowDeltaVal : rowDeltaVal+bertiDeltaCap]
+	deltaHits := r[rowDeltaHits : rowDeltaHits+bertiDeltaCap]
+	nd := int(r[rowNDeltas])
 
 	// Search history for timely deltas: accesses old enough that a prefetch
-	// issued at that time would have completed by now. The cycle column is
+	// issued at that time would have completed by now. The cycle run is
 	// scanned first — most entries fail the timeliness gate, and that test
 	// touches one word per entry.
-	for i := 0; i < int(b.histLen[row]); i++ {
+	for i := 0; i < int(r[rowHistLen]); i++ {
 		if hist[i]+b.latencyEst > a.Cycle {
 			continue // too recent: a prefetch from there would have been late
 		}
@@ -151,7 +165,7 @@ func (b *Berti) Train(a Access) []Candidate {
 		}
 		di := -1
 		for j := 0; j < nd; j++ {
-			if b.deltaVal[dbase+j] == uint64(d) {
+			if deltaVal[j] == uint64(d) {
 				di = j
 				break
 			}
@@ -161,24 +175,24 @@ func (b *Berti) Train(a Access) []Candidate {
 				continue
 			}
 			di = nd
-			b.deltaVal[dbase+di] = uint64(d)
-			b.deltaHits[dbase+di] = 0
+			deltaVal[di] = uint64(d)
+			deltaHits[di] = 0
 			nd++
 		}
-		b.deltaHits[dbase+di]++
+		deltaHits[di]++
 	}
-	b.nDeltas[row] = uint64(nd)
+	r[rowNDeltas] = uint64(nd)
 
 	// Record this access.
-	pos := b.histPos[row]
+	pos := r[rowHistPos]
 	lines[pos] = line
 	hist[pos] = a.Cycle
-	b.histPos[row] = (pos + 1) % bertiHistLen
-	if b.histLen[row] < bertiHistLen {
-		b.histLen[row]++
+	r[rowHistPos] = (pos + 1) % bertiHistLen
+	if r[rowHistLen] < bertiHistLen {
+		r[rowHistLen]++
 	}
 
-	acc := b.accesses[row]
+	acc := r[rowAccesses]
 	if acc < bertiMinSamples {
 		return nil
 	}
@@ -187,9 +201,9 @@ func (b *Berti) Train(a Access) []Candidate {
 	// desc, delta asc), so the ranking is independent of table order.
 	top := b.scratchTop[:0]
 	for j := 0; j < nd; j++ {
-		cov := float64(b.deltaHits[dbase+j]) / float64(acc)
+		cov := float64(deltaHits[j]) / float64(acc)
 		if cov >= bertiLoCoverage {
-			top = append(top, bertiScored{int64(b.deltaVal[dbase+j]), cov})
+			top = append(top, bertiScored{int64(deltaVal[j]), cov})
 		}
 	}
 	b.scratchTop = top
@@ -228,30 +242,32 @@ func (b *Berti) Train(a Access) []Candidate {
 			TriggerIP: a.IP, FillLevel: fill, Confidence: s.coverage,
 		})
 	}
-	b.maybeAge(row, acc)
+	maybeAge(r, acc)
 	b.scratchOut = out
 	return out
 }
 
-// maybeAge periodically halves coverage counters so stale deltas fade (the
-// tuned Berti re-evaluates coverage per epoch), and compacts away deltas
-// that faded to nothing so the bounded table can admit a changed pattern.
-func (b *Berti) maybeAge(row int32, acc uint64) {
+// maybeAge periodically halves a row's coverage counters so stale deltas
+// fade (the tuned Berti re-evaluates coverage per epoch), and compacts away
+// deltas that faded to nothing so the bounded table can admit a changed
+// pattern.
+func maybeAge(r []uint64, acc uint64) {
 	if acc%256 != 0 {
 		return
 	}
-	dbase := int(row) * bertiDeltaCap
+	deltaVal := r[rowDeltaVal : rowDeltaVal+bertiDeltaCap]
+	deltaHits := r[rowDeltaHits : rowDeltaHits+bertiDeltaCap]
 	keep := 0
-	for j := 0; j < int(b.nDeltas[row]); j++ {
-		h := b.deltaHits[dbase+j] / 2
+	for j := 0; j < int(r[rowNDeltas]); j++ {
+		h := deltaHits[j] / 2
 		if h != 0 {
-			b.deltaVal[dbase+keep] = b.deltaVal[dbase+j]
-			b.deltaHits[dbase+keep] = h
+			deltaVal[keep] = deltaVal[j]
+			deltaHits[keep] = h
 			keep++
 		}
 	}
-	b.nDeltas[row] = uint64(keep)
-	b.accesses[row] = acc / 2
+	r[rowNDeltas] = uint64(keep)
+	r[rowAccesses] = acc / 2
 }
 
 // ObserveMissLatency lets the owner feed measured miss latencies to refine

@@ -143,16 +143,31 @@ func (p *IPCP) State(s *snapshot.Coder) {
 	})
 }
 
-// State walks Berti: the IP->row table, the whole column slab verbatim
-// (history rings, delta sets and per-row counters alias it), the fresh-row
-// cursor and the latency estimate.
+// State walks Berti: the fresh-row cursor, the IP->row table, the blocks of
+// the rows handed out so far and the latency estimate. The image holds only
+// the live rows, so it does not depend on how far the slab has grown;
+// loading grows the receiver's slab to fit them and zeroes the rest.
 func (b *Berti) State(s *snapshot.Coder) {
 	s.Int(&b.level)
-	b.rows.State(s, s.I32)
-	s.U64s(b.slab)
 	s.I32(&b.nextRow)
-	s.U64(&b.latencyEst)
-	if s.Loading() && (b.nextRow < 0 || b.nextRow > bertiTableSize) {
-		s.Corrupt("prefetch: berti row cursor %d out of range", b.nextRow)
+	if s.Loading() {
+		if b.nextRow < 0 || b.nextRow > bertiTableSize {
+			s.Corrupt("prefetch: berti row cursor %d out of range", b.nextRow)
+			return
+		}
+		b.fit(int(b.nextRow))
 	}
+	b.rows.State(s, func(row *int32) {
+		// A live row id is below the cursor; a free slot holds a stale id
+		// or zero.
+		if s.I32(row); s.Loading() && (*row < 0 || *row >= max(b.nextRow, 1)) {
+			s.Corrupt("prefetch: berti row id %d, %d rows handed out", *row, b.nextRow)
+		}
+	})
+	live := int(b.nextRow) * bertiRowWords
+	s.U64s(b.slab[:live])
+	if s.Loading() {
+		clear(b.slab[live:])
+	}
+	s.U64(&b.latencyEst)
 }

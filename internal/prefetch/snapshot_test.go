@@ -1,13 +1,16 @@
 package prefetch
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
+	"clip/internal/mem"
 	"clip/internal/snapshot"
 )
 
-// TestBertiSnapshotManifest: the column slab goes out verbatim; every
-// history ring, delta set and per-row counter is a view into it.
+// TestBertiSnapshotManifest: the live rows' blocks go out; every history
+// ring, delta set and per-row counter is a run of a block.
 func TestBertiSnapshotManifest(t *testing.T) {
 	snapshot.CheckManifest(t, snapshot.MustStruct(Berti{}),
 		[]string{
@@ -15,10 +18,82 @@ func TestBertiSnapshotManifest(t *testing.T) {
 			"rows", "slab", "nextRow", "latencyEst",
 		},
 		[]string{
-			// From config: the column views into slab, and scratch consumed
-			// within one Train.
-			"histLine", "histCycle", "deltaVal", "deltaHits",
-			"histLen", "histPos", "nDeltas", "accesses",
+			// Scratch consumed within one Train.
 			"scratchTop", "scratchOut",
 		})
+}
+
+// TestBertiRowsGrow: the slab starts at bertiInitRows rows and grows as
+// rows are handed out, which changes nothing Berti does or saves. An IP
+// sweep that hands out all 64 rows and then recycles them, as a cloud
+// workload's many load IPs do, yields the candidates of a Berti built at
+// full capacity, step for step; and an image taken at 9, 16, 17 and 64 rows
+// equals the full-capacity Berti's, restores into a fresh Berti and saves
+// again to the same bytes.
+func TestBertiRowsGrow(t *testing.T) {
+	save := func(b *Berti) []byte {
+		s := snapshot.NewSaver(0)
+		b.State(s)
+		img, err := s.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	b, ref := NewBerti(), NewBerti()
+	ref.fit(bertiTableSize)
+	if len(b.slab) != bertiInitRows*bertiRowWords {
+		t.Fatalf("a new Berti holds %d words, want %d rows' worth", len(b.slab), bertiInitRows)
+	}
+	rng := mem.NewPRNG(0xb3271)
+	next := map[uint64]uint64{} // IP -> its stream's next line
+	saved := map[int32]bool{9: false, 16: false, 17: false, bertiTableSize: false}
+	cycle, issued := uint64(0), 0
+	for i := range 12000 {
+		// The IP population widens by one every 100 accesses, past the
+		// table's 64 rows.
+		ip := 0x400000 + 8*(rng.Uint64()%uint64(1+i/100))
+		line := next[ip]
+		if line == 0 {
+			line = ip << 8
+		}
+		next[ip] = line + 1 + ip%3
+		cycle += 20 + rng.Uint64()%200
+		a := Access{IP: ip, Addr: mem.Addr(line << mem.LineShift), Cycle: cycle}
+		got, want := b.Train(a), ref.Train(a)
+		if !slices.Equal(got, want) {
+			t.Fatalf("access %d: candidates %v, full-capacity Berti %v", i, got, want)
+		}
+		issued += len(got)
+		if done, ok := saved[b.nextRow]; !ok || done {
+			continue
+		}
+		saved[b.nextRow] = true
+		img := save(b)
+		if !bytes.Equal(img, save(ref)) {
+			t.Fatalf("%d rows: the image depends on the slab's capacity", b.nextRow)
+		}
+		fresh := NewBerti()
+		l, err := snapshot.NewLoader(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh.State(l); l.Done() != nil {
+			t.Fatalf("%d rows: restoring into a fresh Berti: %v", b.nextRow, l.Done())
+		}
+		if !bytes.Equal(save(fresh), img) {
+			t.Fatalf("%d rows: the restored Berti saves different bytes", b.nextRow)
+		}
+	}
+	if issued < 1000 {
+		t.Errorf("the sweep drew %d candidates: too few to compare", issued)
+	}
+	for rows, done := range saved {
+		if !done {
+			t.Errorf("the sweep never held %d rows", rows)
+		}
+	}
+	if len(b.slab) != bertiTableSize*bertiRowWords {
+		t.Errorf("after the sweep the slab holds %d words, want %d rows' worth", len(b.slab), bertiTableSize)
+	}
 }

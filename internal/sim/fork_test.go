@@ -97,8 +97,8 @@ func TestImageCanonical(t *testing.T) {
 // and past it NewSystem builds programs privately on every call. So the
 // measurement runs in a fresh process, where this test runs alone, and
 // repeats a first call that built the programs. The budget is what NewSystem
-// costs now (14.00 MB in about 5,800 allocations; a -race build adds some
-// 200 of its own) plus 5%; spending more is a decision to make here, not
+// costs now (11.75 MB in 5,654 allocations; a -race build adds some 80 and
+// 14 KB of its own) plus 5%; spending more is a decision to make here, not
 // something a fork-per-point campaign discovers. A core's instruction batch
 // is not in it: the core allocates the batch at its first dispatch.
 func TestNewSystemFootprint(t *testing.T) {
@@ -116,8 +116,8 @@ func TestNewSystemFootprint(t *testing.T) {
 		return
 	}
 	const (
-		budgetBytes   = 14_700_000
-		budgetMallocs = 6_300
+		budgetBytes   = 12_350_000
+		budgetMallocs = 6_030
 	)
 	cfg := meshGeometry(64)
 	build := func() {
@@ -143,16 +143,17 @@ func TestNewSystemFootprint(t *testing.T) {
 // TestImageFootprint budgets the image a fork is made from: the warm-up
 // image of the 8- and 64-core ckpt_cycle geometry (4k warm-up, 4k measured
 // instructions), whose bytes a sampled campaign pays per sample in memory
-// and in every SaveState. The budgets are the sizes now (packed word
-// columns, only live MSHR prefetch requests) plus 5%; the same images
-// written as fixed-width words were 1.35 and 10.5 MB.
+// and in every SaveState. The budgets are the sizes now (packed word and
+// byte columns, only live MSHR prefetch requests and Berti rows, packed
+// CLIP entries) plus 5%; the same images written as fixed-width words were
+// 1.35 and 10.5 MB.
 func TestImageFootprint(t *testing.T) {
 	for _, arm := range []struct {
 		cores  int
 		budget int
 	}{
-		{8, 559_100},    // 532,437 bytes
-		{64, 4_350_400}, // 4,143,235 bytes
+		{8, 432_200},    // 411,614 bytes
+		{64, 3_404_400}, // 3,242,261 bytes
 	} {
 		t.Run(fmt.Sprintf("cores%d", arm.cores), func(t *testing.T) {
 			t.Parallel()

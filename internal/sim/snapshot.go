@@ -142,13 +142,13 @@ func (s *System) SaveState() ([]byte, error) {
 // system loaded or saved (an image's length depends on configuration and
 // queue occupancies, so it barely moves), else an estimate. Packed columns
 // make a fresh system's image depend on how much of its state is nonzero:
-// on the bench geometries the three caches of a tile encode to 1.8 bytes a
-// slab word fresh, 4 after a 2k-instruction warm-up, 5.2 after 8k and 7.2 at
-// saturation (200k), and everything else to 23–33 KB a core. The estimate,
-// 5 bytes a slab word, 32 KB a core and 32 KB for DRAM, is the image of a
-// warm-up of some thousands of instructions: a shorter one is copied out of
-// the buffer by SaveState, a longer one grows the buffer once. Either costs
-// less than the unpacked image's estimate used to. TestImageSizeHint pins
+// on the bench geometries the three caches of a tile encode to 1.3 bytes a
+// slab word fresh, 3.5 after a 2k-instruction warm-up, 5 after 8k and 7 at
+// 50k, and everything else to 9 KB a core fresh and 18–22 KB after a
+// warm-up. The estimate, 4 bytes a slab word, 22 KB a core and 32 KB for
+// the shared rest, is the image of a warm-up of a few thousand
+// instructions: a much shorter one is copied out of the buffer by
+// SaveState, a longer one grows the buffer once. TestImageSizeHint pins
 // the returned capacity.
 func (s *System) imageSizeHint() int {
 	if s.imageLen > 0 {
@@ -158,7 +158,7 @@ func (s *System) imageSizeHint() int {
 	for i := range s.cores {
 		words += s.l1d[i].SlabWords() + s.l2[i].SlabWords() + s.llc[i].SlabWords()
 	}
-	return 5*words + len(s.cores)*32<<10 + 32<<10
+	return 4*words + len(s.cores)*22<<10 + 32<<10
 }
 
 // LoadState restores a SaveState stream into s, which must have been built by

@@ -164,9 +164,14 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 			return nil, err
 		}
 		// LLC responses travel the mesh back to the requesting core's L2 as
-		// payload packets (kind pktLLCResp).
+		// payload packets (kind pktLLCResp). A request restored from a
+		// damaged image can name a core that does not exist: its response
+		// goes nowhere, as cpu.Core.CompleteLoad drops one for a ROB slot
+		// that holds no load.
 		llc.OnResponse(func(r *mem.Response) {
-			s.mesh.SendPayload(i, r.Req.Core, noc.FlitsPerData, s.packetHigh(&r.Req), pktLLCResp, r)
+			if uint(r.Req.Core) < uint(n) {
+				s.mesh.SendPayload(i, r.Req.Core, noc.FlitsPerData, s.packetHigh(&r.Req), pktLLCResp, r)
+			}
 		})
 		s.llc = append(s.llc, llc)
 	}

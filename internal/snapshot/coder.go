@@ -239,14 +239,10 @@ func (s *Coder) loadU64s(dst []uint64) {
 	}
 }
 
-// U8s walks a geometry-fixed []uint8 column.
-func (s *Coder) U8s(vs []uint8) {
-	if b := s.column("u8 slice", len(vs), 1); s.loading {
-		copy(vs, b)
-	} else {
-		copy(b, vs)
-	}
-}
+// U8s walks a geometry-fixed []uint8 column, packed as U64s packs words
+// less the width byte, which a byte column does not need: the count, the
+// bitmap of the nonzero elements, then each nonzero byte.
+func (s *Coder) U8s(vs []uint8) { walkBytes(s, "u8 slice", vs) }
 
 // I32s walks a geometry-fixed []int32 column.
 func (s *Coder) I32s(vs []int32) {
@@ -264,20 +260,113 @@ func (s *Coder) I32s(vs []int32) {
 	}
 }
 
-// I8s walks a geometry-fixed []int8 table.
-func (s *Coder) I8s(vs []int8) {
-	b := s.column("i8 slice", len(vs), 1)
-	switch {
-	case b == nil:
-	case s.loading:
-		for i := range vs {
-			vs[i] = int8(b[i])
+// I8s walks a geometry-fixed []int8 table, packed as U8s packs bytes.
+func (s *Coder) I8s(vs []int8) { walkBytes(s, "i8 slice", vs) }
+
+// lo7 is the low seven bits of every byte of a word: ((w&lo7+lo7)|w)&^lo7
+// is bit 7 of each nonzero byte of w.
+const lo7 uint64 = 0x7f7f7f7f7f7f7f7f
+
+// walkBytes walks a byte column packed (see U8s).
+func walkBytes[T ~uint8 | ~int8](s *Coder, what string, vs []T) {
+	if s.loading {
+		loadBytes(s, what, vs)
+	} else {
+		saveBytes(s, what, vs)
+	}
+}
+
+// loadBytes decodes into vs. Only the encoding saveBytes produces is
+// accepted: a flagged element that decodes to zero and a bitmap bit set
+// past the count are corrupt.
+func loadBytes[T ~uint8 | ~int8](s *Coder, what string, vs []T) {
+	mapLen := (len(vs) + 7) / 8
+	var n int
+	if s.Int(&n); s.err == nil && n != len(vs) {
+		s.corrupt(what + " length")
+	}
+	if s.err != nil || mapLen > len(s.buf)-s.off {
+		s.corrupt(what)
+		return
+	}
+	head := s.buf[s.off : s.off+mapLen]
+	if tail := len(vs) % 8; tail != 0 && head[mapLen-1]>>tail != 0 {
+		s.corrupt(what + " bitmap padding")
+		return
+	}
+	count := 0
+	for _, m := range head {
+		count += bits.OnesCount8(m)
+	}
+	b := s.window(what, mapLen+count)
+	if b == nil {
+		return
+	}
+	clear(vs)
+	at := mapLen
+	for i, m := range b[:mapLen] {
+		if m == 0xff { // eight values: one test for a zero among them
+			c, d := b[at:at+8:at+8], vs[8*i:8*i+8:8*i+8]
+			if w := binary.LittleEndian.Uint64(c); ((w&lo7+lo7)|w)&^lo7 != ^lo7 {
+				s.corrupt(what + " zero value")
+				return
+			}
+			d[0], d[1], d[2], d[3] = T(c[0]), T(c[1]), T(c[2]), T(c[3])
+			d[4], d[5], d[6], d[7] = T(c[4]), T(c[5]), T(c[6]), T(c[7])
+			at += 8
+			continue
 		}
-	default:
-		for i, v := range vs {
-			b[i] = uint8(v)
+		for ; m != 0; m &= m - 1 {
+			if b[at] == 0 {
+				s.corrupt(what + " zero value")
+				return
+			}
+			vs[8*i+bits.TrailingZeros8(m)] = T(b[at])
+			at++
 		}
 	}
+}
+
+// saveBytes encodes vs in one pass over a window reserved at its unpacked
+// size, eight elements at a time as one word: an all-zero group costs one
+// test, an all-nonzero one one store, and a mixed one a store per nonzero
+// element. The unused end of the window is dropped.
+func saveBytes[T ~uint8 | ~int8](s *Coder, what string, vs []T) {
+	mapLen := (len(vs) + 7) / 8
+	n := len(vs)
+	s.Int(&n)
+	b := s.window(what, mapLen+len(vs))
+	if b == nil {
+		return
+	}
+	at := mapLen
+	for i := range mapLen {
+		var w uint64
+		if c := vs[8*i:]; len(c) >= 8 {
+			w = uint64(uint8(c[0])) | uint64(uint8(c[1]))<<8 | uint64(uint8(c[2]))<<16 |
+				uint64(uint8(c[3]))<<24 | uint64(uint8(c[4]))<<32 | uint64(uint8(c[5]))<<40 |
+				uint64(uint8(c[6]))<<48 | uint64(uint8(c[7]))<<56
+		} else {
+			for j, v := range c {
+				w |= uint64(uint8(v)) << (8 * j)
+			}
+		}
+		// Bit 7 of each nonzero byte, gathered into bit j of m for byte j.
+		m := uint8((((w&lo7 + lo7) | w) &^ lo7 >> 7) * 0x0102040810204080 >> 56)
+		b[i] = m
+		switch m {
+		case 0:
+		case 0xff:
+			binary.LittleEndian.PutUint64(b[at:], w)
+			at += 8
+		default:
+			for ; m != 0; m &= m - 1 {
+				b[at] = uint8(w >> (8 * bits.TrailingZeros8(m)))
+				at++
+			}
+		}
+	}
+	s.buf = s.buf[:len(s.buf)-(len(b)-at)]
 }
 
 // Bools walks a geometry-fixed []bool, one byte an element; loading any

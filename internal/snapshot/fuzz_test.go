@@ -27,6 +27,8 @@ func driveCoder(s *Coder, ops []byte) {
 		str  string
 		list = []uint16{1, 2, 3}
 		col  = used(64)
+		u8s  = usedBytes[uint8](64)
+		i8s  = usedBytes[int8](64)
 	)
 	for _, op := range ops {
 		switch op % 25 {
@@ -55,11 +57,11 @@ func driveCoder(s *Coder, ops []byte) {
 		case 11:
 			s.F64(&f)
 		case 12:
-			s.U8s(make([]uint8, 5))
+			s.U8s(u8s[:op%64]) // packed byte columns of many lengths
 		case 13:
 			s.I32s(make([]int32, 2))
 		case 14:
-			s.I8s(make([]int8, 4))
+			s.I8s(i8s[:op%64])
 		case 15:
 			s.Bools(make([]bool, 2))
 		case 16:
@@ -105,6 +107,11 @@ func FuzzReader(f *testing.F) {
 	w.U64s([]uint64{0, 0x1234, 0, 7, ^uint64(0), 1})
 	packed, _ := w.Bytes()
 	f.Add(packed, []byte{134}) // op 134 reads a six-element column
+	w = NewSaver(0)
+	w.U8s([]uint8{0, 3, 0, 0, 0, 0, 0, 0, 0xff, 1})
+	w.I8s([]int8{-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	packed, _ = w.Bytes()
+	f.Add(packed, []byte{137, 89}) // a ten-element u8 column, a 14-element i8 one
 	f.Fuzz(func(t *testing.T, data, ops []byte) {
 		r, err := NewLoader(data)
 		if err != nil {
@@ -128,6 +135,8 @@ type roundTrip struct {
 	us   [2]uint64
 	col  []uint64
 	bs   [2]bool
+	u8s  []uint8 // col's low bytes, as a packed byte column
+	i8s  []int8  // and as signed bytes
 	list []uint8 // b again, as a variable-length list of one-byte elements
 	tail uint32
 }
@@ -144,6 +153,8 @@ func (v *roundTrip) walk(s *Coder) {
 		s.U64s(v.us[:])
 		s.U64s(v.col)
 		s.Bools(v.bs[:])
+		s.U8s(v.u8s)
+		s.I8s(v.i8s)
 	})
 	for i := range Slice(s, "list", &v.list, MaxLen, 1) {
 		s.U8(&v.list[i])
@@ -184,6 +195,24 @@ func used(n int) []uint64 {
 	return col
 }
 
+// usedBytes is used for a byte column.
+func usedBytes[T ~uint8 | ~int8](n int) []T {
+	col := make([]T, n)
+	for i := range col {
+		col[i] = T(^uint8(i))
+	}
+	return col
+}
+
+// lowBytes returns the low byte of each of col's words.
+func lowBytes[T ~uint8 | ~int8](col []uint64) []T {
+	out := make([]T, len(col))
+	for i, v := range col {
+		out[i] = T(v)
+	}
+	return out
+}
+
 // FuzzRoundTrip saves fuzz-chosen values, among them a word column of
 // fuzz-chosen length, zero density and value widths, and requires a loading
 // Coder to return them exactly into used receivers, with the stream fully
@@ -196,7 +225,8 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, u uint64, i int64, s string, b []byte, flag bool, fl float64, shape uint64) {
 		col := column(u, shape)
 		in := roundTrip{u: u, i: i, s: s, b: b, flag: flag, fl: fl,
-			us: [2]uint64{u, u ^ 1}, col: col, bs: [2]bool{flag, !flag}, list: b, tail: uint32(u)}
+			us: [2]uint64{u, u ^ 1}, col: col, bs: [2]bool{flag, !flag},
+			u8s: lowBytes[uint8](col), i8s: lowBytes[int8](column(^u, shape)), list: b, tail: uint32(u)}
 		w := NewSaver(0)
 		in.walk(w)
 		enc, err := w.Bytes()
@@ -204,7 +234,8 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		out := roundTrip{b: make([]byte, len(b)), col: used(len(col)), list: []uint8{9, 9}}
+		out := roundTrip{b: make([]byte, len(b)), col: used(len(col)), list: []uint8{9, 9},
+			u8s: usedBytes[uint8](len(col)), i8s: usedBytes[int8](len(col))}
 		r, err := NewLoader(enc)
 		if err != nil {
 			t.Fatal(err)
@@ -236,7 +267,8 @@ func FuzzRoundTrip(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			out := roundTrip{b: make([]byte, len(b)), col: used(len(col))}
+			out := roundTrip{b: make([]byte, len(b)), col: used(len(col)),
+				u8s: usedBytes[uint8](len(col)), i8s: usedBytes[int8](len(col))}
 			out.walk(tr)
 			if !errors.Is(tr.Done(), ErrCorrupt) {
 				t.Fatalf("truncation at %d/%d walked to completion", cut, len(enc))
@@ -310,6 +342,80 @@ func TestU64sRefusesNoncanonical(t *testing.T) {
 			}
 			if r.U64s(used(tc.n)); !errors.Is(r.Err(), ErrCorrupt) {
 				t.Errorf("err %v, want ErrCorrupt", r.Err())
+			}
+		})
+	}
+}
+
+// TestBytesLayout pins the packed encoding of a byte column, which is the
+// word column's without the width byte, and that a used receiver takes back
+// exactly the encoded values.
+func TestBytesLayout(t *testing.T) {
+	for _, tc := range []struct {
+		col  []int8
+		body []byte // after the count: bitmap, values
+	}{
+		{[]int8{}, nil},
+		{[]int8{0, 0, 0}, []byte{0}},
+		{[]int8{0, -1, 0, 7}, []byte{0b1010, 0xff, 0x07}},
+		{[]int8{1, 0, 0, 0, 0, 0, 0, 0, 0, -128}, []byte{0b1, 0b10, 1, 0x80}},
+		{[]int8{1, 2, 3, 4, 5, 6, 7, -1, 0, 9}, []byte{0xff, 0b10, 1, 2, 3, 4, 5, 6, 7, 0xff, 9}},
+	} {
+		want := crafted(len(tc.col), tc.body...)
+		w := NewSaver(0)
+		if w.I8s(tc.col); !bytes.Equal(w.buf, want) {
+			t.Errorf("%v encodes to % x, want % x", tc.col, w.buf, want)
+		}
+		u := make([]uint8, len(tc.col))
+		for i, v := range tc.col {
+			u[i] = uint8(v)
+		}
+		w = NewSaver(0)
+		if w.U8s(u); !bytes.Equal(w.buf, want) {
+			t.Errorf("%v as u8 encodes to % x, want % x", u, w.buf, want)
+		}
+		r, _ := NewLoader(want)
+		dst := usedBytes[int8](len(tc.col))
+		if r.I8s(dst); r.Done() != nil || !slices.Equal(dst, tc.col) {
+			t.Errorf("%v decodes to %v (%v)", tc.col, dst, r.Done())
+		}
+		r, _ = NewLoader(want)
+		udst := usedBytes[uint8](len(tc.col))
+		if r.U8s(udst); r.Done() != nil || !slices.Equal(udst, u) {
+			t.Errorf("%v decodes to %v (%v)", u, udst, r.Done())
+		}
+	}
+}
+
+// TestBytesRefusesNoncanonical: a packed byte column has one accepted
+// encoding too.
+func TestBytesRefusesNoncanonical(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int // the receiver's length
+		stream []byte
+	}{
+		{"flagged element is a zero byte", 2, crafted(2, 0b11, 5, 0)},
+		{"zero byte in a full group", 8, crafted(8, 0xff, 1, 2, 3, 0, 5, 6, 7, 8)},
+		{"bitmap bit set past the count", 3, crafted(3, 0b1001, 5, 6)},
+		// The body is a valid three-element column.
+		{"count above the receiver's", 3, crafted(4, 0b11, 5, 6)},
+		{"count below the receiver's", 3, crafted(2, 0b11, 5, 6)},
+		{"values cut short", 2, crafted(2, 0b11, 5)},
+		{"bitmap cut short", 9, crafted(9, 0b1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, walk := range []func(*Coder){
+				func(r *Coder) { r.U8s(usedBytes[uint8](tc.n)) },
+				func(r *Coder) { r.I8s(usedBytes[int8](tc.n)) },
+			} {
+				r, err := NewLoader(tc.stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if walk(r); !errors.Is(r.Err(), ErrCorrupt) {
+					t.Errorf("err %v, want ErrCorrupt", r.Err())
+				}
 			}
 		})
 	}

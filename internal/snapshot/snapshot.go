@@ -2,11 +2,12 @@
 // checkpoint/restore of simulator state (DESIGN.md §12).
 //
 // The format is deliberately simple: a magic+version header, then a flat
-// little-endian stream. Scalars and the byte-sized and int32 columns are
+// little-endian stream. Scalars and the bool and int32 columns are
 // fixed-width; a []uint64 column, the bulk of an image, is packed — a
 // bitmap of its nonzero elements, then those values at the width of the
-// widest — and has exactly one accepted encoding, so an image re-saves to
-// the same bytes.
+// widest — and so is a byte column, whose values are single bytes. A packed
+// column has exactly one accepted encoding, so an image re-saves to the
+// same bytes.
 //
 // The codec has one type, Coder, which either saves or loads. Each
 // component has one State(*Coder) walk over its fields (coder.go) in which
@@ -39,7 +40,7 @@ const Magic = 0x43_4C_50_53 // "CLPS"
 // Version is the current format version. Bump on any layout change; old
 // versions are rejected by NewLoader (checkpoints are cheap to regenerate,
 // so there is no migration machinery).
-const Version = 8
+const Version = 9
 
 // ErrCorrupt is latched by a loading Coder on truncated or malformed input.
 var ErrCorrupt = errors.New("snapshot: corrupt or truncated stream")
@@ -70,8 +71,9 @@ type Coder struct {
 	off     int // loading: the offset of the next byte to decode
 	loading bool
 	err     error
-	spare   [8]byte // the scalar window once an error has latched (word)
-	bitmap  []byte  // saving: the bitmap of the column U64s is packing
+	spare   [8]byte  // the scalar window once an error has latched (word)
+	bitmap  []byte   // saving: the bitmap of the column U64s is packing
+	words   []uint64 // the scratch Words hands out
 }
 
 // NewSaver returns a saving Coder with the magic+version header already
@@ -128,6 +130,15 @@ func (s *Coder) Done() error {
 
 // Err returns the latched error.
 func (s *Coder) Err() error { return s.err }
+
+// Words returns n words of scratch the Coder owns, for a State body that
+// walks a table of small entries as one packed word per entry: saving packs
+// each entry into its word and passes the words to U64s; loading passes
+// them to U64s and unpacks each. The words are valid until the next call.
+func (s *Coder) Words(n int) []uint64 {
+	s.words = slices.Grow(s.words[:0], n)[:n]
+	return s.words
+}
 
 // Fail latches err (used by components that discover unserializable state,
 // e.g. a live NoC packet carrying a closure).
@@ -206,9 +217,12 @@ func (s *Coder) column(what string, n, size int) []byte {
 // is aligned on the same section, and that fn consumed exactly the recorded
 // length. A loader skips a section it does not consume with SkipSection.
 func (s *Coder) Section(tag string, fn func()) {
-	got := tag
-	if s.String(&got); s.loading && s.err == nil && got != tag {
-		s.Fail(fmt.Errorf("snapshot: section %q, expected %q: %w", got, tag, ErrCorrupt))
+	// The tag is a String; loading compares it in place, allocating nothing.
+	switch b := s.window("string", s.count("string", len(tag), 1)); {
+	case !s.loading:
+		copy(b, tag)
+	case s.err == nil && string(b) != tag:
+		s.Fail(fmt.Errorf("snapshot: section %q, expected %q: %w", b, tag, ErrCorrupt))
 	}
 	at := len(s.buf)
 	var n uint64 // saving: the placeholder the length is patched into

@@ -13,16 +13,13 @@ func (h *Hierarchy) State(s *snapshot.Coder) {
 	h.stats.WalkDelay.State(s)
 }
 
-// State walks the array's entries and its clock.
+// State walks the array's two columns and its clock: an invalid entry is
+// a zero in each.
 func (t *TagArray) State(s *snapshot.Coder) {
-	if !s.Fixed("tlb: entries", len(t.entries)) {
+	if !s.Fixed("tlb: entries", len(t.tags)) {
 		return
 	}
-	for i := range t.entries {
-		e := &t.entries[i]
-		s.Bool(&e.valid)
-		s.U64(&e.tag)
-		s.U64(&e.stamp)
-	}
+	s.U64s(t.tags)
+	s.U64s(t.stamps)
 	s.U64(&t.clock)
 }

@@ -76,26 +76,27 @@ type Stats struct {
 // DTLBHitRate returns first-level hit rate.
 func (s *Stats) DTLBHitRate() float64 { return stats.Ratio(s.DTLBHits, s.Accesses) }
 
-type entry struct {
-	valid bool
-	tag   uint64
-	stamp uint64
-}
-
 // TagArray is a set-associative tag array with LRU replacement: each TLB
 // level, and the L1I of internal/sim, is one. A key's set is a hash of the
 // key; a fill takes the set's first invalid way, else its oldest stamp; and
 // every hit and fill advances the clock that stamps the entry it touched.
+//
+// The entries are two columns carved from one slab: tags holds key<<1|1
+// for a valid entry and zero for an invalid one (as the caches' tags do),
+// stamps the clock value of the entry's last touch. Keys are below 2^63.
 type TagArray struct {
 	sets, ways int
-	entries    []entry
+	tags       []uint64
+	stamps     []uint64
 	clock      uint64
 }
 
 // NewTagArray returns an empty array of sets x ways entries; sets must be a
 // power of two.
 func NewTagArray(sets, ways int) TagArray {
-	return TagArray{sets: sets, ways: ways, entries: make([]entry, sets*ways)}
+	n := sets * ways
+	slab := make([]uint64, 2*n)
+	return TagArray{sets: sets, ways: ways, tags: slab[:n:n], stamps: slab[n:]}
 }
 
 // base returns the index of the first entry of key's set. The set index is
@@ -108,26 +109,26 @@ func (t *TagArray) base(key uint64) int {
 	return int(mem.Mix64(key)&uint64(t.sets-1)) * t.ways
 }
 
-// find returns key's entry, or nil when it is not resident.
-func (t *TagArray) find(key uint64) *entry {
+// find returns the index of key's entry, or -1 when it is not resident.
+func (t *TagArray) find(key uint64) int {
 	base := t.base(key)
-	ways := t.entries[base : base+t.ways]
-	for w := range ways {
-		if e := &ways[w]; e.valid && e.tag == key {
-			return e
+	tag := key<<1 | 1
+	for w, v := range t.tags[base : base+t.ways] {
+		if v == tag {
+			return base + w
 		}
 	}
-	return nil
+	return -1
 }
 
 // Lookup probes for key; a hit updates its recency.
 func (t *TagArray) Lookup(key uint64) bool {
-	e := t.find(key)
-	if e == nil {
+	i := t.find(key)
+	if i < 0 {
 		return false
 	}
 	t.clock++
-	e.stamp = t.clock
+	t.stamps[i] = t.clock
 	return true
 }
 
@@ -135,18 +136,18 @@ func (t *TagArray) Lookup(key uint64) bool {
 func (t *TagArray) Insert(key uint64) {
 	base := t.base(key)
 	victim := base
-	for w := 0; w < t.ways; w++ {
-		e := &t.entries[base+w]
-		if !e.valid {
-			victim = base + w
+	for w := base; w < base+t.ways; w++ {
+		if t.tags[w] == 0 {
+			victim = w
 			break
 		}
-		if e.stamp < t.entries[victim].stamp {
-			victim = base + w
+		if t.stamps[w] < t.stamps[victim] {
+			victim = w
 		}
 	}
 	t.clock++
-	t.entries[victim] = entry{valid: true, tag: key, stamp: t.clock}
+	t.tags[victim] = key<<1 | 1
+	t.stamps[victim] = t.clock
 }
 
 // Hierarchy is one core's DTLB backed by the shared STLB.
@@ -185,7 +186,7 @@ func (h *Hierarchy) Stats() *Stats { return &h.stats }
 // DTLBResident reports, without touching any state, whether Translate(addr)
 // would hit the first-level TLB.
 func (h *Hierarchy) DTLBResident(addr mem.Addr) bool {
-	return h.dtlb.find(addr.PageID()) != nil
+	return h.dtlb.find(addr.PageID()) >= 0
 }
 
 // RepeatHits applies the state change of n back-to-back Translate(addr)
@@ -193,8 +194,8 @@ func (h *Hierarchy) DTLBResident(addr mem.Addr) bool {
 // translation every cycle: n accesses, n hits, and the entry's LRU stamp on
 // the clock's final value. addr's page must be DTLB-resident.
 func (h *Hierarchy) RepeatHits(addr mem.Addr, n uint64) {
-	e := h.dtlb.find(addr.PageID())
-	if e == nil {
+	i := h.dtlb.find(addr.PageID())
+	if i < 0 {
 		// The caller broke the contract: clipdebug reports it, a release
 		// build charges nothing rather than crash.
 		if invariant.Enabled {
@@ -205,7 +206,7 @@ func (h *Hierarchy) RepeatHits(addr mem.Addr, n uint64) {
 	h.stats.Accesses += n
 	h.stats.DTLBHits += n
 	h.dtlb.clock += n
-	e.stamp = h.dtlb.clock
+	h.dtlb.stamps[i] = h.dtlb.clock
 }
 
 // Translate returns the extra cycles the access at addr spends on address
