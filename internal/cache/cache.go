@@ -8,12 +8,13 @@
 // and fills return through Fill. Responses to the level above are delivered
 // via the OnResponse callback.
 //
-// Storage is structure-of-arrays, carved from a single uint64 slab allocated
-// at construction: tags pack validity into bit 0 so the way scan is one
-// word compare per way, dirty/prefetch state lives in per-set way bitmaps,
-// and the MSHR file is parallel arrays scheduled by a table.Bits occupancy
-// bitmap (first-free allocation, ascending-order merge scan — the exact
-// semantics of the per-entry loops this replaces).
+// Storage is structure-of-arrays: tags pack validity into bit 0 so the way
+// scan is one word compare per way, dirty/prefetch state lives in per-set
+// way bitmaps, and the MSHR file is parallel arrays scheduled by a
+// table.Bits occupancy bitmap (first-free allocation, ascending-order merge
+// scan — the exact semantics of the per-entry loops this replaces). Caches
+// are built a level at a time (NewArray): every column of every cache of
+// the level is carved from one slab per column type.
 package cache
 
 import (
@@ -33,7 +34,7 @@ var TraceLine mem.Addr
 func (c *Cache) trace(event string, req *mem.Request) {
 	if TraceLine != 0 && req.Addr.Line() == TraceLine {
 		fmt.Printf("  [%s cy%d] %s type=%v owned=%v fill=%v\n",
-			c.cfg.Name, c.cycle, event, req.Type, req.Owned, req.FillLevel)
+			c, c.cycle, event, req.Type, req.Owned, req.FillLevel)
 	}
 }
 
@@ -46,30 +47,34 @@ type Lower interface {
 
 // Config sizes one cache instance.
 type Config struct {
-	Name    string
+	Name    string // optional label; a cache without one is named by level and index
 	Level   mem.Level
 	Sets    int
 	Ways    int
 	Latency uint64 // hit/lookup latency in cycles
 	MSHRs   int
-	Policy  string // see NewPolicy
+	Policy  string // a name policyKinds lists
 	Ports   int    // requests processed per cycle
 	InQ     int    // input queue depth
 }
 
 // Validate reports sizing errors.
 func (c Config) Validate() error {
+	name := c.Name
+	if name == "" {
+		name = c.Level.String()
+	}
 	if c.Sets <= 0 || c.Ways <= 0 || (c.Sets&(c.Sets-1)) != 0 {
-		return fmt.Errorf("cache %s: sets must be a positive power of two, ways positive", c.Name)
+		return fmt.Errorf("cache %v: sets must be a positive power of two, ways positive", name)
 	}
 	if c.Ways > 64 {
-		return fmt.Errorf("cache %s: ways %d exceeds the 64-way bitmap limit", c.Name, c.Ways)
+		return fmt.Errorf("cache %v: ways %d exceeds the 64-way bitmap limit", name, c.Ways)
 	}
 	if c.MSHRs <= 0 || c.Ports <= 0 {
-		return fmt.Errorf("cache %s: MSHRs and Ports must be positive", c.Name)
+		return fmt.Errorf("cache %v: MSHRs and Ports must be positive", name)
 	}
 	if _, ok := policyKinds[c.Policy]; !ok {
-		return fmt.Errorf("cache %s: unknown replacement policy %q", c.Name, c.Policy)
+		return fmt.Errorf("cache %v: unknown replacement policy %q", name, c.Policy)
 	}
 	return nil
 }
@@ -151,7 +156,8 @@ type AccessEvent struct {
 // Cache is one level of the hierarchy.
 type Cache struct {
 	cfg    Config
-	policy *Policy
+	id     int // index in the cache's array (NewArray)
+	policy Policy
 	lower  Lower
 
 	// Line state, structure-of-arrays. tags[set*Ways+way] packs the tag as
@@ -160,7 +166,8 @@ type Cache struct {
 	// the install free-way pick a TrailingZeros64 scan and gives Probe an
 	// empty-set early out). trigger[set*Ways+way] is the prefetch trigger
 	// IP; only levels below the LLC, where a prefetcher can attach, have
-	// the column (nil at the LLC). All are carved from slab.
+	// the column (nil at the LLC). All are carved from slab, which is this
+	// cache's region of its array's word slab.
 	slab      []uint64
 	tags      []uint64
 	trigger   []uint64
@@ -191,9 +198,11 @@ type Cache struct {
 
 	respQ []mem.Response // responses to the level above, ready-ordered
 
-	onResp    func(*mem.Response)
-	onAccess  func(*AccessEvent)
-	onPFEvict func(trigger uint64, addr mem.Addr)
+	// The handlers are shared by the caches of an array and told the id of
+	// the cache that calls them.
+	onResp    func(i int, r *mem.Response)
+	onAccess  func(i int, ev *AccessEvent)
+	onPFEvict func(i int, trigger uint64, addr mem.Addr)
 
 	// down buffers the request forwarded to the lower level so the pointer
 	// handed through the Lower interface never forces a per-miss heap
@@ -224,9 +233,24 @@ type Cache struct {
 	stats Stats
 }
 
-// New builds a cache. lower may be nil for a cache whose misses should never
-// happen (tests); issuing a miss with a nil lower panics.
+// New builds a cache: the one-member case of NewArray. lower may be nil for
+// a cache whose misses should never happen (tests); issuing a miss with a
+// nil lower panics.
 func New(cfg Config, lower Lower) (*Cache, error) {
+	cs, err := NewArray(cfg, 1, func(int) Lower { return lower })
+	if err != nil {
+		return nil, err
+	}
+	return &cs[0], nil
+}
+
+// NewArray builds n caches of one configuration — one level of the
+// hierarchy, cache i missing to lower(i) — and gives each its index as its
+// id. Every column of every cache is carved from one slab per column type
+// (mem.Carve), so the level costs a fixed handful of allocations whatever n
+// is, and each carved column ends where it does: the waiter pool, the one
+// column that can grow, grows into a new backing array of its own.
+func NewArray(cfg Config, n int, lower func(i int) Lower) ([]Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -236,41 +260,64 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 	if cfg.Latency == 0 {
 		cfg.Latency = 1
 	}
-	c := &Cache{
-		cfg:       cfg,
-		policy:    NewPolicy(cfg.Policy, cfg.Sets, cfg.Ways),
-		lower:     lower,
-		mshrValid: table.NewBits(cfg.MSHRs),
-		mshrPF:    table.NewBits(cfg.MSHRs),
-		mshrLine:  make([]mem.Addr, cfg.MSHRs),
-		mshrFirst: make([]uint64, cfg.MSHRs),
-		mshrPfReq: make([]mem.Request, cfg.MSHRs),
-		shift:     uint(bits.TrailingZeros(uint(cfg.Sets))),
-	}
-	c.staller, _ = lower.(mem.Staller)
-	lines := cfg.Sets * cfg.Ways
+	kind := policyKinds[cfg.Policy]
+	sets, ways, mshrs := cfg.Sets, cfg.Ways, cfg.MSHRs
+	lines := sets * ways
 	cols := lines // tags
 	if cfg.Level < mem.LevelLLC {
 		cols += lines // trigger
 	}
-	c.slab = make([]uint64, cols+3*cfg.Sets)
-	c.tags = c.slab[:lines]
-	if cols > lines {
-		c.trigger = c.slab[lines:cols]
-	}
-	c.dirtyBits = c.slab[cols : cols+cfg.Sets]
-	c.pfBits = c.slab[cols+cfg.Sets : cols+2*cfg.Sets]
-	c.validBits = c.slab[cols+2*cfg.Sets:]
-
+	slabWords := cols + 3*sets
 	perMSHR := 1
 	if cfg.Level <= mem.LevelL1 {
 		perMSHR = l1WaitersPerMSHR
 	}
-	c.waiters = make([]waiter, cfg.MSHRs*perMSHR)
-	ends := make([]int32, 2*cfg.MSHRs)
-	c.waitHead, c.waitTail = ends[:cfg.MSHRs:cfg.MSHRs], ends[cfg.MSHRs:]
-	c.resetWaiters()
-	return c, nil
+	policyWords, policyBytes := kind.columns(sets, ways)
+	bitWords := table.BitWords(mshrs)
+
+	cs := make([]Cache, n)
+	words := make([]uint64, n*(slabWords+policyWords+2*bitWords+mshrs))
+	var bytes []uint8
+	if policyBytes > 0 {
+		bytes = make([]uint8, n*policyBytes)
+	}
+	addrs := make([]mem.Addr, n*mshrs)
+	pfReqs := make([]mem.Request, n*mshrs)
+	waiters := make([]waiter, n*mshrs*perMSHR)
+	ends := make([]int32, n*2*mshrs)
+	for i := range cs {
+		c := &cs[i]
+		c.cfg, c.id, c.lower = cfg, i, lower(i)
+		c.staller, _ = c.lower.(mem.Staller)
+		c.shift = uint(bits.TrailingZeros(uint(sets)))
+		c.slab = mem.Carve(&words, slabWords)
+		c.tags = c.slab[:lines:lines]
+		if cols > lines {
+			c.trigger = c.slab[lines:cols:cols]
+		}
+		c.dirtyBits = c.slab[cols : cols+sets : cols+sets]
+		c.pfBits = c.slab[cols+sets : cols+2*sets : cols+2*sets]
+		c.validBits = c.slab[cols+2*sets:]
+		c.policy.carve(kind, sets, ways, &words, &bytes)
+		c.mshrValid = table.CarveBits(&words, mshrs)
+		c.mshrPF = table.CarveBits(&words, mshrs)
+		c.mshrLine = mem.Carve(&addrs, mshrs)
+		c.mshrFirst = mem.Carve(&words, mshrs)
+		c.mshrPfReq = mem.Carve(&pfReqs, mshrs)
+		c.waiters = mem.Carve(&waiters, mshrs*perMSHR)
+		c.waitHead, c.waitTail = mem.Carve(&ends, mshrs), mem.Carve(&ends, mshrs)
+		c.resetWaiters()
+	}
+	return cs, nil
+}
+
+// String names the cache in error and panic text: its configured label, else
+// its level and id.
+func (c *Cache) String() string {
+	if c.cfg.Name != "" {
+		return c.cfg.Name
+	}
+	return fmt.Sprintf("%s-%d", c.cfg.Level, c.id)
 }
 
 // resetWaiters empties every MSHR's chain and frees the whole pool, in slot
@@ -309,7 +356,8 @@ func (c *Cache) park(i int, req *mem.Request) {
 }
 
 // growWaiters doubles the waiter pool. Chains are pool indices, so they
-// survive the move.
+// survive the move; the pool's carved region ends at its length, so the
+// append moves it to a backing array of its own.
 func (c *Cache) growWaiters() {
 	n := len(c.waiters)
 	c.waiters = append(c.waiters, make([]waiter, n)...)
@@ -353,21 +401,29 @@ func (c *Cache) Config() Config { return c.cfg }
 // buffer from it).
 func (c *Cache) SlabWords() int { return len(c.slab) }
 
-// OnResponse registers the response sink for the level above. The response
-// pointer is only valid for the duration of the call.
-func (c *Cache) OnResponse(f func(*mem.Response)) { c.onResp = f }
+// OnLevelResponse registers the response sink for the level above: one
+// handler serves a whole array and is told the id of the cache it is called
+// for. The response pointer is only valid for the duration of the call.
+func (c *Cache) OnLevelResponse(f func(i int, r *mem.Response)) { c.onResp = f }
 
-// OnAccess registers the prefetcher-training callback (demand stream). The
-// event pointer is only valid for the duration of the call.
-func (c *Cache) OnAccess(f func(*AccessEvent)) { c.onAccess = f }
+// OnResponse registers the response sink of a cache that needs no id.
+func (c *Cache) OnResponse(f func(*mem.Response)) {
+	c.onResp = func(_ int, r *mem.Response) { f(r) }
+}
 
-// OnPFEvict registers a callback fired when a prefetched line is evicted
-// without ever being demand-touched (negative usefulness feedback for PPF).
-// It panics at the LLC, which keeps no trigger column to report from.
-func (c *Cache) OnPFEvict(f func(trigger uint64, addr mem.Addr)) {
+// OnAccess registers the prefetcher-training callback (demand stream), told
+// the cache's id. The event pointer is only valid for the duration of the
+// call.
+func (c *Cache) OnAccess(f func(i int, ev *AccessEvent)) { c.onAccess = f }
+
+// OnPFEvict registers a callback, told the cache's id, fired when a
+// prefetched line is evicted without ever being demand-touched (negative
+// usefulness feedback for PPF). It panics at the LLC, which keeps no trigger
+// column to report from.
+func (c *Cache) OnPFEvict(f func(i int, trigger uint64, addr mem.Addr)) {
 	if c.trigger == nil {
-		panic("cache " + c.cfg.Name + ": OnPFEvict at " + c.cfg.Level.String() +
-			", which keeps no trigger column (only levels below the LLC do)")
+		panic(fmt.Sprintf("cache %v: OnPFEvict at %v, which keeps no trigger column (only levels below the LLC do)",
+			c, c.cfg.Level))
 	}
 	c.onPFEvict = f
 }
@@ -394,8 +450,8 @@ func (c *Cache) Issue(req *mem.Request) bool {
 	}
 	if invariant.Enabled {
 		invariant.Check(c.inQ.Len() <= c.cfg.InQ,
-			"cache %s: input queue occupancy %d exceeds depth %d",
-			c.cfg.Name, c.inQ.Len(), c.cfg.InQ)
+			"cache %v: input queue occupancy %d exceeds depth %d",
+			c, c.inQ.Len(), c.cfg.InQ)
 	}
 	return true
 }
@@ -536,10 +592,10 @@ func (c *Cache) SkipCycles(from, n uint64) {
 	if invariant.Enabled {
 		// A fresh cache's clock stands at 0 before its first cycle too.
 		invariant.Check(from == c.cycle+1 || from == 0 && c.cycle == 0,
-			"cache %s: skipping [%d,%d) with its clock at %d", c.cfg.Name, from, from+n, c.cycle)
+			"cache %v: skipping [%d,%d) with its clock at %d", c, from, from+n, c.cycle)
 		invariant.Check(c.NextEvent(last) > last,
-			"cache %s: tick skipped at cycle %d with work pending (inQ=%d wbQ=%d resp=%d)",
-			c.cfg.Name, last, c.inQ.Len(), c.wbQ.Len(), len(c.respQ))
+			"cache %v: tick skipped at cycle %d with work pending (inQ=%d wbQ=%d resp=%d)",
+			c, last, c.inQ.Len(), c.wbQ.Len(), len(c.respQ))
 	}
 	if c.wbQ.Len() > 0 || c.headMSHR || c.headLow.Holds() {
 		c.chargeSleepers(n)
@@ -561,7 +617,7 @@ func (c *Cache) chargeSleepers(n uint64) {
 			req := &c.inQ.Front().req
 			set, tag := c.index(req.Addr)
 			invariant.Check(c.mshrValid.FirstClear() < 0 && c.findWay(set, tag) < 0 && c.mshrFind(req.Addr.Line()) < 0,
-				"cache %s: head %x slept on MSHR-full but its retry would not block", c.cfg.Name, uint64(req.Addr))
+				"cache %v: head %x slept on MSHR-full but its retry would not block", c, uint64(req.Addr))
 		}
 		c.stats.MSHRFullEvents += n
 	case c.headLow.Holds():
@@ -584,8 +640,8 @@ func (c *Cache) StallEpoch(req *mem.Request) *uint64 {
 func (c *Cache) Refused(req *mem.Request, n uint64) {
 	if invariant.Enabled {
 		invariant.Check(c.StallEpoch(req) != nil,
-			"cache %s: %d retries of %v %x charged as refused, but Issue would accept",
-			c.cfg.Name, n, req.Type, uint64(req.Addr))
+			"cache %v: %d retries of %v %x charged as refused, but Issue would accept",
+			c, n, req.Type, uint64(req.Addr))
 	}
 }
 
@@ -724,7 +780,7 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 			if c.trigger != nil {
 				c.accessEv.TriggerIP = c.trigger[set*c.cfg.Ways+w]
 			}
-			c.onAccess(&c.accessEv)
+			c.onAccess(c.id, &c.accessEv)
 		}
 		return true
 	}
@@ -736,7 +792,7 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 		}
 		if c.onAccess != nil && isDemand {
 			c.accessEv = AccessEvent{Req: *req, Hit: false, Cycle: c.cycle}
-			c.onAccess(&c.accessEv)
+			c.onAccess(c.id, &c.accessEv)
 		}
 	}
 
@@ -771,7 +827,7 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 		return false
 	}
 	if c.lower == nil {
-		panic("cache " + c.cfg.Name + ": miss with no lower level")
+		panic(fmt.Sprintf("cache %v: miss with no lower level", c))
 	}
 	c.down = *req
 	c.down.Addr = lineAddr
@@ -791,8 +847,8 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 	c.trace("mshr-alloc", req)
 	if invariant.Enabled {
 		invariant.Check(!c.mshrValid.Test(idx) && c.waitHead[idx] < 0,
-			"cache %s: allocating live MSHR %d (line %x, %d waiters)",
-			c.cfg.Name, idx, uint64(c.mshrLine[idx]), c.waitCount(idx))
+			"cache %v: allocating live MSHR %d (line %x, %d waiters)",
+			c, idx, uint64(c.mshrLine[idx]), c.waitCount(idx))
 	}
 	c.mshrValid.Set(idx)
 	c.mshrLine[idx] = lineAddr
@@ -805,8 +861,8 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 	}
 	if invariant.Enabled {
 		invariant.Check(c.MSHRInUse() <= c.cfg.MSHRs,
-			"cache %s: MSHR occupancy %d exceeds capacity %d",
-			c.cfg.Name, c.MSHRInUse(), c.cfg.MSHRs)
+			"cache %v: MSHR occupancy %d exceeds capacity %d",
+			c, c.MSHRInUse(), c.cfg.MSHRs)
 	}
 	if req.Type != mem.Prefetch {
 		c.park(idx, req)
@@ -864,7 +920,7 @@ func (c *Cache) Fill(resp *mem.Response) {
 			// to land on the existing entry.
 			for j := c.mshrValid.First(); j >= 0; j = c.mshrValid.Next(j + 1) {
 				invariant.Check(c.mshrLine[j] != lineAddr,
-					"cache %s: duplicate MSHR %d for line %x", c.cfg.Name, j, uint64(lineAddr))
+					"cache %v: duplicate MSHR %d for line %x", c, j, uint64(lineAddr))
 			}
 		}
 		return
@@ -921,7 +977,7 @@ func (c *Cache) install(req *mem.Request, dirty bool) {
 			c.stats.PFPolluting++
 			if c.onPFEvict != nil {
 				vLine := (c.tags[base+way]>>1)<<c.shift | uint64(set)
-				c.onPFEvict(c.trigger[base+way], mem.Addr(vLine<<mem.LineShift))
+				c.onPFEvict(c.id, c.trigger[base+way], mem.Addr(vLine<<mem.LineShift))
 			}
 		}
 		if c.dirtyBits[set]&wbit != 0 {
@@ -987,7 +1043,7 @@ func (c *Cache) deliver() {
 		return
 	}
 	for i := range c.respQ {
-		c.onResp(&c.respQ[i])
+		c.onResp(c.id, &c.respQ[i])
 	}
 	c.respQ = c.respQ[:0]
 }

@@ -367,7 +367,7 @@ func TestAccessEventFires(t *testing.T) {
 	c := MustNew(smallConfig("l1", mem.LevelL1), d)
 	d.sink = c
 	var events []AccessEvent
-	c.OnAccess(func(e *AccessEvent) { events = append(events, *e) })
+	c.OnAccess(func(_ int, e *AccessEvent) { events = append(events, *e) })
 	c.Issue(loadReq(0x700, 0xAB, 0))
 	run(c, d, 20)
 	c.Issue(loadReq(0x700, 0xAB, 20))

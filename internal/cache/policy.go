@@ -55,39 +55,43 @@ var policyKinds = map[string]policyKind{
 	"srrip": policySRRIP, "mockingjay": policyMockingjay,
 }
 
-// NewPolicy constructs the named policy for a sets x ways cache; it panics
-// on a name policyKinds does not list.
-func NewPolicy(name string, sets, ways int) *Policy {
-	kind, ok := policyKinds[name]
-	if !ok {
-		panic("cache: unknown replacement policy " + name)
-	}
+// columns returns the words and the bytes the kind's columns take in a
+// sets x ways cache.
+func (k policyKind) columns(sets, ways int) (words, bytes int) {
 	lines := sets * ways
-	p := &Policy{ways: ways, kind: kind}
+	switch k {
+	case policyLRU:
+		return lines, 0
+	case policyNRU:
+		return sets, 0
+	case policySRRIP:
+		return 0, lines
+	default: // policyMockingjay
+		return sets, 2 * lines
+	}
+}
+
+// carve sets p up as an empty policy of kind for a sets x ways cache, its
+// word and byte slabs carved from words and bytes (mem.Carve).
+func (p *Policy) carve(kind policyKind, sets, ways int, words *[]uint64, bytes *[]uint8) {
+	nw, nb := kind.columns(sets, ways)
+	*p = Policy{kind: kind, ways: ways, words: mem.Carve(words, nw), bytesSlab: mem.Carve(bytes, nb)}
+	lines := sets * ways
 	switch kind {
 	case policyLRU:
-		p.words = make([]uint64, lines)
 		p.stamp = p.words
 	case policyNRU:
-		p.words = make([]uint64, sets)
 		p.ref = p.words
 	case policySRRIP:
-		p.bytesSlab = make([]uint8, lines)
 		p.rrpv = p.bytesSlab
-		for i := range p.rrpv {
-			p.rrpv[i] = rrpvMax
-		}
 	case policyMockingjay:
-		p.words = make([]uint64, sets)
 		p.reused = p.words
-		p.bytesSlab = make([]uint8, 2*lines)
-		p.rrpv = p.bytesSlab[:lines]
+		p.rrpv = p.bytesSlab[:lines:lines]
 		p.sig = p.bytesSlab[lines:]
-		for i := range p.rrpv {
-			p.rrpv[i] = rrpvMax
-		}
 	}
-	return p
+	for i := range p.rrpv {
+		p.rrpv[i] = rrpvMax
+	}
 }
 
 const rrpvMax = 3 // 2-bit RRPV (Jaleel et al., ISCA'10)

@@ -6,22 +6,33 @@ import (
 	"clip/internal/mem"
 )
 
+// newPolicy is the named policy for a sets x ways cache, its columns carved
+// from slabs of its own; a cache carves them from its array's.
+func newPolicy(name string, sets, ways int) *Policy {
+	kind := policyKinds[name]
+	nw, nb := kind.columns(sets, ways)
+	words, bytes := make([]uint64, nw), make([]uint8, nb)
+	p := new(Policy)
+	p.carve(kind, sets, ways, &words, &bytes)
+	return p
+}
+
 func TestNewPolicyNames(t *testing.T) {
+	cfg := Config{Level: mem.LevelL2, Sets: 4, Ways: 4, MSHRs: 1, Ports: 1}
 	for _, name := range []string{"", "lru", "nru", "srrip", "mockingjay"} {
-		if p := NewPolicy(name, 4, 4); p == nil {
-			t.Fatalf("nil policy for %q", name)
+		cfg.Policy = name
+		if _, err := New(cfg, nil); err != nil {
+			t.Fatalf("policy %q: %v", name, err)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown policy accepted")
-		}
-	}()
-	NewPolicy("belady", 4, 4)
+	cfg.Policy = "belady"
+	if _, err := New(cfg, nil); err == nil {
+		t.Fatal("unknown policy accepted")
+	}
 }
 
 func TestLRUVictimIsLeastRecent(t *testing.T) {
-	p := NewPolicy("lru", 1, 4)
+	p := newPolicy("lru", 1, 4)
 	for w := 0; w < 4; w++ {
 		p.OnFill(0, w, &mem.Request{})
 	}
@@ -32,7 +43,7 @@ func TestLRUVictimIsLeastRecent(t *testing.T) {
 }
 
 func TestNRUVictimUnreferenced(t *testing.T) {
-	p := NewPolicy("nru", 1, 4)
+	p := newPolicy("nru", 1, 4)
 	p.OnFill(0, 0, &mem.Request{})
 	p.OnFill(0, 1, &mem.Request{})
 	v := p.Victim(0)
@@ -42,7 +53,7 @@ func TestNRUVictimUnreferenced(t *testing.T) {
 }
 
 func TestNRUClearsWhenSaturated(t *testing.T) {
-	p := NewPolicy("nru", 1, 2)
+	p := newPolicy("nru", 1, 2)
 	p.OnFill(0, 0, &mem.Request{})
 	p.OnFill(0, 1, &mem.Request{}) // all referenced -> clear others
 	if v := p.Victim(0); v != 0 {
@@ -51,7 +62,7 @@ func TestNRUClearsWhenSaturated(t *testing.T) {
 }
 
 func TestSRRIPPromotionOnHit(t *testing.T) {
-	p := NewPolicy("srrip", 1, 2)
+	p := newPolicy("srrip", 1, 2)
 	p.OnFill(0, 0, &mem.Request{})
 	p.OnFill(0, 1, &mem.Request{})
 	p.OnHit(0, 0)
@@ -62,7 +73,7 @@ func TestSRRIPPromotionOnHit(t *testing.T) {
 }
 
 func TestSRRIPVictimTerminates(t *testing.T) {
-	p := NewPolicy("srrip", 1, 4)
+	p := newPolicy("srrip", 1, 4)
 	for w := 0; w < 4; w++ {
 		p.OnFill(0, w, &mem.Request{})
 		p.OnHit(0, w) // all rrpv 0
@@ -75,7 +86,7 @@ func TestSRRIPVictimTerminates(t *testing.T) {
 }
 
 func TestMockingjayLiteBypassesDeadSignatures(t *testing.T) {
-	m := NewPolicy("mockingjay", 1, 4)
+	m := newPolicy("mockingjay", 1, 4)
 	deadIP := uint64(0xDEAD)
 	// Train: fill with deadIP, never hit, refill same ways repeatedly.
 	for i := 0; i < 40; i++ {

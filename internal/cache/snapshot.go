@@ -77,7 +77,7 @@ func (c *Cache) State(s *snapshot.Coder) {
 }
 
 // state walks the replacement-policy metadata. The kind and geometry are
-// construction-time (NewPolicy); the two slabs carry all mutable columns.
+// construction-time (NewArray); the two slabs carry all mutable columns.
 func (p *Policy) state(s *snapshot.Coder) {
 	if !s.Kind("cache: replacement policy", uint8(p.kind)) {
 		return

@@ -250,7 +250,7 @@ func TestPolicyVictimMatchesNaiveLoops(t *testing.T) {
 	for _, kind := range []string{"lru", "nru", "srrip"} {
 		for _, ways := range []int{1, 3, 8, 64} {
 			const sets = 4
-			p := NewPolicy(kind, sets, ways)
+			p := newPolicy(kind, sets, ways)
 			ref := newNaivePolicy(kind, sets, ways)
 			rng := mem.NewPRNG(uint64(len(kind))*31 + uint64(ways))
 			req := mem.Request{Type: mem.Load}

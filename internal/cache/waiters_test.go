@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"clip/internal/mem"
@@ -221,7 +222,41 @@ func TestTriggerColumnBelowLLCOnly(t *testing.T) {
 					t.Errorf("%v: OnPFEvict panic = %v", level, r)
 				}
 			}()
-			c.OnPFEvict(func(uint64, mem.Addr) {})
+			c.OnPFEvict(func(int, uint64, mem.Addr) {})
 		}()
+	}
+}
+
+// TestArrayGrowthIsolation: NewArray carves every cache's columns from
+// shared slabs, each ending at its length, so a merge storm that outgrows
+// cache 0's waiter pool moves the pool instead of writing into cache 1's.
+// SlabWords still counts one cache's line state.
+func TestArrayGrowthIsolation(t *testing.T) {
+	for _, level := range []mem.Level{mem.LevelL1, mem.LevelL2, mem.LevelLLC} {
+		t.Run(level.String(), func(t *testing.T) {
+			cfg := Config{Level: level, Sets: 16, Ways: 4, Latency: 1, MSHRs: 4, Policy: "mockingjay", Ports: 1}
+			cs, err := NewArray(cfg, 2, func(int) Lower { return acceptLower{} })
+			if err != nil {
+				t.Fatal(err)
+			}
+			words := 16*4 + 3*16
+			if level < mem.LevelLLC {
+				words += 16 * 4 // the trigger column
+			}
+			if got := cs[0].SlabWords(); got != words {
+				t.Errorf("SlabWords = %d, want one cache's %d", got, words)
+			}
+			before := append([]waiter(nil), cs[1].waiters...)
+			n := len(cs[0].waiters)
+			for len(cs[0].waiters) < 4*n {
+				cs[0].growWaiters()
+			}
+			for j := range cs[0].waiters {
+				cs[0].waiters[j] = waiter{arrived: ^uint64(0), next: -2}
+			}
+			if !slices.Equal(cs[1].waiters, before) {
+				t.Error("growing cache 0's waiter pool wrote into cache 1's")
+			}
+		})
 	}
 }

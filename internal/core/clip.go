@@ -253,21 +253,45 @@ type ipObs struct {
 
 const ipSeenMax = 1 << 16
 
-// New constructs a CLIP instance.
+// New constructs a CLIP instance: the one-member case of NewArray.
 func New(cfg Config) (*CLIP, error) {
+	cs, err := NewArray(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &cs[0], nil
+}
+
+// NewArray constructs n CLIP instances of one configuration, one per core.
+// Their tables are carved from one slab per column type (mem.Carve), the APC
+// history (at most APCWindows values) included, and their per-IP
+// observation maps start in cells carved likewise.
+func NewArray(cfg Config, n int) ([]CLIP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &CLIP{
-		cfg:       cfg,
-		filter:    make([]filterEntry, cfg.FilterSets*cfg.FilterWays),
-		pred:      make([]predEntry, cfg.PredictorSets*cfg.PredictorWays),
-		utilValid: table.NewBits(cfg.UtilityEntries),
-		utilLine:  make([]uint64, cfg.UtilityEntries),
-		utilTrig:  make([]uint64, cfg.UtilityEntries),
-		ipSeen:    table.NewMap[ipObs](0),
+	nFilter, nPred, nUtil := cfg.FilterSets*cfg.FilterWays, cfg.PredictorSets*cfg.PredictorWays, cfg.UtilityEntries
+	cs := make([]CLIP, n)
+	filters := make([]filterEntry, n*nFilter)
+	preds := make([]predEntry, n*nPred)
+	words := make([]uint64, n*(table.BitWords(nUtil)+2*nUtil))
+	nHist := max(0, cfg.APCWindows)
+	hist := make([]float64, n*nHist)
+	seen := table.NewMaps[ipObs](n, 0)
+	for i := range cs {
+		cs[i] = CLIP{
+			cfg:       cfg,
+			filter:    mem.Carve(&filters, nFilter),
+			pred:      mem.Carve(&preds, nPred),
+			utilValid: table.CarveBits(&words, nUtil),
+			utilLine:  mem.Carve(&words, nUtil),
+			utilTrig:  mem.Carve(&words, nUtil),
+			// Empty, with the region's end as its capacity.
+			apcHistory: mem.Carve(&hist, nHist)[:0],
+			ipSeen:     &seen[i],
+		}
 	}
-	return c, nil
+	return cs, nil
 }
 
 // MustNew panics on config errors.

@@ -7,11 +7,13 @@ import "clip/internal/mem"
 // are indexed by hashes of the branch IP with different global-history
 // segments; the prediction is the sign of the summed weights.
 type Perceptron struct {
-	tables   [][]int8
+	// weights holds the tables back to back: table t is
+	// weights[t*pcptEntries:][:pcptEntries].
+	weights  []int8
 	history  uint64
 	theta    int32
 	lastSum  int32
-	tableSel []uint32 // scratch: per-table index of the last prediction
+	tableSel [pcptTables]uint32 // scratch: per-table index of the last prediction
 }
 
 // perceptron geometry: enough to predict the synthetic workloads' loop and
@@ -24,20 +26,15 @@ const (
 	pcptWeightMin = -64
 )
 
-// NewPerceptron constructs a predictor with zeroed weights. The weight
-// tables are carved from one flat slab so a predictor costs three
-// allocations regardless of the table count.
-func NewPerceptron() *Perceptron {
-	p := &Perceptron{
-		tables:   make([][]int8, pcptTables),
-		theta:    int32(2*pcptTables + 7),
-		tableSel: make([]uint32, pcptTables),
-	}
-	backing := make([]int8, pcptTables*pcptEntries)
-	for i := range p.tables {
-		p.tables[i] = backing[i*pcptEntries : (i+1)*pcptEntries : (i+1)*pcptEntries]
-	}
-	return p
+// carve sets p up as a predictor with zeroed weights carved from *weights
+// (NewCores carves every core's from one slab).
+func (p *Perceptron) carve(weights *[]int8) {
+	*p = Perceptron{weights: mem.Carve(weights, pcptTables*pcptEntries), theta: int32(2*pcptTables + 7)}
+}
+
+// table returns weight table t.
+func (p *Perceptron) table(t int) []int8 {
+	return p.weights[t*pcptEntries : (t+1)*pcptEntries : (t+1)*pcptEntries]
 }
 
 // Predict returns the predicted direction for the branch at ip.
@@ -47,7 +44,7 @@ func (p *Perceptron) Predict(ip uint64) bool {
 		slice := (p.history >> (uint(t) * pcptHistSlice)) & ((1 << pcptHistSlice) - 1)
 		idx := uint32(mem.Mix64(ip^(slice<<17)^uint64(t)*0x9e37) % pcptEntries)
 		p.tableSel[t] = idx
-		sum += int32(p.tables[t][idx])
+		sum += int32(p.weights[t*pcptEntries+int(idx)])
 	}
 	p.lastSum = sum
 	return sum >= 0
@@ -58,13 +55,14 @@ func (p *Perceptron) Predict(ip uint64) bool {
 func (p *Perceptron) Update(taken, predicted bool) {
 	if predicted != taken || abs32(p.lastSum) <= p.theta {
 		for t := 0; t < pcptTables; t++ {
-			w := p.tables[t][p.tableSel[t]]
+			at := t*pcptEntries + int(p.tableSel[t])
+			w := p.weights[at]
 			if taken && w < pcptWeightMax {
 				w++
 			} else if !taken && w > pcptWeightMin {
 				w--
 			}
-			p.tables[t][p.tableSel[t]] = w
+			p.weights[at] = w
 		}
 	}
 	p.history <<= 1

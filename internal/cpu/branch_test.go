@@ -6,8 +6,16 @@ import (
 	"clip/internal/mem"
 )
 
+// newPerceptron is a predictor with zeroed weights of its own.
+func newPerceptron() *Perceptron {
+	weights := make([]int8, pcptTables*pcptEntries)
+	p := new(Perceptron)
+	p.carve(&weights)
+	return p
+}
+
 func TestPerceptronLearnsAlwaysTaken(t *testing.T) {
-	p := NewPerceptron()
+	p := newPerceptron()
 	ip := uint64(0x401000)
 	correct := 0
 	for i := 0; i < 2000; i++ {
@@ -23,7 +31,7 @@ func TestPerceptronLearnsAlwaysTaken(t *testing.T) {
 }
 
 func TestPerceptronLearnsAlternating(t *testing.T) {
-	p := NewPerceptron()
+	p := newPerceptron()
 	ip := uint64(0x402000)
 	correct := 0
 	const warm = 500
@@ -43,7 +51,7 @@ func TestPerceptronLearnsAlternating(t *testing.T) {
 func TestPerceptronLearnsHistoryCorrelated(t *testing.T) {
 	// Outcome of branch B equals the outcome of the previous branch A —
 	// only a history-based predictor gets this right.
-	p := NewPerceptron()
+	p := newPerceptron()
 	rng := mem.NewPRNG(3)
 	ipA, ipB := uint64(0x403000), uint64(0x403040)
 	correct, total := 0, 0
@@ -69,7 +77,7 @@ func TestPerceptronLearnsHistoryCorrelated(t *testing.T) {
 }
 
 func TestPerceptronHistoryShift(t *testing.T) {
-	p := NewPerceptron()
+	p := newPerceptron()
 	pred := p.Predict(1)
 	p.Update(true, pred)
 	pred = p.Predict(1)
@@ -80,14 +88,14 @@ func TestPerceptronHistoryShift(t *testing.T) {
 }
 
 func TestPerceptronWeightsSaturate(t *testing.T) {
-	p := NewPerceptron()
+	p := newPerceptron()
 	ip := uint64(0x404000)
 	for i := 0; i < 100000; i++ {
 		pred := p.Predict(ip)
 		p.Update(true, pred)
 	}
-	for _, tbl := range p.tables {
-		for _, w := range tbl {
+	for tbl := 0; tbl < pcptTables; tbl++ {
+		for _, w := range p.table(tbl) {
 			if int(w) > pcptWeightMax || int(w) < pcptWeightMin {
 				t.Fatalf("weight %d out of bounds", w)
 			}

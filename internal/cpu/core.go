@@ -72,9 +72,10 @@ type MemoryPort interface {
 }
 
 // FetchChecker models the instruction-fetch path: it returns the stall (in
-// cycles) incurred to fetch the 64B block containing ip. The front end
-// consults it whenever dispatch crosses a block boundary.
-type FetchChecker func(ip uint64) uint64
+// cycles) core incurs to fetch the 64B block containing ip. The front end
+// consults it whenever dispatch crosses a block boundary; one checker can
+// serve every core, told which one asks.
+type FetchChecker func(core int, ip uint64) uint64
 
 // LoadEvent fires when a load response returns to the core. It carries every
 // signal the criticality predictors (CLIP and the six baselines) train on.
@@ -176,9 +177,10 @@ type Core struct {
 	//	pendW   — load sits in the load queue waiting to issue
 	//	readyW  — pending load whose producer (if any) has completed
 	//
-	// The payload columns are indexed by slot and carved from three backing
-	// slabs (uint64/uint8/int32) so a core costs a fixed handful of
-	// allocations regardless of ROB size. addrCol holds mem.Addr values,
+	// The payload columns are indexed by slot and carved from the three
+	// slabs (uint64/uint8/int32) NewCores allocates for all cores, so the
+	// cores cost a fixed handful of allocations regardless of ROB size or
+	// core count. addrCol holds mem.Addr values,
 	// opCol trace.Op values and servedCol mem.Level values as their raw
 	// machine types; accessors cast at the use site. depCol records the
 	// producer slot a load was *blocked on* at dispatch (-1 otherwise);
@@ -267,7 +269,7 @@ type Core struct {
 
 	onFinished func()
 
-	bp *Perceptron
+	bp Perceptron
 
 	// BranchHist is the global conditional branch history (last 32 outcomes),
 	// CritHist the global criticality history (last 32 loads) — the two shift
@@ -280,8 +282,8 @@ type Core struct {
 
 	stats Stats
 
-	onLoad   []func(*LoadEvent)
-	onRetire []func(*RetireEvent)
+	onLoad   func(*LoadEvent)
+	onRetire func(*RetireEvent)
 
 	// ibuf is the batch dispatch reads, ipos how much of it is dispatched.
 	// An empty ibuf means nothing is filled since New or a load: gen is at
@@ -301,55 +303,65 @@ type Core struct {
 	retireEv RetireEvent
 }
 
-// New creates a core running gen with an instruction budget. The budget only
-// marks Finished(); the core keeps executing (replay) so shared-resource
-// pressure stays realistic until every core in the mix is done, as in the
-// paper's methodology.
+// New creates a core running gen with an instruction budget: the
+// one-member case of NewCores, with the id given. The budget only marks
+// Finished(); the core keeps executing (replay) so shared-resource pressure
+// stays realistic until every core in the mix is done, as in the paper's
+// methodology.
 func New(id int, cfg Config, gen trace.Generator, port MemoryPort, budget uint64) (*Core, error) {
+	cs, err := NewCores(cfg, []trace.Generator{gen}, []MemoryPort{port}, budget)
+	if err != nil {
+		return nil, err
+	}
+	cs[0].id = id
+	return &cs[0], nil
+}
+
+// NewCores builds one core per generator, core i with id i running gens[i]
+// through ports[i], all with one configuration and budget. Their ROB columns
+// and branch-predictor weights are carved from one slab per column type
+// (mem.Carve), so the cores cost a fixed handful of allocations whatever
+// their number.
+func NewCores(cfg Config, gens []trace.Generator, ports []MemoryPort, budget uint64) ([]Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if gen == nil || port == nil {
-		return nil, fmt.Errorf("cpu: nil generator or memory port")
+	if len(ports) != len(gens) {
+		return nil, fmt.Errorf("cpu: %d generators for %d memory ports", len(gens), len(ports))
 	}
+	n := len(gens)
 	size := cfg.ROBSize
 	words := (size + 63) / 64
-	c := &Core{
-		cfg:          cfg,
-		id:           id,
-		gen:          gen,
-		port:         port,
-		robSize:      size,
-		pendHead:     -1,
-		budget:       budget,
-		lastLoadSlot: -1,
-		overflowHead: -1,
-		overflowMin:  mem.NoEvent,
-		bp:           NewPerceptron(),
+	cs := make([]Core, n)
+	u64 := make([]uint64, n*(6*words+4*size))
+	u8 := make([]uint8, n*2*size)
+	i32 := make([]int32, n*3*size)
+	weights := make([]int8, n*pcptTables*pcptEntries)
+	for i := range cs {
+		if gens[i] == nil || ports[i] == nil {
+			return nil, fmt.Errorf("cpu: nil generator or memory port")
+		}
+		c := &cs[i]
+		c.cfg, c.id, c.gen, c.port = cfg, i, gens[i], ports[i]
+		c.robSize, c.pendHead, c.budget, c.lastLoadSlot = size, -1, budget, -1
+		c.overflowHead, c.overflowMin = -1, mem.NoEvent
+		c.bp.carve(&weights)
+		for k := range c.wheelHead {
+			c.wheelHead[k] = -1
+		}
+		c.staller, _ = c.port.(mem.Staller)
+		c.validW, c.doneW, c.issuedW = mem.Carve(&u64, words), mem.Carve(&u64, words), mem.Carve(&u64, words)
+		c.chainW, c.pendW, c.readyW = mem.Carve(&u64, words), mem.Carve(&u64, words), mem.Carve(&u64, words)
+		c.ipCol, c.addrCol = mem.Carve(&u64, size), mem.Carve(&u64, size)
+		c.stallCol, c.doneAt = mem.Carve(&u64, size), mem.Carve(&u64, size)
+		c.opCol, c.servedCol = mem.Carve(&u8, size), mem.Carve(&u8, size)
+		c.depCol, c.childCol, c.wheelNext = mem.Carve(&i32, size), mem.Carve(&i32, size), mem.Carve(&i32, size)
+		for k := range c.depCol {
+			c.depCol[k] = -1
+			c.childCol[k] = -1
+		}
 	}
-	for i := range c.wheelHead {
-		c.wheelHead[i] = -1
-	}
-	c.staller, _ = port.(mem.Staller)
-	// Carve the SoA columns out of three typed slabs (one allocation each).
-	u64 := make([]uint64, 6*words+4*size)
-	carve := func(n int) []uint64 {
-		s := u64[:n:n]
-		u64 = u64[n:]
-		return s
-	}
-	c.validW, c.doneW, c.issuedW = carve(words), carve(words), carve(words)
-	c.chainW, c.pendW, c.readyW = carve(words), carve(words), carve(words)
-	c.ipCol, c.addrCol, c.stallCol, c.doneAt = carve(size), carve(size), carve(size), carve(size)
-	u8 := make([]uint8, 2*size)
-	c.opCol, c.servedCol = u8[:size:size], u8[size:]
-	i32 := make([]int32, 3*size)
-	c.depCol, c.childCol, c.wheelNext = i32[:size:size], i32[size:2*size:2*size], i32[2*size:]
-	for i := range c.depCol {
-		c.depCol[i] = -1
-		c.childCol[i] = -1
-	}
-	return c, nil
+	return cs, nil
 }
 
 // bitOf/setBit/clearBit are the bitmap primitives; all inline.
@@ -395,14 +407,16 @@ func (c *Core) SetFetchChecker(f FetchChecker) { c.fetchCheck = f }
 // finished-core counter from this instead of scanning every core per cycle.
 func (c *Core) OnFinished(f func()) { c.onFinished = f }
 
-// OnLoadComplete registers a listener for load responses. The event pointer
-// is only valid for the duration of the call.
-func (c *Core) OnLoadComplete(f func(*LoadEvent)) { c.onLoad = append(c.onLoad, f) }
+// OnLoadComplete registers the listener for load responses, replacing any
+// earlier one; the event names the core, so one listener can serve every
+// core. The event pointer is only valid for the duration of the call.
+func (c *Core) OnLoadComplete(f func(*LoadEvent)) { c.onLoad = f }
 
-// OnRetire registers a listener for retiring instructions. The event pointer
-// is only valid for the duration of the call. Retire events are only
-// materialized while at least one listener is registered.
-func (c *Core) OnRetire(f func(*RetireEvent)) { c.onRetire = append(c.onRetire, f) }
+// OnRetire registers the listener for retiring instructions, replacing any
+// earlier one; the event names the core. The event pointer is only valid for
+// the duration of the call. Retire events are only materialized while a
+// listener is registered.
+func (c *Core) OnRetire(f func(*RetireEvent)) { c.onRetire = f }
 
 // ROBOccupancy returns the number of valid ROB entries.
 func (c *Core) ROBOccupancy() int { return c.count }
@@ -681,7 +695,7 @@ func (c *Core) doneRun(pos, max int) int {
 // the bit clears run per slot; the retire counters and the budget check are
 // batched over the run.
 func (c *Core) retireRun(n int) {
-	listen := len(c.onRetire) > 0
+	listen := c.onRetire != nil
 	slot := c.head
 	for k := 0; k < n; k++ {
 		c.stats.StallsByLevel[c.servedCol[slot]] += c.stallCol[slot]
@@ -692,9 +706,7 @@ func (c *Core) retireRun(n int) {
 				StallCycles: c.stallCol[slot], DependChain: bitOf(c.chainW, slot),
 				Cycle: c.cycle,
 			}
-			for _, f := range c.onRetire {
-				f(&c.retireEv)
-			}
+			c.onRetire(&c.retireEv)
 		}
 		if c.lastLoadSlot == slot {
 			c.lastLoadSlot = -1
@@ -912,7 +924,7 @@ func (c *Core) dispatchSpan(buf []trace.Instr) (int, uint64) {
 		if c.fetchCheck != nil {
 			if blk := ins.IP >> 6; blk != c.lastBlock {
 				c.lastBlock = blk
-				if stall := c.fetchCheck(ins.IP); stall > 0 {
+				if stall := c.fetchCheck(c.id, ins.IP); stall > 0 {
 					c.stats.FetchStallCycles += stall
 					c.fetchStallUntil = c.cycle + stall
 					// The instruction itself dispatches now (it is at the
@@ -970,7 +982,7 @@ func (c *Core) dispatchBranch(ins *trace.Instr) (uint64, bool) {
 	if c.fetchCheck != nil {
 		if blk := ins.IP >> 6; blk != c.lastBlock {
 			c.lastBlock = blk
-			if stall := c.fetchCheck(ins.IP); stall > 0 {
+			if stall := c.fetchCheck(c.id, ins.IP); stall > 0 {
 				c.stats.FetchStallCycles += stall
 				c.fetchStallUntil = c.cycle + stall
 			}
@@ -1092,7 +1104,7 @@ func (c *Core) CompleteLoad(resp *mem.Response) {
 	}
 	c.CritHist = c.CritHist<<1 | b2u(critical)
 
-	if len(c.onLoad) > 0 {
+	if c.onLoad != nil {
 		c.loadEv = LoadEvent{
 			Core: c.id, IP: c.ipCol[slot], Addr: mem.Addr(c.addrCol[slot]), ServedBy: resp.ServedBy,
 			Latency: lat, StalledHead: stalled, AtHead: atHead,
@@ -1101,9 +1113,7 @@ func (c *Core) CompleteLoad(resp *mem.Response) {
 			LatePF: resp.LatePF, Cycle: c.cycle,
 			BranchHist: c.BranchHist, CritHist: c.CritHist,
 		}
-		for _, f := range c.onLoad {
-			f(&c.loadEv)
-		}
+		c.onLoad(&c.loadEv)
 	}
 }
 

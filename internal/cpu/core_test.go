@@ -303,7 +303,7 @@ func TestFetchCheckerStallsFetch(t *testing.T) {
 		fm.core = core
 		if withChecker {
 			// Every new fetch block costs 25 cycles — a pathological L1I.
-			core.SetFetchChecker(func(ip uint64) uint64 { return 25 })
+			core.SetFetchChecker(func(_ int, ip uint64) uint64 { return 25 })
 		}
 		var cy uint64
 		for ; cy < 1000000 && !core.Finished(); cy++ {
@@ -326,7 +326,7 @@ func TestFetchCheckerOnlyOnBlockChange(t *testing.T) {
 	}
 	fm.core = core
 	checks := 0
-	core.SetFetchChecker(func(ip uint64) uint64 { checks++; return 0 })
+	core.SetFetchChecker(func(_ int, ip uint64) uint64 { checks++; return 0 })
 	for cy := uint64(0); cy < 100000 && !core.Finished(); cy++ {
 		core.Tick(cy)
 		fm.tick(cy)

@@ -87,7 +87,7 @@ func driveCore(t *testing.T, cfg Config, gcfg trace.Config, fm *skipMem, budget,
 	fm.inflight = fm.inflight[:0]
 	fm.issued = 0
 	if fetchStall > 0 {
-		core.SetFetchChecker(func(ip uint64) uint64 {
+		core.SetFetchChecker(func(_ int, ip uint64) uint64 {
 			if ip%7 == 0 {
 				return fetchStall
 			}

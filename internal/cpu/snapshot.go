@@ -138,8 +138,8 @@ func (st *Stats) state(s *snapshot.Coder) {
 // tableSel are Predict→Update scratch consumed within one dispatch call and
 // never live across cycles.
 func (p *Perceptron) State(s *snapshot.Coder) {
-	for _, t := range p.tables {
-		s.I8s(t)
+	for t := 0; t < pcptTables; t++ {
+		s.I8s(p.table(t))
 	}
 	s.U64(&p.history)
 }

@@ -37,23 +37,66 @@ func IsCriticalEvent(ev *cpu.LoadEvent) bool {
 	return ev.StalledHead && ev.ServedBy >= mem.LevelL2
 }
 
-// New constructs a predictor by name: catch, fp, fvp, cbp, robo, crisp.
+// New constructs a predictor by name: catch, fp, fvp, cbp, robo, crisp. It
+// is the one-member case of NewArray.
 func New(name string, robSize int) (Predictor, error) {
+	ps, err := NewArray(name, robSize, 1)
+	if err != nil {
+		return nil, err
+	}
+	return ps[0], nil
+}
+
+// NewArray constructs n predictors of the named kind, one per core. The
+// predictors are one array and their tables are carved per kind
+// (table.NewFixeds, table.NewMaps), so a kind costs a fixed handful of
+// allocations whatever n is.
+func NewArray(name string, robSize, n int) ([]Predictor, error) {
+	ps := make([]Predictor, n)
 	switch name {
 	case "catch":
-		return newCATCH(), nil
+		fill(ps, newCATCHs(n))
 	case "fp":
-		return newFP(), nil
+		maps := table.NewMaps[uint64](n, 0)
+		fill(ps, mapped(maps, func(m *table.Map[uint64]) fpPred { return fpPred{stall: m} }))
 	case "fvp":
-		return newFVP(), nil
+		maps := table.NewMaps[int](n, 0)
+		fill(ps, mapped(maps, func(m *table.Map[int]) fvpPred { return fvpPred{conf: m} }))
 	case "cbp":
-		return newCBP(), nil
+		maps := table.NewMaps[cbpEntry](n, 0)
+		fill(ps, mapped(maps, func(m *table.Map[cbpEntry]) cbpPred { return cbpPred{t: m} }))
 	case "robo":
-		return newROBO(robSize), nil
+		if robSize <= 0 {
+			robSize = 512
+		}
+		maps := table.NewMaps[roboEntry](n, 0)
+		fill(ps, mapped(maps, func(m *table.Map[roboEntry]) roboPred { return roboPred{robSize: robSize, t: m} }))
 	case "crisp":
-		return newCRISP(), nil
+		maps := table.NewMaps[crispEntry](n, 0)
+		fill(ps, mapped(maps, func(m *table.Map[crispEntry]) crispPred { return crispPred{t: m} }))
+	default:
+		return nil, fmt.Errorf("criticality: unknown predictor %q", name)
 	}
-	return nil, fmt.Errorf("criticality: unknown predictor %q", name)
+	return ps, nil
+}
+
+// mapped builds one predictor over each of maps.
+func mapped[V, T any](maps []table.Map[V], pred func(*table.Map[V]) T) []T {
+	ts := make([]T, len(maps))
+	for i := range ts {
+		ts[i] = pred(&maps[i])
+	}
+	return ts
+}
+
+// fill points ps[i] at preds[i].
+func fill[T any, P interface {
+	*T
+	Predictor
+}](ps []Predictor, preds []T) {
+	for i := range preds {
+		ps[i] = P(&preds[i])
+	}
 }
 
 // Names lists the prior predictors in the paper's Figure 4 order.
@@ -122,8 +165,13 @@ func (c *catchPred) recentAt(i int) uint64 {
 	return c.recent[(c.recentHead+i)&(catchWindow-1)]
 }
 
-func newCATCH() *catchPred {
-	return &catchPred{conf: table.NewFixed[int](catchTableSize, table.FIFO)}
+func newCATCHs(n int) []catchPred {
+	cs := make([]catchPred, n)
+	confs := table.NewFixeds[int](n, catchTableSize, table.FIFO)
+	for i := range cs {
+		cs[i].conf = &confs[i]
+	}
+	return cs
 }
 
 func (c *catchPred) Name() string { return "catch" }
@@ -185,8 +233,6 @@ type fpPred struct {
 	events uint64
 }
 
-func newFP() *fpPred { return &fpPred{stall: table.NewMap[uint64](0)} }
-
 func (f *fpPred) Name() string { return "fp" }
 
 func (f *fpPred) OnLoadComplete(*cpu.LoadEvent) {}
@@ -229,8 +275,6 @@ type fvpPred struct {
 	conf *table.Map[int] // unbounded by design
 }
 
-func newFVP() *fvpPred { return &fvpPred{conf: table.NewMap[int](0)} }
-
 func (f *fvpPred) Name() string { return "fvp" }
 
 func (f *fvpPred) OnLoadComplete(ev *cpu.LoadEvent) {
@@ -264,8 +308,6 @@ type cbpEntry struct {
 	maxSeen uint64
 	flagged bool
 }
-
-func newCBP() *cbpPred { return &cbpPred{t: table.NewMap[cbpEntry](0)} }
 
 func (c *cbpPred) Name() string { return "cbp" }
 
@@ -303,13 +345,6 @@ type roboEntry struct {
 	flagged bool
 }
 
-func newROBO(robSize int) *roboPred {
-	if robSize <= 0 {
-		robSize = 512
-	}
-	return &roboPred{robSize: robSize, t: table.NewMap[roboEntry](0)}
-}
-
 func (r *roboPred) Name() string { return "robo" }
 
 func (r *roboPred) OnLoadComplete(ev *cpu.LoadEvent) {
@@ -344,8 +379,6 @@ type crispEntry struct {
 	samples uint32
 	mlpSum  uint64
 }
-
-func newCRISP() *crispPred { return &crispPred{t: table.NewMap[crispEntry](0)} }
 
 func (c *crispPred) Name() string { return "crisp" }
 

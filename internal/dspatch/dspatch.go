@@ -63,14 +63,24 @@ const (
 	maxExtra      = 8
 )
 
-// New wraps base with DSPatch modulation fed by bw.
+// New wraps base with DSPatch modulation fed by bw: the one-member case of
+// NewArray.
 func New(base prefetch.Prefetcher, bw BandwidthSource) *DSPatch {
-	return &DSPatch{
-		base:    base,
-		bw:      bw,
-		regions: table.NewFixed[regionAcc](activeRegions, table.FIFO),
-		table:   table.NewFixed[patterns](tableMax, table.FIFO),
+	return &NewArray([]prefetch.Prefetcher{base}, bw)[0]
+}
+
+// NewArray wraps each of bases, one per core, with DSPatch modulation fed by
+// the one source bw. The wrappers are one array and their tables are carved
+// per kind (table.NewFixeds).
+func NewArray(bases []prefetch.Prefetcher, bw BandwidthSource) []DSPatch {
+	n := len(bases)
+	ds := make([]DSPatch, n)
+	regions := table.NewFixeds[regionAcc](n, activeRegions, table.FIFO)
+	tables := table.NewFixeds[patterns](n, tableMax, table.FIFO)
+	for i := range ds {
+		ds[i] = DSPatch{base: bases[i], bw: bw, regions: &regions[i], table: &tables[i]}
 	}
+	return ds
 }
 
 // Name implements prefetch.Prefetcher.

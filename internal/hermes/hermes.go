@@ -39,9 +39,18 @@ const (
 )
 
 // New returns a predictor with zeroed weights (predicts on-chip until
-// trained; the activation threshold biases against probing).
-func New() *Predictor {
-	return &Predictor{threshold: 2}
+// trained; the activation threshold biases against probing): the one-member
+// case of NewArray.
+func New() *Predictor { return &NewArray(1)[0] }
+
+// NewArray returns n predictors with zeroed weights, one per core, as one
+// array.
+func NewArray(n int) []Predictor {
+	ps := make([]Predictor, n)
+	for i := range ps {
+		ps[i].threshold = 2
+	}
+	return ps
 }
 
 // Stats returns live counters.

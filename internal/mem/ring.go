@@ -67,6 +67,17 @@ func (r *Ring[T]) At(i int) *T {
 	return &r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 
+// Adopt makes the empty ring use buf, whose length must be a power of two,
+// as its buffer: a builder sizes many rings at once by carving their buffers
+// from one slab. Growing past buf allocates a new buffer, as it does for any
+// ring, so a neighbour's region is never written.
+func (r *Ring[T]) Adopt(buf []T) {
+	if r.n != 0 || len(buf)&(len(buf)-1) != 0 {
+		panic("mem: Adopt by a non-empty Ring or of a buffer whose length is not a power of two")
+	}
+	r.buf, r.head = buf, 0
+}
+
 // grow doubles the buffer (power-of-two sizes keep the index math mask-based).
 func (r *Ring[T]) grow() {
 	c := len(r.buf) * 2

@@ -103,3 +103,54 @@ func TestRingDoesNotReallocateAtSteadyState(t *testing.T) {
 func testingAllocs(f func()) float64 {
 	return testing.AllocsPerRun(10, f)
 }
+
+// TestRingAdoptGrowth: rings given regions of one slab grow out of them,
+// never into a neighbour's region, and keep their order across the move.
+func TestRingAdoptGrowth(t *testing.T) {
+	slab := make([]int, 16)
+	var a, b Ring[int]
+	a.Adopt(Carve(&slab, 8))
+	b.Adopt(Carve(&slab, 8))
+	for i := 0; i < 8; i++ {
+		b.Push(100 + i)
+	}
+	for i := 0; i < 20; i++ {
+		a.Push(i)
+	}
+	for i := 0; i < 20; i++ {
+		if v := a.PopFront(); v != i {
+			t.Fatalf("ring a popped %d, want %d", v, i)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if v := b.PopFront(); v != 100+i {
+			t.Fatalf("ring b popped %d, want %d: a's growth wrote into its region", v, 100+i)
+		}
+	}
+	for _, bad := range []func(){
+		func() { var r Ring[int]; r.Adopt(make([]int, 6)) },
+		func() { var r Ring[int]; r.Push(1); r.Adopt(make([]int, 8)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Adopt took a buffer whose length is not a power of two, or a non-empty ring")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+// TestCarveEndsRegions: each carved region's capacity ends at its length.
+func TestCarveEndsRegions(t *testing.T) {
+	slab := make([]int, 10)
+	a, b := Carve(&slab, 3), Carve(&slab, 4)
+	if len(a) != 3 || cap(a) != 3 || len(b) != 4 || cap(b) != 4 || len(slab) != 3 {
+		t.Fatalf("carved %d/%d and %d/%d leaving %d", len(a), cap(a), len(b), cap(b), len(slab))
+	}
+	a = append(a, 9)
+	if b[0] != 0 {
+		t.Fatal("an append to a carved region wrote into the next one")
+	}
+}

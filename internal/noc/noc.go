@@ -263,8 +263,11 @@ func New(cfg Config) (*Mesh, error) {
 	words := (nLinks + 63) / 64
 	bitmaps := make([]uint64, (2+wheelSize)*words)
 	m.active, m.grant, m.wheel = bitmaps[:words:words], bitmaps[words:2*words:2*words], bitmaps[2*words:]
+	// Every link's VC rings are carved from one array; a ring's buffer is
+	// its own, allocated as it grows.
+	vcs := make([]mem.Ring[int32], nLinks*cfg.VCs)
 	for i := range m.links {
-		m.links[i].vcs = make([]mem.Ring[int32], cfg.VCs)
+		m.links[i].vcs = mem.Carve(&vcs, cfg.VCs)
 		m.links[i].hiVCs = hiVCs
 		m.links[i].cur = -1
 	}

@@ -83,15 +83,17 @@ const (
 	bertiRowWords = rowAccesses + 1
 )
 
-// NewBerti constructs Berti with the tuned watermarks. The row blocks are
-// one slab, so constructing a per-core prefetcher costs one allocation
-// beyond the row table.
-func NewBerti() *Berti {
-	return &Berti{
-		rows:       table.NewFixed[int32](bertiTableSize, table.FIFO),
-		slab:       make([]uint64, bertiInitRows*bertiRowWords),
-		latencyEst: 120,
+// newBertis constructs n Bertis, with the tuned watermarks, whose row tables are one table.NewFixeds
+// and whose initial slabs are carved from one allocation; a slab that grows
+// (fit) moves to a backing array of its own.
+func newBertis(n int) []Berti {
+	bs := make([]Berti, n)
+	rows := table.NewFixeds[int32](n, bertiTableSize, table.FIFO)
+	slab := make([]uint64, n*bertiInitRows*bertiRowWords)
+	for i := range bs {
+		bs[i] = Berti{rows: &rows[i], slab: mem.Carve(&slab, bertiInitRows*bertiRowWords), latencyEst: 120}
 	}
+	return bs
 }
 
 // fit grows the slab, doubling, until it holds rows blocks.

@@ -37,13 +37,16 @@ const (
 	bingoHistoryMax  = 2048
 )
 
-// NewBingo constructs an empty Bingo.
-func NewBingo() *Bingo {
-	return &Bingo{
-		active: table.NewFixed[bingoRegion](bingoActiveMax, table.FIFO),
-		long:   table.NewFixed[uint32](bingoHistoryMax, table.FIFO),
-		short:  table.NewFixed[uint32](bingoHistoryMax, table.FIFO),
+// newBingos constructs n empty Bingos whose tables are carved per kind.
+func newBingos(n int) []Bingo {
+	bs := make([]Bingo, n)
+	active := table.NewFixeds[bingoRegion](n, bingoActiveMax, table.FIFO)
+	long := table.NewFixeds[uint32](n, bingoHistoryMax, table.FIFO)
+	short := table.NewFixeds[uint32](n, bingoHistoryMax, table.FIFO)
+	for i := range bs {
+		bs[i].active, bs[i].long, bs[i].short = &active[i], &long[i], &short[i]
 	}
+	return bs
 }
 
 // Name implements Prefetcher.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBertiTableEviction(t *testing.T) {
-	b := NewBerti()
+	b := &newBertis(1)[0]
 	// Touch more IPs than the table holds; the table must stay bounded and
 	// keep working for fresh IPs.
 	for ip := uint64(0); ip < bertiTableSize+32; ip++ {
@@ -26,7 +26,7 @@ func TestBertiTableEviction(t *testing.T) {
 }
 
 func TestBertiAgingFadesStaleDeltas(t *testing.T) {
-	b := NewBerti()
+	b := &newBertis(1)[0]
 	// Train delta 5, then switch the IP to delta 1 for a long time; delta 5
 	// must fade from the candidate mix.
 	ip := uint64(0x77)
@@ -52,7 +52,7 @@ func TestBertiAgingFadesStaleDeltas(t *testing.T) {
 }
 
 func TestIPCPTableBounded(t *testing.T) {
-	p := NewIPCP()
+	p := &newIPCPs(1)[0]
 	for ip := uint64(0); ip < ipcpTableSize*2; ip++ {
 		p.Train(Access{IP: ip, Addr: mem.Addr(ip * 64), Cycle: ip})
 	}
@@ -62,7 +62,7 @@ func TestIPCPTableBounded(t *testing.T) {
 }
 
 func TestStrideTableBounded(t *testing.T) {
-	s := NewStride()
+	s := &newStrides(1)[0]
 	for ip := uint64(0); ip < strideTableSize*2; ip++ {
 		s.Train(Access{IP: ip, Addr: mem.Addr(ip * 64)})
 	}
@@ -72,7 +72,7 @@ func TestStrideTableBounded(t *testing.T) {
 }
 
 func TestSPPPageTrackerBounded(t *testing.T) {
-	s := NewSPPPPF()
+	s := &newSPPPPFs(1)[0]
 	for page := uint64(0); page < sppPageMax*3; page++ {
 		s.Train(Access{IP: 1, Addr: mem.Addr(page * mem.PageBytes)})
 	}
@@ -82,7 +82,7 @@ func TestSPPPageTrackerBounded(t *testing.T) {
 }
 
 func TestSPPWeakestSlotReplacement(t *testing.T) {
-	s := NewSPPPPF()
+	s := &newSPPPPFs(1)[0]
 	sig := uint16(0x123)
 	// Fill the 4 delta slots, then hammer a 5th delta: it must displace the
 	// weakest, not be lost.
@@ -101,7 +101,7 @@ func TestSPPWeakestSlotReplacement(t *testing.T) {
 }
 
 func TestBingoActiveTrackerBounded(t *testing.T) {
-	b := NewBingo()
+	b := &newBingos(1)[0]
 	for r := 0; r < bingoActiveMax*3; r++ {
 		b.Train(Access{IP: 1, Addr: mem.Addr(r * 2048)})
 	}
@@ -123,6 +123,28 @@ func TestCandidatesAreLineAligned(t *testing.T) {
 			if c.Addr == 0 {
 				t.Fatalf("%s produced null candidate", name)
 			}
+		}
+	}
+}
+
+// TestBertiFitIsolation: the Bertis of one array start in regions of one
+// slab, each ending at its length, so a Berti that outgrows its region (fit)
+// moves to a slab of its own and its neighbour's rows stay as they were.
+func TestBertiFitIsolation(t *testing.T) {
+	bs := newBertis(2)
+	for i := range bs[1].slab {
+		bs[1].slab[i] = 7
+	}
+	bs[0].fit(bertiInitRows + 1) // doubles to twice the region: the two regions together
+	for i := range bs[0].slab {
+		bs[0].slab[i] = ^uint64(0)
+	}
+	if len(bs[1].slab) != bertiInitRows*bertiRowWords {
+		t.Fatalf("Berti 1's slab is %d words, want %d", len(bs[1].slab), bertiInitRows*bertiRowWords)
+	}
+	for i, w := range bs[1].slab {
+		if w != 7 {
+			t.Fatalf("word %d of Berti 1's slab is %x after Berti 0 grew", i, w)
 		}
 	}
 }

@@ -55,14 +55,17 @@ const (
 	gsDenseThresh  = 12
 )
 
-// NewIPCP constructs the classifier with empty tables.
-func NewIPCP() *IPCP {
-	return &IPCP{
-		ip: table.NewFixed[ipcpEntry](ipcpTableSize, table.FIFO),
-		// Region replacement drops an arbitrary-but-deterministic victim:
-		// the smallest region key, as the map-backed code did.
-		region: table.NewFixed[gsRegion](gsRegionMax, table.MinKey),
+// newIPCPs constructs n classifiers with empty tables, carved per kind.
+func newIPCPs(n int) []IPCP {
+	ps := make([]IPCP, n)
+	ips := table.NewFixeds[ipcpEntry](n, ipcpTableSize, table.FIFO)
+	// Region replacement drops an arbitrary-but-deterministic victim: the
+	// smallest region key, as the map-backed code did.
+	regions := table.NewFixeds[gsRegion](n, gsRegionMax, table.MinKey)
+	for i := range ps {
+		ps[i].ip, ps[i].region = &ips[i], &regions[i]
 	}
+	return ps
 }
 
 // Name implements Prefetcher.

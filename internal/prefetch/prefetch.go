@@ -84,25 +84,52 @@ func degreeFor(base, level int) int {
 }
 
 // New constructs a prefetcher by name: "berti", "ipcp", "bingo", "spppf",
-// "stride", "stream", or "none" (nil-object that never prefetches).
+// "stride", "stream", or "none" (nil-object that never prefetches). It is
+// the one-member case of NewArray.
 func New(name string) (Prefetcher, error) {
+	ps, err := NewArray(name, 1)
+	if err != nil {
+		return nil, err
+	}
+	return ps[0], nil
+}
+
+// NewArray constructs n prefetchers of the named kind, one per core. The
+// engines are one array and their tables are carved from one slab per
+// column type, so a kind costs a fixed handful of allocations whatever n is.
+func NewArray(name string, n int) ([]Prefetcher, error) {
+	ps := make([]Prefetcher, n)
 	switch name {
 	case "berti":
-		return NewBerti(), nil
+		fill(ps, newBertis(n))
 	case "ipcp":
-		return NewIPCP(), nil
+		fill(ps, newIPCPs(n))
 	case "bingo":
-		return NewBingo(), nil
+		fill(ps, newBingos(n))
 	case "spppf":
-		return NewSPPPPF(), nil
+		fill(ps, newSPPPPFs(n))
 	case "stride":
-		return NewStride(), nil
+		fill(ps, newStrides(n))
 	case "stream":
-		return NewStream(), nil
+		fill(ps, make([]Stream, n))
 	case "none", "":
-		return None{}, nil
+		for i := range ps {
+			ps[i] = None{}
+		}
+	default:
+		return nil, fmt.Errorf("prefetch: unknown prefetcher %q", name)
 	}
-	return nil, fmt.Errorf("prefetch: unknown prefetcher %q", name)
+	return ps, nil
+}
+
+// fill points ps[i] at engines[i].
+func fill[E any, P interface {
+	*E
+	Prefetcher
+}](ps []Prefetcher, engines []E) {
+	for i := range engines {
+		ps[i] = P(&engines[i])
+	}
 }
 
 // Names lists the available prefetcher names.

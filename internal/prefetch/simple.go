@@ -24,9 +24,15 @@ type strideEntry struct {
 
 const strideTableSize = 128
 
-// NewStride builds an empty IP-stride table.
-func NewStride() *Stride {
-	return &Stride{table: table.NewFixed[strideEntry](strideTableSize, table.FIFO)}
+// newStrides builds n empty IP-stride prefetchers whose tables are carved
+// per kind.
+func newStrides(n int) []Stride {
+	ss := make([]Stride, n)
+	tables := table.NewFixeds[strideEntry](n, strideTableSize, table.FIFO)
+	for i := range ss {
+		ss[i].table = &tables[i]
+	}
+	return ss
 }
 
 // Name implements Prefetcher.
@@ -91,9 +97,6 @@ type streamEntry struct {
 	dir   int64
 	conf  int8
 }
-
-// NewStream builds a streamer with 16 stream registers.
-func NewStream() *Stream { return &Stream{} }
 
 // Name implements Prefetcher.
 func (s *Stream) Name() string { return "stream" }

@@ -40,7 +40,7 @@ func TestBertiRowsGrow(t *testing.T) {
 		}
 		return img
 	}
-	b, ref := NewBerti(), NewBerti()
+	b, ref := &newBertis(1)[0], &newBertis(1)[0]
 	ref.fit(bertiTableSize)
 	if len(b.slab) != bertiInitRows*bertiRowWords {
 		t.Fatalf("a new Berti holds %d words, want %d rows' worth", len(b.slab), bertiInitRows)
@@ -73,7 +73,7 @@ func TestBertiRowsGrow(t *testing.T) {
 		if !bytes.Equal(img, save(ref)) {
 			t.Fatalf("%d rows: the image depends on the slab's capacity", b.nextRow)
 		}
-		fresh := NewBerti()
+		fresh := &newBertis(1)[0]
 		l, err := snapshot.NewLoader(img)
 		if err != nil {
 			t.Fatal(err)

@@ -79,9 +79,15 @@ func (f *ppf) train(idx [ppfTables]uint32, useful bool) {
 	}
 }
 
-// NewSPPPPF constructs SPP with a zeroed perceptron filter.
-func NewSPPPPF() *SPPPPF {
-	return &SPPPPF{pages: table.NewFixed[sppPage](sppPageMax, table.FIFO)}
+// newSPPPPFs constructs n SPPs with zeroed perceptron filters, their page
+// tables carved per kind.
+func newSPPPPFs(n int) []SPPPPF {
+	ps := make([]SPPPPF, n)
+	pages := table.NewFixeds[sppPage](n, sppPageMax, table.FIFO)
+	for i := range ps {
+		ps[i].pages = &pages[i]
+	}
+	return ps
 }
 
 // Name implements Prefetcher.

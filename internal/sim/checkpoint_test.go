@@ -803,8 +803,9 @@ func TestSystemSnapshotManifest(t *testing.T) {
 			"mech", "dynClip", "nextThrottle",
 		},
 		[]string{
-			// Rebuilt by NewSystem from the (fingerprint-checked) Config.
-			"cfg", "attachL2", "skip",
+			// Rebuilt by NewSystem from the (fingerprint-checked) Config,
+			// or from it on first use.
+			"cfg", "attachL2", "skip", "fp",
 			// Per-cycle transient, reset by LoadState.
 			"coresTicked",
 			// The skipping loop's bookkeeping: SaveState settles every

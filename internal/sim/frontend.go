@@ -123,14 +123,16 @@ func (s *ICacheStats) HitRate() float64 {
 	return 1 - stats.Ratio(s.Misses, s.Fetches)
 }
 
-func newICache(sets, ways int, missPenalty uint64) *icache {
-	return &icache{tags: tlb.NewTagArray(sets, ways), missPenalty: missPenalty}
-}
-
-// newL1I builds Table 3's 32KB 8-way L1I. A miss costs the on-chip round
-// trip to where code resides.
-func newL1I(div int, missPenalty uint64) *icache {
-	return newICache(l1iSets(div), 8, missPenalty)
+// newL1Is builds n of Table 3's 32KB 8-way L1Is, their tag arrays carved
+// from one slab. A miss costs the on-chip round trip to where code resides.
+func newL1Is(n, div int, missPenalty uint64) []icache {
+	sets := l1iSets(div)
+	slab := make([]uint64, n*tlb.TagArrayWords(sets, 8))
+	ics := make([]icache, n)
+	for i := range ics {
+		ics[i] = icache{tags: tlb.CarveTagArray(&slab, sets, 8), missPenalty: missPenalty}
+	}
+	return ics
 }
 
 // l1iSets scales the L1I's 64 sets like the L1D's, to no fewer than 8: a

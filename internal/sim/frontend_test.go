@@ -2,10 +2,19 @@ package sim
 
 import (
 	"testing"
+
+	"clip/internal/tlb"
 )
 
+// testICache is an L1I of any geometry: sets x ways, a miss costing
+// missPenalty.
+func testICache(sets, ways int, missPenalty uint64) *icache {
+	slab := make([]uint64, tlb.TagArrayWords(sets, ways))
+	return &icache{tags: tlb.CarveTagArray(&slab, sets, ways), missPenalty: missPenalty}
+}
+
 func TestICacheHitAfterFill(t *testing.T) {
-	ic := newICache(8, 8, 30)
+	ic := testICache(8, 8, 30)
 	if stall := ic.fetch(0x400000); stall != 30 {
 		t.Fatalf("cold fetch stall = %d, want 30", stall)
 	}
@@ -24,11 +33,11 @@ func TestICacheHitAfterFill(t *testing.T) {
 }
 
 func TestICacheLRUEviction(t *testing.T) {
-	ic := newICache(1, 2, 30) // 2 blocks capacity
-	ic.fetch(0x1000)          // A
-	ic.fetch(0x2000)          // B
-	ic.fetch(0x1000)          // touch A: B is LRU
-	ic.fetch(0x3000)          // C evicts B
+	ic := testICache(1, 2, 30) // 2 blocks capacity
+	ic.fetch(0x1000)           // A
+	ic.fetch(0x2000)           // B
+	ic.fetch(0x1000)           // touch A: B is LRU
+	ic.fetch(0x3000)           // C evicts B
 	if stall := ic.fetch(0x1000); stall != 0 {
 		t.Fatal("A evicted despite recency")
 	}

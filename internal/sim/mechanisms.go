@@ -41,94 +41,133 @@ type scoredPredictor struct {
 
 // attachMechanisms builds each core's record — prefetcher, CLIP, criticality
 // predictors, throttler and Hermes — and wires it onto the assembled
-// hierarchy.
+// hierarchy. Each mechanism is built as one array for every core (its
+// package's NewArray), and each event reaches it through one handler that
+// is told the core.
 func (s *System) attachMechanisms() error {
 	n := s.cfg.Cores()
 	cfg := &s.cfg
 
 	s.mech = make([]coreMechs, n)
-	s.pfGenerated = make([]uint64, n)
-	s.pfIssued = make([]uint64, n)
+	counts := make([]uint64, 2*n)
+	s.pfGenerated, s.pfIssued = counts[:n:n], counts[n:]
 
-	for i := range s.mech {
+	engines, err := prefetch.NewArray(cfg.Prefetcher, n)
+	if err != nil {
+		return err
+	}
+	for i, engine := range engines {
 		m := &s.mech[i]
-		engine, err := prefetch.New(cfg.Prefetcher)
-		if err != nil {
-			return err
-		}
 		m.pf = engine
 		m.feedback, _ = engine.(prefetch.FeedbackSink)
 		m.berti, _ = engine.(*prefetch.Berti)
-		if cfg.DSPatch {
-			// DSPatch samples ONE controller's utilization — deliberately
-			// myopic, as the paper stresses.
-			m.dspatch = dspatch.New(engine, func() float64 { return s.dram.ChannelUtilization(0) })
-			m.pf = m.dspatch
+	}
+	if cfg.DSPatch {
+		// DSPatch samples ONE controller's utilization — deliberately
+		// myopic, as the paper stresses.
+		ds := dspatch.NewArray(engines, func() float64 { return s.dram.ChannelUtilization(0) })
+		for i := range ds {
+			s.mech[i].dspatch = &ds[i]
+			s.mech[i].pf = &ds[i]
 		}
+	}
+	if cfg.CLIP != nil {
+		ccfg := cfg.clipConfig()
+		ccfg.CriticalityLevel = effLevel(s.attachL2)
+		clips, err := core.NewArray(ccfg, n)
+		if err != nil {
+			return err
+		}
+		for i := range clips {
+			s.mech[i].clip = &clips[i]
+		}
+	}
+	if cfg.CritPredictor != "" {
+		ps, err := criticality.NewArray(cfg.CritPredictor, cfg.CPU.ROBSize, n)
+		if err != nil {
+			return err
+		}
+		for i, p := range ps {
+			s.mech[i].crit = p
+		}
+	}
+	if cfg.ScorePredictors {
+		names := criticality.Names()
+		k := len(names)
+		scored := make([]scoredPredictor, n*k)
+		for j, name := range names {
+			ps, err := criticality.NewArray(name, cfg.CPU.ROBSize, n)
+			if err != nil {
+				return err
+			}
+			for i, p := range ps {
+				scored[i*k+j].pred = p
+			}
+		}
+		for i := range s.mech {
+			s.mech[i].scored = scored[i*k : (i+1)*k : (i+1)*k]
+		}
+	}
+	if cfg.Throttler != "" {
+		targets := make([]prefetch.Throttleable, n)
+		for i := range targets {
+			targets[i], _ = s.mech[i].pf.(prefetch.Throttleable)
+		}
+		ts, err := throttle.NewArray(cfg.Throttler, targets) // an unknown name errs first
+		if err != nil {
+			return err
+		}
+		if targets[0] == nil { // every core has the same kind of prefetcher
+			return fmt.Errorf("sim: prefetcher %q (DSPatch %t) cannot take throttler %q", cfg.Prefetcher, cfg.DSPatch, cfg.Throttler)
+		}
+		for i, t := range ts {
+			s.mech[i].throttler = t
+		}
+	}
+	if cfg.Hermes {
+		hs := hermes.NewArray(n)
+		for i := range hs {
+			s.mech[i].hermes = &hs[i]
+		}
+	}
 
-		if cfg.CLIP != nil {
-			ccfg := cfg.clipConfig()
-			ccfg.CriticalityLevel = effLevel(s.attachL2)
-			cl, err := core.New(ccfg)
-			if err != nil {
-				return err
-			}
-			m.clip = cl
-		}
-		if cfg.CritPredictor != "" {
-			p, err := criticality.New(cfg.CritPredictor, cfg.CPU.ROBSize)
-			if err != nil {
-				return err
-			}
-			m.crit = p
-		}
-		if cfg.ScorePredictors {
-			for _, name := range criticality.Names() {
-				p, err := criticality.New(name, cfg.CPU.ROBSize)
-				if err != nil {
-					return err
-				}
-				m.scored = append(m.scored, scoredPredictor{pred: p})
-			}
-		}
-		if cfg.Throttler != "" {
-			th, ok := m.pf.(prefetch.Throttleable)
-			t, err := throttle.New(cfg.Throttler, th) // an unknown name errs first
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("sim: prefetcher %q (DSPatch %t) cannot take throttler %q", cfg.Prefetcher, cfg.DSPatch, cfg.Throttler)
-			}
-			m.throttler = t
-		}
-		if cfg.Hermes {
-			m.hermes = hermes.New()
-		}
-
+	onAccess, onPFEvict := s.onAccess, s.onPFEvict
+	onLoad, onRetire := s.onLoadComplete, s.onRetire
+	for i := range s.mech {
+		m := &s.mech[i]
 		attach := s.l1d[i]
 		if s.attachL2 {
 			attach = s.l2[i]
 		}
-		attach.OnAccess(func(ev *cache.AccessEvent) { s.onAccess(i, ev) })
-		if sink := m.feedback; sink != nil {
-			attach.OnPFEvict(func(trigger uint64, addr mem.Addr) {
-				sink.Feedback(prefetch.Candidate{Addr: addr, TriggerIP: trigger}, false)
-			})
+		attach.OnAccess(onAccess)
+		if m.feedback != nil {
+			attach.OnPFEvict(onPFEvict)
 		}
 
 		// Register the event listeners only when a mechanism consumes them:
 		// the core skips building events with no listeners, which keeps the
 		// plain-prefetcher hot path free of per-load/per-retire event work.
 		if m.clip != nil || m.crit != nil || m.scored != nil || m.hermes != nil || m.berti != nil {
-			s.cores[i].OnLoadComplete(m.onLoadComplete)
+			s.cores[i].OnLoadComplete(onLoad)
 		}
 		if m.crit != nil || m.scored != nil {
-			s.cores[i].OnRetire(m.onRetire)
+			s.cores[i].OnRetire(onRetire)
 		}
 	}
 	return nil
 }
+
+// onPFEvict feeds core i's prefetcher an untouched prefetched line's
+// eviction (negative usefulness feedback).
+func (s *System) onPFEvict(i int, trigger uint64, addr mem.Addr) {
+	s.mech[i].feedback.Feedback(prefetch.Candidate{Addr: addr, TriggerIP: trigger}, false)
+}
+
+// onLoadComplete trains the completing load's core's mechanisms.
+func (s *System) onLoadComplete(ev *cpu.LoadEvent) { s.mech[ev.Core].onLoadComplete(ev) }
+
+// onRetire feeds the retiring instruction's core's retire-stream predictors.
+func (s *System) onRetire(ev *cpu.RetireEvent) { s.mech[ev.Core].onRetire(ev) }
 
 // onAccess handles a demand access at the prefetcher attach level: CLIP
 // observation, PPF feedback, prefetcher training and candidate filtering.

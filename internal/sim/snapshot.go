@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"clip/internal/criticality"
 	"clip/internal/mem"
@@ -41,9 +42,21 @@ var ErrConfigMismatch = errors.New("sim: snapshot was taken under an incompatibl
 // deliberately absent (they live in skippable sections), as is DisableSkip,
 // whose results are byte-identical by the equivalence tests.
 func (c *Config) stateFingerprint() string {
-	return fmt.Sprintf("w=%v i=%d wu=%d cpu=%+v div=%d l1d=%+v l2=%+v llc=%+v ch=%d tr=%d seed=%d",
-		c.Workload, c.InstrPerCore, c.WarmupInstr, c.CPU, c.ScaleDivisor,
+	// The workloads are joined by hand: %v would box each name, and the
+	// bytes are %v's.
+	return fmt.Sprintf("w=[%s] i=%d wu=%d cpu=%+v div=%d l1d=%+v l2=%+v llc=%+v ch=%d tr=%d seed=%d",
+		strings.Join(c.Workload, " "), c.InstrPerCore, c.WarmupInstr, c.CPU, c.ScaleDivisor,
 		c.L1D, c.L2, c.LLC, c.Channels, c.TransferCycles, c.Seed)
+}
+
+// fingerprint returns the configuration's state fingerprint, which every
+// image the system saves or loads carries. It is formatted on first use and
+// kept, so a fork that loads and saves pays for it once.
+func (s *System) fingerprint() string {
+	if s.fp == "" {
+		s.fp = s.cfg.stateFingerprint()
+	}
+	return s.fp
 }
 
 // mechSet describes which mechanism sections a system carries.
@@ -116,7 +129,7 @@ func (s *System) SaveState() ([]byte, error) {
 	// simulated cycle, which sleepers have not been charged up to yet.
 	s.settleAll()
 	c := snapshot.NewSaver(s.imageSizeHint())
-	fp := s.cfg.stateFingerprint()
+	fp := s.fingerprint()
 	c.String(&fp)
 	m := s.cfg.mechSet()
 	m.state(c)
@@ -171,9 +184,9 @@ func (s *System) LoadState(data []byte) error {
 		return err
 	}
 	var fp string
-	if c.String(&fp); c.Err() == nil && fp != s.cfg.stateFingerprint() {
+	if c.String(&fp); c.Err() == nil && fp != s.fingerprint() {
 		return fmt.Errorf("%w: snapshot %q vs receiver %q",
-			ErrConfigMismatch, fp, s.cfg.stateFingerprint())
+			ErrConfigMismatch, fp, s.fingerprint())
 	}
 	var saved mechSet
 	saved.state(c)

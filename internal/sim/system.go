@@ -22,6 +22,9 @@ import (
 // System is one assembled simulation instance.
 type System struct {
 	cfg Config
+	// fp is cfg's state fingerprint once an image has been saved or loaded
+	// (fingerprint).
+	fp string
 
 	cores []*cpu.Core
 	l1d   []*cache.Cache
@@ -150,85 +153,56 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	// per-response closures this replaces allocated on every LLC round trip.
 	s.mesh.OnDeliver(s.onMeshDeliver)
 
-	// Build caches bottom-up per core.
-	for i := 0; i < n; i++ {
-		i := i
-		llcCfg := cache.Config{
-			Name: fmt.Sprintf("llc%d", i), Level: mem.LevelLLC,
-			Sets: cfg.LLC.Sets, Ways: cfg.LLC.Ways, Latency: cfg.LLC.Latency,
-			MSHRs: cfg.LLC.MSHRs, Policy: cfg.LLC.Policy, Ports: cfg.LLC.Ports,
-			InQ: cfg.LLC.InQ,
-		}
-		llc, err := cache.New(llcCfg, s.dram)
-		if err != nil {
-			return nil, err
-		}
-		// LLC responses travel the mesh back to the requesting core's L2 as
-		// payload packets (kind pktLLCResp). A request restored from a
-		// damaged image can name a core that does not exist: its response
-		// goes nowhere, as cpu.Core.CompleteLoad drops one for a ROB slot
-		// that holds no load.
-		llc.OnResponse(func(r *mem.Response) {
-			if uint(r.Req.Core) < uint(n) {
-				s.mesh.SendPayload(i, r.Req.Core, noc.FlitsPerData, s.packetHigh(&r.Req), pktLLCResp, r)
-			}
-		})
-		s.llc = append(s.llc, llc)
+	// Each kind of component is built once for every core: one array per
+	// cache level, one for the cores and so on, each component's columns
+	// carved from its kind's slabs (DESIGN.md §8). Every level shares one
+	// response handler, told which cache calls it.
+	llcs, err := cache.NewArray(cacheConfig(cfg.LLC, mem.LevelLLC), n, func(int) cache.Lower { return s.dram })
+	if err != nil {
+		return nil, err
 	}
-
+	l2Lowers, l1Lowers := make([]l2Lower, n), make([]l1Lower, n)
 	for i := 0; i < n; i++ {
-		i := i
-		l2Cfg := cache.Config{
-			Name: fmt.Sprintf("l2-%d", i), Level: mem.LevelL2,
-			Sets: cfg.L2.Sets, Ways: cfg.L2.Ways, Latency: cfg.L2.Latency,
-			MSHRs: cfg.L2.MSHRs, Policy: cfg.L2.Policy, Ports: cfg.L2.Ports,
-			InQ: cfg.L2.InQ,
-		}
-		l2, err := cache.New(l2Cfg, &l2Lower{s: s, core: i})
-		if err != nil {
-			return nil, err
-		}
-		l2.OnResponse(func(r *mem.Response) { s.l1d[i].Fill(r) })
-		s.l2 = append(s.l2, l2)
+		l2Lowers[i], l1Lowers[i] = l2Lower{s: s, core: i}, l1Lower{s: s, core: i}
 	}
-
+	l2s, err := cache.NewArray(cacheConfig(cfg.L2, mem.LevelL2), n, func(i int) cache.Lower { return &l2Lowers[i] })
+	if err != nil {
+		return nil, err
+	}
+	l1s, err := cache.NewArray(cacheConfig(cfg.L1D, mem.LevelL1), n, func(i int) cache.Lower { return &l1Lowers[i] })
+	if err != nil {
+		return nil, err
+	}
+	s.llc, s.l2, s.l1d = pointers(llcs), pointers(l2s), pointers(l1s)
+	onLLC, onL2, onL1 := s.onLLCResponse, s.onL2Response, s.onL1Response
 	for i := 0; i < n; i++ {
-		i := i
-		l1Cfg := cache.Config{
-			Name: fmt.Sprintf("l1d-%d", i), Level: mem.LevelL1,
-			Sets: cfg.L1D.Sets, Ways: cfg.L1D.Ways, Latency: cfg.L1D.Latency,
-			MSHRs: cfg.L1D.MSHRs, Policy: cfg.L1D.Policy, Ports: cfg.L1D.Ports,
-			InQ: cfg.L1D.InQ,
-		}
-		l1, err := cache.New(l1Cfg, &l1Lower{s: s, core: i})
-		if err != nil {
-			return nil, err
-		}
-		l1.OnResponse(func(r *mem.Response) {
-			if r.Req.ROBIndex >= 0 && r.Req.Core == i {
-				s.cores[i].CompleteLoad(r)
-			}
-		})
-		s.l1d = append(s.l1d, l1)
+		s.llc[i].OnLevelResponse(onLLC)
+		s.l2[i].OnLevelResponse(onL2)
+		s.l1d[i].OnLevelResponse(onL1)
 	}
 
 	// Front-end models: each core's port owns its TLB hierarchy and L1I.
 	div := max(1, cfg.ScaleDivisor)
-	for i := 0; i < n; i++ {
-		th, err := tlb.New(tlb.DefaultConfig(div))
-		if err != nil {
-			return nil, err
-		}
-		s.ports = append(s.ports, &corePort{s: s, core: i, tlb: th,
-			l1i: newL1I(div, cfg.L2.Latency+cfg.LLC.Latency)})
+	tlbs, err := tlb.NewArray(tlb.DefaultConfig(div), n)
+	if err != nil {
+		return nil, err
+	}
+	l1is := newL1Is(n, div, cfg.L2.Latency+cfg.LLC.Latency)
+	ports := make([]corePort, n)
+	s.ports = make([]*corePort, n)
+	memPorts := make([]cpu.MemoryPort, n)
+	for i := range ports {
+		ports[i] = corePort{s: s, core: i, tlb: &tlbs[i], l1i: &l1is[i]}
+		s.ports[i], memPorts[i] = &ports[i], &ports[i]
 	}
 	if cfg.DynamicCLIP {
 		s.dynClip = &dynamicClip{active: true}
 	}
 
-	// Cores with their workloads.
+	// Cores with their workloads; each core's trace generator is its own.
 	scale := cfg.TraceScale()
-	for i := 0; i < n; i++ {
+	gens := make([]trace.Generator, n)
+	for i := range gens {
 		tcfg, err := trace.Lookup(cfg.Workload[i], scale)
 		if err != nil {
 			return nil, err
@@ -236,21 +210,19 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 		tcfg.Seed = mem.HashString(cfg.Workload[i]) ^ cfg.Seed ^ uint64(i)<<32
 		// SPEC-rate semantics: each core runs in a private address space.
 		tcfg.AddrOffset = mem.Addr(uint64(i+1) << 42)
-		gen, err := trace.New(tcfg)
-		if err != nil {
+		if gens[i], err = trace.New(tcfg); err != nil {
 			return nil, err
 		}
-		budget := cfg.WarmupInstr
-		if budget == 0 {
-			budget = cfg.InstrPerCore
-		}
-		c, err := cpu.New(i, cfg.CPU, gen, s.ports[i], budget)
-		if err != nil {
-			return nil, err
-		}
-		c.SetFetchChecker(s.ports[i].l1i.fetch)
-		s.cores = append(s.cores, c)
 	}
+	budget := cfg.WarmupInstr
+	if budget == 0 {
+		budget = cfg.InstrPerCore
+	}
+	cores, err := cpu.NewCores(cfg.CPU, gens, memPorts, budget)
+	if err != nil {
+		return nil, err
+	}
+	s.cores = pointers(cores)
 
 	if err := s.attachMechanisms(); err != nil {
 		return nil, err
@@ -258,11 +230,15 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 
 	// Size every per-tile buffer up front so the steady-state loop does not
 	// allocate: the direct-DRAM queue is bounded by directDRAMDepth, the
-	// prefetch queue by pfQueueDepth, the retry ring by its drain rate.
+	// prefetch queue by pfQueueDepth, the retry ring by its drain rate. Each
+	// kind's rings share one slab.
+	dramQs := make([]directRead, n*directDRAMDepth)
+	retries := make([]mem.Request, n*llcRetryDepth)
+	pfQs := make([]pfEntry, n*pfQueueDepth)
 	for i := 0; i < n; i++ {
-		s.stage[i].dramQ.Grow(directDRAMDepth)
-		s.llcRetry[i].Grow(16)
-		s.pfQ[i].Grow(pfQueueDepth)
+		s.stage[i].dramQ.Adopt(mem.Carve(&dramQs, directDRAMDepth))
+		s.llcRetry[i].Adopt(mem.Carve(&retries, llcRetryDepth))
+		s.pfQ[i].Adopt(mem.Carve(&pfQs, pfQueueDepth))
 	}
 
 	s.skip = !cfg.DisableSkip
@@ -272,8 +248,9 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	} else {
 		s.dram.ScanEveryCycle()
 	}
-	onFinished := func() { s.finished++ }
+	fetch, onFinished := s.fetch, func() { s.finished++ }
 	for _, c := range s.cores {
+		c.SetFetchChecker(fetch)
 		c.OnFinished(onFinished)
 	}
 	if cfg.Throttler != "" {
@@ -281,6 +258,49 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	}
 	return s, nil
 }
+
+// llcRetryDepth sizes each slice's retry ring: the deliveries one slice can
+// be refused between two of its ticks. A deeper backlog grows the ring.
+const llcRetryDepth = 16
+
+// cacheConfig is the cache configuration of one level of the hierarchy.
+func cacheConfig(c CacheGeom, level mem.Level) cache.Config {
+	return cache.Config{Level: level, Sets: c.Sets, Ways: c.Ways, Latency: c.Latency,
+		MSHRs: c.MSHRs, Policy: c.Policy, Ports: c.Ports, InQ: c.InQ}
+}
+
+// pointers returns a pointer to each element of xs.
+func pointers[T any](xs []T) []*T {
+	ps := make([]*T, len(xs))
+	for i := range xs {
+		ps[i] = &xs[i]
+	}
+	return ps
+}
+
+// onLLCResponse sends slice i's response over the mesh to the requesting
+// core's L2 as a payload packet (kind pktLLCResp). A request restored from a
+// damaged image can name a core that does not exist: its response goes
+// nowhere, as cpu.Core.CompleteLoad drops one for a ROB slot that holds no
+// load.
+func (s *System) onLLCResponse(i int, r *mem.Response) {
+	if uint(r.Req.Core) < uint(len(s.llc)) {
+		s.mesh.SendPayload(i, r.Req.Core, noc.FlitsPerData, s.packetHigh(&r.Req), pktLLCResp, r)
+	}
+}
+
+// onL2Response fills core i's L1D.
+func (s *System) onL2Response(i int, r *mem.Response) { s.l1d[i].Fill(r) }
+
+// onL1Response completes core i's load.
+func (s *System) onL1Response(i int, r *mem.Response) {
+	if r.Req.ROBIndex >= 0 && r.Req.Core == i {
+		s.cores[i].CompleteLoad(r)
+	}
+}
+
+// fetch is every core's instruction-fetch model: core i's L1I.
+func (s *System) fetch(i int, ip uint64) uint64 { return s.ports[i].l1i.fetch(ip) }
 
 // Close does nothing: a System holds no goroutine, file or other resource to
 // release. It stays because bench/ calls it.

@@ -1,6 +1,10 @@
 package table
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"clip/internal/mem"
+)
 
 // Bits is a fixed-size occupancy bitmap — the scheduling kernel behind the
 // structure-of-arrays tick loop. Hot per-slot scans ("first free MSHR",
@@ -17,9 +21,13 @@ type Bits struct {
 	n     int
 }
 
-// NewBits returns a bitmap of n slots, all clear.
-func NewBits(n int) Bits {
-	return Bits{words: make([]uint64, (n+63)/64), n: n}
+// BitWords returns the words a bitmap of n slots takes.
+func BitWords(n int) int { return (n + 63) / 64 }
+
+// CarveBits returns a bitmap of n slots whose words are carved from *slab
+// (mem.Carve), all clear if the slab is.
+func CarveBits(slab *[]uint64, n int) Bits {
+	return Bits{words: mem.Carve(slab, BitWords(n)), n: n}
 }
 
 // Len returns the slot count.

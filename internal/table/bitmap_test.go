@@ -54,7 +54,8 @@ func (n *naiveBits) count() int {
 func TestBitsMatchesNaiveScan(t *testing.T) {
 	for _, n := range []int{1, 7, 63, 64, 65, 127, 128, 200} {
 		rng := mem.NewPRNG(uint64(n)*977 + 13)
-		b := NewBits(n)
+		words := make([]uint64, BitWords(n))
+		b := CarveBits(&words, n)
 		ref := &naiveBits{slots: make([]bool, n)}
 		for step := 0; step < 2000; step++ {
 			i := int(rng.Uint64() % uint64(n))

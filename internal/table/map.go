@@ -11,7 +11,7 @@ import (
 // map, iteration order is a pure function of the insertion sequence, so
 // ranging over it is deterministic across runs and worker counts.
 //
-// The zero value is not usable; construct with NewMap. Pointers returned by
+// The zero value is not usable; construct with NewMaps. Pointers returned by
 // Get/At are valid until the next At on a missing key (which may grow and
 // rehash the backing arrays).
 type Map[V any] struct {
@@ -22,18 +22,27 @@ type Map[V any] struct {
 	mask uint64
 }
 
-// NewMap builds a map pre-sized for sizeHint entries (0 for the default).
-func NewMap[V any](sizeHint int) *Map[V] {
+// NewMaps builds n maps pre-sized for sizeHint entries each, their cells
+// carved from one slab per column. A map that outgrows its cells moves to
+// cells of its own (grow allocates), leaving the slab's other regions alone.
+func NewMaps[V any](n, sizeHint int) []Map[V] {
 	size := 16
 	for size < 2*sizeHint {
 		size *= 2
 	}
-	return &Map[V]{
-		keys: make([]uint64, size),
-		vals: make([]V, size),
-		live: make([]bool, size),
-		mask: uint64(size - 1),
+	ms := make([]Map[V], n)
+	keys := make([]uint64, n*size)
+	vals := make([]V, n*size)
+	live := make([]bool, n*size)
+	for i := range ms {
+		ms[i] = Map[V]{
+			keys: mem.Carve(&keys, size),
+			vals: mem.Carve(&vals, size),
+			live: mem.Carve(&live, size),
+			mask: uint64(size - 1),
+		}
 	}
+	return ms
 }
 
 // Len returns the number of entries.

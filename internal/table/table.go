@@ -91,7 +91,7 @@ func (g Geometry) String() string {
 const noSlot = -1
 
 // Fixed is a fixed-capacity associative table keyed by uint64 with inline
-// values and a replacement policy. All storage is allocated by NewFixed;
+// values and a replacement policy. All storage is allocated by NewFixeds;
 // no operation allocates afterwards.
 //
 // Entries are threaded on an insertion-order list (recency order under LRU),
@@ -117,8 +117,10 @@ type Fixed[V any] struct {
 	mask uint64
 }
 
-// NewFixed builds a table holding at most capacity entries.
-func NewFixed[V any](capacity int, policy Policy) *Fixed[V] {
+// NewFixeds builds n tables of one capacity and policy. Their columns are
+// carved from one slab per column type (keys, values, and the int32 links
+// and index), so n tables cost four allocations.
+func NewFixeds[V any](n, capacity int, policy Policy) []Fixed[V] {
 	if capacity <= 0 {
 		panic("table: non-positive Fixed capacity")
 	}
@@ -126,24 +128,31 @@ func NewFixed[V any](capacity int, policy Policy) *Fixed[V] {
 	for idxSize < 2*capacity {
 		idxSize *= 2
 	}
-	t := &Fixed[V]{
-		policy:   policy,
-		capacity: capacity,
-		keys:     make([]uint64, capacity),
-		vals:     make([]V, capacity),
-		prev:     make([]int32, capacity),
-		next:     make([]int32, capacity),
-		head:     noSlot,
-		tail:     noSlot,
-		idx:      make([]int32, idxSize),
-		mask:     uint64(idxSize - 1),
+	ts := make([]Fixed[V], n)
+	keys := make([]uint64, n*capacity)
+	vals := make([]V, n*capacity)
+	links := make([]int32, n*(2*capacity+idxSize))
+	for i := range ts {
+		t := &ts[i]
+		*t = Fixed[V]{
+			policy:   policy,
+			capacity: capacity,
+			keys:     mem.Carve(&keys, capacity),
+			vals:     mem.Carve(&vals, capacity),
+			prev:     mem.Carve(&links, capacity),
+			next:     mem.Carve(&links, capacity),
+			head:     noSlot,
+			tail:     noSlot,
+			idx:      mem.Carve(&links, idxSize),
+			mask:     uint64(idxSize - 1),
+		}
+		for s := 0; s < capacity-1; s++ {
+			t.next[s] = int32(s + 1)
+		}
+		t.next[capacity-1] = noSlot
+		t.freeList = 0
 	}
-	for s := 0; s < capacity-1; s++ {
-		t.next[s] = int32(s + 1)
-	}
-	t.next[capacity-1] = noSlot
-	t.freeList = 0
-	return t
+	return ts
 }
 
 // Len returns the number of live entries.
@@ -272,7 +281,7 @@ func (t *Fixed[V]) GetOrInsert(key uint64) (ptr *V, present bool, evictedKey uin
 	}
 	t.freeList = t.next[s]
 	t.keys[s] = key
-	// vals[s] is already the zero value: NewFixed zero-allocates and remove
+	// vals[s] is already the zero value: NewFixeds zero-allocates and remove
 	// re-zeroes on the way to the free list.
 	t.listAppend(s)
 	t.idx[h] = s + 1

@@ -6,8 +6,15 @@ import (
 	"clip/internal/mem"
 )
 
+// newFixed and newMap are one table or map with slabs of its own.
+func newFixed[V any](capacity int, policy Policy) *Fixed[V] {
+	return &NewFixeds[V](1, capacity, policy)[0]
+}
+
+func newMap[V any](sizeHint int) *Map[V] { return &NewMaps[V](1, sizeHint)[0] }
+
 func TestFixedFIFOEviction(t *testing.T) {
-	tb := NewFixed[int](4, FIFO)
+	tb := newFixed[int](4, FIFO)
 	for i := 0; i < 4; i++ {
 		if _, _, _, ev := tb.Insert(uint64(i), i*10); ev {
 			t.Fatalf("unexpected eviction inserting %d", i)
@@ -33,7 +40,7 @@ func TestFixedFIFOEviction(t *testing.T) {
 }
 
 func TestFixedLRUTouch(t *testing.T) {
-	tb := NewFixed[int](3, LRU)
+	tb := newFixed[int](3, LRU)
 	tb.Insert(1, 1)
 	tb.Insert(2, 2)
 	tb.Insert(3, 3)
@@ -51,7 +58,7 @@ func TestFixedLRUTouch(t *testing.T) {
 }
 
 func TestFixedMinKeyEviction(t *testing.T) {
-	tb := NewFixed[string](3, MinKey)
+	tb := newFixed[string](3, MinKey)
 	tb.Insert(30, "c")
 	tb.Insert(10, "a")
 	tb.Insert(20, "b")
@@ -64,7 +71,7 @@ func TestFixedMinKeyEviction(t *testing.T) {
 // TestFixedDeleteAndReuse: PopVictim removes FIFO's oldest entries, and the
 // freed slots take new keys without evicting.
 func TestFixedDeleteAndReuse(t *testing.T) {
-	tb := NewFixed[int](8, FIFO)
+	tb := newFixed[int](8, FIFO)
 	for i := 0; i < 8; i++ {
 		tb.Insert(uint64(i), i)
 	}
@@ -96,7 +103,7 @@ func TestFixedDeleteAndReuse(t *testing.T) {
 }
 
 func TestFixedRangeOrder(t *testing.T) {
-	tb := NewFixed[int](4, FIFO)
+	tb := newFixed[int](4, FIFO)
 	keys := []uint64{7, 3, 9, 1}
 	for i, k := range keys {
 		tb.Insert(k, i)
@@ -114,7 +121,7 @@ func TestFixedRangeOrder(t *testing.T) {
 }
 
 func TestFixedPointerStability(t *testing.T) {
-	tb := NewFixed[int](4, FIFO)
+	tb := newFixed[int](4, FIFO)
 	p, _, _, _ := tb.Insert(42, 1)
 	*p = 7
 	if v := tb.Get(42); v == nil || *v != 7 {
@@ -127,7 +134,7 @@ func TestFixedPointerStability(t *testing.T) {
 }
 
 func TestMapBasics(t *testing.T) {
-	m := NewMap[int](0)
+	m := newMap[int](0)
 	if m.Get(1) != nil {
 		t.Fatal("Get on empty map")
 	}
@@ -152,7 +159,7 @@ func TestMapBasics(t *testing.T) {
 }
 
 func TestGeometry(t *testing.T) {
-	tb := NewFixed[int](64, FIFO)
+	tb := newFixed[int](64, FIFO)
 	g := tb.Geometry("berti table", 128)
 	if g.Bits() != 64*128 {
 		t.Fatalf("Bits = %d", g.Bits())
@@ -286,7 +293,7 @@ func TestFixedMatchesReferenceModel(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			for _, capacity := range []int{1, 2, 7, 32} {
 				rng := mem.NewPRNG(0xC11F0000 + uint64(capacity))
-				tb := NewFixed[int](capacity, policy)
+				tb := newFixed[int](capacity, policy)
 				ref := newRefFixed(capacity, policy)
 				keySpace := uint64(3 * capacity) // force collisions and evictions
 				for step := 0; step < 20000; step++ {
@@ -339,7 +346,7 @@ func TestFixedMatchesReferenceModel(t *testing.T) {
 
 func TestMapMatchesReferenceModel(t *testing.T) {
 	rng := mem.NewPRNG(0xC11F1111)
-	m := NewMap[int](0)
+	m := newMap[int](0)
 	ref := map[uint64]int{}
 	for step := 0; step < 50000; step++ {
 		key := rng.Uint64() % 4096
@@ -386,7 +393,7 @@ func TestMapMatchesReferenceModel(t *testing.T) {
 func TestMapRangeDeterministic(t *testing.T) {
 	build := func() *Map[int] {
 		rng := mem.NewPRNG(0xDE7E12)
-		m := NewMap[int](0)
+		m := newMap[int](0)
 		for i := 0; i < 3000; i++ {
 			*m.At(rng.Uint64() % 1024) = i
 		}
@@ -407,7 +414,7 @@ func TestMapRangeDeterministic(t *testing.T) {
 }
 
 func TestFixedSteadyStateAllocFree(t *testing.T) {
-	tb := NewFixed[int](32, LRU)
+	tb := newFixed[int](32, LRU)
 	rng := mem.NewPRNG(1)
 	allocs := testing.AllocsPerRun(1000, func() {
 		k := rng.Uint64() % 128
@@ -419,5 +426,43 @@ func TestFixedSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady state allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestMapsGrowthIsolation: the maps of one NewMaps start in cells carved
+// from shared slabs; one that outgrows its cells moves to its own and leaves
+// its neighbour's alone.
+func TestMapsGrowthIsolation(t *testing.T) {
+	ms := NewMaps[int](2, 0)
+	*ms[1].At(42) = 7
+	keys := append([]uint64(nil), ms[1].keys...)
+	for k := uint64(0); k < 100; k++ {
+		*ms[0].At(k) = int(k)
+	}
+	if v := ms[1].Get(42); v == nil || *v != 7 || ms[1].Len() != 1 {
+		t.Fatal("map 1 lost its entry when map 0 grew")
+	}
+	for i, k := range ms[1].keys {
+		if k != keys[i] {
+			t.Fatalf("cell %d of map 1 changed when map 0 grew", i)
+		}
+	}
+	for k := uint64(0); k < 100; k++ {
+		if v := ms[0].Get(k); v == nil || *v != int(k) {
+			t.Fatalf("map 0 lost key %d", k)
+		}
+	}
+}
+
+// TestFixedsAreIndependent: the tables of one NewFixeds share slabs but not
+// slots: filling one past its capacity evicts only its own entries.
+func TestFixedsAreIndependent(t *testing.T) {
+	ts := NewFixeds[int](2, 4, FIFO)
+	ts[1].Insert(99, 99)
+	for k := 0; k < 10; k++ {
+		ts[0].Insert(uint64(k), k)
+	}
+	if v := ts[1].Get(99); v == nil || *v != 99 || ts[1].Len() != 1 || ts[0].Len() != 4 {
+		t.Fatal("tables of one NewFixeds interfere")
 	}
 }

@@ -31,19 +31,44 @@ type Throttler interface {
 }
 
 // New constructs a throttler by name ("fdp", "hpac", "spac", "nst") bound to
-// the target prefetcher.
+// the target prefetcher: the one-member case of NewArray.
 func New(name string, target prefetch.Throttleable) (Throttler, error) {
+	ts, err := NewArray(name, []prefetch.Throttleable{target})
+	if err != nil {
+		return nil, err
+	}
+	return ts[0], nil
+}
+
+// NewArray constructs one throttler of the named kind per target, throttler
+// i bound to targets[i]; the throttlers are one array.
+func NewArray(name string, targets []prefetch.Throttleable) ([]Throttler, error) {
+	ts := make([]Throttler, len(targets))
 	switch name {
 	case "fdp":
-		return &fdp{target: target}, nil
+		fs := make([]fdp, len(targets))
+		for i := range fs {
+			fs[i].target, ts[i] = targets[i], &fs[i]
+		}
 	case "hpac":
-		return &hpac{fdp: fdp{target: target}}, nil
+		hs := make([]hpac, len(targets))
+		for i := range hs {
+			hs[i].fdp.target, ts[i] = targets[i], &hs[i]
+		}
 	case "spac":
-		return &spac{target: target}, nil
+		ss := make([]spac, len(targets))
+		for i := range ss {
+			ss[i].target, ts[i] = targets[i], &ss[i]
+		}
 	case "nst":
-		return &nst{target: target}, nil
+		ns := make([]nst, len(targets))
+		for i := range ns {
+			ns[i].target, ts[i] = targets[i], &ns[i]
+		}
+	default:
+		return nil, fmt.Errorf("throttle: unknown throttler %q", name)
 	}
-	return nil, fmt.Errorf("throttle: unknown throttler %q", name)
+	return ts, nil
 }
 
 // Names lists the available throttlers in the paper's order.

@@ -91,12 +91,15 @@ type TagArray struct {
 	clock      uint64
 }
 
-// NewTagArray returns an empty array of sets x ways entries; sets must be a
-// power of two.
-func NewTagArray(sets, ways int) TagArray {
+// TagArrayWords returns the words a sets x ways array's columns take.
+func TagArrayWords(sets, ways int) int { return 2 * sets * ways }
+
+// CarveTagArray returns an empty array of sets x ways entries whose two
+// columns are carved from *slab (mem.Carve), which must be zero there; sets
+// must be a power of two.
+func CarveTagArray(slab *[]uint64, sets, ways int) TagArray {
 	n := sets * ways
-	slab := make([]uint64, 2*n)
-	return TagArray{sets: sets, ways: ways, tags: slab[:n:n], stamps: slab[n:]}
+	return TagArray{sets: sets, ways: ways, tags: mem.Carve(slab, n), stamps: mem.Carve(slab, n)}
 }
 
 // base returns the index of the first entry of key's set. The set index is
@@ -158,17 +161,33 @@ type Hierarchy struct {
 	stats Stats
 }
 
-// New builds a translation hierarchy.
+// New builds a translation hierarchy: the one-member case of NewArray.
 func New(cfg HierarchyConfig) (*Hierarchy, error) {
+	hs, err := NewArray(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &hs[0], nil
+}
+
+// NewArray builds n translation hierarchies of one configuration, every
+// level's columns carved from one slab.
+func NewArray(cfg HierarchyConfig, n int) ([]Hierarchy, error) {
 	if err := cfg.DTLB.Validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.STLB.Validate(); err != nil {
 		return nil, err
 	}
-	return &Hierarchy{cfg: cfg,
-		dtlb: NewTagArray(cfg.DTLB.Entries/cfg.DTLB.Ways, cfg.DTLB.Ways),
-		stlb: NewTagArray(cfg.STLB.Entries/cfg.STLB.Ways, cfg.STLB.Ways)}, nil
+	dSets, sSets := cfg.DTLB.Entries/cfg.DTLB.Ways, cfg.STLB.Entries/cfg.STLB.Ways
+	hs := make([]Hierarchy, n)
+	slab := make([]uint64, n*(TagArrayWords(dSets, cfg.DTLB.Ways)+TagArrayWords(sSets, cfg.STLB.Ways)))
+	for i := range hs {
+		hs[i] = Hierarchy{cfg: cfg,
+			dtlb: CarveTagArray(&slab, dSets, cfg.DTLB.Ways),
+			stlb: CarveTagArray(&slab, sSets, cfg.STLB.Ways)}
+	}
+	return hs, nil
 }
 
 // MustNew panics on config errors.
