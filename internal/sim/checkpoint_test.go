@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -40,9 +41,15 @@ func scoredArm() Config {
 	return cfg
 }
 
-// imageDigestSteps is how far TestCheckpointImageDigests runs each arm before
-// it saves.
-const imageDigestSteps = 3000
+// imageDigestCycle is the simulated cycle at which TestCheckpointImageDigests
+// saves each arm. It is a cycle, not a step count, so a change to the loop's
+// own work alone moves no pin. The arms in imageDigestWarmed have passed the
+// warm-up barrier by then, so the pins also hold measurement state.
+const imageDigestCycle = 8000
+
+// imageDigestWarmed names the arms that must be past the warm-up barrier at
+// imageDigestCycle.
+var imageDigestWarmed = []string{"clip", "dynclip", "spac"}
 
 // imagePin is what testdata/images.json holds of one arm's image: its
 // sha256, its length, and the bytes of each section (tag, length prefix and
@@ -54,7 +61,7 @@ type imagePin struct {
 }
 
 // TestCheckpointImageDigests pins the image bytes of every mechanism section
-// offline: each checkpointMatrix arm, stepped a fixed count and saved, must
+// offline: each checkpointMatrix arm, run to imageDigestCycle and saved, must
 // hash as testdata/images.json records at snapshot.Version. Re-record it
 // (-update) only with a Version bump, or together with the other goldens for
 // an intended change of behaviour.
@@ -65,8 +72,13 @@ func TestCheckpointImageDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		maxCycles := s.MaxCycles()
-		for k := 0; k < imageDigestSteps && s.Step(maxCycles); k++ {
+		for s.Step(imageDigestCycle) {
+		}
+		if s.cycle != imageDigestCycle || s.hung != nil {
+			t.Fatalf("%s: stopped at cycle %d, not %d (hung: %v)", name, s.cycle, imageDigestCycle, s.hung)
+		}
+		if slices.Contains(imageDigestWarmed, name) && !s.warmed {
+			t.Fatalf("%s: not past the warm-up barrier at cycle %d", name, imageDigestCycle)
 		}
 		image, err := s.SaveState()
 		if err != nil {
