@@ -109,6 +109,7 @@ func addCache(dst *cache.Stats, src *cache.Stats) {
 	dst.Writebacks += src.Writebacks
 	dst.Evictions += src.Evictions
 	dst.MSHRFullEvents += src.MSHRFullEvents
+	dst.OrphanFills += src.OrphanFills
 	dst.DemandMissLatency.Merge(src.DemandMissLatency)
 }
 

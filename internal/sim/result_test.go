@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"clip/internal/cache"
+	"clip/internal/core"
 )
 
 func TestResultDerivedMetrics(t *testing.T) {
@@ -48,4 +52,69 @@ func TestICacheStatsDerived(t *testing.T) {
 	if hr := s.HitRate(); hr != 0.95 {
 		t.Fatalf("hit rate %v", hr)
 	}
+}
+
+// fillCounters sets every uint64 reachable from v (fields, array
+// elements, nested structs) to a distinct nonzero value, starting at *next.
+func fillCounters(v reflect.Value, next *uint64) {
+	switch v.Kind() {
+	case reflect.Uint64:
+		v.SetUint(*next)
+		*next++
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillCounters(v.Field(i), next)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillCounters(v.Index(i), next)
+		}
+	}
+}
+
+// checkAggregated requires every uint64 of sum to be twice the
+// same one of one: a sum of two copies. A field named Max is a maximum, so
+// it must equal one's.
+func checkAggregated(t *testing.T, path string, sum, one reflect.Value) {
+	t.Helper()
+	switch sum.Kind() {
+	case reflect.Uint64:
+		want := 2 * one.Uint()
+		if strings.HasSuffix(path, ".Max") {
+			want = one.Uint()
+		}
+		if sum.Uint() != want {
+			t.Errorf("%s aggregates to %d, want %d", path, sum.Uint(), want)
+		}
+	case reflect.Struct:
+		for i := 0; i < sum.NumField(); i++ {
+			checkAggregated(t, path+"."+sum.Type().Field(i).Name, sum.Field(i), one.Field(i))
+		}
+	case reflect.Array:
+		for i := 0; i < sum.Len(); i++ {
+			checkAggregated(t, fmt.Sprintf("%s[%d]", path, i), sum.Index(i), one.Index(i))
+		}
+	default:
+		t.Errorf("%s: kind %s is not a counter; teach this test how it aggregates", path, sum.Kind())
+	}
+}
+
+// TestAggregationCoversEveryCounter: addCache and addClip sum every counter
+// of a cache.Stats and a core.Stats into a Result, so a counter added to
+// either cannot read zero in the Result.
+func TestAggregationCoversEveryCounter(t *testing.T) {
+	next := uint64(1)
+	var c cache.Stats
+	fillCounters(reflect.ValueOf(&c).Elem(), &next)
+	var cacheSum cache.Stats
+	addCache(&cacheSum, &c)
+	addCache(&cacheSum, &c)
+	checkAggregated(t, "cache.Stats", reflect.ValueOf(cacheSum), reflect.ValueOf(c))
+
+	var k core.Stats
+	fillCounters(reflect.ValueOf(&k).Elem(), &next)
+	var clipSum core.Stats
+	addClip(&clipSum, &k)
+	addClip(&clipSum, &k)
+	checkAggregated(t, "core.Stats", reflect.ValueOf(clipSum), reflect.ValueOf(k))
 }
