@@ -27,17 +27,6 @@ import (
 	"clip/internal/table"
 )
 
-// TraceLine, when nonzero, logs every lifecycle event of one cache line
-// through every cache instance (bring-up / debugging aid).
-var TraceLine mem.Addr
-
-func (c *Cache) trace(event string, req *mem.Request) {
-	if TraceLine != 0 && req.Addr.Line() == TraceLine {
-		fmt.Printf("  [%s cy%d] %s type=%v owned=%v fill=%v\n",
-			c, c.cycle, event, req.Type, req.Owned, req.FillLevel)
-	}
-}
-
 // Lower is the next level down (another cache, a NoC adapter, or DRAM). The
 // request is fully consumed during the call (copied if queued); callees must
 // not retain the pointer.
@@ -435,14 +424,11 @@ func (c *Cache) OnPFEvict(f func(i int, trigger uint64, addr mem.Addr)) {
 func (c *Cache) Issue(req *mem.Request) bool {
 	if c.Full() {
 		if req.Type == mem.Prefetch && !req.Owned {
-			c.trace("issue-drop-pf", req)
 			c.stats.PFDropped++
 			return true
 		}
-		c.trace("issue-refused", req)
 		return false
 	}
-	c.trace("issue-accept", req)
 	// The request arrives next cycle; the tag lookup then takes Latency.
 	c.inQ.Push(queued{req: *req, ready: c.cycle + 1 + c.cfg.Latency})
 	if req.Type == mem.Prefetch && req.FillLevel == mem.LevelNone {
@@ -515,25 +501,6 @@ func (c *Cache) MSHRFree() int { return c.cfg.MSHRs - c.MSHRInUse() }
 
 // InQLen returns the input queue occupancy.
 func (c *Cache) InQLen() int { return c.inQ.Len() }
-
-// DebugMSHRs lists occupied MSHR line addresses with waiter counts and ages.
-func (c *Cache) DebugMSHRs(now uint64) string {
-	out := ""
-	for i := c.mshrValid.First(); i >= 0; i = c.mshrValid.Next(i + 1) {
-		out += fmt.Sprintf("[%x w%d pf%v age%d]",
-			uint64(c.mshrLine[i]), c.waitCount(i), c.mshrPF.Test(i), now-c.mshrFirst[i])
-	}
-	return out
-}
-
-// DebugInQ summarises queued request types.
-func (c *Cache) DebugInQ() string {
-	out := ""
-	for i := 0; i < c.inQ.Len(); i++ {
-		out += fmt.Sprintf("%d", int(c.inQ.At(i).req.Type))
-	}
-	return out
-}
 
 func (c *Cache) index(addr mem.Addr) (set int, tag uint64) {
 	lineID := addr.LineID()
@@ -750,7 +717,6 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 
 	if w := c.findWay(set, tag); w >= 0 {
 		// Hit.
-		c.trace("hit", req)
 		c.policy.OnHit(set, w)
 		wbit := uint64(1) << uint(w)
 		hitPF := c.pfBits[set]&wbit != 0
@@ -800,7 +766,6 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 	// as the old first-match entry scan.
 	lineAddr := req.Addr.Line()
 	if i := c.mshrFind(lineAddr); i >= 0 {
-		c.trace("mshr-merge", req)
 		if req.Type == mem.Prefetch && !req.Owned {
 			return true // already being fetched; fresh prefetch discarded
 		}
@@ -818,11 +783,9 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 	if idx < 0 {
 		c.stats.MSHRFullEvents++
 		if req.Type == mem.Prefetch && !req.Owned {
-			c.trace("mshr-full-drop-pf", req)
 			c.stats.PFDropped++
 			return true // drop prefetch, don't block
 		}
-		c.trace("mshr-full-block", req)
 		c.headMSHR = true
 		return false
 	}
@@ -836,15 +799,12 @@ func (c *Cache) lookup(req *mem.Request, first bool) bool {
 	}
 	if !c.lower.Issue(&c.down) {
 		if req.Type == mem.Prefetch && !req.Owned {
-			c.trace("lower-busy-drop-pf", req)
 			c.stats.PFDropped++
 			return true
 		}
-		c.trace("lower-busy-block", req)
 		c.headLow = mem.WatchRefusal(c.staller, &c.down)
 		return false // lower busy: retry once it frees a slot
 	}
-	c.trace("mshr-alloc", req)
 	if invariant.Enabled {
 		invariant.Check(!c.mshrValid.Test(idx) && c.waitHead[idx] < 0,
 			"cache %v: allocating live MSHR %d (line %x, %d waiters)",
@@ -879,7 +839,6 @@ func (c *Cache) Fill(resp *mem.Response) {
 	// head's verdict, so it retries on the next Tick.
 	c.headMSHR, c.headLow = false, mem.Watch{}
 	lineAddr := resp.Req.Addr.Line()
-	c.trace("fill", &resp.Req)
 	if i := c.mshrFind(lineAddr); i >= 0 {
 		// A prefetch-allocated MSHR that gathered demand waiters delivers to
 		// them; the fill is then counted as late-useful at respond time.

@@ -71,9 +71,6 @@ func (p *Perceptron) Update(taken, predicted bool) {
 	}
 }
 
-// History exposes the low bits of the global history (used by tests).
-func (p *Perceptron) History() uint64 { return p.history }
-
 func abs32(v int32) int32 {
 	if v < 0 {
 		return -v

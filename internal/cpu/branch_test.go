@@ -82,8 +82,8 @@ func TestPerceptronHistoryShift(t *testing.T) {
 	p.Update(true, pred)
 	pred = p.Predict(1)
 	p.Update(false, pred)
-	if p.History()&0b11 != 0b10 {
-		t.Fatalf("history low bits = %b, want 10", p.History()&0b11)
+	if p.history&0b11 != 0b10 {
+		t.Fatalf("history low bits = %b, want 10", p.history&0b11)
 	}
 }
 
