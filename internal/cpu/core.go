@@ -14,11 +14,12 @@
 //
 // The ROB is a structure of arrays: the per-slot flags live in []uint64
 // bitmaps (valid/done/issued/chain plus the pending- and ready-load sets) and
-// the payload fields in flat columns, so retire consumes contiguous done-runs
-// with one word scan, dispatch fills slots in per-kind spans between branches,
-// and completeALU drains a wheel bucket by walking its slot chain and setting
-// done bits directly. See DESIGN.md §10 for the layout and the staleness
-// proofs the fast paths rely on.
+// the payload fields in flat columns, and dispatch fills slots in per-kind
+// spans between branches. A non-load instruction needs no completion event:
+// dispatch writes its completion cycle, and it is done once the core's clock
+// has reached that cycle (done). Retirement is in order, so only the head's
+// completion cycle bounds the core's horizon. See DESIGN.md §10 for the
+// layout.
 package cpu
 
 import (
@@ -171,7 +172,9 @@ type Core struct {
 	// slot into []uint64 words (bit i of word i/64 is slot i):
 	//
 	//	validW  — slot holds a dispatched, un-retired instruction
-	//	doneW   — instruction has completed execution
+	//	doneW   — instruction has completed: a load's response returned, or a
+	//	          store or a load the full LQ turned away was dispatched; a
+	//	          non-load's bit is set when it retires or is saved (see done)
 	//	issuedW — load was sent to the L1D (diagnostics/invariants only)
 	//	chainW  — load was data-dependent on an older load (RetireEvent)
 	//	pendW   — load sits in the load queue waiting to issue
@@ -185,8 +188,8 @@ type Core struct {
 	// machine types; accessors cast at the use site. depCol records the
 	// producer slot a load was *blocked on* at dispatch (-1 otherwise);
 	// childCol is the inverse link used by CompleteLoad to wake the single
-	// dependent. doneAt is the completion cycle of a non-load slot, written
-	// when it is filed on the timing wheel.
+	// dependent. doneAt is the completion cycle of a non-load slot, written at
+	// dispatch.
 	validW, doneW, issuedW, chainW []uint64
 	pendW, readyW                  []uint64
 	ipCol                          []uint64
@@ -220,35 +223,6 @@ type Core struct {
 	finishCycle     uint64 // cycle the budget was reached (0 = not yet)
 	outstanding     int    // loads in flight
 	lastLoadSlot    int    // youngest load's ROB slot (for dependence)
-
-	// The timing wheel schedules non-load completions without scanning the
-	// ROB. It is intrusive and slot-indexed: a valid, un-done non-load slot is
-	// on exactly one chain, linked through wheelNext (-1 ends a chain) —
-	// bucket doneAt[slot] mod wheelSize, headed by wheelHead, or the overflow
-	// chain when its completion lies beyond the wheel horizon. A slot needs
-	// no sequence number: a non-load slot's done bit is only ever set by
-	// draining its own chain entry, and an un-done slot cannot retire, so the
-	// slot cannot be reallocated before the entry fires (completeALU asserts
-	// this under -tags clipdebug). A drain only ORs done bits, so the order of
-	// a chain is unobservable — which makes the chains, and every field of
-	// this group, rebuilt state: State saves doneAt and refiles.
-	wheelNext    []int32
-	wheelHead    [wheelSize]int32
-	overflowHead int32
-	// overflowLive counts the overflow chain and overflowMin is its earliest
-	// doneAt (NoEvent when empty): completeALU refiles overflow slots into
-	// the wheel eagerly the moment they come within the horizon, and
-	// NextEvent derives a real deadline instead of forcing per-cycle ticking
-	// while any exist.
-	overflowLive int
-	overflowMin  uint64
-
-	// wheelLive counts slots filed and not yet drained (wheel + overflow);
-	// earliestWheel is a monotone lower bound on the earliest live entry's
-	// completion cycle. Together they bound the core's wakeup horizon without
-	// scanning buckets.
-	wheelLive     int
-	earliestWheel uint64
 
 	// wake is set by CompleteLoad: any cached quiescence horizon is stale
 	// (a returned producer can unblock a dependent load) and the core must
@@ -335,7 +309,7 @@ func NewCores(cfg Config, gens []trace.Generator, ports []MemoryPort, budget uin
 	cs := make([]Core, n)
 	u64 := make([]uint64, n*(6*words+4*size))
 	u8 := make([]uint8, n*2*size)
-	i32 := make([]int32, n*3*size)
+	i32 := make([]int32, n*2*size)
 	weights := make([]int8, n*pcptTables*pcptEntries)
 	for i := range cs {
 		if gens[i] == nil || ports[i] == nil {
@@ -344,18 +318,14 @@ func NewCores(cfg Config, gens []trace.Generator, ports []MemoryPort, budget uin
 		c := &cs[i]
 		c.cfg, c.id, c.gen, c.port = cfg, i, gens[i], ports[i]
 		c.robSize, c.pendHead, c.budget, c.lastLoadSlot = size, -1, budget, -1
-		c.overflowHead, c.overflowMin = -1, mem.NoEvent
 		c.bp.carve(&weights)
-		for k := range c.wheelHead {
-			c.wheelHead[k] = -1
-		}
 		c.staller, _ = c.port.(mem.Staller)
 		c.validW, c.doneW, c.issuedW = mem.Carve(&u64, words), mem.Carve(&u64, words), mem.Carve(&u64, words)
 		c.chainW, c.pendW, c.readyW = mem.Carve(&u64, words), mem.Carve(&u64, words), mem.Carve(&u64, words)
 		c.ipCol, c.addrCol = mem.Carve(&u64, size), mem.Carve(&u64, size)
 		c.stallCol, c.doneAt = mem.Carve(&u64, size), mem.Carve(&u64, size)
 		c.opCol, c.servedCol = mem.Carve(&u8, size), mem.Carve(&u8, size)
-		c.depCol, c.childCol, c.wheelNext = mem.Carve(&i32, size), mem.Carve(&i32, size), mem.Carve(&i32, size)
+		c.depCol, c.childCol = mem.Carve(&i32, size), mem.Carve(&i32, size)
 		for k := range c.depCol {
 			c.depCol[k] = -1
 			c.childCol[k] = -1
@@ -368,9 +338,6 @@ func NewCores(cfg Config, gens []trace.Generator, ports []MemoryPort, budget uin
 func bitOf(w []uint64, i int) bool { return w[i>>6]&(1<<uint(i&63)) != 0 }
 func setBit(w []uint64, i int)     { w[i>>6] |= 1 << uint(i&63) }
 func clearBit(w []uint64, i int)   { w[i>>6] &^= 1 << uint(i&63) }
-
-// ID returns the core id.
-func (c *Core) ID() int { return c.id }
 
 // Stats returns a pointer to the live counters.
 func (c *Core) Stats() *Stats { return &c.stats }
@@ -421,20 +388,26 @@ func (c *Core) OnRetire(f func(*RetireEvent)) { c.onRetire = f }
 // ROBOccupancy returns the number of valid ROB entries.
 func (c *Core) ROBOccupancy() int { return c.count }
 
+// done reports whether the instruction in slot has completed by the core's
+// clock: its done bit is set, or it is a non-load whose completion cycle has
+// come.
+func (c *Core) done(slot int) bool {
+	return bitOf(c.doneW, slot) || trace.Op(c.opCol[slot]) != trace.OpLoad && c.doneAt[slot] <= c.cycle
+}
+
 // HeadStalled reports whether the ROB head is an incomplete instruction —
 // the paper's "ROB stall flag".
 func (c *Core) HeadStalled() bool {
-	return c.count > 0 && !bitOf(c.doneW, c.head)
+	return c.count > 0 && !c.done(c.head)
 }
 
-// Tick advances the core one cycle: retire, complete ALU work, issue pending
-// loads, then fetch/dispatch.
+// Tick advances the core one cycle: retire, issue pending loads, then
+// fetch/dispatch.
 func (c *Core) Tick(cycle uint64) {
 	c.cycle = cycle
 	c.stats.Cycles++
 	c.wake = false
 
-	c.completeALU()
 	c.accountStall()
 	c.retire()
 	c.issueLoads()
@@ -448,23 +421,24 @@ func (c *Core) Tick(cycle uint64) {
 // on outstanding memory responses.
 //
 // The horizon is sound because every per-cycle action of Tick is covered:
-// completeALU fires no earlier than earliestWheel (a lower bound on live
-// wheel *and overflow* entries — schedule folds both before choosing where
-// to file), retire and dispatch need the conditions checked here, and
-// issueLoads can only act when readyCount > 0 — which makes the core
-// runnable unless the issue-stall memo proves the attempt repeats: the port
-// refused the load and has freed no slot since (Woken reports the slot), or
-// no ready load sits inside the scan window.
+// retire is in order, so only the head's completion can enable it — a load's
+// arrives through CompleteLoad, a non-load's at its doneAt; a completion
+// behind the head enables nothing (loads wait only on loads, and the
+// ROB-stall flag samples the head). Dispatch needs the conditions checked
+// here, and issueLoads can only act when readyCount > 0 — which makes the
+// core runnable unless the issue-stall memo proves the attempt repeats: the
+// port refused the load and has freed no slot since (Woken reports the
+// slot), or no ready load sits inside the scan window.
 func (c *Core) NextEvent(now uint64) uint64 {
 	if c.count == 0 || bitOf(c.doneW, c.head) {
 		return now // retire and/or dispatch can proceed immediately
 	}
 	next := mem.NoEvent
-	if c.wheelLive > 0 {
-		if c.earliestWheel <= now {
+	if trace.Op(c.opCol[c.head]) != trace.OpLoad {
+		if c.doneAt[c.head] <= now {
 			return now
 		}
-		next = c.earliestWheel
+		next = c.doneAt[c.head]
 	}
 	if c.readyCount > 0 && c.stall != issueRefused && c.stall != issueDry {
 		return now // an issuable load goes to the L1 port
@@ -510,7 +484,7 @@ func (c *Core) SkipCycles(from, n uint64) {
 		c.staller.Refused(&c.refused, n)
 	}
 	c.stats.Cycles += n
-	if c.count > 0 && !bitOf(c.doneW, c.head) {
+	if c.HeadStalled() {
 		c.stats.ROBStallCycles += n
 		c.stallCol[c.head] += n
 	}
@@ -528,162 +502,28 @@ func (c *Core) SkipCycles(from, n uint64) {
 // cycle.
 const scanLimit = 16
 
-// wheelSize bounds the scheduling horizon; ALU latencies are <= 250 plus
-// headroom, so 512 slots suffice.
-const wheelSize = 512
-
-// file links slot into the bucket of its completion cycle `at`, which must
-// lie within the wheel horizon. The caller keeps wheelLive and earliestWheel.
-func (c *Core) file(slot int, at uint64) {
-	c.doneAt[slot] = at
-	b := at % wheelSize
-	c.wheelNext[slot] = c.wheelHead[b]
-	c.wheelHead[b] = int32(slot)
-}
-
-// schedule files a completion event for slot at cycle `at`. Dispatch files
-// its spans directly into buckets (latencies are always below the horizon)
-// and updates the live/earliest bookkeeping once per span; this general form
-// also handles beyond-horizon completions via the overflow chain.
-func (c *Core) schedule(slot int, at uint64) {
-	if at <= c.cycle {
-		at = c.cycle + 1
-	}
-	if c.wheelLive == 0 || at < c.earliestWheel {
-		c.earliestWheel = at
-	}
-	c.wheelLive++
-	if at-c.cycle >= wheelSize {
-		c.fileOverflow(slot, at)
-		return
-	}
-	c.file(slot, at)
-}
-
-// fileOverflow links slot, due at `at` beyond the wheel horizon, into the
-// overflow chain.
-func (c *Core) fileOverflow(slot int, at uint64) {
-	if at < c.overflowMin {
-		c.overflowMin = at
-	}
-	c.doneAt[slot] = at
-	c.wheelNext[slot] = c.overflowHead
-	c.overflowHead = int32(slot)
-	c.overflowLive++
-}
-
-// completeALU drains this cycle's wheel bucket by setting done bits directly.
-// The chain's slots are fresh by construction (see wheelNext), so no
-// per-slot revalidation is needed on the fast path.
-func (c *Core) completeALU() {
-	if c.overflowLive > 0 && c.overflowMin-c.cycle < wheelSize {
-		c.refileOverflow()
-	}
-	idx := c.cycle % wheelSize
-	if next := c.wheelHead[idx]; next >= 0 {
-		n := 0
-		for ; next >= 0; n++ {
-			slot := int(next)
-			if invariant.Enabled {
-				// A bucket is reached exactly at its slots' completion cycle;
-				// firing later means the loop skipped past a deadline.
-				invariant.Check(c.doneAt[slot] == c.cycle,
-					"cpu %d: wheel entry for cycle %d fired at %d", c.id, c.doneAt[slot], c.cycle)
-				invariant.Check(bitOf(c.validW, slot) && !bitOf(c.doneW, slot) && trace.Op(c.opCol[slot]) != trace.OpLoad,
-					"cpu %d: stale wheel entry for slot %d", c.id, slot)
-			}
-			c.doneW[slot>>6] |= 1 << uint(slot&63)
-			next = c.wheelNext[slot]
-		}
-		c.wheelLive -= n
-		c.wheelHead[idx] = -1
-	}
-	if c.wheelLive == 0 {
-		c.earliestWheel = mem.NoEvent
-	} else if c.earliestWheel <= c.cycle {
-		if c.wheelLive == c.overflowLive {
-			// Only beyond-horizon completions remain live: the earliest
-			// overflow `at` is the exact next completion deadline, so the
-			// skip loop can jump straight to it (refileOverflow runs before
-			// the bucket drain, so an entry landing in this very cycle's
-			// bucket still fires on time).
-			c.earliestWheel = c.overflowMin
-		} else {
-			// Everything filed at or before this cycle has drained; the bound
-			// stays a valid lower bound on the remaining live entries.
-			c.earliestWheel = c.cycle + 1
-		}
-	}
-	if invariant.Enabled {
-		invariant.Check(c.wheelLive >= 0,
-			"cpu %d: wheel live-entry count went negative (%d)", c.id, c.wheelLive)
-	}
-}
-
-// refileOverflow moves overflow slots that have come within the wheel
-// horizon into their buckets and recomputes the earliest remaining overflow
-// deadline. Slots cannot be stale: they cannot retire before the completion
-// fires (see wheelNext).
-func (c *Core) refileOverflow() {
-	next := c.overflowHead
-	c.overflowHead, c.overflowLive, c.overflowMin = -1, 0, mem.NoEvent
-	for next >= 0 {
-		slot := int(next)
-		next = c.wheelNext[slot]
-		if at := c.doneAt[slot]; at-c.cycle < wheelSize {
-			c.file(slot, at)
-		} else {
-			c.fileOverflow(slot, at)
-		}
-	}
-}
-
 func (c *Core) accountStall() {
-	if c.count > 0 && !bitOf(c.doneW, c.head) {
+	if c.HeadStalled() {
 		c.stats.ROBStallCycles++
 		c.stallCol[c.head]++
 	}
 }
 
-// retire commits up to retireWidth instructions from a contiguous done-run at
-// the ROB head. The run length comes from one word scan of the done bitmap.
+// retire commits up to retireWidth instructions from the run of completed
+// instructions at the ROB head.
 func (c *Core) retire() {
-	limit := min(retireWidth, c.count)
-	if limit == 0 {
-		return
-	}
-	if n := c.doneRun(c.head, limit); n > 0 {
+	if n := c.doneRun(c.head, min(retireWidth, c.count)); n > 0 {
 		c.retireRun(n)
 	}
 }
 
-// doneRun returns the length of the contiguous run of done bits starting at
-// ring position pos, capped at max.
-func (c *Core) doneRun(pos, max int) int {
+// doneRun returns the length of the run of completed instructions starting
+// at ring position pos, capped at limit.
+func (c *Core) doneRun(pos, limit int) int {
 	n := 0
-	for n < max {
-		w := c.doneW[pos>>6] >> uint(pos&63)
-		run := bits.TrailingZeros64(^w)
-		if run == 0 {
-			break
-		}
-		lim := 64 - pos&63
-		if rem := c.robSize - pos; rem < lim {
-			lim = rem
-		}
-		capped := run >= lim
-		if run > lim {
-			run = lim
-		}
-		if n+run >= max {
-			return max
-		}
-		n += run
-		if !capped {
-			break
-		}
-		pos += run
-		if pos == c.robSize {
+	for n < limit && c.done(pos) {
+		n++
+		if pos++; pos == c.robSize {
 			pos = 0
 		}
 	}
@@ -692,8 +532,9 @@ func (c *Core) doneRun(pos, max int) int {
 
 // retireRun commits the n done instructions at the ROB head in program order:
 // stall accounting, one RetireEvent per instruction when anyone listens, and
-// the bit clears run per slot; the retire counters and the budget check are
-// batched over the run.
+// the bitmap updates run per slot; the retire counters and the budget check
+// are batched over the run. A retired slot's done bit stays set until the
+// slot is dispatched again, and images hold it so.
 func (c *Core) retireRun(n int) {
 	listen := c.onRetire != nil
 	slot := c.head
@@ -712,6 +553,7 @@ func (c *Core) retireRun(n int) {
 			c.lastLoadSlot = -1
 		}
 		c.validW[slot>>6] &^= 1 << uint(slot&63)
+		c.doneW[slot>>6] |= 1 << uint(slot&63)
 		slot++
 		if slot == c.robSize {
 			slot = 0
@@ -855,16 +697,13 @@ func (c *Core) nextPending(pos int) int {
 // dispatch fills ROB slots from the instruction batch in per-kind spans:
 // the run of non-branch instructions up to the next branch dispatches as one
 // batch (dispatchSpan), branches are handled individually because a
-// mispredict redirects fetch. Wheel bookkeeping (live count, earliest bound)
-// is committed once per dispatch call rather than per instruction.
+// mispredict redirects fetch.
 func (c *Core) dispatch() {
 	if c.cycle < c.fetchStallUntil {
 		c.stats.FetchStallCycles++
 		return
 	}
 	width := c.cfg.IssueWidth
-	filed := 0
-	minAt := mem.NoEvent
 	for width > 0 && c.count < c.robSize {
 		if c.ipos >= len(c.ibuf) {
 			c.refillIbuf()
@@ -885,39 +724,20 @@ func (c *Core) dispatch() {
 			span++
 		}
 		if span > 0 {
-			f, m := c.dispatchSpan(buf[:span])
-			filed += f
-			if m < minAt {
-				minAt = m
-			}
+			c.dispatchSpan(buf[:span])
 			width -= span
 		}
 		if span < k {
-			at, redirect := c.dispatchBranch(&buf[span])
-			filed++
-			if at < minAt {
-				minAt = at
-			}
 			width--
-			if redirect {
+			if c.dispatchBranch(&buf[span]) {
 				break // stop dispatching this cycle: fetch redirect
 			}
 		}
 	}
-	if filed > 0 {
-		if c.wheelLive == 0 || minAt < c.earliestWheel {
-			c.earliestWheel = minAt
-		}
-		c.wheelLive += filed
-	}
 }
 
-// dispatchSpan enters a run of non-branch instructions into the ROB,
-// returning the number of wheel entries filed and their earliest completion
-// cycle (the caller commits the wheel bookkeeping once per dispatch).
-func (c *Core) dispatchSpan(buf []trace.Instr) (int, uint64) {
-	filed := 0
-	minAt := mem.NoEvent
+// dispatchSpan enters a run of non-branch instructions into the ROB.
+func (c *Core) dispatchSpan(buf []trace.Instr) {
 	slot := c.tail
 	for i := range buf {
 		ins := &buf[i]
@@ -952,18 +772,7 @@ func (c *Core) dispatchSpan(buf []trace.Instr) (int, uint64) {
 				c.recheckRefusal()
 			}
 		default: // ALU
-			lat := uint64(ins.ExecLat)
-			if lat == 0 {
-				lat = 1
-			}
-			// Latencies are always below the wheel horizon (ExecLat <= 255 <
-			// wheelSize), so file straight into the bucket.
-			at := c.cycle + lat
-			c.file(slot, at)
-			filed++
-			if at < minAt {
-				minAt = at
-			}
+			c.doneAt[slot] = c.cycle + max(uint64(ins.ExecLat), 1)
 		}
 		slot++
 		if slot == c.robSize {
@@ -973,12 +782,12 @@ func (c *Core) dispatchSpan(buf []trace.Instr) (int, uint64) {
 	c.tail = slot
 	c.count += len(buf)
 	c.ipos += len(buf)
-	return filed, minAt
 }
 
-// dispatchBranch enters one branch, returning its wheel completion cycle and
-// whether a mispredict redirected fetch (ending this cycle's dispatch).
-func (c *Core) dispatchBranch(ins *trace.Instr) (uint64, bool) {
+// dispatchBranch enters one branch, which completes the next cycle, and
+// reports whether a mispredict redirected fetch (ending this cycle's
+// dispatch).
+func (c *Core) dispatchBranch(ins *trace.Instr) bool {
 	if c.fetchCheck != nil {
 		if blk := ins.IP >> 6; blk != c.lastBlock {
 			c.lastBlock = blk
@@ -1000,14 +809,13 @@ func (c *Core) dispatchBranch(ins *trace.Instr) (uint64, bool) {
 	pred := c.bp.Predict(ins.IP)
 	c.bp.Update(ins.Taken, pred)
 	c.BranchHist = c.BranchHist<<1 | b2u(ins.Taken)
-	at := c.cycle + 1
-	c.file(slot, at)
+	c.doneAt[slot] = c.cycle + 1
 	if pred != ins.Taken {
 		c.stats.Mispredicts++
 		c.fetchStallUntil = c.cycle + mispredictPenalty
-		return at, true
+		return true
 	}
-	return at, false
+	return false
 }
 
 // initSlot resets slot's bitmap bits and fills the payload columns common to
@@ -1073,7 +881,7 @@ func (c *Core) CompleteLoad(resp *mem.Response) {
 	// Sample the ROB-stall flag before completing the load: the paper checks
 	// the flag at the moment the response arrives, and the stalled head is
 	// most often this very load.
-	stalled := c.count > 0 && !bitOf(c.doneW, c.head)
+	stalled := c.HeadStalled()
 	atHead := c.count > 0 && c.head == slot
 	setBit(c.doneW, slot)
 	c.servedCol[slot] = uint8(resp.ServedBy)
@@ -1159,6 +967,6 @@ func (c *Core) DebugHead() string {
 	}
 	h := c.head
 	return fmt.Sprintf("slot=%d op=%v ip=%#x addr=%#x done=%v issued=%v dep=%d pendingLoads=%d outstanding=%d",
-		h, trace.Op(c.opCol[h]), c.ipCol[h], c.addrCol[h], bitOf(c.doneW, h), bitOf(c.issuedW, h),
+		h, trace.Op(c.opCol[h]), c.ipCol[h], c.addrCol[h], c.done(h), bitOf(c.issuedW, h),
 		c.depCol[h], c.pendLen, c.outstanding)
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -68,40 +69,65 @@ type coreObs struct {
 	Occupancy   int
 }
 
+// driven is what one driveCore run leaves: the core's observable state and
+// its final image, how many cycles it ticked and how many it ran.
+type driven struct {
+	obs           coreObs
+	image         []byte
+	ticks, cycles uint64
+}
+
 // driveCore runs one core to budget exhaustion. With skip=false it ticks
 // every cycle; with skip=true it uses NextEvent/SkipCycles exactly like the
 // simulation loop (folding the memory model's response deadlines into the
 // horizon and honouring the Woken flag). The two executions must be
-// indistinguishable.
-func driveCore(t *testing.T, cfg Config, gcfg trace.Config, fm *skipMem, budget, maxCycles uint64, fetchStall uint64, skip bool) (coreObs, uint64) {
+// indistinguishable. At the first cycle at or after each of restoreAt, the
+// core is saved and the image loaded into a fresh core, which carries on
+// through the same memory model (its in-flight responses are what the
+// memory system saves).
+func driveCore(t *testing.T, cfg Config, gcfg trace.Config, fm *skipMem, budget, maxCycles uint64, fetchStall uint64, skip bool, restoreAt []uint64) driven {
 	t.Helper()
-	gen, err := trace.New(gcfg)
-	if err != nil {
-		t.Fatal(err)
+	build := func() *Core {
+		gen, err := trace.New(gcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core, err := New(0, cfg, gen, fm, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fetchStall > 0 {
+			core.SetFetchChecker(func(_ int, ip uint64) uint64 {
+				if ip%7 == 0 {
+					return fetchStall
+				}
+				return 0
+			})
+		}
+		fm.core = core
+		return core
 	}
-	core, err := New(0, cfg, gen, fm, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm.core = core
+	core := build()
 	fm.inflight = fm.inflight[:0]
 	fm.issued = 0
-	if fetchStall > 0 {
-		core.SetFetchChecker(func(_ int, ip uint64) uint64 {
-			if ip%7 == 0 {
-				return fetchStall
-			}
-			return 0
-		})
-	}
 	cy, ticks := uint64(0), uint64(0)
 	for cy < maxCycles && !core.Finished() {
+		if len(restoreAt) > 0 && cy >= restoreAt[0] {
+			img := saveCore(t, core)
+			core = build()
+			if err := loadCore(t, core, img); err != nil {
+				t.Fatalf("cycle %d: %v", cy, err)
+			}
+			for len(restoreAt) > 0 && cy >= restoreAt[0] {
+				restoreAt = restoreAt[1:]
+			}
+		}
 		core.Tick(cy)
 		fm.tick(cy)
 		cy++
 		ticks++
-		if !skip || core.Woken() {
-			continue
+		if !skip || core.Woken() || core.Finished() {
+			continue // like the simulation loop, no skip past the last Tick
 		}
 		next := core.NextEvent(cy)
 		if rn := fm.nextDone(); rn < next {
@@ -118,7 +144,10 @@ func driveCore(t *testing.T, cfg Config, gcfg trace.Config, fm *skipMem, budget,
 	if !core.Finished() {
 		t.Fatalf("core did not finish in %d cycles (skip=%v): retired %d", maxCycles, skip, core.Stats().Retired)
 	}
-	return observeCore(core), ticks
+	if len(restoreAt) > 0 {
+		t.Fatalf("run ended at cycle %d before its restore at %d", cy, restoreAt[0])
+	}
+	return driven{observeCore(core), saveCore(t, core), ticks, cy}
 }
 
 // observeCore captures a core's externally observable state.
@@ -136,9 +165,11 @@ func observeCore(c *Core) coreObs {
 // TestHorizonSkipEquivalence is the core-level horizon soundness property:
 // for a matrix of workload shapes, memory latencies, backpressure patterns
 // and core geometries, a NextEvent/SkipCycles-driven execution must produce
-// byte-identical stats to the strict per-cycle loop. Before this test,
-// horizon soundness was only exercised indirectly through the sim-level skip
-// matrix.
+// byte-identical stats to the strict per-cycle loop. Each run is repeated
+// with a save and a restore into a fresh core at three cycles, and must end
+// with the same stats and the same image. The alu-bound arm keeps the head
+// on ALU work due up to 250 cycles out; restored-far-head restores a head
+// due 10,000 cycles ahead.
 func TestHorizonSkipEquivalence(t *testing.T) {
 	type arm struct {
 		name       string
@@ -161,6 +192,14 @@ func TestHorizonSkipEquivalence(t *testing.T) {
 		FootprintLines: 2048, LoadFrac: 0.4, StoreFrac: 0.05, BranchFrac: 0.1,
 		BranchMispredictRate: 0.02, ExecLatMean: 1,
 	}
+	// ALU latencies 1..250 (the generator's cap) and few loads: the head is
+	// mostly ALU work completing far ahead.
+	alu := trace.Config{
+		Name:           "hz-alu",
+		Sites:          []trace.SiteSpec{{Class: trace.PatStream, StrideLines: 1, Weight: 1}},
+		FootprintLines: 1024, LoadFrac: 0.05, StoreFrac: 0.05, BranchFrac: 0.05,
+		BranchMispredictRate: 0.05, ExecLatMean: 128,
+	}
 	tiny := DefaultConfig()
 	tiny.ROBSize = 48 // not a multiple of 64: exercises the ring-wrap word logic
 	tiny.LQSize = 4   // forces the LQ-full immediate-done path
@@ -172,6 +211,8 @@ func TestHorizonSkipEquivalence(t *testing.T) {
 		{name: "chase-l2-fetchstall", gcfg: chase, cfg: DefaultConfig(), latency: 30, level: mem.LevelL2, fetchStall: 9},
 		{name: "stream-tinyrob", gcfg: stream, cfg: tiny, latency: 120, level: mem.LevelLLC},
 		{name: "chase-tinyrob-backpressure", gcfg: chase, cfg: tiny, latency: 80, level: mem.LevelL2, refuse: 2},
+		{name: "alu-bound", gcfg: alu, cfg: DefaultConfig(), latency: 150, level: mem.LevelLLC},
+		{name: "alu-bound-tinyrob", gcfg: alu, cfg: tiny, latency: 4, level: mem.LevelL1},
 	}
 	for _, a := range arms {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -181,130 +222,98 @@ func TestHorizonSkipEquivalence(t *testing.T) {
 				g := a.gcfg
 				g.Seed = seed
 				const budget, maxCycles = 3000, 5_000_000
-				run := func(skip bool) (coreObs, uint64) {
+				run := func(skip bool, restoreAt ...uint64) driven {
 					fm := &skipMem{latency: a.latency, level: a.level, refuseEvery: a.refuse}
-					return driveCore(t, a.cfg, g, fm, budget, maxCycles, a.fetchStall, skip)
+					return driveCore(t, a.cfg, g, fm, budget, maxCycles, a.fetchStall, skip, restoreAt)
 				}
-				tick, tickN := run(false)
-				skip, skipN := run(true)
-				if !reflect.DeepEqual(tick, skip) {
-					t.Fatalf("skip-driven execution diverges from per-cycle loop:\n tick: %+v\n skip: %+v", tick, skip)
+				tick := run(false)
+				skip := run(true)
+				if !reflect.DeepEqual(tick.obs, skip.obs) {
+					t.Fatalf("skip-driven execution diverges from per-cycle loop:\n tick: %+v\n skip: %+v", tick.obs, skip.obs)
+				}
+				if !bytes.Equal(tick.image, skip.image) {
+					t.Fatalf("skip-driven execution ends in a different image from the per-cycle loop")
+				}
+				at := []uint64{tick.cycles / 4, tick.cycles / 2, tick.cycles * 3 / 4}
+				for _, plain := range []struct {
+					skip bool
+					driven
+				}{{false, tick}, {true, skip}} {
+					restored := run(plain.skip, at...)
+					if !reflect.DeepEqual(plain.obs, restored.obs) {
+						t.Fatalf("skip=%v: restored at %v diverges:\n plain:    %+v\n restored: %+v", plain.skip, at, plain.obs, restored.obs)
+					}
+					if !bytes.Equal(plain.image, restored.image) {
+						t.Fatalf("skip=%v: restored at %v ends in a different image", plain.skip, at)
+					}
 				}
 				// Guard against a vacuous pass: with long memory latencies the
 				// skip arm must have jumped over stall cycles (most of them
 				// absent backpressure; refused issues keep the core awake, so
 				// those arms only need to skip some).
 				if a.latency >= 100 {
-					bound := tickN
+					bound := tick.ticks
 					if a.refuse == 0 {
-						bound = tickN * 7 / 10
+						bound = tick.ticks * 7 / 10
 					}
-					if skipN >= bound {
-						t.Fatalf("skipping never engaged: %d ticks vs %d per-cycle", skipN, tickN)
+					if skip.ticks >= bound {
+						t.Fatalf("skipping never engaged: %d ticks vs %d per-cycle", skip.ticks, tick.ticks)
 					}
 				}
 			})
 		}
 	}
-}
-
-// newManualCore builds a core with one hand-crafted valid, un-done ALU entry
-// in slot 0, for white-box wheel tests that never call Tick.
-func newManualCore(t *testing.T) *Core {
-	t.Helper()
-	gen := trace.MustNew(trace.Config{
-		Name:           "hz-manual",
-		Sites:          []trace.SiteSpec{{Class: trace.PatStream, StrideLines: 1, Weight: 1}},
-		FootprintLines: 64, LoadFrac: 0.1, ExecLatMean: 1,
+	t.Run("restored-far-head", func(t *testing.T) {
+		t.Parallel()
+		testRestoredFarHead(t)
 	})
-	c, err := New(0, DefaultConfig(), gen, &skipMem{latency: 1, level: mem.LevelL1}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setBit(c.validW, 0)
-	c.opCol[0] = uint8(trace.OpALU)
-	c.head, c.tail, c.count = 0, 1, 1
-	return c
 }
 
-// TestOverflowDerivesDeadline is the regression test for the cycle-skipping
-// bug where NextEvent returned `now` whenever any overflow entry existed,
-// defeating skipping for the entire window. With the ROB full (dispatch
-// closed), the horizon must be the earliest overflow completion.
-func TestOverflowDerivesDeadline(t *testing.T) {
-	c := newManualCore(t)
-	c.schedule(0, wheelSize+88) // beyond the horizon: lands in the overflow list
-	if c.overflowLive != 1 || c.overflowMin != wheelSize+88 {
-		t.Fatalf("entry not filed to overflow: len=%d min=%d", c.overflowLive, c.overflowMin)
-	}
-	if c.wheelLive != 1 || c.earliestWheel != wheelSize+88 {
-		t.Fatalf("wheel bookkeeping wrong: live=%d earliest=%d", c.wheelLive, c.earliestWheel)
-	}
-	c.count = c.robSize // pretend full: dispatch closed, nothing else runnable
-	if got := c.NextEvent(1); got != wheelSize+88 {
-		t.Fatalf("NextEvent(1) = %d, want the overflow deadline %d", got, wheelSize+88)
-	}
-}
-
-// TestOverflowRefileExact verifies eager refiling: an overflow entry moves
-// into its wheel bucket as soon as it comes within the horizon — including
-// when the clock lands exactly on its completion cycle — and fires on time.
-func TestOverflowRefileExact(t *testing.T) {
-	for _, land := range []uint64{200, wheelSize + 88} {
-		c := newManualCore(t)
-		at := uint64(wheelSize + 88)
-		c.schedule(0, at)
-		// Jump the clock (as SkipCycles would) and run the completion phase.
-		c.cycle = land
-		c.completeALU()
-		if land < at {
-			// Within horizon but before completion: refiled, not fired.
-			if c.overflowLive != 0 || c.wheelLive != 1 {
-				t.Fatalf("land=%d: not refiled (overflow=%d live=%d)", land, c.overflowLive, c.wheelLive)
-			}
-			if bitOf(c.doneW, 0) {
-				t.Fatalf("land=%d: fired early", land)
-			}
-			c.cycle = at
-			c.completeALU()
+// testRestoredFarHead saves a core whose full ROB holds ALU work, the head
+// due 10,000 cycles ahead and each younger slot one cycle later, and
+// restores it into a fresh core. After the one Tick a restore costs,
+// NextEvent must report exactly the head's cycle; skipped up to it, the
+// head must still be pending, and the Tick at that cycle completes and
+// retires the head alone.
+func testRestoredFarHead(t *testing.T) {
+	newCore := func() *Core {
+		c, err := New(0, DefaultConfig(), trace.MustNew(batchTrace), &skipMem{latency: 1, level: mem.LevelL1}, 1<<40)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bitOf(c.doneW, 0) {
-			t.Fatalf("land=%d: completion did not fire at its cycle", land)
-		}
-		if c.wheelLive != 0 || c.earliestWheel != mem.NoEvent {
-			t.Fatalf("land=%d: wheel not drained (live=%d earliest=%d)", land, c.wheelLive, c.earliestWheel)
-		}
+		return c
 	}
-}
-
-// TestOverflowMixedDeadlines checks that after the nearer of two overflow
-// entries fires, the horizon tightens to the remaining one instead of
-// degrading to per-cycle ticking.
-func TestOverflowMixedDeadlines(t *testing.T) {
-	c := newManualCore(t)
-	setBit(c.validW, 1)
-	c.opCol[1] = uint8(trace.OpALU)
-	c.tail, c.count = 2, 2
-	near, far := uint64(wheelSize+88), uint64(3*wheelSize)
-	c.schedule(0, near)
-	c.schedule(1, far)
-	c.cycle = near
-	c.completeALU()
-	if !bitOf(c.doneW, 0) || bitOf(c.doneW, 1) {
-		t.Fatalf("near entry did not fire alone: done0=%v done1=%v", bitOf(c.doneW, 0), bitOf(c.doneW, 1))
-	}
-	if c.wheelLive != 1 || c.earliestWheel != far {
-		t.Fatalf("horizon did not tighten to the far overflow entry: live=%d earliest=%d want %d",
-			c.wheelLive, c.earliestWheel, far)
+	const saved = 100
+	far := uint64(saved + 10_000)
+	c := newCore()
+	c.cycle = saved
+	for slot := 0; slot < c.robSize; slot++ {
+		c.initSlot(slot, &trace.Instr{Op: trace.OpALU})
+		c.doneAt[slot] = far + uint64(slot)
 	}
 	c.count = c.robSize
-	c.head = 1 // head is the un-done far entry: nothing runnable until it fires
-	if got := c.NextEvent(near + 1); got != far {
-		t.Fatalf("NextEvent = %d, want %d", got, far)
+	c.ibuf = c.ibuf[:0]
+
+	got := newCore()
+	if err := loadCore(t, got, saveCore(t, c)); err != nil {
+		t.Fatal(err)
 	}
-	c.cycle = far
-	c.completeALU()
-	if !bitOf(c.doneW, 1) || c.wheelLive != 0 {
-		t.Fatalf("far entry did not fire: done=%v live=%d", bitOf(c.doneW, 1), c.wheelLive)
+	got.Tick(saved + 1)
+	if got.Woken() || !got.HeadStalled() {
+		t.Fatalf("after one Tick: woken=%v headStalled=%v", got.Woken(), got.HeadStalled())
+	}
+	if next := got.NextEvent(saved + 2); next != far {
+		t.Fatalf("NextEvent = %d, want the head's completion cycle %d", next, far)
+	}
+	got.SkipCycles(saved+2, far-(saved+2))
+	if !got.HeadStalled() || got.Stats().Retired != 0 {
+		t.Fatalf("at cycle %d: headStalled=%v retired=%d, want a pending head", far-1, got.HeadStalled(), got.Stats().Retired)
+	}
+	got.Tick(far)
+	if got.Stats().Retired != 1 || got.head != 1 {
+		t.Fatalf("Tick(%d) retired %d (head now slot %d), want the head alone", far, got.Stats().Retired, got.head)
+	}
+	if want := far - (saved + 1); got.Stats().ROBStallCycles != want {
+		t.Fatalf("ROB stall cycles %d, want %d", got.Stats().ROBStallCycles, want)
 	}
 }

@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"math/bits"
-
 	"clip/internal/mem"
 	"clip/internal/snapshot"
 	"clip/internal/trace"
@@ -17,15 +15,22 @@ import (
 // into the generator itself and allocates nothing; the first dispatch fills
 // the batch there and resumes at the dispatched count. A spent batch saves as
 // the position it ended at with nothing dispatched, so the image depends only
-// on how far the core has dispatched. The timing wheel's chains and the
-// issue-stall memo are rebuilt state and are not saved.
+// on how far the core has dispatched. The done bitmap holds every completed
+// instruction's bit: a saving State first sets the bit of each valid non-load
+// whose completion cycle has come (retire sets it for those it commits), so a
+// non-load saves as done exactly when it has completed. A loaded core needs
+// nothing rebuilt: a non-load's completion is its doneAt. The issue-stall memo
+// is rebuilt state and is not saved.
 
 // State walks the core's architectural and microarchitectural state; loading
 // needs a freshly constructed core of the same configuration.
 func (c *Core) State(s *snapshot.Coder) {
-	if !s.Loading() && len(c.ibuf) > 0 && c.ipos == len(c.ibuf) {
-		// Settle a spent batch: the next one starts where the generator is.
-		c.ibuf, c.ipos = c.ibuf[:0], 0
+	if !s.Loading() {
+		if len(c.ibuf) > 0 && c.ipos == len(c.ibuf) {
+			// Settle a spent batch: the next one starts where the generator is.
+			c.ibuf, c.ipos = c.ibuf[:0], 0
+		}
+		c.markDone()
 	}
 	start := c.gen // the batch's start until one is filled, then its mark
 	if len(c.ibuf) > 0 {
@@ -93,22 +98,18 @@ func (c *Core) State(s *snapshot.Coder) {
 		if pad := c.robSize & 63; pad != 0 && c.validW[len(c.validW)-1]>>uint(pad) != 0 {
 			s.Corrupt("cpu: snapshot marks slots beyond the %d-entry ROB valid", c.robSize)
 		}
-		if s.Err() == nil {
-			c.refileWheel()
-		}
 	}
 }
 
-// refileWheel rebuilds the timing wheel of a freshly constructed core from
-// the loaded columns: the slots with a completion pending are exactly the
-// valid, un-done non-loads, each due at its doneAt.
-func (c *Core) refileWheel() {
-	for wi, w := range c.validW {
-		for w &^= c.doneW[wi]; w != 0; w &= w - 1 {
-			slot := wi<<6 + bits.TrailingZeros64(w)
-			if trace.Op(c.opCol[slot]) != trace.OpLoad {
-				c.schedule(slot, c.doneAt[slot])
-			}
+// markDone sets the done bit of every valid non-load whose completion cycle
+// has come, walking the count valid slots from the head.
+func (c *Core) markDone() {
+	for k, slot := 0, c.head; k < c.count; k++ {
+		if c.done(slot) {
+			setBit(c.doneW, slot)
+		}
+		if slot++; slot == c.robSize {
+			slot = 0
 		}
 	}
 }

@@ -35,10 +35,6 @@ func TestCoreSnapshotManifest(t *testing.T) {
 			"reqBuf", "loadEv", "retireEv",
 			// Rebuilt: the batch, filled at the first dispatch after a load.
 			"ibuf",
-			// Rebuilt: the timing wheel's chains and bounds, refiled by a load
-			// from doneAt over the valid, un-done non-load slots.
-			"wheelNext", "wheelHead", "overflowHead", "overflowLive", "overflowMin",
-			"wheelLive", "earliestWheel",
 			// Memo: the issue-stall verdict, marked stale by a load so one real
 			// Tick re-derives it.
 			"stall", "refused", "refusal",
