@@ -235,10 +235,13 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 
 // NewArray builds n caches of one configuration — one level of the
 // hierarchy, cache i missing to lower(i) — and gives each its index as its
-// id. Every column of every cache is carved from one slab per column type
-// (mem.Carve), so the level costs a fixed handful of allocations whatever n
-// is, and each carved column ends where it does: the waiter pool, the one
-// column that can grow, grows into a new backing array of its own.
+// id. Every column and queue of every cache is carved from one slab per
+// type (mem.Carve), so the level costs a fixed handful of allocations
+// whatever n is, and each carved region ends where it does: what can grow —
+// the waiter pool, and the writeback and response queues past their first
+// mem.RingSlots — grows into a new backing array of its own. The input
+// queue never grows: Issue refuses past Config.InQ, and its ring holds that
+// many rounded up to a power of two.
 func NewArray(cfg Config, n int, lower func(i int) Lower) ([]Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -274,6 +277,10 @@ func NewArray(cfg Config, n int, lower func(i int) Lower) ([]Cache, error) {
 	pfReqs := make([]mem.Request, n*mshrs)
 	waiters := make([]waiter, n*mshrs*perMSHR)
 	ends := make([]int32, n*2*mshrs)
+	inQSlots := 1 << bits.Len(uint(cfg.InQ-1))
+	inQs := make([]queued, n*inQSlots)
+	wbQs := make([]mem.Request, n*mem.RingSlots)
+	respQs := make([]mem.Response, n*mem.RingSlots)
 	for i := range cs {
 		c := &cs[i]
 		c.cfg, c.id, c.lower = cfg, i, lower(i)
@@ -296,6 +303,9 @@ func NewArray(cfg Config, n int, lower func(i int) Lower) ([]Cache, error) {
 		c.waiters = mem.Carve(&waiters, mshrs*perMSHR)
 		c.waitHead, c.waitTail = mem.Carve(&ends, mshrs), mem.Carve(&ends, mshrs)
 		c.resetWaiters()
+		c.inQ.Adopt(mem.Carve(&inQs, inQSlots))
+		c.wbQ.Adopt(mem.Carve(&wbQs, mem.RingSlots))
+		c.respQ = mem.Carve(&respQs, mem.RingSlots)[:0]
 	}
 	return cs, nil
 }
@@ -952,7 +962,7 @@ func (c *Cache) install(req *mem.Request, dirty bool) {
 	c.tags[base+way] = tag<<1 | 1
 	c.validBits[set] |= wbit
 	if c.trigger != nil {
-		c.trigger[base+way] = req.TriggerIP
+		c.trigger[base+way] = req.IP
 	}
 	if dirty {
 		c.dirtyBits[set] |= wbit

@@ -61,7 +61,7 @@ func runRange(c *Cache, d *fakeDRAM, from, to uint64) {
 func run(c *Cache, d *fakeDRAM, cycles uint64) { runRange(c, d, 0, cycles) }
 
 func loadReq(addr mem.Addr, ip uint64, cycle uint64) *mem.Request {
-	return &mem.Request{Addr: addr.Line(), IP: ip, TriggerIP: ip, Type: mem.Load,
+	return &mem.Request{Addr: addr.Line(), IP: ip, Type: mem.Load,
 		IssueCycle: cycle, ROBIndex: 1}
 }
 
@@ -154,7 +154,7 @@ func TestPrefetchFillAndUseful(t *testing.T) {
 	c := MustNew(smallConfig("l1", mem.LevelL1), d)
 	d.sink = c
 	got := collect(c)
-	pf := mem.Request{Addr: 0x3000, IP: 0xB, TriggerIP: 0xB, Type: mem.Prefetch,
+	pf := mem.Request{Addr: 0x3000, IP: 0xB, Type: mem.Prefetch,
 		FillLevel: mem.LevelL1, IssueCycle: 0}
 	c.Issue(&pf)
 	run(c, d, 60)
@@ -183,7 +183,7 @@ func TestLatePrefetchMerge(t *testing.T) {
 	c := MustNew(smallConfig("l1", mem.LevelL1), d)
 	d.sink = c
 	got := collect(c)
-	c.Issue(&mem.Request{Addr: 0x4000, TriggerIP: 0xB, Type: mem.Prefetch,
+	c.Issue(&mem.Request{Addr: 0x4000, IP: 0xB, Type: mem.Prefetch,
 		FillLevel: mem.LevelL1})
 	// Demand arrives while prefetch is still in flight.
 	for cy := uint64(0); cy < 10; cy++ {
@@ -209,7 +209,7 @@ func TestTwoLevelPrefetchPropagation(t *testing.T) {
 	got := collect(l1)
 
 	// L1 prefetch with FillLevel L1 must install in both L1 and L2.
-	l1.Issue(&mem.Request{Addr: 0x5000, TriggerIP: 0xB, Type: mem.Prefetch,
+	l1.Issue(&mem.Request{Addr: 0x5000, IP: 0xB, Type: mem.Prefetch,
 		FillLevel: mem.LevelL1})
 	for cy := uint64(0); cy < 100; cy++ {
 		l1.Tick(cy)

@@ -228,6 +228,6 @@ func (p *Policy) mjFill(set, way int, req *mem.Request) {
 }
 
 func sigOf(req *mem.Request) uint8 {
-	s := mem.Mix64(req.TriggerIP ^ uint64(req.Type)<<56)
+	s := mem.Mix64(req.IP ^ uint64(req.Type)<<56)
 	return uint8(s)
 }

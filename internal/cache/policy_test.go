@@ -91,20 +91,20 @@ func TestMockingjayLiteBypassesDeadSignatures(t *testing.T) {
 	// Train: fill with deadIP, never hit, refill same ways repeatedly.
 	for i := 0; i < 40; i++ {
 		w := i % 4
-		m.OnFill(0, w, &mem.Request{TriggerIP: deadIP, Type: mem.Prefetch})
+		m.OnFill(0, w, &mem.Request{IP: deadIP, Type: mem.Prefetch})
 	}
 	// Now the signature is dead: a new fill should insert at distant RRPV.
-	m.OnFill(0, 0, &mem.Request{TriggerIP: deadIP, Type: mem.Prefetch})
+	m.OnFill(0, 0, &mem.Request{IP: deadIP, Type: mem.Prefetch})
 	if m.rrpv[0] != rrpvMax {
 		t.Fatalf("dead-signature insert rrpv = %d, want %d", m.rrpv[0], rrpvMax)
 	}
 	// A reused signature keeps the default insertion.
 	liveIP := uint64(0x11FE)
 	for i := 0; i < 40; i++ {
-		m.OnFill(0, 1, &mem.Request{TriggerIP: liveIP, Type: mem.Load})
+		m.OnFill(0, 1, &mem.Request{IP: liveIP, Type: mem.Load})
 		m.OnHit(0, 1)
 	}
-	m.OnFill(0, 1, &mem.Request{TriggerIP: liveIP, Type: mem.Load})
+	m.OnFill(0, 1, &mem.Request{IP: liveIP, Type: mem.Load})
 	if m.rrpv[1] == rrpvMax {
 		t.Fatal("live-signature insert bypassed")
 	}

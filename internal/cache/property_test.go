@@ -58,7 +58,7 @@ func TestPropertyNoLostDemands(t *testing.T) {
 			// Store (write-allocate) responses propagate by design; only
 			// loads carry ROB tags to account for.
 			if r.Req.Type == mem.Load {
-				issued[r.Req.ROBIndex]++
+				issued[int(r.Req.ROBIndex)]++
 			}
 		})
 
@@ -70,7 +70,7 @@ func TestPropertyNoLostDemands(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0, 1:
 				req := mem.Request{Addr: addr, IP: rng.Uint64() % 64, Type: mem.Load,
-					IssueCycle: cy, ROBIndex: nextTag}
+					IssueCycle: cy, ROBIndex: int16(nextTag)}
 				if c.Issue(&req) {
 					issued[nextTag] += 0 // mark as accepted
 					accepted++
@@ -133,14 +133,14 @@ func TestPropertyHitAfterFill(t *testing.T) {
 	// Fill 8 distinct lines (exactly the set capacity).
 	for i := 0; i < 8; i++ {
 		c.Issue(&mem.Request{Addr: mem.Addr(i * mem.LineBytes), Type: mem.Load,
-			IssueCycle: cy, ROBIndex: i})
+			IssueCycle: cy, ROBIndex: int16(i)})
 		run(40)
 	}
 	responses = nil
 	// Re-touch all 8: every one must be an L1 hit.
 	for i := 0; i < 8; i++ {
 		c.Issue(&mem.Request{Addr: mem.Addr(i * mem.LineBytes), Type: mem.Load,
-			IssueCycle: cy, ROBIndex: 100 + i})
+			IssueCycle: cy, ROBIndex: int16(100 + i)})
 		run(10)
 	}
 	if len(responses) != 8 {

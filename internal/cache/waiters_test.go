@@ -183,7 +183,7 @@ func TestWaitersMatchNaive(t *testing.T) {
 // merging, plain ones when allocating.
 func stormReq(rng *mem.PRNG, line, cy uint64, alloc bool) mem.Request {
 	req := mem.Request{Addr: mem.Addr(line << mem.LineShift), IP: rng.Uint64() % 64,
-		Type: mem.Load, IssueCycle: cy, ROBIndex: rng.Intn(128)}
+		Type: mem.Load, IssueCycle: cy, ROBIndex: int16(rng.Intn(128))}
 	switch r := rng.Intn(10); {
 	case r < 2:
 		req.Type, req.ROBIndex = mem.Store, -1

@@ -390,18 +390,9 @@ func (c *CLIP) signature(ip uint64, addr mem.Addr, branchHist, critHist uint32) 
 	// as density. Criticality history: a few recent outcomes exact plus the
 	// density of the rest — selective enough to separate criticality
 	// contexts, recurrent enough to match between train and probe time.
-	bhFold := (bh & 0xff) | uint64(popcount(bh>>8))<<8
-	chFold := (ch & 0xf) | uint64(popcount(ch>>4))<<4
+	bhFold := (bh & 0xff) | uint64(bits.OnesCount64(bh>>8))<<8
+	chFold := (ch & 0xf) | uint64(bits.OnesCount64(ch>>4))<<4
 	return mem.Mix64(ip ^ addr.PageID()<<1 ^ bhFold<<14 ^ chFold<<40)
-}
-
-// popcount counts set bits.
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 func (c *CLIP) predIndex(sig uint64) (set int, tag uint8) {
@@ -470,10 +461,11 @@ func (c *CLIP) msbSet(counter uint8) bool {
 // critical instances, down on hits and non-stalling misses (§4.2).
 func (c *CLIP) OnLoadComplete(ev *cpu.LoadEvent) {
 	key := c.key(ev.IP, ev.Addr)
+	sig := c.signature(ev.IP, ev.Addr, ev.BranchHist, ev.CritHist)
 	actual := ev.StalledHead && ev.ServedBy >= c.cfg.CriticalityLevel
 
 	// Score CLIP's own prediction before training (Figures 13/14).
-	predicted := c.predictLoad(ev)
+	predicted := c.predictLoad(key, sig)
 	switch {
 	case predicted && actual:
 		c.stats.PredScore.TruePos++
@@ -510,7 +502,6 @@ func (c *CLIP) OnLoadComplete(ev *cpu.LoadEvent) {
 	// it down. Hits on lines a prefetch brought in are excluded from the
 	// decrement: they are the *success* of criticality-driven prefetching,
 	// and punishing them would make the mechanism disable itself.
-	sig := c.signature(ev.IP, ev.Addr, ev.BranchHist, ev.CritHist)
 	if ev.ServedBy >= mem.LevelL2 && ev.StalledHead {
 		e := c.predLookup(sig, true)
 		if e.counter < counterMax {
@@ -527,14 +518,14 @@ func (c *CLIP) OnLoadComplete(ev *cpu.LoadEvent) {
 	}
 }
 
-// predictLoad evaluates CLIP's criticality prediction for a demand load
-// (used for scoring, mirroring the prefetch-time decision).
-func (c *CLIP) predictLoad(ev *cpu.LoadEvent) bool {
-	e := c.filterLookup(c.key(ev.IP, ev.Addr))
+// predictLoad evaluates CLIP's criticality prediction for a demand load with
+// filter key key and signature sig (used for scoring, mirroring the
+// prefetch-time decision).
+func (c *CLIP) predictLoad(key, sig uint64) bool {
+	e := c.filterLookup(key)
 	if e == nil || e.critCount < c.cfg.CritCountThreshold {
 		return false
 	}
-	sig := c.signature(ev.IP, ev.Addr, ev.BranchHist, ev.CritHist)
 	pe := c.predLookup(sig, false)
 	return pe != nil && c.msbSet(pe.counter)
 }

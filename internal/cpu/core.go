@@ -56,7 +56,7 @@ func DefaultConfig() Config {
 
 // Validate reports sizing errors.
 func (c Config) Validate() error {
-	if c.ROBSize < 4 || c.IssueWidth < 1 || c.LQSize < 1 {
+	if c.ROBSize < 4 || c.ROBSize > mem.MaxID || c.IssueWidth < 1 || c.LQSize < 1 {
 		return fmt.Errorf("cpu: invalid config %+v", c)
 	}
 	return nil
@@ -612,8 +612,8 @@ func (c *Core) issueLoads() {
 		}
 		attempted = true
 		c.reqBuf = mem.Request{
-			Addr: mem.Addr(c.addrCol[pos]).Line(), IP: c.ipCol[pos], TriggerIP: c.ipCol[pos], Core: c.id,
-			Type: mem.Load, IssueCycle: c.cycle, ROBIndex: pos,
+			Addr: mem.Addr(c.addrCol[pos]).Line(), IP: c.ipCol[pos], Core: int16(c.id),
+			Type: mem.Load, IssueCycle: c.cycle, ROBIndex: int16(pos),
 		}
 		if !c.port.Issue(&c.reqBuf) {
 			// L1 saturated: retry next cycle, or sleep until it frees a slot.
@@ -764,7 +764,7 @@ func (c *Core) dispatchSpan(buf []trace.Instr) {
 			c.servedCol[slot] = uint8(mem.LevelL1)
 			c.stats.L1DAccesses++
 			c.reqBuf = mem.Request{
-				Addr: ins.Addr.Line(), IP: ins.IP, TriggerIP: ins.IP, Core: c.id,
+				Addr: ins.Addr.Line(), IP: ins.IP, Core: int16(c.id),
 				Type: mem.Store, IssueCycle: c.cycle, ROBIndex: -1,
 			}
 			c.port.Issue(&c.reqBuf)
@@ -871,7 +871,7 @@ func (c *Core) dispatchLoad(slot int, ins *trace.Instr) {
 // to the processor, check the ROB stall flag and the miss-level flag".
 func (c *Core) CompleteLoad(resp *mem.Response) {
 	c.wake = true
-	slot := resp.Req.ROBIndex
+	slot := int(resp.Req.ROBIndex)
 	if slot < 0 || slot >= c.robSize {
 		return
 	}

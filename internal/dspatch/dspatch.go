@@ -33,7 +33,8 @@ type DSPatch struct {
 	regions *table.Fixed[regionAcc] // active recordings, FIFO replacement
 	table   *table.Fixed[patterns]  // per-signature dual patterns, FIFO
 
-	scratch []prefetch.Candidate // reused; returned slice valid until next Train
+	// scratch is reused; the returned slice is valid until the next Train.
+	scratch [prefetch.MaxCandidates + maxExtra]prefetch.Candidate
 	stats   Stats
 }
 
@@ -158,7 +159,6 @@ func (d *DSPatch) Train(a prefetch.Access) []prefetch.Candidate {
 		added++
 		d.stats.Extra++
 	}
-	d.scratch = out
 	return out
 }
 

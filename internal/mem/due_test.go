@@ -77,7 +77,7 @@ func TestDueQueueMatchesScannedList(t *testing.T) {
 				id++
 				done := max(last[lane], cy+1) + uint64(rng.Intn(3))*5
 				last[lane] = done
-				r := Response{Req: Request{IP: id, Core: lane}, DoneCycle: done}
+				r := Response{Req: Request{IP: id, Core: int16(lane)}, DoneCycle: done}
 				q.Push(lane, &r)
 				list = append(list, r)
 			}
@@ -108,7 +108,7 @@ func TestDueQueueMatchesScannedList(t *testing.T) {
 				t.Fatal(err)
 			}
 			q = NewDueQueue(lanes)
-			q.State(r, func(r *Response) int { return r.Req.Core })
+			q.State(r, func(r *Response) int { return int(r.Req.Core) })
 			if err := r.Done(); err != nil {
 				t.Fatal(err)
 			}

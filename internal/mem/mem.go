@@ -3,7 +3,10 @@
 // and the deterministic PRNG used across the simulator.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Block geometry. The simulator models 64-byte cache lines and 4KB pages,
 // matching the paper's baseline (Table 3).
@@ -89,27 +92,29 @@ func (l Level) String() string {
 	return fmt.Sprintf("Level(%d)", uint8(l))
 }
 
-// Request is a memory request travelling down the hierarchy.
-// Field order packs the word-sized members first and the byte-sized flags
-// last: requests are copied through every queue in the hierarchy, so the
-// struct is kept at 56 bytes rather than the 64 the declaration order with
-// interleaved flags would pad it to.
+// Request is a memory request travelling down the hierarchy. It is copied
+// through every queue of the hierarchy, so it is kept at 40 bytes: the four
+// words first, then the two 16-bit indices and the four byte-sized fields,
+// with no padding.
 type Request struct {
 	Addr Addr   // byte address (line-aligned below L1)
 	IP   uint64 // instruction pointer of the triggering instruction
 
-	// TriggerIP is the demand load IP that trained the prefetcher into
-	// issuing this prefetch. For demand requests it equals IP.
+	// TriggerIP is not read by the simulator and not saved in an image:
+	// the IP that triggered a request, a prefetch's included, is IP.
+	//
+	// Deprecated: use IP. The field stays only so that callers which still
+	// set it compile.
 	TriggerIP uint64
 
 	// IssueCycle is when the request left the core (or prefetcher).
 	IssueCycle uint64
 
 	// Core is the originating core id.
-	Core int
+	Core int16
 
 	// ROBIndex links a demand load back to its ROB entry (-1 otherwise).
-	ROBIndex int
+	ROBIndex int16
 
 	// Type classifies the access: load / store / prefetch / writeback.
 	Type AccessType
@@ -128,11 +133,17 @@ type Request struct {
 	Owned bool
 }
 
-// Response is the answer travelling back up.
+// MaxID bounds the count behind each of a Request's 16-bit indices: the
+// simulator's Config.Validate refuses more cores, and cpu.Config.Validate a
+// larger ROB.
+const MaxID = math.MaxInt16
+
+// Response is the answer travelling back up: a Request and its outcome in
+// 56 bytes, the completion cycle before the three byte-sized fields.
 type Response struct {
 	Req         Request
-	ServedBy    Level  // level that provided the data
 	DoneCycle   uint64 // cycle the data reached the requester
+	ServedBy    Level  // level that provided the data
 	WasPrefetch bool   // serviced by an in-flight or completed prefetch
 	LatePF      bool   // demand merged into a still-in-flight prefetch MSHR
 }

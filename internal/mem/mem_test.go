@@ -3,7 +3,20 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestRecordSizes: a Request is copied through every queue of the
+// hierarchy and a Response through every reply path, so their layouts are
+// pinned: 40 and 56 bytes, no padding but the Response's tail.
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n != 40 {
+		t.Errorf("Request is %d bytes, want 40", n)
+	}
+	if n := unsafe.Sizeof(Response{}); n != 56 {
+		t.Errorf("Response is %d bytes, want 56", n)
+	}
+}
 
 func TestAddrLineAlignment(t *testing.T) {
 	cases := []struct {

@@ -78,11 +78,16 @@ func (r *Ring[T]) Adopt(buf []T) {
 	r.buf, r.head = buf, 0
 }
 
+// RingSlots is the buffer a Ring's first growth allocates, and so the depth
+// a builder carves a queue at when the model leaves the queue unbounded: the
+// queue costs what it did when it grew from nil, paid at construction.
+const RingSlots = 8
+
 // grow doubles the buffer (power-of-two sizes keep the index math mask-based).
 func (r *Ring[T]) grow() {
 	c := len(r.buf) * 2
 	if c == 0 {
-		c = 8
+		c = RingSlots
 	}
 	buf := make([]T, c)
 	for i := 0; i < r.n; i++ {
@@ -100,7 +105,7 @@ func (r *Ring[T]) Grow(n int) {
 	}
 	c := len(r.buf) * 2
 	if c == 0 {
-		c = 8
+		c = RingSlots
 	}
 	for c < n {
 		c *= 2

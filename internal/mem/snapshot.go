@@ -5,7 +5,7 @@ import "clip/internal/snapshot"
 // RequestBytes and ResponseBytes are the encoded sizes of a Request and a
 // Response: what a list of them needs of the stream per element.
 const (
-	RequestBytes  = 6*8 + 4
+	RequestBytes  = 3*8 + 2*2 + 4
 	ResponseBytes = RequestBytes + 1 + 8 + 2
 )
 
@@ -37,14 +37,13 @@ func (r *Ring[T]) State(s *snapshot.Coder, elemSize int, elem func(*T)) {
 	}
 }
 
-// State walks one Request field-for-field.
+// State walks one Request: every field but TriggerIP, which nothing reads.
 func (q *Request) State(s *snapshot.Coder) {
 	s.U64((*uint64)(&q.Addr))
 	s.U64(&q.IP)
-	s.U64(&q.TriggerIP)
 	s.U64(&q.IssueCycle)
-	s.Int(&q.Core)
-	s.Int(&q.ROBIndex)
+	s.I16(&q.Core)
+	s.I16(&q.ROBIndex)
 	s.U8((*uint8)(&q.Type))
 	s.Bool(&q.Critical)
 	s.U8((*uint8)(&q.FillLevel))

@@ -251,21 +251,30 @@ func New(cfg Config) (*Mesh, error) {
 	// Four directed links per node is an upper bound; we address links as
 	// node*4+dir with dir: 0=east 1=west 2=north 3=south.
 	nLinks := cfg.Width * cfg.Height * 4
+	// The packet slab, its free list and the router-stage ring are sized for
+	// steady state up front (past that they still grow): a few packets per
+	// node covers the in-flight population of every benchmark workload, so
+	// the tick phase never reallocates them.
+	slots := mem.RingSlots * cfg.Width * cfg.Height
 	m := &Mesh{
-		cfg: cfg,
-		// The packet slab is sized for steady state up front (appends past
-		// the capacity still grow it): a few packets per node covers the
-		// in-flight population of every benchmark workload, so the tick
-		// phase never reallocates the slab.
-		pkts:  make([]packet, 0, 8*cfg.Width*cfg.Height),
+		cfg:   cfg,
+		pkts:  make([]packet, 0, slots),
+		free:  make([]int32, 0, slots),
 		links: make([]link, nLinks),
 	}
+	m.pending.Adopt(make([]pendingHop, 1<<bits.Len(uint(slots-1))))
 	words := (nLinks + 63) / 64
 	bitmaps := make([]uint64, (2+wheelSize)*words)
 	m.active, m.grant, m.wheel = bitmaps[:words:words], bitmaps[words:2*words:2*words], bitmaps[2*words:]
-	// Every link's VC rings are carved from one array; a ring's buffer is
-	// its own, allocated as it grows.
+	// Every link's VC rings are carved from one array, and their first
+	// mem.RingSlots slots from one slab: a VC's depth is not bounded by the
+	// model, so a ring that outgrows its region grows into a buffer of its
+	// own.
 	vcs := make([]mem.Ring[int32], nLinks*cfg.VCs)
+	ids := make([]int32, nLinks*cfg.VCs*mem.RingSlots)
+	for i := range vcs {
+		vcs[i].Adopt(mem.Carve(&ids, mem.RingSlots))
+	}
 	for i := range m.links {
 		m.links[i].vcs = mem.Carve(&vcs, cfg.VCs)
 		m.links[i].hiVCs = hiVCs

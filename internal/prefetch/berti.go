@@ -45,11 +45,12 @@ type Berti struct {
 	// until measurements accumulate).
 	latencyEst uint64
 
-	// Per-call scratch buffers: Train runs on every demand access, so its
-	// ranking and output slices are reused across calls (the Prefetcher
-	// contract says the returned slice is valid until the next Train).
-	scratchTop []bertiScored
-	scratchOut []Candidate
+	// Per-call scratch: Train runs on every demand access, so it ranks at
+	// most bertiDeltaCap deltas and returns at most its top degree in these
+	// arrays (the Prefetcher contract says the returned slice is valid until
+	// the next Train).
+	scratchTop [bertiDeltaCap]bertiScored
+	scratchOut [bertiBaseDegree + maxBoost]Candidate
 }
 
 type bertiScored struct {
@@ -208,7 +209,6 @@ func (b *Berti) Train(a Access) []Candidate {
 			top = append(top, bertiScored{int64(deltaVal[j]), cov})
 		}
 	}
-	b.scratchTop = top
 	if len(top) == 0 {
 		return nil
 	}
@@ -245,7 +245,6 @@ func (b *Berti) Train(a Access) []Candidate {
 		})
 	}
 	maybeAge(r, acc)
-	b.scratchOut = out
 	return out
 }
 

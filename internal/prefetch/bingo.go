@@ -21,7 +21,7 @@ type Bingo struct {
 	long   *table.Fixed[uint32]      // (IP, full trigger addr) -> footprint bitmap
 	short  *table.Fixed[uint32]      // (IP, offset) -> footprint bitmap
 
-	scratchOut []Candidate // reused; returned slice valid until next Train
+	scratchOut [bingoBaseDegree + maxBoost]Candidate // reused; returned slice valid until next Train
 }
 
 type bingoRegion struct {
@@ -35,6 +35,7 @@ const (
 	bingoRegionLines = 32 // 2KB regions
 	bingoActiveMax   = 64
 	bingoHistoryMax  = 2048
+	bingoBaseDegree  = 8 // footprints are bursty
 )
 
 // newBingos constructs n empty Bingos whose tables are carved per kind.
@@ -94,7 +95,7 @@ func (b *Bingo) Train(a Access) []Candidate {
 		return nil
 	}
 	fp := *fpp
-	degree := degreeFor(8, b.Aggressiveness()) // footprints are bursty
+	degree := degreeFor(bingoBaseDegree, b.Aggressiveness())
 	out := b.scratchOut[:0]
 	for o := 0; o < bingoRegionLines && len(out) < degree; o++ {
 		if fp&(1<<o) == 0 || o == off {
@@ -106,7 +107,6 @@ func (b *Bingo) Train(a Access) []Candidate {
 			Confidence: conf(okLong),
 		})
 	}
-	b.scratchOut = out
 	return out
 }
 

@@ -3,6 +3,7 @@ package prefetch
 import (
 	"testing"
 
+	"clip/internal/invariant"
 	"clip/internal/mem"
 )
 
@@ -145,6 +146,41 @@ func TestBertiFitIsolation(t *testing.T) {
 	for i, w := range bs[1].slab {
 		if w != 7 {
 			t.Fatalf("word %d of Berti 1's slab is %x after Berti 0 grew", i, w)
+		}
+	}
+}
+
+// TestTrainOutputFitsItsArray: at the highest aggressiveness, on streams
+// that make every engine emit its deepest output, Train returns at most
+// MaxCandidates and allocates nothing — the output array each engine
+// carries is as deep as its largest degree.
+func TestTrainOutputFitsItsArray(t *testing.T) {
+	var stream []Access
+	for ip := uint64(1); ip <= 4; ip++ {
+		stream = append(stream, strideStream(ip, mem.Addr(ip<<30), 1, 2500)...)
+		stream = append(stream, strideStream(ip, mem.Addr(ip<<30+1<<24), 3, 300)...)
+	}
+	for _, name := range Names() {
+		p, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if th, ok := p.(Throttleable); ok {
+			th.SetAggressiveness(maxAggressiveness)
+		}
+		longest := 0
+		for _, a := range stream {
+			longest = max(longest, len(p.Train(a)))
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(len(stream)-1, func() {
+			p.Train(stream[i])
+			i++
+		})
+		t.Logf("%s: up to %d candidates", name, longest)
+		// Under clipdebug the tables' checks allocate.
+		if longest > MaxCandidates || allocs != 0 && !invariant.Enabled {
+			t.Errorf("%s: %d candidates (at most %d) and %.2f allocations a Train", name, longest, MaxCandidates, allocs)
 		}
 	}
 }

@@ -22,8 +22,9 @@ type IPCP struct {
 	region *table.Fixed[gsRegion] // GS region tracker, min-key replacement
 
 	// scratchOut is reused across Train calls (the Prefetcher contract says
-	// the returned slice is valid until the next Train).
-	scratchOut []Candidate
+	// the returned slice is valid until the next Train). The GS class has
+	// the largest degree.
+	scratchOut [ipcpBaseDegree + 1 + maxBoost]Candidate
 }
 
 type ipcpEntry struct {
@@ -130,7 +131,6 @@ func (p *IPCP) Train(a Access) []Candidate {
 				Confidence: 0.9,
 			})
 		}
-		p.scratchOut = out
 		return out
 	}
 
@@ -142,7 +142,6 @@ func (p *IPCP) Train(a Access) []Candidate {
 				Addr:      mem.Addr(uint64(t) << mem.LineShift),
 				TriggerIP: a.IP, FillLevel: mem.LevelL2, Confidence: 0.6,
 			})
-			p.scratchOut = out
 			return out
 		}
 	}
@@ -191,6 +190,5 @@ func (p *IPCP) trainGS(a Access) []Candidate {
 			TriggerIP: a.IP, FillLevel: mem.LevelL1, Confidence: 0.7,
 		})
 	}
-	p.scratchOut = out
 	return out
 }

@@ -58,13 +58,7 @@ type Throttleable interface {
 type aggr struct{ level int }
 
 func (a *aggr) SetAggressiveness(level int) {
-	if level < 1 {
-		level = 1
-	}
-	if level > 5 {
-		level = 5
-	}
-	a.level = level
+	a.level = min(max(level, 1), maxAggressiveness)
 }
 
 func (a *aggr) Aggressiveness() int {
@@ -73,6 +67,20 @@ func (a *aggr) Aggressiveness() int {
 	}
 	return a.level
 }
+
+// maxAggressiveness is the highest aggressiveness level, and maxBoost the
+// most it adds to a base degree (degreeFor): an engine's Train returns at
+// most its base degree plus maxBoost candidates, so it sizes its output
+// array by that.
+const (
+	maxAggressiveness = 5
+	maxBoost          = maxAggressiveness - 3
+)
+
+// MaxCandidates is the most candidates any engine's Train returns: SPP-PPF's
+// deepest walk and Bingo's degree at the highest aggressiveness. A wrapper
+// that adds to an engine's candidates sizes its own output by it.
+const MaxCandidates = sppMaxDepth
 
 // degreeFor maps aggressiveness to a prefetch degree given a base degree.
 func degreeFor(base, level int) int {

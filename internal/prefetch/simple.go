@@ -13,7 +13,7 @@ type Stride struct {
 	aggr
 	table *table.Fixed[strideEntry] // per-IP stride state, FIFO replacement
 
-	scratchOut []Candidate // reused; returned slice valid until next Train
+	scratchOut [strideBaseDegree + maxBoost]Candidate // reused; returned slice valid until next Train
 }
 
 type strideEntry struct {
@@ -22,7 +22,10 @@ type strideEntry struct {
 	conf     int8
 }
 
-const strideTableSize = 128
+const (
+	strideTableSize  = 128
+	strideBaseDegree = 2
+)
 
 // newStrides builds n empty IP-stride prefetchers whose tables are carved
 // per kind.
@@ -64,7 +67,7 @@ func (s *Stride) Train(a Access) []Candidate {
 	if e.conf < 2 {
 		return nil
 	}
-	degree := degreeFor(2, s.Aggressiveness())
+	degree := degreeFor(strideBaseDegree, s.Aggressiveness())
 	out := s.scratchOut[:0]
 	for i := 1; i <= degree; i++ {
 		t := int64(line) + e.stride*int64(i)
@@ -76,7 +79,6 @@ func (s *Stride) Train(a Access) []Candidate {
 			TriggerIP: a.IP, FillLevel: mem.LevelL1, Confidence: 0.5,
 		})
 	}
-	s.scratchOut = out
 	return out
 }
 
@@ -87,8 +89,10 @@ type Stream struct {
 	streams [16]streamEntry
 	next    int
 
-	scratchOut []Candidate // reused; returned slice valid until next Train
+	scratchOut [streamBaseDegree + maxBoost]Candidate // reused; returned slice valid until next Train
 }
+
+const streamBaseDegree = 4
 
 type streamEntry struct {
 	valid bool
@@ -132,7 +136,7 @@ func (s *Stream) Train(a Access) []Candidate {
 		if st.conf < 2 {
 			return nil
 		}
-		degree := degreeFor(4, s.Aggressiveness())
+		degree := degreeFor(streamBaseDegree, s.Aggressiveness())
 		out := s.scratchOut[:0]
 		for k := 1; k <= degree; k++ {
 			t := int64(line) + st.dir*int64(k)
@@ -144,7 +148,6 @@ func (s *Stream) Train(a Access) []Candidate {
 				TriggerIP: a.IP, FillLevel: mem.LevelL1, Confidence: 0.5,
 			})
 		}
-		s.scratchOut = out
 		return out
 	}
 	// Allocate a stream register round-robin.

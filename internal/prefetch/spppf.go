@@ -19,7 +19,7 @@ type SPPPPF struct {
 	table  [sppTableSize]sppPattern
 	filter ppf
 
-	scratchOut []Candidate // reused; returned slice valid until next Train
+	scratchOut [sppMaxDepth]Candidate // reused; returned slice valid until next Train
 }
 
 type sppPage struct {
@@ -38,6 +38,8 @@ const (
 	sppSigMask    = 0xfff
 	sppMinConf    = 0.20
 	sppBaseDepth  = 4
+	sppExtraDepth = 4 // the walk runs this far past the degree
+	sppMaxDepth   = sppBaseDepth + maxBoost + sppExtraDepth
 	ppfTables     = 3
 	ppfEntries    = 1024
 	ppfThreshold  = 0
@@ -113,7 +115,7 @@ func (s *SPPPPF) Train(a Access) []Candidate {
 	pg.sig = nextSig(pg.sig, delta)
 
 	// Lookahead walk from the new signature.
-	depth := degreeFor(sppBaseDepth, s.Aggressiveness()) + 4
+	depth := degreeFor(sppBaseDepth, s.Aggressiveness()) + sppExtraDepth
 	out := s.scratchOut[:0]
 	sig := pg.sig
 	cur := int64(line)
@@ -145,7 +147,6 @@ func (s *SPPPPF) Train(a Access) []Candidate {
 		}
 		sig = nextSig(sig, bestDelta)
 	}
-	s.scratchOut = out
 	return out
 }
 

@@ -11,13 +11,13 @@ import (
 // may only ever grow by reallocating: an append to a column whose capacity
 // ran past its length would write into the next core's region. So every
 // slice reachable from core 0's components — caches, core, front end,
-// mechanisms, tile queues, and the mesh's link VC rings — must have cap ==
-// len, on 2-core systems that between them build every kind. The one
-// exception is CLIP's APC history, carved empty with its region's end (the
-// window count it never outgrows) as its capacity. The growth paths
-// themselves are pinned per package: cache's TestArrayGrowthIsolation,
-// prefetch's TestBertiFitIsolation, table's TestMapsGrowthIsolation and
-// mem's TestRingAdoptGrowth.
+// mechanisms, tile queues, and the mesh's link VC rings with their buffers —
+// must have cap == len, on 2-core systems that between them build every
+// kind. The exceptions are the lists carved empty with their region's end as
+// their capacity (carvedEmpty). The growth paths themselves are pinned per
+// package: cache's TestArrayGrowthIsolation, prefetch's
+// TestBertiFitIsolation, table's TestMapsGrowthIsolation and mem's
+// TestRingAdoptGrowth.
 func TestCarvedColumnsEndAtTheirLength(t *testing.T) {
 	arms := map[string]func(*Config){
 		"berti-clip-hermes-scored": func(c *Config) {
@@ -41,7 +41,7 @@ func TestCarvedColumnsEndAtTheirLength(t *testing.T) {
 			w := carveWalk{t: t, seen: map[uintptr]bool{}}
 			roots := map[string]any{
 				"l1d": s.l1d[0], "l2": s.l2[0], "llc": s.llc[0], "core": s.cores[0],
-				"tlb": s.ports[0].tlb, "l1i": s.ports[0].l1i, "mech": &s.mech[0],
+				"port": s.ports[0], "mech": &s.mech[0],
 				"stage": &s.stage[0], "llcRetry": &s.llcRetry[0], "pfQ": &s.pfQ[0],
 				"pfCounts": &s.pfGenerated,
 			}
@@ -72,6 +72,11 @@ type carveWalk struct {
 var (
 	systemType = reflect.TypeOf(System{})
 	wiring     = map[string]bool{"s": true, "lower": true, "staller": true, "gen": true, "port": true, "bw": true}
+	// carvedEmpty names the lists carved with length 0 and their region as
+	// their capacity: CLIP's APC history (the window count it never
+	// outgrows), a cache's response queue (its first mem.RingSlots) and a
+	// port's translation queue (portQueueDepth).
+	carvedEmpty = map[string]bool{"apcHistory": true, "respQ": true, "pending": true}
 )
 
 func (w *carveWalk) walk(path string, v reflect.Value) {
@@ -88,7 +93,7 @@ func (w *carveWalk) walk(path string, v reflect.Value) {
 		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			if f := v.Type().Field(i); !wiring[f.Name] && f.Name != "apcHistory" {
+			if f := v.Type().Field(i); !wiring[f.Name] && !carvedEmpty[f.Name] {
 				w.walk(path+"."+f.Name, v.Field(i))
 			}
 		}

@@ -155,6 +155,9 @@ func (c *Config) Validate() error {
 	if len(c.Workload) == 0 {
 		return fmt.Errorf("sim: empty workload")
 	}
+	if len(c.Workload) > mem.MaxID {
+		return fmt.Errorf("sim: %d cores, at most %d", len(c.Workload), mem.MaxID)
+	}
 	if c.InstrPerCore == 0 {
 		return fmt.Errorf("sim: zero instruction budget")
 	}

@@ -17,7 +17,7 @@ func (s *System) deliverHermesHeld(cy uint64) {
 		// is charged through cy before the fill reads its clock.
 		slice := s.sliceOf(r.Req.Addr)
 		s.wakeSlice(slice, cy+1, WakeHermesFill)
-		s.wakeTile(r.Req.Core, cy+1, WakeHermesFill)
+		s.wakeTile(int(r.Req.Core), cy+1, WakeHermesFill)
 		s.llc[slice].Fill(r)
 		s.l2[r.Req.Core].Fill(r)
 		s.l1d[r.Req.Core].Fill(r)
@@ -28,7 +28,7 @@ func (s *System) deliverHermesHeld(cy uint64) {
 func (s *System) deliverDRAM(cy uint64) {
 	for r := s.dramPending.Pop(cy); r != nil; r = s.dramPending.Pop(cy) {
 		s.self.DueDelivered++
-		key := bypassKey(r.Req.Core, r.Req.Addr)
+		key := bypassKey(int(r.Req.Core), r.Req.Addr)
 		if n, ok := s.hermesBypass[key]; ok && n > 0 && r.Req.Type == mem.Load {
 			if n == 1 {
 				delete(s.hermesBypass, key)

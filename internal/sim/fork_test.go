@@ -96,11 +96,11 @@ func TestImageCanonical(t *testing.T) {
 // the bytes on the 64-core bench geometry. NewSystem builds each kind of
 // component once for all cores (DESIGN.md §8), so what it allocates is a
 // constant per System plus the cores' trace cursors: an arm fails above
-// footprintBase + footprintPerCore a core (the arms measure 94–130
+// footprintBase + footprintPerCore a core (the arms measure 107–143
 // allocations on 4 to 16 cores). The 64-core geometry has a tighter count
-// (243 now, the same under -race) and keeps its byte budget (11.29 MB now).
-// On it the test also counts the rest of a fork, LoadState and SaveState of
-// its warm-up image (85 now; 99 on bench's 4k+4k ckpt_cycle image). Spending
+// (256 now) and keeps its byte budget (10.95 MB now). On it the test also
+// counts the rest of a fork, LoadState and SaveState of its warm-up image
+// (38 now). Spending
 // more is a decision to make here, not something a fork-per-point campaign
 // discovers.
 //

@@ -28,7 +28,8 @@ type delayedReq struct {
 	ready uint64
 }
 
-// portQueueDepth bounds a port's queue of requests waiting on a translation.
+// portQueueDepth bounds a port's queue of requests waiting on a translation;
+// NewSystem carves each port's queue at this depth, so it never grows.
 const portQueueDepth = 16
 
 // Issue implements cpu.MemoryPort.

@@ -23,7 +23,7 @@ func TestHermesRoutesOncePerMiss(t *testing.T) {
 	h := s.mech[0].hermes
 	st := &s.stage[0]
 	load := func(ip uint64, line int) mem.Request {
-		return mem.Request{Addr: mem.Addr(0x1000+line) * mem.LineBytes, IP: ip, TriggerIP: ip, Type: mem.Load, ROBIndex: line}
+		return mem.Request{Addr: mem.Addr(0x1000+line) * mem.LineBytes, IP: ip, Type: mem.Load, ROBIndex: int16(line)}
 	}
 	const offIP, onIP = 0x4000, 0x8000
 	bypassA, wasteB, onChipC := load(offIP, 1), load(offIP, 2), load(onIP, 3)

@@ -235,8 +235,8 @@ func (s *System) onAccess(i int, ev *cache.AccessEvent) {
 		}
 		s.pfQ[i].Push(pfEntry{
 			req: mem.Request{
-				Addr: c.Addr.Line(), IP: c.TriggerIP, TriggerIP: c.TriggerIP,
-				Core: i, Type: mem.Prefetch, FillLevel: fill,
+				Addr: c.Addr.Line(), IP: c.TriggerIP,
+				Core: int16(i), Type: mem.Prefetch, FillLevel: fill,
 				Critical: critFlag, IssueCycle: ev.Cycle, ROBIndex: -1,
 			},
 			toL2: fill >= mem.LevelL2,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"clip/internal/core"
+	"clip/internal/mem"
 )
 
 // small builds a quick-running config: 4 cores, scaled hierarchy.
@@ -59,6 +60,19 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("%s accepted", tc.name)
 		}
+	}
+	// A request carries its core and ROB slot in 16 bits.
+	cfg = small("619.lbm_s-2676B", 1)
+	cfg.CPU.ROBSize = mem.MaxID + 1
+	if cfg.Validate() == nil {
+		t.Fatal("a ROB past a request's 16-bit index accepted")
+	}
+	cfg = small("619.lbm_s-2676B", 1)
+	for len(cfg.Workload) <= mem.MaxID {
+		cfg.Workload = append(cfg.Workload, cfg.Workload[0])
+	}
+	if cfg.Validate() == nil {
+		t.Fatal("more cores than a request's 16-bit index accepted")
 	}
 }
 

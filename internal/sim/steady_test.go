@@ -69,22 +69,60 @@ func steadyArms() []steadyArm {
 // secondHalfMallocs runs cfg to completion and returns the heap allocations
 // made after the cores, in sum, retired half their measured instructions.
 func secondHalfMallocs(t *testing.T, cfg Config) uint64 {
+	var midpoint uint64
+	return mallocsFrom(t, cfg, func(s *System) bool {
+		if !s.warmed {
+			return false
+		}
+		var retired uint64
+		for _, c := range s.cores {
+			retired += c.RetiredTotal()
+		}
+		if midpoint == 0 {
+			midpoint = retired + uint64(cfg.Cores())*cfg.InstrPerCore/2
+		}
+		return retired >= midpoint
+	})
+}
+
+// runMallocsPerCore bounds what a whole run allocates after NewSystem
+// returns, per core. NewSystem carves every queue the model bounds at its
+// depth and every other one at the mem.RingSlots its first growth would
+// allocate, so a run allocates only where the model leaves a structure
+// unbounded and a storm outgrows it — an L1's response queue, a VC ring,
+// the waiter pool, Hermes' bypass map — plus each core's instruction batch
+// at its first dispatch. Measured: 2.3 to 3.5 a core on every steadyArms
+// arm but hermes (30 on 4 cores, 12 of them the bypass map's growth);
+// mesh-geometry64 makes 204 on 64 cores. With its queues growing from nil,
+// a run made 28 to 47 a core.
+const runMallocsPerCore = 8
+
+// TestWholeRunAllocs: from NewSystem's return to the end of the run, every
+// steadyArms configuration allocates at most runMallocsPerCore a core.
+func TestWholeRunAllocs(t *testing.T) {
+	for _, arm := range steadyArms() {
+		cores := arm.cfg.Cores()
+		bound := uint64(runMallocsPerCore * cores)
+		mallocs := mallocsFrom(t, arm.cfg, func(*System) bool { return true })
+		t.Logf("%-16s %2d cores: %4d allocations in the run (bound %d)", arm.name, cores, mallocs, bound)
+		if mallocs > bound {
+			t.Errorf("%s: %d allocations from NewSystem's return to the end of the run on %d cores; the bound is %d a core (%d)",
+				arm.name, mallocs, cores, runMallocsPerCore, bound)
+		}
+	}
+}
+
+// mallocsFrom runs cfg to completion and returns the heap allocations made
+// from the first moment start holds: it is asked once NewSystem returns and
+// after every Step.
+func mallocsFrom(t *testing.T, cfg Config, start func(*System) bool) uint64 {
 	t.Helper()
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	retired := func() (n uint64) {
-		for _, c := range s.cores {
-			n += c.RetiredTotal()
-		}
-		return n
-	}
 	maxCycles := s.MaxCycles()
-	for !s.warmed && s.Step(maxCycles) {
-	}
-	midpoint := retired() + uint64(cfg.Cores())*cfg.InstrPerCore/2
-	for retired() < midpoint && s.Step(maxCycles) {
+	for !start(s) && s.Step(maxCycles) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

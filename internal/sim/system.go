@@ -191,8 +191,10 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	ports := make([]corePort, n)
 	s.ports = make([]*corePort, n)
 	memPorts := make([]cpu.MemoryPort, n)
+	delayed := make([]delayedReq, n*portQueueDepth)
 	for i := range ports {
-		ports[i] = corePort{s: s, core: i, tlb: &tlbs[i], l1i: &l1is[i]}
+		ports[i] = corePort{s: s, core: i, tlb: &tlbs[i], l1i: &l1is[i],
+			pending: mem.Carve(&delayed, portQueueDepth)[:0]}
 		s.ports[i], memPorts[i] = &ports[i], &ports[i]
 	}
 	if cfg.DynamicCLIP {
@@ -285,7 +287,7 @@ func pointers[T any](xs []T) []*T {
 // load.
 func (s *System) onLLCResponse(i int, r *mem.Response) {
 	if uint(r.Req.Core) < uint(len(s.llc)) {
-		s.mesh.SendPayload(i, r.Req.Core, noc.FlitsPerData, s.packetHigh(&r.Req), pktLLCResp, r)
+		s.mesh.SendPayload(i, int(r.Req.Core), noc.FlitsPerData, s.packetHigh(&r.Req), pktLLCResp, r)
 	}
 }
 
@@ -294,7 +296,7 @@ func (s *System) onL2Response(i int, r *mem.Response) { s.l1d[i].Fill(r) }
 
 // onL1Response completes core i's load.
 func (s *System) onL1Response(i int, r *mem.Response) {
-	if r.Req.ROBIndex >= 0 && r.Req.Core == i {
+	if r.Req.ROBIndex >= 0 && int(r.Req.Core) == i {
 		s.cores[i].CompleteLoad(r)
 	}
 }

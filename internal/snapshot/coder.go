@@ -63,6 +63,14 @@ func (s *Coder) I32(v *int32) {
 	}
 }
 
+// I16 walks an int16.
+func (s *Coder) I16(v *int16) {
+	u := uint16(*v)
+	if s.U16(&u); s.loading {
+		*v = int16(u)
+	}
+}
+
 // I8 walks an int8.
 func (s *Coder) I8(v *int8) {
 	u := uint8(*v)
