@@ -61,9 +61,19 @@ func State(s *snapshot.Coder, p Prefetcher) {
 	}
 }
 
+// state walks the aggressiveness level. Loading refuses a level
+// SetAggressiveness cannot set: its degree would outrun the engine's output
+// array, and a large one would make Train emit candidates without bound.
+func (a *aggr) state(s *snapshot.Coder) {
+	s.Int(&a.level)
+	if s.Loading() && (a.level < 0 || a.level > maxAggressiveness) {
+		s.Corrupt("prefetch: aggressiveness %d out of range", a.level)
+	}
+}
+
 // State walks the IP-stride prefetcher.
 func (p *Stride) State(s *snapshot.Coder) {
-	s.Int(&p.level)
+	p.aggr.state(s)
 	p.table.State(s, func(e *strideEntry) {
 		s.U64(&e.lastLine)
 		s.I64(&e.stride)
@@ -73,7 +83,7 @@ func (p *Stride) State(s *snapshot.Coder) {
 
 // State walks the streamer.
 func (p *Stream) State(s *snapshot.Coder) {
-	s.Int(&p.level)
+	p.aggr.state(s)
 	for i := range p.streams {
 		st := &p.streams[i]
 		s.Bool(&st.valid)
@@ -90,7 +100,7 @@ func (p *Stream) State(s *snapshot.Coder) {
 
 // State walks Bingo's region tracker and both history tables.
 func (b *Bingo) State(s *snapshot.Coder) {
-	s.Int(&b.level)
+	b.aggr.state(s)
 	b.active.State(s, func(e *bingoRegion) {
 		s.U64(&e.triggerIP)
 		s.U64((*uint64)(&e.triggerAddr))
@@ -104,7 +114,7 @@ func (b *Bingo) State(s *snapshot.Coder) {
 // State walks SPP-PPF: per-page signatures, the pattern table and the
 // perceptron filter weights.
 func (p *SPPPPF) State(s *snapshot.Coder) {
-	s.Int(&p.level)
+	p.aggr.state(s)
 	p.pages.State(s, func(e *sppPage) {
 		s.U64(&e.lastLine)
 		s.U16(&e.sig)
@@ -123,7 +133,7 @@ func (p *SPPPPF) State(s *snapshot.Coder) {
 
 // State walks IPCP's three engines.
 func (p *IPCP) State(s *snapshot.Coder) {
-	s.Int(&p.level)
+	p.aggr.state(s)
 	p.ip.State(s, func(e *ipcpEntry) {
 		s.U64(&e.lastLine)
 		s.I64(&e.stride)
@@ -148,7 +158,7 @@ func (p *IPCP) State(s *snapshot.Coder) {
 // the live rows, so it does not depend on how far the slab has grown;
 // loading grows the receiver's slab to fit them and zeroes the rest.
 func (b *Berti) State(s *snapshot.Coder) {
-	s.Int(&b.level)
+	b.aggr.state(s)
 	s.I32(&b.nextRow)
 	if s.Loading() {
 		if b.nextRow < 0 || b.nextRow > bertiTableSize {

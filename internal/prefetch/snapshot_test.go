@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 
@@ -95,5 +96,53 @@ func TestBertiRowsGrow(t *testing.T) {
 	}
 	if len(b.slab) != bertiTableSize*bertiRowWords {
 		t.Errorf("after the sweep the slab holds %d words, want %d rows' worth", len(b.slab), bertiTableSize)
+	}
+}
+
+// TestAggressivenessOutOfRangeRefused: an image whose aggressiveness level
+// no throttler can set is refused on load. At level 6 an engine's degree
+// would outrun its output array, and at a huge one Train would emit
+// candidates without bound.
+func TestAggressivenessOutOfRangeRefused(t *testing.T) {
+	for _, name := range Names() {
+		for _, level := range []int{maxAggressiveness + 1, 1 << 40, -1} {
+			p, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var knob *aggr
+			switch e := p.(type) {
+			case *Berti:
+				knob = &e.aggr
+			case *IPCP:
+				knob = &e.aggr
+			case *Bingo:
+				knob = &e.aggr
+			case *SPPPPF:
+				knob = &e.aggr
+			case *Stride:
+				knob = &e.aggr
+			case *Stream:
+				knob = &e.aggr
+			default:
+				continue // none: no level
+			}
+			knob.level = level
+			s := snapshot.NewSaver(0)
+			State(s, p)
+			img, err := s.Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, _ := New(name)
+			l, err := snapshot.NewLoader(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			State(l, fresh)
+			if err := l.Done(); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Errorf("%s at aggressiveness %d loaded: err=%v", name, level, err)
+			}
+		}
 	}
 }
