@@ -5,14 +5,17 @@
 //
 //	clipsim -list
 //	clipsim -experiment fig9
+//	clipsim -experiment fig9,fig16,table2 -json
 //	clipsim -experiment all -cores 8 -instructions 30000 -hom 8 -het 5
 //	clipsim -experiment fig1 -channels 4,8,16,32,64 -full
 //	clipsim -experiment fig9 -workers 1 -cpuprofile cpu.out -memprofile mem.out
 //
 // Each experiment prints the same rows/series the corresponding paper figure
-// or table reports, at the configured scale. Independent simulations within
-// one experiment run concurrently across -workers goroutines; reports are
-// byte-identical for any worker count.
+// or table reports, at the configured scale; with -json the reports are
+// written instead as one indented JSON array. Independent simulations within
+// one experiment run concurrently across -workers goroutines. Stdout is
+// byte-identical for any worker count and either -skip mode: the time each
+// experiment took goes to stderr.
 //
 // The -checkpoint mode exercises deterministic save/restore of a single
 // simulation across process boundaries (the restore-into-fresh-process arm
@@ -50,7 +53,8 @@ func main() { os.Exit(run()) }
 func run() int {
 	var (
 		list     = flag.Bool("list", false, "list available experiments and exit")
-		exp      = flag.String("experiment", "", "experiment to run (or \"all\")")
+		exp      = flag.String("experiment", "", "comma-separated experiments to run (or \"all\")")
+		asJSON   = flag.Bool("json", false, "with -experiment: write the reports as a JSON array")
 		full     = flag.Bool("full", false, "use the full scale (all 45 hom + 200 het mixes; slow)")
 		cores    = flag.Int("cores", 0, "override simulated cores")
 		instr    = flag.Uint64("instructions", 0, "override instructions per core")
@@ -181,14 +185,17 @@ func run() int {
 	if *exp == "all" {
 		entries = experiments.All()
 	} else {
-		e, err := experiments.Lookup(*exp)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
+		for _, name := range strings.Split(*exp, ",") {
+			e, err := experiments.Lookup(strings.TrimSpace(name))
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				return 2
+			}
+			entries = append(entries, e)
 		}
-		entries = []experiments.Entry{e}
 	}
 
+	var reports []*experiments.Report
 	for _, e := range entries {
 		t0 := time.Now()
 		rep, err := e.Run(sc)
@@ -196,7 +203,20 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			return 1
 		}
-		fmt.Printf("%s\n(%s in %.1fs)\n\n", rep, e.Name, time.Since(t0).Seconds())
+		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", e.Name, time.Since(t0).Seconds())
+		if *asJSON {
+			reports = append(reports, rep)
+		} else {
+			fmt.Printf("%s\n\n", rep)
+		}
+	}
+	if *asJSON {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(reports); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
 	}
 	return 0
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -37,6 +38,7 @@ func TestRejectsBadArguments(t *testing.T) {
 			[]string{"-checkpoint", "run", "-instructions", "200", "-warmup", "50", "-skip=sometimes"}},
 		{"experiment-skip-garbage", `bad -skip value "sometimes" (want on or off)`,
 			[]string{"-experiment", "table2", "-skip=sometimes"}},
+		{"experiment-list-unknown", `unknown experiment "nope"`, []string{"-experiment", "table2,nope"}},
 		{"positional", `unexpected argument "fig9"`, []string{"fig9"}},
 		{"positional-after-flags", `unexpected argument "fig9"`, []string{"-list", "fig9"}},
 	} {
@@ -56,6 +58,41 @@ func TestRejectsBadArguments(t *testing.T) {
 				t.Errorf("clipsim %v: stderr = %q, want one line containing %q", tc.args, msg, tc.want)
 			}
 		})
+	}
+}
+
+// TestExperimentOutput: stdout holds only the reports, so it is the same
+// bytes on every run — the time an experiment took goes to stderr — and with
+// -json it is one JSON array with a report per experiment named.
+func TestExperimentOutput(t *testing.T) {
+	bin := buildClipsim(t)
+	run := func(args ...string) (stdout, stderr string) {
+		t.Helper()
+		cmd := exec.Command(bin, args...)
+		var errBuf strings.Builder
+		cmd.Stderr = &errBuf
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("clipsim %v: %v\nstderr: %s", args, err, errBuf.String())
+		}
+		return string(out), errBuf.String()
+	}
+
+	out, errOut := run("-experiment", "table2")
+	if !strings.HasPrefix(out, "### table2 ") || strings.Contains(out, "(table2 in ") {
+		t.Errorf("-experiment table2: stdout %q, want the report and no timing line", out)
+	}
+	if !strings.HasPrefix(errOut, "(table2 in ") {
+		t.Errorf("-experiment table2: stderr %q, want the timing line", errOut)
+	}
+
+	out, _ = run("-experiment", "table2", "-json")
+	var reports []struct{ Name string }
+	if err := json.Unmarshal([]byte(out), &reports); err != nil {
+		t.Fatalf("-experiment table2 -json: %v\n%s", err, out)
+	}
+	if len(reports) != 1 || reports[0].Name != "table2" {
+		t.Errorf("-experiment table2 -json decoded to %+v, want one report named table2", reports)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // TestCacheSnapshotManifest: every Cache field is either visited by State or
 // deliberately not; a new field fails here until it is declared.
 func TestCacheSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(Cache{}),
+	snapshot.CheckManifest(t, Cache{},
 		[]string{
 			"slab", "policy", "inQ", "wbQ",
 			"mshrValid", "mshrPF", "mshrLine", "mshrFirst", "mshrPfReq",
@@ -35,7 +35,7 @@ func TestCacheSnapshotManifest(t *testing.T) {
 
 // TestPolicySnapshotManifest: the two slabs carry every mutable column.
 func TestPolicySnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(Policy{}),
+	snapshot.CheckManifest(t, Policy{},
 		[]string{"kind", "words", "clock", "bytesSlab", "mjTable", "probe"},
 		[]string{
 			// From config: geometry and the column views into the slabs.

@@ -11,7 +11,7 @@ import (
 // TestCLIPSnapshotManifest: every CLIP field, and every field of a filter
 // and a predictor entry, is either visited by State or deliberately not.
 func TestCLIPSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(CLIP{}),
+	snapshot.CheckManifest(t, CLIP{},
 		[]string{
 			"filter", "pred", "utilValid", "utilLine", "utilTrig", "utilPos",
 			"windowMisses", "windowAccesses", "windowStart", "apcHistory",
@@ -21,9 +21,9 @@ func TestCLIPSnapshotManifest(t *testing.T) {
 			// From config.
 			"cfg",
 		})
-	snapshot.CheckManifest(t, snapshot.MustStruct(filterEntry{}),
+	snapshot.CheckManifest(t, filterEntry{},
 		[]string{"valid", "tag", "critCount", "hitCount", "issueCount", "critAcc", "explored"}, nil)
-	snapshot.CheckManifest(t, snapshot.MustStruct(predEntry{}),
+	snapshot.CheckManifest(t, predEntry{},
 		[]string{"valid", "tag", "counter", "nru"}, nil)
 }
 

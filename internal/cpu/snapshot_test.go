@@ -14,7 +14,7 @@ import (
 // TestCoreSnapshotManifest: every Core field is either visited by State or
 // deliberately not; a new field fails here until it is declared.
 func TestCoreSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(Core{}),
+	snapshot.CheckManifest(t, Core{},
 		[]string{
 			// Where the batch starts — gen's position until one is filled, b's
 			// mark after — and how much of it is dispatched.

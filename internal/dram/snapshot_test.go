@@ -9,7 +9,7 @@ import (
 // TestDRAMSnapshotManifest: every controller field is either visited by State
 // or deliberately not; a new field fails here until it is declared.
 func TestDRAMSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(DRAM{}),
+	snapshot.CheckManifest(t, DRAM{},
 		[]string{"chans", "cycle", "stats"},
 		[]string{
 			// From config: wiring, watermarks, and scratch rebuilt from the
@@ -26,7 +26,7 @@ func TestDRAMSnapshotManifest(t *testing.T) {
 // TestChannelSnapshotManifest: queues by content, banks, bus and refresh
 // timing, the utilization epoch.
 func TestChannelSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(channel{}),
+	snapshot.CheckManifest(t, channel{},
 		[]string{
 			"rdReq", "rdArrived", "rdRow", "rdBk", "wrRow", "wrBk", "banks",
 			"busFreeAt", "nextRefresh", "refreshEnd", "draining",
@@ -44,6 +44,6 @@ func TestChannelSnapshotManifest(t *testing.T) {
 // TestBankSnapshotManifest: the per-bank queue counts go out as their sum, a
 // check on the counts a load rebuilds from the queues.
 func TestBankSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(bank{}),
+	snapshot.CheckManifest(t, bank{},
 		[]string{"openRow", "busyUntil", "rdQueued", "wrQueued"}, nil)
 }

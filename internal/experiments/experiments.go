@@ -249,7 +249,7 @@ func Lookup(name string) (Entry, error) {
 }
 
 // MarshalJSON renders the report's headline values and tables as JSON for
-// external tooling (cmd/clipreport -json).
+// external tooling (clipsim -experiment <names> -json).
 func (r *Report) MarshalJSON() ([]byte, error) {
 	type tableJSON struct {
 		Title   string     `json:"title"`

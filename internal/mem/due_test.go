@@ -140,7 +140,7 @@ func TestDueQueueRejectsUnorderedLane(t *testing.T) {
 // TestDueQueueSnapshotManifest: the lanes go out as one list in push order;
 // the rest is derived from it.
 func TestDueQueueSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(DueQueue{}),
+	snapshot.CheckManifest(t, DueQueue{},
 		[]string{"lanes"},
 		[]string{
 			// Memo: rebuilt by the pushes of a load (the saved earliest

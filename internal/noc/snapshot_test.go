@@ -10,7 +10,7 @@ import (
 // TestMeshSnapshotManifest: every Mesh field is either visited by State or
 // deliberately not; a new field fails here until it is declared.
 func TestMeshSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(Mesh{}),
+	snapshot.CheckManifest(t, Mesh{},
 		[]string{
 			"pkts", "free", "links", "active", "pending",
 			"cycle", "stats", "live", "linkActive",
@@ -27,7 +27,7 @@ func TestMeshSnapshotManifest(t *testing.T) {
 // TestLinkSnapshotManifest: a busy link's deadline goes out as the
 // flit-cycles its packet still needs.
 func TestLinkSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(link{}),
+	snapshot.CheckManifest(t, link{},
 		[]string{"vcs", "rrHi", "rrLo", "vcMask", "cur", "doneAt", "hiN", "loN", "arb"},
 		[]string{
 			// From config.
@@ -40,7 +40,7 @@ func TestLinkSnapshotManifest(t *testing.T) {
 
 // TestPacketSnapshotManifest: a packet is all state.
 func TestPacketSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(packet{}),
+	snapshot.CheckManifest(t, packet{},
 		[]string{"at", "dst", "flits", "high", "kind", "sent", "resp"}, nil)
 }
 

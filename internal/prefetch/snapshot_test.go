@@ -13,7 +13,7 @@ import (
 // TestBertiSnapshotManifest: the live rows' blocks go out; every history
 // ring, delta set and per-row counter is a run of a block.
 func TestBertiSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(Berti{}),
+	snapshot.CheckManifest(t, Berti{},
 		[]string{
 			"aggr", // the aggressiveness level throttlers move
 			"rows", "slab", "nextRow", "latencyEst",

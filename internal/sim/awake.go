@@ -395,7 +395,7 @@ func (s *System) checkSleepingTiles(cy uint64) {
 		if s.awake.tiles.asleep(i) && s.tileHorizon(i, cy) <= cy {
 			invariant.Check(false, "sim: tile %d asleep at cycle %d with work pending (%s)", i, cy, s.describeTile(i))
 		}
-		if s.headIsParked(i) && s.dram.StallEpoch(&s.stage[i].dramQ.Front().req) == nil {
+		if s.headIsParked(i) && s.dram.StallEpoch(s.stage[i].dramQ.Front()) == nil {
 			invariant.Check(false, "sim: tile %d's direct-DRAM head parked at cycle %d on a queue with room", i, cy)
 		}
 	}

@@ -801,7 +801,7 @@ func TestLoadStateTruncatedAndCorrupt(t *testing.T) {
 // TestSystemSnapshotManifest is the reflection guard over System itself:
 // adding a field without declaring its checkpoint treatment fails here.
 func TestSystemSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(&System{}),
+	snapshot.CheckManifest(t, &System{},
 		[]string{
 			// baseState
 			"cycle", "measureStart", "warmed", "finished",
@@ -833,7 +833,7 @@ func TestSystemSnapshotManifest(t *testing.T) {
 // TestCoreMechsSnapshotManifest: each mechanism a core carries has its
 // section; the capabilities resolved at attach are views of the prefetcher.
 func TestCoreMechsSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(coreMechs{}),
+	snapshot.CheckManifest(t, coreMechs{},
 		[]string{"pf", "clip", "crit", "scored", "throttler", "hermes"},
 		[]string{"dspatch", "feedback", "berti"})
 }
@@ -843,25 +843,25 @@ func TestCoreMechsSnapshotManifest(t *testing.T) {
 // The pop epoch and the parked head's charge mark are rebuilt: a restored
 // head is offered to the controller again.
 func TestTileStageSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(tileStage{}), []string{"dramQ", "route"}, []string{"pops", "charged"})
-	snapshot.CheckManifest(t, snapshot.MustStruct(hermesRoute{}), []string{"live", "bypass", "req"}, nil)
+	snapshot.CheckManifest(t, tileStage{}, []string{"dramQ", "route"}, []string{"pops", "charged"})
+	snapshot.CheckManifest(t, hermesRoute{}, []string{"live", "bypass", "req"}, nil)
 }
 
 // TestCorePortSnapshotManifest / icache / dynamicClip: the sim-local
 // structures serialized inline by baseState.
 func TestCorePortSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(corePort{}),
+	snapshot.CheckManifest(t, corePort{},
 		[]string{"pending", "l1i", "tlb"},
 		[]string{"s", "core"})
 }
 
 func TestICacheSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(icache{}),
+	snapshot.CheckManifest(t, icache{},
 		[]string{"tags", "stats"},
 		[]string{"missPenalty"})
 }
 
 func TestDynamicClipSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(dynamicClip{}),
+	snapshot.CheckManifest(t, dynamicClip{},
 		[]string{"active", "activeCycles", "totalCycles"}, nil)
 }

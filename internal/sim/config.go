@@ -164,6 +164,9 @@ func (c *Config) Validate() error {
 	if c.Channels <= 0 {
 		return fmt.Errorf("sim: no DRAM channels")
 	}
+	if c.DynamicCLIP && c.CLIP == nil {
+		return fmt.Errorf("sim: DynamicCLIP without CLIP")
+	}
 	if err := c.CPU.Validate(); err != nil {
 		return err
 	}

@@ -55,7 +55,7 @@ func TestHermesRoutesOncePerMiss(t *testing.T) {
 
 	// A: predicted and truly off-chip, refused by a full direct-DRAM queue.
 	for st.dramQ.Len() < directDRAMDepth {
-		s.pushDirect(0, directRead{req: load(0, 100+st.dramQ.Len())})
+		s.pushDirect(0, load(0, 100+st.dramQ.Len()))
 	}
 	if lo.Issue(&bypassA) || h.Stats().Predictions != 1 || !st.route.live || !st.route.bypass {
 		t.Fatalf("A: route %+v after %d predictions, want a refused bypass after 1", st.route, h.Stats().Predictions)
@@ -66,7 +66,7 @@ func TestHermesRoutesOncePerMiss(t *testing.T) {
 	if !lo.Issue(&bypassA) || st.route.live || h.Stats().Predictions != 1 {
 		t.Fatalf("A: not accepted once its queue had room (route %+v, %d predictions)", st.route, h.Stats().Predictions)
 	}
-	if e := st.dramQ.At(st.dramQ.Len() - 1); !e.bypass || e.req != bypassA {
+	if e := st.dramQ.At(st.dramQ.Len() - 1); *e != bypassA {
 		t.Fatalf("A: queued %+v, want its bypass read", e)
 	}
 
@@ -78,7 +78,7 @@ func TestHermesRoutesOncePerMiss(t *testing.T) {
 	if lo.Issue(&wasteB) || h.Stats().Predictions != 2 || !st.route.live || st.route.bypass {
 		t.Fatalf("B: route %+v after %d predictions, want a refused L2 route after 2", st.route, h.Stats().Predictions)
 	}
-	if e := st.dramQ.At(st.dramQ.Len() - 1); e.bypass || e.req.Type != mem.Prefetch || e.req.Addr != wasteB.Addr {
+	if e := st.dramQ.At(st.dramQ.Len() - 1); e.Type != mem.Prefetch || e.Addr != wasteB.Addr {
 		t.Fatalf("B: queued %+v, want its waste read", e)
 	}
 	retries(wasteB, "B", s.l2[0].StallEpoch(&wasteB))

@@ -54,6 +54,7 @@ func TestConfigValidation(t *testing.T) {
 		{"unknown L2 policy", func(c *Config) { c.L2.Policy = "bogus" }},
 		{"LLC without MSHRs", func(c *Config) { c.LLC.MSHRs = 0 }},
 		{"no load queue", func(c *Config) { c.CPU.LQSize = 0 }},
+		{"Dynamic CLIP without CLIP", func(c *Config) { c.DynamicCLIP = true }},
 	} {
 		cfg = small("619.lbm_s-2676B", 1)
 		tc.bad(&cfg)

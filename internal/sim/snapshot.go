@@ -275,10 +275,7 @@ func (s *System) baseState(c *snapshot.Coder) {
 		})
 	}
 	for i := range s.stage {
-		s.stage[i].dramQ.State(c, mem.RequestBytes+1, func(e *directRead) {
-			e.req.State(c)
-			c.Bool(&e.bypass)
-		})
+		s.stage[i].dramQ.State(c, mem.RequestBytes, func(q *mem.Request) { q.State(c) })
 	}
 }
 

@@ -234,7 +234,7 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	// allocate: the direct-DRAM queue is bounded by directDRAMDepth, the
 	// prefetch queue by pfQueueDepth, the retry ring by its drain rate. Each
 	// kind's rings share one slab.
-	dramQs := make([]directRead, n*directDRAMDepth)
+	dramQs := make([]mem.Request, n*directDRAMDepth)
 	retries := make([]mem.Request, n*llcRetryDepth)
 	pfQs := make([]pfEntry, n*pfQueueDepth)
 	for i := 0; i < n; i++ {
@@ -392,7 +392,7 @@ func (l *l1Lower) Issue(req *mem.Request) bool {
 		if st.dramQ.Len() >= directDRAMDepth {
 			return false
 		}
-		s.pushDirect(l.core, directRead{req: *req, bypass: true})
+		s.pushDirect(l.core, *req)
 	} else if !s.l2[l.core].Issue(req) {
 		return false
 	}
@@ -416,7 +416,7 @@ func (s *System) routeOffChip(i int, h *hermes.Predictor, req *mem.Request) bool
 	waste.Type = mem.Prefetch
 	waste.ROBIndex = -1
 	if s.stage[i].dramQ.Len() < directDRAMDepth {
-		s.pushDirect(i, directRead{req: waste})
+		s.pushDirect(i, waste)
 	}
 	return false
 }

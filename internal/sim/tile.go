@@ -19,18 +19,13 @@ import (
 // DRAM read queue refuses a read.
 const directDRAMDepth = 16
 
-// directRead is one queued direct-DRAM read: a Hermes bypass load (bypass
-// true, registered in hermesBypass when it reaches the controller) or a
-// mispredicted-probe waste read (a droppable low-priority prefetch).
-type directRead struct {
-	req    mem.Request
-	bypass bool
-}
-
 // tileStage is what a tile holds for the shared components across cycles.
 type tileStage struct {
-	// dramQ is the direct-DRAM queue of the Hermes bypass.
-	dramQ mem.Ring[directRead]
+	// dramQ is the direct-DRAM queue of the Hermes bypass. It holds bypass
+	// loads (registered in hermesBypass when they reach the controller) and
+	// mispredicted-probe waste reads (droppable low-priority prefetches);
+	// the request type tells them apart.
+	dramQ mem.Ring[mem.Request]
 	// route is the Hermes route of the L1 miss l1Lower last refused, held
 	// until that miss is accepted (saved in the image's Hermes section).
 	route hermesRoute
@@ -111,12 +106,12 @@ func (s *System) tickCache(c *cache.Cache, cy uint64) {
 
 // pushDirect queues a direct-DRAM read on tile i. A read that becomes the
 // head is offered to the controller in the same cycle's tile walk.
-func (s *System) pushDirect(i int, e directRead) {
+func (s *System) pushDirect(i int, req mem.Request) {
 	q := &s.stage[i].dramQ
 	if q.Len() == 0 {
 		setBit(s.awake.dramReady, i)
 	}
-	q.Push(e)
+	q.Push(req)
 }
 
 // drainDirectDRAM issues tile i's queued direct-DRAM reads (Hermes bypass
@@ -132,19 +127,19 @@ func (s *System) drainDirectDRAM(i int, cy uint64) {
 	st := &s.stage[i]
 	q := &st.dramQ
 	for q.Len() > 0 {
-		e := q.Front()
+		req := q.Front()
 		s.self.DirectIssues++
-		if !s.dram.Issue(&e.req) {
+		if !s.dram.Issue(req) {
 			if s.skip {
 				clearBit(a.dramReady, i)
-				setBit(a.headParked[s.dram.QueueOf(&e.req)*len(a.tiles.awake):], i)
+				setBit(a.headParked[s.dram.QueueOf(req)*len(a.tiles.awake):], i)
 				st.charged = cy
 				s.self.DirectParks++
 			}
 			return
 		}
-		if e.bypass {
-			s.hermesBypass[bypassKey(i, e.req.Addr)]++
+		if req.Type == mem.Load {
+			s.hermesBypass[bypassKey(i, req.Addr)]++
 		}
 		if st.route.live && st.route.bypass {
 			// The tile's L1 miss was refused by this full queue and may sleep
@@ -162,7 +157,7 @@ func (s *System) drainDirectDRAM(i int, cy uint64) {
 // would have made after its last counted one, through cycle through.
 func (s *System) chargeHead(i int, through uint64) {
 	if st := &s.stage[i]; through > st.charged {
-		s.dram.Refused(&st.dramQ.Front().req, through-st.charged)
+		s.dram.Refused(st.dramQ.Front(), through-st.charged)
 		st.charged = through
 	}
 }

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 )
@@ -18,9 +17,11 @@ type TestingT interface {
 // helper fails the test when the struct has drifted — a new field that is
 // in neither list, a listed field that no longer exists, or a field listed
 // twice. Adding a field to a snapshotted struct therefore breaks the build
-// until its checkpoint treatment is declared.
-func CheckManifest(t TestingT, typ reflect.Type, saved, rebuilt []string) {
+// until its checkpoint treatment is declared. v is a value of the struct
+// type, or a pointer to one.
+func CheckManifest(t TestingT, v any, saved, rebuilt []string) {
 	t.Helper()
+	typ := reflect.TypeOf(v)
 	for typ.Kind() == reflect.Pointer {
 		typ = typ.Elem()
 	}
@@ -69,17 +70,4 @@ func CheckManifest(t TestingT, typ reflect.Type, saved, rebuilt []string) {
 	for _, f := range stale {
 		t.Errorf("snapshot manifest %v: listed field %q does not exist", typ, f)
 	}
-}
-
-// MustStruct is a convenience for manifest tests on unexported types:
-// reflect.TypeOf a value of the type and pass it through.
-func MustStruct(v any) reflect.Type {
-	typ := reflect.TypeOf(v)
-	for typ.Kind() == reflect.Pointer {
-		typ = typ.Elem()
-	}
-	if typ.Kind() != reflect.Struct {
-		panic(fmt.Sprintf("snapshot: %T is not a struct", v))
-	}
-	return typ
 }

@@ -40,7 +40,7 @@ const Magic = 0x43_4C_50_53 // "CLPS"
 // Version is the current format version. Bump on any layout change; old
 // versions are rejected by NewLoader (checkpoints are cheap to regenerate,
 // so there is no migration machinery).
-const Version = 10
+const Version = 11
 
 // ErrCorrupt is latched by a loading Coder on truncated or malformed input.
 var ErrCorrupt = errors.New("snapshot: corrupt or truncated stream")

@@ -11,13 +11,13 @@ import (
 // TestGenSnapshotManifest: a cursor's program is a pure function of its
 // Config; only the stream position is state.
 func TestGenSnapshotManifest(t *testing.T) {
-	snapshot.CheckManifest(t, snapshot.MustStruct(Cursor{}),
+	snapshot.CheckManifest(t, Cursor{},
 		[]string{"rng", "pc", "emit", "inAltPhase", "sites"},
 		[]string{
 			// From config: the shared, immutable program.
 			"p",
 		})
-	snapshot.CheckManifest(t, snapshot.MustStruct(siteCur{}),
+	snapshot.CheckManifest(t, siteCur{},
 		[]string{"cursor", "deltaIdx", "chaseAt", "takenState", "wordRep", "rowLeft"}, nil)
 }
 

@@ -132,7 +132,9 @@ func (r *Runner) AloneIPC(bench string) (float64, error) {
 		cfg.Workload = []string{bench}
 		cfg.Prefetcher = "none"
 		cfg.CLIP = nil
+		cfg.DynamicCLIP = false
 		cfg.CritPredictor = ""
+		cfg.ScorePredictors = false
 		cfg.Throttler = ""
 		cfg.Hermes = false
 		cfg.DSPatch = false
