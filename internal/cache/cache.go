@@ -226,7 +226,7 @@ type Cache struct {
 // a cache whose misses should never happen (tests); issuing a miss with a
 // nil lower panics.
 func New(cfg Config, lower Lower) (*Cache, error) {
-	cs, err := NewArray(cfg, 1, func(int) Lower { return lower })
+	cs, err := NewArray(nil, cfg, 1, func(int) Lower { return lower })
 	if err != nil {
 		return nil, err
 	}
@@ -241,8 +241,8 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 // the waiter pool, and the writeback and response queues past their first
 // mem.RingSlots — grows into a new backing array of its own. The input
 // queue never grows: Issue refuses past Config.InQ, and its ring holds that
-// many rounded up to a power of two.
-func NewArray(cfg Config, n int, lower func(i int) Lower) ([]Cache, error) {
+// many rounded up to a power of two. The slabs come from a (mem.Make).
+func NewArray(a *mem.Arena, cfg Config, n int, lower func(i int) Lower) ([]Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -267,20 +267,20 @@ func NewArray(cfg Config, n int, lower func(i int) Lower) ([]Cache, error) {
 	policyWords, policyBytes := kind.columns(sets, ways)
 	bitWords := table.BitWords(mshrs)
 
-	cs := make([]Cache, n)
-	words := make([]uint64, n*(slabWords+policyWords+2*bitWords+mshrs))
+	cs := mem.Make[Cache](a, n)
+	words := mem.Make[uint64](a, n*(slabWords+policyWords+2*bitWords+mshrs))
 	var bytes []uint8
 	if policyBytes > 0 {
-		bytes = make([]uint8, n*policyBytes)
+		bytes = mem.Make[uint8](a, n*policyBytes)
 	}
-	addrs := make([]mem.Addr, n*mshrs)
-	pfReqs := make([]mem.Request, n*mshrs)
-	waiters := make([]waiter, n*mshrs*perMSHR)
-	ends := make([]int32, n*2*mshrs)
+	addrs := mem.Make[mem.Addr](a, n*mshrs)
+	pfReqs := mem.Make[mem.Request](a, n*mshrs)
+	waiters := mem.Make[waiter](a, n*mshrs*perMSHR)
+	ends := mem.Make[int32](a, n*2*mshrs)
 	inQSlots := 1 << bits.Len(uint(cfg.InQ-1))
-	inQs := make([]queued, n*inQSlots)
-	wbQs := make([]mem.Request, n*mem.RingSlots)
-	respQs := make([]mem.Response, n*mem.RingSlots)
+	inQs := mem.Make[queued](a, n*inQSlots)
+	wbQs := mem.Make[mem.Request](a, n*mem.RingSlots)
+	respQs := mem.Make[mem.Response](a, n*mem.RingSlots)
 	for i := range cs {
 		c := &cs[i]
 		c.cfg, c.id, c.lower = cfg, i, lower(i)

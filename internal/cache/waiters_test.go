@@ -235,7 +235,7 @@ func TestArrayGrowthIsolation(t *testing.T) {
 	for _, level := range []mem.Level{mem.LevelL1, mem.LevelL2, mem.LevelLLC} {
 		t.Run(level.String(), func(t *testing.T) {
 			cfg := Config{Level: level, Sets: 16, Ways: 4, Latency: 1, MSHRs: 4, Policy: "mockingjay", Ports: 1}
-			cs, err := NewArray(cfg, 2, func(int) Lower { return acceptLower{} })
+			cs, err := NewArray(nil, cfg, 2, func(int) Lower { return acceptLower{} })
 			if err != nil {
 				t.Fatal(err)
 			}

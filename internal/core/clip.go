@@ -255,7 +255,7 @@ const ipSeenMax = 1 << 16
 
 // New constructs a CLIP instance: the one-member case of NewArray.
 func New(cfg Config) (*CLIP, error) {
-	cs, err := NewArray(cfg, 1)
+	cs, err := NewArray(nil, cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -265,19 +265,20 @@ func New(cfg Config) (*CLIP, error) {
 // NewArray constructs n CLIP instances of one configuration, one per core.
 // Their tables are carved from one slab per column type (mem.Carve), the APC
 // history (at most APCWindows values) included, and their per-IP
-// observation maps start in cells carved likewise.
-func NewArray(cfg Config, n int) ([]CLIP, error) {
+// observation maps start in cells carved likewise. The slabs come from a
+// (mem.Make).
+func NewArray(a *mem.Arena, cfg Config, n int) ([]CLIP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	nFilter, nPred, nUtil := cfg.FilterSets*cfg.FilterWays, cfg.PredictorSets*cfg.PredictorWays, cfg.UtilityEntries
-	cs := make([]CLIP, n)
-	filters := make([]filterEntry, n*nFilter)
-	preds := make([]predEntry, n*nPred)
-	words := make([]uint64, n*(table.BitWords(nUtil)+2*nUtil))
+	cs := mem.Make[CLIP](a, n)
+	filters := mem.Make[filterEntry](a, n*nFilter)
+	preds := mem.Make[predEntry](a, n*nPred)
+	words := mem.Make[uint64](a, n*(table.BitWords(nUtil)+2*nUtil))
 	nHist := max(0, cfg.APCWindows)
-	hist := make([]float64, n*nHist)
-	seen := table.NewMaps[ipObs](n, 0)
+	hist := mem.Make[float64](a, n*nHist)
+	seen := table.NewMaps[ipObs](a, n, 0)
 	for i := range cs {
 		cs[i] = CLIP{
 			cfg:       cfg,

@@ -283,7 +283,7 @@ type Core struct {
 // stays realistic until every core in the mix is done, as in the paper's
 // methodology.
 func New(id int, cfg Config, gen trace.Generator, port MemoryPort, budget uint64) (*Core, error) {
-	cs, err := NewCores(cfg, []trace.Generator{gen}, []MemoryPort{port}, budget)
+	cs, err := NewCores(nil, cfg, []trace.Generator{gen}, []MemoryPort{port}, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -295,8 +295,8 @@ func New(id int, cfg Config, gen trace.Generator, port MemoryPort, budget uint64
 // through ports[i], all with one configuration and budget. Their ROB columns
 // and branch-predictor weights are carved from one slab per column type
 // (mem.Carve), so the cores cost a fixed handful of allocations whatever
-// their number.
-func NewCores(cfg Config, gens []trace.Generator, ports []MemoryPort, budget uint64) ([]Core, error) {
+// their number. The slabs come from a (mem.Make).
+func NewCores(a *mem.Arena, cfg Config, gens []trace.Generator, ports []MemoryPort, budget uint64) ([]Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -306,11 +306,11 @@ func NewCores(cfg Config, gens []trace.Generator, ports []MemoryPort, budget uin
 	n := len(gens)
 	size := cfg.ROBSize
 	words := (size + 63) / 64
-	cs := make([]Core, n)
-	u64 := make([]uint64, n*(6*words+4*size))
-	u8 := make([]uint8, n*2*size)
-	i32 := make([]int32, n*2*size)
-	weights := make([]int8, n*pcptTables*pcptEntries)
+	cs := mem.Make[Core](a, n)
+	u64 := mem.Make[uint64](a, n*(6*words+4*size))
+	u8 := mem.Make[uint8](a, n*2*size)
+	i32 := mem.Make[int32](a, n*2*size)
+	weights := mem.Make[int8](a, n*pcptTables*pcptEntries)
 	for i := range cs {
 		if gens[i] == nil || ports[i] == nil {
 			return nil, fmt.Errorf("cpu: nil generator or memory port")

@@ -40,7 +40,7 @@ func IsCriticalEvent(ev *cpu.LoadEvent) bool {
 // New constructs a predictor by name: catch, fp, fvp, cbp, robo, crisp. It
 // is the one-member case of NewArray.
 func New(name string, robSize int) (Predictor, error) {
-	ps, err := NewArray(name, robSize, 1)
+	ps, err := NewArray(nil, name, robSize, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -50,39 +50,39 @@ func New(name string, robSize int) (Predictor, error) {
 // NewArray constructs n predictors of the named kind, one per core. The
 // predictors are one array and their tables are carved per kind
 // (table.NewFixeds, table.NewMaps), so a kind costs a fixed handful of
-// allocations whatever n is.
-func NewArray(name string, robSize, n int) ([]Predictor, error) {
-	ps := make([]Predictor, n)
+// allocations whatever n is. The slabs come from a (mem.Make).
+func NewArray(a *mem.Arena, name string, robSize, n int) ([]Predictor, error) {
+	ps := mem.Make[Predictor](a, n)
 	switch name {
 	case "catch":
-		fill(ps, newCATCHs(n))
+		fill(ps, newCATCHs(a, n))
 	case "fp":
-		maps := table.NewMaps[uint64](n, 0)
-		fill(ps, mapped(maps, func(m *table.Map[uint64]) fpPred { return fpPred{stall: m} }))
+		maps := table.NewMaps[uint64](a, n, 0)
+		fill(ps, mapped(a, maps, func(m *table.Map[uint64]) fpPred { return fpPred{stall: m} }))
 	case "fvp":
-		maps := table.NewMaps[int](n, 0)
-		fill(ps, mapped(maps, func(m *table.Map[int]) fvpPred { return fvpPred{conf: m} }))
+		maps := table.NewMaps[int](a, n, 0)
+		fill(ps, mapped(a, maps, func(m *table.Map[int]) fvpPred { return fvpPred{conf: m} }))
 	case "cbp":
-		maps := table.NewMaps[cbpEntry](n, 0)
-		fill(ps, mapped(maps, func(m *table.Map[cbpEntry]) cbpPred { return cbpPred{t: m} }))
+		maps := table.NewMaps[cbpEntry](a, n, 0)
+		fill(ps, mapped(a, maps, func(m *table.Map[cbpEntry]) cbpPred { return cbpPred{t: m} }))
 	case "robo":
 		if robSize <= 0 {
 			robSize = 512
 		}
-		maps := table.NewMaps[roboEntry](n, 0)
-		fill(ps, mapped(maps, func(m *table.Map[roboEntry]) roboPred { return roboPred{robSize: robSize, t: m} }))
+		maps := table.NewMaps[roboEntry](a, n, 0)
+		fill(ps, mapped(a, maps, func(m *table.Map[roboEntry]) roboPred { return roboPred{robSize: robSize, t: m} }))
 	case "crisp":
-		maps := table.NewMaps[crispEntry](n, 0)
-		fill(ps, mapped(maps, func(m *table.Map[crispEntry]) crispPred { return crispPred{t: m} }))
+		maps := table.NewMaps[crispEntry](a, n, 0)
+		fill(ps, mapped(a, maps, func(m *table.Map[crispEntry]) crispPred { return crispPred{t: m} }))
 	default:
 		return nil, fmt.Errorf("criticality: unknown predictor %q", name)
 	}
 	return ps, nil
 }
 
-// mapped builds one predictor over each of maps.
-func mapped[V, T any](maps []table.Map[V], pred func(*table.Map[V]) T) []T {
-	ts := make([]T, len(maps))
+// mapped builds one predictor over each of maps, in a slab from a.
+func mapped[V, T any](a *mem.Arena, maps []table.Map[V], pred func(*table.Map[V]) T) []T {
+	ts := mem.Make[T](a, len(maps))
 	for i := range ts {
 		ts[i] = pred(&maps[i])
 	}
@@ -165,9 +165,9 @@ func (c *catchPred) recentAt(i int) uint64 {
 	return c.recent[(c.recentHead+i)&(catchWindow-1)]
 }
 
-func newCATCHs(n int) []catchPred {
-	cs := make([]catchPred, n)
-	confs := table.NewFixeds[int](n, catchTableSize, table.FIFO)
+func newCATCHs(a *mem.Arena, n int) []catchPred {
+	cs := mem.Make[catchPred](a, n)
+	confs := table.NewFixeds[int](a, n, catchTableSize, table.FIFO)
 	for i := range cs {
 		cs[i].conf = &confs[i]
 	}

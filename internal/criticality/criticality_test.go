@@ -218,7 +218,7 @@ func TestIPPredictorsMissDynamicCriticality(t *testing.T) {
 // length-prefixed list, a restored window continues identically, and retiring
 // a load allocates nothing.
 func TestCATCHWindowIsAFIFOOfEight(t *testing.T) {
-	c := &newCATCHs(1)[0]
+	c := &newCATCHs(nil, 1)[0]
 	var ref []uint64
 	encode := func(p *catchPred) []byte {
 		w := snapshot.NewSaver(0)
@@ -250,7 +250,7 @@ func TestCATCHWindowIsAFIFOOfEight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := &newCATCHs(1)[0]
+		d := &newCATCHs(nil, 1)[0]
 		State(r, d)
 		if err := r.Done(); err != nil {
 			t.Fatal(err)

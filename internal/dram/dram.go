@@ -251,40 +251,42 @@ func (d *DRAM) SchedulerWork() SchedulerWork { return d.work }
 func (d *DRAM) ScanEveryCycle() { d.everyCycle = true }
 
 // New builds the memory system.
-func New(cfg Config) (*DRAM, error) {
+func New(cfg Config) (*DRAM, error) { return NewIn(nil, cfg) }
+
+// NewIn is New with every slab taken from a (mem.Make): one per column type
+// for all channels, each channel's columns carved from it.
+func NewIn(a *mem.Arena, cfg Config) (*DRAM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &DRAM{cfg: cfg, chans: make([]channel, cfg.Channels),
+	n := cfg.Channels
+	d := &DRAM{cfg: cfg, chans: mem.Make[channel](a, n),
 		drainHi: cfg.WQ * writeWatermarkNum / writeWatermarkDen, drainLo: cfg.WQ / 4}
 	words := (cfg.RQ + 63) / 64
-	scratch := make([]uint64, 3*words)
+	scratch := mem.Make[uint64](a, 3*words)
 	d.eligW = scratch[0*words : 1*words]
 	d.rhitW = scratch[1*words : 2*words]
 	d.dmndW = scratch[2*words : 3*words]
+	// Queue columns carved once with full capacity: Issue-time appends never
+	// reallocate, and a dispatched entry's gap closes with memmoves over the
+	// columns. Each column is carved empty with its full private capacity.
+	bankSlab := mem.Make[bank](a, n*banks)
+	cols := mem.Make[uint64](a, n*(3*cfg.RQ+2*cfg.WQ))
+	reqs := mem.Make[mem.Request](a, n*cfg.RQ)
 	for i := range d.chans {
 		ch := &d.chans[i]
 		ch.id = i
 		ch.rdFree, ch.wrFree = mem.NoEvent, mem.NoEvent
-		ch.banks = make([]bank, banks)
+		ch.banks = mem.Carve(&bankSlab, banks)
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
 		}
-		// Queue columns carved once with full capacity from one slab:
-		// Issue-time appends never reallocate, and a dispatched entry's gap
-		// closes with memmoves over the columns. Three-index slices give each
-		// column zero length but its full private capacity.
-		cols := make([]uint64, 3*cfg.RQ+2*cfg.WQ)
-		ch.rdArrived = cols[0:0:cfg.RQ]
-		cols = cols[cfg.RQ:]
-		ch.rdRow = cols[0:0:cfg.RQ]
-		cols = cols[cfg.RQ:]
-		ch.rdBk = cols[0:0:cfg.RQ]
-		cols = cols[cfg.RQ:]
-		ch.wrRow = cols[0:0:cfg.WQ]
-		cols = cols[cfg.WQ:]
-		ch.wrBk = cols[0:0:cfg.WQ]
-		ch.rdReq = make([]mem.Request, 0, cfg.RQ)
+		ch.rdArrived = mem.Carve(&cols, cfg.RQ)[:0]
+		ch.rdRow = mem.Carve(&cols, cfg.RQ)[:0]
+		ch.rdBk = mem.Carve(&cols, cfg.RQ)[:0]
+		ch.wrRow = mem.Carve(&cols, cfg.WQ)[:0]
+		ch.wrBk = mem.Carve(&cols, cfg.WQ)[:0]
+		ch.rdReq = mem.Carve(&reqs, cfg.RQ)[:0]
 	}
 	return d, nil
 }

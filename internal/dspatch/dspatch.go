@@ -67,17 +67,17 @@ const (
 // New wraps base with DSPatch modulation fed by bw: the one-member case of
 // NewArray.
 func New(base prefetch.Prefetcher, bw BandwidthSource) *DSPatch {
-	return &NewArray([]prefetch.Prefetcher{base}, bw)[0]
+	return &NewArray(nil, []prefetch.Prefetcher{base}, bw)[0]
 }
 
 // NewArray wraps each of bases, one per core, with DSPatch modulation fed by
 // the one source bw. The wrappers are one array and their tables are carved
-// per kind (table.NewFixeds).
-func NewArray(bases []prefetch.Prefetcher, bw BandwidthSource) []DSPatch {
+// per kind (table.NewFixeds), every slab taken from a (mem.Make).
+func NewArray(a *mem.Arena, bases []prefetch.Prefetcher, bw BandwidthSource) []DSPatch {
 	n := len(bases)
-	ds := make([]DSPatch, n)
-	regions := table.NewFixeds[regionAcc](n, activeRegions, table.FIFO)
-	tables := table.NewFixeds[patterns](n, tableMax, table.FIFO)
+	ds := mem.Make[DSPatch](a, n)
+	regions := table.NewFixeds[regionAcc](a, n, activeRegions, table.FIFO)
+	tables := table.NewFixeds[patterns](a, n, tableMax, table.FIFO)
 	for i := range ds {
 		ds[i] = DSPatch{base: bases[i], bw: bw, regions: &regions[i], table: &tables[i]}
 	}

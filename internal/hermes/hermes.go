@@ -41,12 +41,12 @@ const (
 // New returns a predictor with zeroed weights (predicts on-chip until
 // trained; the activation threshold biases against probing): the one-member
 // case of NewArray.
-func New() *Predictor { return &NewArray(1)[0] }
+func New() *Predictor { return &NewArray(nil, 1)[0] }
 
 // NewArray returns n predictors with zeroed weights, one per core, as one
-// array.
-func NewArray(n int) []Predictor {
-	ps := make([]Predictor, n)
+// array taken from a (mem.Make).
+func NewArray(a *mem.Arena, n int) []Predictor {
+	ps := mem.Make[Predictor](a, n)
 	for i := range ps {
 		ps[i].threshold = 2
 	}

@@ -35,10 +35,10 @@ type dueResp struct {
 const laneCap = 32
 
 // NewDueQueue returns an empty queue with the given number of lanes, their
-// buffers carved from one allocation.
-func NewDueQueue(lanes int) DueQueue {
-	q := DueQueue{lanes: make([]Ring[dueResp], lanes), next: NoEvent}
-	slab := make([]dueResp, lanes*laneCap)
+// buffers carved from one slab, the slabs taken from a (Make).
+func NewDueQueue(a *Arena, lanes int) DueQueue {
+	q := DueQueue{lanes: Make[Ring[dueResp]](a, lanes), next: NoEvent}
+	slab := Make[dueResp](a, lanes*laneCap)
 	for i := range q.lanes {
 		q.lanes[i].buf = slab[i*laneCap : (i+1)*laneCap : (i+1)*laneCap]
 	}

@@ -65,7 +65,7 @@ func TestDueQueueMatchesScannedList(t *testing.T) {
 	const lanes = 4
 	for seed := uint64(1); seed <= 5; seed++ {
 		rng := NewPRNG(seed)
-		q := NewDueQueue(lanes)
+		q := NewDueQueue(nil, lanes)
 		var list naiveDue
 		var last [lanes]uint64
 		var id uint64
@@ -107,7 +107,7 @@ func TestDueQueueMatchesScannedList(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q = NewDueQueue(lanes)
+			q = NewDueQueue(nil, lanes)
 			q.State(r, func(r *Response) int { return int(r.Req.Core) })
 			if err := r.Done(); err != nil {
 				t.Fatal(err)
@@ -130,7 +130,7 @@ func TestDueQueueRejectsUnorderedLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewDueQueue(1)
+	q := NewDueQueue(nil, 1)
 	q.State(r, func(*Response) int { return 0 })
 	if !errors.Is(r.Err(), snapshot.ErrCorrupt) {
 		t.Fatalf("unordered lane loaded: err=%v", r.Err())

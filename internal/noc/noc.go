@@ -237,7 +237,10 @@ type LinkWork struct {
 func (m *Mesh) LinkWork() LinkWork { return m.work }
 
 // New constructs a mesh.
-func New(cfg Config) (*Mesh, error) {
+func New(cfg Config) (*Mesh, error) { return NewIn(nil, cfg) }
+
+// NewIn is New with the mesh's slabs taken from a (mem.Make).
+func NewIn(a *mem.Arena, cfg Config) (*Mesh, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -258,20 +261,20 @@ func New(cfg Config) (*Mesh, error) {
 	slots := mem.RingSlots * cfg.Width * cfg.Height
 	m := &Mesh{
 		cfg:   cfg,
-		pkts:  make([]packet, 0, slots),
-		free:  make([]int32, 0, slots),
-		links: make([]link, nLinks),
+		pkts:  mem.Make[packet](a, slots)[:0],
+		free:  mem.Make[int32](a, slots)[:0],
+		links: mem.Make[link](a, nLinks),
 	}
-	m.pending.Adopt(make([]pendingHop, 1<<bits.Len(uint(slots-1))))
+	m.pending.Adopt(mem.Make[pendingHop](a, 1<<bits.Len(uint(slots-1))))
 	words := (nLinks + 63) / 64
-	bitmaps := make([]uint64, (2+wheelSize)*words)
+	bitmaps := mem.Make[uint64](a, (2+wheelSize)*words)
 	m.active, m.grant, m.wheel = bitmaps[:words:words], bitmaps[words:2*words:2*words], bitmaps[2*words:]
 	// Every link's VC rings are carved from one array, and their first
 	// mem.RingSlots slots from one slab: a VC's depth is not bounded by the
 	// model, so a ring that outgrows its region grows into a buffer of its
 	// own.
-	vcs := make([]mem.Ring[int32], nLinks*cfg.VCs)
-	ids := make([]int32, nLinks*cfg.VCs*mem.RingSlots)
+	vcs := mem.Make[mem.Ring[int32]](a, nLinks*cfg.VCs)
+	ids := mem.Make[int32](a, nLinks*cfg.VCs*mem.RingSlots)
 	for i := range vcs {
 		vcs[i].Adopt(mem.Carve(&ids, mem.RingSlots))
 	}

@@ -87,10 +87,10 @@ const (
 // newBertis constructs n Bertis, with the tuned watermarks, whose row tables are one table.NewFixeds
 // and whose initial slabs are carved from one allocation; a slab that grows
 // (fit) moves to a backing array of its own.
-func newBertis(n int) []Berti {
-	bs := make([]Berti, n)
-	rows := table.NewFixeds[int32](n, bertiTableSize, table.FIFO)
-	slab := make([]uint64, n*bertiInitRows*bertiRowWords)
+func newBertis(a *mem.Arena, n int) []Berti {
+	bs := mem.Make[Berti](a, n)
+	rows := table.NewFixeds[int32](a, n, bertiTableSize, table.FIFO)
+	slab := mem.Make[uint64](a, n*bertiInitRows*bertiRowWords)
 	for i := range bs {
 		bs[i] = Berti{rows: &rows[i], slab: mem.Carve(&slab, bertiInitRows*bertiRowWords), latencyEst: 120}
 	}

@@ -102,7 +102,7 @@ func bertiGoldenStream() []bertiGoldenStep {
 
 // runBertiGolden replays the stream through a fresh Berti, filling in Out.
 func runBertiGolden(steps []bertiGoldenStep) {
-	b := &newBertis(1)[0]
+	b := &newBertis(nil, 1)[0]
 	for i := range steps {
 		s := &steps[i]
 		if s.ObserveLat != 0 {

@@ -39,11 +39,11 @@ const (
 )
 
 // newBingos constructs n empty Bingos whose tables are carved per kind.
-func newBingos(n int) []Bingo {
-	bs := make([]Bingo, n)
-	active := table.NewFixeds[bingoRegion](n, bingoActiveMax, table.FIFO)
-	long := table.NewFixeds[uint32](n, bingoHistoryMax, table.FIFO)
-	short := table.NewFixeds[uint32](n, bingoHistoryMax, table.FIFO)
+func newBingos(a *mem.Arena, n int) []Bingo {
+	bs := mem.Make[Bingo](a, n)
+	active := table.NewFixeds[bingoRegion](a, n, bingoActiveMax, table.FIFO)
+	long := table.NewFixeds[uint32](a, n, bingoHistoryMax, table.FIFO)
+	short := table.NewFixeds[uint32](a, n, bingoHistoryMax, table.FIFO)
 	for i := range bs {
 		bs[i].active, bs[i].long, bs[i].short = &active[i], &long[i], &short[i]
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestBertiTableEviction(t *testing.T) {
-	b := &newBertis(1)[0]
+	b := &newBertis(nil, 1)[0]
 	// Touch more IPs than the table holds; the table must stay bounded and
 	// keep working for fresh IPs.
 	for ip := uint64(0); ip < bertiTableSize+32; ip++ {
@@ -27,7 +27,7 @@ func TestBertiTableEviction(t *testing.T) {
 }
 
 func TestBertiAgingFadesStaleDeltas(t *testing.T) {
-	b := &newBertis(1)[0]
+	b := &newBertis(nil, 1)[0]
 	// Train delta 5, then switch the IP to delta 1 for a long time; delta 5
 	// must fade from the candidate mix.
 	ip := uint64(0x77)
@@ -53,7 +53,7 @@ func TestBertiAgingFadesStaleDeltas(t *testing.T) {
 }
 
 func TestIPCPTableBounded(t *testing.T) {
-	p := &newIPCPs(1)[0]
+	p := &newIPCPs(nil, 1)[0]
 	for ip := uint64(0); ip < ipcpTableSize*2; ip++ {
 		p.Train(Access{IP: ip, Addr: mem.Addr(ip * 64), Cycle: ip})
 	}
@@ -63,7 +63,7 @@ func TestIPCPTableBounded(t *testing.T) {
 }
 
 func TestStrideTableBounded(t *testing.T) {
-	s := &newStrides(1)[0]
+	s := &newStrides(nil, 1)[0]
 	for ip := uint64(0); ip < strideTableSize*2; ip++ {
 		s.Train(Access{IP: ip, Addr: mem.Addr(ip * 64)})
 	}
@@ -73,7 +73,7 @@ func TestStrideTableBounded(t *testing.T) {
 }
 
 func TestSPPPageTrackerBounded(t *testing.T) {
-	s := &newSPPPPFs(1)[0]
+	s := &newSPPPPFs(nil, 1)[0]
 	for page := uint64(0); page < sppPageMax*3; page++ {
 		s.Train(Access{IP: 1, Addr: mem.Addr(page * mem.PageBytes)})
 	}
@@ -83,7 +83,7 @@ func TestSPPPageTrackerBounded(t *testing.T) {
 }
 
 func TestSPPWeakestSlotReplacement(t *testing.T) {
-	s := &newSPPPPFs(1)[0]
+	s := &newSPPPPFs(nil, 1)[0]
 	sig := uint16(0x123)
 	// Fill the 4 delta slots, then hammer a 5th delta: it must displace the
 	// weakest, not be lost.
@@ -102,7 +102,7 @@ func TestSPPWeakestSlotReplacement(t *testing.T) {
 }
 
 func TestBingoActiveTrackerBounded(t *testing.T) {
-	b := &newBingos(1)[0]
+	b := &newBingos(nil, 1)[0]
 	for r := 0; r < bingoActiveMax*3; r++ {
 		b.Train(Access{IP: 1, Addr: mem.Addr(r * 2048)})
 	}
@@ -132,7 +132,7 @@ func TestCandidatesAreLineAligned(t *testing.T) {
 // slab, each ending at its length, so a Berti that outgrows its region (fit)
 // moves to a slab of its own and its neighbour's rows stay as they were.
 func TestBertiFitIsolation(t *testing.T) {
-	bs := newBertis(2)
+	bs := newBertis(nil, 2)
 	for i := range bs[1].slab {
 		bs[1].slab[i] = 7
 	}

@@ -57,12 +57,12 @@ const (
 )
 
 // newIPCPs constructs n classifiers with empty tables, carved per kind.
-func newIPCPs(n int) []IPCP {
-	ps := make([]IPCP, n)
-	ips := table.NewFixeds[ipcpEntry](n, ipcpTableSize, table.FIFO)
+func newIPCPs(a *mem.Arena, n int) []IPCP {
+	ps := mem.Make[IPCP](a, n)
+	ips := table.NewFixeds[ipcpEntry](a, n, ipcpTableSize, table.FIFO)
 	// Region replacement drops an arbitrary-but-deterministic victim: the
 	// smallest region key, as the map-backed code did.
-	regions := table.NewFixeds[gsRegion](n, gsRegionMax, table.MinKey)
+	regions := table.NewFixeds[gsRegion](a, n, gsRegionMax, table.MinKey)
 	for i := range ps {
 		ps[i].ip, ps[i].region = &ips[i], &regions[i]
 	}

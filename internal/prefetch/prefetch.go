@@ -95,7 +95,7 @@ func degreeFor(base, level int) int {
 // "stride", "stream", or "none" (nil-object that never prefetches). It is
 // the one-member case of NewArray.
 func New(name string) (Prefetcher, error) {
-	ps, err := NewArray(name, 1)
+	ps, err := NewArray(nil, name, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -105,21 +105,22 @@ func New(name string) (Prefetcher, error) {
 // NewArray constructs n prefetchers of the named kind, one per core. The
 // engines are one array and their tables are carved from one slab per
 // column type, so a kind costs a fixed handful of allocations whatever n is.
-func NewArray(name string, n int) ([]Prefetcher, error) {
-	ps := make([]Prefetcher, n)
+// The slabs come from a (mem.Make).
+func NewArray(a *mem.Arena, name string, n int) ([]Prefetcher, error) {
+	ps := mem.Make[Prefetcher](a, n)
 	switch name {
 	case "berti":
-		fill(ps, newBertis(n))
+		fill(ps, newBertis(a, n))
 	case "ipcp":
-		fill(ps, newIPCPs(n))
+		fill(ps, newIPCPs(a, n))
 	case "bingo":
-		fill(ps, newBingos(n))
+		fill(ps, newBingos(a, n))
 	case "spppf":
-		fill(ps, newSPPPPFs(n))
+		fill(ps, newSPPPPFs(a, n))
 	case "stride":
-		fill(ps, newStrides(n))
+		fill(ps, newStrides(a, n))
 	case "stream":
-		fill(ps, make([]Stream, n))
+		fill(ps, mem.Make[Stream](a, n))
 	case "none", "":
 		for i := range ps {
 			ps[i] = None{}

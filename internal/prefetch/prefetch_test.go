@@ -107,7 +107,7 @@ func TestEveryPrefetcherCoversUnitStride(t *testing.T) {
 }
 
 func TestBertiLearnsNonUnitDelta(t *testing.T) {
-	b := &newBertis(1)[0]
+	b := &newBertis(nil, 1)[0]
 	cov := coverageOf(b, strideStream(0xBB, 0x200000, 7, 600))
 	if cov < 0.5 {
 		t.Fatalf("Berti delta-7 coverage %.2f < 0.5", cov)
@@ -115,7 +115,7 @@ func TestBertiLearnsNonUnitDelta(t *testing.T) {
 }
 
 func TestBertiCandidatesCarryWatermarkFillLevels(t *testing.T) {
-	b := &newBertis(1)[0]
+	b := &newBertis(nil, 1)[0]
 	cands := feed(b, strideStream(0xCC, 0x300000, 1, 200))
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
@@ -138,7 +138,7 @@ func TestBertiCandidatesCarryWatermarkFillLevels(t *testing.T) {
 }
 
 func TestBertiTimelinessExcludesRecentDeltas(t *testing.T) {
-	b := &newBertis(1)[0]
+	b := &newBertis(nil, 1)[0]
 	// Accesses 1 cycle apart: nothing is timely, so no candidates.
 	var as []Access
 	for i := 0; i < 100; i++ {
@@ -150,7 +150,7 @@ func TestBertiTimelinessExcludesRecentDeltas(t *testing.T) {
 }
 
 func TestBertiIgnoresRandomStream(t *testing.T) {
-	b := &newBertis(1)[0]
+	b := &newBertis(nil, 1)[0]
 	rng := mem.NewPRNG(1)
 	var as []Access
 	for i := 0; i < 500; i++ {
@@ -165,7 +165,7 @@ func TestBertiIgnoresRandomStream(t *testing.T) {
 }
 
 func TestBertiObserveMissLatency(t *testing.T) {
-	b := &newBertis(1)[0]
+	b := &newBertis(nil, 1)[0]
 	before := b.latencyEst
 	for i := 0; i < 100; i++ {
 		b.ObserveMissLatency(400)
@@ -182,7 +182,7 @@ func TestBertiObserveMissLatency(t *testing.T) {
 }
 
 func TestIPCPConstantStrideClass(t *testing.T) {
-	p := &newIPCPs(1)[0]
+	p := &newIPCPs(nil, 1)[0]
 	cands := feed(p, strideStream(0xDD, 0x400000, 2, 50))
 	if len(cands) == 0 {
 		t.Fatal("CS class never fired")
@@ -196,7 +196,7 @@ func TestIPCPConstantStrideClass(t *testing.T) {
 }
 
 func TestIPCPComplexPattern(t *testing.T) {
-	p := &newIPCPs(1)[0]
+	p := &newIPCPs(nil, 1)[0]
 	// Repeating delta sequence 1,3,1,3... is not a constant stride.
 	var as []Access
 	line := int64(0x8000)
@@ -213,7 +213,7 @@ func TestIPCPComplexPattern(t *testing.T) {
 }
 
 func TestIPCPGlobalStream(t *testing.T) {
-	p := &newIPCPs(1)[0]
+	p := &newIPCPs(nil, 1)[0]
 	// Many IPs touch consecutive lines: no per-IP stride, but a global
 	// stream.
 	var as []Access
@@ -229,7 +229,7 @@ func TestIPCPGlobalStream(t *testing.T) {
 }
 
 func TestBingoReplaysFootprintOnRecurrence(t *testing.T) {
-	b := &newBingos(1)[0]
+	b := &newBingos(nil, 1)[0]
 	// Visit region A with a distinctive footprint, visit many other regions
 	// to force commit, then re-trigger region A.
 	touch := func(base mem.Addr, offsets []int, startCycle uint64) []Access {
@@ -267,7 +267,7 @@ func TestBingoReplaysFootprintOnRecurrence(t *testing.T) {
 }
 
 func TestBingoShortEventFallback(t *testing.T) {
-	b := &newBingos(1)[0]
+	b := &newBingos(nil, 1)[0]
 	base := mem.Addr(0xB00000)
 	// Record with trigger at offset 2.
 	var as []Access
@@ -290,7 +290,7 @@ func TestBingoShortEventFallback(t *testing.T) {
 }
 
 func TestSPPLookaheadDepth(t *testing.T) {
-	s := &newSPPPPFs(1)[0]
+	s := &newSPPPPFs(nil, 1)[0]
 	stream := strideStream(0x11, 0xC00000, 1, 300)
 	maxAhead := int64(0)
 	total := 0
@@ -313,7 +313,7 @@ func TestSPPLookaheadDepth(t *testing.T) {
 }
 
 func TestPPFFeedbackSuppresses(t *testing.T) {
-	s := &newSPPPPFs(1)[0]
+	s := &newSPPPPFs(nil, 1)[0]
 	cand := Candidate{Addr: 0xD00000, TriggerIP: 0x22}
 	// Hammer negative feedback.
 	for i := 0; i < 64; i++ {
@@ -333,7 +333,7 @@ func TestPPFFeedbackSuppresses(t *testing.T) {
 }
 
 func TestStrideConfidenceGate(t *testing.T) {
-	s := &newStrides(1)[0]
+	s := &newStrides(nil, 1)[0]
 	// A single observed delta is not enough for confidence 2.
 	early := feed(s, strideStream(0x33, 0xE00000, 1, 2))
 	if len(early) != 0 {

@@ -29,9 +29,9 @@ const (
 
 // newStrides builds n empty IP-stride prefetchers whose tables are carved
 // per kind.
-func newStrides(n int) []Stride {
-	ss := make([]Stride, n)
-	tables := table.NewFixeds[strideEntry](n, strideTableSize, table.FIFO)
+func newStrides(a *mem.Arena, n int) []Stride {
+	ss := mem.Make[Stride](a, n)
+	tables := table.NewFixeds[strideEntry](a, n, strideTableSize, table.FIFO)
 	for i := range ss {
 		ss[i].table = &tables[i]
 	}

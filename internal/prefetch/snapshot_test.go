@@ -41,7 +41,7 @@ func TestBertiRowsGrow(t *testing.T) {
 		}
 		return img
 	}
-	b, ref := &newBertis(1)[0], &newBertis(1)[0]
+	b, ref := &newBertis(nil, 1)[0], &newBertis(nil, 1)[0]
 	ref.fit(bertiTableSize)
 	if len(b.slab) != bertiInitRows*bertiRowWords {
 		t.Fatalf("a new Berti holds %d words, want %d rows' worth", len(b.slab), bertiInitRows)
@@ -74,7 +74,7 @@ func TestBertiRowsGrow(t *testing.T) {
 		if !bytes.Equal(img, save(ref)) {
 			t.Fatalf("%d rows: the image depends on the slab's capacity", b.nextRow)
 		}
-		fresh := &newBertis(1)[0]
+		fresh := &newBertis(nil, 1)[0]
 		l, err := snapshot.NewLoader(img)
 		if err != nil {
 			t.Fatal(err)

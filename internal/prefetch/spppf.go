@@ -83,9 +83,9 @@ func (f *ppf) train(idx [ppfTables]uint32, useful bool) {
 
 // newSPPPPFs constructs n SPPs with zeroed perceptron filters, their page
 // tables carved per kind.
-func newSPPPPFs(n int) []SPPPPF {
-	ps := make([]SPPPPF, n)
-	pages := table.NewFixeds[sppPage](n, sppPageMax, table.FIFO)
+func newSPPPPFs(a *mem.Arena, n int) []SPPPPF {
+	ps := mem.Make[SPPPPF](a, n)
+	pages := table.NewFixeds[sppPage](a, n, sppPageMax, table.FIFO)
 	for i := range ps {
 		ps[i].pages = &pages[i]
 	}

@@ -171,17 +171,13 @@ func anyBit(w []uint64) bool {
 	return false
 }
 
-// carveColumns allocates the one slab behind the watchdog's marks and the
-// awake-set columns and marks everything awake.
+// carveColumns takes the one slab behind the watchdog's marks and the
+// awake-set columns from the arena and marks everything awake.
 func (s *System) carveColumns() {
 	n := len(s.cores)
 	words := (n + 63) / 64
-	rest := make([]uint64, 4*n+(4+2*s.dram.Queues())*words)
-	carve := func(k int) []uint64 {
-		c := rest[:k:k]
-		rest = rest[k:]
-		return c
-	}
+	rest := mem.Make[uint64](s.arena, 4*n+(4+2*s.dram.Queues())*words)
+	carve := func(k int) []uint64 { return mem.Carve(&rest, k) }
 	a := &s.awake
 	s.watched = carve(n)
 	a.tiles = sleepers{awake: carve(words), next: carve(n)}

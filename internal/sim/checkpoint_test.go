@@ -62,13 +62,20 @@ type imagePin struct {
 
 // TestCheckpointImageDigests pins the image bytes of every mechanism section
 // offline: each checkpointMatrix arm, run to imageDigestCycle and saved, must
-// hash as testdata/images.json records at snapshot.Version. Re-record it
-// (-update) only with a Version bump, or together with the other goldens for
-// an intended change of behaviour.
+// hash as testdata/images.json records at snapshot.Version. So must the
+// hermes-irr oracle arm at seed 1, which at that cycle has direct-DRAM reads
+// both queued and in flight, so the pins cover those layouts. Re-record it (-update)
+// only with a Version bump, or together with the other goldens for an
+// intended change of behaviour.
 func TestCheckpointImageDigests(t *testing.T) {
-	pins := map[string]imagePin{}
+	builds := map[string]func() (*System, error){}
 	for name, cfg := range checkpointMatrix() {
-		s, err := NewSystem(cfg)
+		builds[name] = func() (*System, error) { return NewSystem(cfg) }
+	}
+	builds["hermes-irr"] = func() (*System, error) { return hermesIrrArm().build(1, false) }
+	pins := map[string]imagePin{}
+	for name, build := range builds {
+		s, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,6 +86,10 @@ func TestCheckpointImageDigests(t *testing.T) {
 		}
 		if slices.Contains(imageDigestWarmed, name) && !s.warmed {
 			t.Fatalf("%s: not past the warm-up barrier at cycle %d", name, imageDigestCycle)
+		}
+		if name == "hermes-irr" && (!slices.ContainsFunc(s.stage, func(st tileStage) bool { return st.dramQ.Len() > 0 }) ||
+			!slices.ContainsFunc(s.bypass, func(b bypassLines) bool { return len(b) > 0 })) {
+			t.Fatalf("%s: no direct-DRAM read queued or in flight at cycle %d", name, imageDigestCycle)
 		}
 		image, err := s.SaveState()
 		if err != nil {
@@ -808,7 +819,7 @@ func TestSystemSnapshotManifest(t *testing.T) {
 			"cores", "l1d", "l2", "llc", "mesh", "dram",
 			"ports", // each with its L1I and TLB
 			"dramPending", "llcRetry",
-			"hermesBypass", "hermesHold",
+			"bypass", "hermesHold",
 			"epochPrev", "pfGenerated", "pfIssued", "pfQ",
 			"stage", // each tile's direct-DRAM queue
 			// mechanism sections
@@ -826,7 +837,7 @@ func TestSystemSnapshotManifest(t *testing.T) {
 			// The progress watchdog restarts from the restored cycle.
 			"watchAt", "watched", "hung",
 			// About the host run, not the simulated machine.
-			"self", "imageLen",
+			"self", "imageLen", "arena",
 		})
 }
 

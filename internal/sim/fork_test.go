@@ -91,24 +91,30 @@ func TestImageCanonical(t *testing.T) {
 }
 
 // TestNewSystemFootprint budgets what one fork allocates before it loads
-// anything: the allocation count of NewSystem on every steadyArms
-// configuration, counted by the runtime and so the same on every host, and
-// the bytes on the 64-core bench geometry. NewSystem builds each kind of
-// component once for all cores (DESIGN.md §8), so what it allocates is a
-// constant per System plus the cores' trace cursors: an arm fails above
-// footprintBase + footprintPerCore a core (the arms measure 107–143
-// allocations on 4 to 16 cores). The 64-core geometry has a tighter count
-// (256 now) and keeps its byte budget (10.95 MB now). On it the test also
-// counts the rest of a fork, LoadState and SaveState of its warm-up image
-// (38 now). Spending
-// more is a decision to make here, not something a fork-per-point campaign
-// discovers.
+// anything, counted by the runtime and so the same on every host, on every
+// steadyArms configuration: a cold NewSystem, with no closed System to
+// recycle, and a recycled one, built on the memory of the cold build after
+// its Close. NewSystem builds each kind of component once for all cores
+// (DESIGN.md §8), so what a cold build allocates is a constant per System
+// plus the cores' trace cursors: an arm fails above footprintBase +
+// footprintPerCore a core (the arms measure 110–146 allocations on 4 to 16
+// cores). The 64-core geometry has a tighter count (239 now) and keeps its
+// byte budget (10.97 MB now). A recycled build allocates no slab, only the
+// System, the mesh and DRAM headers and the trace cursors: an arm fails
+// above recycledBase + recycledPerCore allocations a core (15 + 2 a core
+// now) or recycledBytesBase + recycledBytesPerCore bytes a core (about 2.6
+// KB + 650 bytes a core now), and on the 64-core geometry above 15% of the
+// cold build's bytes (0.4% now). On that geometry the test also counts the
+// rest of a fork, LoadState and SaveState of its warm-up image (32–38 now).
+// Spending more is a decision to make here, not something a fork-per-point
+// campaign discovers.
 //
-// The budget covers NewSystem with every trace program its cores read
+// The budgets cover NewSystem with every trace program its cores read
 // already built: a process builds a program once and caches it, but only up
 // to trace's bound, and past it NewSystem builds programs privately on every
 // call. So each arm is measured in a fresh process, where its subtest runs
-// alone, and repeats a first call that built the programs. A core's
+// alone, and repeats a first build that built the programs; that build stays
+// open until the end, so the cold build cannot recycle it. A core's
 // instruction batch is not in it: the core allocates the batch at its first
 // dispatch.
 func TestNewSystemFootprint(t *testing.T) {
@@ -119,6 +125,11 @@ func TestNewSystemFootprint(t *testing.T) {
 		budgetMallocs64  = 420
 		budgetBytes64    = 12_350_000
 		budgetLoadSave64 = 160
+		// A recycled build.
+		recycledBase         = 24
+		recycledPerCore      = 2
+		recycledBytesBase    = 4096
+		recycledBytesPerCore = 768
 	)
 	const self = "^TestNewSystemFootprint$"
 	_, child := strings.CutPrefix(flag.Lookup("test.run").Value.String(), self+"/")
@@ -136,19 +147,24 @@ func TestNewSystemFootprint(t *testing.T) {
 				}
 				return
 			}
-			build := func() {
+			// build returns a new System and what building it allocated.
+			build := func() (s *System, bytes, mallocs uint64) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				s, err := NewSystem(arm.cfg)
+				runtime.ReadMemStats(&after)
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.Close()
+				return s, after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 			}
-			build() // builds and caches the cores' trace programs
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			build()
-			runtime.ReadMemStats(&after)
-			bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+			first, _, _ := build() // builds and caches the cores' trace programs
+			defer first.Close()
+			cold, bytes, mallocs := build()
+			cold.Close()
+			recycled, recBytes, recMallocs := build()
+			recycled.Close()
+
 			cores := arm.cfg.Cores()
 			budget := uint64(footprintBase + footprintPerCore*cores)
 			if arm.name == "mesh-geometry64" {
@@ -156,13 +172,24 @@ func TestNewSystemFootprint(t *testing.T) {
 				if bytes > budgetBytes64 {
 					t.Errorf("NewSystem allocated %d bytes; the budget is %d", bytes, budgetBytes64)
 				}
+				if recBytes*100 > bytes*15 {
+					t.Errorf("a recycled NewSystem allocated %d bytes, more than 15%% of a cold one's %d", recBytes, bytes)
+				}
 				if !invariant.Enabled { // under clipdebug every save re-checks its round trips
 					forkLoadSave(t, arm.cfg, budgetLoadSave64)
 				}
 			}
-			t.Logf("NewSystem(%s, %d cores): %d bytes in %d allocations (budget %d)", arm.name, cores, bytes, mallocs, budget)
+			t.Logf("NewSystem(%s, %d cores): cold %d bytes in %d allocations (budget %d)", arm.name, cores, bytes, mallocs, budget)
 			if mallocs > budget {
 				t.Errorf("NewSystem on %d cores made %d allocations; the budget is %d", cores, mallocs, budget)
+			}
+			recBudget := uint64(recycledBase + recycledPerCore*cores)
+			recBytesBudget := uint64(recycledBytesBase + recycledBytesPerCore*cores)
+			t.Logf("NewSystem(%s, %d cores): recycled %d bytes in %d allocations (budgets %d bytes, %d)",
+				arm.name, cores, recBytes, recMallocs, recBytesBudget, recBudget)
+			if recMallocs > recBudget || recBytes > recBytesBudget {
+				t.Errorf("a recycled NewSystem on %d cores made %d allocations of %d bytes; the budgets are %d and %d bytes",
+					cores, recMallocs, recBytes, recBudget, recBytesBudget)
 			}
 		})
 	}

@@ -125,11 +125,12 @@ func (s *ICacheStats) HitRate() float64 {
 }
 
 // newL1Is builds n of Table 3's 32KB 8-way L1Is, their tag arrays carved
-// from one slab. A miss costs the on-chip round trip to where code resides.
-func newL1Is(n, div int, missPenalty uint64) []icache {
+// from one slab, taken from a. A miss costs the on-chip round trip to where
+// code resides.
+func newL1Is(a *mem.Arena, n, div int, missPenalty uint64) []icache {
 	sets := l1iSets(div)
-	slab := make([]uint64, n*tlb.TagArrayWords(sets, 8))
-	ics := make([]icache, n)
+	slab := mem.Make[uint64](a, n*tlb.TagArrayWords(sets, 8))
+	ics := mem.Make[icache](a, n)
 	for i := range ics {
 		ics[i] = icache{tags: tlb.CarveTagArray(&slab, sets, 8), missPenalty: missPenalty}
 	}

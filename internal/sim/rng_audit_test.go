@@ -22,9 +22,12 @@ func prngStates(v reflect.Value) map[string][]uint64 {
 	seen := map[uintptr]bool{}
 	prngType := reflect.TypeOf(mem.PRNG{})
 	coreType := reflect.TypeOf(cpu.Core{})
+	arenaType := reflect.TypeOf(&mem.Arena{})
 	var walk func(v reflect.Value, path string)
 	walk = func(v reflect.Value, path string) {
-		if !v.IsValid() {
+		if !v.IsValid() || v.Type() == arenaType {
+			// The arena records the slabs the components own, by their
+			// first elements: the walk reaches them through their owners.
 			return
 		}
 		if v.Type() == prngType {

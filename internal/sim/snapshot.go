@@ -279,32 +279,38 @@ func (s *System) baseState(c *snapshot.Coder) {
 	}
 }
 
-// bypassState walks the Hermes bypass map as a list of (line, count) pairs.
-// Map iteration order is not deterministic; saving sorts the keys so two
-// saves of the same state are byte-identical.
+// bypassState walks the in-flight direct-to-DRAM loads as one list of
+// (key, count) pairs in (core, line) order, each key core<<48 ^ line.
 func (s *System) bypassState(c *snapshot.Coder) {
 	if !c.Loading() {
-		keys := make([]uint64, 0, len(s.hermesBypass))
-		for k := range s.hermesBypass { //clipvet:orderfree key collection only; sorted below before encoding
-			keys = append(keys, k)
+		total := 0
+		for _, b := range s.bypass {
+			total += len(b)
 		}
-		slices.Sort(keys)
-		c.Len("sim: bypass entries", len(keys), snapshot.MaxLen, 8+8)
-		for _, k := range keys {
-			v := s.hermesBypass[k]
-			c.U64(&k)
-			c.Int(&v)
+		c.Len("sim: bypass entries", total, snapshot.MaxLen, 8+8)
+		for i, b := range s.bypass {
+			for _, e := range b {
+				k, v := uint64(i)<<48^e.line, e.n
+				c.U64(&k)
+				c.Int(&v)
+			}
 		}
 		return
 	}
 	n := c.Len("sim: bypass entries", 0, snapshot.MaxLen, 8+8)
-	clear(s.hermesBypass)
+	for i := range s.bypass {
+		s.bypass[i] = s.bypass[i][:0]
+	}
 	for i := 0; i < n && c.Err() == nil; i++ {
 		var k uint64
 		var v int
 		c.U64(&k)
 		c.Int(&v)
-		s.hermesBypass[k] = v
+		if core := k >> 48; core < uint64(len(s.bypass)) {
+			s.bypass[core].add(k^core<<48, v)
+		} else if c.Err() == nil {
+			c.Fail(fmt.Errorf("sim: bypass entry of core %d on %d cores: %w", core, len(s.bypass), snapshot.ErrCorrupt))
+		}
 	}
 }
 

@@ -90,11 +90,11 @@ func secondHalfMallocs(t *testing.T, cfg Config) uint64 {
 // depth and every other one at the mem.RingSlots its first growth would
 // allocate, so a run allocates only where the model leaves a structure
 // unbounded and a storm outgrows it — an L1's response queue, a VC ring,
-// the waiter pool, Hermes' bypass map — plus each core's instruction batch
-// at its first dispatch. Measured: 2.3 to 3.5 a core on every steadyArms
-// arm but hermes (30 on 4 cores, 12 of them the bypass map's growth);
-// mesh-geometry64 makes 204 on 64 cores. With its queues growing from nil,
-// a run made 28 to 47 a core.
+// the waiter pool — plus each core's instruction batch at its first
+// dispatch. Measured: 2.3 to 3.5 a core on every steadyArms arm (hermes 13
+// on 4 cores, its bypass lists carved at NewSystem); mesh-geometry64 makes
+// 204 on 64 cores. With its queues growing from nil, a run made 28 to 47 a
+// core.
 const runMallocsPerCore = 8
 
 // TestWholeRunAllocs: from NewSystem's return to the end of the run, every

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"slices"
+	"sync"
 
 	"clip/internal/cache"
 	"clip/internal/core"
@@ -44,8 +47,8 @@ type System struct {
 	dramPending mem.DueQueue
 	// llcRetry holds requests whose LLC slice refused them at NoC delivery.
 	llcRetry []mem.Ring[mem.Request]
-	// hermesBypass marks in-flight direct-to-DRAM loads: key core<<48^line.
-	hermesBypass map[uint64]int
+	// bypass holds each core's in-flight direct-to-DRAM loads.
+	bypass []bypassLines
 	// hermesHold delays bypassed fills by the on-chip portion Hermes still
 	// pays (tag/coherence checks, fill path): the bypass removes the cache
 	// *walk* from the DRAM access's start, not the chip from its end.
@@ -99,6 +102,10 @@ type System struct {
 	watchAt uint64
 	watched []uint64
 	hung    error
+
+	// arena holds every slab the System is built from; Close hands it to the
+	// next NewSystem of the same core count.
+	arena *mem.Arena
 }
 
 // pfQueueDepth bounds each core's prefetch queue: a candidate that finds it
@@ -115,7 +122,9 @@ type epochSnapshot struct {
 	pfFills, pfUseful, pfLate, pfPolluting, misses, retired uint64
 }
 
-// NewSystem builds and wires a system.
+// NewSystem builds and wires a system. It is built from the memory of the
+// last closed System of the same core count when there is one (Close), and
+// is the same system either way.
 func NewSystem(cfg Config) (*System, error) {
 	return newSystem(cfg, cfg.dramConfig())
 }
@@ -127,21 +136,37 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.Cores()
-	s := &System{
-		cfg:          cfg,
-		mesh:         noc.MustNew(meshConfig(n, cfg.NoCCriticalPriority)),
-		dram:         dram.MustNew(dcfg),
-		dramPending:  mem.NewDueQueue(dcfg.Channels),
-		hermesHold:   mem.NewDueQueue(1),
-		llcRetry:     make([]mem.Ring[mem.Request], n),
-		pfQ:          make([]mem.Ring[pfEntry], n),
-		stage:        make([]tileStage, n),
-		hermesBypass: map[uint64]int{},
-		epochPrev:    make([]epochSnapshot, n),
-		attachL2:     prefetchAttachL2(cfg.Prefetcher),
-		warmed:       cfg.WarmupInstr == 0,
+	return buildSystem(takeArena(cfg.Cores()), cfg, dcfg)
+}
+
+// buildSystem builds a validated configuration's system from the slabs of
+// arena a. A build that fails hands a back to the free list.
+func buildSystem(a *mem.Arena, cfg Config, dcfg dram.Config) (*System, error) {
+	s := &System{cfg: cfg, arena: a}
+	if err := s.build(dcfg); err != nil {
+		s.Close()
+		return nil, err
 	}
+	return s, nil
+}
+
+// build assembles and wires the components of s.cfg, every slab taken from
+// s.arena.
+func (s *System) build(dcfg dram.Config) error {
+	cfg, a := s.cfg, s.arena
+	n := cfg.Cores()
+	mesh, err := noc.NewIn(a, meshConfig(n, cfg.NoCCriticalPriority))
+	if err != nil {
+		return err
+	}
+	s.mesh = mesh
+	if s.dram, err = dram.NewIn(a, dcfg); err != nil {
+		return err
+	}
+	s.dramPending = mem.NewDueQueue(a, dcfg.Channels)
+	s.hermesHold = mem.NewDueQueue(a, 1)
+	s.attachL2 = prefetchAttachL2(cfg.Prefetcher)
+	s.warmed = cfg.WarmupInstr == 0
 
 	// DRAM responses are held until their DoneCycle, then routed to the
 	// owning LLC slice (or to L1 directly for Hermes bypass loads).
@@ -157,23 +182,23 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	// cache level, one for the cores and so on, each component's columns
 	// carved from its kind's slabs (DESIGN.md §8). Every level shares one
 	// response handler, told which cache calls it.
-	llcs, err := cache.NewArray(cacheConfig(cfg.LLC, mem.LevelLLC), n, func(int) cache.Lower { return s.dram })
+	llcs, err := cache.NewArray(a, cacheConfig(cfg.LLC, mem.LevelLLC), n, func(int) cache.Lower { return s.dram })
 	if err != nil {
-		return nil, err
+		return err
 	}
-	l2Lowers, l1Lowers := make([]l2Lower, n), make([]l1Lower, n)
+	l2Lowers, l1Lowers := mem.Make[l2Lower](a, n), mem.Make[l1Lower](a, n)
 	for i := 0; i < n; i++ {
 		l2Lowers[i], l1Lowers[i] = l2Lower{s: s, core: i}, l1Lower{s: s, core: i}
 	}
-	l2s, err := cache.NewArray(cacheConfig(cfg.L2, mem.LevelL2), n, func(i int) cache.Lower { return &l2Lowers[i] })
+	l2s, err := cache.NewArray(a, cacheConfig(cfg.L2, mem.LevelL2), n, func(i int) cache.Lower { return &l2Lowers[i] })
 	if err != nil {
-		return nil, err
+		return err
 	}
-	l1s, err := cache.NewArray(cacheConfig(cfg.L1D, mem.LevelL1), n, func(i int) cache.Lower { return &l1Lowers[i] })
+	l1s, err := cache.NewArray(a, cacheConfig(cfg.L1D, mem.LevelL1), n, func(i int) cache.Lower { return &l1Lowers[i] })
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s.llc, s.l2, s.l1d = pointers(llcs), pointers(l2s), pointers(l1s)
+	s.llc, s.l2, s.l1d = pointers(a, llcs), pointers(a, l2s), pointers(a, l1s)
 	onLLC, onL2, onL1 := s.onLLCResponse, s.onL2Response, s.onL1Response
 	for i := 0; i < n; i++ {
 		s.llc[i].OnLevelResponse(onLLC)
@@ -183,15 +208,15 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 
 	// Front-end models: each core's port owns its TLB hierarchy and L1I.
 	div := max(1, cfg.ScaleDivisor)
-	tlbs, err := tlb.NewArray(tlb.DefaultConfig(div), n)
+	tlbs, err := tlb.NewArray(a, tlb.DefaultConfig(div), n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	l1is := newL1Is(n, div, cfg.L2.Latency+cfg.LLC.Latency)
-	ports := make([]corePort, n)
-	s.ports = make([]*corePort, n)
-	memPorts := make([]cpu.MemoryPort, n)
-	delayed := make([]delayedReq, n*portQueueDepth)
+	l1is := newL1Is(a, n, div, cfg.L2.Latency+cfg.LLC.Latency)
+	ports := mem.Make[corePort](a, n)
+	s.ports = mem.Make[*corePort](a, n)
+	memPorts := mem.Make[cpu.MemoryPort](a, n)
+	delayed := mem.Make[delayedReq](a, n*portQueueDepth)
 	for i := range ports {
 		ports[i] = corePort{s: s, core: i, tlb: &tlbs[i], l1i: &l1is[i],
 			pending: mem.Carve(&delayed, portQueueDepth)[:0]}
@@ -203,48 +228,57 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 
 	// Cores with their workloads; each core's trace generator is its own.
 	scale := cfg.TraceScale()
-	gens := make([]trace.Generator, n)
+	gens := mem.Make[trace.Generator](a, n)
 	for i := range gens {
 		tcfg, err := trace.Lookup(cfg.Workload[i], scale)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		tcfg.Seed = mem.HashString(cfg.Workload[i]) ^ cfg.Seed ^ uint64(i)<<32
 		// SPEC-rate semantics: each core runs in a private address space.
 		tcfg.AddrOffset = mem.Addr(uint64(i+1) << 42)
 		if gens[i], err = trace.New(tcfg); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	budget := cfg.WarmupInstr
 	if budget == 0 {
 		budget = cfg.InstrPerCore
 	}
-	cores, err := cpu.NewCores(cfg.CPU, gens, memPorts, budget)
+	cores, err := cpu.NewCores(a, cfg.CPU, gens, memPorts, budget)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s.cores = pointers(cores)
-
-	if err := s.attachMechanisms(); err != nil {
-		return nil, err
-	}
+	s.cores = pointers(a, cores)
 
 	// Size every per-tile buffer up front so the steady-state loop does not
 	// allocate: the direct-DRAM queue is bounded by directDRAMDepth, the
-	// prefetch queue by pfQueueDepth, the retry ring by its drain rate. Each
-	// kind's rings share one slab.
-	dramQs := make([]mem.Request, n*directDRAMDepth)
-	retries := make([]mem.Request, n*llcRetryDepth)
-	pfQs := make([]pfEntry, n*pfQueueDepth)
+	// prefetch queue by pfQueueDepth, the retry ring by its drain rate and
+	// the bypass list by the L1D's MSHRs. Each kind's rings share one slab.
+	// They come before the mechanisms, so a recycled arena left by a system
+	// with other mechanisms still supplies them.
+	s.llcRetry = mem.Make[mem.Ring[mem.Request]](a, n)
+	s.pfQ = mem.Make[mem.Ring[pfEntry]](a, n)
+	s.stage = mem.Make[tileStage](a, n)
+	s.bypass = mem.Make[bypassLines](a, n)
+	s.epochPrev = mem.Make[epochSnapshot](a, n)
+	dramQs := mem.Make[mem.Request](a, n*directDRAMDepth)
+	retries := mem.Make[mem.Request](a, n*llcRetryDepth)
+	pfQs := mem.Make[pfEntry](a, n*pfQueueDepth)
+	lines := mem.Make[bypassLine](a, n*cfg.L1D.MSHRs)
 	for i := 0; i < n; i++ {
 		s.stage[i].dramQ.Adopt(mem.Carve(&dramQs, directDRAMDepth))
 		s.llcRetry[i].Adopt(mem.Carve(&retries, llcRetryDepth))
 		s.pfQ[i].Adopt(mem.Carve(&pfQs, pfQueueDepth))
+		s.bypass[i] = mem.Carve(&lines, cfg.L1D.MSHRs)[:0]
 	}
-
 	s.skip = !cfg.DisableSkip
 	s.carveColumns()
+
+	if err := s.attachMechanisms(); err != nil {
+		return err
+	}
+
 	if s.skip {
 		s.dram.OnDequeue(s.wakeParked)
 	} else {
@@ -258,7 +292,7 @@ func newSystem(cfg Config, dcfg dram.Config) (*System, error) {
 	if cfg.Throttler != "" {
 		s.nextThrottle = throttleEpoch
 	}
-	return s, nil
+	return nil
 }
 
 // llcRetryDepth sizes each slice's retry ring: the deliveries one slice can
@@ -271,9 +305,9 @@ func cacheConfig(c CacheGeom, level mem.Level) cache.Config {
 		MSHRs: c.MSHRs, Policy: c.Policy, Ports: c.Ports, InQ: c.InQ}
 }
 
-// pointers returns a pointer to each element of xs.
-func pointers[T any](xs []T) []*T {
-	ps := make([]*T, len(xs))
+// pointers returns a pointer to each element of xs, in a slab from a.
+func pointers[T any](a *mem.Arena, xs []T) []*T {
+	ps := mem.Make[*T](a, len(xs))
 	for i := range xs {
 		ps[i] = &xs[i]
 	}
@@ -304,9 +338,63 @@ func (s *System) onL1Response(i int, r *mem.Response) {
 // fetch is every core's instruction-fetch model: core i's L1I.
 func (s *System) fetch(i int, ip uint64) uint64 { return s.ports[i].l1i.fetch(ip) }
 
-// Close does nothing: a System holds no goroutine, file or other resource to
-// release. It stays because bench/ calls it.
-func (s *System) Close() {}
+// Close ends the System: it zeroes the memory the System is built from, as
+// make would have, and hands it to the next NewSystem of the same core
+// count. Nothing may read the System after Close: Close drops every
+// reference it holds, so a later call on it fails at once instead of
+// reading reused memory. A Result, a SelfStats or an image it returned
+// holds none of that memory. A second Close does nothing. Run, RunFromImage
+// and WarmupImage close their own System.
+func (s *System) Close() {
+	if s.arena == nil {
+		return
+	}
+	a, n := s.arena, s.cfg.Cores()
+	*s = System{}
+	releaseArena(n, a)
+}
+
+// freeArenas is the free list Close fills and NewSystem takes from: the
+// arenas of closed Systems with their core counts, at most GOMAXPROCS of
+// them, one for each System that can run at once. A Close that finds it full
+// drops the oldest.
+var freeArenas struct {
+	sync.Mutex
+	list []coreArena
+}
+
+type coreArena struct {
+	cores int
+	arena *mem.Arena
+}
+
+// takeArena returns the arena of the last closed System of the given core
+// count, or a new one.
+func takeArena(cores int) *mem.Arena {
+	freeArenas.Lock()
+	defer freeArenas.Unlock()
+	l := freeArenas.list
+	for i := len(l) - 1; i >= 0; i-- {
+		if l[i].cores == cores {
+			a := l[i].arena
+			freeArenas.list = slices.Delete(l, i, i+1)
+			return a
+		}
+	}
+	return new(mem.Arena)
+}
+
+// releaseArena puts the arena of a closed System of the given core count on
+// the free list.
+func releaseArena(cores int, a *mem.Arena) {
+	a.Rewind()
+	freeArenas.Lock()
+	defer freeArenas.Unlock()
+	if over := len(freeArenas.list) + 1 - runtime.GOMAXPROCS(0); over > 0 {
+		freeArenas.list = slices.Delete(freeArenas.list, 0, over)
+	}
+	freeArenas.list = append(freeArenas.list, coreArena{cores, a})
+}
 
 // throttleEpoch is the throttler epoch length in cycles.
 const throttleEpoch = 4096
@@ -452,10 +540,6 @@ func (l *l1Lower) Refused(req *mem.Request, n uint64) {
 			"sim: %d retries of core %d's bypass load %x charged as refused, but its direct-DRAM queue has room",
 			n, l.core, uint64(req.Addr))
 	}
-}
-
-func bypassKey(core int, addr mem.Addr) uint64 {
-	return uint64(core)<<48 ^ addr.LineID()
 }
 
 // Tick advances the whole system one cycle: the tiles in ascending core
@@ -747,12 +831,13 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunSelf is Run — or, with resume set, RunFromImage — that also returns the
-// simulation loop's own counters.
+// simulation loop's own counters. It closes its System once they are built.
 func RunSelf(cfg Config, image []byte, resume bool) (*Result, SelfStats, error) {
 	s, err := NewSystem(cfg)
 	if err != nil {
 		return nil, SelfStats{}, err
 	}
+	defer s.Close()
 	if resume {
 		if err := s.LoadState(image); err != nil {
 			return nil, SelfStats{}, err
@@ -796,7 +881,8 @@ func WarmupConfig(cfg Config) Config {
 // system at the warmup barrier — the instant the last core retires its
 // warmup budget, before counters are zeroed. Restoring the image and
 // crossing the barrier is byte-identical to having run the warmup in
-// process (the warm-fork equivalence test pins this).
+// process (the warm-fork equivalence test pins this). It closes its System
+// once the image is built.
 func WarmupImage(cfg Config) ([]byte, error) {
 	if cfg.WarmupInstr == 0 {
 		return nil, fmt.Errorf("sim: WarmupImage requires WarmupInstr > 0")
@@ -805,6 +891,7 @@ func WarmupImage(cfg Config) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Close()
 	maxCycles := s.MaxCycles()
 	for s.cycle < maxCycles && s.hung == nil && !s.advance(maxCycles) {
 	}

@@ -22,7 +22,7 @@ const directDRAMDepth = 16
 // tileStage is what a tile holds for the shared components across cycles.
 type tileStage struct {
 	// dramQ is the direct-DRAM queue of the Hermes bypass. It holds bypass
-	// loads (registered in hermesBypass when they reach the controller) and
+	// loads (registered in bypass when they reach the controller) and
 	// mispredicted-probe waste reads (droppable low-priority prefetches);
 	// the request type tells them apart.
 	dramQ mem.Ring[mem.Request]
@@ -139,7 +139,7 @@ func (s *System) drainDirectDRAM(i int, cy uint64) {
 			return
 		}
 		if req.Type == mem.Load {
-			s.hermesBypass[bypassKey(i, req.Addr)]++
+			s.bypass[i].add(req.Addr.LineID(), 1)
 		}
 		if st.route.live && st.route.bypass {
 			// The tile's L1 miss was refused by this full queue and may sleep

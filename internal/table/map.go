@@ -23,17 +23,18 @@ type Map[V any] struct {
 }
 
 // NewMaps builds n maps pre-sized for sizeHint entries each, their cells
-// carved from one slab per column. A map that outgrows its cells moves to
-// cells of its own (grow allocates), leaving the slab's other regions alone.
-func NewMaps[V any](n, sizeHint int) []Map[V] {
+// carved from one slab per column, taken from a (mem.Make). A map that
+// outgrows its cells moves to cells of its own (grow allocates), leaving the
+// slab's other regions alone.
+func NewMaps[V any](a *mem.Arena, n, sizeHint int) []Map[V] {
 	size := 16
 	for size < 2*sizeHint {
 		size *= 2
 	}
-	ms := make([]Map[V], n)
-	keys := make([]uint64, n*size)
-	vals := make([]V, n*size)
-	live := make([]bool, n*size)
+	ms := mem.Make[Map[V]](a, n)
+	keys := mem.Make[uint64](a, n*size)
+	vals := mem.Make[V](a, n*size)
+	live := mem.Make[bool](a, n*size)
 	for i := range ms {
 		ms[i] = Map[V]{
 			keys: mem.Carve(&keys, size),

@@ -119,8 +119,9 @@ type Fixed[V any] struct {
 
 // NewFixeds builds n tables of one capacity and policy. Their columns are
 // carved from one slab per column type (keys, values, and the int32 links
-// and index), so n tables cost four allocations.
-func NewFixeds[V any](n, capacity int, policy Policy) []Fixed[V] {
+// and index), so n tables cost four allocations, and the slabs come from a
+// (mem.Make).
+func NewFixeds[V any](a *mem.Arena, n, capacity int, policy Policy) []Fixed[V] {
 	if capacity <= 0 {
 		panic("table: non-positive Fixed capacity")
 	}
@@ -128,10 +129,10 @@ func NewFixeds[V any](n, capacity int, policy Policy) []Fixed[V] {
 	for idxSize < 2*capacity {
 		idxSize *= 2
 	}
-	ts := make([]Fixed[V], n)
-	keys := make([]uint64, n*capacity)
-	vals := make([]V, n*capacity)
-	links := make([]int32, n*(2*capacity+idxSize))
+	ts := mem.Make[Fixed[V]](a, n)
+	keys := mem.Make[uint64](a, n*capacity)
+	vals := mem.Make[V](a, n*capacity)
+	links := mem.Make[int32](a, n*(2*capacity+idxSize))
 	for i := range ts {
 		t := &ts[i]
 		*t = Fixed[V]{

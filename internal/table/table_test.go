@@ -8,10 +8,10 @@ import (
 
 // newFixed and newMap are one table or map with slabs of its own.
 func newFixed[V any](capacity int, policy Policy) *Fixed[V] {
-	return &NewFixeds[V](1, capacity, policy)[0]
+	return &NewFixeds[V](nil, 1, capacity, policy)[0]
 }
 
-func newMap[V any](sizeHint int) *Map[V] { return &NewMaps[V](1, sizeHint)[0] }
+func newMap[V any](sizeHint int) *Map[V] { return &NewMaps[V](nil, 1, sizeHint)[0] }
 
 func TestFixedFIFOEviction(t *testing.T) {
 	tb := newFixed[int](4, FIFO)
@@ -433,7 +433,7 @@ func TestFixedSteadyStateAllocFree(t *testing.T) {
 // from shared slabs; one that outgrows its cells moves to its own and leaves
 // its neighbour's alone.
 func TestMapsGrowthIsolation(t *testing.T) {
-	ms := NewMaps[int](2, 0)
+	ms := NewMaps[int](nil, 2, 0)
 	*ms[1].At(42) = 7
 	keys := append([]uint64(nil), ms[1].keys...)
 	for k := uint64(0); k < 100; k++ {
@@ -457,7 +457,7 @@ func TestMapsGrowthIsolation(t *testing.T) {
 // TestFixedsAreIndependent: the tables of one NewFixeds share slabs but not
 // slots: filling one past its capacity evicts only its own entries.
 func TestFixedsAreIndependent(t *testing.T) {
-	ts := NewFixeds[int](2, 4, FIFO)
+	ts := NewFixeds[int](nil, 2, 4, FIFO)
 	ts[1].Insert(99, 99)
 	for k := 0; k < 10; k++ {
 		ts[0].Insert(uint64(k), k)

@@ -163,7 +163,7 @@ type Hierarchy struct {
 
 // New builds a translation hierarchy: the one-member case of NewArray.
 func New(cfg HierarchyConfig) (*Hierarchy, error) {
-	hs, err := NewArray(cfg, 1)
+	hs, err := NewArray(nil, cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -171,8 +171,8 @@ func New(cfg HierarchyConfig) (*Hierarchy, error) {
 }
 
 // NewArray builds n translation hierarchies of one configuration, every
-// level's columns carved from one slab.
-func NewArray(cfg HierarchyConfig, n int) ([]Hierarchy, error) {
+// level's columns carved from one slab, taken from a (mem.Make).
+func NewArray(a *mem.Arena, cfg HierarchyConfig, n int) ([]Hierarchy, error) {
 	if err := cfg.DTLB.Validate(); err != nil {
 		return nil, err
 	}
@@ -180,8 +180,8 @@ func NewArray(cfg HierarchyConfig, n int) ([]Hierarchy, error) {
 		return nil, err
 	}
 	dSets, sSets := cfg.DTLB.Entries/cfg.DTLB.Ways, cfg.STLB.Entries/cfg.STLB.Ways
-	hs := make([]Hierarchy, n)
-	slab := make([]uint64, n*(TagArrayWords(dSets, cfg.DTLB.Ways)+TagArrayWords(sSets, cfg.STLB.Ways)))
+	hs := mem.Make[Hierarchy](a, n)
+	slab := mem.Make[uint64](a, n*(TagArrayWords(dSets, cfg.DTLB.Ways)+TagArrayWords(sSets, cfg.STLB.Ways)))
 	for i := range hs {
 		hs[i] = Hierarchy{cfg: cfg,
 			dtlb: CarveTagArray(&slab, dSets, cfg.DTLB.Ways),
