@@ -10,6 +10,7 @@ package throttle
 import (
 	"fmt"
 
+	"clip/internal/mem"
 	"clip/internal/prefetch"
 )
 
@@ -33,7 +34,7 @@ type Throttler interface {
 // New constructs a throttler by name ("fdp", "hpac", "spac", "nst") bound to
 // the target prefetcher: the one-member case of NewArray.
 func New(name string, target prefetch.Throttleable) (Throttler, error) {
-	ts, err := NewArray(name, []prefetch.Throttleable{target})
+	ts, err := NewArray(nil, name, []prefetch.Throttleable{target})
 	if err != nil {
 		return nil, err
 	}
@@ -41,27 +42,28 @@ func New(name string, target prefetch.Throttleable) (Throttler, error) {
 }
 
 // NewArray constructs one throttler of the named kind per target, throttler
-// i bound to targets[i]; the throttlers are one array.
-func NewArray(name string, targets []prefetch.Throttleable) ([]Throttler, error) {
-	ts := make([]Throttler, len(targets))
+// i bound to targets[i]; the throttlers are one array, taken from a
+// (mem.Make).
+func NewArray(a *mem.Arena, name string, targets []prefetch.Throttleable) ([]Throttler, error) {
+	ts := mem.Make[Throttler](a, len(targets))
 	switch name {
 	case "fdp":
-		fs := make([]fdp, len(targets))
+		fs := mem.Make[fdp](a, len(targets))
 		for i := range fs {
 			fs[i].target, ts[i] = targets[i], &fs[i]
 		}
 	case "hpac":
-		hs := make([]hpac, len(targets))
+		hs := mem.Make[hpac](a, len(targets))
 		for i := range hs {
 			hs[i].fdp.target, ts[i] = targets[i], &hs[i]
 		}
 	case "spac":
-		ss := make([]spac, len(targets))
+		ss := mem.Make[spac](a, len(targets))
 		for i := range ss {
 			ss[i].target, ts[i] = targets[i], &ss[i]
 		}
 	case "nst":
-		ns := make([]nst, len(targets))
+		ns := mem.Make[nst](a, len(targets))
 		for i := range ns {
 			ns[i].target, ts[i] = targets[i], &ns[i]
 		}
