@@ -186,6 +186,7 @@ type Cache struct {
 	waitFree int32
 
 	respQ []mem.Response // responses to the level above, ready-ordered
+	arena *mem.Arena     // what the array was built from; respQ grows from it
 
 	// The handlers are shared by the caches of an array and told the id of
 	// the cache that calls them.
@@ -283,7 +284,7 @@ func NewArray(a *mem.Arena, cfg Config, n int, lower func(i int) Lower) ([]Cache
 	respQs := mem.Make[mem.Response](a, n*mem.RingSlots)
 	for i := range cs {
 		c := &cs[i]
-		c.cfg, c.id, c.lower = cfg, i, lower(i)
+		c.cfg, c.id, c.lower, c.arena = cfg, i, lower(i), a
 		c.staller, _ = c.lower.(mem.Staller)
 		c.shift = uint(bits.TrailingZeros(uint(sets)))
 		c.slab = mem.Carve(&words, slabWords)
@@ -982,7 +983,9 @@ func (c *Cache) install(req *mem.Request, dirty bool) {
 // the scalar fields instead of a built-up mem.Response, so the only copy is
 // the one unavoidable Request move into the queue (the by-value path this
 // replaces built an 80-byte Response temp and then duff-copied it again on
-// append).
+// append). A full queue moves into a slab twice its size from the cache's
+// arena, so a System built on the memory of a closed one finds the queues
+// its run grew already there.
 //
 // Store (write-allocate) responses must still propagate upward so the
 // upper levels fill and wake their MSHRs — demand loads merged behind a
@@ -993,11 +996,12 @@ func (c *Cache) respond(req *mem.Request, servedBy mem.Level, done uint64, wasPF
 		return // reached (or passed) its fill level: terminate
 	}
 	n := len(c.respQ)
-	if n < cap(c.respQ) {
-		c.respQ = c.respQ[:n+1]
-	} else {
-		c.respQ = append(c.respQ, mem.Response{})
+	if n == cap(c.respQ) {
+		grown := mem.Make[mem.Response](c.arena, max(2*n, mem.RingSlots))
+		copy(grown, c.respQ)
+		c.respQ = grown[:n]
 	}
+	c.respQ = c.respQ[:n+1]
 	r := &c.respQ[n]
 	r.Req = *req
 	r.ServedBy = servedBy

@@ -20,7 +20,7 @@ func TestCacheSnapshotManifest(t *testing.T) {
 		[]string{
 			// From config: geometry, wiring, views into slab, and buffers
 			// consumed within one call.
-			"cfg", "id", "lower", "shift", "staller",
+			"cfg", "id", "lower", "shift", "staller", "arena",
 			"tags", "trigger", "dirtyBits", "pfBits", "validBits",
 			"onResp", "onAccess", "onPFEvict", "down", "accessEv",
 			// The pool's free chain: a load frees the whole pool and parks

@@ -260,3 +260,32 @@ func TestArrayGrowthIsolation(t *testing.T) {
 		})
 	}
 }
+
+// TestRespQGrowsFromArena: a response queue that outgrows its carved slots
+// moves, responses in order, into a slab from its cache's arena, so an
+// array rebuilt on the rewound arena grows the same queue into the same
+// memory.
+func TestRespQGrowsFromArena(t *testing.T) {
+	cfg := Config{Level: mem.LevelL1, Sets: 16, Ways: 4, Latency: 1, MSHRs: 4, Policy: "mockingjay", Ports: 1}
+	a := new(mem.Arena)
+	fill := func() []mem.Response {
+		cs, err := NewArray(a, cfg, 2, func(int) Lower { return acceptLower{} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3*mem.RingSlots; i++ {
+			cs[0].respond(&mem.Request{Addr: mem.Addr(i)}, mem.LevelL2, uint64(i), false, false)
+		}
+		return cs[0].respQ
+	}
+	first := fill()
+	for i := range first {
+		if r := first[i]; r.Req.Addr != mem.Addr(i) || r.DoneCycle != uint64(i) {
+			t.Fatalf("response %d is %+v after the queue grew", i, r)
+		}
+	}
+	a.Rewind()
+	if again := fill(); &again[0] != &first[0] {
+		t.Error("the rebuilt cache's queue did not grow into the slab its arena recorded")
+	}
+}

@@ -262,8 +262,8 @@ type Core struct {
 	// ibuf is the batch dispatch reads, ipos how much of it is dispatched.
 	// An empty ibuf means nothing is filled since New or a load: gen is at
 	// the batch's start, and ipos (restored by a load) is where dispatch
-	// resumes once the next refill has filled it. b, allocated at the first
-	// refill, backs ibuf and marks where gen was when it was filled.
+	// resumes once the next refill has filled it. b, carved at NewCores,
+	// backs ibuf and marks where gen was when it was filled.
 	ibuf []trace.Instr
 	ipos int
 	b    *batch
@@ -294,8 +294,9 @@ func New(id int, cfg Config, gen trace.Generator, port MemoryPort, budget uint64
 // NewCores builds one core per generator, core i with id i running gens[i]
 // through ports[i], all with one configuration and budget. Their ROB columns
 // and branch-predictor weights are carved from one slab per column type
-// (mem.Carve), so the cores cost a fixed handful of allocations whatever
-// their number. The slabs come from a (mem.Make).
+// (mem.Carve), and their instruction batches are one slab, so the cores cost
+// a fixed handful of allocations whatever their number. The slabs come from
+// a (mem.Make).
 func NewCores(a *mem.Arena, cfg Config, gens []trace.Generator, ports []MemoryPort, budget uint64) ([]Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -311,6 +312,7 @@ func NewCores(a *mem.Arena, cfg Config, gens []trace.Generator, ports []MemoryPo
 	u8 := mem.Make[uint8](a, n*2*size)
 	i32 := mem.Make[int32](a, n*2*size)
 	weights := mem.Make[int8](a, n*pcptTables*pcptEntries)
+	batches := mem.Make[batch](a, n)
 	for i := range cs {
 		if gens[i] == nil || ports[i] == nil {
 			return nil, fmt.Errorf("cpu: nil generator or memory port")
@@ -318,6 +320,7 @@ func NewCores(a *mem.Arena, cfg Config, gens []trace.Generator, ports []MemoryPo
 		c := &cs[i]
 		c.cfg, c.id, c.gen, c.port = cfg, i, gens[i], ports[i]
 		c.robSize, c.pendHead, c.budget, c.lastLoadSlot = size, -1, budget, -1
+		c.b = &batches[i]
 		c.bp.carve(&weights)
 		c.staller, _ = c.port.(mem.Staller)
 		c.validW, c.doneW, c.issuedW = mem.Carve(&u64, words), mem.Carve(&u64, words), mem.Carve(&u64, words)
@@ -942,9 +945,6 @@ type batch struct {
 // affect timing: dispatch refills mid-cycle whenever the buffer drains, and
 // the generators are pure sequences.
 func (c *Core) refillIbuf() {
-	if c.b == nil {
-		c.b = new(batch)
-	}
 	if len(c.ibuf) > 0 {
 		c.ipos = 0
 	}

@@ -83,12 +83,18 @@ func saveCore(t *testing.T, c *Core) []byte {
 
 func loadCore(t *testing.T, c *Core, img []byte) error {
 	t.Helper()
+	r := newLoader(t, img)
+	c.State(r)
+	return r.Done()
+}
+
+func newLoader(t *testing.T, img []byte) *snapshot.Coder {
+	t.Helper()
 	r, err := snapshot.NewLoader(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.State(r)
-	return r.Done()
+	return r
 }
 
 // TestCoreIbufRemainderBounded: an image says how many instructions of its
@@ -118,10 +124,11 @@ func TestCoreIbufRemainderBounded(t *testing.T) {
 
 // TestCoreRestoresMidBatch: a core saved having dispatched any number of its
 // batch's instructions — none, every offset inside the batch, all of them —
-// restores into a fresh core that holds no buffer and saves as the image it
-// loaded until its first dispatch, which regenerates the batch at the saved
-// position; from there it runs in lockstep with the core it was saved from,
-// across its next refill, and ends in the same image.
+// restores, without an allocation, into a fresh core whose buffer stays
+// empty, and saves as the image it loaded until its first dispatch, which
+// regenerates the batch at the saved position; from there it runs in
+// lockstep with the core it was saved from, across its next refill, and
+// ends in the same image.
 func TestCoreRestoresMidBatch(t *testing.T) {
 	const lockstep = ibufBatch + 200
 	for k := 0; k <= ibufBatch; k++ {
@@ -136,11 +143,18 @@ func TestCoreRestoresMidBatch(t *testing.T) {
 
 		got, gm := batchCore(t)
 		gm.inflight = append(gm.inflight, fm.inflight...) // what the memory system saves
-		if err := loadCore(t, got, img); err != nil {
-			t.Fatalf("offset %d: %v", k, err)
+		// AllocsPerRun loads twice, the first time as its warm-up.
+		loads, next := [2]*snapshot.Coder{newLoader(t, img), newLoader(t, img)}, 0
+		if n := testing.AllocsPerRun(1, func() { got.State(loads[next]); next++ }); n != 0 {
+			t.Fatalf("offset %d: the load made %v allocations", k, n)
 		}
-		if got.b != nil {
-			t.Fatalf("offset %d: the load allocated a batch", k)
+		for _, r := range loads {
+			if err := r.Done(); err != nil {
+				t.Fatalf("offset %d: %v", k, err)
+			}
+		}
+		if len(got.ibuf) != 0 {
+			t.Fatalf("offset %d: the load filled a batch", k)
 		}
 		if again := saveCore(t, got); !bytes.Equal(again, img) {
 			t.Fatalf("offset %d: the restored core saves differently before it dispatches", k)

@@ -1,10 +1,14 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
-// TestArenaRecycles: a rewound arena hands its slabs back in call order,
-// zeroed, while type and length match; at the first mismatch it allocates
-// afresh from there on and forgets the rest of its record.
+// TestArenaRecycles: a rewound arena hands back a recorded slab of the
+// asked type and length wherever it sits in the record, zeroed, and each
+// slab once a build; Make allocates when none is free, and a slab a build
+// left untaken waits, still zeroed, for a later build.
 func TestArenaRecycles(t *testing.T) {
 	a := new(Arena)
 	u := Make[uint64](a, 4)
@@ -16,32 +20,57 @@ func TestArenaRecycles(t *testing.T) {
 	b[0], w[1] = true, 9
 
 	a.Rewind()
-	u2, b2 := Make[uint64](a, 4), Make[bool](a, 3)
-	if &u2[0] != &u[0] || &b2[0] != &b[0] {
-		t.Fatal("a matching call did not get its recorded slab")
+	// Another shape: the calls come in reverse, and one is new.
+	f := Make[int32](a, 4)
+	if x := Make[int64](a, 4); unsafe.Pointer(&x[0]) == unsafe.Pointer(&u[0]) {
+		t.Fatal("a call got a slab of another type")
 	}
-	if len(u2) != 4 || cap(u2) != 4 || u2[0] != 0 || b2[0] {
-		t.Fatalf("recycled slabs are not zeroed slabs of their length: %v %v", u2, b2)
+	w2, b2, u2 := Make[uint64](a, 2), Make[bool](a, 3), Make[uint64](a, 4)
+	if &w2[0] != &w[0] || &b2[0] != &b[0] || &u2[0] != &u[0] {
+		t.Fatal("a call did not get the recorded slab of its type and length")
 	}
-	// The third record is a []uint64 of 2: a []uint64 of 3 does not match.
-	w2 := Make[uint64](a, 3)
-	if &w2[0] == &w[0] || len(w2) != 3 {
-		t.Fatal("a call of another length got the recorded slab")
+	if len(u2) != 4 || cap(u2) != 4 || u2[0] != 0 || b2[0] || w2[1] != 0 {
+		t.Fatalf("recycled slabs are not zeroed slabs of their length: %v %v %v", u2, b2, w2)
 	}
+	u3 := Make[uint64](a, 4)
+	if &u3[0] == &u[0] {
+		t.Fatal("a build got one slab twice")
+	}
+	f[3], u2[2], u3[2] = 5, 6, 6
 
 	a.Rewind()
-	Make[uint64](a, 4)
-	Make[bool](a, 3)
-	if w3 := Make[uint64](a, 3); &w3[0] != &w2[0] {
-		t.Fatal("the slab allocated after a mismatch was not recorded in its place")
-	}
-
+	Make[bool](a, 3) // the build takes neither []uint64 of 4 nor the []int32
 	a.Rewind()
-	if f := Make[int32](a, 4); len(f) != 4 {
-		t.Fatal("a mismatching first call did not allocate")
+	f2, u4 := Make[int32](a, 4), Make[uint64](a, 4)
+	if &f2[0] != &f[0] || f2[3] != 0 || (&u4[0] != &u[0] && &u4[0] != &u3[0]) || u4[2] != 0 {
+		t.Fatal("the slabs a build left untaken did not wait, zeroed, for the next")
 	}
-	if u4 := Make[uint64](a, 4); &u4[0] == &u[0] {
-		t.Fatal("the record after a mismatch was not forgotten")
+}
+
+// TestArenaRetention: Rewind keeps the slabs a build left untaken while
+// their bytes add up to at most the most one build has taken, and past
+// that drops the slabs idle longest first.
+func TestArenaRetention(t *testing.T) {
+	a := new(Arena)
+	old1, old2 := Make[uint64](a, 100), Make[uint64](a, 50) // 1,200 bytes: the peak
+	a.Rewind()
+	recent := Make[uint8](a, 1200) // leaves the first build's 1,200 bytes untaken
+	a.Rewind()
+	if len(a.slabs) != 3 {
+		t.Fatalf("%d slabs recorded after idle bytes equal to the peak, want 3", len(a.slabs))
+	}
+	Make[uint8](a, 100) // leaves 2,400 bytes untaken
+	a.Rewind()
+	// The first build's slabs are idle longest: dropping both brings the
+	// idle bytes down to the peak.
+	if len(a.slabs) != 2 {
+		t.Fatalf("%d slabs recorded after idle bytes past the peak, want 2", len(a.slabs))
+	}
+	if r := Make[uint8](a, 1200); &r[0] != &recent[0] {
+		t.Fatal("the slab idle least was dropped")
+	}
+	if o1, o2 := Make[uint64](a, 100), Make[uint64](a, 50); &o1[0] == &old1[0] || &o2[0] == &old2[0] {
+		t.Fatal("a slab idle longest was kept")
 	}
 }
 

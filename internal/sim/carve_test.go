@@ -61,8 +61,9 @@ func TestCarvedColumnsEndAtTheirLength(t *testing.T) {
 // carveWalk visits every slice reachable from a value through struct
 // fields, pointers, interfaces and the elements of slices of structs, and
 // fails on one whose capacity runs past its length. It does not follow the
-// wiring between components (the System, a cache's lower level and staller,
-// a core's generator and port), only what a component owns.
+// wiring between components (the System, a cache's lower level and staller
+// and the arena it grows from, a core's generator and port), only what a
+// component owns.
 type carveWalk struct {
 	t      *testing.T
 	seen   map[uintptr]bool
@@ -71,7 +72,7 @@ type carveWalk struct {
 
 var (
 	systemType = reflect.TypeOf(System{})
-	wiring     = map[string]bool{"s": true, "lower": true, "staller": true, "gen": true, "port": true, "bw": true}
+	wiring     = map[string]bool{"s": true, "lower": true, "staller": true, "gen": true, "port": true, "bw": true, "arena": true}
 	// carvedEmpty names the lists carved with length 0 and their region as
 	// their capacity: CLIP's APC history (the window count it never
 	// outgrows), a cache's response queue (its first mem.RingSlots) and a

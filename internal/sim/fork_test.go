@@ -97,26 +97,26 @@ func TestImageCanonical(t *testing.T) {
 // its Close. NewSystem builds each kind of component once for all cores
 // (DESIGN.md §8), so what a cold build allocates is a constant per System
 // plus the cores' trace cursors: an arm fails above footprintBase +
-// footprintPerCore a core (the arms measure 110–146 allocations on 4 to 16
-// cores). The 64-core geometry has a tighter count (239 now) and keeps its
-// byte budget (10.97 MB now). A recycled build allocates no slab, only the
+// footprintPerCore a core (the arms measure 111–147 allocations on 4 to 16
+// cores). The 64-core geometry has a tighter count (241 now) and keeps its
+// byte budget (11.80 MB now). A recycled build allocates no slab, only the
 // System, the mesh and DRAM headers and the trace cursors: an arm fails
 // above recycledBase + recycledPerCore allocations a core (15 + 2 a core
 // now) or recycledBytesBase + recycledBytesPerCore bytes a core (about 2.6
 // KB + 650 bytes a core now), and on the 64-core geometry above 15% of the
 // cold build's bytes (0.4% now). On that geometry the test also counts the
 // rest of a fork, LoadState and SaveState of its warm-up image (32–38 now).
-// Spending more is a decision to make here, not something a fork-per-point
-// campaign discovers.
+// A fork that changes mechanism recycles as well: the berti-ipcp-berti case
+// builds pf-berti, pf-ipcp and pf-berti again, each closed before the next,
+// and the third build is held to the recycled budgets. Spending more is a
+// decision to make here, not something a fork-per-point campaign discovers.
 //
 // The budgets cover NewSystem with every trace program its cores read
 // already built: a process builds a program once and caches it, but only up
 // to trace's bound, and past it NewSystem builds programs privately on every
-// call. So each arm is measured in a fresh process, where its subtest runs
+// call. So each case is measured in a fresh process, where its subtest runs
 // alone, and repeats a first build that built the programs; that build stays
-// open until the end, so the cold build cannot recycle it. A core's
-// instruction batch is not in it: the core allocates the batch at its first
-// dispatch.
+// open until the end, so the cold build cannot recycle it.
 func TestNewSystemFootprint(t *testing.T) {
 	const (
 		footprintBase    = 160
@@ -133,36 +133,60 @@ func TestNewSystemFootprint(t *testing.T) {
 	)
 	const self = "^TestNewSystemFootprint$"
 	_, child := strings.CutPrefix(flag.Lookup("test.run").Value.String(), self+"/")
-	for _, arm := range steadyArms() {
+	// inFreshProcess runs the named subtest alone in a fresh process and logs
+	// its NewSystem lines, unless this is that process; it reports whether it
+	// did, which leaves the caller nothing to measure.
+	inFreshProcess := func(t *testing.T, name string) bool {
+		if child {
+			return false
+		}
+		out, err := exec.Command(os.Args[0], "-test.run="+self+"/^"+name+"$", "-test.v").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v in a fresh process:\n%s", err, out)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if _, m, ok := strings.Cut(line, "NewSystem("); ok {
+				t.Log("NewSystem(" + m)
+			}
+		}
+		return true
+	}
+	// build returns a new System and what building it allocated.
+	build := func(t *testing.T, cfg Config) (s *System, bytes, mallocs uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := NewSystem(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+	}
+	// checkRecycled fails a recycled build of name above the budgets.
+	checkRecycled := func(t *testing.T, name string, cores int, bytes, mallocs uint64) {
+		budget, bytesBudget := uint64(recycledBase+recycledPerCore*cores), uint64(recycledBytesBase+recycledBytesPerCore*cores)
+		t.Logf("NewSystem(%s, %d cores): recycled %d bytes in %d allocations (budgets %d bytes, %d)",
+			name, cores, bytes, mallocs, bytesBudget, budget)
+		if mallocs > budget || bytes > bytesBudget {
+			t.Errorf("a recycled NewSystem on %d cores made %d allocations of %d bytes; the budgets are %d and %d bytes",
+				cores, mallocs, bytes, budget, bytesBudget)
+		}
+	}
+	arms := steadyArms()
+	cfgs := map[string]Config{}
+	for _, arm := range arms {
+		cfgs[arm.name] = arm.cfg
 		t.Run(arm.name, func(t *testing.T) {
-			if !child {
-				out, err := exec.Command(os.Args[0], "-test.run="+self+"/^"+arm.name+"$", "-test.v").CombinedOutput()
-				if err != nil {
-					t.Fatalf("%v in a fresh process:\n%s", err, out)
-				}
-				for _, line := range strings.Split(string(out), "\n") {
-					if _, m, ok := strings.Cut(line, "NewSystem("); ok {
-						t.Log("NewSystem(" + m)
-					}
-				}
+			if inFreshProcess(t, arm.name) {
 				return
 			}
-			// build returns a new System and what building it allocated.
-			build := func() (s *System, bytes, mallocs uint64) {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				s, err := NewSystem(arm.cfg)
-				runtime.ReadMemStats(&after)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s, after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
-			}
-			first, _, _ := build() // builds and caches the cores' trace programs
+			first, _, _ := build(t, arm.cfg) // builds and caches the cores' trace programs
 			defer first.Close()
-			cold, bytes, mallocs := build()
+			cold, bytes, mallocs := build(t, arm.cfg)
+			filed := cold.arena
 			cold.Close()
-			recycled, recBytes, recMallocs := build()
+			recycled, recBytes, recMallocs := build(t, arm.cfg)
+			took := recycled.arena
 			recycled.Close()
 
 			cores := arm.cfg.Cores()
@@ -183,16 +207,31 @@ func TestNewSystemFootprint(t *testing.T) {
 			if mallocs > budget {
 				t.Errorf("NewSystem on %d cores made %d allocations; the budget is %d", cores, mallocs, budget)
 			}
-			recBudget := uint64(recycledBase + recycledPerCore*cores)
-			recBytesBudget := uint64(recycledBytesBase + recycledBytesPerCore*cores)
-			t.Logf("NewSystem(%s, %d cores): recycled %d bytes in %d allocations (budgets %d bytes, %d)",
-				arm.name, cores, recBytes, recMallocs, recBytesBudget, recBudget)
-			if recMallocs > recBudget || recBytes > recBytesBudget {
-				t.Errorf("a recycled NewSystem on %d cores made %d allocations of %d bytes; the budgets are %d and %d bytes",
-					cores, recMallocs, recBytes, recBudget, recBytesBudget)
-			}
+			wantRecycled(t, took, filed)
+			checkRecycled(t, arm.name, cores, recBytes, recMallocs)
 		})
 	}
+	t.Run("berti-ipcp-berti", func(t *testing.T) {
+		if inFreshProcess(t, "berti-ipcp-berti") {
+			return
+		}
+		berti, ipcp := cfgs["pf-berti"], cfgs["pf-ipcp"]
+		first, _, _ := build(t, berti) // the two read the same trace programs
+		defer first.Close()
+		var filed *mem.Arena
+		for _, cfg := range []Config{berti, ipcp} {
+			s, _, _ := build(t, cfg)
+			if filed != nil {
+				wantRecycled(t, s.arena, filed)
+			}
+			filed = s.arena
+			s.Close()
+		}
+		s, bytes, mallocs := build(t, berti)
+		wantRecycled(t, s.arena, filed)
+		s.Close()
+		checkRecycled(t, "berti after ipcp", berti.Cores(), bytes, mallocs)
+	})
 }
 
 // forkLoadSave counts what LoadState and SaveState of cfg's warm-up image

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -132,7 +134,8 @@ func TestRecycledSystemMatchesFresh(t *testing.T) {
 
 // TestCloseRecycles: Close drops every reference the System holds and files
 // its arena, which the next NewSystem of the same core count builds on; a
-// second Close does nothing; and a build that fails files the arena it took.
+// second Close does nothing; a build that fails files the arena it took;
+// and garbage collections empty the free list.
 func TestCloseRecycles(t *testing.T) {
 	cfg := DefaultConfig(2, 1, 8)
 	s, err := NewSystem(cfg)
@@ -159,5 +162,29 @@ func TestCloseRecycles(t *testing.T) {
 	}
 	if b := takeArena(cfg.Cores()); b != a {
 		t.Error("a failed build did not file the arena it took")
+	}
+
+	// The free list ages at the end of each collection, on the finalizer
+	// goroutine, so the test gives it a few.
+	releaseArena(cfg.Cores(), a)
+	filed := func() bool {
+		freeArenas.Lock()
+		defer freeArenas.Unlock()
+		return slices.ContainsFunc(freeArenas.list, func(e coreArena) bool { return e.arena == a })
+	}
+	for i := 0; i < 20 && filed(); i++ {
+		runtime.GC()
+	}
+	if filed() {
+		t.Error("the free list kept an arena through 20 collections")
+	}
+}
+
+// wantRecycled fails the test unless got is want, the arena a closed System
+// filed before the build that took got.
+func wantRecycled(t *testing.T, got, want *mem.Arena) {
+	t.Helper()
+	if got != want {
+		t.Fatal("a build did not take the arena the System closed before it filed")
 	}
 }

@@ -88,14 +88,14 @@ func secondHalfMallocs(t *testing.T, cfg Config) uint64 {
 // runMallocsPerCore bounds what a whole run allocates after NewSystem
 // returns, per core. NewSystem carves every queue the model bounds at its
 // depth and every other one at the mem.RingSlots its first growth would
-// allocate, so a run allocates only where the model leaves a structure
-// unbounded and a storm outgrows it — an L1's response queue, a VC ring,
-// the waiter pool — plus each core's instruction batch at its first
-// dispatch. Measured: 2.3 to 3.5 a core on every steadyArms arm (hermes 13
-// on 4 cores, its bypass lists carved at NewSystem); mesh-geometry64 makes
-// 204 on 64 cores. With its queues growing from nil, a run made 28 to 47 a
-// core.
-const runMallocsPerCore = 8
+// allocate, and each core's instruction batch, so a run allocates only
+// where the model leaves a structure unbounded and a storm outgrows it — an
+// L1's response queue, a VC ring, the waiter pool. Measured on fresh
+// memory: 1.25 to 2.75 a core on every steadyArms arm (clip and dynclip 11
+// on 4 cores); mesh-geometry64 makes 141 on 64 cores. A System built on a
+// closed one's memory finds its response queues grown already. With its
+// queues growing from nil, a run made 28 to 47 a core.
+const runMallocsPerCore = 3
 
 // TestWholeRunAllocs: from NewSystem's return to the end of the run, every
 // steadyArms configuration allocates at most runMallocsPerCore a core.

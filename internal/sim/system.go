@@ -255,8 +255,6 @@ func (s *System) build(dcfg dram.Config) error {
 	// allocate: the direct-DRAM queue is bounded by directDRAMDepth, the
 	// prefetch queue by pfQueueDepth, the retry ring by its drain rate and
 	// the bypass list by the L1D's MSHRs. Each kind's rings share one slab.
-	// They come before the mechanisms, so a recycled arena left by a system
-	// with other mechanisms still supplies them.
 	s.llcRetry = mem.Make[mem.Ring[mem.Request]](a, n)
 	s.pfQ = mem.Make[mem.Ring[pfEntry]](a, n)
 	s.stage = mem.Make[tileStage](a, n)
@@ -339,10 +337,10 @@ func (s *System) onL1Response(i int, r *mem.Response) {
 func (s *System) fetch(i int, ip uint64) uint64 { return s.ports[i].l1i.fetch(ip) }
 
 // Close ends the System: it zeroes the memory the System is built from, as
-// make would have, and hands it to the next NewSystem of the same core
-// count. Nothing may read the System after Close: Close drops every
-// reference it holds, so a later call on it fails at once instead of
-// reading reused memory. A Result, a SelfStats or an image it returned
+// make would have, and hands it to a later NewSystem of the same core count,
+// unless the garbage collector reclaims it first. Nothing may read the
+// System after Close: Close drops every reference it holds, so a later call
+// on it fails at once instead of reading reused memory. A Result, a SelfStats or an image it returned
 // holds none of that memory. A second Close does nothing. Run, RunFromImage
 // and WarmupImage close their own System.
 func (s *System) Close() {
@@ -355,17 +353,22 @@ func (s *System) Close() {
 }
 
 // freeArenas is the free list Close fills and NewSystem takes from: the
-// arenas of closed Systems with their core counts, at most GOMAXPROCS of
-// them, one for each System that can run at once. A Close that finds it full
-// drops the oldest.
+// arenas of closed Systems with their core counts, the last filed last.
+// Garbage collections age it, as they do a sync.Pool: an arena left on it
+// through two collections is dropped, so the list keeps no memory alive in
+// a process that has stopped building Systems. It is one list, not a
+// sync.Pool, because a pool hides what one processor put in it from a
+// NewSystem running on another, which then builds cold.
 var freeArenas struct {
 	sync.Mutex
-	list []coreArena
+	list  []coreArena
+	aging bool // the end of the next collection ages the list
 }
 
 type coreArena struct {
 	cores int
 	arena *mem.Arena
+	aged  bool // a collection has ended since the arena was filed
 }
 
 // takeArena returns the arena of the last closed System of the given core
@@ -390,10 +393,32 @@ func releaseArena(cores int, a *mem.Arena) {
 	a.Rewind()
 	freeArenas.Lock()
 	defer freeArenas.Unlock()
-	if over := len(freeArenas.list) + 1 - runtime.GOMAXPROCS(0); over > 0 {
-		freeArenas.list = slices.Delete(freeArenas.list, 0, over)
+	freeArenas.list = append(freeArenas.list, coreArena{cores: cores, arena: a})
+	if !freeArenas.aging {
+		freeArenas.aging = true
+		runtime.SetFinalizer(new(collection), ageFreeArenas)
 	}
-	freeArenas.list = append(freeArenas.list, coreArena{cores, a})
+}
+
+// collection is an object nothing refers to, whose finalizer thus runs
+// after the next garbage collection. Its pointer keeps the allocator from
+// packing it with other small objects, which would delay the finalizer.
+type collection struct{ _ *byte }
+
+// ageFreeArenas ages the free list at the end of a garbage collection: it
+// drops the arenas already aged and marks the others aged. While any are
+// left it sets itself as c's finalizer again, so the collection after ages
+// the list too.
+func ageFreeArenas(c *collection) {
+	freeArenas.Lock()
+	defer freeArenas.Unlock()
+	freeArenas.list = slices.DeleteFunc(freeArenas.list, func(e coreArena) bool { return e.aged })
+	for i := range freeArenas.list {
+		freeArenas.list[i].aged = true
+	}
+	if freeArenas.aging = len(freeArenas.list) > 0; freeArenas.aging {
+		runtime.SetFinalizer(c, ageFreeArenas)
+	}
 }
 
 // throttleEpoch is the throttler epoch length in cycles.
